@@ -26,7 +26,7 @@
 //! flat-vs-hierarchical proptests pin.
 
 use crate::communicator::{CommError, ReduceOp};
-use crate::ring::{chunk_range, recv_f32, reduce_into, Transport};
+use crate::ring::{chunk_range, reduce_into, split_send_recv, Transport};
 use crate::topology::{RankId, Topology};
 
 /// The four ring neighbours of a rank in a two-level arrangement.
@@ -95,14 +95,20 @@ pub fn all_reduce_two_level<T: Transport + ?Sized>(
     };
 
     // Phase 1: intra-group ring reduce-scatter over s chunks. After s-1
-    // steps position j owns the group-partial chunk (j+1) mod s.
+    // steps position j owns the group-partial chunk (j+1) mod s. One
+    // scratch, sized for the largest intra-group chunk, takes the
+    // incoming partials of both reduce-scatter phases.
+    let mut scratch = vec![0.0f32; len.div_ceil(s)];
     for step in 0..s - 1 {
         let send_idx = (j + s - step) % s;
         let recv_idx = (j + s - step - 1) % s;
-        t.send_f32s(n.intra_next, &buf[chunk_range(len, send_idx, s)])?;
         let recv_range = chunk_range(len, recv_idx, s);
-        let incoming = recv_f32(t, n.intra_prev, recv_range.len())?;
-        reduce_into(&mut buf[recv_range], &incoming, phase_op);
+        let incoming = &mut scratch[..recv_range.len()];
+        t.exchange_f32s(
+            Some((n.intra_next, &buf[chunk_range(len, send_idx, s)])),
+            Some((n.intra_prev, &mut *incoming)),
+        )?;
+        reduce_into(&mut buf[recv_range], incoming, phase_op);
     }
     let owned = (j + 1) % s;
     let owned_range = chunk_range(len, owned, s);
@@ -115,18 +121,23 @@ pub fn all_reduce_two_level<T: Transport + ?Sized>(
         for step in 0..g_count - 1 {
             let send_idx = (g + g_count - step) % g_count;
             let recv_idx = (g + g_count - step - 1) % g_count;
-            t.send_f32s(n.cross_next, &sub[chunk_range(m, send_idx, g_count)])?;
             let recv_range = chunk_range(m, recv_idx, g_count);
-            let incoming = recv_f32(t, n.cross_prev, recv_range.len())?;
-            reduce_into(&mut sub[recv_range], &incoming, phase_op);
+            let incoming = &mut scratch[..recv_range.len()];
+            t.exchange_f32s(
+                Some((n.cross_next, &sub[chunk_range(m, send_idx, g_count)])),
+                Some((n.cross_prev, &mut *incoming)),
+            )?;
+            reduce_into(&mut sub[recv_range], incoming, phase_op);
         }
         for step in 0..g_count - 1 {
             let send_idx = (g + 1 + g_count - step) % g_count;
             let recv_idx = (g + g_count - step) % g_count;
-            t.send_f32s(n.cross_next, &sub[chunk_range(m, send_idx, g_count)])?;
-            let recv_range = chunk_range(m, recv_idx, g_count);
-            let incoming = recv_f32(t, n.cross_prev, recv_range.len())?;
-            sub[recv_range].copy_from_slice(&incoming);
+            let (send, recv) = split_send_recv(
+                sub,
+                chunk_range(m, send_idx, g_count),
+                chunk_range(m, recv_idx, g_count),
+            );
+            t.exchange_f32s(Some((n.cross_next, send)), Some((n.cross_prev, recv)))?;
         }
     }
 
@@ -135,10 +146,12 @@ pub fn all_reduce_two_level<T: Transport + ?Sized>(
     for step in 0..s - 1 {
         let send_idx = (j + 1 + s - step) % s;
         let recv_idx = (j + s - step) % s;
-        t.send_f32s(n.intra_next, &buf[chunk_range(len, send_idx, s)])?;
-        let recv_range = chunk_range(len, recv_idx, s);
-        let incoming = recv_f32(t, n.intra_prev, recv_range.len())?;
-        buf[recv_range].copy_from_slice(&incoming);
+        let (send, recv) = split_send_recv(
+            buf,
+            chunk_range(len, send_idx, s),
+            chunk_range(len, recv_idx, s),
+        );
+        t.exchange_f32s(Some((n.intra_next, send)), Some((n.intra_prev, recv)))?;
     }
 
     if op == ReduceOp::Mean {

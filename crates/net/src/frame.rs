@@ -23,6 +23,14 @@
 //! mid-frame interleaving on the send side. Element counts are capped at
 //! [`MAX_ELEMS`] so a corrupt or truncated header cannot trigger a
 //! multi-gigabyte allocation.
+//!
+//! The receive side mirrors it: [`read_frame_into`] checks the header's
+//! element count against the caller's destination **before touching the
+//! payload** and then `read_exact`s the payload bytes straight into that
+//! storage — no allocation, no per-element decode. The owned
+//! [`read_frame`] (sparse sets, tokens, control frames, `recv_from`)
+//! makes one allocation per payload vector and fills it through the same
+//! routine.
 
 use std::io::{self, IoSlice, Read, Write};
 
@@ -207,6 +215,25 @@ fn u32s_le_bytes(v: &[u32]) -> &[u8] {
     unsafe { std::slice::from_raw_parts(v.as_ptr().cast::<u8>(), v.len() * 4) }
 }
 
+/// Reinterprets an `f32` slice as writable wire bytes (little-endian
+/// targets only; see [`f32s_le_bytes`]).
+#[cfg(target_endian = "little")]
+fn f32s_le_bytes_mut(v: &mut [f32]) -> &mut [u8] {
+    // SAFETY: as in `f32s_le_bytes`, plus: the borrow is exclusive, u8 has
+    // alignment 1, and every 4-byte pattern written through the view is a
+    // valid f32 (NaN payloads included).
+    unsafe { std::slice::from_raw_parts_mut(v.as_mut_ptr().cast::<u8>(), v.len() * 4) }
+}
+
+/// Reinterprets a `u32` slice as writable wire bytes (little-endian
+/// targets only; see [`f32s_le_bytes_mut`]).
+#[cfg(target_endian = "little")]
+fn u32s_le_bytes_mut(v: &mut [u32]) -> &mut [u8] {
+    // SAFETY: as in `f32s_le_bytes_mut` — exclusive borrow, no padding,
+    // every byte pattern is a valid u32.
+    unsafe { std::slice::from_raw_parts_mut(v.as_mut_ptr().cast::<u8>(), v.len() * 4) }
+}
+
 /// Appends the frame header for `msg` — optional schedule-tag wrapper,
 /// tag byte, element counts — leaving only payload bytes to follow.
 fn push_header(header: &mut Vec<u8>, tag: Option<&ScheduleTag>, msg: MsgRef<'_>) {
@@ -357,35 +384,88 @@ fn read_len<R: Read>(r: &mut R) -> io::Result<usize> {
     Ok(n as usize)
 }
 
+/// Fills `dest` with little-endian `f32`s read from `r`: one `read_exact`
+/// into the destination's own bytes where the in-memory layout is the
+/// wire layout, element-wise otherwise (mirroring [`write_msg`]).
+fn fill_f32s<R: Read>(r: &mut R, dest: &mut [f32]) -> io::Result<()> {
+    #[cfg(target_endian = "little")]
+    {
+        r.read_exact(f32s_le_bytes_mut(dest))
+    }
+    #[cfg(not(target_endian = "little"))]
+    {
+        let mut b = [0u8; 4];
+        for d in dest {
+            r.read_exact(&mut b)?;
+            *d = f32::from_le_bytes(b);
+        }
+        Ok(())
+    }
+}
+
+/// Fills `dest` with little-endian `u32`s read from `r` (see
+/// [`fill_f32s`]).
+fn fill_u32s<R: Read>(r: &mut R, dest: &mut [u32]) -> io::Result<()> {
+    #[cfg(target_endian = "little")]
+    {
+        r.read_exact(u32s_le_bytes_mut(dest))
+    }
+    #[cfg(not(target_endian = "little"))]
+    {
+        let mut b = [0u8; 4];
+        for d in dest {
+            r.read_exact(&mut b)?;
+            *d = u32::from_le_bytes(b);
+        }
+        Ok(())
+    }
+}
+
 fn read_f32s<R: Read>(r: &mut R, n: usize) -> io::Result<Vec<f32>> {
-    let mut bytes = vec![0u8; n * 4];
-    r.read_exact(&mut bytes)?;
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
+    let mut vals = vec![0.0f32; n];
+    fill_f32s(r, &mut vals)?;
+    Ok(vals)
 }
 
 fn read_u32s<R: Read>(r: &mut R, n: usize) -> io::Result<Vec<u32>> {
-    let mut bytes = vec![0u8; n * 4];
-    r.read_exact(&mut bytes)?;
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
+    let mut vals = vec![0u32; n];
+    fill_u32s(r, &mut vals)?;
+    Ok(vals)
 }
 
-/// Reads one frame from `r` (blocking, subject to the stream's read
-/// timeout).
-///
-/// # Errors
-///
-/// Propagates I/O errors; an unknown tag or an oversized length surfaces
-/// as `InvalidData`.
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Frame> {
-    let mut tag = [0u8; 1];
-    r.read_exact(&mut tag)?;
-    match tag[0] {
+fn read_u8<R: Read>(r: &mut R) -> io::Result<u8> {
+    let mut b = [0u8; 1];
+    r.read_exact(&mut b)?;
+    Ok(b[0])
+}
+
+/// Reads the schedule-tag fields that follow a `Tagged` tag byte.
+fn read_schedule_tag<R: Read>(r: &mut R) -> io::Result<ScheduleTag> {
+    let seq = read_u64(r)?;
+    let pre_digest = read_u64(r)?;
+    let kind = read_u8(r)?;
+    let kind = OpKind::from_code(kind).ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("unknown schedule op kind {kind:#04x}"),
+        )
+    })?;
+    let words = read_u64(r)?;
+    let param = read_u64(r)?;
+    Ok(ScheduleTag {
+        point: SchedulePoint {
+            seq,
+            kind,
+            words,
+            param,
+        },
+        pre_digest,
+    })
+}
+
+/// Reads the rest of an untagged frame whose tag byte was `tag`.
+fn read_untagged<R: Read>(r: &mut R, tag: u8) -> io::Result<Frame> {
+    match tag {
         TAG_F32 => {
             let n = read_len(r)?;
             Ok(Frame::Msg(WireMsg::F32(read_f32s(r, n)?)))
@@ -411,52 +491,145 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Frame> {
         TAG_REFORM => Ok(Frame::Reform {
             epoch: read_u64(r)?,
         }),
-        TAG_TAGGED => {
-            let seq = read_u64(r)?;
-            let pre_digest = read_u64(r)?;
-            let mut kind = [0u8; 1];
-            r.read_exact(&mut kind)?;
-            let kind = OpKind::from_code(kind[0]).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unknown schedule op kind {:#04x}", kind[0]),
-                )
-            })?;
-            let words = read_u64(r)?;
-            let param = read_u64(r)?;
-            // Tags wrap exactly one payload message — never a handshake or
-            // control frame, never another tag (the transport wraps once
-            // per send).
-            let inner = match read_frame(r)? {
-                Frame::Msg(WireMsg::Tagged(..))
-                | Frame::Hello(_)
-                | Frame::Abort { .. }
-                | Frame::Reform { .. } => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "schedule tag wraps a non-payload frame",
-                    ));
-                }
-                Frame::Msg(msg) => msg,
-            };
-            Ok(Frame::Msg(WireMsg::Tagged(
-                ScheduleTag {
-                    point: SchedulePoint {
-                        seq,
-                        kind,
-                        words,
-                        param,
-                    },
-                    pre_digest,
-                },
-                Box::new(inner),
-            )))
-        }
+        // Only reachable as the inner frame of a tag: the transport wraps
+        // once per send.
+        TAG_TAGGED => Err(non_payload_in_tag()),
         other => Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("unknown frame tag {other:#04x}"),
         )),
     }
+}
+
+fn non_payload_in_tag() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        "schedule tag wraps a non-payload frame",
+    )
+}
+
+/// Wraps `inner` in its schedule tag, if it had one. Tags wrap exactly one
+/// payload message — never a handshake or control frame.
+fn tagged(tag: Option<ScheduleTag>, inner: Frame) -> io::Result<Frame> {
+    match (tag, inner) {
+        (None, frame) => Ok(frame),
+        (Some(tag), Frame::Msg(msg)) => Ok(Frame::Msg(WireMsg::Tagged(tag, Box::new(msg)))),
+        (Some(_), _) => Err(non_payload_in_tag()),
+    }
+}
+
+/// Reads the optional schedule-tag wrapper and the (inner) frame's tag
+/// byte — everything up to the point where the owned and the
+/// receive-into paths part ways.
+fn read_prefix<R: Read>(r: &mut R) -> io::Result<(Option<ScheduleTag>, u8)> {
+    match read_u8(r)? {
+        TAG_TAGGED => {
+            let tag = read_schedule_tag(r)?;
+            Ok((Some(tag), read_u8(r)?))
+        }
+        other => Ok((None, other)),
+    }
+}
+
+/// Reads one frame from `r` (blocking, subject to the stream's read
+/// timeout).
+///
+/// # Errors
+///
+/// Propagates I/O errors; an unknown tag or an oversized length surfaces
+/// as `InvalidData`.
+pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Frame> {
+    let (tag, kind) = read_prefix(r)?;
+    let inner = read_untagged(r, kind)?;
+    tagged(tag, inner)
+}
+
+/// Caller-provided destination of [`read_frame_into`]: the dense payload
+/// kinds whose length the receiver knows before the frame arrives.
+#[derive(Debug)]
+pub enum DenseMut<'a> {
+    /// Expects an `F32` frame of exactly this many elements.
+    F32(&'a mut [f32]),
+    /// Expects a `U32` frame of exactly this many elements.
+    U32(&'a mut [u32]),
+}
+
+impl DenseMut<'_> {
+    /// Elements the destination holds.
+    pub fn len(&self) -> usize {
+        match self {
+            DenseMut::F32(d) => d.len(),
+            DenseMut::U32(d) => d.len(),
+        }
+    }
+
+    /// Whether the destination holds no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// A shorter-lived view of the same destination (for retry loops).
+    pub fn reborrow(&mut self) -> DenseMut<'_> {
+        match self {
+            DenseMut::F32(d) => DenseMut::F32(d),
+            DenseMut::U32(d) => DenseMut::U32(d),
+        }
+    }
+
+    fn wire_tag(&self) -> u8 {
+        match self {
+            DenseMut::F32(_) => TAG_F32,
+            DenseMut::U32(_) => TAG_U32,
+        }
+    }
+}
+
+/// Outcome of [`read_frame_into`].
+#[derive(Debug, PartialEq)]
+pub enum ReadInto {
+    /// The expected payload landed in the destination; `tag` is the
+    /// schedule tag it was wrapped in, if any.
+    Filled {
+        /// Schedule tag the frame carried (cross-check mode).
+        tag: Option<ScheduleTag>,
+    },
+    /// The frame is of the expected kind but announces `actual` elements.
+    /// **No payload byte has been consumed**, so the stream is left
+    /// mid-frame: the caller must close the link.
+    LengthMismatch {
+        /// Schedule tag the frame carried (cross-check mode).
+        tag: Option<ScheduleTag>,
+        /// Element count in the frame header.
+        actual: usize,
+    },
+    /// Some other frame — a control frame, or a payload of another kind —
+    /// fully read and decoded like [`read_frame`] would.
+    Other(Frame),
+}
+
+/// Reads one frame from `r`; if it is the dense payload `dest` expects,
+/// the payload bytes are read **directly into `dest`** (no allocation, no
+/// per-element decode). The header's element count is validated against
+/// `dest.len()` before any payload byte is read.
+///
+/// # Errors
+///
+/// As [`read_frame`].
+pub fn read_frame_into<R: Read>(r: &mut R, dest: DenseMut<'_>) -> io::Result<ReadInto> {
+    let (tag, kind) = read_prefix(r)?;
+    if kind != dest.wire_tag() {
+        let inner = read_untagged(r, kind)?;
+        return tagged(tag, inner).map(ReadInto::Other);
+    }
+    let actual = read_len(r)?;
+    if actual != dest.len() {
+        return Ok(ReadInto::LengthMismatch { tag, actual });
+    }
+    match dest {
+        DenseMut::F32(d) => fill_f32s(r, d)?,
+        DenseMut::U32(d) => fill_u32s(r, d)?,
+    }
+    Ok(ReadInto::Filled { tag })
 }
 
 #[cfg(test)]
@@ -658,6 +831,178 @@ mod tests {
                 }
             }
             other => panic!("wrong frame: {other:?}"),
+        }
+    }
+
+    /// A reader that yields 1–7 bytes per call, cycling — the worst-case
+    /// short read, mirror of [`DribbleWriter`].
+    struct DribbleReader {
+        bytes: Vec<u8>,
+        pos: usize,
+        calls: usize,
+    }
+
+    impl DribbleReader {
+        fn new(bytes: Vec<u8>) -> Self {
+            DribbleReader {
+                bytes,
+                pos: 0,
+                calls: 0,
+            }
+        }
+    }
+
+    impl Read for DribbleReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let n = (self.calls % 7 + 1)
+                .min(buf.len())
+                .min(self.bytes.len() - self.pos);
+            buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// Dense payloads with awkward bit patterns and lengths.
+    fn dense_samples() -> Vec<WireMsg> {
+        let nan_payload = f32::from_bits(0x7fc1_2345);
+        vec![
+            WireMsg::F32(Vec::new()),
+            WireMsg::F32(vec![-0.0]),
+            WireMsg::F32(vec![f32::NAN, nan_payload, -0.0, 0.0, f32::INFINITY]),
+            WireMsg::F32((0..1023).map(|i| (i as f32 * 0.37).sin()).collect()),
+            WireMsg::U32(Vec::new()),
+            WireMsg::U32(vec![0, 7, u32::MAX]),
+            WireMsg::U32((0..517u32).map(|i| i.wrapping_mul(0x0101_0101)).collect()),
+        ]
+    }
+
+    /// Reads `bytes` through [`read_frame_into`] with a destination shaped
+    /// like `like`, and returns what landed there.
+    fn read_into_like<R: Read>(r: &mut R, like: &WireMsg) -> (ReadInto, WireMsg) {
+        match like {
+            WireMsg::F32(v) => {
+                let mut dest = vec![1.0f32; v.len()];
+                let out = read_frame_into(r, DenseMut::F32(&mut dest)).unwrap();
+                (out, WireMsg::F32(dest))
+            }
+            WireMsg::U32(v) => {
+                let mut dest = vec![1u32; v.len()];
+                let out = read_frame_into(r, DenseMut::U32(&mut dest)).unwrap();
+                (out, WireMsg::U32(dest))
+            }
+            other => panic!("not a dense payload: {other:?}"),
+        }
+    }
+
+    fn bits_of(msg: &WireMsg) -> Vec<u32> {
+        match msg {
+            WireMsg::F32(v) => v.iter().map(|x| x.to_bits()).collect(),
+            WireMsg::U32(v) => v.clone(),
+            other => panic!("not a dense payload: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn read_into_matches_owned_read_bit_for_bit() {
+        for msg in dense_samples() {
+            for tag in [None, Some(sample_tag())] {
+                let frame = match tag {
+                    Some(tag) => Frame::Msg(WireMsg::Tagged(tag, Box::new(msg.clone()))),
+                    None => Frame::Msg(msg.clone()),
+                };
+                let bytes = encode(&frame);
+                let owned = match read_frame(&mut io::Cursor::new(&bytes)).unwrap() {
+                    Frame::Msg(WireMsg::Tagged(_, inner)) => *inner,
+                    Frame::Msg(plain) => plain,
+                    other => panic!("wrong frame: {other:?}"),
+                };
+                let mut cursor = io::Cursor::new(&bytes);
+                let (out, landed) = read_into_like(&mut cursor, &msg);
+                assert_eq!(out, ReadInto::Filled { tag });
+                assert_eq!(bits_of(&landed), bits_of(&owned), "payload {msg:?}");
+                assert_eq!(bits_of(&landed), bits_of(&msg));
+                assert_eq!(cursor.position() as usize, bytes.len());
+            }
+        }
+    }
+
+    #[test]
+    fn reads_survive_short_reads() {
+        // 1–7 bytes per `read` exercises `read_exact` across the tag,
+        // count and payload boundaries on both receive paths.
+        for frame in sample_frames() {
+            // A nested tag is unreadable by design (see
+            // `nested_tag_is_rejected`).
+            if matches!(&frame, Frame::Msg(WireMsg::Tagged(_, inner)) if matches!(**inner, WireMsg::Tagged(..)))
+            {
+                continue;
+            }
+            // Compared re-encoded: the samples carry NaNs.
+            let bytes = encode(&frame);
+            let mut r = DribbleReader::new(bytes.clone());
+            assert_eq!(encode(&read_frame(&mut r).unwrap()), bytes);
+        }
+        for msg in dense_samples() {
+            let frame = Frame::Msg(WireMsg::Tagged(sample_tag(), Box::new(msg.clone())));
+            let mut r = DribbleReader::new(encode(&frame));
+            let (out, landed) = read_into_like(&mut r, &msg);
+            assert_eq!(
+                out,
+                ReadInto::Filled {
+                    tag: Some(sample_tag())
+                }
+            );
+            assert_eq!(bits_of(&landed), bits_of(&msg));
+        }
+    }
+
+    #[test]
+    fn length_mismatch_consumes_no_payload() {
+        let bytes = encode(&Frame::Msg(WireMsg::F32(vec![1.0, 2.0, 3.0])));
+        let mut cursor = io::Cursor::new(&bytes);
+        let mut dest = [9.0f32; 2];
+        let out = read_frame_into(&mut cursor, DenseMut::F32(&mut dest)).unwrap();
+        assert_eq!(
+            out,
+            ReadInto::LengthMismatch {
+                tag: None,
+                actual: 3
+            }
+        );
+        // Tag byte and count only; the 12 payload bytes are untouched, and
+        // so is the destination.
+        assert_eq!(cursor.position(), 5);
+        assert_eq!(dest, [9.0, 9.0]);
+    }
+
+    #[test]
+    fn oversized_length_is_rejected_before_the_destination_is_touched() {
+        let mut bytes = vec![TAG_U32];
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut dest = [5u32; 4];
+        let err =
+            read_frame_into(&mut io::Cursor::new(bytes), DenseMut::U32(&mut dest)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(dest, [5; 4]);
+    }
+
+    #[test]
+    fn read_into_hands_other_frames_back_owned() {
+        // Control frames, and payloads of another kind than the
+        // destination expects, decode exactly like `read_frame`.
+        for frame in sample_frames() {
+            if matches!(&frame, Frame::Msg(WireMsg::F32(_)))
+                || matches!(&frame, Frame::Msg(WireMsg::Tagged(_, inner)) if matches!(**inner, WireMsg::F32(_) | WireMsg::Tagged(..)))
+            {
+                continue;
+            }
+            let bytes = encode(&frame);
+            let mut dest = [0.0f32; 2];
+            let out =
+                read_frame_into(&mut io::Cursor::new(&bytes), DenseMut::F32(&mut dest)).unwrap();
+            assert_eq!(out, ReadInto::Other(frame));
         }
     }
 

@@ -11,6 +11,12 @@
 //! vs. hierarchical ring-of-rings — is [`TcpConfig::topology`], distinct
 //! from the socket-level [`Wiring`].
 //!
+//! Dense collective steps cross a link as a lock-step exchange of bounded
+//! segments, each an ordinary frame, received straight into the caller's
+//! buffer: a rank never has more than one segment written ahead of a
+//! receive it has yet to post, so no payload size can stall a ring step
+//! (DESIGN.md §12).
+//!
 //! Fault semantics:
 //!
 //! * connection establishment retries with bounded exponential backoff
@@ -21,6 +27,11 @@
 //!   operation (connector side re-connects, acceptor side re-accepts and
 //!   re-validates the hello handshake); a second failure surfaces as
 //!   [`CommError::PeerDisconnected`] / [`CommError::Io`];
+//! * a failure in the *middle* of a frame (a deadline hit mid-payload, a
+//!   corrupt header, a length mismatch) shuts that link down on the spot:
+//!   the byte stream is no longer on a frame boundary, and the next
+//!   operation must fail structured rather than parse payload bytes as a
+//!   frame tag;
 //! * injected drops ([`FaultInjector::drop_every`]) deliberately close a
 //!   connector-role link at a frame boundary and ride the same
 //!   reconnect path, so the retry machinery is exercised by tests rather
@@ -39,7 +50,7 @@
 //! may have partially progressed); callers should tear the group down.
 
 use std::collections::BTreeSet;
-use std::io;
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -56,7 +67,9 @@ use acp_collectives::{
 use acp_telemetry::{keys, noop, RecorderHandle};
 
 use crate::fault::FaultInjector;
-use crate::frame::{read_frame, write_frame, write_msg, Frame, MsgRef};
+use crate::frame::{
+    read_frame, read_frame_into, write_frame, write_msg, DenseMut, Frame, MsgRef, ReadInto,
+};
 
 /// Bounded exponential backoff for connection establishment (and
 /// re-establishment after a drop).
@@ -326,6 +339,61 @@ fn configure_stream(stream: &TcpStream, op_deadline: Duration) -> io::Result<()>
     stream.set_read_timeout(t)?;
     stream.set_write_timeout(t)?;
     Ok(())
+}
+
+/// A link's stream for the duration of one frame, remembering whether any
+/// byte of that frame has moved yet.
+struct FrameIo<'a> {
+    stream: &'a mut TcpStream,
+    moved: bool,
+}
+
+impl Read for FrameIo<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.stream.read(buf)?;
+        self.moved |= n > 0;
+        Ok(n)
+    }
+}
+
+impl Write for FrameIo<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.stream.write(buf)?;
+        self.moved |= n > 0;
+        Ok(n)
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        let n = self.stream.write_vectored(bufs)?;
+        self.moved |= n > 0;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+/// Reads or writes one frame on an established link. A failure after the
+/// frame's first byte (a deadline hit mid-payload, a corrupt header)
+/// leaves the byte stream mid-frame, where the next read would parse
+/// payload bytes as a frame tag — so the link is shut down instead and
+/// every later operation on it fails structured (`PeerDisconnected`, or
+/// `Timeout` out of the re-establishment attempt). A failure *before* the
+/// first byte leaves the stream on a frame boundary and the link intact.
+fn frame_io<T>(
+    stream: &mut TcpStream,
+    f: impl FnOnce(&mut FrameIo<'_>) -> io::Result<T>,
+) -> io::Result<T> {
+    let mut io = FrameIo {
+        stream,
+        moved: false,
+    };
+    let out = f(&mut io);
+    if out.is_err() && io.moved {
+        let _ = io.stream.shutdown(Shutdown::Both);
+    }
+    out
 }
 
 /// Dials `addr` with bounded exponential backoff. The retry budget is
@@ -706,6 +774,14 @@ impl TcpCommunicator {
         }
     }
 
+    /// The transport, for direct point-to-point use — gone once the comm
+    /// worker owns it.
+    fn direct(&mut self) -> Result<&mut TcpTransport, CommError> {
+        self.inner.as_mut().ok_or_else(|| {
+            CommError::Io("transport is owned by the comm worker; use the collective API".into())
+        })
+    }
+
     /// Spawns the comm worker on first use, moving the transport into it.
     fn ensure_worker(&mut self) -> &CommWorker {
         if self.worker.is_none() {
@@ -1031,8 +1107,10 @@ impl WorkerTransport for TcpTransport {
             let started = Instant::now();
             for &peer in &survivors {
                 let link = links[peer].as_mut().ok_or(CommError::PeerDisconnected)?;
-                write_frame(&mut link.stream, &Frame::Reform { epoch })
-                    .map_err(|e| map_io("reform", started, &e))?;
+                frame_io(&mut link.stream, |io| {
+                    write_frame(io, &Frame::Reform { epoch })
+                })
+                .map_err(|e| map_io("reform", started, &e))?;
             }
         }
         for &peer in &survivors {
@@ -1042,7 +1120,7 @@ impl WorkerTransport for TcpTransport {
                 };
                 let link = links[peer].as_mut().ok_or(CommError::PeerDisconnected)?;
                 let started = Instant::now();
-                match read_frame(&mut link.stream) {
+                match frame_io(&mut link.stream, |io| read_frame(io)) {
                     // Stale pre-reform traffic: payloads of the aborted
                     // collective, probe hellos, last epoch's aborts.
                     Ok(Frame::Msg(_)) | Ok(Frame::Hello(_)) => continue,
@@ -1089,6 +1167,46 @@ impl WorkerTransport for TcpTransport {
             }
         }
         Ok(self.membership())
+    }
+}
+
+/// Elements per segment of a dense exchange: 64 KiB of payload.
+///
+/// Deadlock freedom needs one segment plus its header to fit in the
+/// kernel's buffering for one link while nobody reads it: about 4.2 MB on
+/// a cold loopback socket, but only the initial send buffer plus receive
+/// window (on the order of 150 KB with Linux defaults) on a cold LAN one.
+/// Throughput wants segments large enough to amortize the per-frame
+/// syscalls and TCP processing. In the recorded sweep (DESIGN.md §12) a
+/// 9.4 MB all-reduce costs 9.5 ms with 32 KiB segments and 6.6 ms with
+/// 60 KiB, then sits on a 4.8–5.6 ms plateau from 64 KiB to 1 MiB: 64 KiB
+/// is the smallest segment on the plateau, so it is the one with the
+/// widest margin under the buffering bound.
+const SEGMENT_ELEMS: usize = 16 * 1024;
+
+/// The 4-byte element types a dense frame carries.
+trait Dense: Copy {
+    fn view(payload: &[Self]) -> MsgRef<'_>;
+    fn sink(dest: &mut [Self]) -> DenseMut<'_>;
+}
+
+impl Dense for f32 {
+    fn view(payload: &[f32]) -> MsgRef<'_> {
+        MsgRef::F32(payload)
+    }
+
+    fn sink(dest: &mut [f32]) -> DenseMut<'_> {
+        DenseMut::F32(dest)
+    }
+}
+
+impl Dense for u32 {
+    fn view(payload: &[u32]) -> MsgRef<'_> {
+        MsgRef::U32(payload)
+    }
+
+    fn sink(dest: &mut [u32]) -> DenseMut<'_> {
+        DenseMut::U32(dest)
     }
 }
 
@@ -1194,14 +1312,14 @@ impl TcpTransport {
                 // path; the peer sees EOF and re-accepts.
                 Self::reconnect(peers, retry, op_deadline, rank, link)?;
             }
-            match write_msg(&mut link.stream, tag.as_ref(), view) {
+            match frame_io(&mut link.stream, |io| write_msg(io, tag.as_ref(), view)) {
                 Ok(()) => Ok(()),
                 Err(e) if is_disconnect(&e) && link.role == LinkRole::Connector => {
                     // One reconnect-and-resend attempt; frames are written
                     // atomically, so the failed frame was not partially
                     // consumed by the peer.
                     Self::reconnect(peers, retry, op_deadline, rank, link)?;
-                    write_msg(&mut link.stream, tag.as_ref(), view)
+                    frame_io(&mut link.stream, |io| write_msg(io, tag.as_ref(), view))
                         .map_err(|e| map_io("send", started, &e))
                 }
                 Err(e) => Err(map_io("send", started, &e)),
@@ -1218,51 +1336,46 @@ impl TcpTransport {
         }
         Ok(())
     }
-}
 
-impl Transport for TcpTransport {
-    // `Transport::rank` is the schedule-facing *virtual* rank; `physical`
-    // is the socket-facing slot. The mismatch in field name is deliberate.
-    #[allow(clippy::misnamed_getters)]
-    fn rank(&self) -> usize {
-        self.virtual_rank
-    }
-
-    fn world_size(&self) -> usize {
-        self.members.len()
-    }
-
-    fn send_to(&mut self, dest: usize, msg: WireMsg) -> Result<(), CommError> {
-        match &msg {
-            WireMsg::F32(v) => self.send_view(dest, MsgRef::F32(v)),
-            WireMsg::U32(v) => self.send_view(dest, MsgRef::U32(v)),
-            WireMsg::Sparse(i, v) => self.send_view(dest, MsgRef::Sparse(i, v)),
-            WireMsg::Token => self.send_view(dest, MsgRef::Token),
-            // The transport stamps the schedule tag itself (from the
-            // tracer, inside `send_view`); a pre-tagged message is a
-            // caller bug, not a sendable payload.
-            WireMsg::Tagged(..) => Err(CommError::ProtocolMismatch),
-        }
-    }
-
-    fn send_f32s(&mut self, dest: usize, payload: &[f32]) -> Result<(), CommError> {
-        self.send_view(dest, MsgRef::F32(payload))
-    }
-
-    fn send_u32s(&mut self, dest: usize, payload: &[u32]) -> Result<(), CommError> {
-        self.send_view(dest, MsgRef::U32(payload))
-    }
-
-    fn send_sparse(
+    /// One lock-step exchange: the outgoing slice is cut into
+    /// `SEGMENT_ELEMS`-element frames, the incoming one is read as such
+    /// frames, and the two alternate — write segment `i`, read segment
+    /// `i` — so this rank never has more than one segment written ahead
+    /// of a receive it has yet to post, whatever the payload size. Each
+    /// segment is an ordinary `F32`/`U32` frame, so schedule tags, fault
+    /// injection and reconnect-and-resend all stay per-frame. An empty
+    /// slice still travels as one empty frame.
+    fn exchange<E: Dense>(
         &mut self,
-        dest: usize,
-        indices: &[u32],
-        values: &[f32],
+        send: Option<(usize, &[E])>,
+        mut recv: Option<(usize, &mut [E])>,
     ) -> Result<(), CommError> {
-        self.send_view(dest, MsgRef::Sparse(indices, values))
+        let segments = |len: usize| len.div_ceil(SEGMENT_ELEMS).max(1);
+        let segment =
+            |i: usize, len: usize| (i * SEGMENT_ELEMS).min(len)..((i + 1) * SEGMENT_ELEMS).min(len);
+        let n_send = send.map_or(0, |(_, s)| segments(s.len()));
+        let n_recv = recv.as_ref().map_or(0, |(_, r)| segments(r.len()));
+        for i in 0..n_send.max(n_recv) {
+            if let Some((dest, payload)) = send.filter(|_| i < n_send) {
+                self.send_view(dest, E::view(&payload[segment(i, payload.len())]))?;
+            }
+            if let Some((src, out)) = recv.as_mut().filter(|_| i < n_recv) {
+                let range = segment(i, out.len());
+                self.recv_frame(*src, Some(E::sink(&mut out[range])))?;
+            }
+        }
+        Ok(())
     }
 
-    fn recv_from(&mut self, src: usize) -> Result<WireMsg, CommError> {
+    /// Receives the next frame from `src`, riding out stray hellos, stale
+    /// aborts and one link re-establishment. With a `dest`, the frame must
+    /// be the dense payload it expects and lands directly in it
+    /// (`Ok(None)`); without one, the payload is returned owned.
+    fn recv_frame(
+        &mut self,
+        src: usize,
+        mut dest: Option<DenseMut<'_>>,
+    ) -> Result<Option<WireMsg>, CommError> {
         if !self.departed_members().is_empty() {
             return Err(self.membership_error());
         }
@@ -1282,17 +1395,55 @@ impl Transport for TcpTransport {
             } = self;
             let (rank, physical_world) = (*rank, peers.len());
             let link = resolve_link(links, rank, physical_world, phys, Dir::Recv)?;
-            match read_frame(&mut link.stream) {
+            let read = frame_io(&mut link.stream, |io| match dest.as_mut() {
+                Some(dest) => read_frame_into(io, dest.reborrow()),
+                None => read_frame(io).map(ReadInto::Other),
+            });
+            if matches!(read, Ok(ReadInto::LengthMismatch { .. })) {
+                // The unread payload leaves the stream mid-frame.
+                let _ = link.stream.shutdown(Shutdown::Both);
+            }
+            // Schedule tags are checked at delivery time (see
+            // `acp_collectives::schedule::deliver_checked`), and before
+            // any shape complaint: a peer running a different collective
+            // is the more useful diagnosis. A mismatch tears this rank
+            // down, and its closed sockets surface to peers within their
+            // op deadline.
+            let frame = match read {
+                Ok(ReadInto::Filled { tag }) => {
+                    if self.recorder.enabled() {
+                        let elems = dest.as_ref().map_or(0, DenseMut::len);
+                        self.recorder.add(keys::COMM_BYTES_RECV, 4 * elems as u64);
+                    }
+                    if let Some(tag) = tag {
+                        self.tracer.check(&tag)?;
+                    }
+                    return Ok(None);
+                }
+                Ok(ReadInto::LengthMismatch { tag, actual }) => {
+                    if let Some(tag) = tag {
+                        self.tracer.check(&tag)?;
+                    }
+                    return Err(CommError::LengthMismatch {
+                        expected: dest.as_ref().map_or(0, DenseMut::len),
+                        actual,
+                    });
+                }
+                Ok(ReadInto::Other(frame)) => Ok(frame),
+                Err(e) => Err(e),
+            };
+            match frame {
                 Ok(Frame::Msg(msg)) => {
                     if self.recorder.enabled() {
                         self.recorder
                             .add(keys::COMM_BYTES_RECV, msg.payload_bytes());
                     }
-                    // Delivery-time schedule check (see
-                    // `acp_collectives::schedule::deliver_checked`); a
-                    // mismatch tears this rank down, and its closed
-                    // sockets surface to peers within their op deadline.
-                    return schedule::deliver_checked(&self.tracer, msg);
+                    let msg = schedule::deliver_checked(&self.tracer, msg)?;
+                    // A payload of another kind than `dest` expects.
+                    return match dest {
+                        Some(_) => Err(CommError::ProtocolMismatch),
+                        None => Ok(Some(msg)),
+                    };
                 }
                 // A stray hello can only follow a reconnect (or probe)
                 // that raced our read; consume it and keep reading.
@@ -1356,6 +1507,71 @@ impl Transport for TcpTransport {
     }
 }
 
+impl Transport for TcpTransport {
+    // `Transport::rank` is the schedule-facing *virtual* rank; `physical`
+    // is the socket-facing slot. The mismatch in field name is deliberate.
+    #[allow(clippy::misnamed_getters)]
+    fn rank(&self) -> usize {
+        self.virtual_rank
+    }
+
+    fn world_size(&self) -> usize {
+        self.members.len()
+    }
+
+    fn send_to(&mut self, dest: usize, msg: WireMsg) -> Result<(), CommError> {
+        match &msg {
+            WireMsg::F32(v) => self.send_view(dest, MsgRef::F32(v)),
+            WireMsg::U32(v) => self.send_view(dest, MsgRef::U32(v)),
+            WireMsg::Sparse(i, v) => self.send_view(dest, MsgRef::Sparse(i, v)),
+            WireMsg::Token => self.send_view(dest, MsgRef::Token),
+            // The transport stamps the schedule tag itself (from the
+            // tracer, inside `send_view`); a pre-tagged message is a
+            // caller bug, not a sendable payload.
+            WireMsg::Tagged(..) => Err(CommError::ProtocolMismatch),
+        }
+    }
+
+    fn send_f32s(&mut self, dest: usize, payload: &[f32]) -> Result<(), CommError> {
+        self.send_view(dest, MsgRef::F32(payload))
+    }
+
+    fn send_u32s(&mut self, dest: usize, payload: &[u32]) -> Result<(), CommError> {
+        self.send_view(dest, MsgRef::U32(payload))
+    }
+
+    fn send_sparse(
+        &mut self,
+        dest: usize,
+        indices: &[u32],
+        values: &[f32],
+    ) -> Result<(), CommError> {
+        self.send_view(dest, MsgRef::Sparse(indices, values))
+    }
+
+    fn recv_from(&mut self, src: usize) -> Result<WireMsg, CommError> {
+        // An owned receive always yields a message.
+        self.recv_frame(src, None)?
+            .ok_or(CommError::ProtocolMismatch)
+    }
+
+    fn exchange_f32s(
+        &mut self,
+        send: Option<(usize, &[f32])>,
+        recv: Option<(usize, &mut [f32])>,
+    ) -> Result<(), CommError> {
+        self.exchange(send, recv)
+    }
+
+    fn exchange_u32s(
+        &mut self,
+        send: Option<(usize, &[u32])>,
+        recv: Option<(usize, &mut [u32])>,
+    ) -> Result<(), CommError> {
+        self.exchange(send, recv)
+    }
+}
+
 /// Point-to-point access for callers that drive the transport directly
 /// (topology diagnostics, tests). Unavailable once the comm worker owns
 /// the transport — use the collective API then.
@@ -1369,39 +1585,19 @@ impl Transport for TcpCommunicator {
     }
 
     fn send_to(&mut self, dest: usize, msg: WireMsg) -> Result<(), CommError> {
-        match self.inner.as_mut() {
-            Some(transport) => transport.send_to(dest, msg),
-            None => Err(CommError::Io(
-                "transport is owned by the comm worker; use the collective API".into(),
-            )),
-        }
+        self.direct()?.send_to(dest, msg)
     }
 
     fn recv_from(&mut self, src: usize) -> Result<WireMsg, CommError> {
-        match self.inner.as_mut() {
-            Some(transport) => transport.recv_from(src),
-            None => Err(CommError::Io(
-                "transport is owned by the comm worker; use the collective API".into(),
-            )),
-        }
+        self.direct()?.recv_from(src)
     }
 
     fn send_f32s(&mut self, dest: usize, payload: &[f32]) -> Result<(), CommError> {
-        match self.inner.as_mut() {
-            Some(transport) => transport.send_f32s(dest, payload),
-            None => Err(CommError::Io(
-                "transport is owned by the comm worker; use the collective API".into(),
-            )),
-        }
+        self.direct()?.send_f32s(dest, payload)
     }
 
     fn send_u32s(&mut self, dest: usize, payload: &[u32]) -> Result<(), CommError> {
-        match self.inner.as_mut() {
-            Some(transport) => transport.send_u32s(dest, payload),
-            None => Err(CommError::Io(
-                "transport is owned by the comm worker; use the collective API".into(),
-            )),
-        }
+        self.direct()?.send_u32s(dest, payload)
     }
 
     fn send_sparse(
@@ -1410,12 +1606,23 @@ impl Transport for TcpCommunicator {
         indices: &[u32],
         values: &[f32],
     ) -> Result<(), CommError> {
-        match self.inner.as_mut() {
-            Some(transport) => transport.send_sparse(dest, indices, values),
-            None => Err(CommError::Io(
-                "transport is owned by the comm worker; use the collective API".into(),
-            )),
-        }
+        self.direct()?.send_sparse(dest, indices, values)
+    }
+
+    fn exchange_f32s(
+        &mut self,
+        send: Option<(usize, &[f32])>,
+        recv: Option<(usize, &mut [f32])>,
+    ) -> Result<(), CommError> {
+        self.direct()?.exchange_f32s(send, recv)
+    }
+
+    fn exchange_u32s(
+        &mut self,
+        send: Option<(usize, &[u32])>,
+        recv: Option<(usize, &mut [u32])>,
+    ) -> Result<(), CommError> {
+        self.direct()?.exchange_u32s(send, recv)
     }
 }
 
@@ -1599,4 +1806,55 @@ where
             .map(|h| h.join().expect("tcp worker panicked"))
             .collect()
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use acp_collectives::ThreadGroup;
+    use proptest::prelude::*;
+
+    fn input(rank: usize, len: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| (((i * 31 + rank * 17) % 1009) as f32 * 0.37).sin())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10))]
+
+        /// Ring-step chunks of k·segment − 1, k·segment and k·segment + 1
+        /// elements (and the uneven chunk splits `extra` adds) cross real
+        /// sockets bit-exactly, with every segment's schedule tag checked.
+        #[test]
+        fn segment_boundaries_are_invisible(
+            world in 2usize..4,
+            k in 1usize..3,
+            delta in 0usize..3,
+            extra in 0usize..3,
+        ) {
+            let chunk = k * SEGMENT_ELEMS + delta - 1;
+            let len = world * chunk + extra;
+            let run = |comm: &mut dyn Communicator| {
+                let rank = comm.rank();
+                let mut reduced = input(rank, len);
+                comm.all_reduce(&mut reduced, ReduceOp::Sum).unwrap();
+                let gathered = comm.all_gather_f32(&input(rank, chunk)).unwrap();
+                let words: Vec<u32> = (0..chunk).map(|i| (i * 7 + rank) as u32).collect();
+                (reduced, gathered, comm.all_gather_u32(&words).unwrap())
+            };
+            let thread = ThreadGroup::run(world, |mut comm| run(&mut comm));
+            let tcp = run_local_with(
+                world,
+                |_rank, cfg| cfg.with_verify(VerifyMode::CrossCheck),
+                |mut comm| run(&mut comm),
+            );
+            for (t, s) in thread.iter().zip(&tcp) {
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&t.0), bits(&s.0));
+                prop_assert_eq!(bits(&t.1), bits(&s.1));
+                prop_assert_eq!(&t.2, &s.2);
+            }
+        }
+    }
 }

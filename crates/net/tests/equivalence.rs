@@ -285,3 +285,49 @@ fn single_rank_group_is_identity() {
     assert_eq!(results[0].0, vec![1.25, -3.5]);
     assert_eq!(results[0].1, vec![2.0, 4.0]);
 }
+
+/// Large messages on a *cold* group — the first collective on freshly
+/// established connections, before any socket-buffer autotuning: a
+/// 32 MiB all-reduce and an 8 MiB-per-rank all-gather complete well
+/// inside a 10 s op deadline and match the thread backend to the bit.
+/// A ring step that finished its whole send before posting the matching
+/// receive stalled here once a chunk outgrew the kernel's socket buffers.
+#[test]
+fn cold_large_messages_complete_and_match_thread_backend() {
+    use std::time::Duration;
+
+    const ALL_REDUCE_ELEMS: usize = 8 << 20; // 32 MiB
+    const ALL_GATHER_ELEMS: usize = 2 << 20; // 8 MiB per rank
+    for world in [2usize, 3] {
+        let reduced = ThreadGroup::run(world, |mut comm| {
+            let mut buf = input(comm.rank_id().as_usize(), ALL_REDUCE_ELEMS, 7);
+            comm.all_reduce(&mut buf, ReduceOp::Sum).unwrap();
+            buf
+        });
+        let gathered = ThreadGroup::run(world, |mut comm| {
+            let send = input(comm.rank_id().as_usize(), ALL_GATHER_ELEMS, 7);
+            comm.all_gather_f32(&send).unwrap()
+        });
+        for wiring in [Wiring::Ring, Wiring::FullMesh] {
+            let cold = move |_rank: usize, cfg: acp_net::TcpConfig| {
+                cfg.with_wiring(wiring)
+                    .with_op_deadline(Duration::from_secs(10))
+            };
+            let tcp = run_local_with(world, cold, |mut comm| {
+                let mut buf = input(comm.rank_id().as_usize(), ALL_REDUCE_ELEMS, 7);
+                comm.all_reduce(&mut buf, ReduceOp::Sum).unwrap();
+                buf
+            });
+            for rank in 0..world {
+                assert_bits_eq(&tcp[rank], &reduced[rank], "cold 32 MiB all_reduce");
+            }
+            let tcp = run_local_with(world, cold, |mut comm| {
+                let send = input(comm.rank_id().as_usize(), ALL_GATHER_ELEMS, 7);
+                comm.all_gather_f32(&send).unwrap()
+            });
+            for rank in 0..world {
+                assert_bits_eq(&tcp[rank], &gathered[rank], "cold 8 MiB all_gather_f32");
+            }
+        }
+    }
+}

@@ -4,10 +4,35 @@
 //! corruption. Each test carries its own wall-clock bound well below the
 //! harness timeout.
 
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use acp_collectives::{CommError, Communicator, ReduceOp, Transport, WireMsg};
+use acp_collectives::{CommError, Communicator, ReduceOp, Transport, VerifyMode, WireMsg};
+use acp_net::frame::{encode, read_frame, write_frame, Frame};
 use acp_net::{run_local_with, FaultInjector, RetryPolicy, TcpCommunicator, TcpConfig};
+
+/// A base port whose successor is free too, for `TcpConfig::local` groups
+/// of two. Tests in this binary run on parallel threads, and the kernel
+/// likes to hand out neighbouring ephemeral ports, so bases already given
+/// to another test (or adjacent to one) are skipped.
+fn free_port_pair() -> u16 {
+    static TAKEN: Mutex<Vec<u16>> = Mutex::new(Vec::new());
+    loop {
+        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
+        let base = probe.local_addr().unwrap().port();
+        if base == u16::MAX || TcpListener::bind(("127.0.0.1", base + 1)).is_err() {
+            continue;
+        }
+        let mut taken = TAKEN.lock().unwrap();
+        if taken.iter().all(|t| t.abs_diff(base) > 1) {
+            taken.push(base);
+            return base;
+        }
+    }
+}
 
 fn expected_sum(world: usize, len: usize) -> Vec<f32> {
     // Each rank contributes `rank + 1` everywhere.
@@ -192,10 +217,7 @@ fn dead_peer_is_a_structured_error_not_a_hang() {
 /// appears.
 #[test]
 fn connect_retries_absorb_startup_skew() {
-    // Find a free consecutive port pair by binding ephemerally first.
-    let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let base = probe.local_addr().unwrap().port();
-    drop(probe);
+    let base = free_port_pair();
     let cfg = move |rank: usize| {
         TcpConfig::local(rank, 2, base).with_retry(RetryPolicy {
             max_attempts: 40,
@@ -230,9 +252,7 @@ fn connect_retries_absorb_startup_skew() {
 /// ranks fail spuriously.
 #[test]
 fn dial_budget_outlives_exhausted_attempt_count() {
-    let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let base = probe.local_addr().unwrap().port();
-    drop(probe);
+    let base = free_port_pair();
     let cfg = move |rank: usize| {
         TcpConfig::local(rank, 2, base).with_retry(RetryPolicy {
             max_attempts: 2, // exhausted within ~5ms against a refused port
@@ -282,9 +302,7 @@ fn ring_topology_rejects_non_neighbour_traffic() {
 /// budget.
 #[test]
 fn exhausted_retries_surface_structured_error() {
-    let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let base = probe.local_addr().unwrap().port();
-    drop(probe);
+    let base = free_port_pair();
     let cfg = TcpConfig::local(0, 2, base).with_retry(RetryPolicy {
         max_attempts: 3,
         initial_backoff: Duration::from_millis(1),
@@ -326,4 +344,79 @@ fn drop_faults_do_not_skew_byte_accounting() {
         },
     );
     assert_eq!(clean, faulty);
+}
+
+/// Regression (mid-frame timeout): a peer that stalls in the middle of a
+/// payload makes the receive hit its deadline with the stream mid-frame.
+/// The link must be closed there and then, so that the *next* collective
+/// fails structured — before the fix it parsed the rest of the stalled
+/// payload as a frame tag, which is an `Io("unknown frame tag …")` at best
+/// and, with payload bytes that happen to look like a frame (as here), a
+/// silently wrong reduction.
+#[test]
+fn mid_frame_timeout_closes_the_link_instead_of_desynchronizing_it() {
+    let deadline = Duration::from_millis(200);
+    let listener0 = TcpListener::bind("127.0.0.1:0").unwrap();
+    let listener1 = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut cfg = TcpConfig::local(0, 2, 1024)
+        .with_op_deadline(deadline)
+        .with_verify(VerifyMode::Digest);
+    cfg.peers = vec![
+        listener0.local_addr().unwrap(),
+        listener1.local_addr().unwrap(),
+    ];
+    let rank0_addr = cfg.peers[0];
+    let (first_done_tx, first_done) = mpsc::channel();
+    let (resume, resume_rx) = mpsc::channel::<()>();
+    let rank0 = std::thread::spawn(move || {
+        let mut comm = TcpCommunicator::with_listener(cfg, listener0).expect("rank 0 joins");
+        let mut buf = vec![1.0f32; 8];
+        let first = comm.all_reduce(&mut buf, ReduceOp::Sum);
+        first_done_tx.send(()).unwrap();
+        resume_rx.recv().unwrap();
+        let mut buf = vec![1.0f32; 8];
+        let second = comm.all_reduce(&mut buf, ReduceOp::Sum).map(|()| buf);
+        (first, second)
+    });
+
+    // Rank 1 is this thread, speaking the wire protocol by hand: accept
+    // rank 0's outgoing ring link, then dial its incoming one.
+    let (mut from_rank0, _) = listener1.accept().unwrap();
+    assert_eq!(read_frame(&mut from_rank0).unwrap(), Frame::Hello(0));
+    let mut to_rank0 = TcpStream::connect(rank0_addr).unwrap();
+    write_frame(&mut to_rank0, &Frame::Hello(1)).unwrap();
+
+    // The chunk rank 0 expects is 4 elements. Its second half is itself a
+    // well-formed `F32` header for 4 elements plus 3 payload bytes.
+    let mut stalled = encode(&Frame::Msg(WireMsg::F32(vec![0.0; 4])));
+    let second_half = stalled.len() - 8;
+    stalled[second_half..].copy_from_slice(&[0x01, 4, 0, 0, 0, 0, 0, 0]);
+    to_rank0.write_all(&stalled[..second_half]).unwrap();
+    first_done.recv().unwrap(); // rank 0 waited out its deadline mid-payload
+
+    // Finish the stalled payload, complete the frame it mimics, and follow
+    // with one more well-formed chunk: enough for a desynchronized reader
+    // to "complete" a whole second all-reduce out of garbage. Write errors
+    // are expected once rank 0 has closed the link.
+    let _ = to_rank0.write_all(&stalled[second_half..]);
+    let _ = to_rank0.write_all(&[0u8; 13]);
+    let _ = to_rank0.write_all(&encode(&Frame::Msg(WireMsg::F32(vec![0.0; 4]))));
+    resume.send(()).unwrap();
+
+    let started = Instant::now();
+    let (first, second) = rank0.join().unwrap();
+    assert!(started.elapsed() < Duration::from_secs(10));
+    match first {
+        Err(CommError::Timeout { op, .. }) => assert_eq!(op, "recv"),
+        other => panic!("expected a recv Timeout, got {other:?}"),
+    }
+    match second {
+        Err(
+            CommError::Timeout { .. }
+            | CommError::PeerDisconnected
+            | CommError::MembershipChanged { .. },
+        ) => {}
+        other => panic!("expected a structured link error, got {other:?}"),
+    }
+    drop((from_rank0, to_rank0, listener1));
 }

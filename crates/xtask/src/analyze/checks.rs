@@ -67,6 +67,8 @@ impl Default for CheckConfig {
                 "global_topk",
                 "barrier",
                 "send_recv_f32",
+                "exchange_f32s",
+                "exchange_u32s",
                 "wait",
                 "wait_all",
                 "recv",

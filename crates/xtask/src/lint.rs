@@ -42,6 +42,16 @@
 //!    copy that creeps back in silently erases the zero-copy win.
 //!    Ownership fallbacks (the in-process channel backend, the comm
 //!    worker's cross-thread op buffers) carry `allow_verify` markers.
+//! 7. **No fresh `Vec` per received dense frame.** The receive side
+//!    mirrors rule 6: dense payloads are read straight into the caller's
+//!    storage. In the frame reader a byte staging buffer (`vec![0u8`) or
+//!    a per-element decode (`.chunks_exact(`, `.collect(`) means the
+//!    two-allocation owned decode is back; in the ring/hierarchy
+//!    collectives an owned `.recv_from(` means a dense chunk arrives as
+//!    a fresh `Vec` instead of through `exchange_*`. The receives that
+//!    have no caller-side destination (barrier tokens, sparse sets, the
+//!    channel-backend default of `exchange_*`) carry `allow_verify`
+//!    markers.
 //!
 //! `#[cfg(test)]` blocks are excluded: tests may unwrap freely.
 
@@ -105,6 +115,21 @@ pub const WIRE_NO_TO_VEC_FILES: &[&str] = &[
 /// headers in place and borrows payload storage, so a clone there means
 /// a copy crept back onto the wire path.
 pub const WIRE_NO_CLONE_FILES: &[&str] = &["crates/net/src/frame.rs"];
+
+/// The frame reader: a staging byte buffer or a per-element decode here
+/// is the two-allocation owned receive creeping back.
+pub const WIRE_READ_INTO_FILES: &[&str] = &["crates/net/src/frame.rs"];
+
+/// Patterns of the staged, element-wise decode banned in
+/// [`WIRE_READ_INTO_FILES`].
+const STAGED_DECODE_PATTERNS: &[&str] = &["vec![0u8", ".chunks_exact(", ".collect("];
+
+/// The collective algorithms: dense chunks are received into caller
+/// storage through `Transport::exchange_*`, never as an owned message.
+pub const WIRE_NO_OWNED_RECV_FILES: &[&str] = &[
+    "crates/collectives/src/hierarchy.rs",
+    "crates/collectives/src/ring.rs",
+];
 
 /// Every crate `src` tree: the deprecated-shim scan covers the whole
 /// workspace (the shims live in `collectives`, `core` and `net`, but a
@@ -473,6 +498,21 @@ pub fn run(root: &Path) -> std::io::Result<Vec<Finding>> {
     );
     scan_scope(
         &[],
+        WIRE_READ_INTO_FILES,
+        STAGED_DECODE_PATTERNS,
+        "the frame reader fills the destination's own bytes with one read_exact \
+         (one allocation on the owned path, none on the read-into path); a staging \
+         buffer or per-element decode doubles the receive cost",
+    );
+    scan_scope(
+        &[],
+        WIRE_NO_OWNED_RECV_FILES,
+        &[".recv_from("],
+        "dense chunks are received straight into caller storage through \
+         Transport::exchange_*; an owned receive is a fresh Vec per frame",
+    );
+    scan_scope(
+        &[],
         WIRE_NO_CLONE_FILES,
         &[".clone("],
         "the frame writer borrows payload storage; a clone here reintroduces \
@@ -600,6 +640,25 @@ mod tests {
         let f = scan_source("x.rs", src, &[".unwrap("], "why");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].line, 5);
+    }
+
+    #[test]
+    fn staged_decode_and_owned_dense_receive_are_flagged() {
+        let staged = "fn read_f32s(r: &mut R, n: usize) -> Vec<f32> {\n    \
+                      let mut bytes = vec![0u8; n * 4];\n    \
+                      bytes.chunks_exact(4).map(dec).collect()\n}\n";
+        let f = scan_source("frame.rs", staged, STAGED_DECODE_PATTERNS, "why");
+        assert_eq!(f.len(), 3);
+        let filled = "fn read_f32s(r: &mut R, n: usize) -> Vec<f32> {\n    \
+                      let mut vals = vec![0.0f32; n];\n    fill_f32s(r, &mut vals)\n}\n";
+        assert!(scan_source("frame.rs", filled, STAGED_DECODE_PATTERNS, "why").is_empty());
+        let owned = "fn step(t: &mut T) { let incoming = t.recv_from(prev)?; }\n";
+        assert_eq!(
+            scan_source("ring.rs", owned, &[".recv_from("], "why").len(),
+            1
+        );
+        let decl = "fn recv_from(&mut self, src: usize) -> Result<WireMsg, CommError>;\n";
+        assert!(scan_source("ring.rs", decl, &[".recv_from("], "why").is_empty());
     }
 
     #[test]

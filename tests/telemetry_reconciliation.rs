@@ -61,6 +61,33 @@ fn recorded_tcp_all_reduce_bytes_match_cost_model() {
     }
 }
 
+/// Segmenting a large chunk into many frames changes neither side of the
+/// ledger: for a 9.4 MB all-reduce (ResNet-18's `layer4` convolutions,
+/// ~50 segments per ring step) every rank still records the Table II
+/// volume as sent, and what the group received is what the group sent.
+#[test]
+fn segmented_tcp_all_reduce_conserves_bytes() {
+    let n = 512 * 512 * 3 * 3; // 2,359,296 elements, divisible by 3
+    let p = 3usize;
+    let expected = ClusterCost::new(p, NetworkTier::Loopback).all_reduce_volume(4 * n);
+    let results = acp_net::run_local(p, |mut comm| {
+        let rec = Arc::new(InMemoryRecorder::new());
+        comm.set_recorder(rec.clone());
+        let mut buf = vec![comm.rank_id().as_usize() as f32; n];
+        comm.all_reduce(&mut buf, ReduceOp::Sum).unwrap();
+        (
+            rec.counter(keys::COMM_BYTES_SENT),
+            rec.counter(keys::COMM_BYTES_RECV),
+        )
+    });
+    for &(sent, _) in &results {
+        assert_eq!(sent as f64, expected);
+    }
+    let sent: u64 = results.iter().map(|r| r.0).sum();
+    let received: u64 = results.iter().map(|r| r.1).sum();
+    assert_eq!(received, sent);
+}
+
 /// All-gather: every rank's recorded bytes equal `(p−1) · N`.
 #[test]
 fn recorded_all_gather_bytes_match_cost_model() {
