@@ -25,11 +25,11 @@
 //!   wait-free back-propagation and tensor fusion apply exactly as in
 //!   S-SGD.
 
-use acp_tensor::{Matrix, OrthoMethod, SeedableStdNormal};
+use acp_tensor::{kernels, pool, Matrix, OrthoMethod, SeedableStdNormal};
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::CompressError;
+use crate::error::{check_len, CompressError};
 
 /// Salt xor-ed into the seed for `P₀` so it is decorrelated from `Q₀`.
 const P_SEED_SALT: u64 = 0xAC9_57D;
@@ -78,6 +78,16 @@ pub enum FactorSide {
 /// Protocol per step: [`AcpSgd::compress`] returns the factor to all-reduce
 /// (with mean); [`AcpSgd::finish`] consumes the aggregated factor and
 /// returns the decompressed gradient. Exactly one collective per step.
+/// [`AcpSgd::try_compress_slice`] / [`AcpSgd::try_finish_slice`] are the
+/// same two phases over caller-owned flat buffers; the `Matrix` methods
+/// allocate their results and call them.
+///
+/// The residual `E` is updated in place by the compress phase, which
+/// validates its arguments before touching it: when a compress call
+/// returns an error `E` is unchanged, and once it returns `Ok` `E` is this
+/// step's final residual (`(M + E) − P_t Q_tᵀ` with the local factor). A
+/// step abandoned before its finish loses the factor in flight but nothing
+/// `E` holds; the state then stays mid-step and must be rebuilt.
 ///
 /// # Examples
 ///
@@ -100,18 +110,16 @@ pub struct AcpSgd {
     m: usize,
     rank: usize,
     cfg: AcpSgdConfig,
-    /// Left factor from the last P-step (aggregated, consistent across
-    /// ranks).
+    /// Left factor: the aggregated `P` of the last P-step, orthogonalized
+    /// in place into the query of a Q-step. Consistent across ranks.
     p: Matrix,
-    /// Right factor from the last Q-step (aggregated, consistent across
-    /// ranks).
+    /// Right factor: the aggregated `Q` of the last Q-step, orthogonalized
+    /// in place into the query of a P-step. Consistent across ranks.
     q: Matrix,
     /// Error-feedback residual when enabled.
     error: Option<Matrix>,
     /// Completed steps; step `t = step + 1` is odd ⇒ P side.
     step: u64,
-    /// Orthogonalized query cached between compress and finish.
-    query: Option<Matrix>,
     mid_step: bool,
 }
 
@@ -140,7 +148,6 @@ impl AcpSgd {
             q,
             error,
             step: 0,
-            query: None,
             mid_step: false,
         }
     }
@@ -169,6 +176,37 @@ impl AcpSgd {
         self.error.as_ref().map_or(0.0, Matrix::frobenius_norm)
     }
 
+    /// The error-feedback residual `E`, row-major (`None` when EF disabled).
+    pub fn residual(&self) -> Option<&[f32]> {
+        self.error.as_ref().map(Matrix::as_slice)
+    }
+
+    /// Shape of the factor the current step transmits.
+    fn factor_shape(&self) -> (usize, usize) {
+        match self.next_side() {
+            FactorSide::P => (self.n, self.rank),
+            FactorSide::Q => (self.m, self.rank),
+        }
+    }
+
+    fn expect_idle(&self) -> Result<(), CompressError> {
+        if self.mid_step {
+            return Err(CompressError::Phase {
+                what: "compress called before finishing the previous step",
+            });
+        }
+        Ok(())
+    }
+
+    fn expect_mid_step(&self) -> Result<(), CompressError> {
+        if !self.mid_step {
+            return Err(CompressError::Phase {
+                what: "finish called without compress",
+            });
+        }
+        Ok(())
+    }
+
     /// Compresses `grad` into this step's factor (`P` on odd steps, `Q` on
     /// even steps), updating the error residual. The returned factor must
     /// be all-reduced (mean) and passed to [`AcpSgd::finish`].
@@ -189,15 +227,10 @@ impl AcpSgd {
     ///
     /// [`CompressError::Phase`] when the previous step was not finished,
     /// [`CompressError::Shape`] when the gradient shape differs from
-    /// construction, [`CompressError::Matrix`] if an inner multiply is fed
-    /// incompatible dimensions.
+    /// construction.
     #[must_use = "the result carries the computation; dropping it discards the round"]
     pub fn try_compress(&mut self, grad: &Matrix) -> Result<Matrix, CompressError> {
-        if self.mid_step {
-            return Err(CompressError::Phase {
-                what: "compress called before finishing the previous step",
-            });
-        }
+        self.expect_idle()?;
         if (grad.rows(), grad.cols()) != (self.n, self.m) {
             return Err(CompressError::Shape {
                 what: "gradient shape changed",
@@ -205,57 +238,88 @@ impl AcpSgd {
                 actual: (grad.rows(), grad.cols()),
             });
         }
-        let corrected = match &self.error {
-            Some(e) => grad + e,
-            None => grad.clone(),
-        };
-        let side = self.next_side();
-        let (factor, query) = match side {
+        let (rows, cols) = self.factor_shape();
+        let mut factor = Matrix::zeros(rows, cols);
+        self.try_compress_slice(grad.as_slice(), factor.as_mut_slice())?;
+        Ok(factor)
+    }
+
+    /// [`AcpSgd::try_compress`] over flat row-major buffers: reads the
+    /// `n·m` gradient from `grad` and overwrites `factor` (`n·r` elements on
+    /// a P step, `m·r` on a Q step — [`AcpSgd::transmitted_elements`]) with
+    /// this step's local factor. Allocates nothing the size of the
+    /// gradient: with error feedback the sweep that projects `M + E` also
+    /// leaves it, and then the residual, in `E`.
+    ///
+    /// # Errors
+    ///
+    /// [`CompressError::Phase`] when the previous step was not finished,
+    /// [`CompressError::Matrix`] when `grad` or `factor` has the wrong
+    /// length. No state changes on error.
+    pub fn try_compress_slice(
+        &mut self,
+        grad: &[f32],
+        factor: &mut [f32],
+    ) -> Result<(), CompressError> {
+        self.expect_idle()?;
+        check_len(self.n * self.m, grad.len())?;
+        check_len(self.transmitted_elements(), factor.len())?;
+        let (n, m, r) = (self.n, self.m, self.rank);
+        let pool = pool::global_for(n * m * r);
+        match self.next_side() {
             FactorSide::P => {
-                // Q_t = orthogonalize(Q_{t-1}); P_t = (M+E) Q_t.
-                let mut query = if self.cfg.reuse {
-                    self.q.clone()
-                } else {
-                    Matrix::random_std_normal(
-                        self.m,
-                        self.rank,
+                // Q_t = orthogonalize(Q_{t-1}); P_t = (M+E) Q_t;
+                // E ← (M + E) − P_t Q_tᵀ with the *local* factor, so
+                // transmitted mean + local residuals account for the full
+                // gradient mass.
+                if !self.cfg.reuse {
+                    self.q = Matrix::random_std_normal(
+                        m,
+                        r,
                         self.cfg.seed ^ (self.step + 1).wrapping_mul(0x9E37),
-                    )
-                };
-                self.cfg.ortho.apply(&mut query);
-                let p = corrected.try_matmul(&query)?;
-                (p, query)
+                    );
+                }
+                self.cfg.ortho.apply(&mut self.q);
+                let q = self.q.as_slice();
+                match &mut self.error {
+                    Some(e) => kernels::project_rows_corrected(
+                        pool,
+                        n,
+                        m,
+                        r,
+                        grad,
+                        e.as_mut_slice(),
+                        q,
+                        factor,
+                        true,
+                    ),
+                    None => kernels::project_rows(pool, n, m, r, grad, q, factor),
+                }
             }
             FactorSide::Q => {
-                // P_t = orthogonalize(P_{t-1}); Q_t = (M+E)ᵀ P_t.
-                let mut query = if self.cfg.reuse {
-                    self.p.clone()
-                } else {
-                    Matrix::random_std_normal(
-                        self.n,
-                        self.rank,
+                // P_t = orthogonalize(P_{t-1}); Q_t = (M+E)ᵀ P_t; same
+                // residual with the local Q_t.
+                if !self.cfg.reuse {
+                    self.p = Matrix::random_std_normal(
+                        n,
+                        r,
                         self.cfg.seed ^ (self.step + 1).wrapping_mul(0x5BD1),
-                    )
-                };
-                self.cfg.ortho.apply(&mut query);
-                let q = corrected.try_matmul_tn(&query)?;
-                (q, query)
+                    );
+                }
+                self.cfg.ortho.apply(&mut self.p);
+                let p = self.p.as_slice();
+                match &mut self.error {
+                    Some(e) => {
+                        let e = e.as_mut_slice();
+                        kernels::project_cols_corrected(pool, n, m, r, grad, e, p, factor);
+                        kernels::subtract_reconstruction(pool, n, m, r, p, factor, e);
+                    }
+                    None => kernels::project_cols(pool, n, m, r, grad, p, factor),
+                }
             }
-        };
-        if self.error.is_some() {
-            // E ← (M + E) − P_t Q_tᵀ with the *local* factor, so transmitted
-            // mean + local residuals account for the full gradient mass.
-            let approx = match side {
-                FactorSide::P => factor.try_matmul_nt(&query)?,
-                FactorSide::Q => query.try_matmul_nt(&factor)?,
-            };
-            let mut e = corrected;
-            e -= &approx;
-            self.error = Some(e);
         }
-        self.query = Some(query);
         self.mid_step = true;
-        Ok(factor)
+        Ok(())
     }
 
     /// Consumes the aggregated factor and returns the decompressed gradient
@@ -273,30 +337,21 @@ impl AcpSgd {
     }
 
     /// Fallible [`AcpSgd::finish`]: returns a structured error instead of
-    /// panicking on phase or shape violations. On error the cached query is
-    /// retained, so a wrongly shaped aggregate can be retried.
+    /// panicking on phase or shape violations. On error the step stays
+    /// open, so a wrongly shaped aggregate can be retried.
     ///
     /// # Errors
     ///
     /// [`CompressError::Phase`] when called without a preceding
     /// [`AcpSgd::try_compress`], [`CompressError::Shape`] when
-    /// `factor_reduced` has the wrong shape, [`CompressError::Matrix`] if
-    /// the reconstruction multiply is fed incompatible dimensions.
+    /// `factor_reduced` has the wrong shape.
     #[must_use = "the result carries the computation; dropping it discards the round"]
     pub fn try_finish(&mut self, factor_reduced: Matrix) -> Result<Matrix, CompressError> {
-        if !self.mid_step {
-            return Err(CompressError::Phase {
-                what: "finish called without compress",
-            });
-        }
-        let side = self.next_side();
-        let expected = match side {
-            FactorSide::P => (self.n, self.rank),
-            FactorSide::Q => (self.m, self.rank),
-        };
+        self.expect_mid_step()?;
+        let expected = self.factor_shape();
         if (factor_reduced.rows(), factor_reduced.cols()) != expected {
             return Err(CompressError::Shape {
-                what: match side {
+                what: match self.next_side() {
                     FactorSide::P => "aggregated P has the wrong shape",
                     FactorSide::Q => "aggregated Q has the wrong shape",
                 },
@@ -304,31 +359,45 @@ impl AcpSgd {
                 actual: (factor_reduced.rows(), factor_reduced.cols()),
             });
         }
-        let query = match self.query.take() {
-            Some(q) => q,
-            None => {
-                return Err(CompressError::Phase {
-                    what: "query cached by compress",
-                })
-            }
-        };
-        let approx = match side {
-            FactorSide::P => {
-                let approx = factor_reduced.try_matmul_nt(&query)?;
-                self.p = factor_reduced;
-                self.q = query;
-                approx
-            }
-            FactorSide::Q => {
-                let approx = query.try_matmul_nt(&factor_reduced)?;
-                self.q = factor_reduced;
-                self.p = query;
-                approx
-            }
-        };
+        let mut out = Matrix::zeros(self.n, self.m);
+        self.try_finish_slice(factor_reduced.as_slice(), out.as_mut_slice())?;
+        Ok(out)
+    }
+
+    /// [`AcpSgd::try_finish`] over flat row-major buffers: reads the
+    /// aggregated factor from `factor_reduced` (it becomes the next step's
+    /// query) and overwrites `out` (`n·m` elements) with `M̂ = P Qᵀ`.
+    ///
+    /// # Errors
+    ///
+    /// [`CompressError::Phase`] when called without a preceding compress,
+    /// [`CompressError::Matrix`] when `factor_reduced` or `out` has the
+    /// wrong length. On error the step stays open.
+    pub fn try_finish_slice(
+        &mut self,
+        factor_reduced: &[f32],
+        out: &mut [f32],
+    ) -> Result<(), CompressError> {
+        self.expect_mid_step()?;
+        check_len(self.transmitted_elements(), factor_reduced.len())?;
+        check_len(self.n * self.m, out.len())?;
+        match self.next_side() {
+            FactorSide::P => self.p.as_mut_slice().copy_from_slice(factor_reduced),
+            FactorSide::Q => self.q.as_mut_slice().copy_from_slice(factor_reduced),
+        }
+        let (n, m, r) = (self.n, self.m, self.rank);
+        kernels::reconstruct(
+            pool::global_for(n * m * r),
+            n,
+            m,
+            r,
+            self.p.as_slice(),
+            self.q.as_slice(),
+            out,
+        );
         self.step += 1;
         self.mid_step = false;
-        Ok(approx)
+        Ok(())
     }
 
     /// FLOPs of one compression step — Table II / §IV-A: one matmul

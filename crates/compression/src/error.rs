@@ -63,6 +63,14 @@ impl From<MatrixError> for CompressError {
     }
 }
 
+/// `Err` unless a flat row-major buffer holds exactly `expected` elements.
+pub(crate) fn check_len(expected: usize, actual: usize) -> Result<(), CompressError> {
+    if actual != expected {
+        return Err(MatrixError::LengthMismatch { expected, actual }.into());
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -71,6 +71,27 @@ impl<C: Compressor> ErrorFeedback<C> {
     pub fn reset(&mut self) {
         self.residual.fill(0.0);
     }
+
+    /// [`Compressor::compress`] for a caller that owns the gradient
+    /// buffer: the corrected gradient `g + e` is left in `grad`, and no
+    /// gradient-sized temporary is allocated (the spent residual is the
+    /// decompression target). Same payload and residual, bit for bit.
+    pub fn compress_in_place(&mut self, grad: &mut [f32]) -> Payload {
+        if self.residual.len() != grad.len() {
+            self.residual = vec![0.0; grad.len()];
+        }
+        // g' = g + e
+        for (g, e) in grad.iter_mut().zip(&self.residual) {
+            *g += e;
+        }
+        let payload = self.inner.compress(grad);
+        // e <- g' - decompress(c)
+        self.inner.decompress(&payload, &mut self.residual);
+        for (e, c) in self.residual.iter_mut().zip(&*grad) {
+            *e = c - *e;
+        }
+        payload
+    }
 }
 
 impl<C: Compressor> Compressor for ErrorFeedback<C> {
@@ -79,23 +100,7 @@ impl<C: Compressor> Compressor for ErrorFeedback<C> {
     }
 
     fn compress(&mut self, grad: &[f32]) -> Payload {
-        if self.residual.len() != grad.len() {
-            self.residual = vec![0.0; grad.len()];
-        }
-        // g' = g + e
-        let corrected: Vec<f32> = grad
-            .iter()
-            .zip(&self.residual)
-            .map(|(g, e)| g + e)
-            .collect();
-        let payload = self.inner.compress(&corrected);
-        // e <- g' - decompress(c)
-        let mut approx = vec![0.0; grad.len()];
-        self.inner.decompress(&payload, &mut approx);
-        for ((e, c), a) in self.residual.iter_mut().zip(&corrected).zip(&approx) {
-            *e = c - a;
-        }
-        payload
+        self.compress_in_place(&mut grad.to_vec())
     }
 
     fn decompress(&self, payload: &Payload, out: &mut [f32]) {
@@ -108,6 +113,38 @@ mod tests {
     use super::*;
     use crate::sign::SignSgd;
     use crate::topk::TopK;
+
+    #[test]
+    fn in_place_compress_matches_the_out_of_place_formulation_bitwise() {
+        // Oracle: g' = g + e into a copy, e = g' - decompress(c) through a
+        // zeroed temporary — the two allocations `compress_in_place` drops.
+        fn oracle<C: Compressor>(inner: &mut C, residual: &mut [f32], grad: &[f32]) -> Payload {
+            let corrected: Vec<f32> = grad.iter().zip(&*residual).map(|(g, e)| g + e).collect();
+            let payload = inner.compress(&corrected);
+            let mut approx = vec![0.0; grad.len()];
+            inner.decompress(&payload, &mut approx);
+            for ((e, c), a) in residual.iter_mut().zip(&corrected).zip(&approx) {
+                *e = c - a;
+            }
+            payload
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut ef = ErrorFeedback::new(TopK::new(3));
+        let (mut inner, mut residual) = (TopK::new(3), vec![0.0f32; 17]);
+        for step in 0..6 {
+            let grad: Vec<f32> = (0..17)
+                .map(|i| match (i + step) % 5 {
+                    0 => -0.0,
+                    _ => ((i * 7 + step * 3) as f32 * 0.37).sin() * 4.0,
+                })
+                .collect();
+            let mut owned = grad.clone();
+            let fast = ef.compress_in_place(&mut owned);
+            let slow = oracle(&mut inner, &mut residual, &grad);
+            assert_eq!(fast, slow, "payload, step {step}");
+            assert_eq!(bits(&ef.residual), bits(&residual), "residual, step {step}");
+        }
+    }
 
     #[test]
     fn residual_captures_dropped_mass() {

@@ -24,11 +24,11 @@
 //! [`PowerSgd::finish`]) so a distributed optimizer inserts real collectives
 //! at the marked points.
 
-use acp_tensor::{Matrix, OrthoMethod, SeedableStdNormal};
+use acp_tensor::{kernels, pool, Matrix, OrthoMethod, SeedableStdNormal};
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::CompressError;
+use crate::error::{check_len, CompressError};
 
 /// Configuration shared by [`PowerSgd`] and tested in the ablations.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -69,6 +69,19 @@ enum Phase {
 
 /// Per-gradient-matrix Power-SGD compression state.
 ///
+/// [`PowerSgd::try_compute_p_slice`] / [`PowerSgd::try_compute_q_slice`] /
+/// [`PowerSgd::try_finish_slice`] are the three phases over caller-owned
+/// flat buffers; the `Matrix` methods allocate their results and call them.
+///
+/// With error feedback the residual `E` is updated in place, and each
+/// phase validates its arguments before touching it. Between `compute_p`
+/// and `compute_q` it holds the corrected gradient `M + E` — nothing of
+/// the previous residual is lost if the step is abandoned there — and from
+/// `compute_q` on it is this step's final residual `(M + E) − P̂ Qᵀ` with
+/// the local `Q`. An abandoned step leaves the state mid-iteration; it must
+/// be rebuilt. Without error feedback the state keeps one reused copy of
+/// the gradient from `compute_p` for `compute_q` to project.
+///
 /// # Examples
 ///
 /// Single-worker round trip (all-reduce is the identity at world size 1):
@@ -94,10 +107,12 @@ pub struct PowerSgd {
     q: Matrix,
     /// Error-feedback residual `E` (n × m) when enabled.
     error: Option<Matrix>,
-    /// Orthogonalized aggregated `P̂` cached between phases.
-    p_hat: Option<Matrix>,
-    /// Corrected gradient `M + E` cached between phases.
-    corrected: Option<Matrix>,
+    /// Orthogonalized aggregated `P̂` (n × r), valid from `compute_q` to
+    /// `finish`.
+    p_hat: Matrix,
+    /// The gradient carried from `compute_p` to `compute_q` when error
+    /// feedback is off (with it on, `E` is that carry); empty otherwise.
+    grad: Vec<f32>,
     step: u64,
     phase: Phase,
 }
@@ -125,8 +140,8 @@ impl PowerSgd {
             cfg,
             q,
             error,
-            p_hat: None,
-            corrected: None,
+            p_hat: Matrix::zeros(n, rank),
+            grad: Vec::new(),
             step: 0,
             phase: Phase::AwaitP,
         }
@@ -145,6 +160,18 @@ impl PowerSgd {
     /// Frobenius norm of the error-feedback residual (0 when EF disabled).
     pub fn error_norm(&self) -> f32 {
         self.error.as_ref().map_or(0.0, Matrix::frobenius_norm)
+    }
+
+    /// The error-feedback residual `E`, row-major (`None` when EF disabled).
+    pub fn residual(&self) -> Option<&[f32]> {
+        self.error.as_ref().map(Matrix::as_slice)
+    }
+
+    fn expect_phase(&self, phase: Phase, what: &'static str) -> Result<(), CompressError> {
+        if self.phase != phase {
+            return Err(CompressError::Phase { what });
+        }
+        Ok(())
     }
 
     /// Phase 1: computes the local factor `P = (M + E) Q_{t−1}` to be
@@ -166,15 +193,10 @@ impl PowerSgd {
     ///
     /// [`CompressError::Phase`] when called out of order,
     /// [`CompressError::Shape`] when the gradient shape differs from
-    /// construction, [`CompressError::Matrix`] if the inner multiply is fed
-    /// incompatible dimensions.
+    /// construction.
     #[must_use = "the result carries the computation; dropping it discards the round"]
     pub fn try_compute_p(&mut self, grad: &Matrix) -> Result<Matrix, CompressError> {
-        if self.phase != Phase::AwaitP {
-            return Err(CompressError::Phase {
-                what: "compute_p called out of order",
-            });
-        }
+        self.expect_phase(Phase::AwaitP, "compute_p called out of order")?;
         if (grad.rows(), grad.cols()) != (self.n, self.m) {
             return Err(CompressError::Shape {
                 what: "gradient shape changed",
@@ -182,23 +204,54 @@ impl PowerSgd {
                 actual: (grad.rows(), grad.cols()),
             });
         }
+        let mut p = Matrix::zeros(self.n, self.rank);
+        self.try_compute_p_slice(grad.as_slice(), p.as_mut_slice())?;
+        Ok(p)
+    }
+
+    /// [`PowerSgd::try_compute_p`] over flat row-major buffers: reads the
+    /// `n·m` gradient from `grad` and overwrites `p` (`n·r` elements) with
+    /// the local factor. With error feedback the projecting sweep also
+    /// leaves `M + E` in `E`; nothing the size of the gradient is
+    /// allocated after the first step.
+    ///
+    /// # Errors
+    ///
+    /// [`CompressError::Phase`] when called out of order,
+    /// [`CompressError::Matrix`] when `grad` or `p` has the wrong length.
+    /// No state changes on error.
+    pub fn try_compute_p_slice(
+        &mut self,
+        grad: &[f32],
+        p: &mut [f32],
+    ) -> Result<(), CompressError> {
+        self.expect_phase(Phase::AwaitP, "compute_p called out of order")?;
+        check_len(self.n * self.m, grad.len())?;
+        check_len(self.n * self.rank, p.len())?;
+        let (n, m, r) = (self.n, self.m, self.rank);
         if !self.cfg.reuse {
             // Fresh random query each step (ablation). Seed varies by step
             // but agrees across ranks.
             self.q = Matrix::random_std_normal(
-                self.m,
-                self.rank,
+                m,
+                r,
                 self.cfg.seed ^ (self.step + 1).wrapping_mul(0x9E37),
             );
         }
-        let corrected = match &self.error {
-            Some(e) => grad + e,
-            None => grad.clone(),
-        };
-        let p = corrected.try_matmul(&self.q)?;
-        self.corrected = Some(corrected);
+        let pool = pool::global_for(n * m * r);
+        let q = self.q.as_slice();
+        match &mut self.error {
+            Some(e) => {
+                kernels::project_rows_corrected(pool, n, m, r, grad, e.as_mut_slice(), q, p, false)
+            }
+            None => {
+                self.grad.clear();
+                self.grad.extend_from_slice(grad);
+                kernels::project_rows(pool, n, m, r, grad, q, p);
+            }
+        }
         self.phase = Phase::AwaitQ { have_p: false };
-        Ok(p)
+        Ok(())
     }
 
     /// Phase 2: consumes the aggregated `P̂`, orthogonalizes it, computes
@@ -221,16 +274,13 @@ impl PowerSgd {
     /// # Errors
     ///
     /// [`CompressError::Phase`] when called out of order,
-    /// [`CompressError::Shape`] when `p_reduced` has the wrong shape,
-    /// [`CompressError::Matrix`] if an inner multiply is fed incompatible
-    /// dimensions.
+    /// [`CompressError::Shape`] when `p_reduced` has the wrong shape.
     #[must_use = "the result carries the computation; dropping it discards the round"]
-    pub fn try_compute_q(&mut self, mut p_reduced: Matrix) -> Result<Matrix, CompressError> {
-        if !matches!(self.phase, Phase::AwaitQ { have_p: false }) {
-            return Err(CompressError::Phase {
-                what: "compute_q called out of order",
-            });
-        }
+    pub fn try_compute_q(&mut self, p_reduced: Matrix) -> Result<Matrix, CompressError> {
+        self.expect_phase(
+            Phase::AwaitQ { have_p: false },
+            "compute_q called out of order",
+        )?;
         if (p_reduced.rows(), p_reduced.cols()) != (self.n, self.rank) {
             return Err(CompressError::Shape {
                 what: "aggregated P has the wrong shape",
@@ -238,27 +288,49 @@ impl PowerSgd {
                 actual: (p_reduced.rows(), p_reduced.cols()),
             });
         }
-        self.cfg.ortho.apply(&mut p_reduced);
-        let corrected = match self.corrected.take() {
-            Some(c) => c,
-            None => {
-                return Err(CompressError::Phase {
-                    what: "corrected gradient cached by compute_p",
-                })
-            }
-        };
-        let q = corrected.try_matmul_tn(&p_reduced)?;
-        if self.error.is_some() {
-            // E ← (M + E) − P̂ Q_localᵀ, with the local (pre-reduce) Q so the
-            // average of transmitted + residual equals the true average.
-            let approx = p_reduced.try_matmul_nt(&q)?;
-            let mut e = corrected;
-            e -= &approx;
-            self.error = Some(e);
-        }
-        self.p_hat = Some(p_reduced);
-        self.phase = Phase::AwaitQ { have_p: true };
+        let mut q = Matrix::zeros(self.m, self.rank);
+        self.try_compute_q_slice(p_reduced.as_slice(), q.as_mut_slice())?;
         Ok(q)
+    }
+
+    /// [`PowerSgd::try_compute_q`] over flat row-major buffers: reads the
+    /// aggregated `P` (`n·r` elements) from `p_reduced` and overwrites `q`
+    /// (`m·r` elements) with the local factor.
+    ///
+    /// # Errors
+    ///
+    /// [`CompressError::Phase`] when called out of order,
+    /// [`CompressError::Matrix`] when `p_reduced` or `q` has the wrong
+    /// length. No state changes on error.
+    pub fn try_compute_q_slice(
+        &mut self,
+        p_reduced: &[f32],
+        q: &mut [f32],
+    ) -> Result<(), CompressError> {
+        self.expect_phase(
+            Phase::AwaitQ { have_p: false },
+            "compute_q called out of order",
+        )?;
+        check_len(self.n * self.rank, p_reduced.len())?;
+        check_len(self.m * self.rank, q.len())?;
+        let (n, m, r) = (self.n, self.m, self.rank);
+        self.p_hat.as_mut_slice().copy_from_slice(p_reduced);
+        self.cfg.ortho.apply(&mut self.p_hat);
+        let pool = pool::global_for(n * m * r);
+        let p_hat = self.p_hat.as_slice();
+        match &mut self.error {
+            Some(e) => {
+                // E ← (M + E) − P̂ Q_localᵀ, with the local (pre-reduce) Q so
+                // the average of transmitted + residual equals the true
+                // average.
+                let e = e.as_mut_slice();
+                kernels::project_cols(pool, n, m, r, e, p_hat, q);
+                kernels::subtract_reconstruction(pool, n, m, r, p_hat, q, e);
+            }
+            None => kernels::project_cols(pool, n, m, r, &self.grad, p_hat, q),
+        }
+        self.phase = Phase::AwaitQ { have_p: true };
+        Ok(())
     }
 
     /// Phase 3: consumes the aggregated `Q̂` and returns the decompressed
@@ -278,16 +350,10 @@ impl PowerSgd {
     /// # Errors
     ///
     /// [`CompressError::Phase`] when called out of order,
-    /// [`CompressError::Shape`] when `q_reduced` has the wrong shape,
-    /// [`CompressError::Matrix`] if the reconstruction multiply is fed
-    /// incompatible dimensions.
+    /// [`CompressError::Shape`] when `q_reduced` has the wrong shape.
     #[must_use = "the result carries the computation; dropping it discards the round"]
     pub fn try_finish(&mut self, q_reduced: Matrix) -> Result<Matrix, CompressError> {
-        if !matches!(self.phase, Phase::AwaitQ { have_p: true }) {
-            return Err(CompressError::Phase {
-                what: "finish called out of order",
-            });
-        }
+        self.expect_phase(Phase::AwaitQ { have_p: true }, "finish called out of order")?;
         if (q_reduced.rows(), q_reduced.cols()) != (self.m, self.rank) {
             return Err(CompressError::Shape {
                 what: "aggregated Q has the wrong shape",
@@ -295,19 +361,42 @@ impl PowerSgd {
                 actual: (q_reduced.rows(), q_reduced.cols()),
             });
         }
-        let p_hat = match self.p_hat.take() {
-            Some(p) => p,
-            None => {
-                return Err(CompressError::Phase {
-                    what: "aggregated P cached by compute_q",
-                })
-            }
-        };
-        let approx = p_hat.try_matmul_nt(&q_reduced)?;
-        self.q = q_reduced;
+        let mut out = Matrix::zeros(self.n, self.m);
+        self.try_finish_slice(q_reduced.as_slice(), out.as_mut_slice())?;
+        Ok(out)
+    }
+
+    /// [`PowerSgd::try_finish`] over flat row-major buffers: reads the
+    /// aggregated `Q` (`m·r` elements, retained as the next query) from
+    /// `q_reduced` and overwrites `out` (`n·m` elements) with `M̂ = P̂ Q̂ᵀ`.
+    ///
+    /// # Errors
+    ///
+    /// [`CompressError::Phase`] when called out of order,
+    /// [`CompressError::Matrix`] when `q_reduced` or `out` has the wrong
+    /// length. No state changes on error.
+    pub fn try_finish_slice(
+        &mut self,
+        q_reduced: &[f32],
+        out: &mut [f32],
+    ) -> Result<(), CompressError> {
+        self.expect_phase(Phase::AwaitQ { have_p: true }, "finish called out of order")?;
+        check_len(self.m * self.rank, q_reduced.len())?;
+        check_len(self.n * self.m, out.len())?;
+        let (n, m, r) = (self.n, self.m, self.rank);
+        self.q.as_mut_slice().copy_from_slice(q_reduced);
+        kernels::reconstruct(
+            pool::global_for(n * m * r),
+            n,
+            m,
+            r,
+            self.p_hat.as_slice(),
+            self.q.as_slice(),
+            out,
+        );
         self.step += 1;
         self.phase = Phase::AwaitP;
-        Ok(approx)
+        Ok(())
     }
 
     /// FLOPs of one compression step (Table II: `O(N r)` with `N = n m`):

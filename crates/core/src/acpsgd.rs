@@ -4,7 +4,7 @@
 use acp_collectives::{CollectiveOp, CollectiveResult, Communicator, ReduceOp};
 use acp_compression::acp::{AcpSgd, AcpSgdConfig as AcpCompressionConfig, FactorSide};
 use acp_telemetry::{RecorderCell, RecorderHandle};
-use acp_tensor::{Matrix, MatrixShape};
+use acp_tensor::MatrixShape;
 
 use crate::error::CoreError;
 use crate::optimizer::{DistributedOptimizer, GradViewMut};
@@ -93,20 +93,32 @@ impl AcpSgdConfig {
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)] // few instances, one per tensor
 enum LrState {
-    Matrix {
-        rows: usize,
-        cols: usize,
-        state: AcpSgd,
-    },
+    Matrix(AcpSgd),
     Vector,
 }
 
 /// Per-bucket codec state: one [`LrState`] per tensor in the bucket, plus
-/// the local factors in flight between `encode` and `decode`.
+/// the bucket's own buffer, held from `encode` to `decode` as the decode
+/// target.
 #[derive(Debug)]
 struct AcpBucketState {
     states: Vec<LrState>,
-    factors: Vec<Matrix>,
+    data: Vec<f32>,
+}
+
+impl AcpBucketState {
+    /// Elements of this step's fused payload: one factor per matrix, the
+    /// raw gradient per vector.
+    fn payload_elems(&self, offsets: &[usize]) -> usize {
+        self.states
+            .iter()
+            .zip(offsets.windows(2))
+            .map(|(lr, span)| match lr {
+                LrState::Matrix(state) => state.transmitted_elements(),
+                LrState::Vector => span[1] - span[0],
+            })
+            .sum()
+    }
 }
 
 /// The ACP-SGD bucket codec: one fused mean all-reduce per bucket carrying
@@ -144,18 +156,14 @@ impl AcpCodec {
                             seed: cfg.seed ^ (i as u64).wrapping_mul(0x9E3779B9),
                             ..AcpCompressionConfig::default()
                         };
-                        LrState::Matrix {
-                            rows,
-                            cols,
-                            state: AcpSgd::new(rows, cols, ccfg),
-                        }
+                        LrState::Matrix(AcpSgd::new(rows, cols, ccfg))
                     }
                     MatrixShape::Vector { .. } => LrState::Vector,
                 })
                 .collect();
             AcpBucketState {
                 states,
-                factors: Vec::new(),
+                data: Vec::new(),
             }
         })
     }
@@ -166,7 +174,7 @@ impl AcpCodec {
             .flatten()
             .flat_map(|b| &b.states)
             .map(|s| match s {
-                LrState::Matrix { state, .. } => state.error_norm(),
+                LrState::Matrix(state) => state.error_norm(),
                 LrState::Vector => 0.0,
             })
             .sum()
@@ -178,7 +186,7 @@ impl AcpCodec {
             .flatten()
             .flat_map(|b| &b.states)
             .find_map(|s| match s {
-                LrState::Matrix { state, .. } => Some(state.next_side()),
+                LrState::Matrix(state) => Some(state.next_side()),
                 LrState::Vector => None,
             })
     }
@@ -195,26 +203,27 @@ impl BucketCodec for AcpCodec {
                 op: ReduceOp::Mean,
             }]);
         }
-        let offsets = bucket.offsets.clone();
         let data = std::mem::take(&mut bucket.data);
         let st = self.state_for(bucket);
-        st.factors.clear();
-        // One fused payload: this step's factor per matrix, raw data per
-        // vector.
-        let mut buf = Vec::new();
-        for (slot, lr) in st.states.iter_mut().enumerate() {
-            let seg = &data[offsets[slot]..offsets[slot + 1]];
+        // One fused payload, sized exactly: this step's factor per matrix,
+        // raw data per vector. Factors are written straight into it.
+        let mut buf = vec![0.0f32; st.payload_elems(&bucket.offsets)];
+        let mut pos = 0usize;
+        for (lr, span) in st.states.iter_mut().zip(bucket.offsets.windows(2)) {
+            let seg = &data[span[0]..span[1]];
             match lr {
-                LrState::Matrix { rows, cols, state } => {
-                    let m = Matrix::from_vec(*rows, *cols, seg.to_vec())
-                        .map_err(acp_compression::CompressError::from)?;
-                    let f = state.try_compress(&m)?;
-                    buf.extend_from_slice(f.as_slice());
-                    st.factors.push(f);
+                LrState::Matrix(state) => {
+                    let n = state.transmitted_elements();
+                    state.try_compress_slice(seg, &mut buf[pos..pos + n])?;
+                    pos += n;
                 }
-                LrState::Vector => buf.extend_from_slice(seg),
+                LrState::Vector => {
+                    buf[pos..pos + seg.len()].copy_from_slice(seg);
+                    pos += seg.len();
+                }
             }
         }
+        st.data = data;
         bucket.payload_bytes += 4 * buf.len() as u64;
         Ok(vec![CollectiveOp::AllReduce {
             buf,
@@ -244,26 +253,25 @@ impl BucketCodec for AcpCodec {
             .ok_or(CoreError::CodecProtocol(
                 "decode without a pending encode state",
             ))?;
-        let mut out = vec![0.0f32; bucket.elems];
-        let mut factors = std::mem::take(&mut st.factors).into_iter();
+        // Reconstruct straight into the bucket's own buffer.
+        let mut out = std::mem::take(&mut st.data);
+        if out.len() != bucket.elems || reduced.len() != st.payload_elems(&bucket.offsets) {
+            return Err(CoreError::CodecProtocol(
+                "reduced payload does not match the encoded bucket",
+            ));
+        }
         let mut pos = 0usize;
-        for (slot, lr) in st.states.iter_mut().enumerate() {
-            let (start, end) = (bucket.offsets[slot], bucket.offsets[slot + 1]);
+        for (lr, span) in st.states.iter_mut().zip(bucket.offsets.windows(2)) {
+            let seg = &mut out[span[0]..span[1]];
             match lr {
-                LrState::Matrix { state, .. } => {
-                    let mut f_hat = factors.next().ok_or(CoreError::CodecProtocol(
-                        "missing low-rank factor for matrix slot",
-                    ))?;
-                    let n = f_hat.as_slice().len();
-                    f_hat.as_mut_slice().copy_from_slice(&reduced[pos..pos + n]);
+                LrState::Matrix(state) => {
+                    let n = state.transmitted_elements();
+                    state.try_finish_slice(&reduced[pos..pos + n], seg)?;
                     pos += n;
-                    let approx = state.try_finish(f_hat).map_err(CoreError::from)?;
-                    out[start..end].copy_from_slice(approx.as_slice());
                 }
                 LrState::Vector => {
-                    let n = end - start;
-                    out[start..end].copy_from_slice(&reduced[pos..pos + n]);
-                    pos += n;
+                    seg.copy_from_slice(&reduced[pos..pos + seg.len()]);
+                    pos += seg.len();
                 }
             }
         }
@@ -406,7 +414,7 @@ mod tests {
     use super::*;
     use acp_collectives::ThreadGroup;
     use acp_tensor::vecops::relative_error;
-    use acp_tensor::SeedableStdNormal;
+    use acp_tensor::{Matrix, SeedableStdNormal};
 
     #[test]
     fn alternates_sides_across_steps() {

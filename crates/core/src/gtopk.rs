@@ -8,7 +8,7 @@
 //! scaling difference is measurable (see the `ext_scaling` experiment).
 
 use acp_collectives::{CollectiveOp, CollectiveResult, Communicator};
-use acp_compression::{Compressor, ErrorFeedback, Payload, TopK};
+use acp_compression::{ErrorFeedback, Payload, TopK};
 use acp_telemetry::{RecorderCell, RecorderHandle};
 
 use crate::error::CoreError;
@@ -35,7 +35,7 @@ impl GTopkCodec {
 
 impl BucketCodec for GTopkCodec {
     fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
-        let data = std::mem::take(&mut bucket.data);
+        let mut data = std::mem::take(&mut bucket.data);
         let n = bucket.elems;
         let k = ((self.density * n as f64).ceil() as usize).clamp(1, n);
         if self.buckets.len() <= bucket.index {
@@ -43,7 +43,7 @@ impl BucketCodec for GTopkCodec {
         }
         let payload = self.buckets[bucket.index]
             .get_or_insert_with(|| ErrorFeedback::new(TopK::new(k)))
-            .compress(&data);
+            .compress_in_place(&mut data);
         bucket.payload_bytes += payload.wire_bytes() as u64;
         let (indices, values) = match payload {
             Payload::Sparse {

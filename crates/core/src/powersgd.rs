@@ -4,7 +4,7 @@
 use acp_collectives::{CollectiveOp, CollectiveResult, Communicator, ReduceOp};
 use acp_compression::powersgd::{PowerSgd, PowerSgdConfig as PowerSgdCompressionConfig};
 use acp_telemetry::{RecorderCell, RecorderHandle};
-use acp_tensor::{Matrix, MatrixShape};
+use acp_tensor::MatrixShape;
 
 use crate::error::CoreError;
 use crate::optimizer::{DistributedOptimizer, GradViewMut};
@@ -103,15 +103,39 @@ enum LrState {
     Vector,
 }
 
-/// Per-bucket codec state: per-tensor compression state plus the factors
-/// and partial output in flight between rounds.
+/// Per-bucket codec state: per-tensor compression state plus the bucket's
+/// own buffer, held across the rounds as the decode target.
 #[derive(Debug)]
 struct PowerBucketState {
     states: Vec<LrState>,
-    p_factors: Vec<Matrix>,
-    q_factors: Vec<Matrix>,
     out: Vec<f32>,
     in_q_round: bool,
+}
+
+impl PowerBucketState {
+    /// Elements of the round-one payload: the `P` factor per matrix, the
+    /// raw gradient per vector.
+    fn p_payload_elems(&self, offsets: &[usize]) -> usize {
+        self.states
+            .iter()
+            .zip(offsets.windows(2))
+            .map(|(lr, span)| match lr {
+                LrState::Matrix { rows, state, .. } => rows * state.rank(),
+                LrState::Vector => span[1] - span[0],
+            })
+            .sum()
+    }
+
+    /// Elements of the round-two payload: the `Q` factor per matrix.
+    fn q_payload_elems(&self) -> usize {
+        self.states
+            .iter()
+            .map(|lr| match lr {
+                LrState::Matrix { cols, state, .. } => cols * state.rank(),
+                LrState::Vector => 0,
+            })
+            .sum()
+    }
 }
 
 /// The Power-SGD bucket codec: round one all-reduces the fused `P` factors
@@ -160,8 +184,6 @@ impl PowerCodec {
                 .collect();
             PowerBucketState {
                 states,
-                p_factors: Vec::new(),
-                q_factors: Vec::new(),
                 out: Vec::new(),
                 in_q_round: false,
             }
@@ -190,29 +212,30 @@ impl BucketCodec for PowerCodec {
                 op: ReduceOp::Mean,
             }]);
         }
-        let offsets = bucket.offsets.clone();
-        let elems = bucket.elems;
         let data = std::mem::take(&mut bucket.data);
         let st = self.state_for(bucket);
-        st.p_factors.clear();
-        st.q_factors.clear();
-        st.out = vec![0.0f32; elems];
         st.in_q_round = false;
-        // Phase 1 payload: local P factor per matrix, raw data per vector.
-        let mut buf = Vec::new();
-        for (slot, lr) in st.states.iter_mut().enumerate() {
-            let seg = &data[offsets[slot]..offsets[slot + 1]];
+        // Phase 1 payload, sized exactly: local P factor per matrix, raw
+        // data per vector. Factors are written straight into it.
+        let mut buf = vec![0.0f32; st.p_payload_elems(&bucket.offsets)];
+        let mut pos = 0usize;
+        for (lr, span) in st.states.iter_mut().zip(bucket.offsets.windows(2)) {
+            let seg = &data[span[0]..span[1]];
             match lr {
-                LrState::Matrix { rows, cols, state } => {
-                    let m = Matrix::from_vec(*rows, *cols, seg.to_vec())
-                        .map_err(acp_compression::CompressError::from)?;
-                    let p = state.try_compute_p(&m)?;
-                    buf.extend_from_slice(p.as_slice());
-                    st.p_factors.push(p);
+                LrState::Matrix { rows, state, .. } => {
+                    let n = *rows * state.rank();
+                    state.try_compute_p_slice(seg, &mut buf[pos..pos + n])?;
+                    pos += n;
                 }
-                LrState::Vector => buf.extend_from_slice(seg),
+                LrState::Vector => {
+                    buf[pos..pos + seg.len()].copy_from_slice(seg);
+                    pos += seg.len();
+                }
             }
         }
+        // The gradient has been consumed (into `E`, or the states' own
+        // copies); the buffer becomes the decode target.
+        st.out = data;
         bucket.payload_bytes += 4 * buf.len() as u64;
         Ok(vec![CollectiveOp::AllReduce {
             buf,
@@ -242,34 +265,38 @@ impl BucketCodec for PowerCodec {
             .ok_or(CoreError::CodecProtocol(
                 "decode without a pending encode state",
             ))?;
+        const MISMATCH: CoreError =
+            CoreError::CodecProtocol("reduced payload does not match the encoded bucket");
+        if st.out.len() != bucket.elems {
+            return Err(MISMATCH);
+        }
         if !st.in_q_round {
             // Round 1 result: aggregated Ps + exact vector means. Compute
             // the local Q factors and (if any matrices) go one more round.
-            let mut p_factors = std::mem::take(&mut st.p_factors).into_iter();
-            let mut pos = 0usize;
-            let mut q_buf = Vec::new();
-            for (slot, lr) in st.states.iter_mut().enumerate() {
-                let (start, end) = (bucket.offsets[slot], bucket.offsets[slot + 1]);
+            if reduced.len() != st.p_payload_elems(&bucket.offsets) {
+                return Err(MISMATCH);
+            }
+            let mut q_buf = vec![0.0f32; st.q_payload_elems()];
+            let (mut pos, mut q_pos) = (0usize, 0usize);
+            for (lr, span) in st.states.iter_mut().zip(bucket.offsets.windows(2)) {
                 match lr {
-                    LrState::Matrix { state, .. } => {
-                        let mut p_hat = p_factors.next().ok_or(CoreError::CodecProtocol(
-                            "missing low-rank factor for matrix slot",
-                        ))?;
-                        let n = p_hat.as_slice().len();
-                        p_hat.as_mut_slice().copy_from_slice(&reduced[pos..pos + n]);
-                        pos += n;
-                        let q = state.try_compute_q(p_hat).map_err(CoreError::from)?;
-                        q_buf.extend_from_slice(q.as_slice());
-                        st.q_factors.push(q);
+                    LrState::Matrix { rows, cols, state } => {
+                        let (n_p, n_q) = (*rows * state.rank(), *cols * state.rank());
+                        state.try_compute_q_slice(
+                            &reduced[pos..pos + n_p],
+                            &mut q_buf[q_pos..q_pos + n_q],
+                        )?;
+                        pos += n_p;
+                        q_pos += n_q;
                     }
                     LrState::Vector => {
-                        let n = end - start;
-                        st.out[start..end].copy_from_slice(&reduced[pos..pos + n]);
+                        let n = span[1] - span[0];
+                        st.out[span[0]..span[1]].copy_from_slice(&reduced[pos..pos + n]);
                         pos += n;
                     }
                 }
             }
-            if st.q_factors.is_empty() {
+            if q_buf.is_empty() {
                 bucket.data = std::mem::take(&mut st.out);
                 return Ok(Round::Done);
             }
@@ -280,21 +307,18 @@ impl BucketCodec for PowerCodec {
                 op: ReduceOp::Mean,
             }]));
         }
-        // Round 2 result: aggregated Qs. Decompress into the output.
+        // Round 2 result: aggregated Qs. Decompress straight into the
+        // bucket's own buffer.
         st.in_q_round = false;
-        let mut q_factors = std::mem::take(&mut st.q_factors).into_iter();
+        if reduced.len() != st.q_payload_elems() {
+            return Err(MISMATCH);
+        }
         let mut pos = 0usize;
-        for (slot, lr) in st.states.iter_mut().enumerate() {
-            let (start, end) = (bucket.offsets[slot], bucket.offsets[slot + 1]);
-            if let LrState::Matrix { state, .. } = lr {
-                let mut q_hat = q_factors.next().ok_or(CoreError::CodecProtocol(
-                    "missing low-rank factor for matrix slot",
-                ))?;
-                let n = q_hat.as_slice().len();
-                q_hat.as_mut_slice().copy_from_slice(&reduced[pos..pos + n]);
+        for (lr, span) in st.states.iter_mut().zip(bucket.offsets.windows(2)) {
+            if let LrState::Matrix { cols, state, .. } = lr {
+                let n = *cols * state.rank();
+                state.try_finish_slice(&reduced[pos..pos + n], &mut st.out[span[0]..span[1]])?;
                 pos += n;
-                let approx = state.try_finish(q_hat).map_err(CoreError::from)?;
-                st.out[start..end].copy_from_slice(approx.as_slice());
             }
         }
         bucket.data = std::mem::take(&mut st.out);
@@ -419,6 +443,7 @@ mod tests {
     use super::*;
     use acp_collectives::ThreadGroup;
     use acp_tensor::vecops::relative_error;
+    use acp_tensor::Matrix;
 
     #[test]
     fn identical_inputs_converge_to_input() {

@@ -68,14 +68,14 @@ impl SignCodec {
 
 impl BucketCodec for SignCodec {
     fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
-        let data = std::mem::take(&mut bucket.data);
+        let mut data = std::mem::take(&mut bucket.data);
         let payload = if self.error_feedback {
             if self.buckets.len() <= bucket.index {
                 self.buckets.resize_with(bucket.index + 1, || None);
             }
             self.buckets[bucket.index]
                 .get_or_insert_with(|| ErrorFeedback::new(SignSgd::scaled()))
-                .compress(&data)
+                .compress_in_place(&mut data)
         } else {
             // Bypass the residual: compress the raw gradient.
             SignSgd::scaled().compress(&data)

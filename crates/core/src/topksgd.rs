@@ -62,6 +62,9 @@ struct TopkCodec {
     error_feedback: bool,
     /// Per-bucket error-feedback compressors (unused on the raw path).
     buckets: Vec<Option<ErrorFeedback<TopK>>>,
+    /// Each bucket's own buffer, held from `encode` to `decode` as the
+    /// scatter target.
+    held: Vec<Vec<f32>>,
 }
 
 impl TopkCodec {
@@ -80,18 +83,22 @@ impl TopkCodec {
 
 impl BucketCodec for TopkCodec {
     fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
-        let data = std::mem::take(&mut bucket.data);
+        let mut data = std::mem::take(&mut bucket.data);
         let k = self.k_for(bucket.elems);
+        if self.held.len() <= bucket.index {
+            self.held.resize_with(bucket.index + 1, Vec::new);
+        }
         let payload = if self.error_feedback {
             if self.buckets.len() <= bucket.index {
                 self.buckets.resize_with(bucket.index + 1, || None);
             }
             self.buckets[bucket.index]
                 .get_or_insert_with(|| ErrorFeedback::new(TopK::new(k)))
-                .compress(&data)
+                .compress_in_place(&mut data)
         } else {
             TopK::new(k).compress(&data)
         };
+        self.held[bucket.index] = data;
         bucket.payload_bytes += payload.wire_bytes() as u64;
         let (indices, values) = match payload {
             Payload::Sparse {
@@ -129,7 +136,14 @@ impl BucketCodec for TopkCodec {
             ))?
             .into_f32()
             .map_err(CoreError::from)?;
-        let mut dense = vec![0.0f32; bucket.elems];
+        let mut dense = self
+            .held
+            .get_mut(bucket.index)
+            .map(std::mem::take)
+            .filter(|held| held.len() == bucket.elems)
+            .ok_or(CoreError::CodecProtocol(
+                "decode without a pending encode state",
+            ))?;
         TopK::scatter_average(&gathered_idx, &gathered_val, bucket.world_size, &mut dense);
         bucket.data = dense;
         Ok(Round::Done)
@@ -194,6 +208,7 @@ impl TopkSgdAggregator {
                 density: cfg.density,
                 error_feedback: cfg.error_feedback,
                 buckets: Vec::new(),
+                held: Vec::new(),
             },
             recorder: RecorderCell::default(),
         }

@@ -261,6 +261,27 @@ impl WorkerPool {
         });
     }
 
+    /// Runs `f(part)` once per element of `parts` across the pool, moving
+    /// each part into the task that owns it. This is the split for kernels
+    /// whose tasks write more than one buffer, or a strided region, that
+    /// the caller has already cut into disjoint `&mut` pieces.
+    pub fn run_parts<T, F>(&self, parts: Vec<T>, f: F)
+    where
+        T: Send,
+        F: Fn(T) + Send + Sync,
+    {
+        if parts.len() <= 1 {
+            return parts.into_iter().for_each(f);
+        }
+        let slots: Vec<Mutex<Option<T>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
+        self.run(slots.len(), |i| {
+            let part = slots[i].lock().unwrap_or_else(|e| e.into_inner()).take();
+            if let Some(part) = part {
+                f(part);
+            }
+        });
+    }
+
     #[cfg(test)]
     fn injector_len(&self) -> usize {
         self.injector
