@@ -56,7 +56,8 @@ pub use nonblocking::{
     wait_all, CollectiveOp, CollectiveResult, CommWorker, PendingOp, TopkMode, WorkerTransport,
 };
 pub use ring::{
-    all_gather_f32_reference, all_gather_u32_reference, all_reduce_reference, Transport, WireMsg,
+    all_gather_f32_reference, all_gather_reference_into, all_gather_u32_reference,
+    all_reduce_reference, all_reduce_reference_into, Transport, WireMsg,
 };
 pub use schedule::{
     OpKind, ScheduleEntry, SchedulePoint, ScheduleSnapshot, ScheduleTag, ScheduleTracer, VerifyMode,

@@ -627,12 +627,29 @@ fn recv_sparse<T: Transport + ?Sized>(
 /// Returns [`CommError::LengthMismatch`] if the contributions disagree on
 /// length, [`CommError::ProtocolMismatch`] if `contribs` is empty.
 pub fn all_reduce_reference(contribs: &[&[f32]], op: ReduceOp) -> Result<Vec<f32>, CommError> {
+    let mut out = vec![0.0f32; contribs.first().map_or(0, |c| c.len())];
+    all_reduce_reference_into(contribs, op, &mut out)?;
+    Ok(out)
+}
+
+/// [`all_reduce_reference`] into caller storage: every element of `out`
+/// is overwritten, so a reused buffer never leaks a previous result.
+///
+/// # Errors
+///
+/// As [`all_reduce_reference`]; also [`CommError::LengthMismatch`] if
+/// `out` is not one contribution long.
+pub fn all_reduce_reference_into(
+    contribs: &[&[f32]],
+    op: ReduceOp,
+    out: &mut [f32],
+) -> Result<(), CommError> {
     let p = contribs.len();
     let Some(first) = contribs.first() else {
         return Err(CommError::ProtocolMismatch);
     };
     let len = first.len();
-    for c in contribs {
+    for c in contribs.iter().copied().chain([&*out]) {
         if c.len() != len {
             return Err(CommError::LengthMismatch {
                 expected: len,
@@ -641,10 +658,9 @@ pub fn all_reduce_reference(contribs: &[&[f32]], op: ReduceOp) -> Result<Vec<f32
         }
     }
     if p == 1 {
-        // allow_verify(reason = "serial reference path returns an owned result; no wire involved")
-        return Ok(first.to_vec());
+        out.copy_from_slice(first);
+        return Ok(());
     }
-    let mut out = vec![0.0f32; len];
     for c in 0..p {
         let range = chunk_range(len, c, p);
         out[range.clone()].copy_from_slice(&contribs[c][range.clone()]);
@@ -676,22 +692,26 @@ pub fn all_reduce_reference(contribs: &[&[f32]], op: ReduceOp) -> Result<Vec<f32
             *v *= inv;
         }
     }
-    Ok(out)
+    Ok(())
 }
 
-/// Serial reference of [`all_gather_f32`]: rank-order concatenation.
-/// Bit-exact trivially — the ring moves bytes without arithmetic.
+/// Serial reference of both all-gathers into caller storage: rank-order
+/// concatenation, every element of `out` overwritten. Bit-exact trivially
+/// — the ring moves bytes without arithmetic.
 ///
 /// # Errors
 ///
 /// Returns [`CommError::LengthMismatch`] if the contributions disagree on
-/// length, [`CommError::ProtocolMismatch`] if `contribs` is empty.
-pub fn all_gather_f32_reference(contribs: &[&[f32]]) -> Result<Vec<f32>, CommError> {
+/// length or `out` does not hold exactly all of them,
+/// [`CommError::ProtocolMismatch`] if `contribs` is empty.
+pub fn all_gather_reference_into<T: Copy>(
+    contribs: &[&[T]],
+    out: &mut [T],
+) -> Result<(), CommError> {
     let Some(first) = contribs.first() else {
         return Err(CommError::ProtocolMismatch);
     };
     let len = first.len();
-    let mut out = Vec::with_capacity(len * contribs.len());
     for c in contribs {
         if c.len() != len {
             return Err(CommError::LengthMismatch {
@@ -699,8 +719,28 @@ pub fn all_gather_f32_reference(contribs: &[&[f32]]) -> Result<Vec<f32>, CommErr
                 actual: c.len(),
             });
         }
-        out.extend_from_slice(c);
     }
+    if out.len() != len * contribs.len() {
+        return Err(CommError::LengthMismatch {
+            expected: len * contribs.len(),
+            actual: out.len(),
+        });
+    }
+    // `max(1)`: zero-length contributions leave nothing to copy.
+    for (c, slot) in contribs.iter().zip(out.chunks_mut(len.max(1))) {
+        slot.copy_from_slice(c);
+    }
+    Ok(())
+}
+
+/// Serial reference of [`all_gather_f32`]: rank-order concatenation.
+///
+/// # Errors
+///
+/// As [`all_gather_reference_into`].
+pub fn all_gather_f32_reference(contribs: &[&[f32]]) -> Result<Vec<f32>, CommError> {
+    let mut out = vec![0.0f32; contribs.first().map_or(0, |c| c.len()) * contribs.len()];
+    all_gather_reference_into(contribs, &mut out)?;
     Ok(out)
 }
 
@@ -708,23 +748,10 @@ pub fn all_gather_f32_reference(contribs: &[&[f32]]) -> Result<Vec<f32>, CommErr
 ///
 /// # Errors
 ///
-/// Returns [`CommError::LengthMismatch`] if the contributions disagree on
-/// length, [`CommError::ProtocolMismatch`] if `contribs` is empty.
+/// As [`all_gather_reference_into`].
 pub fn all_gather_u32_reference(contribs: &[&[u32]]) -> Result<Vec<u32>, CommError> {
-    let Some(first) = contribs.first() else {
-        return Err(CommError::ProtocolMismatch);
-    };
-    let len = first.len();
-    let mut out = Vec::with_capacity(len * contribs.len());
-    for c in contribs {
-        if c.len() != len {
-            return Err(CommError::LengthMismatch {
-                expected: len,
-                actual: c.len(),
-            });
-        }
-        out.extend_from_slice(c);
-    }
+    let mut out = vec![0u32; contribs.first().map_or(0, |c| c.len()) * contribs.len()];
+    all_gather_reference_into(contribs, &mut out)?;
     Ok(out)
 }
 

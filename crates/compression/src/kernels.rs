@@ -62,13 +62,26 @@ pub fn select_topk(grad: &[f32], k: usize) -> Vec<u32> {
     if k == 0 {
         return Vec::new();
     }
-    let mut idx: Vec<u32> = (0..grad.len() as u32).collect();
-    idx.select_nth_unstable_by(k - 1, |&a, &b| {
-        abs_key(grad[b as usize]).cmp(&abs_key(grad[a as usize]))
-    });
-    idx.truncate(k);
-    idx.sort_unstable();
-    idx
+    PERMUTATION.with_borrow_mut(|idx| {
+        idx.clear();
+        idx.extend(0..grad.len() as u32);
+        idx.select_nth_unstable_by(k - 1, |&a, &b| {
+            abs_key(grad[b as usize]).cmp(&abs_key(grad[a as usize]))
+        });
+        let mut top = idx[..k].to_vec();
+        top.sort_unstable();
+        top
+    })
+}
+
+thread_local! {
+    /// The index permutation [`select_topk`] partitions: one element per
+    /// gradient element, so allocating it per call is a gradient-sized
+    /// allocation per bucket per step whose cost — fresh pages faulted in
+    /// on every use, or warm ones — depends on what else the thread has
+    /// been freeing. Kept per thread, at the size of the largest bucket
+    /// selected from.
+    static PERMUTATION: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Bit-packs signs of one ≤32-element block (bit `j` = 1 when

@@ -632,6 +632,75 @@ pub fn read_frame_into<R: Read>(r: &mut R, dest: DenseMut<'_>) -> io::Result<Rea
     Ok(ReadInto::Filled { tag })
 }
 
+/// What an untagged payload frame announces, read before its first
+/// payload byte: a receiver that must *decide* whether to accept a payload
+/// (admission control) parses this, and only then commits storage with
+/// [`read_payload_body_into`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PayloadHead {
+    /// An `F32` frame of this many elements.
+    F32(usize),
+    /// A `U32` frame of this many elements.
+    U32(usize),
+    /// A `Sparse` frame of this many indices and values.
+    Sparse {
+        /// Announced index count.
+        indices: usize,
+        /// Announced value count.
+        values: usize,
+    },
+    /// A token: nothing follows.
+    Token,
+}
+
+impl PayloadHead {
+    /// Payload bytes that follow the header on the stream.
+    pub fn body_bytes(&self) -> u64 {
+        match *self {
+            PayloadHead::F32(n) | PayloadHead::U32(n) => 4 * n as u64,
+            PayloadHead::Sparse { indices, values } => 4 * (indices as u64 + values as u64),
+            PayloadHead::Token => 0,
+        }
+    }
+}
+
+/// Reads the tag byte and element counts of one untagged payload frame
+/// and nothing more — no payload byte is consumed and nothing is
+/// allocated, whatever the counts say.
+///
+/// # Errors
+///
+/// Propagates I/O errors; a count above [`MAX_ELEMS`], a schedule tag or
+/// a control frame surfaces as `InvalidData`.
+pub fn read_payload_head<R: Read>(r: &mut R) -> io::Result<PayloadHead> {
+    match read_u8(r)? {
+        TAG_F32 => Ok(PayloadHead::F32(read_len(r)?)),
+        TAG_U32 => Ok(PayloadHead::U32(read_len(r)?)),
+        TAG_SPARSE => Ok(PayloadHead::Sparse {
+            indices: read_len(r)?,
+            values: read_len(r)?,
+        }),
+        TAG_TOKEN => Ok(PayloadHead::Token),
+        other => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("expected an untagged payload frame, got tag {other:#04x}"),
+        )),
+    }
+}
+
+/// Reads the payload bytes that follow a dense [`PayloadHead`] straight
+/// into `dest`, which the caller sized from the head's element count.
+///
+/// # Errors
+///
+/// Propagates I/O errors.
+pub fn read_payload_body_into<R: Read>(r: &mut R, dest: DenseMut<'_>) -> io::Result<()> {
+    match dest {
+        DenseMut::F32(d) => fill_f32s(r, d),
+        DenseMut::U32(d) => fill_u32s(r, d),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1003,6 +1072,62 @@ mod tests {
             let out =
                 read_frame_into(&mut io::Cursor::new(&bytes), DenseMut::F32(&mut dest)).unwrap();
             assert_eq!(out, ReadInto::Other(frame));
+        }
+    }
+
+    #[test]
+    fn payload_head_then_body_is_the_owned_read() {
+        // Head first, then the body into storage sized from it: the same
+        // bits as `read_frame`, and the head stops exactly at the body.
+        for msg in dense_samples() {
+            let bytes = encode(&Frame::Msg(msg.clone()));
+            let mut r = DribbleReader::new(bytes.clone());
+            let head = read_payload_head(&mut r).unwrap();
+            assert_eq!(r.pos, 5, "tag byte and count only");
+            assert_eq!(head.body_bytes(), msg.payload_bytes());
+            let landed = match (head, &msg) {
+                (PayloadHead::F32(n), WireMsg::F32(v)) if n == v.len() => {
+                    let mut dest = vec![1.0f32; n];
+                    read_payload_body_into(&mut r, DenseMut::F32(&mut dest)).unwrap();
+                    WireMsg::F32(dest)
+                }
+                (PayloadHead::U32(n), WireMsg::U32(v)) if n == v.len() => {
+                    let mut dest = vec![1u32; n];
+                    read_payload_body_into(&mut r, DenseMut::U32(&mut dest)).unwrap();
+                    WireMsg::U32(dest)
+                }
+                other => panic!("head disagrees with the frame: {other:?}"),
+            };
+            assert_eq!(r.pos, bytes.len());
+            assert_eq!(bits_of(&landed), bits_of(&msg));
+        }
+    }
+
+    #[test]
+    fn payload_head_announces_without_allocating_or_consuming() {
+        // Counts are reported, not acted on: a capped-out header parses
+        // from nine bytes with nothing behind them.
+        let mut bytes = vec![TAG_SPARSE];
+        bytes.extend_from_slice(&MAX_ELEMS.to_le_bytes());
+        bytes.extend_from_slice(&7u32.to_le_bytes());
+        let head = read_payload_head(&mut io::Cursor::new(&bytes)).unwrap();
+        assert_eq!(
+            head,
+            PayloadHead::Sparse {
+                indices: MAX_ELEMS as usize,
+                values: 7
+            }
+        );
+        assert_eq!(head.body_bytes(), 4 * (u64::from(MAX_ELEMS) + 7));
+        let token = read_payload_head(&mut io::Cursor::new([TAG_TOKEN])).unwrap();
+        assert_eq!((token, token.body_bytes()), (PayloadHead::Token, 0));
+        // Over the cap, schedule-tagged, control and unknown frames are
+        // all refused.
+        let mut over = vec![TAG_F32];
+        over.extend_from_slice(&(MAX_ELEMS + 1).to_le_bytes());
+        for bad in [over, vec![TAG_TAGGED], vec![TAG_HELLO], vec![0xEE]] {
+            let err = read_payload_head(&mut io::Cursor::new(bad)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         }
     }
 

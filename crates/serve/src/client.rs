@@ -12,17 +12,21 @@
 //! schedule divergence becomes [`CommError::ScheduleMismatch`].
 
 use std::io;
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
 use acp_collectives::schedule::{
     membership_param, OpKind, ScheduleCell, SchedulePoint, ScheduleTracer, VerifyMode,
 };
-use acp_collectives::{CommError, Communicator, Membership, ReduceOp, ScheduleSnapshot, WireMsg};
+use acp_collectives::{CommError, Communicator, Membership, ReduceOp, ScheduleSnapshot};
+use acp_net::frame::{read_frame_into, read_payload_head, DenseMut, MsgRef, PayloadHead, ReadInto};
 use acp_telemetry::{keys, noop, RecorderHandle};
 
-use crate::wire::{read_response, write_request, Reject, Request, Response, Submit};
+use crate::wire::{
+    read_response, read_response_head, write_request, write_submit, Reject, Request, Response,
+    ResponseHead, SubmitHead,
+};
 
 /// Client-side knobs of the served communicator.
 #[derive(Debug, Clone)]
@@ -184,16 +188,18 @@ impl ServedCommunicator {
     }
 
     /// Runs one collective through the service: fingerprints it in the
-    /// schedule, submits, and retries structured `Busy` backpressure with
-    /// exponential backoff (a busy submission was never admitted, so the
-    /// resend cannot double-count).
+    /// schedule, submits `io`'s send side straight from the caller's
+    /// storage, and lands the aggregate in `io`'s receive side. Structured
+    /// `Busy` backpressure is retried with exponential backoff (a busy
+    /// submission was never admitted, so the resend cannot double-count,
+    /// and it borrows the same storage again).
     fn submit(
         &mut self,
         kind: OpKind,
         words: u64,
         param: u64,
-        payload: WireMsg,
-    ) -> Result<WireMsg, CommError> {
+        mut io: OpIo<'_>,
+    ) -> Result<(), CommError> {
         self.tracer.begin_op(kind, words, param);
         let point = SchedulePoint {
             seq: self.next_seq,
@@ -202,37 +208,40 @@ impl ServedCommunicator {
             param,
         };
         self.next_seq += 1;
-        let digest = self.tracer.digest();
-        let request = Request::Submit(Submit {
+        let head = SubmitHead {
             job: self.job,
             client: self.client,
             epoch: self.epoch,
             point,
-            digest,
-            payload,
-        });
+            digest: self.tracer.digest(),
+        };
         let mut backoff = self.cfg.busy_backoff;
         let mut busy_attempts = 0u32;
         loop {
-            write_request(&mut &self.stream, &request)
-                .map_err(|e| io_err("submit collective", &e))?;
-            match read_response(&mut &self.stream) {
-                Ok(Response::Done {
-                    seq,
-                    digest: echoed,
-                    payload,
-                }) => {
-                    if seq != point.seq || echoed != digest {
-                        return Err(CommError::ProtocolMismatch);
+            write_submit(&mut &self.stream, &head, io.send())
+                .map_err(|e| self.broken("submit collective", &e))?;
+            match read_response_head(&mut &self.stream) {
+                Ok(ResponseHead::Done { seq, digest }) => {
+                    let landed = if seq == point.seq && digest == head.digest {
+                        self.receive(&mut io)
+                    } else {
+                        Err(CommError::ProtocolMismatch)
+                    };
+                    if landed.is_err() {
+                        // Anything but exactly the expected frame leaves
+                        // the stream mid-frame or out of step: shut it
+                        // down, as `frame_io` does on the ring, so the
+                        // next op fails structured instead of parsing
+                        // payload bytes as a tag.
+                        let _ = self.stream.shutdown(Shutdown::Both);
                     }
-                    if let Request::Submit(s) = &request {
-                        let bytes = s.payload.payload_bytes();
-                        self.bytes_sent += bytes;
-                        self.recorder.add(keys::COMM_BYTES_SENT, bytes);
-                    }
-                    return Ok(payload);
+                    landed?;
+                    let bytes = io.send().payload_bytes();
+                    self.bytes_sent += bytes;
+                    self.recorder.add(keys::COMM_BYTES_SENT, bytes);
+                    return Ok(());
                 }
-                Ok(Response::Reject(Reject::Busy { in_flight, budget })) => {
+                Ok(ResponseHead::Other(Response::Reject(Reject::Busy { in_flight, budget }))) => {
                     self.last_reject = Some(Reject::Busy { in_flight, budget });
                     busy_attempts += 1;
                     if busy_attempts > self.cfg.busy_retries {
@@ -244,13 +253,75 @@ impl ServedCommunicator {
                     std::thread::sleep(backoff);
                     backoff = (backoff * 2).min(self.cfg.busy_backoff_max);
                 }
-                Ok(Response::Reject(reject)) => {
+                Ok(ResponseHead::Other(Response::Reject(reject))) => {
                     self.last_reject = Some(reject.clone());
                     return Err(map_reject(reject));
                 }
-                Ok(_) => return Err(CommError::ProtocolMismatch),
-                Err(e) => return Err(io_err("read collective result", &e)),
+                Ok(ResponseHead::Other(_)) => return Err(CommError::ProtocolMismatch),
+                Err(e) => return Err(self.broken("read collective result", &e)),
             }
+        }
+    }
+
+    /// Receives a `Done`'s payload frame straight into `io`'s destination.
+    /// On any error the stream is no longer on a message boundary.
+    fn receive(&mut self, io: &mut OpIo<'_>) -> Result<(), CommError> {
+        let read_failed = |e: io::Error| io_err("read collective result", &e);
+        let Some(dest) = io.dest() else {
+            return match read_payload_head(&mut &self.stream).map_err(read_failed)? {
+                PayloadHead::Token => Ok(()),
+                _ => Err(CommError::ProtocolMismatch),
+            };
+        };
+        let expected = dest.len();
+        match read_frame_into(&mut &self.stream, dest).map_err(read_failed)? {
+            ReadInto::Filled { tag: None } => Ok(()),
+            ReadInto::LengthMismatch { actual, .. } => {
+                Err(CommError::LengthMismatch { expected, actual })
+            }
+            _ => Err(CommError::ProtocolMismatch),
+        }
+    }
+
+    /// Maps an I/O failure inside a request/response exchange and shuts
+    /// the stream down: how far the frame got is unknown, so the byte
+    /// stream can no longer be trusted to sit on a message boundary.
+    fn broken(&self, context: &str, e: &io::Error) -> CommError {
+        let _ = self.stream.shutdown(Shutdown::Both);
+        io_err(context, e)
+    }
+}
+
+/// The caller-side storage of one collective: what is sent, and where the
+/// aggregate lands.
+enum OpIo<'a> {
+    /// Send the buffer, receive the result over it (all-reduce,
+    /// broadcast).
+    InPlace(&'a mut [f32]),
+    /// Send a contribution, receive every rank's into the gathered output.
+    GatherF32(&'a [f32], &'a mut [f32]),
+    /// As [`OpIo::GatherF32`], for `u32`s.
+    GatherU32(&'a [u32], &'a mut [u32]),
+    /// A barrier token each way.
+    Token,
+}
+
+impl OpIo<'_> {
+    fn send(&self) -> MsgRef<'_> {
+        match self {
+            OpIo::InPlace(buf) => MsgRef::F32(buf),
+            OpIo::GatherF32(send, _) => MsgRef::F32(send),
+            OpIo::GatherU32(send, _) => MsgRef::U32(send),
+            OpIo::Token => MsgRef::Token,
+        }
+    }
+
+    fn dest(&mut self) -> Option<DenseMut<'_>> {
+        match self {
+            OpIo::InPlace(buf) => Some(DenseMut::F32(buf)),
+            OpIo::GatherF32(_, out) => Some(DenseMut::F32(out)),
+            OpIo::GatherU32(_, out) => Some(DenseMut::U32(out)),
+            OpIo::Token => None,
         }
     }
 }
@@ -339,49 +410,34 @@ impl Communicator for ServedCommunicator {
             ReduceOp::Mean => 1,
             ReduceOp::Max => 2,
         };
-        let reduced = self.submit(
+        self.submit(
             OpKind::AllReduce,
             buf.len() as u64,
             code,
-            WireMsg::F32(buf.to_vec()),
-        )?;
-        let WireMsg::F32(values) = reduced else {
-            return Err(CommError::ProtocolMismatch);
-        };
-        if values.len() != buf.len() {
-            return Err(CommError::LengthMismatch {
-                expected: buf.len(),
-                actual: values.len(),
-            });
-        }
-        buf.copy_from_slice(&values);
-        Ok(())
+            OpIo::InPlace(buf),
+        )
     }
 
     fn all_gather_f32(&mut self, send: &[f32]) -> Result<Vec<f32>, CommError> {
-        let gathered = self.submit(
+        let mut out = vec![0.0f32; send.len() * self.members.len()];
+        self.submit(
             OpKind::AllGatherF32,
             send.len() as u64,
             0,
-            WireMsg::F32(send.to_vec()),
+            OpIo::GatherF32(send, &mut out),
         )?;
-        match gathered {
-            WireMsg::F32(values) => Ok(values),
-            _ => Err(CommError::ProtocolMismatch),
-        }
+        Ok(out)
     }
 
     fn all_gather_u32(&mut self, send: &[u32]) -> Result<Vec<u32>, CommError> {
-        let gathered = self.submit(
+        let mut out = vec![0u32; send.len() * self.members.len()];
+        self.submit(
             OpKind::AllGatherU32,
             send.len() as u64,
             0,
-            WireMsg::U32(send.to_vec()),
+            OpIo::GatherU32(send, &mut out),
         )?;
-        match gathered {
-            WireMsg::U32(values) => Ok(values),
-            _ => Err(CommError::ProtocolMismatch),
-        }
+        Ok(out)
     }
 
     fn broadcast(&mut self, buf: &mut [f32], root: usize) -> Result<(), CommError> {
@@ -391,30 +447,16 @@ impl Communicator for ServedCommunicator {
                 world_size: self.members.len(),
             });
         }
-        let sent = self.submit(
+        self.submit(
             OpKind::Broadcast,
             buf.len() as u64,
             root as u64,
-            WireMsg::F32(buf.to_vec()),
-        )?;
-        let WireMsg::F32(values) = sent else {
-            return Err(CommError::ProtocolMismatch);
-        };
-        if values.len() != buf.len() {
-            return Err(CommError::LengthMismatch {
-                expected: buf.len(),
-                actual: values.len(),
-            });
-        }
-        buf.copy_from_slice(&values);
-        Ok(())
+            OpIo::InPlace(buf),
+        )
     }
 
     fn barrier(&mut self) -> Result<(), CommError> {
-        match self.submit(OpKind::Barrier, 0, 0, WireMsg::Token)? {
-            WireMsg::Token => Ok(()),
-            _ => Err(CommError::ProtocolMismatch),
-        }
+        self.submit(OpKind::Barrier, 0, 0, OpIo::Token)
     }
 
     fn bytes_sent(&self) -> u64 {

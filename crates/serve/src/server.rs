@@ -1,14 +1,18 @@
 //! The sharded aggregation server.
 //!
 //! One accept thread, one handler thread per connection, and a fixed pool
-//! of shard workers. A connection thread never aggregates: it validates a
-//! request against the job's session state (epoch, membership, schedule
-//! position, byte budgets), deposits the contribution, and blocks on a
-//! per-step reply channel. The *last* depositor of a step enqueues the
-//! complete contribution set to the job's shard worker, which decodes,
-//! reduces with the serial reference folds of `acp-collectives` (bit-exact
-//! with the peer-to-peer ring by the `reference_equivalence` proptests),
-//! and fans the result back to every waiting connection.
+//! of shard workers. A connection thread never aggregates: it parses a
+//! `Submit`'s *header*, validates it against the job's session state
+//! (epoch, membership, schedule position, byte budgets) before the first
+//! payload byte, reads the payload straight into a buffer the job keeps
+//! for that member, deposits it, and blocks on a per-step reply channel.
+//! The *last* depositor of a step enqueues the complete contribution set
+//! to the job's shard worker, which reduces with the serial reference
+//! folds of `acp-collectives` (bit-exact with the peer-to-peer ring by the
+//! `reference_equivalence` proptests) into the job's one output buffer,
+//! and every waiting connection writes that same buffer to its client.
+//! No lock is held across a socket read or write, and nothing on this
+//! path copies or allocates a payload once the job's buffers are warm.
 //!
 //! Isolation properties, each covered by a test:
 //!
@@ -16,10 +20,12 @@
 //!   a desynchronized client gets [`Reject::ScheduleMismatch`] naming the
 //!   expected op, and the job is poisoned rather than fed a wrong
 //!   reduction.
-//! * **Admission**: per-job and global in-flight byte budgets; exceeding
-//!   either yields a structured [`Reject::Busy`] *before* the payload is
-//!   admitted — never a hang, and the budgets are refunded when a step
-//!   drains or aborts.
+//! * **Admission**: per-job and global in-flight byte budgets, charged
+//!   for the whole step (`members × payload`) by the header that opens
+//!   it; exceeding either yields a structured [`Reject::Busy`] *before*
+//!   any payload-sized memory is reserved — never a hang, later members
+//!   of an admitted step are never refused, and the budgets are refunded
+//!   when a step drains or aborts.
 //! * **Failure**: a client dying mid-step surfaces
 //!   [`Reject::MembershipChanged`] to the waiters of *that job only*;
 //!   other jobs never observe it. Survivors reform exactly like the
@@ -28,7 +34,7 @@
 //!   into the schedule digest.
 
 use std::collections::{BTreeSet, HashMap};
-use std::io;
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -36,16 +42,105 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use acp_collectives::schedule::{OpKind, SchedulePoint};
-use acp_collectives::{
-    all_gather_f32_reference, all_gather_u32_reference, all_reduce_reference, ReduceOp, WireMsg,
-};
+use acp_collectives::{all_gather_reference_into, all_reduce_reference_into, ReduceOp};
+use acp_net::frame::{read_payload_body_into, DenseMut, MsgRef, PayloadHead};
 use acp_telemetry::{keys, noop, RecorderHandle};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
-use crate::wire::{read_request, write_response, Reject, Request, Response, Submit};
+use crate::wire::{
+    read_request_head, write_done, write_response, Reject, Request, RequestHead, Response,
+    SubmitHead,
+};
 
 /// How often blocked reads re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(100);
+
+/// Element type of a collective's payloads — and with it the frame kind
+/// every member must send and the reply carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Elem {
+    F32,
+    U32,
+    /// No payload: a barrier token.
+    Token,
+}
+
+impl Elem {
+    fn of(kind: OpKind) -> Elem {
+        match kind {
+            OpKind::AllGatherU32 => Elem::U32,
+            OpKind::Barrier => Elem::Token,
+            _ => Elem::F32,
+        }
+    }
+}
+
+/// Reusable storage for one dense payload. It only grows: a payload of
+/// `n` elements occupies the first `n`, and every producer (socket read,
+/// fold) overwrites all `n`, so a previous step's tail is never observed.
+#[derive(Default)]
+struct Slot {
+    f32s: Vec<f32>,
+    u32s: Vec<u32>,
+}
+
+impl Slot {
+    /// The first `n` elements as a receive destination, grown to fit —
+    /// exactly, and without carrying stale contents over.
+    fn dest(&mut self, elem: Elem, n: usize) -> Option<DenseMut<'_>> {
+        match elem {
+            Elem::F32 => {
+                if self.f32s.len() < n {
+                    self.f32s = vec![0.0; n];
+                }
+                self.f32s.get_mut(..n).map(DenseMut::F32)
+            }
+            Elem::U32 => {
+                if self.u32s.len() < n {
+                    self.u32s = vec![0; n];
+                }
+                self.u32s.get_mut(..n).map(DenseMut::U32)
+            }
+            Elem::Token => None,
+        }
+    }
+
+    /// The first `n` elements as a payload to send.
+    fn view(&self, elem: Elem, n: usize) -> Option<MsgRef<'_>> {
+        match elem {
+            Elem::F32 => self.f32s.get(..n).map(MsgRef::F32),
+            Elem::U32 => self.u32s.get(..n).map(MsgRef::U32),
+            Elem::Token => Some(MsgRef::Token),
+        }
+    }
+}
+
+/// A job's payload buffers while no step holds them: one receive buffer
+/// per member and the one aggregate every member's reply is written from.
+/// They live and die with the job, and hold at most what its budget
+/// admitted (`members × payload`, plus the aggregate).
+#[derive(Default)]
+struct Pool {
+    /// Indexed by virtual rank.
+    inputs: Vec<Slot>,
+    output: Slot,
+}
+
+/// One step's result, shared — not cloned — by every member's connection
+/// thread; the last one to finish writing returns `buf` to the job's pool.
+struct Aggregate {
+    seq: u64,
+    digest: u64,
+    elem: Elem,
+    len: usize,
+    buf: Slot,
+}
+
+/// What a connection waiting on its step is told.
+enum Reply {
+    Done(Arc<Aggregate>),
+    Reject(Reject),
+}
 
 /// Aggregation-server configuration.
 #[derive(Debug, Clone)]
@@ -97,15 +192,20 @@ struct ShardTask {
 
 /// An in-progress aggregation step of one job.
 struct StepState {
+    /// Distinguishes this step from any the job opens after it aborts.
+    id: u64,
     point: SchedulePoint,
     digest: u64,
     started: Instant,
-    /// Payload bytes charged against the budgets for this step.
+    /// Payload bytes charged against the budgets for this step: all of
+    /// it, by the member that opened it.
     charged: u64,
-    /// Contribution per member, indexed by virtual rank.
-    contributions: Vec<Option<WireMsg>>,
-    /// Reply channel per member, indexed by virtual rank.
-    repliers: Vec<Option<Sender<Response>>>,
+    /// Contribution per member, indexed by virtual rank; present once
+    /// that member's payload has fully arrived.
+    contributions: Vec<Option<Slot>>,
+    /// Reply channel per member, indexed by virtual rank; present from
+    /// admission, so an abort reaches a member still sending its payload.
+    repliers: Vec<Option<Sender<Reply>>>,
 }
 
 impl StepState {
@@ -133,11 +233,12 @@ struct JobInner {
     /// every later request is refused with this detail.
     poisoned: Option<String>,
     step: Option<StepState>,
+    steps_opened: u64,
+    pool: Pool,
     reform: Option<ReformState>,
 }
 
 struct JobState {
-    id: u64,
     shard: usize,
     in_flight: AtomicU64,
     inner: Mutex<JobInner>,
@@ -298,29 +399,61 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     }
 }
 
-/// Blocks until a full request header byte is available (polling so
-/// shutdown is observed), then decodes the request. `Ok(None)` means the
-/// server is shutting down.
-fn poll_request(shared: &Shared, stream: &TcpStream) -> io::Result<Option<Request>> {
-    let mut probe = [0u8; 1];
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return Ok(None);
-        }
-        match stream.peek(&mut probe) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(_) => break,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) => {}
-            Err(e) => return Err(e),
+/// Reads one request off a connection whose socket read timeout is
+/// [`POLL`]. The first byte is awaited for as long as the server runs
+/// (each tick re-checks the shutdown flag); from then on the rest of the
+/// request — header, payload, or the discard of a refused payload — has
+/// `step_deadline` in total, however the sender paces it. A stalled sender
+/// is not a dead client: only the deadline, not a poll tick, ends a
+/// request mid-way.
+struct RequestReader<'a> {
+    shared: &'a Shared,
+    stream: &'a TcpStream,
+    /// Set when the request's first bytes arrive.
+    deadline: Option<Instant>,
+}
+
+impl<'a> RequestReader<'a> {
+    fn new(shared: &'a Shared, stream: &'a TcpStream) -> Self {
+        RequestReader {
+            shared,
+            stream,
+            deadline: None,
         }
     }
-    // The sender queues whole requests with one write_all, so once the
-    // first byte is here the rest follows within the poll timeout.
-    read_request(&mut &*stream).map(Some)
+}
+
+impl Read for RequestReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match (&mut &*self.stream).read(buf) {
+                Ok(n) => {
+                    if self.deadline.is_none() {
+                        self.deadline = Some(Instant::now() + self.shared.cfg.step_deadline);
+                    }
+                    return Ok(n);
+                }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    let expired = self.deadline.is_some_and(|d| Instant::now() >= d);
+                    if expired || self.shared.shutdown.load(Ordering::SeqCst) {
+                        return Err(e);
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+fn protocol(detail: &str) -> Response {
+    Response::Reject(Reject::Protocol {
+        detail: detail.to_string(),
+    })
 }
 
 fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
@@ -333,8 +466,8 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
         return;
     }
     // Handshake: the first request must be a Hello naming the session.
-    let (job, client) = match poll_request(shared, &stream) {
-        Ok(Some(Request::Hello {
+    let (job, client) = match read_request_head(&mut RequestReader::new(shared, &stream)) {
+        Ok(RequestHead::Other(Request::Hello {
             job,
             client,
             clients,
@@ -352,27 +485,22 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
             }
             (job, client)
         }
-        Ok(Some(_)) => {
+        Ok(_) => {
             let _ = write_response(
                 &mut &stream,
-                &Response::Reject(Reject::Protocol {
-                    detail: "the first request must be a Hello handshake".to_string(),
-                }),
+                &protocol("the first request must be a Hello handshake"),
             );
             return;
         }
-        _ => return,
+        Err(_) => return,
     };
     loop {
-        match poll_request(shared, &stream) {
-            Ok(None) => return, // shutdown: drop without marking departure
-            Ok(Some(Request::Submit(submit))) => {
-                let resp = handle_submit(shared, job, client, submit);
-                if write_response(&mut &stream, &resp).is_err() {
-                    break;
-                }
+        let mut reader = RequestReader::new(shared, &stream);
+        let served = match read_request_head(&mut reader) {
+            Ok(RequestHead::Submit(head, payload)) => {
+                serve_submit(shared, &mut reader, job, client, &head, payload)
             }
-            Ok(Some(Request::Reform {
+            Ok(RequestHead::Other(Request::Reform {
                 job: req_job,
                 client: req_client,
                 epoch,
@@ -380,25 +508,26 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
                 let resp = if req_job == job && req_client == client {
                     handle_reform(shared, job, client, epoch)
                 } else {
-                    Response::Reject(Reject::Protocol {
-                        detail: "reform names a different session than the handshake".to_string(),
-                    })
+                    protocol("reform names a different session than the handshake")
                 };
-                if write_response(&mut &stream, &resp).is_err() {
-                    break;
-                }
+                write_response(&mut &stream, &resp)
             }
-            Ok(Some(Request::Bye { .. })) => break,
-            Ok(Some(Request::Hello { .. })) => {
+            Ok(RequestHead::Other(Request::Hello { .. })) => {
                 let _ = write_response(
                     &mut &stream,
-                    &Response::Reject(Reject::Protocol {
-                        detail: "duplicate Hello on an established session".to_string(),
-                    }),
+                    &protocol("duplicate Hello on an established session"),
                 );
                 break;
             }
-            Err(_) => break,
+            // `read_request_head` never yields an owned `Submit`.
+            Ok(RequestHead::Other(Request::Bye { .. } | Request::Submit(_))) => break,
+            Err(e) => Err(e),
+        };
+        if served.is_err() {
+            if shared.shutdown.load(Ordering::SeqCst) {
+                return; // shutdown: drop without marking departure
+            }
+            break;
         }
     }
     mark_departed(shared, job, client);
@@ -414,7 +543,6 @@ fn handshake(shared: &Shared, job_id: u64, client: u32, clients: u32) -> Respons
         let mut jobs = lock(&shared.jobs);
         Arc::clone(jobs.entry(job_id).or_insert_with(|| {
             Arc::new(JobState {
-                id: job_id,
                 shard: (job_id % shared.cfg.shards.max(1) as u64) as usize,
                 in_flight: AtomicU64::new(0),
                 inner: Mutex::new(JobInner {
@@ -425,6 +553,8 @@ fn handshake(shared: &Shared, job_id: u64, client: u32, clients: u32) -> Respons
                     departed: BTreeSet::new(),
                     poisoned: None,
                     step: None,
+                    steps_opened: 0,
+                    pool: Pool::default(),
                     reform: None,
                 }),
             })
@@ -500,18 +630,15 @@ fn validate_open(point: &SchedulePoint, world: usize) -> Result<(), Reject> {
     Ok(())
 }
 
-/// Checks the payload's type and element count against the op
-/// fingerprint every member must agree on.
-fn validate_payload(point: &SchedulePoint, payload: &WireMsg) -> Result<(), Reject> {
-    let type_and_len = match (point.kind, payload) {
-        (OpKind::AllReduce | OpKind::Broadcast | OpKind::AllGatherF32, WireMsg::F32(v)) => {
-            Some(v.len() as u64)
-        }
-        (OpKind::AllGatherU32, WireMsg::U32(v)) => Some(v.len() as u64),
-        (OpKind::Barrier, WireMsg::Token) => Some(0),
+/// Checks the frame kind and element count the payload header announces
+/// against the op fingerprint every member must agree on.
+fn validate_payload(point: &SchedulePoint, payload: PayloadHead) -> Result<(), Reject> {
+    let announced = match (Elem::of(point.kind), payload) {
+        (Elem::F32, PayloadHead::F32(n)) | (Elem::U32, PayloadHead::U32(n)) => Some(n as u64),
+        (Elem::Token, PayloadHead::Token) => Some(0),
         _ => None,
     };
-    match type_and_len {
+    match announced {
         Some(len) if len == point.words => Ok(()),
         Some(len) => Err(Reject::Protocol {
             detail: format!(
@@ -525,185 +652,304 @@ fn validate_payload(point: &SchedulePoint, payload: &WireMsg) -> Result<(), Reje
     }
 }
 
+/// Charges `bytes` against the job's and the global in-flight budget, or
+/// refuses with a retryable `Busy` that leaves both untouched.
+fn charge(shared: &Shared, job: &JobState, bytes: u64) -> Result<(), Reject> {
+    let busy = |in_flight, budget| {
+        shared.busy_rejects.fetch_add(1, Ordering::SeqCst);
+        shared.recorder.add(keys::SERVE_REJECT_BUSY, 1);
+        Reject::Busy { in_flight, budget }
+    };
+    let job_now = job.in_flight.fetch_add(bytes, Ordering::SeqCst) + bytes;
+    if job_now > shared.cfg.per_job_budget {
+        job.in_flight.fetch_sub(bytes, Ordering::SeqCst);
+        return Err(busy(job_now - bytes, shared.cfg.per_job_budget));
+    }
+    let global_now = shared.global_in_flight.fetch_add(bytes, Ordering::SeqCst) + bytes;
+    if global_now > shared.cfg.global_budget {
+        shared.global_in_flight.fetch_sub(bytes, Ordering::SeqCst);
+        job.in_flight.fetch_sub(bytes, Ordering::SeqCst);
+        return Err(busy(global_now - bytes, shared.cfg.global_budget));
+    }
+    Ok(())
+}
+
 fn refund(shared: &Shared, job: &JobState, bytes: u64) {
     job.in_flight.fetch_sub(bytes, Ordering::SeqCst);
     shared.global_in_flight.fetch_sub(bytes, Ordering::SeqCst);
 }
 
 /// Aborts the in-flight step (if any) under `inner`, replying `reject` to
-/// every waiting member and refunding the step's charged bytes.
+/// every admitted member — including one still sending its payload —
+/// refunding the step's charged bytes and returning the contributions
+/// that already arrived to the pool.
 fn abort_step(shared: &Shared, job: &JobState, inner: &mut JobInner, reject: &Reject) {
     if let Some(step) = inner.step.take() {
         for tx in step.repliers.iter().flatten() {
-            let _ = tx.send(Response::Reject(reject.clone()));
+            let _ = tx.send(Reply::Reject(reject.clone()));
         }
         refund(shared, job, step.charged);
+        inner.pool.restore(step.contributions);
     }
 }
 
-fn handle_submit(shared: &Shared, job_id: u64, client: u32, submit: Submit) -> Response {
-    if submit.job != job_id || submit.client != client {
-        return Response::Reject(Reject::Protocol {
+impl Pool {
+    /// Puts a step's contributions back, each under its virtual rank.
+    fn restore(&mut self, contributions: Vec<Option<Slot>>) {
+        for (home, slot) in self.inputs.iter_mut().zip(contributions) {
+            if let Some(slot) = slot {
+                *home = slot;
+            }
+        }
+    }
+}
+
+/// A contribution admitted from its header alone: where its payload goes
+/// and where its reply will come from.
+struct Admitted {
+    job: Arc<JobState>,
+    /// [`StepState::id`] of the step this contribution belongs to.
+    step: u64,
+    virt: usize,
+    /// The member's receive buffer, out of the job's pool.
+    slot: Slot,
+    rx: Receiver<Reply>,
+}
+
+/// Decides a `Submit` before its first payload byte: session, epoch,
+/// membership, the collective and its payload frame against the op
+/// fingerprint, the fingerprint against the open step, and — for the
+/// member that opens a step — both byte budgets, charged for the whole
+/// step so the members that follow are never refused. A refusal reserves
+/// nothing.
+fn admit(
+    shared: &Shared,
+    job_id: u64,
+    client: u32,
+    head: &SubmitHead,
+    payload: PayloadHead,
+) -> Result<Admitted, Reject> {
+    if head.job != job_id || head.client != client {
+        return Err(Reject::Protocol {
             detail: "submit names a different session than the handshake".to_string(),
         });
     }
     let Some(job) = job_of(shared, job_id) else {
-        return Response::Reject(Reject::Rejected {
+        return Err(Reject::Rejected {
             detail: format!("job {job_id} is not registered"),
         });
     };
-    let bytes = submit.payload.payload_bytes();
-    // Admission control: charge optimistically, undo on refusal so a
-    // refused submission never occupies budget. `Busy` is retryable and
-    // precedes any session-state mutation.
-    let job_now = job.in_flight.fetch_add(bytes, Ordering::SeqCst) + bytes;
-    if job_now > shared.cfg.per_job_budget {
-        job.in_flight.fetch_sub(bytes, Ordering::SeqCst);
-        shared.busy_rejects.fetch_add(1, Ordering::SeqCst);
-        shared.recorder.add(keys::SERVE_REJECT_BUSY, 1);
-        return Response::Reject(Reject::Busy {
-            in_flight: job_now - bytes,
-            budget: shared.cfg.per_job_budget,
+    let mut inner = lock(&job.inner);
+    if let Some(detail) = &inner.poisoned {
+        return Err(Reject::Rejected {
+            detail: detail.clone(),
         });
     }
-    let global_now = shared.global_in_flight.fetch_add(bytes, Ordering::SeqCst) + bytes;
-    if global_now > shared.cfg.global_budget {
-        shared.global_in_flight.fetch_sub(bytes, Ordering::SeqCst);
-        job.in_flight.fetch_sub(bytes, Ordering::SeqCst);
-        shared.busy_rejects.fetch_add(1, Ordering::SeqCst);
-        shared.recorder.add(keys::SERVE_REJECT_BUSY, 1);
-        return Response::Reject(Reject::Busy {
-            in_flight: global_now - bytes,
-            budget: shared.cfg.global_budget,
+    if head.epoch != inner.epoch || !inner.departed.is_empty() {
+        return Err(Reject::MembershipChanged {
+            epoch: inner.epoch,
+            departed: inner.departed.iter().copied().collect(),
         });
     }
-    let rx = {
-        let mut inner = lock(&job.inner);
-        if let Some(detail) = &inner.poisoned {
-            refund(shared, &job, bytes);
-            return Response::Reject(Reject::Rejected {
-                detail: detail.clone(),
-            });
-        }
-        if submit.epoch != inner.epoch || !inner.departed.is_empty() {
-            refund(shared, &job, bytes);
-            return Response::Reject(Reject::MembershipChanged {
-                epoch: inner.epoch,
-                departed: inner.departed.iter().copied().collect(),
-            });
-        }
-        let Some(virt) = inner.members.iter().position(|&m| m == client) else {
-            refund(shared, &job, bytes);
-            return Response::Reject(Reject::Rejected {
-                detail: format!("client {client} is not a member of job {job_id} anymore"),
-            });
-        };
-        if let Err(reject) = validate_open(&submit.point, inner.members.len()) {
-            refund(shared, &job, bytes);
-            return Response::Reject(reject);
-        }
-        if let Err(reject) = validate_payload(&submit.point, &submit.payload) {
-            refund(shared, &job, bytes);
-            return Response::Reject(reject);
-        }
-        let world = inner.members.len();
-        if inner.step.is_none() {
-            // First submitter of the step fixes the expected fingerprint
-            // and digest; everyone else must match it exactly.
+    let Some(virt) = inner.members.iter().position(|&m| m == client) else {
+        return Err(Reject::Rejected {
+            detail: format!("client {client} is not a member of job {job_id} anymore"),
+        });
+    };
+    let world = inner.members.len();
+    validate_open(&head.point, world)?;
+    validate_payload(&head.point, payload)?;
+    match &inner.step {
+        None => {
+            // The first submitter of a step fixes the fingerprint and
+            // digest everyone else must match, and pays for all of them.
+            let charged = payload.body_bytes().saturating_mul(world as u64);
+            charge(shared, &job, charged)?;
+            inner.steps_opened += 1;
             inner.step = Some(StepState {
-                point: submit.point,
-                digest: submit.digest,
+                id: inner.steps_opened,
+                point: head.point,
+                digest: head.digest,
                 started: Instant::now(),
-                charged: 0,
-                contributions: vec![None; world],
+                charged,
+                contributions: (0..world).map(|_| None).collect(),
                 repliers: vec![None; world],
             });
         }
-        // Borrow re-established after the insert above.
-        let expected = inner.step.as_ref().map(|s| (s.point, s.digest));
-        if let Some((point, digest)) = expected {
-            if point != submit.point || digest != submit.digest {
-                let got = submit.point;
-                let seq = point.seq.min(got.seq);
-                shared.mismatches.fetch_add(1, Ordering::SeqCst);
-                shared.recorder.add(keys::SERVE_SCHEDULE_MISMATCHES, 1);
-                let detail = format!(
-                    "job {job_id} poisoned: client {client} diverged from the collective \
-                     schedule at op {seq} (expected {point}, got {got})"
-                );
-                abort_step(
-                    shared,
-                    &job,
-                    &mut inner,
-                    &Reject::Rejected {
-                        detail: detail.clone(),
-                    },
-                );
-                inner.poisoned = Some(detail);
-                refund(shared, &job, bytes);
-                return Response::Reject(Reject::ScheduleMismatch {
-                    seq,
-                    expected: Some(point),
-                    got,
-                });
-            }
-        }
-        let Some(step) = inner.step.as_mut() else {
-            refund(shared, &job, bytes);
-            return Response::Reject(Reject::Protocol {
-                detail: "step state vanished mid-submit".to_string(),
-            });
-        };
-        if step.contributions[virt].is_some() {
-            refund(shared, &job, bytes);
-            return Response::Reject(Reject::Protocol {
-                detail: format!(
-                    "duplicate contribution from client {client} at op {}",
-                    step.point.seq
-                ),
+        Some(open) if open.point != head.point || open.digest != head.digest => {
+            let (point, got) = (open.point, head.point);
+            let seq = point.seq.min(got.seq);
+            shared.mismatches.fetch_add(1, Ordering::SeqCst);
+            shared.recorder.add(keys::SERVE_SCHEDULE_MISMATCHES, 1);
+            let detail = format!(
+                "job {job_id} poisoned: client {client} diverged from the collective \
+                 schedule at op {seq} (expected {point}, got {got})"
+            );
+            abort_step(
+                shared,
+                &job,
+                &mut inner,
+                &Reject::Rejected {
+                    detail: detail.clone(),
+                },
+            );
+            inner.poisoned = Some(detail);
+            return Err(Reject::ScheduleMismatch {
+                seq,
+                expected: Some(point),
+                got,
             });
         }
-        let (tx, rx) = unbounded();
-        step.contributions[virt] = Some(submit.payload);
-        step.repliers[virt] = Some(tx);
-        step.charged += bytes;
-        if step.complete() {
-            let Some(step) = inner.step.take() else {
-                refund(shared, &job, bytes);
-                return Response::Reject(Reject::Protocol {
-                    detail: "step state vanished mid-submit".to_string(),
-                });
-            };
-            let slot = &shared.shards[job.shard];
-            let depth = slot.depth.fetch_add(1, Ordering::SeqCst) + 1;
-            shared
-                .recorder
-                .observe(keys::SERVE_QUEUE_DEPTH, depth as f64);
-            let task = ShardTask {
-                job: Arc::clone(&job),
-                step,
-            };
-            if slot.queue.send(task).is_err() {
-                // Shard worker gone: only during shutdown.
-                return Response::Reject(Reject::Rejected {
-                    detail: "server is shutting down".to_string(),
-                });
-            }
-        }
-        rx
+        Some(_) => {}
+    }
+    let inner = &mut *inner;
+    let vanished = || Reject::Protocol {
+        detail: "step state vanished mid-submit".to_string(),
     };
-    match rx.recv_timeout(shared.cfg.step_deadline) {
-        Ok(resp) => resp,
-        Err(RecvTimeoutError::Timeout) => Response::Reject(Reject::Protocol {
+    let step = inner.step.as_mut().ok_or_else(vanished)?;
+    let replier = step.repliers.get_mut(virt).ok_or_else(vanished)?;
+    if replier.is_some() {
+        return Err(Reject::Protocol {
+            detail: format!(
+                "duplicate contribution from client {client} at op {}",
+                step.point.seq
+            ),
+        });
+    }
+    let (tx, rx) = unbounded();
+    *replier = Some(tx);
+    if inner.pool.inputs.len() < world {
+        inner.pool.inputs.resize_with(world, Slot::default);
+    }
+    let slot = inner
+        .pool
+        .inputs
+        .get_mut(virt)
+        .map(std::mem::take)
+        .unwrap_or_default();
+    let step = step.id;
+    Ok(Admitted {
+        job: Arc::clone(&job),
+        step,
+        virt,
+        slot,
+        rx,
+    })
+}
+
+/// Deposits an admitted member's fully received contribution; the last
+/// one in hands the step to the job's shard worker. If the step was
+/// aborted while the payload was arriving, the buffer just goes home —
+/// the abort already put its reject on the member's reply channel.
+fn deposit(shared: &Shared, job: &Arc<JobState>, step_id: u64, virt: usize, slot: Slot) {
+    let mut inner = lock(&job.inner);
+    let inner = &mut *inner;
+    let open = inner
+        .step
+        .as_mut()
+        .filter(|s| s.id == step_id)
+        .and_then(|s| s.contributions.get_mut(virt));
+    let Some(home) = open else {
+        if let Some(home) = inner.pool.inputs.get_mut(virt) {
+            *home = slot;
+        }
+        return;
+    };
+    *home = Some(slot);
+    if !inner.step.as_ref().is_some_and(StepState::complete) {
+        return;
+    }
+    let Some(step) = inner.step.take() else {
+        return;
+    };
+    let shard = &shared.shards[job.shard];
+    let depth = shard.depth.fetch_add(1, Ordering::SeqCst) + 1;
+    shared
+        .recorder
+        .observe(keys::SERVE_QUEUE_DEPTH, depth as f64);
+    let task = ShardTask {
+        job: Arc::clone(job),
+        step,
+    };
+    // A send fails only when the shard worker is gone, during shutdown;
+    // dropping the task drops the repliers, which the waiters report.
+    let _ = shard.queue.send(task);
+}
+
+/// Lets go of a shared aggregate; whoever lets go last takes its buffer
+/// home. Every holder does so before the job's next fold can start — a
+/// connection before it reads its client's next request, the shard worker
+/// before it takes its next task — so the buffer is back in the pool by
+/// the time the shard worker reaches for it.
+fn recycle(job: &JobState, aggregate: Arc<Aggregate>) {
+    if let Some(aggregate) = Arc::into_inner(aggregate) {
+        lock(&job.inner).pool.output = aggregate.buf;
+    }
+}
+
+/// Serves one `Submit` whose header has been parsed and whose payload is
+/// still on the stream: admit or refuse it, receive the payload into the
+/// member's pooled buffer, wait for the step, and write the shared
+/// aggregate. An `Err` means the connection is no longer usable.
+fn serve_submit(
+    shared: &Shared,
+    reader: &mut RequestReader<'_>,
+    job_id: u64,
+    client: u32,
+    head: &SubmitHead,
+    payload: PayloadHead,
+) -> io::Result<()> {
+    let stream = reader.stream;
+    let Admitted {
+        job,
+        step,
+        virt,
+        mut slot,
+        rx,
+    } = match admit(shared, job_id, client, head, payload) {
+        Ok(admitted) => admitted,
+        Err(reject) => {
+            // Answer first — the sender may be waiting on the verdict, not
+            // on us — then drain exactly the announced payload through a
+            // fixed scratch so the connection stays on a request boundary
+            // (`Busy` is retryable).
+            write_response(&mut &*stream, &Response::Reject(reject))?;
+            let announced = payload.body_bytes();
+            if io::copy(&mut reader.take(announced), &mut io::sink())? != announced {
+                return Err(io::ErrorKind::UnexpectedEof.into());
+            }
+            return Ok(());
+        }
+    };
+    // No lock is held here. If the read fails the connection closes and
+    // `mark_departed` aborts the step this member was admitted to.
+    // `validate_payload` held the announced count to `words`.
+    if let Some(dest) = slot.dest(Elem::of(head.point.kind), head.point.words as usize) {
+        read_payload_body_into(reader, dest)?;
+    }
+    deposit(shared, &job, step, virt, slot);
+    let reject = match rx.recv_timeout(shared.cfg.step_deadline) {
+        Ok(Reply::Done(aggregate)) => {
+            let view = aggregate
+                .buf
+                .view(aggregate.elem, aggregate.len)
+                .ok_or(io::ErrorKind::InvalidData)?;
+            write_done(&mut &*stream, aggregate.seq, aggregate.digest, view)?;
+            recycle(&job, aggregate);
+            return Ok(());
+        }
+        Ok(Reply::Reject(reject)) => reject,
+        Err(RecvTimeoutError::Timeout) => Reject::Protocol {
             detail: format!(
                 "step did not complete within {:?} (straggling or missing member)",
                 shared.cfg.step_deadline
             ),
-        }),
-        Err(RecvTimeoutError::Disconnected) => Response::Reject(Reject::Rejected {
+        },
+        Err(RecvTimeoutError::Disconnected) => Reject::Rejected {
             detail: "server is shutting down".to_string(),
-        }),
-    }
+        },
+    };
+    write_response(&mut &*stream, &Response::Reject(reject))
 }
 
 fn handle_reform(shared: &Shared, job_id: u64, client: u32, epoch: u64) -> Response {
@@ -819,67 +1065,58 @@ fn mark_departed(shared: &Shared, job_id: u64, client: u32) {
     }
 }
 
-/// Decodes one complete step's contributions and aggregates them with the
-/// serial reference folds — bit-exact with the transports' ring
-/// algorithms.
-fn aggregate(step: &StepState) -> Result<WireMsg, Reject> {
+/// Aggregates one complete step's contributions into the front of `out`
+/// with the serial reference folds — bit-exact with the transports' ring
+/// algorithms — and returns how many elements the aggregate has.
+fn aggregate(step: &StepState, out: &mut Slot) -> Result<usize, Reject> {
     let missing = || Reject::Protocol {
         detail: "incomplete contribution set reached the shard".to_string(),
     };
-    let to_comm_reject = |e: acp_collectives::CommError| Reject::Protocol {
+    let failed = |e: acp_collectives::CommError| Reject::Protocol {
         detail: format!("aggregation failed: {e}"),
     };
-    match step.point.kind {
-        OpKind::AllReduce => {
-            let op = match step.point.param {
-                0 => ReduceOp::Sum,
-                1 => ReduceOp::Mean,
-                _ => ReduceOp::Max,
-            };
-            let mut views: Vec<&[f32]> = Vec::with_capacity(step.contributions.len());
-            for c in &step.contributions {
-                match c {
-                    Some(WireMsg::F32(v)) => views.push(v),
-                    _ => return Err(missing()),
+    let StepState {
+        point,
+        contributions,
+        ..
+    } = step;
+    let words = point.words as usize;
+    let len = match point.kind {
+        OpKind::AllGatherF32 | OpKind::AllGatherU32 => words * contributions.len(),
+        _ => words,
+    };
+    let inputs = || contributions.iter().map(|c| c.as_ref().ok_or_else(missing));
+    match out.dest(Elem::of(point.kind), len) {
+        None => {}
+        Some(DenseMut::U32(out)) => {
+            let views = inputs().map(|s| s?.u32s.get(..words).ok_or_else(missing));
+            let views: Vec<&[u32]> = views.collect::<Result<_, _>>()?;
+            all_gather_reference_into(&views, out).map_err(failed)?;
+        }
+        Some(DenseMut::F32(out)) => {
+            let views = inputs().map(|s| s?.f32s.get(..words).ok_or_else(missing));
+            let views: Vec<&[f32]> = views.collect::<Result<_, _>>()?;
+            match point.kind {
+                OpKind::AllReduce => {
+                    let op = match point.param {
+                        0 => ReduceOp::Sum,
+                        1 => ReduceOp::Mean,
+                        _ => ReduceOp::Max,
+                    };
+                    all_reduce_reference_into(&views, op, out).map_err(failed)?;
+                }
+                OpKind::AllGatherF32 => {
+                    all_gather_reference_into(&views, out).map_err(failed)?;
+                }
+                // Broadcast: admission allows no other kind this far.
+                _ => {
+                    let root = views.get(point.param as usize).ok_or_else(missing)?;
+                    out.copy_from_slice(root);
                 }
             }
-            all_reduce_reference(&views, op)
-                .map(WireMsg::F32)
-                .map_err(to_comm_reject)
         }
-        OpKind::AllGatherF32 => {
-            let mut views: Vec<&[f32]> = Vec::with_capacity(step.contributions.len());
-            for c in &step.contributions {
-                match c {
-                    Some(WireMsg::F32(v)) => views.push(v),
-                    _ => return Err(missing()),
-                }
-            }
-            all_gather_f32_reference(&views)
-                .map(WireMsg::F32)
-                .map_err(to_comm_reject)
-        }
-        OpKind::AllGatherU32 => {
-            let mut views: Vec<&[u32]> = Vec::with_capacity(step.contributions.len());
-            for c in &step.contributions {
-                match c {
-                    Some(WireMsg::U32(v)) => views.push(v),
-                    _ => return Err(missing()),
-                }
-            }
-            all_gather_u32_reference(&views)
-                .map(WireMsg::U32)
-                .map_err(to_comm_reject)
-        }
-        OpKind::Broadcast => match step.contributions.get(step.point.param as usize) {
-            Some(Some(WireMsg::F32(v))) => Ok(WireMsg::F32(v.clone())),
-            _ => Err(missing()),
-        },
-        OpKind::Barrier => Ok(WireMsg::Token),
-        other => Err(Reject::Rejected {
-            detail: format!("collective kind {other} is not served"),
-        }),
     }
+    Ok(len)
 }
 
 fn shard_loop(shared: &Arc<Shared>, index: usize, rx: &Receiver<ShardTask>) {
@@ -891,26 +1128,56 @@ fn shard_loop(shared: &Arc<Shared>, index: usize, rx: &Receiver<ShardTask>) {
         };
         shared.shards[index].depth.fetch_sub(1, Ordering::SeqCst);
         let ShardTask { job, step } = task;
-        let reply = match aggregate(&step) {
-            Ok(payload) => Response::Done {
-                seq: step.point.seq,
-                digest: step.digest,
-                payload,
-            },
-            Err(reject) => Response::Reject(reject),
+        let mut output = {
+            let mut inner = lock(&job.inner);
+            std::mem::take(&mut inner.pool.output)
+        };
+        let folded = aggregate(&step, &mut output);
+        let StepState {
+            point,
+            digest,
+            started,
+            charged,
+            contributions,
+            repliers,
+            ..
+        } = step;
+        // The members' buffers go home before anyone is answered: a
+        // client that has its result may submit the next step at once.
+        let reply = {
+            let mut inner = lock(&job.inner);
+            inner.pool.restore(contributions);
+            match folded {
+                Ok(len) => Ok(Arc::new(Aggregate {
+                    seq: point.seq,
+                    digest,
+                    elem: Elem::of(point.kind),
+                    len,
+                    buf: output,
+                })),
+                Err(reject) => {
+                    inner.pool.output = output;
+                    Err(reject)
+                }
+            }
         };
         // Settle the accounting *before* unblocking the waiters, so a
         // client that observed its result also observes drained budgets
         // and bumped counters.
-        refund(shared, &job, step.charged);
+        refund(shared, &job, charged);
         shared.steps_done.fetch_add(1, Ordering::SeqCst);
-        let elapsed_us = step.started.elapsed().as_micros() as f64;
+        let elapsed_us = started.elapsed().as_micros() as f64;
         shared.recorder.observe(keys::SERVE_STEP_US, elapsed_us);
-        shared.recorder.add(keys::SERVE_STEP_BYTES, step.charged);
+        shared.recorder.add(keys::SERVE_STEP_BYTES, charged);
         shared.recorder.add(keys::SERVE_STEPS, 1);
-        let _ = job.id; // job identity retained for debugging/telemetry
-        for tx in step.repliers.iter().flatten() {
-            let _ = tx.send(reply.clone());
+        for tx in repliers.iter().flatten() {
+            let _ = tx.send(match &reply {
+                Ok(aggregate) => Reply::Done(Arc::clone(aggregate)),
+                Err(reject) => Reply::Reject(reject.clone()),
+            });
+        }
+        if let Ok(aggregate) = reply {
+            recycle(&job, aggregate);
         }
     }
 }

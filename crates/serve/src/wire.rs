@@ -1,11 +1,16 @@
 //! Wire protocol of the aggregation service, layered on the `acp-net`
 //! framing.
 //!
-//! Every request and response is `[tag: u8][fields…]`, written with a
-//! single `write_all` like the collective frames. Collective payloads are
-//! embedded verbatim as `acp-net` frames ([`Frame::Msg`]), so the byte
-//! encoding of a gradient submitted to the service is identical to the
-//! bytes the peer-to-peer transport would put on the wire:
+//! Every request and response is `[tag: u8][fields…]`. This module owns
+//! only those session headers; collective payloads are `acp-net` frames
+//! written and read by [`acp_net::frame`] itself — vectored from the
+//! caller's storage on the way out ([`write_submit`], [`write_done`]),
+//! and on the way in either owned ([`read_request`], [`read_response`])
+//! or left on the stream behind a parsed head ([`read_request_head`],
+//! [`read_response_head`]) for the receiver to land in storage it chose.
+//! So the byte encoding of a gradient submitted to the service is
+//! identical to the bytes the peer-to-peer transport would put on the
+//! wire:
 //!
 //! ```text
 //! requests
@@ -34,7 +39,9 @@ use std::io::{self, Read, Write};
 
 use acp_collectives::schedule::{OpKind, SchedulePoint};
 use acp_collectives::WireMsg;
-use acp_net::frame::{encode, read_frame, Frame};
+use acp_net::frame::{
+    read_frame, read_payload_head, view_of, write_msg, Frame, MsgRef, PayloadHead,
+};
 
 const TAG_HELLO: u8 = 0x20;
 const TAG_SUBMIT: u8 = 0x21;
@@ -57,6 +64,29 @@ const MAX_DETAIL: u32 = 1 << 16;
 /// Cap on decoded member lists.
 const MAX_MEMBERS: u32 = 1 << 20;
 
+/// Bytes of a `Submit` between its tag byte and its payload frame.
+const SUBMIT_HEAD_BYTES: usize = 53;
+/// Bytes of a `Done` between its tag byte and its payload frame.
+const DONE_HEAD_BYTES: usize = 16;
+
+/// The session header of a [`Submit`]: everything it says before its
+/// payload frame — the client's identity and its position in the job's
+/// collective schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SubmitHead {
+    /// Job (session) this contribution belongs to.
+    pub job: u64,
+    /// Submitting client id within the job.
+    pub client: u32,
+    /// Membership epoch the client believes the job is at.
+    pub epoch: u64,
+    /// The client's schedule position: sequence number plus the
+    /// `(kind, words, param)` fingerprint of this collective.
+    pub point: SchedulePoint,
+    /// The client's rolling schedule digest *after* folding this op.
+    pub digest: u64,
+}
+
 /// One gradient contribution: the client's identity, its position in the
 /// job's collective schedule, and the payload exactly as the peer-to-peer
 /// transport would frame it.
@@ -75,6 +105,19 @@ pub struct Submit {
     pub digest: u64,
     /// The collective payload.
     pub payload: WireMsg,
+}
+
+impl Submit {
+    /// The session header: everything but the payload.
+    pub fn head(&self) -> SubmitHead {
+        SubmitHead {
+            job: self.job,
+            client: self.client,
+            epoch: self.epoch,
+            point: self.point,
+            digest: self.digest,
+        }
+    }
 }
 
 /// A client-to-server request.
@@ -108,6 +151,18 @@ pub enum Request {
         /// Departing client.
         client: u32,
     },
+}
+
+/// A request parsed as far as possible without touching a payload byte
+/// (see [`read_request_head`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum RequestHead {
+    /// A `Submit` and what its payload frame announces. The payload
+    /// bytes are still on the stream: read them into storage sized from
+    /// the head, or discard exactly [`PayloadHead::body_bytes`].
+    Submit(SubmitHead, PayloadHead),
+    /// Any other request, complete.
+    Other(Request),
 }
 
 /// A structured refusal — the service never answers a bad or unlucky
@@ -188,6 +243,22 @@ pub enum Response {
     Reject(Reject),
 }
 
+/// A response parsed up to its payload frame (see
+/// [`read_response_head`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum ResponseHead {
+    /// A `Done`; its payload frame is still on the stream, for
+    /// [`acp_net::frame::read_frame_into`] to land in the caller's buffer.
+    Done {
+        /// Echoed schedule sequence number.
+        seq: u64,
+        /// Echoed schedule digest.
+        digest: u64,
+    },
+    /// Any other response, complete.
+    Other(Response),
+}
+
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
@@ -208,10 +279,6 @@ fn put_point(buf: &mut Vec<u8>, p: &SchedulePoint) {
     buf.push(p.kind.code());
     put_u64(buf, p.words);
     put_u64(buf, p.param);
-}
-
-fn put_payload(buf: &mut Vec<u8>, payload: &WireMsg) {
-    buf.extend_from_slice(&encode(&Frame::Msg(payload.clone())));
 }
 
 fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
@@ -261,7 +328,19 @@ fn read_point<R: Read>(r: &mut R) -> io::Result<SchedulePoint> {
     })
 }
 
-fn read_payload<R: Read>(r: &mut R) -> io::Result<WireMsg> {
+/// Borrows an owned payload for the vectored writer. Service payloads
+/// are untagged — schedule checking is explicit in the session header.
+fn untagged(payload: &WireMsg) -> io::Result<MsgRef<'_>> {
+    view_of(payload).ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "service payloads are untagged; schedule checking is explicit",
+        )
+    })
+}
+
+/// Reads one payload frame, owned, through [`acp_net::frame::read_frame`].
+fn read_owned_payload<R: Read>(r: &mut R) -> io::Result<WireMsg> {
     match read_frame(r)? {
         Frame::Msg(WireMsg::Tagged(..)) => Err(bad(
             "service payloads are untagged; schedule checking is explicit".to_string(),
@@ -273,8 +352,57 @@ fn read_payload<R: Read>(r: &mut R) -> io::Result<WireMsg> {
     }
 }
 
-/// Serializes `req` into a fresh buffer.
-pub fn encode_request(req: &Request) -> Vec<u8> {
+/// Writes one `Submit` whose payload is borrowed from the caller: the
+/// session header goes out in one small write and the payload frame is
+/// written vectored, straight from `payload`'s storage
+/// ([`acp_net::frame::write_msg`]). Byte-identical to [`write_request`]
+/// of the equivalent owned [`Submit`].
+///
+/// # Errors
+///
+/// Propagates the underlying I/O error.
+pub fn write_submit<W: Write>(w: &mut W, head: &SubmitHead, payload: MsgRef<'_>) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(1 + SUBMIT_HEAD_BYTES);
+    buf.push(TAG_SUBMIT);
+    put_u64(&mut buf, head.job);
+    put_u32(&mut buf, head.client);
+    put_u64(&mut buf, head.epoch);
+    put_point(&mut buf, &head.point);
+    put_u64(&mut buf, head.digest);
+    w.write_all(&buf)?;
+    write_msg(w, None, payload)
+}
+
+/// Writes one `Done` whose payload is borrowed from the caller — the
+/// server's reply path: every waiting connection writes the *same*
+/// aggregate buffer. Byte-identical to [`write_response`] of the
+/// equivalent owned [`Response::Done`].
+///
+/// # Errors
+///
+/// Propagates the underlying I/O error.
+pub fn write_done<W: Write>(
+    w: &mut W,
+    seq: u64,
+    digest: u64,
+    payload: MsgRef<'_>,
+) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(1 + DONE_HEAD_BYTES);
+    buf.push(TAG_DONE);
+    put_u64(&mut buf, seq);
+    put_u64(&mut buf, digest);
+    w.write_all(&buf)?;
+    write_msg(w, None, payload)
+}
+
+/// Writes one request; a `Submit`'s payload is written straight from its
+/// own storage (see [`write_submit`]).
+///
+/// # Errors
+///
+/// Propagates the underlying I/O error; a schedule-tagged payload is
+/// `InvalidInput`.
+pub fn write_request<W: Write>(w: &mut W, req: &Request) -> io::Result<()> {
     let mut buf = Vec::with_capacity(32);
     match req {
         Request::Hello {
@@ -288,13 +416,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             put_u32(&mut buf, *clients);
         }
         Request::Submit(s) => {
-            buf.push(TAG_SUBMIT);
-            put_u64(&mut buf, s.job);
-            put_u32(&mut buf, s.client);
-            put_u64(&mut buf, s.epoch);
-            put_point(&mut buf, &s.point);
-            put_u64(&mut buf, s.digest);
-            put_payload(&mut buf, &s.payload);
+            return write_submit(w, &s.head(), untagged(&s.payload)?);
         }
         Request::Reform { job, client, epoch } => {
             buf.push(TAG_REFORM);
@@ -308,11 +430,17 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             put_u32(&mut buf, *client);
         }
     }
-    buf
+    w.write_all(&buf)
 }
 
-/// Serializes `resp` into a fresh buffer.
-pub fn encode_response(resp: &Response) -> Vec<u8> {
+/// Writes one response; a `Done`'s payload is written straight from its
+/// own storage (see [`write_done`]).
+///
+/// # Errors
+///
+/// Propagates the underlying I/O error; a schedule-tagged payload is
+/// `InvalidInput`.
+pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> io::Result<()> {
     let mut buf = Vec::with_capacity(32);
     match resp {
         Response::Welcome {
@@ -331,12 +459,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             seq,
             digest,
             payload,
-        } => {
-            buf.push(TAG_DONE);
-            put_u64(&mut buf, *seq);
-            put_u64(&mut buf, *digest);
-            put_payload(&mut buf, payload);
-        }
+        } => return write_done(w, *seq, *digest, untagged(payload)?),
         Response::Reformed { epoch, members } => {
             buf.push(TAG_REFORMED);
             put_u64(&mut buf, *epoch);
@@ -384,56 +507,32 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             }
         }
     }
-    buf
+    w.write_all(&buf)
 }
 
-/// Writes one request with a single `write_all`.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_request<W: Write>(w: &mut W, req: &Request) -> io::Result<()> {
-    w.write_all(&encode_request(req))
+/// Reads the fixed-size session header that follows a `Submit` tag byte,
+/// with one `read_exact`.
+fn read_submit_head<R: Read>(r: &mut R) -> io::Result<SubmitHead> {
+    let mut fixed = [0u8; SUBMIT_HEAD_BYTES];
+    r.read_exact(&mut fixed)?;
+    let f = &mut &fixed[..];
+    Ok(SubmitHead {
+        job: read_u64(f)?,
+        client: read_u32(f)?,
+        epoch: read_u64(f)?,
+        point: read_point(f)?,
+        digest: read_u64(f)?,
+    })
 }
 
-/// Writes one response with a single `write_all`.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> io::Result<()> {
-    w.write_all(&encode_response(resp))
-}
-
-/// Reads one request (blocking, subject to the stream's read timeout).
-///
-/// # Errors
-///
-/// Propagates I/O errors; unknown tags and oversized lengths surface as
-/// `InvalidData`.
-pub fn read_request<R: Read>(r: &mut R) -> io::Result<Request> {
-    match read_u8(r)? {
+/// Reads the rest of a payload-free request whose tag byte was `tag`.
+fn read_control_request<R: Read>(r: &mut R, tag: u8) -> io::Result<Request> {
+    match tag {
         TAG_HELLO => Ok(Request::Hello {
             job: read_u64(r)?,
             client: read_u32(r)?,
             clients: read_u32(r)?,
         }),
-        TAG_SUBMIT => {
-            let job = read_u64(r)?;
-            let client = read_u32(r)?;
-            let epoch = read_u64(r)?;
-            let point = read_point(r)?;
-            let digest = read_u64(r)?;
-            let payload = read_payload(r)?;
-            Ok(Request::Submit(Submit {
-                job,
-                client,
-                epoch,
-                point,
-                digest,
-                payload,
-            }))
-        }
         TAG_REFORM => Ok(Request::Reform {
             job: read_u64(r)?,
             client: read_u32(r)?,
@@ -447,25 +546,72 @@ pub fn read_request<R: Read>(r: &mut R) -> io::Result<Request> {
     }
 }
 
-/// Reads one response (blocking, subject to the stream's read timeout).
+/// Reads one request (blocking, subject to the stream's read timeout),
+/// with an owned payload.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors; unknown tags and oversized lengths surface as
 /// `InvalidData`.
-pub fn read_response<R: Read>(r: &mut R) -> io::Result<Response> {
+pub fn read_request<R: Read>(r: &mut R) -> io::Result<Request> {
     match read_u8(r)? {
-        TAG_WELCOME => Ok(Response::Welcome {
+        TAG_SUBMIT => {
+            let head = read_submit_head(r)?;
+            Ok(Request::Submit(Submit {
+                job: head.job,
+                client: head.client,
+                epoch: head.epoch,
+                point: head.point,
+                digest: head.digest,
+                payload: read_owned_payload(r)?,
+            }))
+        }
+        tag => read_control_request(r, tag),
+    }
+}
+
+/// Reads one request up to — not including — the first payload byte of a
+/// `Submit`, allocating nothing whatever the header announces: the
+/// server's admission control decides on the head alone, then reads the
+/// payload into storage it chose or discards it.
+///
+/// # Errors
+///
+/// As [`read_request`].
+pub fn read_request_head<R: Read>(r: &mut R) -> io::Result<RequestHead> {
+    match read_u8(r)? {
+        TAG_SUBMIT => Ok(RequestHead::Submit(
+            read_submit_head(r)?,
+            read_payload_head(r)?,
+        )),
+        tag => read_control_request(r, tag).map(RequestHead::Other),
+    }
+}
+
+/// Reads one response up to the payload frame of a `Done`, which stays on
+/// the stream for the caller to receive into its own buffer.
+///
+/// # Errors
+///
+/// Propagates I/O errors; unknown tags and oversized lengths surface as
+/// `InvalidData`.
+pub fn read_response_head<R: Read>(r: &mut R) -> io::Result<ResponseHead> {
+    let resp = match read_u8(r)? {
+        TAG_WELCOME => Response::Welcome {
             job: read_u64(r)?,
             epoch: read_u64(r)?,
             clients: read_u32(r)?,
             rank: read_u32(r)?,
-        }),
-        TAG_DONE => Ok(Response::Done {
-            seq: read_u64(r)?,
-            digest: read_u64(r)?,
-            payload: read_payload(r)?,
-        }),
+        },
+        TAG_DONE => {
+            let mut fixed = [0u8; DONE_HEAD_BYTES];
+            r.read_exact(&mut fixed)?;
+            let f = &mut &fixed[..];
+            return Ok(ResponseHead::Done {
+                seq: read_u64(f)?,
+                digest: read_u64(f)?,
+            });
+        }
         TAG_REFORMED => {
             let epoch = read_u64(r)?;
             let n = read_u32(r)?;
@@ -476,7 +622,7 @@ pub fn read_response<R: Read>(r: &mut R) -> io::Result<Response> {
             for _ in 0..n {
                 members.push(read_u32(r)?);
             }
-            Ok(Response::Reformed { epoch, members })
+            Response::Reformed { epoch, members }
         }
         TAG_REJECT => {
             let reject = match read_u8(r)? {
@@ -516,9 +662,27 @@ pub fn read_response<R: Read>(r: &mut R) -> io::Result<Response> {
                 },
                 other => return Err(bad(format!("unknown reject code {other:#04x}"))),
             };
-            Ok(Response::Reject(reject))
+            Response::Reject(reject)
         }
-        other => Err(bad(format!("unknown response tag {other:#04x}"))),
+        other => return Err(bad(format!("unknown response tag {other:#04x}"))),
+    };
+    Ok(ResponseHead::Other(resp))
+}
+
+/// Reads one response (blocking, subject to the stream's read timeout),
+/// with an owned payload.
+///
+/// # Errors
+///
+/// As [`read_response_head`].
+pub fn read_response<R: Read>(r: &mut R) -> io::Result<Response> {
+    match read_response_head(r)? {
+        ResponseHead::Done { seq, digest } => Ok(Response::Done {
+            seq,
+            digest,
+            payload: read_owned_payload(r)?,
+        }),
+        ResponseHead::Other(resp) => Ok(resp),
     }
 }
 
@@ -527,14 +691,16 @@ mod tests {
     use super::*;
 
     fn roundtrip_request(req: Request) {
-        let bytes = encode_request(&req);
+        let mut bytes = Vec::new();
+        write_request(&mut bytes, &req).unwrap();
         let mut r = &bytes[..];
         assert_eq!(read_request(&mut r).unwrap(), req);
         assert!(r.is_empty(), "trailing bytes after decode");
     }
 
     fn roundtrip_response(resp: Response) {
-        let bytes = encode_response(&resp);
+        let mut bytes = Vec::new();
+        write_response(&mut bytes, &resp).unwrap();
         let mut r = &bytes[..];
         assert_eq!(read_response(&mut r).unwrap(), resp);
         assert!(r.is_empty(), "trailing bytes after decode");
@@ -648,10 +814,11 @@ mod tests {
             digest: 0,
             payload: msg.clone(),
         });
-        let bytes = encode_request(&submit);
-        let framed = encode(&Frame::Msg(msg));
+        let mut bytes = Vec::new();
+        write_request(&mut bytes, &submit).unwrap();
+        let framed = acp_net::frame::encode(&Frame::Msg(msg));
         assert!(
-            bytes.windows(framed.len()).any(|w| w == framed),
+            bytes.ends_with(&framed),
             "submit encoding must embed the acp-net frame verbatim"
         );
     }

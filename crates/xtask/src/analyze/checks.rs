@@ -75,6 +75,13 @@ impl Default for CheckConfig {
                 "recv_timeout",
                 "read_msg",
                 "write_msg",
+                "write_submit",
+                "write_done",
+                "read_frame_into",
+                "read_payload_head",
+                "read_payload_body_into",
+                "read_request_head",
+                "read_response_head",
                 "read_exact",
                 "write_all",
                 "flush",

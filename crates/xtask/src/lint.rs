@@ -36,12 +36,14 @@
 //!    `#[allow(deprecated)]`; this scan has no such blind spot. The shim
 //!    definitions and re-exports themselves carry `allow_verify` markers.
 //! 6. **No fresh copies on the frame send path.** `.to_vec(` is banned
-//!    in the frame writer, the TCP transport, and the ring/hierarchy
-//!    collectives; `.clone(` is banned in the frame writer. The wire
-//!    path sends payloads vectored straight from bucket storage, and a
-//!    copy that creeps back in silently erases the zero-copy win.
-//!    Ownership fallbacks (the in-process channel backend, the comm
-//!    worker's cross-thread op buffers) carry `allow_verify` markers.
+//!    in the frame writer, the TCP transport, the ring/hierarchy
+//!    collectives and the aggregation service (session codec, client,
+//!    server); `.clone(` is banned in the frame writer and the session
+//!    codec. The wire path sends payloads vectored straight from bucket
+//!    storage, and a copy that creeps back in silently erases the
+//!    zero-copy win. Ownership fallbacks (the in-process channel
+//!    backend, the comm worker's cross-thread op buffers) carry
+//!    `allow_verify` markers.
 //! 7. **No fresh `Vec` per received dense frame.** The receive side
 //!    mirrors rule 6: dense payloads are read straight into the caller's
 //!    storage. In the frame reader a byte staging buffer (`vec![0u8`) or
@@ -109,12 +111,15 @@ pub const WIRE_NO_TO_VEC_FILES: &[&str] = &[
     "crates/collectives/src/ring.rs",
     "crates/net/src/frame.rs",
     "crates/net/src/tcp.rs",
+    "crates/serve/src/client.rs",
+    "crates/serve/src/server.rs",
+    "crates/serve/src/wire.rs",
 ];
 
-/// Files where `.clone(` is banned outright: the frame writer assembles
-/// headers in place and borrows payload storage, so a clone there means
-/// a copy crept back onto the wire path.
-pub const WIRE_NO_CLONE_FILES: &[&str] = &["crates/net/src/frame.rs"];
+/// Files where `.clone(` is banned outright: the frame writer and the
+/// service's session codec assemble headers in place and borrow payload
+/// storage, so a clone there means a copy crept back onto the wire path.
+pub const WIRE_NO_CLONE_FILES: &[&str] = &["crates/net/src/frame.rs", "crates/serve/src/wire.rs"];
 
 /// The frame reader: a staging byte buffer or a per-element decode here
 /// is the two-allocation owned receive creeping back.
@@ -659,6 +664,37 @@ mod tests {
         );
         let decl = "fn recv_from(&mut self, src: usize) -> Result<WireMsg, CommError>;\n";
         assert!(scan_source("ring.rs", decl, &[".recv_from("], "why").is_empty());
+    }
+
+    #[test]
+    fn the_served_data_path_is_scanned_for_copies() {
+        // The three staging sites the service shipped with — each a
+        // payload-sized copy per collective — must stay findings, in
+        // files that stay on the lists.
+        for (file, line, list, pattern) in [
+            (
+                "crates/serve/src/client.rs",
+                "let payload = WireMsg::F32(buf.to_vec());\n",
+                WIRE_NO_TO_VEC_FILES,
+                ".to_vec(",
+            ),
+            (
+                "crates/serve/src/server.rs",
+                "let views = contributions.iter().map(|c| c.to_vec());\n",
+                WIRE_NO_TO_VEC_FILES,
+                ".to_vec(",
+            ),
+            (
+                "crates/serve/src/wire.rs",
+                "buf.extend_from_slice(&encode(&Frame::Msg(payload.clone())));\n",
+                WIRE_NO_CLONE_FILES,
+                ".clone(",
+            ),
+        ] {
+            assert!(list.contains(&file), "{file} fell off its wire-copy list");
+            assert_eq!(scan_source(file, line, &[pattern], "why").len(), 1);
+        }
+        assert!(WIRE_NO_TO_VEC_FILES.contains(&"crates/serve/src/wire.rs"));
     }
 
     #[test]
