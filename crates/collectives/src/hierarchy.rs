@@ -26,7 +26,9 @@
 //! flat-vs-hierarchical proptests pin.
 
 use crate::communicator::{CommError, ReduceOp};
-use crate::ring::{chunk_range, reduce_into, split_send_recv, Transport};
+use crate::ring::{
+    chunk_range, reduce_into, reduce_last_into, split_send_recv, with_scratch, Transport,
+};
 use crate::topology::{RankId, Topology};
 
 /// The four ring neighbours of a rank in a two-level arrangement.
@@ -87,8 +89,9 @@ pub fn all_reduce_two_level<T: Transport + ?Sized>(
     let g = topo.group_of(RankId(r)).as_usize();
     let n = neighbours(&topo, r);
     let len = buf.len();
-    // Reductions run as Sum/Max; Mean divides once by the full world at
-    // the end so the result matches the flat ring's convention.
+    // Reductions run as Sum/Max; Mean divides once by the full world, in
+    // the step that completes a chunk's reduction, so the result matches
+    // the flat ring's convention.
     let phase_op = match op {
         ReduceOp::Mean => ReduceOp::Sum,
         other => other,
@@ -98,48 +101,54 @@ pub fn all_reduce_two_level<T: Transport + ?Sized>(
     // steps position j owns the group-partial chunk (j+1) mod s. One
     // scratch, sized for the largest intra-group chunk, takes the
     // incoming partials of both reduce-scatter phases.
-    let mut scratch = vec![0.0f32; len.div_ceil(s)];
-    for step in 0..s - 1 {
-        let send_idx = (j + s - step) % s;
-        let recv_idx = (j + s - step - 1) % s;
-        let recv_range = chunk_range(len, recv_idx, s);
-        let incoming = &mut scratch[..recv_range.len()];
-        t.exchange_f32s(
-            Some((n.intra_next, &buf[chunk_range(len, send_idx, s)])),
-            Some((n.intra_prev, &mut *incoming)),
-        )?;
-        reduce_into(&mut buf[recv_range], incoming, phase_op);
-    }
-    let owned = (j + 1) % s;
-    let owned_range = chunk_range(len, owned, s);
-
-    // Phase 2: cross-group ring all-reduce of the owned chunk among the
-    // G same-position ranks; this rank's outer-ring position is g.
-    {
-        let sub = &mut buf[owned_range.clone()];
-        let m = sub.len();
-        for step in 0..g_count - 1 {
-            let send_idx = (g + g_count - step) % g_count;
-            let recv_idx = (g + g_count - step - 1) % g_count;
-            let recv_range = chunk_range(m, recv_idx, g_count);
+    with_scratch(len.div_ceil(s), |scratch| {
+        for step in 0..s - 1 {
+            let send_idx = (j + s - step) % s;
+            let recv_idx = (j + s - step - 1) % s;
+            let recv_range = chunk_range(len, recv_idx, s);
             let incoming = &mut scratch[..recv_range.len()];
             t.exchange_f32s(
-                Some((n.cross_next, &sub[chunk_range(m, send_idx, g_count)])),
-                Some((n.cross_prev, &mut *incoming)),
+                Some((n.intra_next, &buf[chunk_range(len, send_idx, s)])),
+                Some((n.intra_prev, &mut *incoming)),
             )?;
-            reduce_into(&mut sub[recv_range], incoming, phase_op);
+            reduce_into(&mut buf[recv_range], incoming, phase_op);
         }
-        for step in 0..g_count - 1 {
-            let send_idx = (g + 1 + g_count - step) % g_count;
-            let recv_idx = (g + g_count - step) % g_count;
-            let (send, recv) = split_send_recv(
-                sub,
-                chunk_range(m, send_idx, g_count),
-                chunk_range(m, recv_idx, g_count),
-            );
-            t.exchange_f32s(Some((n.cross_next, send)), Some((n.cross_prev, recv)))?;
+        let owned = (j + 1) % s;
+        let owned_range = chunk_range(len, owned, s);
+
+        // Phase 2: cross-group ring all-reduce of the owned chunk among the
+        // G same-position ranks; this rank's outer-ring position is g.
+        {
+            let sub = &mut buf[owned_range.clone()];
+            let m = sub.len();
+            for step in 0..g_count - 1 {
+                let send_idx = (g + g_count - step) % g_count;
+                let recv_idx = (g + g_count - step - 1) % g_count;
+                let recv_range = chunk_range(m, recv_idx, g_count);
+                let incoming = &mut scratch[..recv_range.len()];
+                t.exchange_f32s(
+                    Some((n.cross_next, &sub[chunk_range(m, send_idx, g_count)])),
+                    Some((n.cross_prev, &mut *incoming)),
+                )?;
+                if step == g_count - 2 {
+                    reduce_last_into(&mut sub[recv_range], incoming, op, p);
+                } else {
+                    reduce_into(&mut sub[recv_range], incoming, phase_op);
+                }
+            }
+            for step in 0..g_count - 1 {
+                let send_idx = (g + 1 + g_count - step) % g_count;
+                let recv_idx = (g + g_count - step) % g_count;
+                let (send, recv) = split_send_recv(
+                    sub,
+                    chunk_range(m, send_idx, g_count),
+                    chunk_range(m, recv_idx, g_count),
+                );
+                t.exchange_f32s(Some((n.cross_next, send)), Some((n.cross_prev, recv)))?;
+            }
         }
-    }
+        Ok::<(), CommError>(())
+    })?;
 
     // Phase 3: intra-group ring all-gather of the s reduced chunks,
     // starting from the chunk each position owns.
@@ -152,13 +161,6 @@ pub fn all_reduce_two_level<T: Transport + ?Sized>(
             chunk_range(len, recv_idx, s),
         );
         t.exchange_f32s(Some((n.intra_next, send)), Some((n.intra_prev, recv)))?;
-    }
-
-    if op == ReduceOp::Mean {
-        let inv = 1.0 / p as f32;
-        for v in buf.iter_mut() {
-            *v *= inv;
-        }
     }
     Ok(())
 }

@@ -248,6 +248,45 @@ pub(crate) fn reduce_into(dst: &mut [f32], src: &[f32], op: ReduceOp) {
     }
 }
 
+thread_local! {
+    /// Where a reduce-scatter step lands the incoming partial before
+    /// folding it in: one per thread that runs collectives (a rank's comm
+    /// worker), grown to the largest chunk it has seen and kept. Allocated
+    /// per operation it was a zeroed `N/p` buffer per all-reduce — a
+    /// write stream nothing reads, whose pages were faulted in afresh or
+    /// not depending on what else the process had lately freed.
+    static SCRATCH: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` with this thread's reduce-scatter scratch, `len` elements of
+/// unspecified content: every step overwrites the prefix it then reads.
+pub(crate) fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    SCRATCH.with_borrow_mut(|scratch| {
+        if scratch.len() < len {
+            scratch.resize(len, 0.0);
+        }
+        f(&mut scratch[..len])
+    })
+}
+
+/// [`reduce_into`] for the last step of a reduce-scatter over `world`
+/// ranks, after which the chunk is fully reduced: a `Mean` divides it here,
+/// in the pass that already has it in hand, and the all-gather distributes
+/// the scaled values — instead of every rank rescaling the whole buffer
+/// afterwards. Each element is still summed in the same order and then
+/// multiplied once by the same `1/world` (two separately rounded
+/// operations), so the bits do not change.
+pub(crate) fn reduce_last_into(dst: &mut [f32], src: &[f32], op: ReduceOp, world: usize) {
+    if op == ReduceOp::Mean {
+        let inv = 1.0 / world as f32;
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d = (*d + s) * inv;
+        }
+    } else {
+        reduce_into(dst, src, op);
+    }
+}
+
 /// Bandwidth-optimal ring all-reduce: chunked reduce-scatter followed by
 /// ring all-gather; per-rank transmitted volume `2(p−1)/p · N` (Table II).
 ///
@@ -269,20 +308,26 @@ pub fn all_reduce<T: Transport + ?Sized>(
     // Phase 1: ring reduce-scatter. After p-1 steps rank r owns the fully
     // reduced chunk (r+1) mod p. Incoming partials land in one scratch
     // sized for the largest chunk and reused by every step.
-    let mut scratch = vec![0.0f32; len.div_ceil(p)];
-    for s in 0..p - 1 {
-        let send_idx = (r + p - s) % p;
-        let recv_idx = (r + p - s - 1) % p;
-        let recv_range = chunk_range(len, recv_idx, p);
-        let incoming = &mut scratch[..recv_range.len()];
-        t.exchange_f32s(
-            Some((next, &buf[chunk_range(len, send_idx, p)])),
-            Some((prev, &mut *incoming)),
-        )?;
-        reduce_into(&mut buf[recv_range], incoming, op);
-    }
-    // Phase 2: ring all-gather of the reduced chunks, each received
-    // straight into its final position.
+    with_scratch(len.div_ceil(p), |scratch| {
+        for s in 0..p - 1 {
+            let send_idx = (r + p - s) % p;
+            let recv_idx = (r + p - s - 1) % p;
+            let recv_range = chunk_range(len, recv_idx, p);
+            let incoming = &mut scratch[..recv_range.len()];
+            t.exchange_f32s(
+                Some((next, &buf[chunk_range(len, send_idx, p)])),
+                Some((prev, &mut *incoming)),
+            )?;
+            if s == p - 2 {
+                reduce_last_into(&mut buf[recv_range], incoming, op, p);
+            } else {
+                reduce_into(&mut buf[recv_range], incoming, op);
+            }
+        }
+        Ok::<(), CommError>(())
+    })?;
+    // Phase 2: ring all-gather of the reduced (and, for a mean, already
+    // scaled) chunks, each received straight into its final position.
     for s in 0..p - 1 {
         let send_idx = (r + 1 + p - s) % p;
         let recv_idx = (r + p - s) % p;
@@ -292,12 +337,6 @@ pub fn all_reduce<T: Transport + ?Sized>(
             chunk_range(len, recv_idx, p),
         );
         t.exchange_f32s(Some((next, send)), Some((prev, recv)))?;
-    }
-    if op == ReduceOp::Mean {
-        let inv = 1.0 / p as f32;
-        for v in buf.iter_mut() {
-            *v *= inv;
-        }
     }
     Ok(())
 }

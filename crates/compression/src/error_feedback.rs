@@ -77,20 +77,56 @@ impl<C: Compressor> ErrorFeedback<C> {
     /// gradient-sized temporary is allocated (the spent residual is the
     /// decompression target). Same payload and residual, bit for bit.
     pub fn compress_in_place(&mut self, grad: &mut [f32]) -> Payload {
-        if self.residual.len() != grad.len() {
-            self.residual = vec![0.0; grad.len()];
-        }
+        self.size_residual(grad.len());
         // g' = g + e
         for (g, e) in grad.iter_mut().zip(&self.residual) {
             *g += e;
         }
-        let payload = self.inner.compress(grad);
+        self.compress_corrected(grad)
+    }
+
+    /// First half of [`ErrorFeedback::compress_in_place`] for a caller
+    /// whose gradient arrives in pieces: writes `g + e` for the elements
+    /// `offset..offset + grad.len()` into the same range of `corrected`
+    /// (the whole corrected buffer, whose length sizes the residual).
+    /// The addition is the copy; the residual is only read. Once every
+    /// range is written, in any order, [`ErrorFeedback::compress_corrected`]
+    /// finishes the step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range does not fit in `corrected`.
+    pub fn correct_from(&mut self, grad: &[f32], offset: usize, corrected: &mut [f32]) {
+        self.size_residual(corrected.len());
+        let range = offset..offset + grad.len();
+        for ((c, g), e) in corrected[range.clone()]
+            .iter_mut()
+            .zip(grad)
+            .zip(&self.residual[range])
+        {
+            *c = g + e;
+        }
+    }
+
+    /// Second half of [`ErrorFeedback::compress_in_place`]: compresses the
+    /// already corrected gradient `g + e` and updates the residual to the
+    /// part the payload fails to represent.
+    pub fn compress_corrected(&mut self, corrected: &[f32]) -> Payload {
+        self.size_residual(corrected.len());
+        let payload = self.inner.compress(corrected);
         // e <- g' - decompress(c)
         self.inner.decompress(&payload, &mut self.residual);
-        for (e, c) in self.residual.iter_mut().zip(&*grad) {
+        for (e, c) in self.residual.iter_mut().zip(corrected) {
             *e = c - *e;
         }
         payload
+    }
+
+    /// A gradient of a new length starts from a zero residual.
+    fn size_residual(&mut self, len: usize) {
+        if self.residual.len() != len {
+            self.residual = vec![0.0; len];
+        }
     }
 }
 
@@ -130,6 +166,7 @@ mod tests {
         }
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut ef = ErrorFeedback::new(TopK::new(3));
+        let mut split = ErrorFeedback::new(TopK::new(3));
         let (mut inner, mut residual) = (TopK::new(3), vec![0.0f32; 17]);
         for step in 0..6 {
             let grad: Vec<f32> = (0..17)
@@ -140,9 +177,22 @@ mod tests {
                 .collect();
             let mut owned = grad.clone();
             let fast = ef.compress_in_place(&mut owned);
+            // The split form, corrected in three pieces out of order.
+            let mut corrected = vec![f32::NAN; grad.len()];
+            for range in [11..17, 0..4, 4..11] {
+                split.correct_from(&grad[range.clone()], range.start, &mut corrected);
+            }
+            assert_eq!(bits(&corrected), bits(&owned), "g + e, step {step}");
+            let pieces = split.compress_corrected(&corrected);
             let slow = oracle(&mut inner, &mut residual, &grad);
             assert_eq!(fast, slow, "payload, step {step}");
+            assert_eq!(pieces, slow, "split payload, step {step}");
             assert_eq!(bits(&ef.residual), bits(&residual), "residual, step {step}");
+            assert_eq!(
+                bits(&split.residual),
+                bits(&residual),
+                "split residual, step {step}"
+            );
         }
     }
 

@@ -163,7 +163,7 @@ pub fn unpack_signs_into(words: &[u32], scale: f32, out: &mut [f32]) {
 }
 
 /// Highest rank count the bit-sliced vote kernel supports; larger worlds
-/// fall back to [`reference::majority_vote_into`].
+/// count each bit position with [`count_word`].
 const MAX_CSA_WORLD: usize = 255;
 
 /// Bit-sliced majority vote over one packed word position.
@@ -197,10 +197,97 @@ fn vote_word(gathered: &[u32], wpr: usize, world_size: usize, wi: usize, thresho
     !borrow
 }
 
+/// Mean of the ranks' magnitude scales — a strictly sequential sum, so it
+/// is byte-identical to the scalar reference's.
+pub fn mean_scale(scales: &[f32]) -> f32 {
+    scales.iter().sum::<f32>() / scales.len() as f32
+}
+
+/// Bit-packed majority vote: bit `j` of `voted[wi]` becomes 1 iff at least
+/// half of the `world_size` ranks (ties included) set bit `j` of their word
+/// `wi`. `gathered` is the rank-order concatenation of every rank's
+/// `voted.len()` words.
+///
+/// # Panics
+///
+/// Panics if `gathered.len() != voted.len() * world_size`.
+pub fn vote_words_into(gathered: &[u32], world_size: usize, voted: &mut [u32]) {
+    let wpr = voted.len();
+    assert_eq!(gathered.len(), wpr * world_size, "gathered length mismatch");
+    // `vote >= 0` ⟺ positives ≥ ceil(world/2) = world − world/2.
+    let threshold = (world_size - world_size / 2) as u32;
+    let pool = global_for(wpr * 32 * world_size.max(1));
+    let chunks = chunks_for(pool, wpr * 32);
+    pool.for_each_unit_chunk_mut(voted, 1, chunks, |w0, piece| {
+        for (wi, v) in piece.iter_mut().enumerate() {
+            *v = if world_size > MAX_CSA_WORLD {
+                count_word(gathered, wpr, world_size, w0 + wi, threshold)
+            } else {
+                vote_word(gathered, wpr, world_size, w0 + wi, threshold)
+            };
+        }
+    });
+}
+
+/// [`vote_word`] for worlds beyond the bit-sliced counters: one integer
+/// count per bit position.
+fn count_word(gathered: &[u32], wpr: usize, world_size: usize, wi: usize, threshold: u32) -> u32 {
+    (0..32).fold(0u32, |bits, j| {
+        let positives = (0..world_size)
+            .filter(|w| gathered[w * wpr + wi] >> j & 1 == 1)
+            .count();
+        bits | u32::from(positives >= threshold as usize) << j
+    })
+}
+
+/// Expands a run of voted bits into `out[i] = ±scale`, positive where bit
+/// `first_bit + i` of `voted` is set. `first_bit` need not sit on a word
+/// boundary: the elements up to the next boundary and the tail go one by
+/// one, the words between them 32 elements at a time.
+///
+/// # Panics
+///
+/// Panics if `voted` holds fewer than `first_bit + out.len()` bits.
+pub fn expand_votes_into(voted: &[u32], first_bit: usize, scale: f32, out: &mut [f32]) {
+    let len = out.len();
+    assert!(
+        voted.len() * 32 >= first_bit + len,
+        "packed length mismatch"
+    );
+    let pick = |bit: usize| {
+        if voted[bit / 32] >> (bit % 32) & 1 == 1 {
+            scale
+        } else {
+            -scale
+        }
+    };
+    let head = (first_bit.wrapping_neg() % 32).min(len);
+    let (head_out, rest) = out.split_at_mut(head);
+    for (i, o) in head_out.iter_mut().enumerate() {
+        *o = pick(first_bit + i);
+    }
+    let first_word = (first_bit + head) / 32;
+    let main = rest.len() - rest.len() % 32;
+    let pool = global_for(len);
+    let chunks = chunks_for(pool, len);
+    pool.for_each_unit_chunk_mut(&mut rest[..main], 32, chunks, |u0, piece| {
+        for (ui, ochunk) in piece.chunks_exact_mut(32).enumerate() {
+            let w = voted[first_word + u0 + ui];
+            for (j, o) in ochunk.iter_mut().enumerate() {
+                *o = if w >> j & 1 == 1 { scale } else { -scale };
+            }
+        }
+    });
+    for (i, o) in rest.iter_mut().enumerate().skip(main) {
+        *o = pick(first_bit + head + i);
+    }
+}
+
 /// Majority vote across `world_size` gathered sign payloads — the
 /// bit-sliced counterpart of [`reference::majority_vote_into`], producing
 /// identical bytes: element `i` becomes `mean(scales)` when at least half
 /// the ranks (ties included) voted positive, `-mean(scales)` otherwise.
+/// [`vote_words_into`] followed by [`expand_votes_into`] from bit 0.
 ///
 /// # Panics
 ///
@@ -213,45 +300,11 @@ pub fn majority_vote_into(
     world_size: usize,
     out: &mut [f32],
 ) {
-    if world_size > MAX_CSA_WORLD {
-        return reference::majority_vote_into(gathered, scales, len, world_size, out);
-    }
-    let wpr = len.div_ceil(32);
-    assert_eq!(gathered.len(), wpr * world_size, "gathered length mismatch");
     assert_eq!(scales.len(), world_size, "scales length mismatch");
     assert_eq!(out.len(), len, "output length mismatch");
-    // Sequential sum: byte-identical to the scalar reference.
-    let mean_scale = scales.iter().sum::<f32>() / world_size as f32;
-    // `vote >= 0` ⟺ positives ≥ ceil(world/2) = world − world/2.
-    let threshold = (world_size - world_size / 2) as u32;
-    let mut voted = vec![0u32; wpr];
-    let pool = global_for(len * world_size.max(1));
-    let chunks = chunks_for(pool, len);
-    pool.for_each_unit_chunk_mut(&mut voted, 1, chunks, |w0, piece| {
-        for (wi, v) in piece.iter_mut().enumerate() {
-            *v = vote_word(gathered, wpr, world_size, w0 + wi, threshold);
-        }
-    });
-    let main = len - len % 32;
-    pool.for_each_unit_chunk_mut(&mut out[..main], 32, chunks, |u0, piece| {
-        for (ui, ochunk) in piece.chunks_exact_mut(32).enumerate() {
-            let w = voted[u0 + ui];
-            for (j, o) in ochunk.iter_mut().enumerate() {
-                *o = if w >> j & 1 == 1 {
-                    mean_scale
-                } else {
-                    -mean_scale
-                };
-            }
-        }
-    });
-    for (i, o) in out.iter_mut().enumerate().skip(main) {
-        *o = if voted[i / 32] >> (i % 32) & 1 == 1 {
-            mean_scale
-        } else {
-            -mean_scale
-        };
-    }
+    let mut voted = vec![0u32; len.div_ceil(32)];
+    vote_words_into(gathered, world_size, &mut voted);
+    expand_votes_into(&voted, 0, mean_scale(scales), out);
 }
 
 /// Stochastically quantizes one bucket: `out[i]` is the signed level of
@@ -471,6 +524,52 @@ mod tests {
                 assert_eq!(bits(&fast), bits(&slow), "world {world} len {len}");
             }
         }
+    }
+
+    #[test]
+    fn expanding_a_bit_range_equals_slicing_the_full_expansion() {
+        // Tensors sit at arbitrary element offsets of a bucket, so a
+        // range's first bit is rarely a multiple of 32.
+        let len = 200usize;
+        let voted = reference::pack_signs(&awkward(len, 5));
+        let mut full = vec![0.0f32; len];
+        expand_votes_into(&voted, 0, 0.75, &mut full);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for first in [0usize, 1, 31, 32, 33, 63, 64, 95, 130] {
+            for n in [0usize, 1, 2, 31, 32, 33, 64, 70] {
+                if first + n > len {
+                    continue;
+                }
+                let mut part = vec![f32::NAN; n];
+                expand_votes_into(&voted, first, 0.75, &mut part);
+                assert_eq!(
+                    bits(&part),
+                    bits(&full[first..first + n]),
+                    "first {first} n {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn wide_world_vote_counts_like_the_bit_sliced_one() {
+        // Past 255 ranks the per-bit counter takes over; below it both
+        // must agree with each other on the same words.
+        let threshold = 3u32;
+        let gathered = [0b1011u32, 0b0110, 0b1101, 0b0001, 0b1000];
+        assert_eq!(
+            count_word(&gathered, 1, 5, 0, threshold),
+            vote_word(&gathered, 1, 5, 0, threshold)
+        );
+        let world = MAX_CSA_WORLD + 1;
+        let gathered: Vec<u32> = (0..world).map(|w| u32::from(w % 2 == 0)).collect();
+        let mut voted = [0u32; 1];
+        vote_words_into(&gathered, world, &mut voted);
+        assert_eq!(
+            voted,
+            [1],
+            "128 of 256 positive is a tie, which resolves up"
+        );
     }
 
     #[test]

@@ -8,7 +8,10 @@ use acp_tensor::MatrixShape;
 
 use crate::error::CoreError;
 use crate::optimizer::{DistributedOptimizer, GradViewMut};
-use crate::pipeline::{run_step, Bucket, BucketCodec, FusedPipeline, Round, DEFAULT_BUFFER_BYTES};
+use crate::pipeline::{
+    run_step, Bucket, BucketCodec, FusedPipeline, PerBucket, Round, DEFAULT_BUFFER_BYTES,
+};
+use crate::ssgd::MeanCodec;
 
 /// Configuration of [`AcpSgdAggregator`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,81 +100,114 @@ enum LrState {
     Vector,
 }
 
-/// Per-bucket codec state: one [`LrState`] per tensor in the bucket, plus
-/// the bucket's own buffer, held from `encode` to `decode` as the decode
-/// target.
+/// Per-bucket codec state: one [`LrState`] per tensor in the bucket and the
+/// bucket's fused factor payload.
 #[derive(Debug)]
 struct AcpBucketState {
     states: Vec<LrState>,
-    data: Vec<f32>,
+    /// Element offset of each tensor's segment in this step's payload
+    /// (`states.len() + 1` entries): one factor per matrix, the raw
+    /// gradient per vector. Rebuilt every step, since a matrix's `P` and
+    /// `Q` factors differ in size.
+    payload_offsets: Vec<usize>,
+    /// The fused payload. `absorb` writes each segment, `encode` moves it
+    /// into the all-reduce, `decode` takes it back reduced and `emit`
+    /// reads it; the allocation lives from step to step.
+    payload: Vec<f32>,
+    /// [`Bucket::step`] the offsets and the payload belong to.
+    step: u64,
+    /// Tensors emitted in that step; short of `states.len()` when the step
+    /// was discarded and left matrices mid-step.
+    emitted: usize,
 }
 
 impl AcpBucketState {
-    /// Elements of this step's fused payload: one factor per matrix, the
-    /// raw gradient per vector.
-    fn payload_elems(&self, offsets: &[usize]) -> usize {
-        self.states
+    fn new(cfg: AcpSgdConfig, bucket: &Bucket) -> Self {
+        let states: Vec<LrState> = bucket
+            .dims
             .iter()
-            .zip(offsets.windows(2))
-            .map(|(lr, span)| match lr {
-                LrState::Matrix(state) => state.transmitted_elements(),
-                LrState::Vector => span[1] - span[0],
+            .enumerate()
+            .map(|(slot, d)| match MatrixShape::from_tensor_shape(d) {
+                MatrixShape::Matrix { rows, cols } => {
+                    // Seed by *global* tensor index so per-tensor random
+                    // streams are identical across ranks and independent
+                    // of the bucket layout.
+                    let i = bucket.tensors.start + slot;
+                    let ccfg = AcpCompressionConfig {
+                        rank: cfg.rank,
+                        error_feedback: cfg.error_feedback,
+                        reuse: cfg.reuse,
+                        seed: cfg.seed ^ (i as u64).wrapping_mul(0x9E3779B9),
+                        ..AcpCompressionConfig::default()
+                    };
+                    LrState::Matrix(AcpSgd::new(rows, cols, ccfg))
+                }
+                MatrixShape::Vector { .. } => LrState::Vector,
             })
-            .sum()
+            .collect();
+        AcpBucketState {
+            emitted: states.len(),
+            states,
+            payload_offsets: Vec::new(),
+            payload: Vec::new(),
+            step: 0,
+        }
+    }
+
+    /// Lays out this step's payload: which factor each matrix transmits
+    /// is known before any tensor arrives, so every segment has its place
+    /// whatever order they arrive in.
+    fn begin_step(&mut self, cfg: AcpSgdConfig, bucket: &Bucket) {
+        if self.emitted != self.states.len() {
+            // The last step was discarded between a compress and its
+            // finish; the factor state machines cannot resume it.
+            *self = AcpBucketState::new(cfg, bucket);
+        }
+        self.step = bucket.step;
+        self.emitted = 0;
+        self.payload_offsets.clear();
+        let mut end = 0usize;
+        self.payload_offsets.push(end);
+        for (slot, lr) in self.states.iter().enumerate() {
+            end += match lr {
+                LrState::Matrix(state) => state.transmitted_elements(),
+                LrState::Vector => bucket.span(slot).len(),
+            };
+            self.payload_offsets.push(end);
+        }
+        self.payload.resize(end, 0.0);
+    }
+
+    fn segment(&self, slot: usize) -> std::ops::Range<usize> {
+        self.payload_offsets[slot]..self.payload_offsets[slot + 1]
     }
 }
 
 /// The ACP-SGD bucket codec: one fused mean all-reduce per bucket carrying
 /// this step's low-rank factors (matrices) and raw gradients (vectors).
+/// Each matrix is compressed straight from the caller's gradient into its
+/// segment of the payload and reconstructed straight into it; the codec
+/// holds factors, never gradients.
 #[derive(Debug)]
 struct AcpCodec {
     cfg: AcpSgdConfig,
     /// Exact averaging this step (warm start)?
     warm: bool,
-    buckets: Vec<Option<AcpBucketState>>,
+    /// The warm-start path: plain dense averaging.
+    dense: MeanCodec,
+    buckets: PerBucket<AcpBucketState>,
 }
 
 impl AcpCodec {
-    fn state_for(&mut self, bucket: &Bucket) -> &mut AcpBucketState {
-        if self.buckets.len() <= bucket.index {
-            self.buckets.resize_with(bucket.index + 1, || None);
-        }
-        let cfg = self.cfg;
-        let tensors_start = bucket.tensors.start;
-        let dims = &bucket.dims;
-        self.buckets[bucket.index].get_or_insert_with(|| {
-            let states = dims
-                .iter()
-                .enumerate()
-                .map(|(slot, d)| match MatrixShape::from_tensor_shape(d) {
-                    MatrixShape::Matrix { rows, cols } => {
-                        // Seed by *global* tensor index so per-tensor random
-                        // streams are identical across ranks and independent
-                        // of the bucket layout.
-                        let i = tensors_start + slot;
-                        let ccfg = AcpCompressionConfig {
-                            rank: cfg.rank,
-                            error_feedback: cfg.error_feedback,
-                            reuse: cfg.reuse,
-                            seed: cfg.seed ^ (i as u64).wrapping_mul(0x9E3779B9),
-                            ..AcpCompressionConfig::default()
-                        };
-                        LrState::Matrix(AcpSgd::new(rows, cols, ccfg))
-                    }
-                    MatrixShape::Vector { .. } => LrState::Vector,
-                })
-                .collect();
-            AcpBucketState {
-                states,
-                data: Vec::new(),
-            }
-        })
+    /// Drops all bucket-indexed state (the plan it was keyed by is gone).
+    fn clear(&mut self) {
+        self.dense.clear();
+        self.buckets.clear();
     }
 
     fn total_error_norm(&self) -> f32 {
         self.buckets
             .iter()
-            .flatten()
             .flat_map(|b| &b.states)
             .map(|s| match s {
                 LrState::Matrix(state) => state.error_norm(),
@@ -183,7 +219,6 @@ impl AcpCodec {
     fn next_side(&self) -> Option<FactorSide> {
         self.buckets
             .iter()
-            .flatten()
             .flat_map(|b| &b.states)
             .find_map(|s| match s {
                 LrState::Matrix(state) => Some(state.next_side()),
@@ -193,40 +228,35 @@ impl AcpCodec {
 }
 
 impl BucketCodec for AcpCodec {
-    fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
+    fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
         if self.warm {
             // Exact averaging during warm start; no compression state
             // touched, so the fallback never perturbs the factor schedule.
-            bucket.payload_bytes += 4 * bucket.elems as u64;
-            return Ok(vec![CollectiveOp::AllReduce {
-                buf: std::mem::take(&mut bucket.data),
-                op: ReduceOp::Mean,
-            }]);
+            return self.dense.absorb(bucket, slot, grad);
         }
-        let data = std::mem::take(&mut bucket.data);
-        let st = self.state_for(bucket);
-        // One fused payload, sized exactly: this step's factor per matrix,
-        // raw data per vector. Factors are written straight into it.
-        let mut buf = vec![0.0f32; st.payload_elems(&bucket.offsets)];
-        let mut pos = 0usize;
-        for (lr, span) in st.states.iter_mut().zip(bucket.offsets.windows(2)) {
-            let seg = &data[span[0]..span[1]];
-            match lr {
-                LrState::Matrix(state) => {
-                    let n = state.transmitted_elements();
-                    state.try_compress_slice(seg, &mut buf[pos..pos + n])?;
-                    pos += n;
-                }
-                LrState::Vector => {
-                    buf[pos..pos + seg.len()].copy_from_slice(seg);
-                    pos += seg.len();
-                }
-            }
+        let cfg = self.cfg;
+        let st = self
+            .buckets
+            .get_or_insert_with(bucket, || AcpBucketState::new(cfg, bucket));
+        if st.step != bucket.step {
+            st.begin_step(cfg, bucket);
         }
-        st.data = data;
-        bucket.payload_bytes += 4 * buf.len() as u64;
+        let segment = st.segment(slot);
+        match &mut st.states[slot] {
+            LrState::Matrix(state) => state.try_compress_slice(grad, &mut st.payload[segment])?,
+            LrState::Vector => st.payload[segment].copy_from_slice(grad),
+        }
+        Ok(())
+    }
+
+    fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
+        if self.warm {
+            return self.dense.encode(bucket);
+        }
+        let st = self.buckets.get_mut(bucket)?;
+        bucket.payload_bytes += 4 * st.payload.len() as u64;
         Ok(vec![CollectiveOp::AllReduce {
-            buf,
+            buf: std::mem::take(&mut st.payload),
             op: ReduceOp::Mean,
         }])
     }
@@ -236,6 +266,9 @@ impl BucketCodec for AcpCodec {
         bucket: &mut Bucket,
         results: Vec<CollectiveResult>,
     ) -> Result<Round, CoreError> {
+        if self.warm {
+            return self.dense.decode(bucket, results);
+        }
         let reduced = results
             .into_iter()
             .next()
@@ -244,39 +277,28 @@ impl BucketCodec for AcpCodec {
             ))?
             .into_f32()
             .map_err(CoreError::from)?;
-        if self.warm {
-            bucket.data = reduced;
-            return Ok(Round::Done);
-        }
-        let st = self.buckets[bucket.index]
-            .as_mut()
-            .ok_or(CoreError::CodecProtocol(
-                "decode without a pending encode state",
-            ))?;
-        // Reconstruct straight into the bucket's own buffer.
-        let mut out = std::mem::take(&mut st.data);
-        if out.len() != bucket.elems || reduced.len() != st.payload_elems(&bucket.offsets) {
+        let st = self.buckets.get_mut(bucket)?;
+        if Some(&reduced.len()) != st.payload_offsets.last() {
             return Err(CoreError::CodecProtocol(
                 "reduced payload does not match the encoded bucket",
             ));
         }
-        let mut pos = 0usize;
-        for (lr, span) in st.states.iter_mut().zip(bucket.offsets.windows(2)) {
-            let seg = &mut out[span[0]..span[1]];
-            match lr {
-                LrState::Matrix(state) => {
-                    let n = state.transmitted_elements();
-                    state.try_finish_slice(&reduced[pos..pos + n], seg)?;
-                    pos += n;
-                }
-                LrState::Vector => {
-                    seg.copy_from_slice(&reduced[pos..pos + seg.len()]);
-                    pos += seg.len();
-                }
-            }
-        }
-        bucket.data = out;
+        st.payload = reduced;
         Ok(Round::Done)
+    }
+
+    fn emit(&mut self, bucket: &Bucket, slot: usize, out: &mut [f32]) -> Result<(), CoreError> {
+        if self.warm {
+            return self.dense.emit(bucket, slot, out);
+        }
+        let st = self.buckets.get_mut(bucket)?;
+        let segment = st.segment(slot);
+        match &mut st.states[slot] {
+            LrState::Matrix(state) => state.try_finish_slice(&st.payload[segment], out)?,
+            LrState::Vector => out.copy_from_slice(&st.payload[segment]),
+        }
+        st.emitted += 1;
+        Ok(())
     }
 }
 
@@ -312,7 +334,8 @@ impl AcpSgdAggregator {
             codec: AcpCodec {
                 cfg,
                 warm: cfg.warm_start_steps > 0,
-                buckets: Vec::new(),
+                dense: MeanCodec::default(),
+                buckets: PerBucket::default(),
             },
             steps: 0,
             recorder: RecorderCell::default(),
@@ -350,14 +373,14 @@ impl DistributedOptimizer for AcpSgdAggregator {
         self.pipeline.set_buffer_bytes(buffer_bytes);
         // Per-bucket factor state is keyed by bucket index; a new plan
         // means new buckets, so the old queries/residuals are dropped.
-        self.codec.buckets.clear();
+        self.codec.clear();
     }
 
     fn on_membership_change(&mut self) {
         // Same reasoning as `set_buffer_bytes`: the re-plan invalidates
         // bucket-indexed codec state along with the bucket plan.
         self.pipeline.replan();
-        self.codec.buckets.clear();
+        self.codec.clear();
     }
 
     fn aggregate(

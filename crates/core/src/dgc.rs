@@ -17,12 +17,15 @@
 //! model fits one bucket — the default 25 MB buffer in practice.)
 
 use acp_collectives::{CollectiveOp, CollectiveResult, Communicator};
-use acp_compression::{Compressor, Payload, TopK};
+use acp_compression::{Compressor, TopK};
 use acp_telemetry::{RecorderCell, RecorderHandle};
 
 use crate::error::CoreError;
 use crate::optimizer::{DistributedOptimizer, GradViewMut};
-use crate::pipeline::{run_step, Bucket, BucketCodec, FusedPipeline, Round, DEFAULT_BUFFER_BYTES};
+use crate::pipeline::{
+    run_step, Bucket, BucketCodec, FusedPipeline, PerBucket, Round, DEFAULT_BUFFER_BYTES,
+};
+use crate::sparse::{gathered_pairs, k_for, sparse_parts, SlotPairs};
 
 /// Configuration for [`DgcAggregator`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,21 +88,27 @@ impl DgcConfig {
 struct DgcBucketState {
     velocity: Vec<f32>,
     accum: Vec<f32>,
+    /// The bucket's incoming gradient, copied in tensor by tensor: the clip
+    /// needs the whole bucket's norm before any element can be
+    /// accumulated. Owned and reused from step to step.
+    buf: Vec<f32>,
+    /// The gathered selections, from `decode` to `emit`.
+    pairs: SlotPairs,
 }
 
 /// The DGC bucket codec: clip → momentum correction → accumulate → top-k of
-/// the accumulator → mask, one sparse all-gather pair per bucket.
+/// the accumulator → mask, one sparse all-gather pair per bucket,
+/// scatter-averaged tensor by tensor into the caller's gradient.
 #[derive(Debug)]
 struct DgcCodec {
     cfg: DgcConfig,
-    buckets: Vec<Option<DgcBucketState>>,
+    buckets: PerBucket<DgcBucketState>,
 }
 
 impl DgcCodec {
     fn accumulated_norm(&self) -> f32 {
         self.buckets
             .iter()
-            .flatten()
             .flat_map(|b| &b.accum)
             .map(|v| v * v)
             .sum::<f32>()
@@ -108,50 +117,47 @@ impl DgcCodec {
 
     #[cfg(test)]
     fn accumulated_sum(&self) -> f32 {
-        self.buckets.iter().flatten().flat_map(|b| &b.accum).sum()
+        self.buckets.iter().flat_map(|b| &b.accum).sum()
     }
 }
 
 impl BucketCodec for DgcCodec {
-    fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
-        let mut data = std::mem::take(&mut bucket.data);
+    fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
         let n = bucket.elems;
-        if self.buckets.len() <= bucket.index {
-            self.buckets.resize_with(bucket.index + 1, || None);
-        }
-        let st = self.buckets[bucket.index].get_or_insert_with(|| DgcBucketState {
+        let st = self.buckets.get_or_insert_with(bucket, || DgcBucketState {
             velocity: vec![0.0; n],
             accum: vec![0.0; n],
+            buf: vec![0.0; n],
+            pairs: SlotPairs::default(),
         });
+        st.buf[bucket.span(slot)].copy_from_slice(grad);
+        Ok(())
+    }
+
+    fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
+        let n = bucket.elems;
+        let cfg = self.cfg;
+        let st = self.buckets.get_mut(bucket)?;
         // Optional gradient clipping (DGC clips before accumulation).
-        if let Some(clip) = self.cfg.clip_norm {
-            let norm = data.iter().map(|v| v * v).sum::<f32>().sqrt();
+        if let Some(clip) = cfg.clip_norm {
+            let norm = st.buf.iter().map(|v| v * v).sum::<f32>().sqrt();
             if norm > clip {
                 let scale = clip / norm;
-                for v in &mut data {
+                for v in &mut st.buf {
                     *v *= scale;
                 }
             }
         }
         // Momentum correction + local accumulation.
-        for ((u, v), g) in st.velocity.iter_mut().zip(&mut st.accum).zip(&data) {
-            *u = self.cfg.momentum * *u + g;
+        for ((u, v), g) in st.velocity.iter_mut().zip(&mut st.accum).zip(&st.buf) {
+            *u = cfg.momentum * *u + g;
             *v += *u;
         }
         // Select top-k of the accumulated tensor.
-        let k = ((self.cfg.density * n as f64).ceil() as usize).clamp(1, n);
+        let k = k_for(cfg.density, n);
         let payload = TopK::new(k).compress(&st.accum);
         bucket.payload_bytes += payload.wire_bytes() as u64;
-        let (indices, values) = match payload {
-            Payload::Sparse {
-                indices, values, ..
-            } => (indices, values),
-            _ => {
-                return Err(CoreError::CodecProtocol(
-                    "top-k compressor must produce a sparse payload",
-                ))
-            }
-        };
+        let (indices, values) = sparse_parts(payload)?;
         // Momentum factor masking: clear u and v at transmitted coords.
         for &i in &indices {
             st.velocity[i as usize] = 0.0;
@@ -170,25 +176,21 @@ impl BucketCodec for DgcCodec {
         bucket: &mut Bucket,
         results: Vec<CollectiveResult>,
     ) -> Result<Round, CoreError> {
-        let mut results = results.into_iter();
-        let gathered_idx = results
-            .next()
-            .ok_or(CoreError::CodecProtocol(
-                "expected two collective results per round",
-            ))?
-            .into_u32()
-            .map_err(CoreError::from)?;
-        let gathered_val = results
-            .next()
-            .ok_or(CoreError::CodecProtocol(
-                "expected two collective results per round",
-            ))?
-            .into_f32()
-            .map_err(CoreError::from)?;
-        let mut dense = vec![0.0f32; bucket.elems];
-        TopK::scatter_average(&gathered_idx, &gathered_val, bucket.world_size, &mut dense);
-        bucket.data = dense;
+        let (indices, values) = gathered_pairs(results)?;
+        self.buckets
+            .get_mut(bucket)?
+            .pairs
+            .regroup(bucket, &indices, &values)?;
         Ok(Round::Done)
+    }
+
+    fn emit(&mut self, bucket: &Bucket, slot: usize, out: &mut [f32]) -> Result<(), CoreError> {
+        let inv = 1.0 / bucket.world_size as f32;
+        self.buckets
+            .get_mut(bucket)?
+            .pairs
+            .scatter(slot, inv, out, |o, v| *o += v);
+        Ok(())
     }
 }
 
@@ -220,7 +222,7 @@ impl DgcAggregator {
             pipeline: FusedPipeline::new(cfg.buffer_bytes),
             codec: DgcCodec {
                 cfg,
-                buckets: Vec::new(),
+                buckets: PerBucket::default(),
             },
             recorder: RecorderCell::default(),
         }

@@ -28,13 +28,25 @@ pub enum CoreError {
         /// Tensor count seen now.
         actual: usize,
     },
+    /// [`push_ready`](crate::DistributedOptimizer::push_ready) offered a
+    /// tensor the open step already holds. A codec compresses a gradient
+    /// as it arrives, so a second copy can neither replace the first nor
+    /// be ignored; the step is discarded.
+    TensorPushedTwice {
+        /// Index of the tensor pushed twice.
+        index: usize,
+    },
     /// A compressor state machine rejected its input (phase, shape or
     /// matrix-dimension violation inside the low-rank encode path).
     Compress(CompressError),
-    /// A codec's decode round received collective results that do not
-    /// match what its encode round dispatched (wrong count, wrong
-    /// payload kind, or no pending encode state). A desynchronized
-    /// schedule must surface as an error, not a panicking rank.
+    /// A codec was handed something that does not fit the step it is in:
+    /// collective results that do not match what its encode round
+    /// dispatched (wrong count, wrong payload kind), a peer-supplied
+    /// payload that does not fit the bucket (a sparse index outside it,
+    /// index and value counts that differ, sign words or scales that do
+    /// not match the world size), or a call for a bucket that has absorbed
+    /// nothing. A desynchronized schedule or a corrupt peer must surface
+    /// as an error, not a panicking rank.
     CodecProtocol(&'static str),
 }
 
@@ -54,6 +66,9 @@ impl fmt::Display for CoreError {
                 f,
                 "gradient tensor count changed: expected {expected}, got {actual}"
             ),
+            CoreError::TensorPushedTwice { index } => {
+                write!(f, "gradient tensor {index} was pushed twice in one step")
+            }
             CoreError::Compress(e) => write!(f, "compression failed: {e}"),
             CoreError::CodecProtocol(what) => write!(f, "codec protocol violation: {what}"),
         }
@@ -67,6 +82,7 @@ impl std::error::Error for CoreError {
             CoreError::Compress(e) => Some(e),
             CoreError::ShapeChanged { .. }
             | CoreError::TensorCountChanged { .. }
+            | CoreError::TensorPushedTwice { .. }
             | CoreError::CodecProtocol(_) => None,
         }
     }
@@ -108,6 +124,8 @@ mod tests {
         .to_string();
         assert!(s.contains("expected 4"));
         assert!(s.contains("got 3"));
+        let s = CoreError::TensorPushedTwice { index: 7 }.to_string();
+        assert!(s.contains("tensor 7"));
     }
 
     #[test]

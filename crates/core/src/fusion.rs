@@ -1,5 +1,6 @@
-//! Tensor fusion with real data movement: packing many small tensors into
-//! flat buffers for fused collectives, and slicing them back out.
+//! Tensor fusion: which forward-order tensors travel together in one fused
+//! collective payload. The data movement itself belongs to the codecs
+//! (see [`crate::pipeline`]).
 
 use std::ops::Range;
 
@@ -28,93 +29,6 @@ pub fn bucket_ranges(sizes_bytes: &[usize], capacity_bytes: usize) -> Vec<Range<
     out
 }
 
-/// Packs a group of `f32` slices into one contiguous buffer and writes the
-/// (possibly modified) buffer back out — the data path of one fused
-/// collective.
-///
-/// # Examples
-///
-/// ```
-/// use acp_core::FlatPacker;
-///
-/// let a = vec![1.0, 2.0];
-/// let b = vec![3.0];
-/// let mut packer = FlatPacker::new();
-/// let flat = packer.pack([a.as_slice(), b.as_slice()]);
-/// assert_eq!(flat, &[1.0, 2.0, 3.0]);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct FlatPacker {
-    buffer: Vec<f32>,
-    offsets: Vec<usize>,
-}
-
-impl FlatPacker {
-    /// Creates an empty packer (buffers are reused across steps).
-    pub fn new() -> Self {
-        FlatPacker::default()
-    }
-
-    /// Copies the slices into the internal buffer, returning it.
-    pub fn pack<'a, I>(&mut self, slices: I) -> &mut [f32]
-    where
-        I: IntoIterator<Item = &'a [f32]>,
-    {
-        self.buffer.clear();
-        self.offsets.clear();
-        for s in slices {
-            self.offsets.push(self.buffer.len());
-            self.buffer.extend_from_slice(s);
-        }
-        self.offsets.push(self.buffer.len());
-        &mut self.buffer
-    }
-
-    /// Total packed length.
-    pub fn len(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// Returns `true` when nothing is packed.
-    pub fn is_empty(&self) -> bool {
-        self.buffer.is_empty()
-    }
-
-    /// Copies the buffer contents back into the destination slices, in the
-    /// same order as packed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the destinations do not match the packed layout.
-    pub fn unpack<'a, I>(&self, dests: I)
-    where
-        I: IntoIterator<Item = &'a mut [f32]>,
-    {
-        let mut idx = 0usize;
-        for d in dests {
-            let start = self.offsets[idx];
-            let end = self.offsets[idx + 1];
-            assert_eq!(
-                d.len(),
-                end - start,
-                "unpack layout mismatch at slice {idx}"
-            );
-            d.copy_from_slice(&self.buffer[start..end]);
-            idx += 1;
-        }
-        assert_eq!(
-            idx + 1,
-            self.offsets.len(),
-            "unpack consumed {idx} of expected slices"
-        );
-    }
-
-    /// Borrows the packed buffer mutably (e.g. to all-reduce it in place).
-    pub fn buffer_mut(&mut self) -> &mut [f32] {
-        &mut self.buffer
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,46 +55,6 @@ mod tests {
     #[test]
     fn bucket_ranges_empty() {
         assert!(bucket_ranges(&[], 10).is_empty());
-    }
-
-    #[test]
-    fn pack_roundtrip() {
-        let a = vec![1.0f32, 2.0];
-        let b = vec![3.0f32, 4.0, 5.0];
-        let mut p = FlatPacker::new();
-        {
-            let flat = p.pack([a.as_slice(), b.as_slice()]);
-            assert_eq!(flat, &[1.0, 2.0, 3.0, 4.0, 5.0]);
-            for v in flat.iter_mut() {
-                *v *= 2.0;
-            }
-        }
-        let mut a2 = vec![0.0f32; 2];
-        let mut b2 = vec![0.0f32; 3];
-        p.unpack([a2.as_mut_slice(), b2.as_mut_slice()]);
-        assert_eq!(a2, vec![2.0, 4.0]);
-        assert_eq!(b2, vec![6.0, 8.0, 10.0]);
-    }
-
-    #[test]
-    fn packer_reuse_clears_state() {
-        let mut p = FlatPacker::new();
-        p.pack([vec![1.0f32; 4].as_slice()]);
-        assert_eq!(p.len(), 4);
-        p.pack([vec![2.0f32; 2].as_slice()]);
-        assert_eq!(p.len(), 2);
-        let mut d = vec![0.0f32; 2];
-        p.unpack([d.as_mut_slice()]);
-        assert_eq!(d, vec![2.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "layout mismatch")]
-    fn unpack_wrong_layout_panics() {
-        let mut p = FlatPacker::new();
-        p.pack([vec![1.0f32; 3].as_slice()]);
-        let mut d = vec![0.0f32; 2];
-        p.unpack([d.as_mut_slice()]);
     }
 
     mod properties {

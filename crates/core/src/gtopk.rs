@@ -8,53 +8,64 @@
 //! scaling difference is measurable (see the `ext_scaling` experiment).
 
 use acp_collectives::{CollectiveOp, CollectiveResult, Communicator};
-use acp_compression::{ErrorFeedback, Payload, TopK};
+use acp_compression::{ErrorFeedback, TopK};
 use acp_telemetry::{RecorderCell, RecorderHandle};
 
 use crate::error::CoreError;
 use crate::optimizer::{DistributedOptimizer, GradViewMut};
-use crate::pipeline::{run_step, Bucket, BucketCodec, FusedPipeline, Round, DEFAULT_BUFFER_BYTES};
+use crate::pipeline::{
+    run_step, Bucket, BucketCodec, FusedPipeline, PerBucket, Round, DEFAULT_BUFFER_BYTES,
+};
+use crate::sparse::{k_for, sparse_parts, SlotPairs};
+
+/// Per-bucket gTop-k state.
+#[derive(Debug)]
+struct GTopkBucket {
+    ef: ErrorFeedback<TopK>,
+    /// The corrected gradient `g + e` the selection runs on — the
+    /// correction is the copy in — owned and reused from step to step.
+    buf: Vec<f32>,
+    /// The global selection, from `decode` to `emit`.
+    pairs: SlotPairs,
+}
 
 /// The gTop-k bucket codec: local top-k selection with error feedback, then
-/// one sparse global-top-k collective per bucket.
+/// one sparse global-top-k collective per bucket, scattered tensor by
+/// tensor into the caller's gradient.
 #[derive(Debug)]
 struct GTopkCodec {
     density: f64,
-    buckets: Vec<Option<ErrorFeedback<TopK>>>,
+    buckets: PerBucket<GTopkBucket>,
 }
 
 impl GTopkCodec {
     fn residual_norm(&self) -> f32 {
-        self.buckets
-            .iter()
-            .flatten()
-            .map(ErrorFeedback::residual_norm)
-            .sum()
+        self.buckets.iter().map(|b| b.ef.residual_norm()).sum()
     }
 }
 
 impl BucketCodec for GTopkCodec {
-    fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
-        let mut data = std::mem::take(&mut bucket.data);
-        let n = bucket.elems;
-        let k = ((self.density * n as f64).ceil() as usize).clamp(1, n);
-        if self.buckets.len() <= bucket.index {
-            self.buckets.resize_with(bucket.index + 1, || None);
+    fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
+        let density = self.density;
+        let st = self.buckets.get_or_insert_with(bucket, || GTopkBucket {
+            ef: ErrorFeedback::new(TopK::new(k_for(density, bucket.elems))),
+            buf: Vec::new(),
+            pairs: SlotPairs::default(),
+        });
+        if st.buf.len() != bucket.elems {
+            st.buf.resize(bucket.elems, 0.0);
         }
-        let payload = self.buckets[bucket.index]
-            .get_or_insert_with(|| ErrorFeedback::new(TopK::new(k)))
-            .compress_in_place(&mut data);
+        st.ef
+            .correct_from(grad, bucket.span(slot).start, &mut st.buf);
+        Ok(())
+    }
+
+    fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
+        let k = k_for(self.density, bucket.elems);
+        let st = self.buckets.get_mut(bucket)?;
+        let payload = st.ef.compress_corrected(&st.buf);
         bucket.payload_bytes += payload.wire_bytes() as u64;
-        let (indices, values) = match payload {
-            Payload::Sparse {
-                indices, values, ..
-            } => (indices, values),
-            _ => {
-                return Err(CoreError::CodecProtocol(
-                    "top-k compressor must produce a sparse payload",
-                ))
-            }
-        };
+        let (indices, values) = sparse_parts(payload)?;
         Ok(vec![CollectiveOp::GlobalTopk { indices, values, k }])
     }
 
@@ -71,13 +82,20 @@ impl BucketCodec for GTopkCodec {
             ))?
             .into_sparse()
             .map_err(CoreError::from)?;
-        let mut dense = vec![0.0f32; bucket.elems];
-        let inv = 1.0 / bucket.world_size as f32;
-        for (&i, &v) in global_idx.iter().zip(&global_val) {
-            dense[i as usize] = v * inv;
-        }
-        bucket.data = dense;
+        self.buckets
+            .get_mut(bucket)?
+            .pairs
+            .regroup(bucket, &global_idx, &global_val)?;
         Ok(Round::Done)
+    }
+
+    fn emit(&mut self, bucket: &Bucket, slot: usize, out: &mut [f32]) -> Result<(), CoreError> {
+        let inv = 1.0 / bucket.world_size as f32;
+        self.buckets
+            .get_mut(bucket)?
+            .pairs
+            .scatter(slot, inv, out, |o, v| *o = v);
+        Ok(())
     }
 }
 
@@ -120,7 +138,7 @@ impl GTopkSgdAggregator {
             pipeline: FusedPipeline::new(buffer_bytes),
             codec: GTopkCodec {
                 density,
-                buckets: Vec::new(),
+                buckets: PerBucket::default(),
             },
             recorder: RecorderCell::default(),
         }

@@ -54,6 +54,7 @@ pub mod optimizer;
 pub mod pipeline;
 pub mod powersgd;
 pub mod signsgd;
+mod sparse;
 pub mod ssgd;
 pub mod topksgd;
 
@@ -63,7 +64,7 @@ pub use acpsgd::{AcpSgdAggregator, AcpSgdConfig};
 pub use dgc::{DgcAggregator, DgcConfig};
 pub use error::CoreError;
 pub use factory::{build_optimizer, Aggregator};
-pub use fusion::{bucket_ranges, FlatPacker};
+pub use fusion::bucket_ranges;
 pub use gtopk::GTopkSgdAggregator;
 pub use optimizer::{DistributedOptimizer, GradViewMut};
 pub use pipeline::{Bucket, BucketCodec, FusedPipeline, Round, StepStats};

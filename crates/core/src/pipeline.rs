@@ -2,26 +2,33 @@
 //!
 //! One aggregation step is always the same skeleton: partition the
 //! forward-order tensor list into fusion buckets ([`bucket_ranges`]), and
-//! per bucket *compress → dispatch → wait → decompress*. What differs
-//! between algorithms is only the compression applied to a bucket and the
-//! collectives it needs — captured by the [`BucketCodec`] trait, including
-//! multi-round exchanges ([`Round::Next`], e.g. Power-SGD's dependent `Q`
-//! all-reduce).
+//! per bucket *absorb → encode → dispatch → wait → decode → emit*. What
+//! differs between algorithms is only the compression applied to a bucket
+//! and the collectives it needs — captured by the [`BucketCodec`] trait,
+//! including multi-round exchanges ([`Round::Next`], e.g. Power-SGD's
+//! dependent `Q` all-reduce).
+//!
+//! The pipeline owns no gradient-sized memory. A codec's first pass reads
+//! each tensor from the caller's slice ([`BucketCodec::absorb`]) and its
+//! last pass writes each tensor into the caller's slice
+//! ([`BucketCodec::emit`]); what travels between the two — a dense copy,
+//! sign words, sparse pairs or low-rank factors — is the codec's to hold.
 //!
 //! The pipeline has two entry points with identical results:
 //!
 //! * [`FusedPipeline::finish`] alone — the *blocking* path: every bucket is
-//!   packed and dispatched in plan order, then drained in plan order. The
+//!   absorbed and dispatched in plan order, then drained in plan order. The
 //!   dispatch/drain split means bucket `b+1` communicates while bucket `b`
 //!   is being awaited (tensor-fusion pipelining).
 //! * [`FusedPipeline::push`] per ready gradient + `finish` — the *WFBP*
 //!   path: a bucket's collective is dispatched the moment its last tensor
 //!   arrives, overlapping communication with the rest of backward.
 //!
-//! Both paths feed each bucket the same data to the same per-bucket codec
-//! state, and the comm worker executes submissions in FIFO order, so the
-//! overlapped schedule is **bit-identical** to the blocking one by
-//! construction.
+//! Both paths feed each bucket the same tensors to the same per-(bucket,
+//! slot) codec state, payload offsets are fixed by slot, and the comm
+//! worker executes submissions in FIFO order, so the overlapped schedule is
+//! **bit-identical** to the blocking one by construction, whatever order
+//! the tensors arrive in.
 
 use std::fmt;
 use std::ops::Range;
@@ -37,7 +44,8 @@ use crate::optimizer::{check_shapes, record_step_metrics, GradViewMut};
 pub const DEFAULT_BUFFER_BYTES: usize = 25 * 1024 * 1024;
 
 /// One fusion bucket: a contiguous run of forward-order tensors whose
-/// gradients travel together in fused collective payloads.
+/// gradients travel together in fused collective payloads. The bucket is
+/// a layout, not storage: the gradients stay in the caller's tensors.
 #[derive(Debug)]
 pub struct Bucket {
     /// Bucket position in the plan. Stable across steps — codecs key their
@@ -48,21 +56,79 @@ pub struct Bucket {
     pub tensors: Range<usize>,
     /// Dims of each tensor in the bucket, in order.
     pub dims: Vec<Vec<usize>>,
-    /// Element offset of each tensor inside [`Bucket::data`]
-    /// (`dims.len() + 1` entries; last is the total).
+    /// Element offset of each tensor inside the bucket's flattened
+    /// gradient (`dims.len() + 1` entries; last is the total).
     pub offsets: Vec<usize>,
     /// Total elements in the bucket.
     pub elems: usize,
     /// World size of the communicator driving the current step.
     pub world_size: usize,
-    /// The bucket's flattened gradient: input to [`BucketCodec::encode`],
-    /// and the aggregated result after the final [`BucketCodec::decode`]
-    /// round (codecs typically `std::mem::take` it in `encode` and assign
-    /// it in the last `decode`).
-    pub data: Vec<f32>,
+    /// Number of the step the pipeline has open; no two opened steps share
+    /// one. A codec whose per-tensor state machines advance in `absorb`
+    /// compares it with the number it last saw to tell a new step from
+    /// the remains of a discarded one.
+    pub step: u64,
     /// Wire bytes the codec reports for the current step; add the
     /// compressed payload size here in `encode` (and in later rounds).
     pub payload_bytes: u64,
+}
+
+impl Bucket {
+    /// Element range of tensor `slot` inside the bucket's flattened
+    /// gradient.
+    pub fn span(&self, slot: usize) -> Range<usize> {
+        self.offsets[slot]..self.offsets[slot + 1]
+    }
+}
+
+/// Codec state keyed by [`Bucket::index`], built the first time a bucket
+/// absorbs a tensor.
+#[derive(Debug)]
+pub(crate) struct PerBucket<T>(Vec<Option<T>>);
+
+impl<T> Default for PerBucket<T> {
+    fn default() -> Self {
+        PerBucket(Vec::new())
+    }
+}
+
+impl<T> PerBucket<T> {
+    /// The bucket's state, built by `new` if the bucket has none yet.
+    pub(crate) fn get_or_insert_with(
+        &mut self,
+        bucket: &Bucket,
+        new: impl FnOnce() -> T,
+    ) -> &mut T {
+        if self.0.len() <= bucket.index {
+            self.0.resize_with(bucket.index + 1, || None);
+        }
+        self.0[bucket.index].get_or_insert_with(new)
+    }
+
+    /// The state of a bucket that has absorbed its tensors.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::CodecProtocol`] for a bucket that has not — a
+    /// call out of order must not panic the rank.
+    pub(crate) fn get_mut(&mut self, bucket: &Bucket) -> Result<&mut T, CoreError> {
+        self.0
+            .get_mut(bucket.index)
+            .and_then(Option::as_mut)
+            .ok_or(CoreError::CodecProtocol(
+                "bucket has no absorbed tensors this step",
+            ))
+    }
+
+    /// Every bucket's state, in plan order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.0.iter().flatten()
+    }
+
+    /// Drops every bucket's state (the plan it was keyed by is gone).
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
 }
 
 /// What a codec wants next after consuming one round of results.
@@ -71,41 +137,66 @@ pub enum Round {
     /// Dispatch another round of collectives for this bucket (e.g.
     /// Power-SGD's `Q` all-reduce, which depends on the reduced `P`).
     Next(Vec<CollectiveOp>),
-    /// The bucket is complete; [`Bucket::data`] holds the aggregated
-    /// gradient.
+    /// The bucket is complete; the codec is ready to
+    /// [`emit`](BucketCodec::emit) every tensor of it.
     Done,
 }
 
 /// The per-bucket compression half of an aggregation algorithm.
 ///
-/// [`encode`](BucketCodec::encode) turns a packed bucket into its first
-/// round of collectives; [`decode`](BucketCodec::decode) consumes each
-/// round's results (in request order) until it returns [`Round::Done`]
-/// with the aggregated gradient in [`Bucket::data`]. State must be keyed
-/// by [`Bucket::index`] — never by call order — so the blocking and
-/// overlapped schedules stay bit-identical.
+/// A step of one bucket is [`absorb`](BucketCodec::absorb) once per tensor
+/// (in any order), [`encode`](BucketCodec::encode) once, then
+/// [`decode`](BucketCodec::decode) per round of results (in request order)
+/// until it returns [`Round::Done`], then [`emit`](BucketCodec::emit) once
+/// per tensor. State must be keyed by ([`Bucket::index`], slot) — never by
+/// call order — so the blocking and overlapped schedules stay
+/// bit-identical.
 pub trait BucketCodec: Send {
-    /// Compresses a freshly packed bucket and returns the first round of
-    /// collectives to dispatch for it.
+    /// Takes tensor `slot` of the bucket from the caller's gradient: the
+    /// codec's first pass over the data (a copy, an error-feedback
+    /// correction, a low-rank projection) reads `grad` directly. Tensors
+    /// of an open step arrive at most once each, in any order.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Compress`] if the compressor state machine
-    /// rejects the bucket (phase, shape or matrix-dimension violation).
+    /// rejects the tensor (phase, shape or matrix-dimension violation).
+    fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError>;
+
+    /// Called when every tensor of the bucket has been absorbed: finishes
+    /// the compression and returns the first round of collectives to
+    /// dispatch for it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::CodecProtocol`] if the compressor produced a
+    /// payload of the wrong kind.
     fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError>;
 
     /// Consumes one round of results; returns the next round or finishes
-    /// the bucket.
+    /// the bucket. Everything a peer supplied is validated here, once per
+    /// bucket, so that `emit` cannot fail on it.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Collective`] if a result has the wrong payload
-    /// type for the requested operation.
+    /// type for the requested operation and [`CoreError::CodecProtocol`]
+    /// if its contents do not fit the bucket.
     fn decode(
         &mut self,
         bucket: &mut Bucket,
         results: Vec<CollectiveResult>,
     ) -> Result<Round, CoreError>;
+
+    /// Writes the aggregated tensor `slot` of a [`Round::Done`] bucket over
+    /// `out`, the caller's gradient: the codec's last pass (a copy, a sign
+    /// expansion, a scatter, a low-rank reconstruction) writes it directly.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Compress`] if the compressor state machine
+    /// rejects the reconstruction.
+    fn emit(&mut self, bucket: &Bucket, slot: usize, out: &mut [f32]) -> Result<(), CoreError>;
 }
 
 /// Byte/time accounting for one pipeline step, for
@@ -116,18 +207,19 @@ pub struct StepStats {
     pub dense_bytes: u64,
     /// Compressed wire bytes the codec reported across all buckets.
     pub payload_bytes: u64,
-    /// Time spent inside codec `encode`/`decode` calls, microseconds.
+    /// Time spent inside the codec (`absorb`, `encode`, `decode` and
+    /// `emit` calls), microseconds.
     pub compress_us: u64,
     /// Recorder timestamp at which the step opened.
     pub step_start_us: u64,
 }
 
-/// The shared pack → dispatch → wait → decompress engine.
+/// The shared absorb → dispatch → wait → emit engine.
 ///
 /// Owns the bucket plan (built lazily from the first step's tensor list
-/// and a `buffer_bytes` capacity), the per-bucket staging buffers, and the
-/// in-flight [`PendingOp`] handles. See the [module docs](self) for the
-/// two entry points.
+/// and a `buffer_bytes` capacity) and the in-flight [`PendingOp`] handles,
+/// and nothing the size of a gradient. See the [module docs](self) for
+/// the two entry points.
 #[derive(Default)]
 pub struct FusedPipeline {
     buffer_bytes: usize,
@@ -139,6 +231,7 @@ pub struct FusedPipeline {
     pushed_count: Vec<usize>,
     dispatched: Vec<bool>,
     step_open: bool,
+    steps_opened: u64,
     compress_us: u64,
     step_start_us: u64,
 }
@@ -249,7 +342,7 @@ impl FusedPipeline {
                 offsets,
                 elems,
                 world_size: 1,
-                data: Vec::new(),
+                step: 0,
                 payload_bytes: 0,
             });
         }
@@ -257,13 +350,13 @@ impl FusedPipeline {
 
     fn open_step(&mut self, world_size: usize, rec: &dyn Recorder) {
         self.step_open = true;
+        self.steps_opened += 1;
         self.step_start_us = rec.now_us();
         self.compress_us = 0;
         for bucket in &mut self.buckets {
             bucket.world_size = world_size;
+            bucket.step = self.steps_opened;
             bucket.payload_bytes = 0;
-            bucket.data.clear();
-            bucket.data.resize(bucket.elems, 0.0);
         }
         for (flags, count) in self.pushed.iter_mut().zip(&mut self.pushed_count) {
             flags.iter_mut().for_each(|f| *f = false);
@@ -272,6 +365,8 @@ impl FusedPipeline {
         self.dispatched.iter_mut().for_each(|d| *d = false);
     }
 
+    /// Closes the open step, completed or discarded: whatever is still in
+    /// flight is dropped, which waits for it.
     fn close_step(&mut self) {
         self.step_open = false;
         for slot in &mut self.inflight {
@@ -299,9 +394,9 @@ impl FusedPipeline {
         Ok(())
     }
 
-    /// Offers one tensor's ready gradient (WFBP). The gradient is copied
-    /// into its bucket slot; when the bucket's last tensor arrives, the
-    /// bucket is compressed and its collectives dispatched immediately.
+    /// Offers one tensor's ready gradient (WFBP). The codec absorbs it
+    /// straight from `grad`; when the bucket's last tensor arrives, the
+    /// bucket is encoded and its collectives dispatched immediately.
     ///
     /// Before the plan exists (the first-ever step), pushes are accepted
     /// and ignored — [`finish`](FusedPipeline::finish) runs that step
@@ -312,7 +407,11 @@ impl FusedPipeline {
     ///
     /// Returns [`CoreError::ShapeChanged`] /
     /// [`CoreError::TensorCountChanged`] if `index`/`dims` disagree with
-    /// the recorded tensor list.
+    /// the recorded tensor list, [`CoreError::TensorPushedTwice`] if the
+    /// open step already holds the tensor (whether or not its bucket has
+    /// been dispatched), and the codec's errors. On any error the open
+    /// step is discarded — in-flight collectives are waited for and
+    /// dropped — and the pipeline is reusable afterwards.
     pub fn push<C: BucketCodec + ?Sized>(
         &mut self,
         codec: &mut C,
@@ -325,6 +424,22 @@ impl FusedPipeline {
         if self.buckets.is_empty() {
             return Ok(());
         }
+        let result = self.push_inner(codec, index, dims, grad, comm, rec);
+        if result.is_err() {
+            self.close_step();
+        }
+        result
+    }
+
+    fn push_inner<C: BucketCodec + ?Sized>(
+        &mut self,
+        codec: &mut C,
+        index: usize,
+        dims: &[usize],
+        grad: &[f32],
+        comm: &mut dyn Communicator,
+        rec: &dyn Recorder,
+    ) -> Result<(), CoreError> {
         if index >= self.shapes.len() {
             return Err(CoreError::TensorCountChanged {
                 expected: self.shapes.len(),
@@ -342,27 +457,25 @@ impl FusedPipeline {
             self.open_step(comm.world_size(), rec);
         }
         let b = self.tensor_to_bucket[index];
-        if self.dispatched[b] {
-            return Ok(());
+        let slot = index - self.buckets[b].tensors.start;
+        if self.pushed[b][slot] {
+            return Err(CoreError::TensorPushedTwice { index });
         }
-        let bucket = &mut self.buckets[b];
-        let slot = index - bucket.tensors.start;
-        let (start, end) = (bucket.offsets[slot], bucket.offsets[slot + 1]);
-        bucket.data[start..end].copy_from_slice(grad);
-        if !self.pushed[b][slot] {
-            self.pushed[b][slot] = true;
-            self.pushed_count[b] += 1;
-        }
+        let absorb_start = rec.now_us();
+        codec.absorb(&self.buckets[b], slot, grad)?;
+        self.compress_us += rec.now_us().saturating_sub(absorb_start);
+        self.pushed[b][slot] = true;
+        self.pushed_count[b] += 1;
         if self.pushed_count[b] == self.buckets[b].dims.len() {
             self.dispatch_bucket(codec, b, comm, rec)?;
         }
         Ok(())
     }
 
-    /// Completes a step: packs and dispatches every bucket not already
+    /// Completes a step: absorbs and dispatches every bucket not already
     /// dispatched by [`push`](FusedPipeline::push) (in plan order), then
     /// drains all buckets in plan order — waiting, running codec rounds,
-    /// and writing aggregated gradients back into `grads`.
+    /// and letting the codec emit the aggregated gradients into `grads`.
     ///
     /// Calling `finish` without any prior pushes *is* the blocking
     /// aggregation path.
@@ -396,18 +509,19 @@ impl FusedPipeline {
         if !self.step_open {
             self.open_step(comm.world_size(), rec);
         }
-        // Pack and dispatch whatever backward did not push, in plan order.
+        // Absorb and dispatch whatever backward did not push, in plan order.
         for b in 0..self.buckets.len() {
             if self.dispatched[b] {
                 continue;
             }
-            let bucket = &mut self.buckets[b];
+            let bucket = &self.buckets[b];
+            let absorb_start = rec.now_us();
             for (slot, t) in bucket.tensors.clone().enumerate() {
                 if !self.pushed[b][slot] {
-                    let (start, end) = (bucket.offsets[slot], bucket.offsets[slot + 1]);
-                    bucket.data[start..end].copy_from_slice(grads[t].grad);
+                    codec.absorb(bucket, slot, grads[t].grad)?;
                 }
             }
+            self.compress_us += rec.now_us().saturating_sub(absorb_start);
             self.dispatch_bucket(codec, b, comm, rec)?;
         }
         // Drain in plan order, running any dependent rounds.
@@ -438,15 +552,11 @@ impl FusedPipeline {
                 );
             }
             let bucket = &self.buckets[b];
-            assert_eq!(
-                bucket.data.len(),
-                bucket.elems,
-                "codec must leave the aggregated bucket in `data`"
-            );
+            let emit_start = rec.now_us();
             for (slot, t) in bucket.tensors.clone().enumerate() {
-                let (start, end) = (bucket.offsets[slot], bucket.offsets[slot + 1]);
-                grads[t].grad.copy_from_slice(&bucket.data[start..end]);
+                codec.emit(bucket, slot, grads[t].grad)?;
             }
+            self.compress_us += rec.now_us().saturating_sub(emit_start);
         }
         Ok(StepStats {
             dense_bytes: self.buckets.iter().map(|b| 4 * b.elems as u64).sum(),
@@ -487,55 +597,30 @@ pub(crate) fn run_step<C: BucketCodec>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ssgd::MeanCodec;
     use acp_collectives::{ReduceOp, ThreadGroup};
     use acp_telemetry::{noop, InMemoryRecorder};
     use std::sync::Arc;
 
-    /// Mean all-reduce per bucket — the S-SGD codec, inlined for tests.
-    #[derive(Default)]
-    struct MeanCodec;
-
-    impl BucketCodec for MeanCodec {
-        fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
-            bucket.payload_bytes += 4 * bucket.elems as u64;
-            Ok(vec![CollectiveOp::AllReduce {
-                buf: std::mem::take(&mut bucket.data),
-                op: ReduceOp::Mean,
-            }])
-        }
-
-        fn decode(
-            &mut self,
-            bucket: &mut Bucket,
-            results: Vec<CollectiveResult>,
-        ) -> Result<Round, CoreError> {
-            let mut results = results.into_iter();
-            bucket.data = results
-                .next()
-                .expect("one op per round")
-                .into_f32()
-                .map_err(CoreError::from)?;
-            Ok(Round::Done)
-        }
-    }
-
-    /// Two dependent mean all-reduce rounds (halve, reduce, halve, reduce)
-    /// to exercise `Round::Next`.
+    /// Two dependent mean all-reduce rounds (reduce, reduce again) over
+    /// the S-SGD codec's buffers, to exercise `Round::Next`.
     #[derive(Default)]
     struct TwoRoundCodec {
+        inner: MeanCodec,
         round2: Vec<bool>,
     }
 
     impl BucketCodec for TwoRoundCodec {
+        fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
+            self.inner.absorb(bucket, slot, grad)
+        }
+
         fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
             if self.round2.len() <= bucket.index {
                 self.round2.resize(bucket.index + 1, false);
             }
             self.round2[bucket.index] = false;
-            Ok(vec![CollectiveOp::AllReduce {
-                buf: std::mem::take(&mut bucket.data),
-                op: ReduceOp::Mean,
-            }])
+            self.inner.encode(bucket)
         }
 
         fn decode(
@@ -543,22 +628,24 @@ mod tests {
             bucket: &mut Bucket,
             results: Vec<CollectiveResult>,
         ) -> Result<Round, CoreError> {
+            if self.round2[bucket.index] {
+                return self.inner.decode(bucket, results);
+            }
+            self.round2[bucket.index] = true;
             let buf = results
                 .into_iter()
                 .next()
                 .expect("one op per round")
                 .into_f32()
                 .map_err(CoreError::from)?;
-            if self.round2[bucket.index] {
-                bucket.data = buf;
-                Ok(Round::Done)
-            } else {
-                self.round2[bucket.index] = true;
-                Ok(Round::Next(vec![CollectiveOp::AllReduce {
-                    buf,
-                    op: ReduceOp::Mean,
-                }]))
-            }
+            Ok(Round::Next(vec![CollectiveOp::AllReduce {
+                buf,
+                op: ReduceOp::Mean,
+            }]))
+        }
+
+        fn emit(&mut self, bucket: &Bucket, slot: usize, out: &mut [f32]) -> Result<(), CoreError> {
+            self.inner.emit(bucket, slot, out)
         }
     }
 
@@ -574,7 +661,7 @@ mod tests {
         let results = ThreadGroup::run(3, |mut comm| {
             // 8 bytes per tensor, 8-byte capacity: one bucket per tensor.
             let mut pipeline = FusedPipeline::new(8);
-            let mut codec = MeanCodec;
+            let mut codec = MeanCodec::default();
             let r = comm.rank_id().as_usize() as f32;
             let dims = vec![vec![2usize], vec![2usize], vec![2usize]];
             let mut grads = vec![vec![r; 2], vec![10.0 * r; 2], vec![r + 1.0; 2]];
@@ -599,7 +686,7 @@ mod tests {
         let run = |overlapped: bool| {
             ThreadGroup::run(4, move |mut comm| {
                 let mut pipeline = FusedPipeline::new(12); // 2 buckets of 3+2 bytes? see sizes
-                let mut codec = MeanCodec;
+                let mut codec = MeanCodec::default();
                 let r = comm.rank_id().as_usize() as f32;
                 let dims = vec![vec![3usize], vec![2usize], vec![4usize]];
                 let mut out = Vec::new();
@@ -669,7 +756,7 @@ mod tests {
     fn shape_change_is_rejected_on_push_and_finish() {
         use acp_collectives::LocalCommunicator;
         let mut pipeline = FusedPipeline::new(DEFAULT_BUFFER_BYTES);
-        let mut codec = MeanCodec;
+        let mut codec = MeanCodec::default();
         let mut comm = LocalCommunicator::new();
         let dims = vec![vec![2usize]];
         let mut grads = vec![vec![1.0f32; 2]];
@@ -713,7 +800,7 @@ mod tests {
         let rec2 = Arc::clone(&rec);
         ThreadGroup::run(2, move |mut comm| {
             let mut pipeline = FusedPipeline::new(8);
-            let mut codec = MeanCodec;
+            let mut codec = MeanCodec::default();
             let dims = vec![vec![2usize], vec![2usize]];
             let mut grads = vec![vec![1.0f32; 2], vec![2.0f32; 2]];
             let mut v = views(&dims, &mut grads);
@@ -749,7 +836,7 @@ mod tests {
         // with all three errors observed *is* the assertion.
         let errs = ThreadGroup::run(3, |mut comm| {
             let mut pipeline = FusedPipeline::new(0); // one bucket per tensor
-            let mut codec = MeanCodec;
+            let mut codec = MeanCodec::default();
             let r = comm.rank_id().as_usize() as f32;
             let dims = vec![vec![2usize], vec![2usize]];
             // Step 1: blocking, builds the plan.
@@ -778,7 +865,7 @@ mod tests {
     fn set_buffer_bytes_rebuilds_the_plan() {
         let results = ThreadGroup::run(2, |mut comm| {
             let mut pipeline = FusedPipeline::new(0); // one bucket per tensor
-            let mut codec = MeanCodec;
+            let mut codec = MeanCodec::default();
             let r = comm.rank_id().as_usize() as f32;
             let dims = vec![vec![2usize], vec![2usize], vec![2usize]];
             let mut grads = vec![vec![r; 2], vec![r; 2], vec![r; 2]];
@@ -813,7 +900,7 @@ mod tests {
     fn replan_aborts_an_open_step_and_rebuilds() {
         use acp_collectives::LocalCommunicator;
         let mut pipeline = FusedPipeline::new(0); // one bucket per tensor
-        let mut codec = MeanCodec;
+        let mut codec = MeanCodec::default();
         let dims = vec![vec![2usize], vec![2usize]];
         // Step 1 builds the plan.
         let mut grads = vec![vec![1.0f32; 2], vec![2.0f32; 2]];
@@ -850,7 +937,7 @@ mod tests {
     fn first_step_pushes_are_deferred_until_plan_exists() {
         use acp_collectives::LocalCommunicator;
         let mut pipeline = FusedPipeline::new(DEFAULT_BUFFER_BYTES);
-        let mut codec = MeanCodec;
+        let mut codec = MeanCodec::default();
         let mut comm = LocalCommunicator::new();
         // Push before any plan: accepted, ignored.
         pipeline

@@ -8,7 +8,10 @@ use acp_tensor::MatrixShape;
 
 use crate::error::CoreError;
 use crate::optimizer::{DistributedOptimizer, GradViewMut};
-use crate::pipeline::{run_step, Bucket, BucketCodec, FusedPipeline, Round, DEFAULT_BUFFER_BYTES};
+use crate::pipeline::{
+    run_step, Bucket, BucketCodec, FusedPipeline, PerBucket, Round, DEFAULT_BUFFER_BYTES,
+};
+use crate::ssgd::MeanCodec;
 
 /// Configuration of [`PowerSgdAggregator`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,78 +97,51 @@ pub type PowerSgdAggregatorConfig = PowerSgdConfig; // allow_verify(reason = "th
 #[allow(clippy::large_enum_variant)] // few instances, one per tensor
 enum LrState {
     /// Matrix-shaped tensor compressed with Power-SGD.
-    Matrix {
-        rows: usize,
-        cols: usize,
-        state: PowerSgd,
-    },
+    Matrix(PowerSgd),
     /// Vector tensor transmitted uncompressed.
     Vector,
 }
 
-/// Per-bucket codec state: per-tensor compression state plus the bucket's
-/// own buffer, held across the rounds as the decode target.
+/// Per-bucket codec state: per-tensor compression state and the bucket's
+/// two fused factor payloads.
 #[derive(Debug)]
 struct PowerBucketState {
     states: Vec<LrState>,
-    out: Vec<f32>,
+    /// Element offset of each tensor's segment in the round-one payload
+    /// (`states.len() + 1` entries): the `P` factor per matrix, the raw
+    /// gradient per vector.
+    p_offsets: Vec<usize>,
+    /// Likewise for the round-two payload: the `Q` factor per matrix,
+    /// nothing per vector.
+    q_offsets: Vec<usize>,
+    /// Round-one payload: written by `absorb`, all-reduced, kept reduced
+    /// for the vectors' `emit`. The allocation lives from step to step.
+    p_payload: Vec<f32>,
+    /// Round-two payload: written by round one's `decode`, all-reduced,
+    /// kept reduced for the matrices' `emit`.
+    q_payload: Vec<f32>,
     in_q_round: bool,
+    /// [`Bucket::step`] the payloads belong to.
+    step: u64,
+    /// Tensors emitted in that step; short of `states.len()` when the step
+    /// was discarded and left matrices mid-step.
+    emitted: usize,
 }
 
 impl PowerBucketState {
-    /// Elements of the round-one payload: the `P` factor per matrix, the
-    /// raw gradient per vector.
-    fn p_payload_elems(&self, offsets: &[usize]) -> usize {
-        self.states
+    fn new(cfg: PowerSgdConfig, bucket: &Bucket) -> Self {
+        let (mut p_offsets, mut q_offsets) = (vec![0usize], vec![0usize]);
+        let (mut p_end, mut q_end) = (0usize, 0usize);
+        let states: Vec<LrState> = bucket
+            .dims
             .iter()
-            .zip(offsets.windows(2))
-            .map(|(lr, span)| match lr {
-                LrState::Matrix { rows, state, .. } => rows * state.rank(),
-                LrState::Vector => span[1] - span[0],
-            })
-            .sum()
-    }
-
-    /// Elements of the round-two payload: the `Q` factor per matrix.
-    fn q_payload_elems(&self) -> usize {
-        self.states
-            .iter()
-            .map(|lr| match lr {
-                LrState::Matrix { cols, state, .. } => cols * state.rank(),
-                LrState::Vector => 0,
-            })
-            .sum()
-    }
-}
-
-/// The Power-SGD bucket codec: round one all-reduces the fused `P` factors
-/// plus raw vectors, round two (dispatched from `decode` via
-/// [`Round::Next`]) all-reduces the fused `Q` factors.
-#[derive(Debug)]
-struct PowerCodec {
-    cfg: PowerSgdConfig,
-    /// Exact averaging this step (warm start)?
-    warm: bool,
-    buckets: Vec<Option<PowerBucketState>>,
-}
-
-impl PowerCodec {
-    fn state_for(&mut self, bucket: &Bucket) -> &mut PowerBucketState {
-        if self.buckets.len() <= bucket.index {
-            self.buckets.resize_with(bucket.index + 1, || None);
-        }
-        let cfg = self.cfg;
-        let tensors_start = bucket.tensors.start;
-        let dims = &bucket.dims;
-        self.buckets[bucket.index].get_or_insert_with(|| {
-            let states = dims
-                .iter()
-                .enumerate()
-                .map(|(slot, d)| match MatrixShape::from_tensor_shape(d) {
+            .enumerate()
+            .map(|(slot, d)| {
+                let lr = match MatrixShape::from_tensor_shape(d) {
                     MatrixShape::Matrix { rows, cols } => {
                         // Seed by *global* tensor index: distinct per-tensor
                         // streams, identical across ranks and bucket layouts.
-                        let i = tensors_start + slot;
+                        let i = bucket.tensors.start + slot;
                         let ccfg = PowerSgdCompressionConfig {
                             rank: cfg.rank,
                             error_feedback: cfg.error_feedback,
@@ -173,30 +149,83 @@ impl PowerCodec {
                             seed: cfg.seed ^ (i as u64).wrapping_mul(0x9E3779B9),
                             ..PowerSgdCompressionConfig::default()
                         };
-                        LrState::Matrix {
-                            rows,
-                            cols,
-                            state: PowerSgd::new(rows, cols, ccfg),
-                        }
+                        let state = PowerSgd::new(rows, cols, ccfg);
+                        p_end += rows * state.rank();
+                        q_end += cols * state.rank();
+                        LrState::Matrix(state)
                     }
-                    MatrixShape::Vector { .. } => LrState::Vector,
-                })
-                .collect();
-            PowerBucketState {
-                states,
-                out: Vec::new(),
-                in_q_round: false,
-            }
-        })
+                    MatrixShape::Vector { .. } => {
+                        p_end += bucket.span(slot).len();
+                        LrState::Vector
+                    }
+                };
+                p_offsets.push(p_end);
+                q_offsets.push(q_end);
+                lr
+            })
+            .collect();
+        PowerBucketState {
+            emitted: states.len(),
+            states,
+            p_offsets,
+            q_offsets,
+            p_payload: Vec::new(),
+            q_payload: Vec::new(),
+            in_q_round: false,
+            step: 0,
+        }
+    }
+
+    fn begin_step(&mut self, cfg: PowerSgdConfig, bucket: &Bucket) {
+        if self.emitted != self.states.len() {
+            // The last step was discarded between a `compute_p` and its
+            // `finish`; the factor state machines cannot resume it.
+            *self = PowerBucketState::new(cfg, bucket);
+        }
+        self.step = bucket.step;
+        self.emitted = 0;
+        self.in_q_round = false;
+        self.p_payload
+            .resize(self.p_offsets[self.states.len()], 0.0);
+    }
+
+    fn p_segment(&self, slot: usize) -> std::ops::Range<usize> {
+        self.p_offsets[slot]..self.p_offsets[slot + 1]
+    }
+
+    fn q_segment(&self, slot: usize) -> std::ops::Range<usize> {
+        self.q_offsets[slot]..self.q_offsets[slot + 1]
+    }
+}
+
+/// The Power-SGD bucket codec: round one all-reduces the fused `P` factors
+/// plus raw vectors, round two (dispatched from `decode` via
+/// [`Round::Next`]) all-reduces the fused `Q` factors. Each matrix is
+/// projected straight from the caller's gradient and reconstructed
+/// straight into it; the codec holds factors, never gradients.
+#[derive(Debug)]
+struct PowerCodec {
+    cfg: PowerSgdConfig,
+    /// Exact averaging this step (warm start)?
+    warm: bool,
+    /// The warm-start path: plain dense averaging.
+    dense: MeanCodec,
+    buckets: PerBucket<PowerBucketState>,
+}
+
+impl PowerCodec {
+    /// Drops all bucket-indexed state (the plan it was keyed by is gone).
+    fn clear(&mut self) {
+        self.dense.clear();
+        self.buckets.clear();
     }
 
     fn total_error_norm(&self) -> f32 {
         self.buckets
             .iter()
-            .flatten()
             .flat_map(|b| &b.states)
             .map(|s| match s {
-                LrState::Matrix { state, .. } => state.error_norm(),
+                LrState::Matrix(state) => state.error_norm(),
                 LrState::Vector => 0.0,
             })
             .sum()
@@ -204,41 +233,35 @@ impl PowerCodec {
 }
 
 impl BucketCodec for PowerCodec {
+    fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
+        if self.warm {
+            return self.dense.absorb(bucket, slot, grad);
+        }
+        let cfg = self.cfg;
+        let st = self
+            .buckets
+            .get_or_insert_with(bucket, || PowerBucketState::new(cfg, bucket));
+        if st.step != bucket.step {
+            st.begin_step(cfg, bucket);
+        }
+        let segment = st.p_segment(slot);
+        match &mut st.states[slot] {
+            LrState::Matrix(state) => {
+                state.try_compute_p_slice(grad, &mut st.p_payload[segment])?
+            }
+            LrState::Vector => st.p_payload[segment].copy_from_slice(grad),
+        }
+        Ok(())
+    }
+
     fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
         if self.warm {
-            bucket.payload_bytes += 4 * bucket.elems as u64;
-            return Ok(vec![CollectiveOp::AllReduce {
-                buf: std::mem::take(&mut bucket.data),
-                op: ReduceOp::Mean,
-            }]);
+            return self.dense.encode(bucket);
         }
-        let data = std::mem::take(&mut bucket.data);
-        let st = self.state_for(bucket);
-        st.in_q_round = false;
-        // Phase 1 payload, sized exactly: local P factor per matrix, raw
-        // data per vector. Factors are written straight into it.
-        let mut buf = vec![0.0f32; st.p_payload_elems(&bucket.offsets)];
-        let mut pos = 0usize;
-        for (lr, span) in st.states.iter_mut().zip(bucket.offsets.windows(2)) {
-            let seg = &data[span[0]..span[1]];
-            match lr {
-                LrState::Matrix { rows, state, .. } => {
-                    let n = *rows * state.rank();
-                    state.try_compute_p_slice(seg, &mut buf[pos..pos + n])?;
-                    pos += n;
-                }
-                LrState::Vector => {
-                    buf[pos..pos + seg.len()].copy_from_slice(seg);
-                    pos += seg.len();
-                }
-            }
-        }
-        // The gradient has been consumed (into `E`, or the states' own
-        // copies); the buffer becomes the decode target.
-        st.out = data;
-        bucket.payload_bytes += 4 * buf.len() as u64;
+        let st = self.buckets.get_mut(bucket)?;
+        bucket.payload_bytes += 4 * st.p_payload.len() as u64;
         Ok(vec![CollectiveOp::AllReduce {
-            buf,
+            buf: std::mem::take(&mut st.p_payload),
             op: ReduceOp::Mean,
         }])
     }
@@ -248,6 +271,9 @@ impl BucketCodec for PowerCodec {
         bucket: &mut Bucket,
         results: Vec<CollectiveResult>,
     ) -> Result<Round, CoreError> {
+        if self.warm {
+            return self.dense.decode(bucket, results);
+        }
         let reduced = results
             .into_iter()
             .next()
@@ -256,73 +282,55 @@ impl BucketCodec for PowerCodec {
             ))?
             .into_f32()
             .map_err(CoreError::from)?;
-        if self.warm {
-            bucket.data = reduced;
-            return Ok(Round::Done);
-        }
-        let st = self.buckets[bucket.index]
-            .as_mut()
-            .ok_or(CoreError::CodecProtocol(
-                "decode without a pending encode state",
-            ))?;
+        let st = self.buckets.get_mut(bucket)?;
         const MISMATCH: CoreError =
             CoreError::CodecProtocol("reduced payload does not match the encoded bucket");
-        if st.out.len() != bucket.elems {
-            return Err(MISMATCH);
-        }
-        if !st.in_q_round {
-            // Round 1 result: aggregated Ps + exact vector means. Compute
-            // the local Q factors and (if any matrices) go one more round.
-            if reduced.len() != st.p_payload_elems(&bucket.offsets) {
+        let slots = st.states.len();
+        if st.in_q_round {
+            // Round 2 result: aggregated Qs, kept for `emit`.
+            if reduced.len() != st.q_offsets[slots] {
                 return Err(MISMATCH);
             }
-            let mut q_buf = vec![0.0f32; st.q_payload_elems()];
-            let (mut pos, mut q_pos) = (0usize, 0usize);
-            for (lr, span) in st.states.iter_mut().zip(bucket.offsets.windows(2)) {
-                match lr {
-                    LrState::Matrix { rows, cols, state } => {
-                        let (n_p, n_q) = (*rows * state.rank(), *cols * state.rank());
-                        state.try_compute_q_slice(
-                            &reduced[pos..pos + n_p],
-                            &mut q_buf[q_pos..q_pos + n_q],
-                        )?;
-                        pos += n_p;
-                        q_pos += n_q;
-                    }
-                    LrState::Vector => {
-                        let n = span[1] - span[0];
-                        st.out[span[0]..span[1]].copy_from_slice(&reduced[pos..pos + n]);
-                        pos += n;
-                    }
-                }
-            }
-            if q_buf.is_empty() {
-                bucket.data = std::mem::take(&mut st.out);
-                return Ok(Round::Done);
-            }
-            bucket.payload_bytes += 4 * q_buf.len() as u64;
-            st.in_q_round = true;
-            return Ok(Round::Next(vec![CollectiveOp::AllReduce {
-                buf: q_buf,
-                op: ReduceOp::Mean,
-            }]));
+            st.q_payload = reduced;
+            return Ok(Round::Done);
         }
-        // Round 2 result: aggregated Qs. Decompress straight into the
-        // bucket's own buffer.
-        st.in_q_round = false;
-        if reduced.len() != st.q_payload_elems() {
+        // Round 1 result: aggregated Ps + exact vector means. Compute the
+        // local Q factors and (if any matrices) go one more round.
+        if reduced.len() != st.p_offsets[slots] {
             return Err(MISMATCH);
         }
-        let mut pos = 0usize;
-        for (lr, span) in st.states.iter_mut().zip(bucket.offsets.windows(2)) {
-            if let LrState::Matrix { cols, state, .. } = lr {
-                let n = *cols * state.rank();
-                state.try_finish_slice(&reduced[pos..pos + n], &mut st.out[span[0]..span[1]])?;
-                pos += n;
+        st.p_payload = reduced;
+        st.q_payload.resize(st.q_offsets[slots], 0.0);
+        for slot in 0..slots {
+            let (p_segment, q_segment) = (st.p_segment(slot), st.q_segment(slot));
+            if let LrState::Matrix(state) = &mut st.states[slot] {
+                state
+                    .try_compute_q_slice(&st.p_payload[p_segment], &mut st.q_payload[q_segment])?;
             }
         }
-        bucket.data = std::mem::take(&mut st.out);
-        Ok(Round::Done)
+        if st.q_payload.is_empty() {
+            return Ok(Round::Done);
+        }
+        bucket.payload_bytes += 4 * st.q_payload.len() as u64;
+        st.in_q_round = true;
+        Ok(Round::Next(vec![CollectiveOp::AllReduce {
+            buf: std::mem::take(&mut st.q_payload),
+            op: ReduceOp::Mean,
+        }]))
+    }
+
+    fn emit(&mut self, bucket: &Bucket, slot: usize, out: &mut [f32]) -> Result<(), CoreError> {
+        if self.warm {
+            return self.dense.emit(bucket, slot, out);
+        }
+        let st = self.buckets.get_mut(bucket)?;
+        let (p_segment, q_segment) = (st.p_segment(slot), st.q_segment(slot));
+        match &mut st.states[slot] {
+            LrState::Matrix(state) => state.try_finish_slice(&st.q_payload[q_segment], out)?,
+            LrState::Vector => out.copy_from_slice(&st.p_payload[p_segment]),
+        }
+        st.emitted += 1;
+        Ok(())
     }
 }
 
@@ -354,7 +362,8 @@ impl PowerSgdAggregator {
             codec: PowerCodec {
                 cfg,
                 warm: cfg.warm_start_steps > 0,
-                buckets: Vec::new(),
+                dense: MeanCodec::default(),
+                buckets: PerBucket::default(),
             },
             steps: 0,
             recorder: RecorderCell::default(),
@@ -379,14 +388,14 @@ impl DistributedOptimizer for PowerSgdAggregator {
 
     fn set_buffer_bytes(&mut self, buffer_bytes: usize) {
         self.pipeline.set_buffer_bytes(buffer_bytes);
-        self.codec.buckets.clear();
+        self.codec.clear();
     }
 
     fn on_membership_change(&mut self) {
         // Same reasoning as `set_buffer_bytes`: the re-plan invalidates
         // bucket-indexed codec state along with the bucket plan.
         self.pipeline.replan();
-        self.codec.buckets.clear();
+        self.codec.clear();
     }
 
     fn aggregate(

@@ -6,12 +6,14 @@
 //! travel per bucket per step.
 
 use acp_collectives::{CollectiveOp, CollectiveResult, Communicator};
-use acp_compression::{Compressor, ErrorFeedback, Payload, SignSgd};
+use acp_compression::{kernels, Compressor, ErrorFeedback, Payload, SignSgd};
 use acp_telemetry::{RecorderCell, RecorderHandle};
 
 use crate::error::CoreError;
 use crate::optimizer::{DistributedOptimizer, GradViewMut};
-use crate::pipeline::{run_step, Bucket, BucketCodec, FusedPipeline, Round, DEFAULT_BUFFER_BYTES};
+use crate::pipeline::{
+    run_step, Bucket, BucketCodec, FusedPipeline, PerBucket, Round, DEFAULT_BUFFER_BYTES,
+};
 
 /// Configuration of [`SignSgdAggregator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,38 +49,65 @@ impl SignSgdConfig {
     }
 }
 
+/// Per-bucket Sign-SGD state.
+#[derive(Debug, Default)]
+struct SignBucket {
+    /// Error-feedback compressor (`None` on the raw path).
+    ef: Option<ErrorFeedback<SignSgd>>,
+    /// The bucket's gradient as compressed — `g + e` with error feedback,
+    /// where the correction is the copy in. The scale is the mean
+    /// magnitude of the whole bucket, summed strictly in element order,
+    /// so it cannot be had tensor by tensor as they arrive; the bucket is
+    /// held here instead, owned and reused from step to step.
+    buf: Vec<f32>,
+    /// The majority vote, bit-packed, from `decode` to `emit`.
+    voted: Vec<u32>,
+    /// The mean of the ranks' scales, from `decode` to `emit`.
+    scale: f32,
+}
+
 /// The Sign-SGD bucket codec: one bit-packed sign payload plus one scale
-/// per bucket, all-gathered and majority-voted.
+/// per bucket, all-gathered and majority-voted; each tensor's bit range of
+/// the vote is expanded straight into the caller's gradient.
 #[derive(Debug)]
 struct SignCodec {
     error_feedback: bool,
-    /// Per-bucket error-feedback compressors (unused on the raw path).
-    buckets: Vec<Option<ErrorFeedback<SignSgd>>>,
+    buckets: PerBucket<SignBucket>,
 }
 
 impl SignCodec {
     fn residual_norm(&self) -> f32 {
         self.buckets
             .iter()
-            .flatten()
+            .filter_map(|b| b.ef.as_ref())
             .map(ErrorFeedback::residual_norm)
             .sum()
     }
 }
 
 impl BucketCodec for SignCodec {
-    fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
-        let mut data = std::mem::take(&mut bucket.data);
-        let payload = if self.error_feedback {
-            if self.buckets.len() <= bucket.index {
-                self.buckets.resize_with(bucket.index + 1, || None);
-            }
-            self.buckets[bucket.index]
+    fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
+        let st = self.buckets.get_or_insert_with(bucket, SignBucket::default);
+        if st.buf.len() != bucket.elems {
+            st.buf.resize(bucket.elems, 0.0);
+        }
+        let span = bucket.span(slot);
+        if self.error_feedback {
+            st.ef
                 .get_or_insert_with(|| ErrorFeedback::new(SignSgd::scaled()))
-                .compress_in_place(&mut data)
+                .correct_from(grad, span.start, &mut st.buf);
         } else {
             // Bypass the residual: compress the raw gradient.
-            SignSgd::scaled().compress(&data)
+            st.buf[span].copy_from_slice(grad);
+        }
+        Ok(())
+    }
+
+    fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
+        let st = self.buckets.get_mut(bucket)?;
+        let payload = match &mut st.ef {
+            Some(ef) => ef.compress_corrected(&st.buf),
+            None => SignSgd::scaled().compress(&st.buf),
         };
         bucket.payload_bytes += payload.wire_bytes() as u64;
         let (words, scale) = match payload {
@@ -100,31 +129,32 @@ impl BucketCodec for SignCodec {
         bucket: &mut Bucket,
         results: Vec<CollectiveResult>,
     ) -> Result<Round, CoreError> {
+        const TWO: CoreError =
+            CoreError::CodecProtocol("expected two collective results per round");
         let mut results = results.into_iter();
-        let gathered_words = results
-            .next()
-            .ok_or(CoreError::CodecProtocol(
-                "expected two collective results per round",
-            ))?
-            .into_u32()
-            .map_err(CoreError::from)?;
-        let gathered_scales = results
-            .next()
-            .ok_or(CoreError::CodecProtocol(
-                "expected two collective results per round",
-            ))?
-            .into_f32()
-            .map_err(CoreError::from)?;
-        let mut voted = vec![0.0f32; bucket.elems];
-        SignSgd::majority_vote(
-            &gathered_words,
-            &gathered_scales,
-            bucket.elems,
-            bucket.world_size,
-            &mut voted,
-        );
-        bucket.data = voted;
+        let gathered_words = results.next().ok_or(TWO)?.into_u32()?;
+        let gathered_scales = results.next().ok_or(TWO)?.into_f32()?;
+        // Both came off the wire: check them against the bucket before the
+        // vote kernel, which asserts.
+        let words_per_rank = bucket.elems.div_ceil(32);
+        if gathered_words.len() != words_per_rank * bucket.world_size
+            || gathered_scales.len() != bucket.world_size
+        {
+            return Err(CoreError::CodecProtocol(
+                "gathered sign words or scales do not match the world size",
+            ));
+        }
+        let st = self.buckets.get_mut(bucket)?;
+        st.voted.resize(words_per_rank, 0);
+        kernels::vote_words_into(&gathered_words, bucket.world_size, &mut st.voted);
+        st.scale = kernels::mean_scale(&gathered_scales);
         Ok(Round::Done)
+    }
+
+    fn emit(&mut self, bucket: &Bucket, slot: usize, out: &mut [f32]) -> Result<(), CoreError> {
+        let st = self.buckets.get_mut(bucket)?;
+        kernels::expand_votes_into(&st.voted, bucket.span(slot).start, st.scale, out);
+        Ok(())
     }
 }
 
@@ -159,7 +189,7 @@ impl SignSgdAggregator {
             pipeline: FusedPipeline::new(cfg.buffer_bytes),
             codec: SignCodec {
                 error_feedback: cfg.error_feedback,
-                buckets: Vec::new(),
+                buckets: PerBucket::default(),
             },
             recorder: RecorderCell::default(),
         }
@@ -332,6 +362,52 @@ mod tests {
         for (a, b) in results {
             assert!(a[0] > 0.0 && a[1] < 0.0);
             assert!(b[0] < 0.0);
+        }
+    }
+
+    #[test]
+    fn emit_expands_bit_ranges_that_start_inside_a_word() {
+        // One bucket whose tensors start at elements 0, 5, 45, 48 and 118:
+        // only the first sits on a 32-bit word boundary. Every tensor must
+        // come back as its slice of the whole bucket's reference vote.
+        let lens = [5usize, 40, 3, 70, 11];
+        let total: usize = lens.iter().sum();
+        let world = 3;
+        let flat = |rank: usize| -> Vec<f32> {
+            (0..total)
+                .map(|e| ((e * 7 + rank * 5) as f32 * 0.61).sin() * (rank + 1) as f32)
+                .collect()
+        };
+        let (mut gathered, mut scales) = (Vec::new(), Vec::new());
+        for rank in 0..world {
+            let g = flat(rank);
+            gathered.extend(SignSgd::pack(&g));
+            scales.push(g.iter().map(|v| v.abs()).sum::<f32>() / total as f32);
+        }
+        let mut expected = vec![0.0f32; total];
+        kernels::reference::majority_vote_into(&gathered, &scales, total, world, &mut expected);
+
+        let results = ThreadGroup::run(world, move |mut comm| {
+            let mut opt = SignSgdAggregator::new();
+            let g = flat(comm.rank_id().as_usize());
+            let dims: Vec<[usize; 1]> = lens.iter().map(|&l| [l]).collect();
+            let mut tensors: Vec<Vec<f32>> = Vec::new();
+            let mut at = 0;
+            for len in lens {
+                tensors.push(g[at..at + len].to_vec());
+                at += len;
+            }
+            let mut views: Vec<GradViewMut<'_>> = dims
+                .iter()
+                .zip(tensors.iter_mut())
+                .map(|(d, grad)| GradViewMut { dims: d, grad })
+                .collect();
+            opt.aggregate(&mut views, &mut comm).unwrap();
+            tensors.concat()
+        });
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for got in results {
+            assert_eq!(bits(&got), bits(&expected));
         }
     }
 

@@ -6,19 +6,45 @@ use acp_telemetry::{RecorderCell, RecorderHandle};
 
 use crate::error::CoreError;
 use crate::optimizer::{DistributedOptimizer, GradViewMut};
-use crate::pipeline::{run_step, Bucket, BucketCodec, FusedPipeline, Round};
+use crate::pipeline::{run_step, Bucket, BucketCodec, FusedPipeline, PerBucket, Round};
 
 pub use crate::pipeline::DEFAULT_BUFFER_BYTES;
 
 /// Codec: one fused mean all-reduce per bucket, no compression.
+///
+/// Each bucket's dense buffer is the `AllReduce` op buffer itself: tensors
+/// are copied into it as they arrive, `encode` hands it to the collective,
+/// `decode` takes it back reduced, and `emit` copies each tensor out. It
+/// comes back every step, so it is allocated once per plan.
 #[derive(Debug, Default)]
-pub(crate) struct MeanCodec;
+pub(crate) struct MeanCodec {
+    bufs: PerBucket<Vec<f32>>,
+}
+
+impl MeanCodec {
+    /// Drops every bucket's buffer (the plan they were sized for is gone).
+    pub(crate) fn clear(&mut self) {
+        self.bufs.clear();
+    }
+}
 
 impl BucketCodec for MeanCodec {
+    fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
+        let buf = self.bufs.get_or_insert_with(bucket, Vec::new);
+        // Every slot is overwritten before `encode`, so a buffer of the
+        // right length needs no clearing; it is short only on a plan's
+        // first step or after a discarded one.
+        if buf.len() != bucket.elems {
+            buf.resize(bucket.elems, 0.0);
+        }
+        buf[bucket.span(slot)].copy_from_slice(grad);
+        Ok(())
+    }
+
     fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
         bucket.payload_bytes += 4 * bucket.elems as u64;
         Ok(vec![CollectiveOp::AllReduce {
-            buf: std::mem::take(&mut bucket.data),
+            buf: std::mem::take(self.bufs.get_mut(bucket)?),
             op: ReduceOp::Mean,
         }])
     }
@@ -28,7 +54,7 @@ impl BucketCodec for MeanCodec {
         bucket: &mut Bucket,
         results: Vec<CollectiveResult>,
     ) -> Result<Round, CoreError> {
-        bucket.data = results
+        let reduced = results
             .into_iter()
             .next()
             .ok_or(CoreError::CodecProtocol(
@@ -36,7 +62,18 @@ impl BucketCodec for MeanCodec {
             ))?
             .into_f32()
             .map_err(CoreError::from)?;
+        if reduced.len() != bucket.elems {
+            return Err(CoreError::CodecProtocol(
+                "reduced buffer does not match the encoded bucket",
+            ));
+        }
+        *self.bufs.get_mut(bucket)? = reduced;
         Ok(Round::Done)
+    }
+
+    fn emit(&mut self, bucket: &Bucket, slot: usize, out: &mut [f32]) -> Result<(), CoreError> {
+        out.copy_from_slice(&self.bufs.get_mut(bucket)?[bucket.span(slot)]);
+        Ok(())
     }
 }
 
@@ -77,7 +114,7 @@ impl SSgdAggregator {
     pub fn with_buffer_bytes(buffer_bytes: usize) -> Self {
         SSgdAggregator {
             pipeline: FusedPipeline::new(buffer_bytes),
-            codec: MeanCodec,
+            codec: MeanCodec::default(),
             recorder: RecorderCell::default(),
         }
     }
@@ -90,10 +127,12 @@ impl DistributedOptimizer for SSgdAggregator {
 
     fn set_buffer_bytes(&mut self, buffer_bytes: usize) {
         self.pipeline.set_buffer_bytes(buffer_bytes);
+        self.codec.clear();
     }
 
     fn on_membership_change(&mut self) {
         self.pipeline.replan();
+        self.codec.clear();
     }
 
     fn aggregate(

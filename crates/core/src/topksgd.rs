@@ -2,12 +2,15 @@
 //! error feedback.
 
 use acp_collectives::{CollectiveOp, CollectiveResult, Communicator};
-use acp_compression::{Compressor, ErrorFeedback, Payload, TopK};
+use acp_compression::{Compressor, ErrorFeedback, TopK};
 use acp_telemetry::{RecorderCell, RecorderHandle};
 
 use crate::error::CoreError;
 use crate::optimizer::{DistributedOptimizer, GradViewMut};
-use crate::pipeline::{run_step, Bucket, BucketCodec, FusedPipeline, Round, DEFAULT_BUFFER_BYTES};
+use crate::pipeline::{
+    run_step, Bucket, BucketCodec, FusedPipeline, PerBucket, Round, DEFAULT_BUFFER_BYTES,
+};
+use crate::sparse::{gathered_pairs, k_for, sparse_parts, SlotPairs};
 
 /// Configuration of [`TopkSgdAggregator`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,63 +56,66 @@ impl TopkSgdConfig {
     }
 }
 
+/// Per-bucket Top-k state.
+#[derive(Debug, Default)]
+struct TopkBucket {
+    /// Error-feedback compressor (`None` on the raw path).
+    ef: Option<ErrorFeedback<TopK>>,
+    /// The bucket's gradient as selected from — `g + e` with error
+    /// feedback, where the correction is the copy in — owned and reused
+    /// from step to step.
+    buf: Vec<f32>,
+    /// The gathered selections, from `decode` to `emit`.
+    pairs: SlotPairs,
+}
+
 /// The Top-k bucket codec: the `k = density × n` largest-magnitude elements
 /// of each bucket travel as coordinate/value pairs over all-gather and the
-/// union is scatter-averaged.
+/// union is scatter-averaged, tensor by tensor, into the caller's gradient.
 #[derive(Debug)]
 struct TopkCodec {
     density: f64,
     error_feedback: bool,
-    /// Per-bucket error-feedback compressors (unused on the raw path).
-    buckets: Vec<Option<ErrorFeedback<TopK>>>,
-    /// Each bucket's own buffer, held from `encode` to `decode` as the
-    /// scatter target.
-    held: Vec<Vec<f32>>,
+    buckets: PerBucket<TopkBucket>,
 }
 
 impl TopkCodec {
-    fn k_for(&self, n: usize) -> usize {
-        ((self.density * n as f64).ceil() as usize).clamp(1, n)
-    }
-
     fn residual_norm(&self) -> f32 {
         self.buckets
             .iter()
-            .flatten()
+            .filter_map(|b| b.ef.as_ref())
             .map(ErrorFeedback::residual_norm)
             .sum()
     }
 }
 
 impl BucketCodec for TopkCodec {
-    fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
-        let mut data = std::mem::take(&mut bucket.data);
-        let k = self.k_for(bucket.elems);
-        if self.held.len() <= bucket.index {
-            self.held.resize_with(bucket.index + 1, Vec::new);
+    fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
+        let st = self.buckets.get_or_insert_with(bucket, TopkBucket::default);
+        if st.buf.len() != bucket.elems {
+            st.buf.resize(bucket.elems, 0.0);
         }
-        let payload = if self.error_feedback {
-            if self.buckets.len() <= bucket.index {
-                self.buckets.resize_with(bucket.index + 1, || None);
-            }
-            self.buckets[bucket.index]
-                .get_or_insert_with(|| ErrorFeedback::new(TopK::new(k)))
-                .compress_in_place(&mut data)
+        let span = bucket.span(slot);
+        let density = self.density;
+        if self.error_feedback {
+            st.ef
+                .get_or_insert_with(|| ErrorFeedback::new(TopK::new(k_for(density, bucket.elems))))
+                .correct_from(grad, span.start, &mut st.buf);
         } else {
-            TopK::new(k).compress(&data)
+            st.buf[span].copy_from_slice(grad);
+        }
+        Ok(())
+    }
+
+    fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
+        let k = k_for(self.density, bucket.elems);
+        let st = self.buckets.get_mut(bucket)?;
+        let payload = match &mut st.ef {
+            Some(ef) => ef.compress_corrected(&st.buf),
+            None => TopK::new(k).compress(&st.buf),
         };
-        self.held[bucket.index] = data;
         bucket.payload_bytes += payload.wire_bytes() as u64;
-        let (indices, values) = match payload {
-            Payload::Sparse {
-                indices, values, ..
-            } => (indices, values),
-            _ => {
-                return Err(CoreError::CodecProtocol(
-                    "top-k compressor must produce a sparse payload",
-                ))
-            }
-        };
+        let (indices, values) = sparse_parts(payload)?;
         Ok(vec![
             CollectiveOp::AllGatherU32 { send: indices },
             CollectiveOp::AllGatherF32 { send: values },
@@ -121,32 +127,21 @@ impl BucketCodec for TopkCodec {
         bucket: &mut Bucket,
         results: Vec<CollectiveResult>,
     ) -> Result<Round, CoreError> {
-        let mut results = results.into_iter();
-        let gathered_idx = results
-            .next()
-            .ok_or(CoreError::CodecProtocol(
-                "expected two collective results per round",
-            ))?
-            .into_u32()
-            .map_err(CoreError::from)?;
-        let gathered_val = results
-            .next()
-            .ok_or(CoreError::CodecProtocol(
-                "expected two collective results per round",
-            ))?
-            .into_f32()
-            .map_err(CoreError::from)?;
-        let mut dense = self
-            .held
-            .get_mut(bucket.index)
-            .map(std::mem::take)
-            .filter(|held| held.len() == bucket.elems)
-            .ok_or(CoreError::CodecProtocol(
-                "decode without a pending encode state",
-            ))?;
-        TopK::scatter_average(&gathered_idx, &gathered_val, bucket.world_size, &mut dense);
-        bucket.data = dense;
+        let (indices, values) = gathered_pairs(results)?;
+        self.buckets
+            .get_mut(bucket)?
+            .pairs
+            .regroup(bucket, &indices, &values)?;
         Ok(Round::Done)
+    }
+
+    fn emit(&mut self, bucket: &Bucket, slot: usize, out: &mut [f32]) -> Result<(), CoreError> {
+        let inv = 1.0 / bucket.world_size as f32;
+        self.buckets
+            .get_mut(bucket)?
+            .pairs
+            .scatter(slot, inv, out, |o, v| *o += v);
+        Ok(())
     }
 }
 
@@ -207,8 +202,7 @@ impl TopkSgdAggregator {
             codec: TopkCodec {
                 density: cfg.density,
                 error_feedback: cfg.error_feedback,
-                buckets: Vec::new(),
-                held: Vec::new(),
+                buckets: PerBucket::default(),
             },
             recorder: RecorderCell::default(),
         }

@@ -1,13 +1,14 @@
-//! Steady-state ACP-SGD and Power-SGD steps allocate nothing the size of a
-//! gradient.
+//! Steady-state aggregation steps allocate nothing the size of a gradient
+//! — for all seven aggregators, through both entry points.
 //!
-//! The low-rank codecs used to copy every matrix out of its bucket, clone
-//! it again into `M + E`, materialize `P Qᵀ` twice and decode into a fresh
-//! zeroed buffer — five gradient-sized allocations per matrix per step.
-//! They now stream bucket sub-slices through in-place kernels and decode
-//! into the bucket's own buffer. A counting global allocator pins that: once
-//! the lazily built state exists, the largest single allocation of a whole
-//! `aggregate` call stays below the smallest matrix in the bucket.
+//! The pipeline used to stage every step in bucket-sized buffers of its
+//! own (zeroed, packed, unpacked), and several codecs decoded into a fresh
+//! zeroed bucket. Now each codec reads the caller's tensors and writes them
+//! back, holding at most one dense buffer that it reuses (S-SGD's op
+//! buffer, the sign/sparse codecs' corrected gradient) and, for the
+//! low-rank codecs, only factors. A counting global allocator pins that:
+//! once the lazily built state exists, the largest single allocation of a
+//! whole step stays below the smallest matrix in the bucket.
 //!
 //! The allocator is the one place the workspace needs `unsafe` outside
 //! `acp_tensor::pool`: `GlobalAlloc` is an unsafe trait. It only forwards to
@@ -18,8 +19,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use acp_collectives::LocalCommunicator;
 use acp_core::{
-    AcpSgdAggregator, AcpSgdConfig, DistributedOptimizer, GradViewMut, PowerSgdAggregator,
-    PowerSgdConfig,
+    build_optimizer, AcpSgdConfig, Aggregator, DgcConfig, DistributedOptimizer, GradViewMut,
+    PowerSgdConfig, SignSgdConfig, TopkSgdConfig,
 };
 
 /// Forwards to [`System`], recording the largest request made while armed
@@ -73,20 +74,44 @@ const SHAPES: [&[usize]; 3] = [&[256, 1152], &[64, 576], &[64]];
 /// Bytes of the smaller matrix: anything this large is gradient-sized.
 const GRADIENT_SIZED: usize = 64 * 576 * 4;
 
-/// Largest single allocation of one `aggregate` call on `grads`.
-fn largest_allocation(opt: &mut dyn DistributedOptimizer, grads: &mut [Vec<f32>]) -> usize {
-    let mut comm = LocalCommunicator::new();
-    let mut views: Vec<GradViewMut<'_>> = grads
-        .iter_mut()
-        .zip(SHAPES)
-        .map(|(grad, dims)| GradViewMut { dims, grad })
-        .collect();
+/// Largest single allocation made anywhere in the process while `f` runs.
+fn largest_allocation_during(f: impl FnOnce()) -> usize {
     LARGEST.store(0, Ordering::Relaxed);
     ARMED.store(true, Ordering::Relaxed);
-    let result = opt.aggregate(&mut views, &mut comm);
+    f();
     ARMED.store(false, Ordering::Relaxed);
-    result.expect("aggregate");
     LARGEST.load(Ordering::Relaxed)
+}
+
+/// Largest single allocation of one step on `grads`: a blocking
+/// `aggregate`, or every tensor pushed in backward order and then
+/// `finish_overlap`.
+fn largest_allocation(
+    opt: &mut dyn DistributedOptimizer,
+    grads: &mut [Vec<f32>],
+    overlapped: bool,
+) -> usize {
+    let mut comm = LocalCommunicator::new();
+    largest_allocation_during(|| {
+        if overlapped {
+            for (index, grad) in grads.iter().enumerate().rev() {
+                opt.push_ready(index, SHAPES[index], grad, &mut comm)
+                    .expect("push_ready");
+            }
+        }
+        // The views are three fat pointers: far below gradient-sized.
+        let mut views: Vec<GradViewMut<'_>> = grads
+            .iter_mut()
+            .zip(SHAPES)
+            .map(|(grad, dims)| GradViewMut { dims, grad })
+            .collect();
+        if overlapped {
+            opt.finish_overlap(&mut views, &mut comm)
+        } else {
+            opt.aggregate(&mut views, &mut comm)
+        }
+        .expect("aggregate");
+    })
 }
 
 fn gradients(step: usize) -> Vec<Vec<f32>> {
@@ -102,38 +127,61 @@ fn gradients(step: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
+/// All seven aggregators; the four with an error-feedback switch in both
+/// positions (the low-rank ones carry the gradient differently without it).
+fn aggregators() -> Vec<Aggregator> {
+    let mut all = vec![
+        Aggregator::Ssgd,
+        Aggregator::GTopk { density: 0.001 },
+        Aggregator::Dgc(DgcConfig::default()),
+    ];
+    for ef in [true, false] {
+        all.push(Aggregator::SignSgd(
+            SignSgdConfig::default().with_error_feedback(ef),
+        ));
+        all.push(Aggregator::Topk(
+            TopkSgdConfig::default().with_error_feedback(ef),
+        ));
+        all.push(Aggregator::PowerSgd(
+            PowerSgdConfig::default().with_error_feedback(ef),
+        ));
+        all.push(Aggregator::AcpSgd(
+            AcpSgdConfig::default().with_error_feedback(ef),
+        ));
+    }
+    all
+}
+
 /// One test, so nothing else in this process allocates while armed.
 #[test]
 fn steady_state_steps_make_no_gradient_sized_allocation() {
-    for error_feedback in [true, false] {
-        let mut acp =
-            AcpSgdAggregator::new(AcpSgdConfig::default().with_error_feedback(error_feedback));
-        let mut power =
-            PowerSgdAggregator::new(PowerSgdConfig::default().with_error_feedback(error_feedback));
-        // Warm-up: the first step builds the bucket plan, the residuals and
-        // the states' carries; the second is ACP-SGD's first Q step.
+    // The counter is armed and sees a gradient-sized request when one is
+    // made — otherwise every assertion below would pass vacuously.
+    let probe = largest_allocation_during(|| {
+        drop(std::hint::black_box(vec![0u8; GRADIENT_SIZED]));
+    });
+    assert!(
+        probe >= GRADIENT_SIZED,
+        "the counter is not armed ({probe} B)"
+    );
+
+    for spec in aggregators() {
+        let mut opt = build_optimizer(&spec);
+        // Warm-up: the first step builds the bucket plan, the codec's
+        // buffers, the residuals and the states' carries; the second is
+        // ACP-SGD's first Q step.
         for step in 0..2 {
-            let cold = largest_allocation(&mut acp, &mut gradients(step));
-            largest_allocation(&mut power, &mut gradients(step));
-            if step == 0 {
-                assert!(
-                    cold >= GRADIENT_SIZED,
-                    "the counter sees the lazy set-up ({cold} B)"
-                );
-            }
+            largest_allocation(opt.as_mut(), &mut gradients(step), false);
         }
-        // Steady state: a P step and a Q step of ACP-SGD, one Power-SGD step.
-        for step in 2..4 {
-            let largest = largest_allocation(&mut acp, &mut gradients(step));
+        // Steady state, two steps through each entry point: a P step and
+        // a Q step of ACP-SGD either way.
+        for step in 2..6 {
+            let overlapped = step >= 4;
+            let largest = largest_allocation(opt.as_mut(), &mut gradients(step), overlapped);
             assert!(
                 largest < GRADIENT_SIZED,
-                "ACP-SGD step {step} (EF {error_feedback}) allocated {largest} B at once"
+                "{spec:?} step {step} (overlapped {overlapped}) allocated {largest} B at once"
             );
         }
-        let largest = largest_allocation(&mut power, &mut gradients(4));
-        assert!(
-            largest < GRADIENT_SIZED,
-            "Power-SGD (EF {error_feedback}) allocated {largest} B at once"
-        );
     }
 }
