@@ -29,6 +29,21 @@ pub trait Compressor: Send {
     /// payload variant is not one this compressor produces.
     fn decompress(&self, payload: &Payload, out: &mut [f32]);
 
+    /// Writes the error-feedback residual `corrected − decompress(payload)`
+    /// into `residual`, where `payload` is what compressing `corrected`
+    /// returned and both slices have the payload's dense length.
+    /// Overrides must produce the default's bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same mismatches as [`Compressor::decompress`].
+    fn residual_into(&self, payload: &Payload, corrected: &[f32], residual: &mut [f32]) {
+        self.decompress(payload, residual);
+        for (e, c) in residual.iter_mut().zip(corrected) {
+            *e = c - *e;
+        }
+    }
+
     /// Convenience: compress then immediately decompress, returning the
     /// round-tripped gradient (what this worker's contribution looks like
     /// after lossy compression).

@@ -115,10 +115,8 @@ impl<C: Compressor> ErrorFeedback<C> {
         self.size_residual(corrected.len());
         let payload = self.inner.compress(corrected);
         // e <- g' - decompress(c)
-        self.inner.decompress(&payload, &mut self.residual);
-        for (e, c) in self.residual.iter_mut().zip(corrected) {
-            *e = c - *e;
-        }
+        self.inner
+            .residual_into(&payload, corrected, &mut self.residual);
         payload
     }
 
@@ -150,21 +148,25 @@ mod tests {
     use crate::sign::SignSgd;
     use crate::topk::TopK;
 
+    /// Oracle: g' = g + e into a copy, e = g' - decompress(c) through a
+    /// zeroed temporary — the two allocations `compress_in_place` drops.
+    fn oracle<C: Compressor>(inner: &mut C, residual: &mut [f32], grad: &[f32]) -> Payload {
+        let corrected: Vec<f32> = grad.iter().zip(&*residual).map(|(g, e)| g + e).collect();
+        let payload = inner.compress(&corrected);
+        let mut approx = vec![0.0; grad.len()];
+        inner.decompress(&payload, &mut approx);
+        for ((e, c), a) in residual.iter_mut().zip(&corrected).zip(&approx) {
+            *e = c - a;
+        }
+        payload
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn in_place_compress_matches_the_out_of_place_formulation_bitwise() {
-        // Oracle: g' = g + e into a copy, e = g' - decompress(c) through a
-        // zeroed temporary — the two allocations `compress_in_place` drops.
-        fn oracle<C: Compressor>(inner: &mut C, residual: &mut [f32], grad: &[f32]) -> Payload {
-            let corrected: Vec<f32> = grad.iter().zip(&*residual).map(|(g, e)| g + e).collect();
-            let payload = inner.compress(&corrected);
-            let mut approx = vec![0.0; grad.len()];
-            inner.decompress(&payload, &mut approx);
-            for ((e, c), a) in residual.iter_mut().zip(&corrected).zip(&approx) {
-                *e = c - a;
-            }
-            payload
-        }
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut ef = ErrorFeedback::new(TopK::new(3));
         let mut split = ErrorFeedback::new(TopK::new(3));
         let (mut inner, mut residual) = (TopK::new(3), vec![0.0f32; 17]);
@@ -193,6 +195,88 @@ mod tests {
                 bits(&residual),
                 "split residual, step {step}"
             );
+        }
+    }
+
+    /// `TopK` with only the required methods, so `residual_into` is the
+    /// trait's default decompress-and-subtract.
+    struct DefaultResidual(TopK);
+
+    impl Compressor for DefaultResidual {
+        fn name(&self) -> &'static str {
+            "topk-default-residual"
+        }
+
+        fn compress(&mut self, grad: &[f32]) -> Payload {
+            self.0.compress(grad)
+        }
+
+        fn decompress(&self, payload: &Payload, out: &mut [f32]) {
+            self.0.decompress(payload, out);
+        }
+    }
+
+    /// Signed zeros, infinities and subnormals among ordinary values, each
+    /// about one element in nine; no NaN, which is outside the
+    /// bit-identity contract.
+    fn awkward(len: usize, step: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| match (i + step) % 9 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::from_bits(1 + i as u32),
+                3 => -f32::from_bits(0x7f_0000 + i as u32),
+                4 => f32::INFINITY,
+                5 => f32::NEG_INFINITY,
+                _ => ((i * 5 + step) as f32 * 0.61).cos() * 3.0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn topk_residual_into_matches_the_default_bitwise() {
+        for len in [1usize, 9, 40, 333] {
+            for k in [1usize, 3, len / 2 + 1, len] {
+                for step in 0..3 {
+                    let corrected = awkward(len, step);
+                    let mut topk = TopK::new(k);
+                    let payload = topk.compress(&corrected);
+                    let mut fast = vec![f32::NAN; len];
+                    topk.residual_into(&payload, &corrected, &mut fast);
+                    let mut slow = vec![f32::NAN; len];
+                    DefaultResidual(TopK::new(k)).residual_into(&payload, &corrected, &mut slow);
+                    assert_eq!(bits(&fast), bits(&slow), "len {len} k {k} step {step}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_oracle_holds_through_zeros_infinities_and_subnormals() {
+        // k = 7 of 45 keeps some of the ten infinities and drops the rest;
+        // k = 40 also keeps zeros and subnormals. A kept infinity leaves a
+        // NaN residual that later steps select, so payload values are
+        // compared bit by bit.
+        let parts = |p: &Payload| match p {
+            Payload::Sparse {
+                indices, values, ..
+            } => (indices.clone(), bits(values)),
+            _ => panic!("TopK payloads are sparse"),
+        };
+        for k in [7, 40] {
+            let mut ef = ErrorFeedback::new(TopK::new(k));
+            let (mut inner, mut residual) = (TopK::new(k), vec![0.0f32; 45]);
+            for step in 0..6 {
+                let grad = awkward(45, step);
+                let fast = ef.compress_in_place(&mut grad.clone());
+                let slow = oracle(&mut inner, &mut residual, &grad);
+                assert_eq!(parts(&fast), parts(&slow), "payload, k {k} step {step}");
+                assert_eq!(
+                    bits(&ef.residual),
+                    bits(&residual),
+                    "residual, k {k} step {step}"
+                );
+            }
         }
     }
 

@@ -34,34 +34,122 @@ pub fn abs_key(g: f32) -> u32 {
     g.to_bits() & 0x7fff_ffff
 }
 
-/// Fills `keys[i] = abs_key(grad[i])` (pool-parallel for large inputs).
-pub fn abs_keys(grad: &[f32]) -> Vec<u32> {
-    let mut keys = vec![0u32; grad.len()];
-    let pool = global_for(grad.len());
-    let chunks = chunks_for(pool, grad.len());
-    pool.for_each_unit_chunk_mut(&mut keys, 1, chunks, |start, piece| {
-        let n = piece.len();
-        for (k, &g) in piece.iter_mut().zip(&grad[start..start + n]) {
-            *k = abs_key(g);
-        }
-    });
-    keys
-}
-
 /// Indices of the `k` largest-magnitude elements, ascending.
 ///
 /// Magnitudes are compared through [`abs_key`], so selection is a total
-/// order: ties keep the unstable-partition behaviour of the scalar
-/// reference, and NaN elements rank above everything instead of poisoning
-/// the comparator. Selection is partition-bound, so this matches rather
-/// than beats the scalar reference's throughput — the kernel's point is
-/// the total order, and the comparator sequence is identical to the
-/// reference's, so both return the same set even at tie boundaries.
+/// order and NaN elements rank above everything instead of poisoning the
+/// comparator. The result is exactly the scalar reference's, tie
+/// boundaries included.
+///
+/// The whole-bucket introselect is only the fallback. First a
+/// deterministic sample (every 67th element) gives a lower bound on the
+/// k-th largest key, one sweep collects every element at or above it, and
+/// a select among those few candidates finds the k-th key `t`. When
+/// exactly `k` elements reach `t` they are the unique top-k, so any exact
+/// selection returns them; the sweep visited them in index order, so they
+/// come out ascending. The introselect runs instead when the data make the
+/// bound useless — fewer than `k` candidates, or more than `128·k + 2144`
+/// — or when `t` is tied across the boundary, where only
+/// running the reference's own partition reproduces which of the tied
+/// elements it keeps.
 pub fn select_topk(grad: &[f32], k: usize) -> Vec<u32> {
     let k = k.min(grad.len());
     if k == 0 {
         return Vec::new();
     }
+    SCRATCH
+        .with_borrow_mut(|scratch| select_bounded(grad, k, scratch))
+        .unwrap_or_else(|| select_by_partition(grad, k))
+}
+
+/// Stride of the sample that bounds the k-th largest key from below. A
+/// prime, so the sample walks every column of a power-of-two-wide weight
+/// matrix. Every 64th element of the MLP's 32-wide first layer is in one
+/// input's column, and on some seeds that column's gradients are so small
+/// that about 46 % of the bucket reaches the bound, past the cap.
+const SAMPLE_STRIDE: usize = 67;
+
+/// Ranks added past the sample's own estimate of the k-th key, so that a
+/// sample sitting a little high still leaves `k` candidates.
+const SAMPLE_SLACK: usize = 16;
+
+/// Candidates per selected element that [`candidate_cap`] allows.
+const MAX_CANDIDATES_PER_K: usize = 128;
+
+/// Candidates past which the bounded path gives up: the bound sits in a
+/// crowd of tied or packed magnitudes, and sweeping on would cost more
+/// than the introselect it is meant to replace. The sample rank puts about
+/// `3k + SAMPLE_SLACK × SAMPLE_STRIDE` elements above the bound, so the
+/// cap is a multiple of `k` plus twice that fixed slack: an ordinary
+/// gradient stays inside it for every `k`, 1 included.
+fn candidate_cap(k: usize) -> usize {
+    MAX_CANDIDATES_PER_K
+        .saturating_mul(k)
+        .saturating_add(2 * SAMPLE_SLACK * SAMPLE_STRIDE)
+}
+
+/// Per-thread buffers of [`select_bounded`], kept at the size of the
+/// largest sample and candidate set selected so far.
+#[derive(Debug, Default)]
+struct BoundScratch {
+    /// The sampled keys, then the candidates' keys.
+    keys: Vec<u32>,
+    /// `(index, key)` of every element at or above the bound, in index
+    /// order.
+    cand: Vec<(u32, u32)>,
+}
+
+/// The lower bound: the `(3·⌈k·s/n⌉ + SAMPLE_SLACK)`-th largest of the
+/// `s` sampled keys (the smallest of them when the sample is shorter).
+fn lower_bound(grad: &[f32], k: usize, keys: &mut Vec<u32>) -> u32 {
+    keys.clear();
+    keys.extend(grad.iter().step_by(SAMPLE_STRIDE).map(|&g| abs_key(g)));
+    let s = keys.len();
+    let rank = (3 * (k * s).div_ceil(grad.len()) + SAMPLE_SLACK).min(s);
+    *keys.select_nth_unstable(s - rank).1
+}
+
+/// The selection through a sampled lower bound, or `None` when the bound
+/// cannot vouch for it. Requires `1 <= k <= grad.len()`.
+fn select_bounded(grad: &[f32], k: usize, scratch: &mut BoundScratch) -> Option<Vec<u32>> {
+    let t_low = lower_bound(grad, k, &mut scratch.keys);
+    let cap = candidate_cap(k);
+    let cand = &mut scratch.cand;
+    cand.clear();
+    for (i, &g) in grad.iter().enumerate() {
+        let key = abs_key(g);
+        if key >= t_low {
+            if cand.len() == cap {
+                return None;
+            }
+            cand.push((i as u32, key));
+        }
+    }
+    let m = cand.len();
+    if m < k {
+        return None;
+    }
+    let keys = &mut scratch.keys;
+    keys.clear();
+    keys.extend(cand.iter().map(|&(_, key)| key));
+    // Every element outside the candidates is below the bound, so the
+    // candidates' k-th largest key is the bucket's.
+    let (below, &mut t, _) = keys.select_nth_unstable(m - k);
+    if below.contains(&t) {
+        return None;
+    }
+    Some(
+        cand.iter()
+            .filter(|&&(_, key)| key >= t)
+            .map(|&(i, _)| i)
+            .collect(),
+    )
+}
+
+/// The introselect over an index permutation of the whole bucket — the
+/// same comparator sequence as the scalar reference, so the same set even
+/// at tie boundaries.
+fn select_by_partition(grad: &[f32], k: usize) -> Vec<u32> {
     PERMUTATION.with_borrow_mut(|idx| {
         idx.clear();
         idx.extend(0..grad.len() as u32);
@@ -75,13 +163,18 @@ pub fn select_topk(grad: &[f32], k: usize) -> Vec<u32> {
 }
 
 thread_local! {
-    /// The index permutation [`select_topk`] partitions: one element per
-    /// gradient element, so allocating it per call is a gradient-sized
-    /// allocation per bucket per step whose cost — fresh pages faulted in
-    /// on every use, or warm ones — depends on what else the thread has
-    /// been freeing. Kept per thread, at the size of the largest bucket
-    /// selected from.
+    /// The index permutation [`select_by_partition`] partitions: one
+    /// element per gradient element, so allocating it per call is a
+    /// gradient-sized allocation per bucket per step whose cost — fresh
+    /// pages faulted in on every use, or warm ones — depends on what else
+    /// the thread has been freeing. Kept per thread, at the size of the
+    /// largest bucket that fell back.
     static PERMUTATION: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
+
+    /// The sample and candidates [`select_bounded`] works in.
+    static SCRATCH: std::cell::RefCell<BoundScratch> = const {
+        std::cell::RefCell::new(BoundScratch { keys: Vec::new(), cand: Vec::new() })
+    };
 }
 
 /// Bit-packs signs of one ≤32-element block (bit `j` = 1 when
@@ -632,6 +725,157 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `n` distinct magnitudes, `1..=n` scaled by 2⁻¹⁰ in a scrambled
+    /// order with mixed signs.
+    fn distinct(n: usize, seed: u32) -> Vec<f32> {
+        let mut perm: Vec<usize> = (1..=n).collect();
+        let mut state = seed;
+        for i in (1..n).rev() {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            perm.swap(i, state as usize % (i + 1));
+        }
+        perm.iter()
+            .enumerate()
+            .map(|(i, &m)| if i % 3 == 0 { -1.0 } else { 1.0 } * m as f32 / 1024.0)
+            .collect()
+    }
+
+    /// What the data decide for the bounded path: how many elements reach
+    /// the sampled bound, and how many reach the k-th largest key (more
+    /// than `k` is a tie across the boundary).
+    fn census(grad: &[f32], k: usize) -> (usize, usize) {
+        let t_low = lower_bound(grad, k, &mut Vec::new());
+        let mut keys: Vec<u32> = grad.iter().map(|&g| abs_key(g)).collect();
+        keys.sort_unstable_by(|a, b| b.cmp(a));
+        let t = keys[k - 1];
+        let reaching = |bound: u32| keys.iter().filter(|&&key| key >= bound).count();
+        (reaching(t_low), reaching(t))
+    }
+
+    /// Whether the bounded path answers on `grad`; an answer must be the
+    /// reference's.
+    fn answers(grad: &[f32], k: usize) -> bool {
+        let got = select_bounded(grad, k, &mut BoundScratch::default());
+        if let Some(got) = &got {
+            assert_eq!(
+                got,
+                &reference::select_topk(grad, k),
+                "n {} k {k}",
+                grad.len()
+            );
+        }
+        got.is_some()
+    }
+
+    #[test]
+    fn bounded_path_answers_for_distinct_magnitudes() {
+        // The MLP's buckets (8448, 644 and 256 elements at density 0.001,
+        // so k = 9, 1 and 1) sit beside the large ones: small k must not
+        // push an ordinary bound past the cap.
+        let cases = [
+            (256usize, 7u32, vec![1, 2]),
+            (644, 8, vec![1, 2]),
+            (8448, 9, vec![1, 9]),
+            (4096, 1, vec![1, 24, 40, 409, 2048]),
+            (6000, 2, vec![1, 26, 60, 600, 3000]),
+            (1 << 16, 3, vec![1, 66, 655, 6553, 32768]),
+            (100_003, 4, vec![1, 101, 1000, 10000, 50001]),
+        ];
+        for (n, seed, ks) in cases {
+            let grad = distinct(n, seed);
+            for k in ks {
+                let (candidates, at_t) = census(&grad, k);
+                assert!(
+                    (k..=candidate_cap(k)).contains(&candidates),
+                    "n {n} k {k}: {candidates} candidates"
+                );
+                assert_eq!(at_t, k, "n {n} k {k}");
+                assert!(answers(&grad, k), "n {n} k {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_tie_at_the_boundary_falls_back() {
+        // Five magnitudes, a fifth of the elements each, salted with the
+        // awkward values: the k-th key is held by far more than the
+        // boundary has room for.
+        let n = 6000;
+        let mut grad: Vec<f32> = (0..n).map(|i| (i % 5) as f32 - 2.0).collect();
+        for (i, v) in [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+            .into_iter()
+            .enumerate()
+        {
+            grad[i * 997 + 5] = v;
+        }
+        for k in [600, 1000, 3000] {
+            let (candidates, at_t) = census(&grad, k);
+            assert!((k..=candidate_cap(k)).contains(&candidates), "k {k}");
+            assert!(at_t > k, "k {k}: only {at_t} reach the k-th key");
+            assert!(!answers(&grad, k), "k {k}");
+            assert_eq!(select_topk(&grad, k), reference::select_topk(&grad, k));
+        }
+    }
+
+    #[test]
+    fn a_crowd_at_the_bound_falls_back_after_a_partial_sweep() {
+        // Half the bucket packed into three adjacent floats: the bound
+        // lands on the top one, shared by about 11 k elements.
+        let n = 1 << 16;
+        let band = [1.0f32, 1.0 + f32::EPSILON, 1.0 + 2.0 * f32::EPSILON];
+        let grad: Vec<f32> = distinct(n, 5)
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| {
+                if i % 2 == 0 {
+                    band[i / 2 % 3]
+                } else {
+                    g / n as f32
+                }
+            })
+            .collect();
+        for k in [1, 9, 50] {
+            let (candidates, _) = census(&grad, k);
+            assert!(candidates > candidate_cap(k), "k {k}: {candidates}");
+            assert!(!answers(&grad, k), "k {k}");
+            assert_eq!(select_topk(&grad, k), reference::select_topk(&grad, k));
+        }
+    }
+
+    #[test]
+    fn the_bound_is_the_samples_rank_and_every_element_reaching_it_counts() {
+        // Spikes exactly at the sampled positions, everything else below
+        // every spike: the candidates are the spikes at or above the
+        // sample's (3·⌈k·s/n⌉ + 16)-th largest, which is the 19th for
+        // k ≤ 67 here — so 19 candidates serve k = 19 and fail k = 20.
+        let s = 200;
+        let grad: Vec<f32> = (0..s * SAMPLE_STRIDE)
+            .map(|i| {
+                if i % SAMPLE_STRIDE == 0 {
+                    (1 + i / SAMPLE_STRIDE) as f32
+                } else {
+                    -1.0e-3 * (i % 7) as f32
+                }
+            })
+            .collect();
+        assert_eq!(
+            lower_bound(&grad, 19, &mut Vec::new()),
+            abs_key((s - 18) as f32)
+        );
+        assert!(answers(&grad, 19));
+        assert_eq!(census(&grad, 20).0, 19);
+        assert!(!answers(&grad, 20));
+        assert_eq!(select_topk(&grad, 20), reference::select_topk(&grad, 20));
+        // A sample shorter than the rank bounds at its own smallest key.
+        let short = distinct(300, 6);
+        let smallest = short
+            .iter()
+            .step_by(SAMPLE_STRIDE)
+            .map(|&g| abs_key(g))
+            .min();
+        assert_eq!(Some(lower_bound(&short, 1, &mut Vec::new())), smallest);
     }
 
     #[test]

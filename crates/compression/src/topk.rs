@@ -6,11 +6,14 @@
 //! not additive and aggregation uses all-gather + scatter-add.
 //!
 //! Two selection kernels are provided, mirroring the paper's discussion
-//! (§III, footnote 2): exact selection (`select_nth`-based, the reference),
-//! and **multiple-sampling threshold estimation** — sample the magnitude
-//! distribution, binary-search a threshold that passes ≈`k` elements, then
-//! sweep once. The paper notes exact Top-k is computationally inefficient on
-//! GPUs and uses the sampling variant; the ablation bench
+//! (§III, footnote 2): exact selection ([`kernels::select_topk`], the
+//! default), and **multiple-sampling threshold estimation** — sample the
+//! magnitude distribution, take the threshold that passes ≈`k` elements,
+//! then sweep once. The paper notes exact Top-k is computationally
+//! inefficient on GPUs and uses the sampling variant; the exact kernel here
+//! borrows the same sampling, but only for a lower bound on the k-th
+//! magnitude, and then verifies its result exact, so it costs about one
+//! sweep and still returns exactly `k` elements. The ablation bench
 //! `ablation_topk_selection` compares both.
 
 use rand::Rng;
@@ -134,9 +137,10 @@ impl TopK {
         }
         if idx.len() > k {
             // Overshoot: keep the k largest among the candidates (cheap —
-            // the candidate set is already ≈ k).
-            let keys = kernels::abs_keys(grad);
-            idx.select_nth_unstable_by(k - 1, |&a, &b| keys[b as usize].cmp(&keys[a as usize]));
+            // the candidate set is already ≈ k, so its keys are read on
+            // the fly rather than for the whole gradient).
+            let key = |i: u32| kernels::abs_key(grad[i as usize]);
+            idx.select_nth_unstable_by(k - 1, |&a, &b| key(b).cmp(&key(a)));
             idx.truncate(k);
             idx.sort_unstable();
         }
@@ -186,21 +190,40 @@ impl Compressor for TopK {
     }
 
     fn decompress(&self, payload: &Payload, out: &mut [f32]) {
-        match payload {
-            Payload::Sparse {
-                indices,
-                values,
-                len,
-            } => {
-                assert_eq!(out.len(), *len, "output length mismatch");
-                out.fill(0.0);
-                for (&i, &v) in indices.iter().zip(values) {
-                    out[i as usize] = v;
-                }
-            }
-            // allow_verify(reason: contract panic on payload-kind mismatch, pinned by tests)
-            _ => panic!("TopK expects Payload::Sparse"),
+        let (indices, values) = sparse_pairs(payload, out.len());
+        out.fill(0.0);
+        for (&i, &v) in indices.iter().zip(values) {
+            out[i as usize] = v;
         }
+    }
+
+    /// One copy of `corrected`, then `corrected[i] − v` at the `k`
+    /// selected indices: the default's zero-fill and whole-buffer subtract
+    /// skipped, with the same bits, since `c − 0.0` is `c` for every
+    /// non-NaN `c` (`−0.0` and `±∞` included).
+    fn residual_into(&self, payload: &Payload, corrected: &[f32], residual: &mut [f32]) {
+        let (indices, values) = sparse_pairs(payload, residual.len());
+        residual.copy_from_slice(corrected);
+        for (&i, &v) in indices.iter().zip(values) {
+            residual[i as usize] = corrected[i as usize] - v;
+        }
+    }
+}
+
+/// The (index, value) arrays of a Top-k payload whose dense length must be
+/// `len`.
+fn sparse_pairs(payload: &Payload, len: usize) -> (&[u32], &[f32]) {
+    match payload {
+        Payload::Sparse {
+            indices,
+            values,
+            len: dense,
+        } => {
+            assert_eq!(len, *dense, "output length mismatch");
+            (indices, values)
+        }
+        // allow_verify(reason: contract panic on payload-kind mismatch, pinned by tests)
+        _ => panic!("TopK expects Payload::Sparse"),
     }
 }
 
@@ -347,6 +370,31 @@ mod tests {
             sel.iter().any(|b| f32::from_bits(*b).is_nan()),
             "NaN must rank above every finite magnitude"
         );
+    }
+
+    #[test]
+    fn sampled_overshoot_ranks_candidates_as_before() {
+        // 52 elements share the top magnitude 0.5, more than k, so the
+        // threshold overshoots and the candidates are ranked among
+        // themselves; which tied ones survive is the partition's choice.
+        // Pinned from the version that ranked through a gradient-sized
+        // key array.
+        let grad: Vec<f32> = (0..5000)
+            .map(|i| ((i * 37) % 97) as f32 / 97.0 - 0.5)
+            .collect();
+        let mut every_97th: Vec<u32> = (0..52).map(|j| j * 97).collect();
+        every_97th.retain(|&i| i != 2425 && i != 4947);
+        let pinned = [
+            (50, 9, every_97th),
+            (7, 1, vec![194, 291, 388, 485, 582, 679, 2328]),
+        ];
+        for (k, seed, want) in pinned {
+            let mut c = TopK::with_selection(k, TopKSelection::Sampled, seed);
+            match c.compress(&grad) {
+                Payload::Sparse { indices, .. } => assert_eq!(indices, want, "k {k}"),
+                _ => panic!("wrong payload"),
+            }
+        }
     }
 
     #[test]

@@ -163,6 +163,165 @@ fn large_inputs_cross_the_parallel_threshold_bit_identically() {
 }
 
 // ---------------------------------------------------------------------------
+// Top-k selection through the sampled lower bound: one data family per path
+// of `kernels::select_topk` (the bound answers; a tie at the boundary; a
+// crowd at the bound), each against the scalar introselect. The unit tests
+// beside the kernel pin which path each family takes. The candidate cap
+// carries a fixed 2144 on top of `128·k`, so a band in a bucket of at most
+// 6000 elements crowds the bound only for small `k`; past that it falls
+// back on the tie. The ResNet-sized band below always crowds it.
+// ---------------------------------------------------------------------------
+
+/// Longest bucket the selection proptests draw: long enough for the sample
+/// rank to drop below the sample length (from about 1210 elements).
+const MAX_SELECT_LEN: usize = if cfg!(miri) { 1300 } else { 6000 };
+const SELECT_CASES: u32 = if cfg!(miri) { 4 } else { 64 };
+/// ResNet-18's largest layer, which is a bucket of its own.
+const LARGE_SELECT_LEN: usize = if cfg!(miri) { 4096 } else { 2_359_296 };
+
+/// A splitmix stream, so each family is a pure function of its seed.
+fn splitmix(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed;
+    move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
+/// `n` distinct magnitudes (`1..=n` × 2⁻¹⁰, shuffled, mixed signs).
+fn distinct_magnitudes(n: usize, seed: u64) -> Vec<f32> {
+    let mut next = splitmix(seed);
+    let mut perm: Vec<usize> = (1..=n).collect();
+    for i in (1..n).rev() {
+        perm.swap(i, next() as usize % (i + 1));
+    }
+    perm.into_iter()
+        .map(|m| {
+            let sign = if next().is_multiple_of(2) { 1.0 } else { -1.0 };
+            sign * m as f32 / 1024.0
+        })
+        .collect()
+}
+
+/// A few distinct magnitudes salted with `±0.0`, NaN and `±∞`: whatever
+/// `k` is, its key is shared by many elements.
+fn few_values(n: usize, seed: u64) -> Vec<f32> {
+    let mut next = splitmix(seed);
+    (0..n)
+        .map(|_| match next() % 40 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::NAN,
+            3 => f32::INFINITY,
+            4 => f32::NEG_INFINITY,
+            r => [0.5f32, -1.0, 2.0, -2.0][r as usize % 4],
+        })
+        .collect()
+}
+
+/// Distinct small magnitudes under a band of three adjacent floats that
+/// holds the top half of the bucket.
+fn top_band(n: usize, seed: u64) -> Vec<f32> {
+    let band = [1.0f32, 1.0 + f32::EPSILON, -(1.0 + 2.0 * f32::EPSILON)];
+    let mut next = splitmix(seed ^ 0xBA4D);
+    distinct_magnitudes(n, seed)
+        .into_iter()
+        .map(|g| {
+            let r = next();
+            if r.is_multiple_of(2) {
+                band[(r >> 1) as usize % 3]
+            } else {
+                g / n as f32
+            }
+        })
+        .collect()
+}
+
+/// Bucket length, family seed and `k` in `1..=n`, with `n` and `n − 1`
+/// drawn on purpose.
+fn selection_case() -> impl Strategy<Value = (usize, u64, usize)> {
+    (
+        200usize..=MAX_SELECT_LEN,
+        0u64..u64::MAX,
+        0u8..4,
+        0usize..usize::MAX,
+    )
+        .prop_map(|(n, seed, pick, k)| {
+            let k = match pick {
+                0 => n,
+                1 => n - 1,
+                _ => 1 + k % n,
+            };
+            (n, seed, k)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(SELECT_CASES))]
+
+    #[test]
+    fn bounded_selection_matches_the_introselect_on_distinct_magnitudes(
+        case in selection_case(),
+    ) {
+        let (n, seed, k) = case;
+        let grad = distinct_magnitudes(n, seed);
+        prop_assert_eq!(kernels::select_topk(&grad, k), reference::select_topk(&grad, k));
+    }
+
+    #[test]
+    fn bounded_selection_matches_the_introselect_on_tied_magnitudes(
+        case in selection_case(),
+    ) {
+        let (n, seed, k) = case;
+        let grad = few_values(n, seed);
+        prop_assert_eq!(kernels::select_topk(&grad, k), reference::select_topk(&grad, k));
+    }
+
+    #[test]
+    fn bounded_selection_matches_the_introselect_under_a_top_band(
+        case in selection_case(),
+    ) {
+        let (n, seed, k) = case;
+        let grad = top_band(n, seed);
+        prop_assert_eq!(kernels::select_topk(&grad, k), reference::select_topk(&grad, k));
+    }
+}
+
+/// ResNet-18's largest layer at density 0.001, as its own bucket, both as
+/// drawn and with error-feedback-like structure: the previous selection's
+/// coordinates zeroed and every other element grown. Distinct magnitudes
+/// take the bounded path; under a top band each of the band's three floats
+/// is held by about 390 k elements, past the candidate cap of about 304 k.
+#[test]
+fn bounded_selection_matches_the_introselect_on_a_resnet_sized_bucket() {
+    let n = LARGE_SELECT_LEN;
+    let k = n.div_ceil(1000);
+    for (family, mut grad) in [
+        ("distinct", distinct_magnitudes(n, 611)),
+        ("band", top_band(n, 611)),
+    ] {
+        for step in 0..3 {
+            let top = kernels::select_topk(&grad, k);
+            assert_eq!(
+                top,
+                reference::select_topk(&grad, k),
+                "{family} step {step}"
+            );
+            assert_eq!(top.len(), k);
+            for g in &mut grad {
+                *g *= 1.0 + 1.0 / 64.0;
+            }
+            for &i in &top {
+                grad[i as usize] = 0.0;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Low-rank path: the thin-factor kernels of `acp_tensor::kernels` and the
 // fused encodes of `AcpSgd` / `PowerSgd` against the naive scalar loops of
 // `acp_tensor::kernels::reference`, composed the way the compressors

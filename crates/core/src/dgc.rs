@@ -94,6 +94,9 @@ struct DgcBucketState {
     buf: Vec<f32>,
     /// The gathered selections, from `decode` to `emit`.
     pairs: SlotPairs,
+    /// The selector, built once per bucket: its `k` is fixed by the
+    /// bucket's length.
+    topk: TopK,
 }
 
 /// The DGC bucket codec: clip → momentum correction → accumulate → top-k of
@@ -124,18 +127,19 @@ impl DgcCodec {
 impl BucketCodec for DgcCodec {
     fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
         let n = bucket.elems;
+        let density = self.cfg.density;
         let st = self.buckets.get_or_insert_with(bucket, || DgcBucketState {
             velocity: vec![0.0; n],
             accum: vec![0.0; n],
             buf: vec![0.0; n],
             pairs: SlotPairs::default(),
+            topk: TopK::new(k_for(density, n)),
         });
         st.buf[bucket.span(slot)].copy_from_slice(grad);
         Ok(())
     }
 
     fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
-        let n = bucket.elems;
         let cfg = self.cfg;
         let st = self.buckets.get_mut(bucket)?;
         // Optional gradient clipping (DGC clips before accumulation).
@@ -154,8 +158,7 @@ impl BucketCodec for DgcCodec {
             *v += *u;
         }
         // Select top-k of the accumulated tensor.
-        let k = k_for(cfg.density, n);
-        let payload = TopK::new(k).compress(&st.accum);
+        let payload = st.topk.compress(&st.accum);
         bucket.payload_bytes += payload.wire_bytes() as u64;
         let (indices, values) = sparse_parts(payload)?;
         // Momentum factor masking: clear u and v at transmitted coords.
