@@ -191,10 +191,6 @@ impl fmt::Display for CommError {
 
 impl std::error::Error for CommError {}
 
-/// Former name of [`CommError`].
-#[deprecated(since = "0.2.0", note = "renamed to `CommError`")]
-pub type CollectiveError = CommError; // allow_verify(reason = "the shim definition itself")
-
 /// Collective communication interface shared by the trainer and optimizers.
 ///
 /// Mirrors the subset of NCCL the paper's algorithms need: sum/mean/max
@@ -821,24 +817,6 @@ impl WorkerTransport for ThreadTransport {
 }
 
 impl ThreadCommunicator {
-    /// This worker's rank in `[0, world_size)`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `rank_id()` (typed, reform-aware) or the `Communicator` trait's `rank()`"
-    )]
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Number of workers in the group.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `topology().world_size()` or `membership().world_size()`"
-    )]
-    pub fn world_size(&self) -> usize {
-        self.world_size
-    }
-
     /// This worker's virtual (ring) rank, as a typed [`RankId`].
     ///
     /// Inherent so callers need neither [`Communicator`] nor

@@ -46,8 +46,6 @@ pub mod ring;
 pub mod schedule;
 pub mod topology;
 
-#[allow(deprecated)]
-pub use communicator::CollectiveError; // allow_verify(reason = "deprecated re-export")
 pub use communicator::{
     CommError, Communicator, LocalCommunicator, ReduceOp, ThreadCommunicator, ThreadGroup,
 };

@@ -1,17 +1,14 @@
 //! The ACP-SGD distributed aggregator: **one** fused all-reduce per step
 //! (Algorithms 1–2 wired to a real communicator).
 
-use acp_collectives::{CollectiveOp, CollectiveResult, Communicator, ReduceOp};
+use acp_collectives::{CollectiveOp, CollectiveResult, ReduceOp};
 use acp_compression::acp::{AcpSgd, AcpSgdConfig as AcpCompressionConfig, FactorSide};
-use acp_telemetry::{RecorderCell, RecorderHandle};
 use acp_tensor::MatrixShape;
 
 use crate::error::CoreError;
-use crate::optimizer::{DistributedOptimizer, GradViewMut};
 use crate::pipeline::{
-    run_step, Bucket, BucketCodec, FusedPipeline, PerBucket, Round, DEFAULT_BUFFER_BYTES,
+    Bucket, BucketCodec, PerBucket, Pipelined, Round, WarmStart, DEFAULT_BUFFER_BYTES,
 };
-use crate::ssgd::MeanCodec;
 
 /// Configuration of [`AcpSgdAggregator`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -189,22 +186,12 @@ impl AcpBucketState {
 /// segment of the payload and reconstructed straight into it; the codec
 /// holds factors, never gradients.
 #[derive(Debug)]
-struct AcpCodec {
+pub struct AcpCodec {
     cfg: AcpSgdConfig,
-    /// Exact averaging this step (warm start)?
-    warm: bool,
-    /// The warm-start path: plain dense averaging.
-    dense: MeanCodec,
     buckets: PerBucket<AcpBucketState>,
 }
 
 impl AcpCodec {
-    /// Drops all bucket-indexed state (the plan it was keyed by is gone).
-    fn clear(&mut self) {
-        self.dense.clear();
-        self.buckets.clear();
-    }
-
     fn total_error_norm(&self) -> f32 {
         self.buckets
             .iter()
@@ -228,12 +215,9 @@ impl AcpCodec {
 }
 
 impl BucketCodec for AcpCodec {
+    const NAME: &'static str = "acpsgd";
+
     fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
-        if self.warm {
-            // Exact averaging during warm start; no compression state
-            // touched, so the fallback never perturbs the factor schedule.
-            return self.dense.absorb(bucket, slot, grad);
-        }
         let cfg = self.cfg;
         let st = self
             .buckets
@@ -250,9 +234,6 @@ impl BucketCodec for AcpCodec {
     }
 
     fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
-        if self.warm {
-            return self.dense.encode(bucket);
-        }
         let st = self.buckets.get_mut(bucket)?;
         bucket.payload_bytes += 4 * st.payload.len() as u64;
         Ok(vec![CollectiveOp::AllReduce {
@@ -266,9 +247,6 @@ impl BucketCodec for AcpCodec {
         bucket: &mut Bucket,
         results: Vec<CollectiveResult>,
     ) -> Result<Round, CoreError> {
-        if self.warm {
-            return self.dense.decode(bucket, results);
-        }
         let reduced = results
             .into_iter()
             .next()
@@ -288,9 +266,6 @@ impl BucketCodec for AcpCodec {
     }
 
     fn emit(&mut self, bucket: &Bucket, slot: usize, out: &mut [f32]) -> Result<(), CoreError> {
-        if self.warm {
-            return self.dense.emit(bucket, slot, out);
-        }
         let st = self.buckets.get_mut(bucket)?;
         let segment = st.segment(slot);
         match &mut st.states[slot] {
@@ -299,6 +274,16 @@ impl BucketCodec for AcpCodec {
         }
         st.emitted += 1;
         Ok(())
+    }
+
+    fn clear(&mut self) {
+        self.buckets.clear();
+    }
+
+    fn residual_norm(&self) -> Option<f64> {
+        self.cfg
+            .error_feedback
+            .then(|| self.total_error_norm() as f64)
     }
 }
 
@@ -310,131 +295,54 @@ impl BucketCodec for AcpCodec {
 /// after which every rank decompresses the identical `P Qᵀ` approximation.
 /// Exactly one non-blocking collective per bucket per step — the property
 /// that lets the paper apply WFBP and tensor fusion, both available here
-/// through the shared [`FusedPipeline`].
+/// through the shared [`FusedPipeline`](crate::FusedPipeline). The first
+/// `warm_start_steps` steps average exactly ([`WarmStart`]).
 ///
 /// # Examples
 ///
 /// See the crate-level example.
-#[derive(Debug)]
-pub struct AcpSgdAggregator {
-    cfg: AcpSgdConfig,
-    pipeline: FusedPipeline,
-    codec: AcpCodec,
-    steps: u64,
-    recorder: RecorderCell,
-}
+pub type AcpSgdAggregator = Pipelined<WarmStart<AcpCodec>>;
 
 impl AcpSgdAggregator {
     /// Creates the aggregator; per-tensor state initializes lazily on the
-    /// first [`DistributedOptimizer::aggregate`] call.
+    /// first [`aggregate`](crate::DistributedOptimizer::aggregate) call.
     pub fn new(cfg: AcpSgdConfig) -> Self {
-        AcpSgdAggregator {
+        let codec = AcpCodec {
             cfg,
-            pipeline: FusedPipeline::new(cfg.buffer_bytes),
-            codec: AcpCodec {
-                cfg,
-                warm: cfg.warm_start_steps > 0,
-                dense: MeanCodec::default(),
-                buckets: PerBucket::default(),
-            },
-            steps: 0,
-            recorder: RecorderCell::default(),
-        }
+            buckets: PerBucket::default(),
+        };
+        Pipelined::from_codec(
+            WarmStart::new(codec, cfg.warm_start_steps),
+            cfg.buffer_bytes,
+        )
     }
 
     /// Number of completed aggregation steps.
     pub fn steps(&self) -> u64 {
-        self.steps
+        self.codec.steps()
     }
 
     /// Whether the next step still uses the uncompressed warm start.
     pub fn in_warm_start(&self) -> bool {
-        self.steps < self.cfg.warm_start_steps
+        self.codec.in_warm_start()
     }
 
     /// Which factor the next step will transmit (`None` before the first
     /// step or for models with no matrix parameters).
     pub fn next_side(&self) -> Option<FactorSide> {
-        self.codec.next_side()
+        self.codec.inner.next_side()
     }
 
     /// Sum of per-matrix error-feedback residual norms (diagnostics).
     pub fn total_error_norm(&self) -> f32 {
-        self.codec.total_error_norm()
-    }
-}
-
-impl DistributedOptimizer for AcpSgdAggregator {
-    fn name(&self) -> &'static str {
-        "acpsgd"
-    }
-
-    fn set_buffer_bytes(&mut self, buffer_bytes: usize) {
-        self.pipeline.set_buffer_bytes(buffer_bytes);
-        // Per-bucket factor state is keyed by bucket index; a new plan
-        // means new buckets, so the old queries/residuals are dropped.
-        self.codec.clear();
-    }
-
-    fn on_membership_change(&mut self) {
-        // Same reasoning as `set_buffer_bytes`: the re-plan invalidates
-        // bucket-indexed codec state along with the bucket plan.
-        self.pipeline.replan();
-        self.codec.clear();
-    }
-
-    fn aggregate(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.codec.warm = self.in_warm_start();
-        let warm = self.codec.warm;
-        let ef = self.cfg.error_feedback;
-        run_step(
-            &mut self.pipeline,
-            &mut self.codec,
-            &self.recorder,
-            grads,
-            comm,
-            |codec: &AcpCodec| (!warm && ef).then(|| codec.total_error_norm() as f64),
-        )?;
-        self.steps += 1;
-        Ok(())
-    }
-
-    fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.recorder.set(recorder);
-    }
-
-    fn supports_overlap(&self) -> bool {
-        true
-    }
-
-    fn push_ready(
-        &mut self,
-        index: usize,
-        dims: &[usize],
-        grad: &[f32],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.codec.warm = self.in_warm_start();
-        self.pipeline
-            .push(&mut self.codec, index, dims, grad, comm, &*self.recorder)
-    }
-
-    fn finish_overlap(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.aggregate(grads, comm)
+        self.codec.inner.total_error_norm()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{DistributedOptimizer, GradViewMut};
     use acp_collectives::ThreadGroup;
     use acp_tensor::vecops::relative_error;
     use acp_tensor::{Matrix, SeedableStdNormal};

@@ -16,15 +16,11 @@
 //! per fusion bucket, which coincides with the global clip whenever the
 //! model fits one bucket — the default 25 MB buffer in practice.)
 
-use acp_collectives::{CollectiveOp, CollectiveResult, Communicator};
+use acp_collectives::{CollectiveOp, CollectiveResult};
 use acp_compression::{Compressor, TopK};
-use acp_telemetry::{RecorderCell, RecorderHandle};
 
 use crate::error::CoreError;
-use crate::optimizer::{DistributedOptimizer, GradViewMut};
-use crate::pipeline::{
-    run_step, Bucket, BucketCodec, FusedPipeline, PerBucket, Round, DEFAULT_BUFFER_BYTES,
-};
+use crate::pipeline::{Bucket, BucketCodec, PerBucket, Pipelined, Round, DEFAULT_BUFFER_BYTES};
 use crate::sparse::{gathered_pairs, k_for, sparse_parts, SlotPairs};
 
 /// Configuration for [`DgcAggregator`].
@@ -103,7 +99,7 @@ struct DgcBucketState {
 /// the accumulator → mask, one sparse all-gather pair per bucket,
 /// scatter-averaged tensor by tensor into the caller's gradient.
 #[derive(Debug)]
-struct DgcCodec {
+pub struct DgcCodec {
     cfg: DgcConfig,
     buckets: PerBucket<DgcBucketState>,
 }
@@ -125,6 +121,8 @@ impl DgcCodec {
 }
 
 impl BucketCodec for DgcCodec {
+    const NAME: &'static str = "dgc";
+
     fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
         let n = bucket.elems;
         let density = self.cfg.density;
@@ -195,6 +193,15 @@ impl BucketCodec for DgcCodec {
             .scatter(slot, inv, out, |o, v| *o += v);
         Ok(())
     }
+
+    fn clear(&mut self) {
+        self.buckets.clear();
+    }
+
+    /// DGC's error feedback lives in the accumulated tensor.
+    fn residual_norm(&self) -> Option<f64> {
+        Some(self.accumulated_norm() as f64)
+    }
 }
 
 /// Deep-Gradient-Compression aggregator.
@@ -202,12 +209,7 @@ impl BucketCodec for DgcCodec {
 /// The decoded result on every rank is the averaged sparse momentum-
 /// corrected gradient; pair it with a *plain* SGD update (no additional
 /// momentum — the momentum lives inside the aggregator).
-#[derive(Debug)]
-pub struct DgcAggregator {
-    pipeline: FusedPipeline,
-    codec: DgcCodec,
-    recorder: RecorderCell,
-}
+pub type DgcAggregator = Pipelined<DgcCodec>;
 
 impl DgcAggregator {
     /// Creates the aggregator.
@@ -221,14 +223,11 @@ impl DgcAggregator {
             "density must be in (0, 1]"
         );
         assert!(cfg.momentum >= 0.0, "momentum must be non-negative");
-        DgcAggregator {
-            pipeline: FusedPipeline::new(cfg.buffer_bytes),
-            codec: DgcCodec {
-                cfg,
-                buckets: PerBucket::default(),
-            },
-            recorder: RecorderCell::default(),
-        }
+        let codec = DgcCodec {
+            cfg,
+            buckets: PerBucket::default(),
+        };
+        Pipelined::from_codec(codec, cfg.buffer_bytes)
     }
 
     /// L2 norm of the accumulated unsent gradient (diagnostics).
@@ -237,70 +236,10 @@ impl DgcAggregator {
     }
 }
 
-impl DistributedOptimizer for DgcAggregator {
-    fn name(&self) -> &'static str {
-        "dgc"
-    }
-
-    fn set_buffer_bytes(&mut self, buffer_bytes: usize) {
-        self.pipeline.set_buffer_bytes(buffer_bytes);
-        self.codec.buckets.clear();
-    }
-
-    fn on_membership_change(&mut self) {
-        // Same reasoning as `set_buffer_bytes`: the re-plan invalidates
-        // bucket-indexed codec state along with the bucket plan.
-        self.pipeline.replan();
-        self.codec.buckets.clear();
-    }
-
-    fn aggregate(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        run_step(
-            &mut self.pipeline,
-            &mut self.codec,
-            &self.recorder,
-            grads,
-            comm,
-            // DGC's error feedback lives in the accumulated tensor.
-            |codec: &DgcCodec| Some(codec.accumulated_norm() as f64),
-        )
-    }
-
-    fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.recorder.set(recorder);
-    }
-
-    fn supports_overlap(&self) -> bool {
-        true
-    }
-
-    fn push_ready(
-        &mut self,
-        index: usize,
-        dims: &[usize],
-        grad: &[f32],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.pipeline
-            .push(&mut self.codec, index, dims, grad, comm, &*self.recorder)
-    }
-
-    fn finish_overlap(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.aggregate(grads, comm)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{DistributedOptimizer, GradViewMut};
     use acp_collectives::{LocalCommunicator, ThreadGroup};
 
     fn step(opt: &mut DgcAggregator, comm: &mut LocalCommunicator, grad: &[f32]) -> Vec<f32> {

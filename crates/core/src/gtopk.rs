@@ -7,15 +7,11 @@
 //! implements it over the [`CollectiveOp::GlobalTopk`] collective so the
 //! scaling difference is measurable (see the `ext_scaling` experiment).
 
-use acp_collectives::{CollectiveOp, CollectiveResult, Communicator};
+use acp_collectives::{CollectiveOp, CollectiveResult};
 use acp_compression::{ErrorFeedback, TopK};
-use acp_telemetry::{RecorderCell, RecorderHandle};
 
 use crate::error::CoreError;
-use crate::optimizer::{DistributedOptimizer, GradViewMut};
-use crate::pipeline::{
-    run_step, Bucket, BucketCodec, FusedPipeline, PerBucket, Round, DEFAULT_BUFFER_BYTES,
-};
+use crate::pipeline::{Bucket, BucketCodec, PerBucket, Pipelined, Round, DEFAULT_BUFFER_BYTES};
 use crate::sparse::{k_for, sparse_parts, SlotPairs};
 
 /// Per-bucket gTop-k state.
@@ -33,18 +29,20 @@ struct GTopkBucket {
 /// one sparse global-top-k collective per bucket, scattered tensor by
 /// tensor into the caller's gradient.
 #[derive(Debug)]
-struct GTopkCodec {
+pub struct GTopkCodec {
     density: f64,
     buckets: PerBucket<GTopkBucket>,
 }
 
 impl GTopkCodec {
-    fn residual_norm(&self) -> f32 {
+    fn residual_sum(&self) -> f32 {
         self.buckets.iter().map(|b| b.ef.residual_norm()).sum()
     }
 }
 
 impl BucketCodec for GTopkCodec {
+    const NAME: &'static str = "gtopk";
+
     fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
         let density = self.density;
         let st = self.buckets.get_or_insert_with(bucket, || GTopkBucket {
@@ -97,6 +95,14 @@ impl BucketCodec for GTopkCodec {
             .scatter(slot, inv, out, |o, v| *o = v);
         Ok(())
     }
+
+    fn clear(&mut self) {
+        self.buckets.clear();
+    }
+
+    fn residual_norm(&self) -> Option<f64> {
+        Some(self.residual_sum() as f64)
+    }
 }
 
 /// Global-top-k sparsified aggregator.
@@ -105,13 +111,7 @@ impl BucketCodec for GTopkCodec {
 /// group reduces the sparse vectors with per-round top-k truncation; every
 /// rank receives the identical (approximate) global top-k of the summed
 /// gradient, averaged over the world size.
-#[derive(Debug)]
-pub struct GTopkSgdAggregator {
-    density: f64,
-    pipeline: FusedPipeline,
-    codec: GTopkCodec,
-    recorder: RecorderCell,
-}
+pub type GTopkSgdAggregator = Pipelined<GTopkCodec>;
 
 impl GTopkSgdAggregator {
     /// Creates a gTop-k aggregator keeping `density` of the gradient
@@ -133,91 +133,28 @@ impl GTopkSgdAggregator {
     #[must_use]
     pub fn with_buffer_bytes(density: f64, buffer_bytes: usize) -> Self {
         assert!(density > 0.0 && density <= 1.0, "density must be in (0, 1]");
-        GTopkSgdAggregator {
+        let codec = GTopkCodec {
             density,
-            pipeline: FusedPipeline::new(buffer_bytes),
-            codec: GTopkCodec {
-                density,
-                buckets: PerBucket::default(),
-            },
-            recorder: RecorderCell::default(),
-        }
+            buckets: PerBucket::default(),
+        };
+        Pipelined::from_codec(codec, buffer_bytes)
     }
 
     /// The configured selection density.
     pub fn density(&self) -> f64 {
-        self.density
+        self.codec.density
     }
 
     /// Sum of per-bucket error-feedback residual norms.
     pub fn residual_norm(&self) -> f32 {
-        self.codec.residual_norm()
-    }
-}
-
-impl DistributedOptimizer for GTopkSgdAggregator {
-    fn name(&self) -> &'static str {
-        "gtopk"
-    }
-
-    fn set_buffer_bytes(&mut self, buffer_bytes: usize) {
-        self.pipeline.set_buffer_bytes(buffer_bytes);
-        self.codec.buckets.clear();
-    }
-
-    fn on_membership_change(&mut self) {
-        // Same reasoning as `set_buffer_bytes`: the re-plan invalidates
-        // bucket-indexed codec state along with the bucket plan.
-        self.pipeline.replan();
-        self.codec.buckets.clear();
-    }
-
-    fn aggregate(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        run_step(
-            &mut self.pipeline,
-            &mut self.codec,
-            &self.recorder,
-            grads,
-            comm,
-            |codec: &GTopkCodec| Some(codec.residual_norm() as f64),
-        )
-    }
-
-    fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.recorder.set(recorder);
-    }
-
-    fn supports_overlap(&self) -> bool {
-        true
-    }
-
-    fn push_ready(
-        &mut self,
-        index: usize,
-        dims: &[usize],
-        grad: &[f32],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.pipeline
-            .push(&mut self.codec, index, dims, grad, comm, &*self.recorder)
-    }
-
-    fn finish_overlap(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.aggregate(grads, comm)
+        self.codec.residual_sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{DistributedOptimizer, GradViewMut};
     use acp_collectives::ThreadGroup;
 
     #[test]

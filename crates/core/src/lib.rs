@@ -12,14 +12,20 @@
 //! | [`SSgdAggregator`] | uncompressed averaging with tensor fusion | all-reduce |
 //! | [`SignSgdAggregator`] | Sign-SGD + majority vote (± error feedback) | all-gather |
 //! | [`TopkSgdAggregator`] | Top-k + scatter-average (± error feedback) | all-gather |
+//! | [`GTopkSgdAggregator`] | global top-k with error feedback | sparse all-reduce |
+//! | [`DgcAggregator`] | Deep Gradient Compression (momentum correction, accumulation) | all-gather |
 //! | [`PowerSgdAggregator`] | Power-SGD, two fused all-reduces per step | all-reduce |
 //! | [`AcpSgdAggregator`] | **ACP-SGD**, one fused all-reduce per step | all-reduce |
 //!
-//! The low-rank aggregators reshape each parameter per the Power-SGD
-//! convention ([`acp_tensor::MatrixShape`]), keep per-parameter compression
-//! state (queries, error-feedback residuals), and fuse the transmitted
-//! factors into flat buffers ([`fusion`]) exactly as §IV-B describes —
-//! with ACP-SGD's compressed-buffer-size scaling.
+//! Each one is a [`Pipelined`] shell — one [`FusedPipeline`] (tensor
+//! fusion and wait-free backpropagation) plus the per-step telemetry —
+//! around the algorithm's [`BucketCodec`], so the seven differ only in
+//! their codec. Power-SGD and ACP-SGD put a [`WarmStart`] (exact averaging
+//! for the first steps) in front of theirs. The low-rank codecs reshape
+//! each parameter per the Power-SGD convention
+//! ([`acp_tensor::MatrixShape`]), keep per-parameter compression state
+//! (queries, error-feedback residuals), and fuse a bucket's transmitted
+//! factors into one payload, as §IV-B describes.
 //!
 //! # Examples
 //!
@@ -67,12 +73,8 @@ pub use factory::{build_optimizer, Aggregator};
 pub use fusion::bucket_ranges;
 pub use gtopk::GTopkSgdAggregator;
 pub use optimizer::{DistributedOptimizer, GradViewMut};
-pub use pipeline::{Bucket, BucketCodec, FusedPipeline, Round, StepStats};
+pub use pipeline::{Bucket, BucketCodec, FusedPipeline, Pipelined, Round, StepStats, WarmStart};
 pub use powersgd::{PowerSgdAggregator, PowerSgdConfig};
 pub use signsgd::{SignSgdAggregator, SignSgdConfig};
 pub use ssgd::{SSgdAggregator, DEFAULT_BUFFER_BYTES};
 pub use topksgd::{TopkSgdAggregator, TopkSgdConfig};
-
-/// Former name of [`PowerSgdConfig`], kept for one release.
-#[allow(deprecated)]
-pub use powersgd::PowerSgdAggregatorConfig; // allow_verify(reason = "deprecated re-export")

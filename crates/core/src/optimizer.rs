@@ -45,32 +45,17 @@ pub trait DistributedOptimizer: Send {
         comm: &mut dyn Communicator,
     ) -> Result<(), CoreError>;
 
-    /// Attaches a telemetry recorder. Instrumented aggregators report
-    /// per-step compression time, payload/dense bytes, compression ratio
-    /// and error-feedback residual norms (see `acp_telemetry::keys`); the
-    /// default ignores the handle.
-    fn set_recorder(&mut self, recorder: RecorderHandle) {
-        let _ = recorder;
-    }
+    /// Attaches a telemetry recorder: every step then reports compression
+    /// time, payload/dense bytes, compression ratio and error-feedback
+    /// residual norms (see `acp_telemetry::keys`).
+    fn set_recorder(&mut self, recorder: RecorderHandle);
 
-    /// Whether this optimizer can overlap aggregation with backward
-    /// compute (wait-free backpropagation): [`push_ready`] dispatches each
-    /// fusion bucket's collective as soon as its last gradient arrives,
-    /// and [`finish_overlap`] drains the in-flight work. When `false`, the
-    /// overlap path degenerates to a blocking [`aggregate`] call inside
-    /// `finish_overlap` and [`push_ready`] is a no-op.
-    ///
-    /// [`aggregate`]: DistributedOptimizer::aggregate
-    /// [`push_ready`]: DistributedOptimizer::push_ready
-    /// [`finish_overlap`]: DistributedOptimizer::finish_overlap
-    fn supports_overlap(&self) -> bool {
-        false
-    }
-
-    /// Offers one tensor's *ready* gradient to an overlapped step.
-    /// `index` is the tensor's position in the full forward-order gradient
-    /// list that [`finish_overlap`] will later receive; gradients may be
-    /// pushed in any order (backward produces them deepest-layer-first).
+    /// Offers one tensor's *ready* gradient to an overlapped step (wait-free
+    /// backpropagation): the fusion bucket's collective is dispatched as
+    /// soon as its last gradient arrives. `index` is the tensor's position
+    /// in the full forward-order gradient list that [`finish_overlap`] will
+    /// later receive; gradients may be pushed in any order (backward
+    /// produces them deepest-layer-first).
     ///
     /// Pushing is an optimization, never an obligation: tensors not pushed
     /// are picked up from the gradient views at `finish_overlap` time.
@@ -87,14 +72,11 @@ pub trait DistributedOptimizer: Send {
         dims: &[usize],
         grad: &[f32],
         comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        let _ = (index, dims, grad, comm);
-        Ok(())
-    }
+    ) -> Result<(), CoreError>;
 
     /// Completes an overlapped step begun with [`push_ready`] calls,
     /// replacing `grads` with the aggregated gradients (same contract as
-    /// [`aggregate`]). The default falls back to a blocking `aggregate`.
+    /// [`aggregate`], and bit-identical to it).
     ///
     /// # Errors
     ///
@@ -106,29 +88,22 @@ pub trait DistributedOptimizer: Send {
         &mut self,
         grads: &mut [GradViewMut<'_>],
         comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.aggregate(grads, comm)
-    }
+    ) -> Result<(), CoreError>;
 
     /// Reconfigures the fusion buffer capacity in bytes (`0` disables
     /// fusion), discarding any bucket plan and per-bucket compression
     /// state so the next step rebuilds them — how the closed-loop
     /// autotuner applies its tuned size before epoch 1. Must be called
-    /// between steps, never mid-overlap. The default ignores the request
-    /// (aggregators without a fusion pipeline have nothing to re-plan).
-    fn set_buffer_bytes(&mut self, buffer_bytes: usize) {
-        let _ = buffer_bytes;
-    }
+    /// between steps, never mid-overlap.
+    fn set_buffer_bytes(&mut self, buffer_bytes: usize);
 
     /// Notifies the optimizer that group membership changed and the
     /// communicator was re-formed (see `Communicator::reform`): any
     /// in-flight collectives were abandoned by the survivors and bucket
-    /// plans sized for the old world are stale. Pipeline-backed
-    /// aggregators discard both so the next step re-plans against the new
-    /// group; per-tensor state (error-feedback residuals, low-rank
-    /// factors) is kept — tensor shapes do not change with the world. The
-    /// default does nothing.
-    fn on_membership_change(&mut self) {}
+    /// plans sized for the old world are stale, so both are discarded
+    /// together with the bucket-keyed compression state, and the next step
+    /// re-plans against the new group.
+    fn on_membership_change(&mut self);
 }
 
 impl DistributedOptimizer for Box<dyn DistributedOptimizer> {
@@ -146,10 +121,6 @@ impl DistributedOptimizer for Box<dyn DistributedOptimizer> {
 
     fn set_recorder(&mut self, recorder: RecorderHandle) {
         (**self).set_recorder(recorder)
-    }
-
-    fn supports_overlap(&self) -> bool {
-        (**self).supports_overlap()
     }
 
     fn push_ready(
@@ -179,67 +150,10 @@ impl DistributedOptimizer for Box<dyn DistributedOptimizer> {
     }
 }
 
-/// Records one aggregation step's standard telemetry: dense/payload bytes,
-/// compression ratio, compression time, optional error-feedback residual
-/// norm, and total step latency. Callers should skip the call (and any
-/// norm computation feeding it) when the recorder is disabled.
-pub(crate) fn record_step_metrics(
-    rec: &dyn acp_telemetry::Recorder,
-    dense_bytes: u64,
-    payload_bytes: u64,
-    compress_us: u64,
-    step_start_us: u64,
-    residual_norm: Option<f64>,
-) {
-    use acp_telemetry::keys;
-    rec.add(keys::COMPRESS_DENSE_BYTES, dense_bytes);
-    rec.add(keys::COMPRESS_PAYLOAD_BYTES, payload_bytes);
-    rec.observe(
-        keys::COMPRESS_RATIO,
-        dense_bytes as f64 / payload_bytes.max(1) as f64,
-    );
-    rec.observe(keys::COMPRESS_TIME_US, compress_us as f64);
-    if let Some(norm) = residual_norm {
-        rec.observe(keys::EF_RESIDUAL_NORM, norm);
-    }
-    let end_us = rec.now_us();
-    rec.observe(
-        keys::STEP_AGGREGATE_US,
-        end_us.saturating_sub(step_start_us) as f64,
-    );
-}
-
-/// Validates that the tensor list matches the shapes recorded on the first
-/// step; records them on the first call.
-pub(crate) fn check_shapes(
-    recorded: &mut Vec<Vec<usize>>,
-    grads: &[GradViewMut<'_>],
-) -> Result<(), CoreError> {
-    if recorded.is_empty() {
-        *recorded = grads.iter().map(|g| g.dims.to_vec()).collect();
-        return Ok(());
-    }
-    if recorded.len() != grads.len() {
-        return Err(CoreError::TensorCountChanged {
-            expected: recorded.len(),
-            actual: grads.len(),
-        });
-    }
-    for (i, (rec, g)) in recorded.iter().zip(grads).enumerate() {
-        if rec != g.dims {
-            return Err(CoreError::ShapeChanged {
-                index: i,
-                expected: rec.clone(),
-                actual: g.dims.to_vec(),
-            });
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::check_shapes;
 
     #[test]
     fn check_shapes_records_then_validates() {

@@ -29,16 +29,22 @@
 //! worker executes submissions in FIFO order, so the overlapped schedule is
 //! **bit-identical** to the blocking one by construction, whatever order
 //! the tensors arrive in.
+//!
+//! Every aggregator is one [`Pipelined`] shell — this pipeline, a codec and
+//! the per-step telemetry — so the seven algorithms differ only in their
+//! codec; [`WarmStart`] puts exact averaging in front of any codec for the
+//! first steps.
 
 use std::fmt;
 use std::ops::Range;
 
 use acp_collectives::{wait_all, CollectiveOp, CollectiveResult, Communicator, PendingOp};
-use acp_telemetry::{keys, Recorder, RecorderCell, SpanGuard};
+use acp_telemetry::{keys, Recorder, RecorderCell, RecorderHandle, SpanGuard};
 
 use crate::error::CoreError;
 use crate::fusion::bucket_ranges;
-use crate::optimizer::{check_shapes, record_step_metrics, GradViewMut};
+use crate::optimizer::{DistributedOptimizer, GradViewMut};
+use crate::ssgd::MeanCodec;
 
 /// Default DDP fusion buffer: 25 MB.
 pub const DEFAULT_BUFFER_BYTES: usize = 25 * 1024 * 1024;
@@ -152,6 +158,9 @@ pub enum Round {
 /// call order — so the blocking and overlapped schedules stay
 /// bit-identical.
 pub trait BucketCodec: Send {
+    /// Short algorithm name the aggregator running this codec reports.
+    const NAME: &'static str;
+
     /// Takes tensor `slot` of the bucket from the caller's gradient: the
     /// codec's first pass over the data (a copy, an error-feedback
     /// correction, a low-rank projection) reads `grad` directly. Tensors
@@ -197,10 +206,23 @@ pub trait BucketCodec: Send {
     /// Returns [`CoreError::Compress`] if the compressor state machine
     /// rejects the reconstruction.
     fn emit(&mut self, bucket: &Bucket, slot: usize, out: &mut [f32]) -> Result<(), CoreError>;
+
+    /// Drops every bucket-keyed state: the plan it was keyed by is being
+    /// rebuilt (a new fusion buffer size or a membership change).
+    fn clear(&mut self);
+
+    /// The error-feedback residual norm to record after a completed step,
+    /// if the codec keeps a residual. Consulted only when a recorder is
+    /// enabled.
+    fn residual_norm(&self) -> Option<f64> {
+        None
+    }
+
+    /// Called once after every completed step.
+    fn step_completed(&mut self) {}
 }
 
-/// Byte/time accounting for one pipeline step, for
-/// `record_step_metrics`-style reporting by the owning aggregator.
+/// Byte/time accounting for one pipeline step, reported by [`Pipelined`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepStats {
     /// Dense gradient bytes the step aggregated.
@@ -567,29 +589,223 @@ impl FusedPipeline {
     }
 }
 
-/// Runs one full blocking step through `pipeline` + `codec` and records
-/// the standard per-step telemetry; the shared tail of every aggregator's
-/// `aggregate`/`finish_overlap`. `residual` is consulted only when the
-/// recorder is enabled.
-pub(crate) fn run_step<C: BucketCodec>(
-    pipeline: &mut FusedPipeline,
-    codec: &mut C,
-    recorder: &RecorderCell,
-    grads: &mut [GradViewMut<'_>],
-    comm: &mut dyn Communicator,
-    residual: impl FnOnce(&C) -> Option<f64>,
+/// An aggregator: a [`FusedPipeline`] driving codec `C`, plus the
+/// per-step telemetry. Every algorithm the crate provides is one of these
+/// ([`SSgdAggregator`](crate::SSgdAggregator) is `Pipelined<MeanCodec>`,
+/// and so on), so they differ only in their codec.
+#[derive(Debug)]
+pub struct Pipelined<C: BucketCodec> {
+    pub(crate) pipeline: FusedPipeline,
+    pub(crate) codec: C,
+    recorder: RecorderCell,
+}
+
+impl<C: BucketCodec> Pipelined<C> {
+    /// Runs `codec` over a fusion buffer of `buffer_bytes` (0 disables
+    /// fusion).
+    pub(crate) fn from_codec(codec: C, buffer_bytes: usize) -> Self {
+        Pipelined {
+            pipeline: FusedPipeline::new(buffer_bytes),
+            codec,
+            recorder: RecorderCell::default(),
+        }
+    }
+}
+
+impl<C: BucketCodec> DistributedOptimizer for Pipelined<C> {
+    fn name(&self) -> &'static str {
+        C::NAME
+    }
+
+    fn aggregate(
+        &mut self,
+        grads: &mut [GradViewMut<'_>],
+        comm: &mut dyn Communicator,
+    ) -> Result<(), CoreError> {
+        let rec = &*self.recorder;
+        let enabled = rec.enabled();
+        let stats = self.pipeline.finish(&mut self.codec, grads, comm, rec)?;
+        if enabled {
+            record_step_metrics(rec, &stats, self.codec.residual_norm());
+        }
+        self.codec.step_completed();
+        Ok(())
+    }
+
+    fn set_recorder(&mut self, recorder: RecorderHandle) {
+        self.recorder.set(recorder);
+    }
+
+    fn push_ready(
+        &mut self,
+        index: usize,
+        dims: &[usize],
+        grad: &[f32],
+        comm: &mut dyn Communicator,
+    ) -> Result<(), CoreError> {
+        self.pipeline
+            .push(&mut self.codec, index, dims, grad, comm, &*self.recorder)
+    }
+
+    fn finish_overlap(
+        &mut self,
+        grads: &mut [GradViewMut<'_>],
+        comm: &mut dyn Communicator,
+    ) -> Result<(), CoreError> {
+        self.aggregate(grads, comm)
+    }
+
+    fn set_buffer_bytes(&mut self, buffer_bytes: usize) {
+        self.pipeline.set_buffer_bytes(buffer_bytes);
+        self.codec.clear();
+    }
+
+    fn on_membership_change(&mut self) {
+        self.pipeline.replan();
+        self.codec.clear();
+    }
+}
+
+/// Exact averaging for the first `warm_start_steps` completed steps, codec
+/// `C` after them — the `start_powerSGD_iter` warm start of PyTorch's
+/// PowerSGD hook, which avoids compressing the large, fast-changing
+/// early-training gradients. `C` is not touched while warm, so the warm
+/// start never perturbs its schedule, and the dense buffers are dropped as
+/// soon as it ends.
+#[derive(Debug)]
+pub struct WarmStart<C> {
+    pub(crate) inner: C,
+    dense: MeanCodec,
+    steps: u64,
+    warm_start_steps: u64,
+}
+
+impl<C> WarmStart<C> {
+    pub(crate) fn new(inner: C, warm_start_steps: u64) -> Self {
+        WarmStart {
+            inner,
+            dense: MeanCodec::default(),
+            steps: 0,
+            warm_start_steps,
+        }
+    }
+
+    /// Number of completed aggregation steps.
+    pub(crate) fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    /// Whether the next step still uses the uncompressed warm start.
+    pub(crate) fn in_warm_start(&self) -> bool {
+        self.steps < self.warm_start_steps
+    }
+}
+
+impl<C: BucketCodec> BucketCodec for WarmStart<C> {
+    const NAME: &'static str = C::NAME;
+
+    fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
+        if self.in_warm_start() {
+            self.dense.absorb(bucket, slot, grad)
+        } else {
+            self.inner.absorb(bucket, slot, grad)
+        }
+    }
+
+    fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
+        if self.in_warm_start() {
+            self.dense.encode(bucket)
+        } else {
+            self.inner.encode(bucket)
+        }
+    }
+
+    fn decode(
+        &mut self,
+        bucket: &mut Bucket,
+        results: Vec<CollectiveResult>,
+    ) -> Result<Round, CoreError> {
+        if self.in_warm_start() {
+            self.dense.decode(bucket, results)
+        } else {
+            self.inner.decode(bucket, results)
+        }
+    }
+
+    fn emit(&mut self, bucket: &Bucket, slot: usize, out: &mut [f32]) -> Result<(), CoreError> {
+        if self.in_warm_start() {
+            self.dense.emit(bucket, slot, out)
+        } else {
+            self.inner.emit(bucket, slot, out)
+        }
+    }
+
+    fn clear(&mut self) {
+        self.dense.clear();
+        self.inner.clear();
+    }
+
+    fn residual_norm(&self) -> Option<f64> {
+        if self.in_warm_start() {
+            None
+        } else {
+            self.inner.residual_norm()
+        }
+    }
+
+    fn step_completed(&mut self) {
+        self.steps += 1;
+        if !self.in_warm_start() {
+            self.dense.clear();
+        }
+        self.inner.step_completed();
+    }
+}
+
+/// Records one aggregation step's standard telemetry: dense/payload bytes,
+/// compression ratio, compression time, optional error-feedback residual
+/// norm, and total step latency.
+fn record_step_metrics(rec: &dyn Recorder, stats: &StepStats, residual_norm: Option<f64>) {
+    rec.add(keys::COMPRESS_DENSE_BYTES, stats.dense_bytes);
+    rec.add(keys::COMPRESS_PAYLOAD_BYTES, stats.payload_bytes);
+    rec.observe(
+        keys::COMPRESS_RATIO,
+        stats.dense_bytes as f64 / stats.payload_bytes.max(1) as f64,
+    );
+    rec.observe(keys::COMPRESS_TIME_US, stats.compress_us as f64);
+    if let Some(norm) = residual_norm {
+        rec.observe(keys::EF_RESIDUAL_NORM, norm);
+    }
+    rec.observe(
+        keys::STEP_AGGREGATE_US,
+        rec.now_us().saturating_sub(stats.step_start_us) as f64,
+    );
+}
+
+/// Validates that the tensor list matches the shapes recorded on the first
+/// step; records them on the first call.
+pub(crate) fn check_shapes(
+    recorded: &mut Vec<Vec<usize>>,
+    grads: &[GradViewMut<'_>],
 ) -> Result<(), CoreError> {
-    let enabled = recorder.enabled();
-    let stats = pipeline.finish(codec, grads, comm, &**recorder)?;
-    if enabled {
-        record_step_metrics(
-            &**recorder,
-            stats.dense_bytes,
-            stats.payload_bytes,
-            stats.compress_us,
-            stats.step_start_us,
-            residual(codec),
-        );
+    if recorded.is_empty() {
+        *recorded = grads.iter().map(|g| g.dims.to_vec()).collect();
+        return Ok(());
+    }
+    if recorded.len() != grads.len() {
+        return Err(CoreError::TensorCountChanged {
+            expected: recorded.len(),
+            actual: grads.len(),
+        });
+    }
+    for (i, (rec, g)) in recorded.iter().zip(grads).enumerate() {
+        if rec != g.dims {
+            return Err(CoreError::ShapeChanged {
+                index: i,
+                expected: rec.clone(),
+                actual: g.dims.to_vec(),
+            });
+        }
     }
     Ok(())
 }
@@ -611,6 +827,8 @@ mod tests {
     }
 
     impl BucketCodec for TwoRoundCodec {
+        const NAME: &'static str = "two-round";
+
         fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
             self.inner.absorb(bucket, slot, grad)
         }
@@ -646,6 +864,11 @@ mod tests {
 
         fn emit(&mut self, bucket: &Bucket, slot: usize, out: &mut [f32]) -> Result<(), CoreError> {
             self.inner.emit(bucket, slot, out)
+        }
+
+        fn clear(&mut self) {
+            self.inner.clear();
+            self.round2.clear();
         }
     }
 
@@ -952,5 +1175,71 @@ mod tests {
             .unwrap();
         assert_eq!(pipeline.num_buckets(), 1);
         assert_eq!(grads[0], vec![5.0, 6.0]);
+    }
+
+    fn aggregate_bits(
+        opt: &mut dyn DistributedOptimizer,
+        comm: &mut dyn Communicator,
+        dims: &[Vec<usize>],
+        mut grads: Vec<Vec<f32>>,
+    ) -> Vec<u32> {
+        opt.aggregate(&mut views(dims, &mut grads), comm).unwrap();
+        grads.concat().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Three steps of a two-step warm start: the warm steps are S-SGD's
+    /// mean bit for bit, the first compressed step is a cold twin's first
+    /// step bit for bit (the warm start touched no compression state), and
+    /// once the warm start is over the adapter holds no dense buffer.
+    fn check_warm_start<C: BucketCodec>(
+        comm: &mut dyn Communicator,
+        mut warm: Pipelined<WarmStart<C>>,
+        mut cold: Pipelined<WarmStart<C>>,
+    ) {
+        let mut dense = crate::SSgdAggregator::new();
+        let r = comm.rank_id().as_usize() as f32;
+        let dims = vec![vec![4usize, 3], vec![5usize]];
+        for step in 0..3 {
+            let grads: Vec<Vec<f32>> = dims
+                .iter()
+                .enumerate()
+                .map(|(t, d)| {
+                    let n: usize = d.iter().product();
+                    (0..n)
+                        .map(|i| ((i + 7 * t + 3 * step) as f32 * 0.41 + r).sin())
+                        .collect()
+                })
+                .collect();
+            let reference: &mut dyn DistributedOptimizer =
+                if step < 2 { &mut dense } else { &mut cold };
+            let want = aggregate_bits(reference, comm, &dims, grads.clone());
+            let got = aggregate_bits(&mut warm, comm, &dims, grads);
+            assert_eq!(got, want, "{} step {step}", C::NAME);
+            assert_eq!(
+                warm.codec.dense.holds_buffers(),
+                step == 0,
+                "{} after step {step}",
+                C::NAME
+            );
+        }
+    }
+
+    #[test]
+    fn warm_start_is_exact_then_cold_and_drops_its_dense_buffers() {
+        use crate::{AcpSgdAggregator, AcpSgdConfig, PowerSgdAggregator, PowerSgdConfig};
+        ThreadGroup::run(2, |mut comm| {
+            let acp = AcpSgdConfig::default().with_rank(2);
+            check_warm_start(
+                &mut comm,
+                AcpSgdAggregator::new(acp.with_warm_start_steps(2)),
+                AcpSgdAggregator::new(acp),
+            );
+            let power = PowerSgdConfig::default().with_rank(2);
+            check_warm_start(
+                &mut comm,
+                PowerSgdAggregator::new(power.with_warm_start_steps(2)),
+                PowerSgdAggregator::new(power),
+            );
+        });
     }
 }

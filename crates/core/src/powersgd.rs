@@ -1,17 +1,14 @@
 //! Power-SGD distributed aggregation: two fused all-reduces per step
 //! (Algorithm 1 wired to a real communicator).
 
-use acp_collectives::{CollectiveOp, CollectiveResult, Communicator, ReduceOp};
+use acp_collectives::{CollectiveOp, CollectiveResult, ReduceOp};
 use acp_compression::powersgd::{PowerSgd, PowerSgdConfig as PowerSgdCompressionConfig};
-use acp_telemetry::{RecorderCell, RecorderHandle};
 use acp_tensor::MatrixShape;
 
 use crate::error::CoreError;
-use crate::optimizer::{DistributedOptimizer, GradViewMut};
 use crate::pipeline::{
-    run_step, Bucket, BucketCodec, FusedPipeline, PerBucket, Round, DEFAULT_BUFFER_BYTES,
+    Bucket, BucketCodec, PerBucket, Pipelined, Round, WarmStart, DEFAULT_BUFFER_BYTES,
 };
-use crate::ssgd::MeanCodec;
 
 /// Configuration of [`PowerSgdAggregator`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,10 +84,6 @@ impl PowerSgdConfig {
         self
     }
 }
-
-/// Former name of [`PowerSgdConfig`].
-#[deprecated(since = "0.2.0", note = "renamed to `PowerSgdConfig`")]
-pub type PowerSgdAggregatorConfig = PowerSgdConfig; // allow_verify(reason = "the shim definition itself")
 
 /// Per-tensor compression state.
 #[derive(Debug)]
@@ -204,22 +197,12 @@ impl PowerBucketState {
 /// projected straight from the caller's gradient and reconstructed
 /// straight into it; the codec holds factors, never gradients.
 #[derive(Debug)]
-struct PowerCodec {
+pub struct PowerCodec {
     cfg: PowerSgdConfig,
-    /// Exact averaging this step (warm start)?
-    warm: bool,
-    /// The warm-start path: plain dense averaging.
-    dense: MeanCodec,
     buckets: PerBucket<PowerBucketState>,
 }
 
 impl PowerCodec {
-    /// Drops all bucket-indexed state (the plan it was keyed by is gone).
-    fn clear(&mut self) {
-        self.dense.clear();
-        self.buckets.clear();
-    }
-
     fn total_error_norm(&self) -> f32 {
         self.buckets
             .iter()
@@ -233,10 +216,9 @@ impl PowerCodec {
 }
 
 impl BucketCodec for PowerCodec {
+    const NAME: &'static str = "powersgd";
+
     fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
-        if self.warm {
-            return self.dense.absorb(bucket, slot, grad);
-        }
         let cfg = self.cfg;
         let st = self
             .buckets
@@ -255,9 +237,6 @@ impl BucketCodec for PowerCodec {
     }
 
     fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
-        if self.warm {
-            return self.dense.encode(bucket);
-        }
         let st = self.buckets.get_mut(bucket)?;
         bucket.payload_bytes += 4 * st.p_payload.len() as u64;
         Ok(vec![CollectiveOp::AllReduce {
@@ -271,9 +250,6 @@ impl BucketCodec for PowerCodec {
         bucket: &mut Bucket,
         results: Vec<CollectiveResult>,
     ) -> Result<Round, CoreError> {
-        if self.warm {
-            return self.dense.decode(bucket, results);
-        }
         let reduced = results
             .into_iter()
             .next()
@@ -320,9 +296,6 @@ impl BucketCodec for PowerCodec {
     }
 
     fn emit(&mut self, bucket: &Bucket, slot: usize, out: &mut [f32]) -> Result<(), CoreError> {
-        if self.warm {
-            return self.dense.emit(bucket, slot, out);
-        }
         let st = self.buckets.get_mut(bucket)?;
         let (p_segment, q_segment) = (st.p_segment(slot), st.q_segment(slot));
         match &mut st.states[slot] {
@@ -331,6 +304,16 @@ impl BucketCodec for PowerCodec {
         }
         st.emitted += 1;
         Ok(())
+    }
+
+    fn clear(&mut self) {
+        self.buckets.clear();
+    }
+
+    fn residual_norm(&self) -> Option<f64> {
+        self.cfg
+            .error_feedback
+            .then(|| self.total_error_norm() as f64)
     }
 }
 
@@ -341,115 +324,41 @@ impl BucketCodec for PowerCodec {
 /// orthogonalize and compute the `Q` factors, all-reduce the fused `Q`s,
 /// decompress. Two collectives per bucket, the second blocked on the first
 /// — the structural cost ACP-SGD removes. Runs on the shared
-/// [`FusedPipeline`], so buckets still overlap with each other (and with
-/// backward compute under WFBP) even though each bucket's rounds serialize.
-#[derive(Debug)]
-pub struct PowerSgdAggregator {
-    cfg: PowerSgdConfig,
-    pipeline: FusedPipeline,
-    codec: PowerCodec,
-    steps: u64,
-    recorder: RecorderCell,
-}
+/// [`FusedPipeline`](crate::FusedPipeline), so buckets still overlap with
+/// each other (and with backward compute under WFBP) even though each
+/// bucket's rounds serialize. The first `warm_start_steps` steps average
+/// exactly ([`WarmStart`]).
+pub type PowerSgdAggregator = Pipelined<WarmStart<PowerCodec>>;
 
 impl PowerSgdAggregator {
     /// Creates the aggregator; per-tensor state initializes lazily on the
-    /// first [`DistributedOptimizer::aggregate`] call.
+    /// first [`aggregate`](crate::DistributedOptimizer::aggregate) call.
     pub fn new(cfg: PowerSgdConfig) -> Self {
-        PowerSgdAggregator {
+        let codec = PowerCodec {
             cfg,
-            pipeline: FusedPipeline::new(cfg.buffer_bytes),
-            codec: PowerCodec {
-                cfg,
-                warm: cfg.warm_start_steps > 0,
-                dense: MeanCodec::default(),
-                buckets: PerBucket::default(),
-            },
-            steps: 0,
-            recorder: RecorderCell::default(),
-        }
+            buckets: PerBucket::default(),
+        };
+        Pipelined::from_codec(
+            WarmStart::new(codec, cfg.warm_start_steps),
+            cfg.buffer_bytes,
+        )
     }
 
     /// Whether the next step still uses the uncompressed warm start.
     pub fn in_warm_start(&self) -> bool {
-        self.steps < self.cfg.warm_start_steps
+        self.codec.in_warm_start()
     }
 
     /// Sum of per-matrix error-feedback residual norms (diagnostics).
     pub fn total_error_norm(&self) -> f32 {
-        self.codec.total_error_norm()
-    }
-}
-
-impl DistributedOptimizer for PowerSgdAggregator {
-    fn name(&self) -> &'static str {
-        "powersgd"
-    }
-
-    fn set_buffer_bytes(&mut self, buffer_bytes: usize) {
-        self.pipeline.set_buffer_bytes(buffer_bytes);
-        self.codec.clear();
-    }
-
-    fn on_membership_change(&mut self) {
-        // Same reasoning as `set_buffer_bytes`: the re-plan invalidates
-        // bucket-indexed codec state along with the bucket plan.
-        self.pipeline.replan();
-        self.codec.clear();
-    }
-
-    fn aggregate(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.codec.warm = self.in_warm_start();
-        let warm = self.codec.warm;
-        let ef = self.cfg.error_feedback;
-        run_step(
-            &mut self.pipeline,
-            &mut self.codec,
-            &self.recorder,
-            grads,
-            comm,
-            |codec: &PowerCodec| (!warm && ef).then(|| codec.total_error_norm() as f64),
-        )?;
-        self.steps += 1;
-        Ok(())
-    }
-
-    fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.recorder.set(recorder);
-    }
-
-    fn supports_overlap(&self) -> bool {
-        true
-    }
-
-    fn push_ready(
-        &mut self,
-        index: usize,
-        dims: &[usize],
-        grad: &[f32],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.codec.warm = self.in_warm_start();
-        self.pipeline
-            .push(&mut self.codec, index, dims, grad, comm, &*self.recorder)
-    }
-
-    fn finish_overlap(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.aggregate(grads, comm)
+        self.codec.inner.total_error_norm()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{DistributedOptimizer, GradViewMut};
     use acp_collectives::ThreadGroup;
     use acp_tensor::vecops::relative_error;
     use acp_tensor::Matrix;

@@ -5,15 +5,11 @@
 //! evaluation configures (§III-A), so one bit-packed payload and one scale
 //! travel per bucket per step.
 
-use acp_collectives::{CollectiveOp, CollectiveResult, Communicator};
+use acp_collectives::{CollectiveOp, CollectiveResult};
 use acp_compression::{kernels, Compressor, ErrorFeedback, Payload, SignSgd};
-use acp_telemetry::{RecorderCell, RecorderHandle};
 
 use crate::error::CoreError;
-use crate::optimizer::{DistributedOptimizer, GradViewMut};
-use crate::pipeline::{
-    run_step, Bucket, BucketCodec, FusedPipeline, PerBucket, Round, DEFAULT_BUFFER_BYTES,
-};
+use crate::pipeline::{Bucket, BucketCodec, PerBucket, Pipelined, Round, DEFAULT_BUFFER_BYTES};
 
 /// Configuration of [`SignSgdAggregator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,13 +66,13 @@ struct SignBucket {
 /// per bucket, all-gathered and majority-voted; each tensor's bit range of
 /// the vote is expanded straight into the caller's gradient.
 #[derive(Debug)]
-struct SignCodec {
+pub struct SignCodec {
     error_feedback: bool,
     buckets: PerBucket<SignBucket>,
 }
 
 impl SignCodec {
-    fn residual_norm(&self) -> f32 {
+    fn residual_sum(&self) -> f32 {
         self.buckets
             .iter()
             .filter_map(|b| b.ef.as_ref())
@@ -86,6 +82,8 @@ impl SignCodec {
 }
 
 impl BucketCodec for SignCodec {
+    const NAME: &'static str = "signsgd";
+
     fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
         let st = self.buckets.get_or_insert_with(bucket, SignBucket::default);
         if st.buf.len() != bucket.elems {
@@ -156,6 +154,14 @@ impl BucketCodec for SignCodec {
         kernels::expand_votes_into(&st.voted, bucket.span(slot).start, st.scale, out);
         Ok(())
     }
+
+    fn clear(&mut self) {
+        self.buckets.clear();
+    }
+
+    fn residual_norm(&self) -> Option<f64> {
+        self.error_feedback.then(|| self.residual_sum() as f64)
+    }
 }
 
 /// Sign-SGD majority-vote aggregator.
@@ -163,12 +169,7 @@ impl BucketCodec for SignCodec {
 /// The aggregated "gradient" every rank receives is
 /// `sign(majority) · mean(scale)` per element — a biased estimate, which is
 /// why [`SignSgdAggregator::with_error_feedback`] matters for convergence.
-#[derive(Debug)]
-pub struct SignSgdAggregator {
-    pipeline: FusedPipeline,
-    codec: SignCodec,
-    recorder: RecorderCell,
-}
+pub type SignSgdAggregator = Pipelined<SignCodec>;
 
 impl SignSgdAggregator {
     /// Plain scaled Sign-SGD without error feedback.
@@ -185,20 +186,17 @@ impl SignSgdAggregator {
 
     /// Creates the aggregator from a [`SignSgdConfig`].
     pub fn from_config(cfg: SignSgdConfig) -> Self {
-        SignSgdAggregator {
-            pipeline: FusedPipeline::new(cfg.buffer_bytes),
-            codec: SignCodec {
-                error_feedback: cfg.error_feedback,
-                buckets: PerBucket::default(),
-            },
-            recorder: RecorderCell::default(),
-        }
+        let codec = SignCodec {
+            error_feedback: cfg.error_feedback,
+            buckets: PerBucket::default(),
+        };
+        Pipelined::from_codec(codec, cfg.buffer_bytes)
     }
 
     /// Sum of per-bucket error-feedback residual norms (zero without error
     /// feedback).
     pub fn residual_norm(&self) -> f32 {
-        self.codec.residual_norm()
+        self.codec.residual_sum()
     }
 }
 
@@ -208,70 +206,10 @@ impl Default for SignSgdAggregator {
     }
 }
 
-impl DistributedOptimizer for SignSgdAggregator {
-    fn name(&self) -> &'static str {
-        "signsgd"
-    }
-
-    fn set_buffer_bytes(&mut self, buffer_bytes: usize) {
-        self.pipeline.set_buffer_bytes(buffer_bytes);
-        self.codec.buckets.clear();
-    }
-
-    fn on_membership_change(&mut self) {
-        // Same reasoning as `set_buffer_bytes`: the re-plan invalidates
-        // bucket-indexed codec state along with the bucket plan.
-        self.pipeline.replan();
-        self.codec.buckets.clear();
-    }
-
-    fn aggregate(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        let ef = self.codec.error_feedback;
-        run_step(
-            &mut self.pipeline,
-            &mut self.codec,
-            &self.recorder,
-            grads,
-            comm,
-            |codec: &SignCodec| ef.then(|| codec.residual_norm() as f64),
-        )
-    }
-
-    fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.recorder.set(recorder);
-    }
-
-    fn supports_overlap(&self) -> bool {
-        true
-    }
-
-    fn push_ready(
-        &mut self,
-        index: usize,
-        dims: &[usize],
-        grad: &[f32],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.pipeline
-            .push(&mut self.codec, index, dims, grad, comm, &*self.recorder)
-    }
-
-    fn finish_overlap(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.aggregate(grads, comm)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{DistributedOptimizer, GradViewMut};
     use acp_collectives::ThreadGroup;
 
     #[test]

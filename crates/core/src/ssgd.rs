@@ -1,12 +1,10 @@
 //! The well-optimized S-SGD baseline: uncompressed gradient averaging with
 //! tensor fusion over ring all-reduce (PyTorch-DDP semantics).
 
-use acp_collectives::{CollectiveOp, CollectiveResult, Communicator, ReduceOp};
-use acp_telemetry::{RecorderCell, RecorderHandle};
+use acp_collectives::{CollectiveOp, CollectiveResult, ReduceOp};
 
 use crate::error::CoreError;
-use crate::optimizer::{DistributedOptimizer, GradViewMut};
-use crate::pipeline::{run_step, Bucket, BucketCodec, FusedPipeline, PerBucket, Round};
+use crate::pipeline::{Bucket, BucketCodec, PerBucket, Pipelined, Round};
 
 pub use crate::pipeline::DEFAULT_BUFFER_BYTES;
 
@@ -17,18 +15,21 @@ pub use crate::pipeline::DEFAULT_BUFFER_BYTES;
 /// `decode` takes it back reduced, and `emit` copies each tensor out. It
 /// comes back every step, so it is allocated once per plan.
 #[derive(Debug, Default)]
-pub(crate) struct MeanCodec {
+pub struct MeanCodec {
     bufs: PerBucket<Vec<f32>>,
 }
 
 impl MeanCodec {
-    /// Drops every bucket's buffer (the plan they were sized for is gone).
-    pub(crate) fn clear(&mut self) {
-        self.bufs.clear();
+    /// Whether any bucket's buffer is held.
+    #[cfg(test)]
+    pub(crate) fn holds_buffers(&self) -> bool {
+        self.bufs.iter().next().is_some()
     }
 }
 
 impl BucketCodec for MeanCodec {
+    const NAME: &'static str = "ssgd";
+
     fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
         let buf = self.bufs.get_or_insert_with(bucket, Vec::new);
         // Every slot is overwritten before `encode`, so a buffer of the
@@ -75,6 +76,10 @@ impl BucketCodec for MeanCodec {
         out.copy_from_slice(&self.bufs.get_mut(bucket)?[bucket.span(slot)]);
         Ok(())
     }
+
+    fn clear(&mut self) {
+        self.bufs.clear();
+    }
 }
 
 /// Uncompressed gradient-averaging aggregator.
@@ -95,12 +100,7 @@ impl BucketCodec for MeanCodec {
 /// });
 /// assert_eq!(results[0], vec![1.0, 1.0, 1.0]); // mean of 0 and 2
 /// ```
-#[derive(Debug, Default)]
-pub struct SSgdAggregator {
-    pipeline: FusedPipeline,
-    codec: MeanCodec,
-    recorder: RecorderCell,
-}
+pub type SSgdAggregator = Pipelined<MeanCodec>;
 
 impl SSgdAggregator {
     /// Creates the aggregator with the default 25 MB fusion buffer.
@@ -112,75 +112,20 @@ impl SSgdAggregator {
     /// (0 disables fusion).
     #[must_use]
     pub fn with_buffer_bytes(buffer_bytes: usize) -> Self {
-        SSgdAggregator {
-            pipeline: FusedPipeline::new(buffer_bytes),
-            codec: MeanCodec::default(),
-            recorder: RecorderCell::default(),
-        }
+        Pipelined::from_codec(MeanCodec::default(), buffer_bytes)
     }
 }
 
-impl DistributedOptimizer for SSgdAggregator {
-    fn name(&self) -> &'static str {
-        "ssgd"
-    }
-
-    fn set_buffer_bytes(&mut self, buffer_bytes: usize) {
-        self.pipeline.set_buffer_bytes(buffer_bytes);
-        self.codec.clear();
-    }
-
-    fn on_membership_change(&mut self) {
-        self.pipeline.replan();
-        self.codec.clear();
-    }
-
-    fn aggregate(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        run_step(
-            &mut self.pipeline,
-            &mut self.codec,
-            &self.recorder,
-            grads,
-            comm,
-            |_| None,
-        )
-    }
-
-    fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.recorder.set(recorder);
-    }
-
-    fn supports_overlap(&self) -> bool {
-        true
-    }
-
-    fn push_ready(
-        &mut self,
-        index: usize,
-        dims: &[usize],
-        grad: &[f32],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.pipeline
-            .push(&mut self.codec, index, dims, grad, comm, &*self.recorder)
-    }
-
-    fn finish_overlap(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.aggregate(grads, comm)
+impl Default for SSgdAggregator {
+    fn default() -> Self {
+        SSgdAggregator::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{DistributedOptimizer, GradViewMut};
     use acp_collectives::ThreadGroup;
 
     #[test]
@@ -279,7 +224,6 @@ mod tests {
                         vec![(r + 1.0) * (s + 1.0); 4],
                     ];
                     if overlapped {
-                        assert!(opt.supports_overlap());
                         for i in (0..3).rev() {
                             let g = grads[i].clone();
                             opt.push_ready(i, &dims[i], &g, &mut comm).unwrap();

@@ -1,15 +1,11 @@
 //! Top-k SGD over all-gather with scatter-average (§III), with optional
 //! error feedback.
 
-use acp_collectives::{CollectiveOp, CollectiveResult, Communicator};
+use acp_collectives::{CollectiveOp, CollectiveResult};
 use acp_compression::{Compressor, ErrorFeedback, TopK};
-use acp_telemetry::{RecorderCell, RecorderHandle};
 
 use crate::error::CoreError;
-use crate::optimizer::{DistributedOptimizer, GradViewMut};
-use crate::pipeline::{
-    run_step, Bucket, BucketCodec, FusedPipeline, PerBucket, Round, DEFAULT_BUFFER_BYTES,
-};
+use crate::pipeline::{Bucket, BucketCodec, PerBucket, Pipelined, Round, DEFAULT_BUFFER_BYTES};
 use crate::sparse::{gathered_pairs, k_for, sparse_parts, SlotPairs};
 
 /// Configuration of [`TopkSgdAggregator`].
@@ -73,14 +69,14 @@ struct TopkBucket {
 /// of each bucket travel as coordinate/value pairs over all-gather and the
 /// union is scatter-averaged, tensor by tensor, into the caller's gradient.
 #[derive(Debug)]
-struct TopkCodec {
+pub struct TopkCodec {
     density: f64,
     error_feedback: bool,
     buckets: PerBucket<TopkBucket>,
 }
 
 impl TopkCodec {
-    fn residual_norm(&self) -> f32 {
+    fn residual_sum(&self) -> f32 {
         self.buckets
             .iter()
             .filter_map(|b| b.ef.as_ref())
@@ -90,6 +86,8 @@ impl TopkCodec {
 }
 
 impl BucketCodec for TopkCodec {
+    const NAME: &'static str = "topk";
+
     fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
         let st = self.buckets.get_or_insert_with(bucket, TopkBucket::default);
         if st.buf.len() != bucket.elems {
@@ -143,6 +141,14 @@ impl BucketCodec for TopkCodec {
             .scatter(slot, inv, out, |o, v| *o += v);
         Ok(())
     }
+
+    fn clear(&mut self) {
+        self.buckets.clear();
+    }
+
+    fn residual_norm(&self) -> Option<f64> {
+        self.error_feedback.then(|| self.residual_sum() as f64)
+    }
 }
 
 /// Top-k sparsified aggregator.
@@ -152,13 +158,7 @@ impl BucketCodec for TopkCodec {
 /// length) are all-gathered with their coordinates, and the union is
 /// scatter-averaged — the paper's Top-k SGD with multiple-sampling replaced
 /// by exact selection for bit-stable distributed state.
-#[derive(Debug)]
-pub struct TopkSgdAggregator {
-    density: f64,
-    pipeline: FusedPipeline,
-    codec: TopkCodec,
-    recorder: RecorderCell,
-}
+pub type TopkSgdAggregator = Pipelined<TopkCodec>;
 
 impl TopkSgdAggregator {
     /// Creates a Top-k aggregator keeping `density` of the gradient
@@ -196,94 +196,30 @@ impl TopkSgdAggregator {
             cfg.density > 0.0 && cfg.density <= 1.0,
             "density must be in (0, 1]"
         );
-        TopkSgdAggregator {
+        let codec = TopkCodec {
             density: cfg.density,
-            pipeline: FusedPipeline::new(cfg.buffer_bytes),
-            codec: TopkCodec {
-                density: cfg.density,
-                error_feedback: cfg.error_feedback,
-                buckets: PerBucket::default(),
-            },
-            recorder: RecorderCell::default(),
-        }
+            error_feedback: cfg.error_feedback,
+            buckets: PerBucket::default(),
+        };
+        Pipelined::from_codec(codec, cfg.buffer_bytes)
     }
 
     /// The configured selection density.
     pub fn density(&self) -> f64 {
-        self.density
+        self.codec.density
     }
 
     /// Sum of per-bucket error-feedback residual norms (zero without error
     /// feedback).
     pub fn residual_norm(&self) -> f32 {
-        self.codec.residual_norm()
-    }
-}
-
-impl DistributedOptimizer for TopkSgdAggregator {
-    fn name(&self) -> &'static str {
-        "topk"
-    }
-
-    fn set_buffer_bytes(&mut self, buffer_bytes: usize) {
-        self.pipeline.set_buffer_bytes(buffer_bytes);
-        self.codec.buckets.clear();
-    }
-
-    fn on_membership_change(&mut self) {
-        // Same reasoning as `set_buffer_bytes`: the re-plan invalidates
-        // bucket-indexed codec state along with the bucket plan.
-        self.pipeline.replan();
-        self.codec.buckets.clear();
-    }
-
-    fn aggregate(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        let ef = self.codec.error_feedback;
-        run_step(
-            &mut self.pipeline,
-            &mut self.codec,
-            &self.recorder,
-            grads,
-            comm,
-            |codec: &TopkCodec| ef.then(|| codec.residual_norm() as f64),
-        )
-    }
-
-    fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.recorder.set(recorder);
-    }
-
-    fn supports_overlap(&self) -> bool {
-        true
-    }
-
-    fn push_ready(
-        &mut self,
-        index: usize,
-        dims: &[usize],
-        grad: &[f32],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.pipeline
-            .push(&mut self.codec, index, dims, grad, comm, &*self.recorder)
-    }
-
-    fn finish_overlap(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.aggregate(grads, comm)
+        self.codec.residual_sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{DistributedOptimizer, GradViewMut};
     use acp_collectives::ThreadGroup;
 
     #[test]

@@ -56,6 +56,4 @@ pub use launch::{
     launch_local, launch_local_grouped, worker_from_env, LocalGroup, ENV_BASE_PORT, ENV_GROUPS,
     ENV_RANK, ENV_WORLD_SIZE,
 };
-#[allow(deprecated)]
-pub use tcp::Topology; // allow_verify(reason = "deprecated re-export")
 pub use tcp::{run_local, run_local_with, RetryPolicy, TcpCommunicator, TcpConfig, Wiring};

@@ -124,12 +124,6 @@ pub enum Wiring {
     FullMesh,
 }
 
-/// Former name of [`Wiring`], kept one release for callers that predate
-/// the topology-aware API (where `Topology` now names the *logical*
-/// arrangement, [`acp_collectives::Topology`]).
-#[deprecated(since = "0.2.0", note = "renamed to `Wiring`")]
-pub type Topology = Wiring;
-
 /// Rank value carried by probe hellos: a liveness probe dials a peer's
 /// listener just to see whether it is still bound, then hangs up. Accept
 /// loops discard these.
@@ -203,13 +197,6 @@ impl TcpConfig {
     pub fn with_wiring(mut self, wiring: Wiring) -> Self {
         self.wiring = wiring;
         self
-    }
-
-    /// Former name of [`TcpConfig::with_wiring`].
-    #[deprecated(since = "0.2.0", note = "renamed to `with_wiring`")]
-    #[must_use]
-    pub fn with_topology(self, wiring: Wiring) -> Self {
-        self.with_wiring(wiring)
     }
 
     /// Arranges the group as `groups` rings of `world_size / groups`
@@ -695,24 +682,6 @@ impl TcpCommunicator {
             verify,
             recorder: noop(),
         })
-    }
-
-    /// This worker's rank in `[0, world_size)`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `rank_id()` (see `acp_collectives::RankId`)"
-    )]
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Number of workers in the group.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `topology().world_size()` or `membership().world_size()`"
-    )]
-    pub fn world_size(&self) -> usize {
-        self.world_size
     }
 
     /// This worker's virtual rank: its position in the sorted member

@@ -31,9 +31,8 @@ pub struct TrainConfig {
     /// Seed for shuffling (model init seeds live in the model builder).
     pub seed: u64,
     /// Overlap gradient communication with backward compute (wait-free
-    /// backpropagation) when the aggregator supports it. The aggregated
-    /// result is bit-identical either way; disable to measure the
-    /// unoverlapped baseline.
+    /// backpropagation). The aggregated result is bit-identical either
+    /// way; disable to measure the unoverlapped baseline.
     pub overlap: bool,
     /// Run the closed-loop autotuner before epoch 1: profile the live
     /// cluster's collectives, fit α–β from the telemetry, tune the fusion
@@ -339,7 +338,6 @@ where
             }
         }
     }
-    let overlap = cfg.overlap && aggregator.supports_overlap();
     // Global forward-order index of each layer's first parameter tensor —
     // the index space `push_ready` expects.
     let layer_offsets: Vec<usize> = {
@@ -373,7 +371,7 @@ where
             let logits = model.forward(&x);
             let (loss, dlogits) = softmax_cross_entropy(&logits, &y);
             let backward_start = recorder.as_ref().map(|rec| rec.now_us());
-            if overlap {
+            if cfg.overlap {
                 // Wait-free backpropagation: hand each layer's gradients to
                 // the aggregation pipeline the moment its backward finishes,
                 // so full buckets communicate while earlier layers compute.
@@ -405,7 +403,7 @@ where
                     grad: &mut *p.grad,
                 })
                 .collect();
-            if overlap {
+            if cfg.overlap {
                 aggregator
                     .finish_overlap(&mut views, &mut comm)
                     .expect("gradient aggregation failed");

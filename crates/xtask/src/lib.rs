@@ -4,7 +4,7 @@
 //!
 //! - [`lint`] — token-level repo invariants (`cargo xtask lint`): banned
 //!   patterns on comm paths, wall-clock reads in the simulator, telemetry
-//!   key pairing, rank arithmetic, deprecated shims, wire-path copies.
+//!   key pairing, rank arithmetic, wire-path copies.
 //! - [`analyze`] — interprocedural semantic analysis
 //!   (`cargo xtask analyze`): a conservative whole-workspace call graph
 //!   feeding panic-reachability, lock-order, blocking-under-lock and

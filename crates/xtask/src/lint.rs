@@ -1,15 +1,15 @@
 //! The repo-invariant lint pass behind `cargo xtask lint`.
 //!
-//! Four families of invariants, all enforced on the lexed *code* view
+//! Six families of invariants, all enforced on the lexed *code* view
 //! of each file (comments and string literals never trigger findings —
 //! see [`crate::lexer`]):
 //!
 //! 1. **No panicking calls on communication paths.** `.unwrap(`,
 //!    `.expect(`, `panic!` and `todo!` are banned in
 //!    `crates/collectives/src`, `crates/compression/src`,
-//!    `crates/net/src` and the pipeline / optimizer paths of
-//!    `crates/core`. A panicking rank looks like a peer failure to the
-//!    rest of the group, so these paths must return `CommError` (or a
+//!    `crates/core/src`, `crates/net/src` and `crates/serve/src`. A
+//!    panicking rank looks like a peer failure to the rest of the
+//!    group, so these paths must return `CommError` (or a
 //!    structured `CompressError`) instead. Deliberate exceptions carry
 //!    an `allow_verify(reason = "...")` marker comment on the same or
 //!    the preceding line.
@@ -27,15 +27,7 @@
 //!    with the two-level schedule. The socket-wiring layer of `acp-net`
 //!    (physical link resolution) is the one deliberate exception,
 //!    carried on the `allow_verify` allowlist.
-//! 5. **No new uses of deprecated one-release shims.** The 0.2.0 renames
-//!    (`CollectiveError` → `CommError`, `PowerSgdAggregatorConfig` →
-//!    `PowerSgdConfig`, `tcp::Topology` → `Wiring`, `.with_topology(` →
-//!    `.with_wiring(`) keep their old names as `#[deprecated]` shims for
-//!    exactly one release. Workspace code must not call them — clippy
-//!    already warns, but only where the caller forgot an
-//!    `#[allow(deprecated)]`; this scan has no such blind spot. The shim
-//!    definitions and re-exports themselves carry `allow_verify` markers.
-//! 6. **No fresh copies on the frame send path.** `.to_vec(` is banned
+//! 5. **No fresh copies on the frame send path.** `.to_vec(` is banned
 //!    in the frame writer, the TCP transport, the ring/hierarchy
 //!    collectives and the aggregation service (session codec, client,
 //!    server); `.clone(` is banned in the frame writer and the session
@@ -44,8 +36,8 @@
 //!    zero-copy win. Ownership fallbacks (the in-process channel
 //!    backend, the comm worker's cross-thread op buffers) carry
 //!    `allow_verify` markers.
-//! 7. **No fresh `Vec` per received dense frame.** The receive side
-//!    mirrors rule 6: dense payloads are read straight into the caller's
+//! 6. **No fresh `Vec` per received dense frame.** The receive side
+//!    mirrors rule 5: dense payloads are read straight into the caller's
 //!    storage. In the frame reader a byte staging buffer (`vec![0u8`) or
 //!    a per-element decode (`.chunks_exact(`, `.collect(`) means the
 //!    two-allocation owned decode is back; in the ring/hierarchy
@@ -69,14 +61,9 @@ pub const ALLOW_MARKER: &str = "allow_verify(reason";
 pub const PANIC_FREE_DIRS: &[&str] = &[
     "crates/collectives/src",
     "crates/compression/src",
+    "crates/core/src",
     "crates/net/src",
     "crates/serve/src",
-];
-
-/// Individual files where panicking calls are banned.
-pub const PANIC_FREE_FILES: &[&str] = &[
-    "crates/core/src/pipeline.rs",
-    "crates/core/src/optimizer.rs",
 ];
 
 /// Scopes where wall-clock reads are banned.
@@ -134,40 +121,6 @@ const STAGED_DECODE_PATTERNS: &[&str] = &["vec![0u8", ".chunks_exact(", ".collec
 pub const WIRE_NO_OWNED_RECV_FILES: &[&str] = &[
     "crates/collectives/src/hierarchy.rs",
     "crates/collectives/src/ring.rs",
-];
-
-/// Every crate `src` tree: the deprecated-shim scan covers the whole
-/// workspace (the shims live in `collectives`, `core` and `net`, but a
-/// stray caller could appear anywhere).
-pub const DEPRECATED_SCAN_DIRS: &[&str] = &[
-    "crates/bench/src",
-    "crates/collectives/src",
-    "crates/compression/src",
-    "crates/core/src",
-    "crates/models/src",
-    "crates/net/src",
-    "crates/serve/src",
-    "crates/simulator/src",
-    "crates/telemetry/src",
-    "crates/tensor/src",
-    "crates/training/src",
-    "crates/verify/src",
-    "crates/xtask/src",
-];
-
-/// Deprecated 0.2.0 names and their replacements. Each pattern is
-/// matched on the code view, so mentions in comments, docs and string
-/// literals never trigger; the shim definition lines carry
-/// `allow_verify` markers.
-pub const DEPRECATED_PATTERNS: &[(&str, &str)] = &[
-    ("CollectiveError", "use `CommError`"),
-    ("PowerSgdAggregatorConfig", "use `PowerSgdConfig`"),
-    (
-        "tcp::Topology",
-        "use `Wiring` (`Topology` now names the logical arrangement, \
-         `acp_collectives::Topology`)",
-    ),
-    (".with_topology(", "use `.with_wiring(`"),
 ];
 
 /// One lint finding.
@@ -358,22 +311,6 @@ pub fn scan_rank_math(rel_path: &str, src: &str) -> Vec<Finding> {
     findings
 }
 
-/// Scans one file for uses of the deprecated 0.2.0 shim names,
-/// honouring `cfg(test)` exclusion and `allow_verify` markers (the shim
-/// definitions and re-exports are the only legitimate carriers).
-pub fn scan_deprecated(rel_path: &str, src: &str) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (pat, instead) in DEPRECATED_PATTERNS {
-        findings.extend(scan_source(
-            rel_path,
-            src,
-            &[pat],
-            &format!("deprecated 0.2.0 shim, removed next release — {instead}"),
-        ));
-    }
-    findings
-}
-
 /// Checks that every `COMM_*_US` key in `keys.rs` has a `COMM_*_BYTES`
 /// sibling.
 pub fn scan_key_pairing(rel_path: &str, src: &str) -> Vec<Finding> {
@@ -482,7 +419,7 @@ pub fn run(root: &Path) -> std::io::Result<Vec<Finding>> {
     };
     scan_scope(
         PANIC_FREE_DIRS,
-        PANIC_FREE_FILES,
+        &[],
         PANIC_PATTERNS,
         "communication paths must surface failures as CommError, not panics \
          (a panicking rank looks like a peer failure to the group)",
@@ -544,35 +481,6 @@ pub fn run(root: &Path) -> std::io::Result<Vec<Finding>> {
         for path in paths {
             match std::fs::read_to_string(&path) {
                 Ok(src) => findings.extend(scan_rank_math(&rel(root, &path), &src)),
-                Err(e) => findings.push(Finding {
-                    file: rel(root, &path),
-                    line: 1,
-                    message: format!("cannot read: {e}"),
-                }),
-            }
-        }
-    }
-    for dir in DEPRECATED_SCAN_DIRS {
-        let abs = root.join(dir);
-        if !abs.is_dir() {
-            findings.push(Finding {
-                file: (*dir).to_string(),
-                line: 1,
-                message: "linted scope does not exist; update crates/xtask/src/lint.rs".to_string(),
-            });
-            continue;
-        }
-        let mut paths = Vec::new();
-        if let Err(e) = rust_files(&abs, &mut paths) {
-            findings.push(Finding {
-                file: (*dir).to_string(),
-                line: 1,
-                message: format!("cannot walk linted scope: {e}"),
-            });
-        }
-        for path in paths {
-            match std::fs::read_to_string(&path) {
-                Ok(src) => findings.extend(scan_deprecated(&rel(root, &path), &src)),
                 Err(e) => findings.push(Finding {
                     file: rel(root, &path),
                     line: 1,
@@ -731,33 +639,17 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_shim_uses_are_flagged() {
-        let src = "fn f() -> Result<(), CollectiveError> { Ok(()) }\n";
-        let f = scan_deprecated("x.rs", src);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("use `CommError`"), "{}", f[0].message);
-        let src = "let cfg = PowerSgdAggregatorConfig::default();\n";
-        assert_eq!(scan_deprecated("x.rs", src).len(), 1);
-        let src = "let w: tcp::Topology = tcp::Topology::default();\n";
-        assert_eq!(scan_deprecated("x.rs", src).len(), 2);
-        let src = "let cfg = TcpConfig::default().with_topology(w);\n";
-        assert_eq!(scan_deprecated("x.rs", src).len(), 1);
-    }
-
-    #[test]
-    fn deprecated_scan_skips_docs_renames_and_marked_shims() {
-        // Mentions in comments and strings are invisible to the scan.
-        let src = "// the old CollectiveError name\nlet s = \"tcp::Topology\";\n";
-        assert!(scan_deprecated("x.rs", src).is_empty());
-        // The renamed replacements don't false-positive.
-        let src = "fn f(w: Wiring) -> CommError { TcpConfig::default().with_wiring(w) }\n";
-        assert!(scan_deprecated("x.rs", src).is_empty());
-        // `try_run_with_topology` takes the logical topology, not wiring.
-        let src = "ThreadGroup::try_run_with_topology(topo, verify, f);\n";
-        assert!(scan_deprecated("x.rs", src).is_empty());
-        // The shim definition itself is exempted by its marker.
-        let src = "pub type CollectiveError = CommError; // allow_verify(reason = \"shim\")\n";
-        assert!(scan_deprecated("x.rs", src).is_empty());
+    fn the_codecs_are_scanned_for_panics() {
+        // Every codec runs on each rank's communication path.
+        let file = "crates/core/src/signsgd.rs";
+        assert!(
+            PANIC_FREE_DIRS
+                .iter()
+                .any(|dir| file.starts_with(&format!("{dir}/"))),
+            "{file} fell out of the panic-free scope"
+        );
+        let src = "fn decode(r: Vec<CollectiveResult>) { r.into_iter().next().unwrap(); }\n";
+        assert_eq!(scan_source(file, src, PANIC_PATTERNS, "why").len(), 1);
     }
 
     #[test]
