@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use acp_collectives::ThreadGroup;
+use acp_collectives::{Communicator, ThreadGroup};
 use acp_core::{DistributedOptimizer, GradViewMut, SSgdAggregator};
 use acp_models::Model;
 

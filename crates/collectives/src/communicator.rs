@@ -1,11 +1,13 @@
 //! Real in-process collectives over a ring of channels.
 //!
-//! Each worker is a thread holding a [`ThreadCommunicator`] with a channel to
-//! its successor on the ring and a receiver from its predecessor — the same
-//! topology NCCL's ring algorithms use. All-reduce is implemented as chunked
-//! reduce-scatter followed by ring all-gather, so the per-rank transmitted
-//! volume is the bandwidth-optimal `2 (p−1)/p · N` of Table II, which the
-//! tests verify byte-for-byte through [`Communicator::bytes_sent`].
+//! Each worker is a thread holding a [`ThreadCommunicator`] — the shared
+//! [`WorkerCommunicator`] shell over this module's mailbox
+//! [`ThreadTransport`] — that can reach every peer, so the ring algorithms
+//! see a successor and a predecessor exactly as NCCL's do. All-reduce is
+//! implemented as chunked reduce-scatter followed by ring all-gather, so
+//! the per-rank transmitted volume is the bandwidth-optimal `2 (p−1)/p · N`
+//! of Table II, which the tests verify byte-for-byte through
+//! [`Communicator::bytes_sent`].
 //!
 //! The collective *algorithms* live in [`crate::ring`], generic over the
 //! [`Transport`] point-to-point interface; this module provides the
@@ -21,13 +23,11 @@ use acp_telemetry::{keys, noop, RecorderHandle};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::nonblocking::{
-    execute_collective, execute_via_blocking, CollectiveOp, CollectiveResult, CommWorker,
-    PendingOp, WorkerTransport,
+    confirm_reform, execute_via_blocking, CollectiveOp, DepartureNotice, PendingOp,
+    WorkerCommunicator, WorkerTransport,
 };
 use crate::ring::{self, Transport, WireMsg};
-use crate::schedule::{
-    membership_param, OpKind, ScheduleCell, ScheduleSnapshot, ScheduleTracer, VerifyMode,
-};
+use crate::schedule::{OpKind, ScheduleCell, ScheduleSnapshot, ScheduleTracer, VerifyMode};
 use crate::topology::{Membership, RankId, Topology};
 
 /// Reduction operator applied element-wise by [`Communicator::all_reduce`].
@@ -304,7 +304,7 @@ pub trait Communicator: Send {
     /// sum, identical on every rank.
     ///
     /// The default implementation gathers all contributions and truncates;
-    /// [`ThreadCommunicator`] overrides it with the `O(k log p)` recursive
+    /// [`WorkerCommunicator`] overrides it with the `O(k log p)` recursive
     /// doubling merge of gTop-k (Shi et al., ICDCS 2019), whose per-round
     /// truncation makes it approximate (coordinates that are individually
     /// small everywhere can be dropped even if their sum is large).
@@ -320,11 +320,7 @@ pub trait Communicator: Send {
     ) -> Result<(Vec<u32>, Vec<f32>), CommError> {
         let gathered_idx = self.all_gather_u32(indices)?;
         let gathered_val = self.all_gather_f32(values)?;
-        let mut map = std::collections::BTreeMap::new();
-        for (&i, &v) in gathered_idx.iter().zip(&gathered_val) {
-            *map.entry(i).or_insert(0.0f32) += v;
-        }
-        Ok(ring::truncate_topk(map, k))
+        Ok(ring::sum_truncate_topk(&gathered_idx, &gathered_val, k))
     }
 
     /// Dispatches a collective for asynchronous completion; redeem the
@@ -332,19 +328,19 @@ pub trait Communicator: Send {
     ///
     /// The default implementation executes synchronously through the
     /// blocking methods and returns an already-resolved handle, so every
-    /// backend supports the non-blocking API. Worker-backed communicators
-    /// ([`ThreadCommunicator`], `acp-net`'s `TcpCommunicator`) override it
-    /// to run the collective on a per-rank comm worker thread, overlapping
-    /// it with the caller's compute. Operations complete in submission
-    /// order on every backend, so interleaving dispatched and blocking
-    /// calls preserves the SPMD contract.
+    /// backend supports the non-blocking API. [`WorkerCommunicator`] (the
+    /// thread and TCP backends) overrides it to run the collective on a
+    /// per-rank comm worker thread, overlapping it with the caller's
+    /// compute. Operations complete in submission order on every backend,
+    /// so interleaving dispatched and blocking calls preserves the SPMD
+    /// contract.
     fn dispatch(&mut self, op: CollectiveOp) -> PendingOp {
         PendingOp::ready(execute_via_blocking(self, op))
     }
 
     /// Non-blocking all-reduce: consumes this rank's contribution and
     /// returns a handle whose [`PendingOp::wait`] yields the reduced
-    /// buffer ([`CollectiveResult::F32`]).
+    /// buffer ([`CollectiveResult::F32`](crate::CollectiveResult::F32)).
     fn all_reduce_start(&mut self, buf: Vec<f32>, op: ReduceOp) -> PendingOp {
         self.dispatch(CollectiveOp::AllReduce { buf, op })
     }
@@ -442,44 +438,7 @@ impl Communicator for LocalCommunicator {
 /// all-reduce), recursive doubling (latency-optimal), and sparse
 /// collectives. All collectives are SPMD: every rank of the group must
 /// call the same sequence of operations.
-pub struct ThreadCommunicator {
-    /// Virtual (ring) rank — equals the physical rank until a reform.
-    rank: usize,
-    world_size: usize,
-    /// Physical rank this endpoint was launched with (stable across
-    /// reforms; it is what [`GroupState::departed`] records).
-    physical: usize,
-    /// Current membership epoch (mirrors the transport's; updated by
-    /// [`ThreadCommunicator::reform`]).
-    epoch: u64,
-    /// The arrangement collectives are scheduled over; collapses to a
-    /// flat ring over the survivors after a reform.
-    topology: Topology,
-    /// Physical ranks currently in the group, sorted (virtual → physical).
-    members: Vec<usize>,
-    /// The mailbox transport; `Some` until the comm worker takes it.
-    inner: Option<ThreadTransport>,
-    /// Per-rank comm worker, spawned lazily by the first dispatched
-    /// operation; once running, *every* collective (blocking included)
-    /// routes through it so submission order stays FIFO-total.
-    worker: Option<CommWorker>,
-    /// Departure/abort state shared by the whole group; receive loops
-    /// poll it so peers observe a death within [`PANIC_POLL`] instead of
-    /// blocking out the full [`RECV_TIMEOUT`].
-    group: Arc<GroupState>,
-    /// Shared with the transport so `bytes_sent` stays readable after the
-    /// transport moves into the worker thread.
-    bytes_sent: Arc<AtomicU64>,
-    /// Schedule-trace state, shared with the transport's tracer so
-    /// [`Communicator::schedule`] stays readable after the transport moves
-    /// into the worker thread.
-    schedule: Arc<ScheduleCell>,
-    /// Schedule-verification mode this group was built with.
-    verify: VerifyMode,
-    /// Telemetry sink; [`acp_telemetry::NoopRecorder`] unless attached via
-    /// [`Communicator::set_recorder`].
-    recorder: RecorderHandle,
-}
+pub type ThreadCommunicator = WorkerCommunicator<ThreadTransport>;
 
 /// Departure and abort state shared by every member of a [`ThreadGroup`].
 struct GroupState {
@@ -553,11 +512,11 @@ impl GroupState {
     }
 }
 
-/// The mailbox transport state of one rank. Lives inside the
+/// The mailbox transport of one [`ThreadGroup`] rank. Lives inside its
 /// [`ThreadCommunicator`] until a comm worker is spawned, then moves into
 /// the worker thread (collectives keep running the same [`ring`]
 /// algorithms on it either way).
-struct ThreadTransport {
+pub struct ThreadTransport {
     /// Virtual (ring) rank — equals `physical` until a reform.
     rank: usize,
     world_size: usize,
@@ -585,28 +544,6 @@ struct ThreadTransport {
     /// cross-check mode it also tags outgoing messages and verifies
     /// incoming ones at delivery.
     tracer: ScheduleTracer,
-}
-
-impl fmt::Debug for ThreadCommunicator {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ThreadCommunicator")
-            .field("rank", &self.rank)
-            .field("world_size", &self.world_size)
-            .field("bytes_sent", &self.bytes_sent.load(Ordering::SeqCst))
-            .finish_non_exhaustive()
-    }
-}
-
-impl Drop for ThreadCommunicator {
-    fn drop(&mut self) {
-        // A communicator dropped during unwind means its worker died
-        // mid-collective; record the departure so peers blocked in
-        // `recv_from` fail fast with `MembershipChanged` instead of
-        // waiting out the 30-second peer timeout.
-        if std::thread::panicking() {
-            self.group.mark_departed(self.physical, self.epoch);
-        }
-    }
 }
 
 impl Drop for ThreadTransport {
@@ -785,250 +722,17 @@ impl WorkerTransport for ThreadTransport {
                 queue.pop_front();
             }
         }
-        // Record the reform as a schedule op (replayable by `acp-verify
-        // check-trace`), re-deriving the rolling digest from the new
-        // membership, then handshake: all-gather the digest halves so
-        // survivors that disagree on who survived fail loudly *here*, not
-        // on some later collective. In cross-check mode the handshake
-        // messages are tagged with the reform op, so a divergent reform
-        // also surfaces as a `ScheduleMismatch` naming it.
-        self.tracer.begin_op(
-            OpKind::Reform,
-            self.members.len() as u64,
-            membership_param(self.epoch, &self.members),
-        );
-        let digest = self.tracer.digest();
-        let halves = [(digest >> 32) as u32, digest as u32];
-        let gathered = ring::all_gather_u32(self, &halves)?;
-        for (virt, pair) in gathered.chunks(2).enumerate() {
-            if pair != halves {
-                return Err(CommError::Io(format!(
-                    "post-reform schedule digest mismatch: rank {} disagrees on the surviving membership",
-                    self.members.get(virt).copied().unwrap_or(virt)
-                )));
-            }
-        }
-        Ok(self.membership())
+        // Record the reform and cross-check its digest among survivors.
+        confirm_reform(self)
     }
 
     fn tracer(&mut self) -> Option<&mut ScheduleTracer> {
         Some(&mut self.tracer)
     }
-}
 
-impl ThreadCommunicator {
-    /// This worker's virtual (ring) rank, as a typed [`RankId`].
-    ///
-    /// Inherent so callers need neither [`Communicator`] nor
-    /// [`Transport`] in scope (and so having both in scope stays
-    /// unambiguous).
-    pub fn rank_id(&self) -> RankId {
-        RankId(self.rank)
-    }
-
-    /// The rank arrangement collectives are scheduled over.
-    pub fn topology(&self) -> Topology {
-        self.topology
-    }
-
-    /// The current membership (epoch + surviving physical ranks).
-    pub fn membership(&self) -> Membership {
-        Membership::from_parts(self.epoch, self.members.clone())
-    }
-
-    /// Rebuilds the group from the surviving ranks after a peer departure
-    /// (see [`Communicator::reform`]). Routes through the comm worker when
-    /// one is running, so the reform stays FIFO with dispatched
-    /// collectives.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the transport's reform error; a dead worker surfaces as
-    /// [`CommError::WorkerPanicked`].
-    pub fn reform(&mut self) -> Result<Membership, CommError> {
-        let membership = match (&self.worker, self.inner.as_mut()) {
-            (Some(worker), _) => worker.reform(),
-            (None, Some(transport)) => transport.reform(),
-            (None, None) => Err(CommError::WorkerPanicked),
-        }?;
-        self.epoch = membership.epoch();
-        self.world_size = membership.world_size();
-        self.members = membership.ranks().to_vec();
-        self.topology = Topology::flat(membership.world_size());
-        if let Some(virt) = membership.virtual_rank_of(self.physical) {
-            self.rank = virt.as_usize();
-        }
-        Ok(membership)
-    }
-
-    /// Runs one collective to completion: inline on the transport before
-    /// a worker exists, or as submit-and-wait once one is running (so a
-    /// blocking call can never overtake dispatched operations).
-    fn run_op(&mut self, op: CollectiveOp) -> Result<CollectiveResult, CommError> {
-        match (&self.worker, self.inner.as_mut()) {
-            (Some(worker), _) => worker.submit(op).wait(),
-            (None, Some(transport)) => execute_collective(transport, op),
-            // Unreachable: the transport only leaves when a worker spawns.
-            (None, None) => Err(CommError::WorkerPanicked),
-        }
-    }
-
-    /// Spawns the comm worker on first use, moving the transport into it.
-    fn ensure_worker(&mut self) -> &CommWorker {
-        if self.worker.is_none() {
-            let transport = self
-                .inner
-                .take()
-                // allow_verify(reason = "struct invariant: inner is Some until the worker takes it, and this branch only runs when worker is None")
-                .expect("transport is present until the worker takes it");
-            self.worker = Some(CommWorker::spawn(transport));
-        }
-        // allow_verify(reason = "assigned Some on the line above when absent")
-        self.worker.as_ref().expect("worker just spawned")
-    }
-
-    /// Simultaneously sends `send` to `peer` and receives their buffer of
-    /// the same length — the pairwise exchange of butterfly algorithms.
-    ///
-    /// Both sides must call this with each other's rank.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on disconnect or mismatched lengths.
-    pub fn send_recv_f32(&mut self, peer: usize, send: &[f32]) -> Result<Vec<f32>, CommError> {
-        self.run_op(CollectiveOp::SendRecvF32 {
-            peer,
-            send: send.to_vec(),
-        })?
-        .into_f32()
-    }
-
-    /// Latency-optimal all-reduce by recursive doubling: `⌈log₂ p⌉` rounds
-    /// of full-buffer pairwise exchanges (`T = log₂(p)(α + Nβ)`), versus
-    /// the ring's `2(p−1)` messages of `N/p`. Preferable for small tensors
-    /// — the start-up-cost regime tensor fusion addresses.
-    ///
-    /// Non-power-of-two groups fold the extra ranks onto partners before
-    /// and after the butterfly.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on disconnect or inconsistent buffer lengths.
-    pub fn all_reduce_recursive_doubling(
-        &mut self,
-        buf: &mut [f32],
-        op: ReduceOp,
-    ) -> Result<(), CommError> {
-        let out = self
-            .run_op(CollectiveOp::AllReduceRd {
-                buf: buf.to_vec(),
-                op,
-            })?
-            .into_f32()?;
-        buf.copy_from_slice(&out);
-        Ok(())
-    }
-}
-
-impl Communicator for ThreadCommunicator {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn world_size(&self) -> usize {
-        self.world_size
-    }
-
-    fn topology(&self) -> Topology {
-        self.topology
-    }
-
-    fn membership(&self) -> Membership {
-        ThreadCommunicator::membership(self)
-    }
-
-    fn reform(&mut self) -> Result<Membership, CommError> {
-        ThreadCommunicator::reform(self)
-    }
-
-    fn all_reduce(&mut self, buf: &mut [f32], op: ReduceOp) -> Result<(), CommError> {
-        let out = self
-            .run_op(CollectiveOp::AllReduce {
-                buf: buf.to_vec(),
-                op,
-            })?
-            .into_f32()?;
-        buf.copy_from_slice(&out);
-        Ok(())
-    }
-
-    fn all_gather_f32(&mut self, send: &[f32]) -> Result<Vec<f32>, CommError> {
-        self.run_op(CollectiveOp::AllGatherF32 {
-            send: send.to_vec(),
-        })?
-        .into_f32()
-    }
-
-    fn all_gather_u32(&mut self, send: &[u32]) -> Result<Vec<u32>, CommError> {
-        self.run_op(CollectiveOp::AllGatherU32 {
-            send: send.to_vec(),
-        })?
-        .into_u32()
-    }
-
-    fn broadcast(&mut self, buf: &mut [f32], root: usize) -> Result<(), CommError> {
-        let out = self
-            .run_op(CollectiveOp::Broadcast {
-                buf: buf.to_vec(),
-                root,
-            })?
-            .into_f32()?;
-        buf.copy_from_slice(&out);
-        Ok(())
-    }
-
-    fn barrier(&mut self) -> Result<(), CommError> {
-        // Untimed: barriers move no payload, and timing them would skew the
-        // communication series with pure synchronization waits.
-        self.run_op(CollectiveOp::Barrier).map(|_| ())
-    }
-
-    fn bytes_sent(&self) -> u64 {
-        self.bytes_sent.load(Ordering::SeqCst)
-    }
-
-    fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.recorder = Arc::clone(&recorder);
-        match (&self.worker, self.inner.as_mut()) {
-            (Some(worker), _) => worker.set_recorder(recorder),
-            (None, Some(transport)) => transport.recorder = recorder,
-            (None, None) => {}
-        }
-    }
-
-    fn global_topk(
-        &mut self,
-        indices: &[u32],
-        values: &[f32],
-        k: usize,
-    ) -> Result<(Vec<u32>, Vec<f32>), CommError> {
-        self.run_op(CollectiveOp::GlobalTopk {
-            indices: indices.to_vec(),
-            values: values.to_vec(),
-            k,
-        })?
-        .into_sparse()
-    }
-
-    fn dispatch(&mut self, op: CollectiveOp) -> PendingOp {
-        self.ensure_worker().submit(op)
-    }
-
-    fn schedule(&self) -> Option<ScheduleSnapshot> {
-        Some(
-            self.schedule
-                .snapshot(self.verify == VerifyMode::CrossCheck),
-        )
+    fn departure_notice(&self) -> Option<DepartureNotice> {
+        let (group, physical) = (Arc::clone(&self.group), self.physical);
+        Some(Box::new(move |epoch| group.mark_departed(physical, epoch)))
     }
 }
 
@@ -1094,35 +798,22 @@ impl ThreadGroup {
                 if !topology.is_flat() {
                     tracer.begin_op(OpKind::Topology, world_size as u64, topology.fingerprint());
                 }
-                ThreadCommunicator {
+                let transport = ThreadTransport {
                     rank,
                     world_size,
                     physical: rank,
                     epoch: 0,
-                    topology,
                     members: (0..world_size).collect(),
-                    inner: Some(ThreadTransport {
-                        rank,
-                        world_size,
-                        physical: rank,
-                        epoch: 0,
-                        members: (0..world_size).collect(),
-                        topology,
-                        peers: senders.clone(),
-                        inbox,
-                        pending: (0..world_size).map(|_| VecDeque::new()).collect(),
-                        group: Arc::clone(&group),
-                        bytes_sent: Arc::clone(&bytes_sent),
-                        recorder: noop(),
-                        tracer,
-                    }),
-                    worker: None,
+                    topology,
+                    peers: senders.clone(),
+                    inbox,
+                    pending: (0..world_size).map(|_| VecDeque::new()).collect(),
                     group: Arc::clone(&group),
-                    bytes_sent,
-                    schedule,
-                    verify,
+                    bytes_sent: Arc::clone(&bytes_sent),
                     recorder: noop(),
-                }
+                    tracer,
+                };
+                WorkerCommunicator::new(transport, bytes_sent, schedule, verify)
             })
             .collect()
     }
@@ -1218,6 +909,10 @@ impl ThreadGroup {
         ThreadGroup::try_run_with(world_size, VerifyMode::default(), f)
     }
 }
+
+// Only the tests below name collective results directly.
+#[cfg(test)]
+use crate::nonblocking::CollectiveResult;
 
 #[cfg(test)]
 mod tests {

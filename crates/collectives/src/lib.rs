@@ -13,6 +13,12 @@
 //!   data between worker threads over a ring of channels (chunked
 //!   reduce-scatter + all-gather), bit-tested against naive reference
 //!   reductions. The data-parallel trainer in `acp-training` runs on these.
+//! * [`nonblocking`] — [`WorkerCommunicator`], the one [`Communicator`]
+//!   shell every worker-backed backend shares: a backend supplies a
+//!   [`WorkerTransport`] (the thread backend's [`ThreadTransport`],
+//!   `acp-net`'s `TcpTransport`) and the shell adds the lazy per-rank comm
+//!   worker, FIFO routing of blocking and dispatched collectives, byte
+//!   accounting, the schedule trace and reform bookkeeping.
 //! * [`cost`] — α–β analytical cost models for ring all-reduce, all-gather
 //!   and their start-up terms, with [`cost::NetworkTier`] presets for the
 //!   paper's three interconnects (1 GbE, 10 GbE, 100 Gb InfiniBand),
@@ -48,10 +54,12 @@ pub mod topology;
 
 pub use communicator::{
     CommError, Communicator, LocalCommunicator, ReduceOp, ThreadCommunicator, ThreadGroup,
+    ThreadTransport,
 };
 pub use cost::{AlphaBetaCost, ClusterCost, NetworkTier, TwoLevelCost};
 pub use nonblocking::{
-    wait_all, CollectiveOp, CollectiveResult, CommWorker, PendingOp, TopkMode, WorkerTransport,
+    confirm_reform, wait_all, CollectiveOp, CollectiveResult, CommWorker, DepartureNotice,
+    PendingOp, TopkMode, WorkerCommunicator, WorkerTransport,
 };
 pub use ring::{
     all_gather_f32_reference, all_gather_reference_into, all_gather_u32_reference,

@@ -8,11 +8,14 @@
 //! paths are bit-exact with each other by construction, on every backend.
 //!
 //! A backend opts into the worker by implementing [`WorkerTransport`] and
-//! moving its transport state into [`CommWorker::spawn`]. The worker owns
-//! the transport, drains submitted operations strictly in FIFO order (so
-//! the SPMD contract — every rank issues the same collectives in the same
-//! order — is preserved no matter how many operations are in flight), and
-//! replies through the per-operation channel a [`PendingOp`] wraps.
+//! wrapping its transport in a [`WorkerCommunicator`], the one
+//! [`Communicator`] every worker-backed backend shares: collectives run
+//! inline on the transport until the first dispatch, which moves the
+//! transport into [`CommWorker::spawn`]. The worker owns the transport,
+//! drains submitted operations strictly in FIFO order (so the SPMD
+//! contract — every rank issues the same collectives in the same order — is
+//! preserved no matter how many operations are in flight), and replies
+//! through the per-operation channel a [`PendingOp`] wraps.
 //!
 //! Error propagation is structured end to end: a ring algorithm error is
 //! sent through the reply channel and surfaces at [`PendingOp::wait`]; a
@@ -20,12 +23,18 @@
 //! [`CommError::WorkerPanicked`]. Transport deadlines bound every receive,
 //! so `wait` never hangs on a dead peer.
 
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use acp_telemetry::{keys, RecorderHandle, Span};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::communicator::{CommError, Communicator, ReduceOp};
 use crate::ring::{self, Transport};
-use crate::schedule::{OpKind, ScheduleTracer};
+use crate::schedule::{
+    membership_param, OpKind, ScheduleCell, ScheduleSnapshot, ScheduleTracer, VerifyMode,
+};
 use crate::topology::{Membership, Topology};
 
 /// One collective operation, with its input payload moved in.
@@ -351,9 +360,58 @@ pub trait WorkerTransport: Transport + Send {
     /// [`crate::schedule`]). [`execute_collective`] advances it once per
     /// collective; transports with a tracer should also tag/verify wire
     /// messages when its mode is
-    /// [`VerifyMode::CrossCheck`](crate::schedule::VerifyMode::CrossCheck).
+    /// [`VerifyMode::CrossCheck`].
     fn tracer(&mut self) -> Option<&mut ScheduleTracer> {
         None
+    }
+
+    /// How the owning [`WorkerCommunicator`] announces this rank's death
+    /// once a comm worker owns the transport. An owner that panics unwinds
+    /// its own thread, not the worker's, so the transport is dropped
+    /// later and without `std::thread::panicking()`; the shell fires this
+    /// notice from its own drop instead. The default `None` suits
+    /// transports whose closed links are notice enough.
+    fn departure_notice(&self) -> Option<DepartureNotice> {
+        None
+    }
+}
+
+/// Marks this rank departed at the given membership epoch; see
+/// [`WorkerTransport::departure_notice`].
+pub type DepartureNotice = Box<dyn FnOnce(u64) + Send>;
+
+/// The handshake that ends every elastic [`WorkerTransport::reform`] once
+/// the transport has adopted its post-reform membership: records the
+/// reform as a schedule op (replayable by `acp-verify check-trace`), then
+/// all-gathers the digest halves, so survivors that disagree on who
+/// survived fail here rather than on some later collective. In cross-check
+/// mode the handshake messages carry the reform op's tag, so a divergent
+/// reform also surfaces as a [`CommError::ScheduleMismatch`] naming it.
+///
+/// # Errors
+///
+/// Propagates the gather's error; a survivor with another digest is
+/// [`CommError::Io`] naming its virtual rank.
+pub fn confirm_reform<T: WorkerTransport + ?Sized>(t: &mut T) -> Result<Membership, CommError> {
+    let membership = t.membership();
+    let Some(tracer) = t.tracer() else {
+        return Ok(membership);
+    };
+    tracer.begin_op(
+        OpKind::Reform,
+        membership.world_size() as u64,
+        membership_param(membership.epoch(), membership.ranks()),
+    );
+    let digest = tracer.digest();
+    let halves = [(digest >> 32) as u32, digest as u32];
+    let gathered = ring::all_gather_u32(t, &halves)?;
+    match gathered.chunks(2).position(|pair| pair != halves) {
+        Some(virt) => Err(CommError::Io(format!(
+            "post-reform schedule digest mismatch at epoch {}: virtual rank {virt} \
+             disagrees on the surviving membership",
+            membership.epoch()
+        ))),
+        None => Ok(membership),
     }
 }
 
@@ -398,11 +456,7 @@ fn gather_truncate_topk<T: Transport + ?Sized>(
 ) -> Result<(Vec<u32>, Vec<f32>), CommError> {
     let gathered_idx = ring::all_gather_u32(t, indices)?;
     let gathered_val = ring::all_gather_f32(t, values)?;
-    let mut map = std::collections::BTreeMap::new();
-    for (&i, &v) in gathered_idx.iter().zip(&gathered_val) {
-        *map.entry(i).or_insert(0.0f32) += v;
-    }
-    Ok(ring::truncate_topk(map, k))
+    Ok(ring::sum_truncate_topk(&gathered_idx, &gathered_val, k))
 }
 
 /// Runs one collective on a transport, with the same telemetry the
@@ -627,5 +681,270 @@ impl CommWorker {
         // only guards a wedged worker.
         rx.recv_timeout(std::time::Duration::from_secs(120))
             .unwrap_or(Err(CommError::WorkerPanicked))
+    }
+}
+
+/// One rank's [`Communicator`] over any [`WorkerTransport`] — the shell
+/// every worker-backed backend shares, so backends differ only in how
+/// their transport moves bytes.
+///
+/// Collectives run inline on the transport until the first
+/// [`Communicator::dispatch`], which moves the transport into a
+/// [`CommWorker`]; from then on *every* call, blocking ones included, goes
+/// through the worker in FIFO order, so a blocking call can never overtake
+/// dispatched operations. The byte counter and the schedule trace live in
+/// cells shared with the transport, so both stay readable after it moved.
+pub struct WorkerCommunicator<T: WorkerTransport> {
+    /// Virtual (ring) rank — equals `physical` until a reform.
+    rank: usize,
+    /// Physical rank this endpoint was launched with (stable across
+    /// reforms).
+    physical: usize,
+    membership: Membership,
+    /// The arrangement collectives are scheduled over; collapses to a
+    /// flat ring over the survivors after a reform.
+    topology: Topology,
+    /// The transport; `Some` until the comm worker takes it.
+    inner: Option<T>,
+    /// Per-rank comm worker, spawned lazily by the first dispatch.
+    worker: Option<CommWorker>,
+    bytes_sent: Arc<AtomicU64>,
+    schedule: Arc<ScheduleCell>,
+    verify: VerifyMode,
+    /// Taken from the transport when the worker spawns; fired if the
+    /// owner unwinds while the worker holds the transport.
+    departure: Option<DepartureNotice>,
+}
+
+impl<T: WorkerTransport> fmt::Debug for WorkerCommunicator<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WorkerCommunicator")
+            .field("rank", &self.rank)
+            .field("world_size", &self.membership.world_size())
+            .field("topology", &self.topology)
+            .field("epoch", &self.membership.epoch())
+            .field("bytes_sent", &self.bytes_sent.load(Ordering::SeqCst))
+            .finish_non_exhaustive()
+    }
+}
+
+impl<T: WorkerTransport> Drop for WorkerCommunicator<T> {
+    fn drop(&mut self) {
+        // An owner dropped during unwind died mid-run; with the transport
+        // on the worker thread, announce it here so peers blocked in a
+        // receive fail fast instead of waiting out their peer timeout.
+        if std::thread::panicking() {
+            if let Some(notice) = self.departure.take() {
+                notice(self.membership.epoch());
+            }
+        }
+    }
+}
+
+impl<T: WorkerTransport + 'static> WorkerCommunicator<T> {
+    /// Wraps a freshly connected transport (virtual rank = physical rank).
+    /// `bytes_sent` and `schedule` must be the cells the transport itself
+    /// updates; `verify` is the mode its tracer runs in.
+    pub fn new(
+        transport: T,
+        bytes_sent: Arc<AtomicU64>,
+        schedule: Arc<ScheduleCell>,
+        verify: VerifyMode,
+    ) -> Self {
+        WorkerCommunicator {
+            rank: transport.rank(),
+            physical: transport.rank(),
+            membership: transport.membership(),
+            topology: transport.topology(),
+            inner: Some(transport),
+            worker: None,
+            bytes_sent,
+            schedule,
+            verify,
+            departure: None,
+        }
+    }
+
+    /// Runs one collective to completion: inline on the transport before
+    /// a worker exists, or as submit-and-wait once one is running.
+    fn run_op(&mut self, op: CollectiveOp) -> Result<CollectiveResult, CommError> {
+        match (&self.worker, self.inner.as_mut()) {
+            (Some(worker), _) => worker.submit(op).wait(),
+            (None, Some(transport)) => execute_collective(transport, op),
+            // Unreachable: the transport only leaves when a worker spawns.
+            (None, None) => Err(CommError::WorkerPanicked),
+        }
+    }
+
+    /// Runs an in-place `f32` collective on a copy of `buf` and writes the
+    /// result back.
+    fn run_in_place(
+        &mut self,
+        buf: &mut [f32],
+        op: impl FnOnce(Vec<f32>) -> CollectiveOp,
+    ) -> Result<(), CommError> {
+        // allow_verify(reason = "the comm worker owns op buffers across threads; per-hop sends are zero-copy")
+        let out = self.run_op(op(buf.to_vec()))?.into_f32()?;
+        buf.copy_from_slice(&out);
+        Ok(())
+    }
+
+    /// Spawns the comm worker on first use, moving the transport into it.
+    fn ensure_worker(&mut self) -> &CommWorker {
+        if self.worker.is_none() {
+            let transport = self
+                .inner
+                .take()
+                // allow_verify(reason = "struct invariant: inner is Some until the worker takes it, and this branch only runs when worker is None")
+                .expect("transport is present until the worker takes it");
+            self.departure = transport.departure_notice();
+            self.worker = Some(CommWorker::spawn(transport));
+        }
+        // allow_verify(reason = "assigned Some on the line above when absent")
+        self.worker.as_ref().expect("worker just spawned")
+    }
+
+    /// Simultaneously sends `send` to `peer` and receives their buffer of
+    /// the same length — the pairwise exchange of butterfly algorithms.
+    ///
+    /// Both sides must call this with each other's rank.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on disconnect, mismatched lengths, or a `peer` the
+    /// transport's wiring cannot reach.
+    pub fn send_recv_f32(&mut self, peer: usize, send: &[f32]) -> Result<Vec<f32>, CommError> {
+        self.run_op(CollectiveOp::SendRecvF32 {
+            peer,
+            // allow_verify(reason = "the comm worker owns op buffers across threads; per-hop sends are zero-copy")
+            send: send.to_vec(),
+        })?
+        .into_f32()
+    }
+
+    /// Latency-optimal all-reduce by recursive doubling: `⌈log₂ p⌉` rounds
+    /// of full-buffer pairwise exchanges (`T = log₂(p)(α + Nβ)`), versus
+    /// the ring's `2(p−1)` messages of `N/p`. Preferable for small tensors
+    /// — the start-up-cost regime tensor fusion addresses.
+    ///
+    /// Non-power-of-two groups fold the extra ranks onto partners before
+    /// and after the butterfly.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on disconnect or inconsistent buffer lengths.
+    pub fn all_reduce_recursive_doubling(
+        &mut self,
+        buf: &mut [f32],
+        op: ReduceOp,
+    ) -> Result<(), CommError> {
+        self.run_in_place(buf, |buf| CollectiveOp::AllReduceRd { buf, op })
+    }
+}
+
+impl<T: WorkerTransport + 'static> Communicator for WorkerCommunicator<T> {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+
+    fn world_size(&self) -> usize {
+        self.membership.world_size()
+    }
+
+    fn topology(&self) -> Topology {
+        self.topology
+    }
+
+    fn membership(&self) -> Membership {
+        self.membership.clone()
+    }
+
+    /// Routes through the comm worker when one is running, so the reform
+    /// stays FIFO with dispatched collectives.
+    fn reform(&mut self) -> Result<Membership, CommError> {
+        let membership = match (&self.worker, self.inner.as_mut()) {
+            (Some(worker), _) => worker.reform(),
+            (None, Some(transport)) => transport.reform(),
+            (None, None) => Err(CommError::WorkerPanicked),
+        }?;
+        self.rank = membership
+            .virtual_rank_of(self.physical)
+            .ok_or_else(|| CommError::Io("this rank is not among the survivors".to_string()))?
+            .as_usize();
+        if membership.epoch() != self.membership.epoch() {
+            // The transport fell back to one flat ring over the survivors.
+            self.topology = Topology::flat(membership.world_size());
+        }
+        self.membership = membership.clone();
+        Ok(membership)
+    }
+
+    fn all_reduce(&mut self, buf: &mut [f32], op: ReduceOp) -> Result<(), CommError> {
+        self.run_in_place(buf, |buf| CollectiveOp::AllReduce { buf, op })
+    }
+
+    fn all_gather_f32(&mut self, send: &[f32]) -> Result<Vec<f32>, CommError> {
+        self.run_op(CollectiveOp::AllGatherF32 {
+            // allow_verify(reason = "the comm worker owns op buffers across threads; per-hop sends are zero-copy")
+            send: send.to_vec(),
+        })?
+        .into_f32()
+    }
+
+    fn all_gather_u32(&mut self, send: &[u32]) -> Result<Vec<u32>, CommError> {
+        self.run_op(CollectiveOp::AllGatherU32 {
+            // allow_verify(reason = "the comm worker owns op buffers across threads; per-hop sends are zero-copy")
+            send: send.to_vec(),
+        })?
+        .into_u32()
+    }
+
+    fn broadcast(&mut self, buf: &mut [f32], root: usize) -> Result<(), CommError> {
+        self.run_in_place(buf, |buf| CollectiveOp::Broadcast { buf, root })
+    }
+
+    fn barrier(&mut self) -> Result<(), CommError> {
+        // Untimed: barriers move no payload, and timing them would skew the
+        // communication series with pure synchronization waits.
+        self.run_op(CollectiveOp::Barrier).map(|_| ())
+    }
+
+    fn bytes_sent(&self) -> u64 {
+        self.bytes_sent.load(Ordering::SeqCst)
+    }
+
+    fn set_recorder(&mut self, recorder: RecorderHandle) {
+        match (&self.worker, self.inner.as_mut()) {
+            (Some(worker), _) => worker.set_recorder(recorder),
+            (None, Some(transport)) => transport.set_recorder(recorder),
+            (None, None) => {}
+        }
+    }
+
+    fn global_topk(
+        &mut self,
+        indices: &[u32],
+        values: &[f32],
+        k: usize,
+    ) -> Result<(Vec<u32>, Vec<f32>), CommError> {
+        self.run_op(CollectiveOp::GlobalTopk {
+            // allow_verify(reason = "the comm worker owns op buffers across threads; per-hop sends are zero-copy")
+            indices: indices.to_vec(),
+            // allow_verify(reason = "the comm worker owns op buffers across threads; per-hop sends are zero-copy")
+            values: values.to_vec(),
+            k,
+        })?
+        .into_sparse()
+    }
+
+    fn dispatch(&mut self, op: CollectiveOp) -> PendingOp {
+        self.ensure_worker().submit(op)
+    }
+
+    fn schedule(&self) -> Option<ScheduleSnapshot> {
+        Some(
+            self.schedule
+                .snapshot(self.verify == VerifyMode::CrossCheck),
+        )
     }
 }

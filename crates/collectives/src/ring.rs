@@ -4,8 +4,8 @@
 //! all-gather, pipelined broadcast, token barrier, recursive doubling,
 //! gTop-k merge) are written once here, generically over [`Transport`] —
 //! the minimal point-to-point interface a backend must provide. Both
-//! [`crate::ThreadCommunicator`] (in-process channels) and `acp-net`'s
-//! `TcpCommunicator` (real sockets) implement [`Transport`] and run *these
+//! [`crate::ThreadTransport`] (in-process channels) and `acp-net`'s
+//! `TcpTransport` (real sockets) implement [`Transport`] and run *these
 //! same functions*, which is what makes the two backends bit-exact with
 //! each other: the floating-point reduction order is identical by
 //! construction, not by testing alone.
@@ -565,6 +565,18 @@ pub fn truncate_topk(map: std::collections::BTreeMap<u32, f32>, k: usize) -> (Ve
         entries.sort_unstable_by_key(|e| e.0);
     }
     entries.into_iter().unzip()
+}
+
+/// Exact global top-k of gathered sparse contributions: sums the values
+/// per coordinate, then keeps the `k` largest magnitudes (see
+/// [`truncate_topk`]). `indices` and `values` are the rank-order
+/// concatenations two all-gathers return.
+pub fn sum_truncate_topk(indices: &[u32], values: &[f32], k: usize) -> (Vec<u32>, Vec<f32>) {
+    let mut map = std::collections::BTreeMap::new();
+    for (&i, &v) in indices.iter().zip(values) {
+        *map.entry(i).or_insert(0.0f32) += v;
+    }
+    truncate_topk(map, k)
 }
 
 /// The `O(k log p)` gTop-k sparse all-reduce (Shi et al., ICDCS 2019):

@@ -240,7 +240,7 @@ impl DgcAggregator {
 mod tests {
     use super::*;
     use crate::optimizer::{DistributedOptimizer, GradViewMut};
-    use acp_collectives::{LocalCommunicator, ThreadGroup};
+    use acp_collectives::{Communicator, LocalCommunicator, ThreadGroup};
 
     fn step(opt: &mut DgcAggregator, comm: &mut LocalCommunicator, grad: &[f32]) -> Vec<f32> {
         let mut g = grad.to_vec();

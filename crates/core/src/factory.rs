@@ -93,7 +93,7 @@ pub fn build_optimizer(spec: &Aggregator) -> Box<dyn DistributedOptimizer> {
 mod tests {
     use super::*;
     use crate::optimizer::GradViewMut;
-    use acp_collectives::ThreadGroup;
+    use acp_collectives::{Communicator, ThreadGroup};
 
     #[test]
     fn every_variant_builds_and_reports_its_name() {

@@ -155,7 +155,7 @@ impl GTopkSgdAggregator {
 mod tests {
     use super::*;
     use crate::optimizer::{DistributedOptimizer, GradViewMut};
-    use acp_collectives::ThreadGroup;
+    use acp_collectives::{Communicator, ThreadGroup};
 
     #[test]
     fn all_ranks_agree_and_average() {

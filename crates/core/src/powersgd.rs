@@ -359,7 +359,7 @@ impl PowerSgdAggregator {
 mod tests {
     use super::*;
     use crate::optimizer::{DistributedOptimizer, GradViewMut};
-    use acp_collectives::ThreadGroup;
+    use acp_collectives::{Communicator, ThreadGroup};
     use acp_tensor::vecops::relative_error;
     use acp_tensor::Matrix;
 

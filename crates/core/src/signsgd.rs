@@ -210,7 +210,7 @@ impl Default for SignSgdAggregator {
 mod tests {
     use super::*;
     use crate::optimizer::{DistributedOptimizer, GradViewMut};
-    use acp_collectives::ThreadGroup;
+    use acp_collectives::{Communicator, ThreadGroup};
 
     #[test]
     fn majority_sign_wins() {

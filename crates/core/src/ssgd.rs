@@ -126,7 +126,7 @@ impl Default for SSgdAggregator {
 mod tests {
     use super::*;
     use crate::optimizer::{DistributedOptimizer, GradViewMut};
-    use acp_collectives::ThreadGroup;
+    use acp_collectives::{Communicator, ThreadGroup};
 
     #[test]
     fn averages_across_workers() {

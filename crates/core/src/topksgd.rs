@@ -220,7 +220,7 @@ impl TopkSgdAggregator {
 mod tests {
     use super::*;
     use crate::optimizer::{DistributedOptimizer, GradViewMut};
-    use acp_collectives::ThreadGroup;
+    use acp_collectives::{Communicator, ThreadGroup};
 
     #[test]
     fn disjoint_selections_average() {

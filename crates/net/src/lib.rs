@@ -15,11 +15,14 @@
 //!
 //! * [`frame`] — length-prefixed wire framing with a handshake frame and
 //!   allocation caps;
-//! * [`TcpCommunicator`] — ring or full-mesh wiring, connection
-//!   establishment with bounded exponential-backoff retry
-//!   ([`RetryPolicy`]), per-operation deadlines surfacing as
+//! * [`TcpTransport`] — a [`Transport`](acp_collectives::Transport) with
+//!   ring or full-mesh wiring, connection establishment with bounded
+//!   exponential-backoff retry ([`RetryPolicy`]), per-operation deadlines
+//!   surfacing as
 //!   [`CommError::Timeout`](acp_collectives::CommError::Timeout), and
-//!   one-shot link re-establishment after a drop;
+//!   one-shot link re-establishment after a drop. [`TcpCommunicator`] is
+//!   the shared [`WorkerCommunicator`](acp_collectives::WorkerCommunicator)
+//!   shell over it, built by [`TcpConfig::connect`];
 //! * [`FaultInjector`] — deterministic delay / drop-then-reconnect /
 //!   straggler faults, configurable from the environment, so the failure
 //!   paths are exercised by tests instead of trusted;
@@ -56,4 +59,6 @@ pub use launch::{
     launch_local, launch_local_grouped, worker_from_env, LocalGroup, ENV_BASE_PORT, ENV_GROUPS,
     ENV_RANK, ENV_WORLD_SIZE,
 };
-pub use tcp::{run_local, run_local_with, RetryPolicy, TcpCommunicator, TcpConfig, Wiring};
+pub use tcp::{
+    run_local, run_local_with, RetryPolicy, TcpCommunicator, TcpConfig, TcpTransport, Wiring,
+};

@@ -56,14 +56,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use acp_collectives::nonblocking::execute_collective;
-use acp_collectives::ring::{self, Transport, WireMsg};
-use acp_collectives::schedule::{self, membership_param, OpKind, ScheduleCell, ScheduleTracer};
-use acp_collectives::topology::{Membership, RankId, Topology as GroupTopology, TopologyError};
-use acp_collectives::{
-    CollectiveOp, CollectiveResult, CommError, CommWorker, Communicator, PendingOp, ReduceOp,
-    ScheduleSnapshot, TopkMode, VerifyMode, WorkerTransport,
-};
+use acp_collectives::nonblocking::{confirm_reform, WorkerCommunicator};
+use acp_collectives::ring::{Transport, WireMsg};
+use acp_collectives::schedule::{self, OpKind, ScheduleCell, ScheduleTracer};
+use acp_collectives::topology::{Membership, Topology as GroupTopology, TopologyError};
+use acp_collectives::{CommError, TopkMode, VerifyMode, WorkerTransport};
 use acp_telemetry::{keys, noop, RecorderHandle};
 
 use crate::fault::FaultInjector;
@@ -112,8 +109,9 @@ impl Default for RetryPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Wiring {
     /// Two links per rank: connect to the successor, accept from the
-    /// predecessor. Supports every [`Communicator`] collective (they are
-    /// all ring algorithms); `O(p)` sockets in total.
+    /// predecessor. Supports every
+    /// [`Communicator`](acp_collectives::Communicator) collective (they
+    /// are all ring algorithms); `O(p)` sockets in total.
     #[default]
     Ring,
     /// One link per pair (`O(p²)` sockets): additionally supports the
@@ -484,45 +482,23 @@ fn send_hello(stream: &mut TcpStream, rank: usize) -> Result<(), CommError> {
     write_frame(stream, &Frame::Hello(rank as u32)).map_err(|e| map_io("hello", started, &e))
 }
 
-/// A multi-process TCP endpoint implementing [`Communicator`].
+/// A multi-process TCP endpoint implementing
+/// [`Communicator`](acp_collectives::Communicator): the shared
+/// [`WorkerCommunicator`] shell over a [`TcpTransport`]. Build one with
+/// [`TcpConfig::connect`] or [`TcpConfig::connect_on`].
 ///
 /// Runs the *same* generic ring algorithms as
 /// [`acp_collectives::ThreadCommunicator`] (see [`acp_collectives::ring`]),
 /// so results are bit-exact across backends. Telemetry flows through the
 /// same recorder keys, so wire bytes reconcile against the Table II cost
 /// model regardless of transport.
-pub struct TcpCommunicator {
-    /// Virtual rank: position in the sorted survivor list. Equal to the
-    /// physical rank until a reform.
-    rank: usize,
-    /// Physical rank: stable index into the peer list.
-    physical: usize,
-    world_size: usize,
-    wiring: Wiring,
-    topology: GroupTopology,
-    membership: Membership,
-    /// The socket transport; `Some` until the comm worker takes it.
-    inner: Option<TcpTransport>,
-    /// Per-rank comm worker, spawned lazily by the first dispatched
-    /// operation; once running, every collective (blocking included)
-    /// routes through it so submission order stays FIFO-total.
-    worker: Option<CommWorker>,
-    /// Shared with the transport so `bytes_sent` stays readable after the
-    /// transport moves into the worker thread.
-    bytes_sent: Arc<AtomicU64>,
-    /// Schedule-trace state, shared with the transport's tracer so
-    /// [`Communicator::schedule`] stays readable after the transport moves
-    /// into the worker thread.
-    schedule: Arc<ScheduleCell>,
-    verify: VerifyMode,
-    recorder: RecorderHandle,
-}
+pub type TcpCommunicator = WorkerCommunicator<TcpTransport>;
 
-/// The socket transport state of one rank. Lives inside the
-/// [`TcpCommunicator`] until a comm worker is spawned, then moves into the
-/// worker thread; collectives run the same ring algorithms on it either
-/// way.
-struct TcpTransport {
+/// The socket transport of one rank: its listener, its links and their
+/// fault and recovery state. Lives inside the [`TcpCommunicator`] until a
+/// comm worker is spawned, then moves into the worker thread; collectives
+/// run the same ring algorithms on it either way.
+pub struct TcpTransport {
     /// Physical rank: stable index into `peers`, never remapped.
     rank: usize,
     /// Virtual rank: position of `rank` in the sorted `members` list.
@@ -556,20 +532,7 @@ struct TcpTransport {
     tracer: ScheduleTracer,
 }
 
-impl std::fmt::Debug for TcpCommunicator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpCommunicator")
-            .field("rank", &self.rank)
-            .field("world_size", &self.world_size)
-            .field("wiring", &self.wiring)
-            .field("topology", &self.topology)
-            .field("epoch", &self.membership.epoch())
-            .field("bytes_sent", &self.bytes_sent.load(Ordering::SeqCst))
-            .finish_non_exhaustive()
-    }
-}
-
-impl TcpCommunicator {
+impl TcpConfig {
     /// Binds this rank's listener and wires up the group.
     ///
     /// Blocks until every link is established (all ranks must be started
@@ -580,17 +543,17 @@ impl TcpCommunicator {
     ///
     /// Returns [`CommError::Io`] if the listener cannot bind and
     /// [`CommError::Timeout`] if peers do not appear in time.
-    pub fn connect(cfg: TcpConfig) -> Result<Self, CommError> {
-        let addr = cfg.peers[cfg.rank];
+    pub fn connect(self) -> Result<TcpCommunicator, CommError> {
+        let addr = self.peers[self.rank];
         let started = Instant::now();
-        let mut backoff = cfg.retry.initial_backoff;
+        let mut backoff = self.retry.initial_backoff;
         let mut listener = None;
         // Rebinding a recently used port can hit TIME_WAIT; retry like a
         // connection.
-        for attempt in 0..cfg.retry.max_attempts.max(1) {
+        for attempt in 0..self.retry.max_attempts.max(1) {
             if attempt > 0 {
                 std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(cfg.retry.max_backoff);
+                backoff = (backoff * 2).min(self.retry.max_backoff);
             }
             match TcpListener::bind(addr) {
                 Ok(l) => {
@@ -603,7 +566,7 @@ impl TcpCommunicator {
         }
         let listener =
             listener.ok_or_else(|| CommError::Io(format!("bind {addr}: address still in use")))?;
-        Self::with_listener(cfg, listener)
+        self.connect_on(listener)
     }
 
     /// Wires up the group over an already bound listener (used by tests
@@ -611,8 +574,8 @@ impl TcpCommunicator {
     ///
     /// # Errors
     ///
-    /// As for [`TcpCommunicator::connect`].
-    pub fn with_listener(cfg: TcpConfig, listener: TcpListener) -> Result<Self, CommError> {
+    /// As for [`TcpConfig::connect`].
+    pub fn connect_on(self, listener: TcpListener) -> Result<TcpCommunicator, CommError> {
         let TcpConfig {
             rank,
             world_size,
@@ -623,7 +586,7 @@ impl TcpCommunicator {
             op_deadline,
             fault,
             verify,
-        } = cfg;
+        } = self;
         if world_size == 0 || rank >= world_size || peers.len() != world_size {
             return Err(CommError::InvalidRank { rank, world_size });
         }
@@ -668,101 +631,9 @@ impl TcpCommunicator {
             tracer,
         };
         transport.links = transport.establish()?;
-        Ok(TcpCommunicator {
-            rank,
-            physical: rank,
-            world_size,
-            wiring,
-            topology,
-            membership: Membership::initial(world_size),
-            inner: Some(transport),
-            worker: None,
-            bytes_sent,
-            schedule,
-            verify,
-            recorder: noop(),
-        })
-    }
-
-    /// This worker's virtual rank: its position in the sorted member
-    /// list, equal to the physical rank until a reform.
-    pub fn rank_id(&self) -> RankId {
-        RankId(self.rank)
-    }
-
-    /// The group's logical arrangement (flat after a reform).
-    pub fn topology(&self) -> GroupTopology {
-        self.topology
-    }
-
-    /// The current membership view: epoch plus sorted physical ranks.
-    pub fn membership(&self) -> Membership {
-        self.membership.clone()
-    }
-
-    /// Rebuilds the group around the surviving ranks after a
-    /// [`CommError::MembershipChanged`]: every survivor must call this.
-    /// Stale frames are drained behind a per-link reform barrier, ranks
-    /// are re-derived over the sorted survivors, the topology falls back
-    /// to a flat ring, and the post-reform schedule digest is
-    /// cross-checked across survivors before the new membership is
-    /// returned. Idempotent when nobody has departed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CommError::Io`] on ring wiring (reform needs the full
-    /// mesh), when a survivor disagrees on the post-reform schedule
-    /// digest, or when the barrier cannot be completed; a further
-    /// departure during the reform surfaces as another
-    /// [`CommError::MembershipChanged`].
-    pub fn reform(&mut self) -> Result<Membership, CommError> {
-        let membership = match (&self.worker, self.inner.as_mut()) {
-            (Some(worker), _) => worker.reform()?,
-            (None, Some(transport)) => transport.reform()?,
-            (None, None) => return Err(CommError::WorkerPanicked),
-        };
-        self.membership = membership.clone();
-        self.world_size = membership.world_size();
-        self.topology = GroupTopology::flat(self.world_size);
-        self.rank = membership
-            .virtual_rank_of(self.physical)
-            .ok_or_else(|| CommError::Io("this rank is not among the survivors".to_string()))?
-            .as_usize();
-        Ok(membership)
-    }
-
-    /// Runs one collective to completion: inline on the transport before
-    /// a worker exists, or as submit-and-wait once one is running (so a
-    /// blocking call can never overtake dispatched operations).
-    fn run_op(&mut self, op: CollectiveOp) -> Result<CollectiveResult, CommError> {
-        match (&self.worker, self.inner.as_mut()) {
-            (Some(worker), _) => worker.submit(op).wait(),
-            (None, Some(transport)) => execute_collective(transport, op),
-            // Unreachable: the transport only leaves when a worker spawns.
-            (None, None) => Err(CommError::WorkerPanicked),
-        }
-    }
-
-    /// The transport, for direct point-to-point use — gone once the comm
-    /// worker owns it.
-    fn direct(&mut self) -> Result<&mut TcpTransport, CommError> {
-        self.inner.as_mut().ok_or_else(|| {
-            CommError::Io("transport is owned by the comm worker; use the collective API".into())
-        })
-    }
-
-    /// Spawns the comm worker on first use, moving the transport into it.
-    fn ensure_worker(&mut self) -> &CommWorker {
-        if self.worker.is_none() {
-            let transport = self
-                .inner
-                .take()
-                // allow_verify(reason = "struct invariant: inner is Some until the worker takes it, and this branch only runs when worker is None")
-                .expect("transport is present until the worker takes it");
-            self.worker = Some(CommWorker::spawn(transport));
-        }
-        // allow_verify(reason = "assigned Some on the line above when absent")
-        self.worker.as_ref().expect("worker just spawned")
+        Ok(WorkerCommunicator::new(
+            transport, bytes_sent, schedule, verify,
+        ))
     }
 }
 
@@ -1114,28 +985,8 @@ impl WorkerTransport for TcpTransport {
                 }
             }
         }
-        // Record the reform as a first-class schedule op, so offline
-        // trace replay reproduces the digest chain, then cross-check the
-        // digest across survivors: every rank must have seen the same
-        // schedule before continuing.
-        self.tracer.begin_op(
-            OpKind::Reform,
-            self.members.len() as u64,
-            membership_param(self.epoch, &self.members),
-        );
-        let digest = self.tracer.digest();
-        let halves = [(digest >> 32) as u32, digest as u32];
-        let gathered = ring::all_gather_u32(self, &halves)?;
-        for (peer_virtual, chunk) in gathered.chunks(2).enumerate() {
-            if chunk != halves {
-                return Err(CommError::Io(format!(
-                    "post-reform schedule digest mismatch: virtual rank {peer_virtual} \
-                     disagrees with rank {} (epoch {})",
-                    self.virtual_rank, self.epoch
-                )));
-            }
-        }
-        Ok(self.membership())
+        // Record the reform and cross-check its digest among survivors.
+        confirm_reform(self)
     }
 }
 
@@ -1541,167 +1392,6 @@ impl Transport for TcpTransport {
     }
 }
 
-/// Point-to-point access for callers that drive the transport directly
-/// (topology diagnostics, tests). Unavailable once the comm worker owns
-/// the transport — use the collective API then.
-impl Transport for TcpCommunicator {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn world_size(&self) -> usize {
-        self.world_size
-    }
-
-    fn send_to(&mut self, dest: usize, msg: WireMsg) -> Result<(), CommError> {
-        self.direct()?.send_to(dest, msg)
-    }
-
-    fn recv_from(&mut self, src: usize) -> Result<WireMsg, CommError> {
-        self.direct()?.recv_from(src)
-    }
-
-    fn send_f32s(&mut self, dest: usize, payload: &[f32]) -> Result<(), CommError> {
-        self.direct()?.send_f32s(dest, payload)
-    }
-
-    fn send_u32s(&mut self, dest: usize, payload: &[u32]) -> Result<(), CommError> {
-        self.direct()?.send_u32s(dest, payload)
-    }
-
-    fn send_sparse(
-        &mut self,
-        dest: usize,
-        indices: &[u32],
-        values: &[f32],
-    ) -> Result<(), CommError> {
-        self.direct()?.send_sparse(dest, indices, values)
-    }
-
-    fn exchange_f32s(
-        &mut self,
-        send: Option<(usize, &[f32])>,
-        recv: Option<(usize, &mut [f32])>,
-    ) -> Result<(), CommError> {
-        self.direct()?.exchange_f32s(send, recv)
-    }
-
-    fn exchange_u32s(
-        &mut self,
-        send: Option<(usize, &[u32])>,
-        recv: Option<(usize, &mut [u32])>,
-    ) -> Result<(), CommError> {
-        self.direct()?.exchange_u32s(send, recv)
-    }
-}
-
-impl Communicator for TcpCommunicator {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn world_size(&self) -> usize {
-        self.world_size
-    }
-
-    fn all_reduce(&mut self, buf: &mut [f32], op: ReduceOp) -> Result<(), CommError> {
-        let out = self
-            .run_op(CollectiveOp::AllReduce {
-                // allow_verify(reason = "the comm worker owns op buffers across threads; per-hop sends are zero-copy")
-                buf: buf.to_vec(),
-                op,
-            })?
-            .into_f32()?;
-        buf.copy_from_slice(&out);
-        Ok(())
-    }
-
-    fn all_gather_f32(&mut self, send: &[f32]) -> Result<Vec<f32>, CommError> {
-        self.run_op(CollectiveOp::AllGatherF32 {
-            // allow_verify(reason = "the comm worker owns op buffers across threads; per-hop sends are zero-copy")
-            send: send.to_vec(),
-        })?
-        .into_f32()
-    }
-
-    fn all_gather_u32(&mut self, send: &[u32]) -> Result<Vec<u32>, CommError> {
-        self.run_op(CollectiveOp::AllGatherU32 {
-            // allow_verify(reason = "the comm worker owns op buffers across threads; per-hop sends are zero-copy")
-            send: send.to_vec(),
-        })?
-        .into_u32()
-    }
-
-    fn broadcast(&mut self, buf: &mut [f32], root: usize) -> Result<(), CommError> {
-        let out = self
-            .run_op(CollectiveOp::Broadcast {
-                // allow_verify(reason = "the comm worker owns op buffers across threads; per-hop sends are zero-copy")
-                buf: buf.to_vec(),
-                root,
-            })?
-            .into_f32()?;
-        buf.copy_from_slice(&out);
-        Ok(())
-    }
-
-    fn barrier(&mut self) -> Result<(), CommError> {
-        // Untimed, as in the thread backend: barriers move no payload.
-        self.run_op(CollectiveOp::Barrier).map(|_| ())
-    }
-
-    fn bytes_sent(&self) -> u64 {
-        self.bytes_sent.load(Ordering::SeqCst)
-    }
-
-    fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.recorder = Arc::clone(&recorder);
-        match (&self.worker, self.inner.as_mut()) {
-            (Some(worker), _) => worker.set_recorder(recorder),
-            (None, Some(transport)) => transport.recorder = recorder,
-            (None, None) => {}
-        }
-    }
-
-    fn global_topk(
-        &mut self,
-        indices: &[u32],
-        values: &[f32],
-        k: usize,
-    ) -> Result<(Vec<u32>, Vec<f32>), CommError> {
-        self.run_op(CollectiveOp::GlobalTopk {
-            // allow_verify(reason = "the comm worker owns op buffers across threads; per-hop sends are zero-copy")
-            indices: indices.to_vec(),
-            // allow_verify(reason = "the comm worker owns op buffers across threads; per-hop sends are zero-copy")
-            values: values.to_vec(),
-            k,
-        })?
-        .into_sparse()
-    }
-
-    fn dispatch(&mut self, op: CollectiveOp) -> PendingOp {
-        self.ensure_worker().submit(op)
-    }
-
-    fn schedule(&self) -> Option<ScheduleSnapshot> {
-        Some(
-            self.schedule
-                .snapshot(self.verify == VerifyMode::CrossCheck),
-        )
-    }
-
-    fn topology(&self) -> GroupTopology {
-        self.topology
-    }
-
-    fn membership(&self) -> Membership {
-        self.membership.clone()
-    }
-
-    fn reform(&mut self) -> Result<Membership, CommError> {
-        TcpCommunicator::reform(self)
-    }
-}
-
 /// Test/bench harness mirroring `ThreadGroup::run`: binds `world_size`
 /// listeners on ephemeral loopback ports, wires the group in worker
 /// threads (real sockets, one process), and returns the per-rank results.
@@ -1750,7 +1440,7 @@ where
                 let tweak = &tweak;
                 let f = &f;
                 scope.spawn(move || {
-                    let mut cfg = TcpConfig {
+                    let cfg = TcpConfig {
                         rank,
                         world_size,
                         peers,
@@ -1761,10 +1451,9 @@ where
                         fault: FaultInjector::none(),
                         verify: VerifyMode::from_env(),
                     };
-                    cfg = tweak(rank, cfg);
                     let comm =
                         // allow_verify(reason = "test harness entry point; establishment failures are the caller's test failures")
-                        TcpCommunicator::with_listener(cfg, listener).expect("establish group");
+                        tweak(rank, cfg).connect_on(listener).expect("establish group");
                     f(comm)
                 })
             })
@@ -1780,7 +1469,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acp_collectives::ThreadGroup;
+    use acp_collectives::{Communicator, ReduceOp, ThreadGroup};
     use proptest::prelude::*;
 
     fn input(rank: usize, len: usize) -> Vec<f32> {

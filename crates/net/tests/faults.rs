@@ -10,9 +10,9 @@ use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use acp_collectives::{CommError, Communicator, ReduceOp, Transport, VerifyMode, WireMsg};
+use acp_collectives::{CommError, Communicator, ReduceOp, VerifyMode, WireMsg};
 use acp_net::frame::{encode, read_frame, write_frame, Frame};
-use acp_net::{run_local_with, FaultInjector, RetryPolicy, TcpCommunicator, TcpConfig};
+use acp_net::{run_local_with, FaultInjector, RetryPolicy, TcpConfig};
 
 /// A base port whose successor is free too, for `TcpConfig::local` groups
 /// of two. Tests in this binary run on parallel threads, and the kernel
@@ -231,12 +231,12 @@ fn connect_retries_absorb_startup_skew() {
         // Rank 1 shows up late: its listener does not exist yet when
         // rank 0 first dials.
         std::thread::sleep(Duration::from_millis(250));
-        let mut comm = TcpCommunicator::connect(cfg(1)).expect("late rank joins");
+        let mut comm = cfg(1).connect().expect("late rank joins");
         let mut buf = vec![2.0f32; 4];
         comm.all_reduce(&mut buf, ReduceOp::Sum).unwrap();
         buf
     });
-    let mut comm = TcpCommunicator::connect(cfg(0)).expect("early rank retries until join");
+    let mut comm = cfg(0).connect().expect("early rank retries until join");
     let mut buf = vec![1.0f32; 4];
     comm.all_reduce(&mut buf, ReduceOp::Sum).unwrap();
     assert_eq!(buf, vec![3.0; 4]);
@@ -264,12 +264,12 @@ fn dial_budget_outlives_exhausted_attempt_count() {
     };
     let handle = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(600));
-        let mut comm = TcpCommunicator::connect(cfg(1)).expect("very late rank joins");
+        let mut comm = cfg(1).connect().expect("very late rank joins");
         let mut buf = vec![2.0f32; 4];
         comm.all_reduce(&mut buf, ReduceOp::Sum).unwrap();
         buf
     });
-    let mut comm = TcpCommunicator::connect(cfg(0)).expect("budget outlasts the attempt count");
+    let mut comm = cfg(0).connect().expect("budget outlasts the attempt count");
     let mut buf = vec![1.0f32; 4];
     comm.all_reduce(&mut buf, ReduceOp::Sum).unwrap();
     assert_eq!(buf, vec![3.0; 4]);
@@ -285,7 +285,7 @@ fn ring_topology_rejects_non_neighbour_traffic() {
         |_rank, cfg| cfg,
         |mut comm| {
             if comm.rank_id().as_usize() == 0 {
-                Transport::send_to(&mut comm, 2, WireMsg::Token)
+                comm.send_recv_f32(2, &[0.0]).map(|_| ())
             } else {
                 Ok(())
             }
@@ -311,7 +311,7 @@ fn exhausted_retries_surface_structured_error() {
         dial_budget: Duration::ZERO, // attempts-only so exhaustion is fast
     });
     let started = Instant::now();
-    let err = TcpCommunicator::connect(cfg).expect_err("no peer ever appears");
+    let err = cfg.connect().expect_err("no peer ever appears");
     assert!(started.elapsed() < Duration::from_secs(5));
     match err {
         CommError::Io(_) | CommError::Timeout { .. } => {}
@@ -369,7 +369,7 @@ fn mid_frame_timeout_closes_the_link_instead_of_desynchronizing_it() {
     let (first_done_tx, first_done) = mpsc::channel();
     let (resume, resume_rx) = mpsc::channel::<()>();
     let rank0 = std::thread::spawn(move || {
-        let mut comm = TcpCommunicator::with_listener(cfg, listener0).expect("rank 0 joins");
+        let mut comm = cfg.connect_on(listener0).expect("rank 0 joins");
         let mut buf = vec![1.0f32; 8];
         let first = comm.all_reduce(&mut buf, ReduceOp::Sum);
         first_done_tx.send(()).unwrap();

@@ -55,6 +55,7 @@ impl Default for CheckConfig {
                 "Server",
                 "ServedCommunicator",
                 "CommWorker",
+                "WorkerCommunicator",
             ]),
             entry_files: s(&["crates/serve/src/server.rs"]),
             telemetry_markers: s(&["Recorder", "recorder", "telemetry"]),

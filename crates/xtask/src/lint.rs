@@ -95,6 +95,7 @@ const CLOCK_PATTERNS: &[&str] = &["Instant::now", "SystemTime"];
 /// `allow_verify` markers.
 pub const WIRE_NO_TO_VEC_FILES: &[&str] = &[
     "crates/collectives/src/hierarchy.rs",
+    "crates/collectives/src/nonblocking.rs",
     "crates/collectives/src/ring.rs",
     "crates/net/src/frame.rs",
     "crates/net/src/tcp.rs",
@@ -576,9 +577,10 @@ mod tests {
 
     #[test]
     fn the_served_data_path_is_scanned_for_copies() {
-        // The three staging sites the service shipped with — each a
-        // payload-sized copy per collective — must stay findings, in
-        // files that stay on the lists.
+        // The three staging sites the service shipped with and the worker
+        // shell's op-buffer copy-in — each a payload-sized copy per
+        // collective — must stay findings, in files that stay on the
+        // lists.
         for (file, line, list, pattern) in [
             (
                 "crates/serve/src/client.rs",
@@ -597,6 +599,12 @@ mod tests {
                 "buf.extend_from_slice(&encode(&Frame::Msg(payload.clone())));\n",
                 WIRE_NO_CLONE_FILES,
                 ".clone(",
+            ),
+            (
+                "crates/collectives/src/nonblocking.rs",
+                "let out = self.run_op(op(buf.to_vec()))?.into_f32()?;\n",
+                WIRE_NO_TO_VEC_FILES,
+                ".to_vec(",
             ),
         ] {
             assert!(list.contains(&file), "{file} fell off its wire-copy list");

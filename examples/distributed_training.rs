@@ -45,7 +45,7 @@ use std::time::Duration;
 
 use acp_collectives::{CommError, Communicator, ReduceOp};
 use acp_core::{build_optimizer, AcpSgdConfig, Aggregator, PowerSgdConfig};
-use acp_net::{launch_local_grouped, worker_from_env, TcpCommunicator, TcpConfig, Wiring};
+use acp_net::{launch_local_grouped, worker_from_env, TcpConfig, Wiring};
 use acp_telemetry::{render_step_table, summary, ChromeTraceBuilder};
 use acp_training::dataset::Dataset;
 use acp_training::model::mlp;
@@ -141,7 +141,7 @@ fn run_tcp_worker(cfg: TcpConfig, args: &Args) -> i32 {
     train_cfg.overlap = args.overlap;
     train_cfg.auto_tune = args.auto_tune;
 
-    let comm = TcpCommunicator::connect(cfg).expect("worker joins S-SGD group");
+    let comm = cfg.connect().expect("worker joins S-SGD group");
     let (ssgd, _) = train_rank(
         comm,
         &data,
@@ -164,7 +164,7 @@ fn run_tcp_worker(cfg: TcpConfig, args: &Args) -> i32 {
         .with_fault(fault)
         .with_groups(groups)
         .expect("launcher already validated the group layout");
-    let comm = TcpCommunicator::connect(cfg2).expect("worker joins ACP-SGD group");
+    let comm = cfg2.connect().expect("worker joins ACP-SGD group");
     let spec = acp_spec();
     let (acp, telemetry) = train_rank(
         comm,
@@ -221,7 +221,7 @@ fn run_reform_demo_worker(cfg: TcpConfig, args: &Args) -> i32 {
     let cfg = cfg
         .with_wiring(Wiring::FullMesh) // reform() rewires over the mesh
         .with_op_deadline(Duration::from_secs(5));
-    let mut comm = TcpCommunicator::connect(cfg).expect("worker joins reform-demo group");
+    let mut comm = cfg.connect().expect("worker joins reform-demo group");
     let me = comm.rank_id().as_usize();
 
     // Warm-up collectives; the victim's exit fault fires in here.
