@@ -27,7 +27,9 @@ use crate::nonblocking::{
     WorkerCommunicator, WorkerTransport,
 };
 use crate::ring::{self, Transport, WireMsg};
-use crate::schedule::{OpKind, ScheduleCell, ScheduleSnapshot, ScheduleTracer, VerifyMode};
+use crate::schedule::{
+    OpKind, ScheduleCell, ScheduleSnapshot, ScheduleTag, ScheduleTracer, VerifyMode,
+};
 use crate::topology::{Membership, RankId, Topology};
 
 /// Reduction operator applied element-wise by [`Communicator::all_reduce`].
@@ -404,10 +406,12 @@ impl Communicator for LocalCommunicator {
     }
 
     fn all_gather_f32(&mut self, send: &[f32]) -> Result<Vec<f32>, CommError> {
+        // allow_verify(reason = "a world-1 gather returns the caller's own payload as its result")
         Ok(send.to_vec())
     }
 
     fn all_gather_u32(&mut self, send: &[u32]) -> Result<Vec<u32>, CommError> {
+        // allow_verify(reason = "a world-1 gather returns the caller's own payload as its result")
         Ok(send.to_vec())
     }
 
@@ -516,6 +520,15 @@ impl GroupState {
 /// [`ThreadCommunicator`] until a comm worker is spawned, then moves into
 /// the worker thread (collectives keep running the same [`ring`]
 /// algorithms on it either way).
+///
+/// Every dense exchange is single-copy: the send leg lends its borrowed
+/// slice to the peer, which reads it in place — folding it into its own
+/// chunk or copying it once into its destination — and only a loan the
+/// peer has not picked up by the end of the exchange is copied. A dense
+/// payload therefore travels from `exchange_*` to `exchange_*` only:
+/// [`Transport::recv_from`] takes owned messages (tokens, sparse sets),
+/// and either side meeting the other's kind reports
+/// [`CommError::ProtocolMismatch`].
 pub struct ThreadTransport {
     /// Virtual (ring) rank — equals `physical` until a reform.
     rank: usize,
@@ -530,12 +543,12 @@ pub struct ThreadTransport {
     /// The arrangement collectives are scheduled over.
     topology: Topology,
     /// Sender to each rank's inbox (index = destination *physical* rank).
-    peers: Vec<Sender<(usize, u64, WireMsg)>>,
-    /// This rank's inbox: `(physical source, epoch, message)`.
-    inbox: Receiver<(usize, u64, WireMsg)>,
-    /// Out-of-order messages buffered per *physical* source rank, with
-    /// the epoch they were sent at.
-    pending: Vec<VecDeque<(u64, WireMsg)>>,
+    peers: Vec<Sender<(usize, u64, Mail)>>,
+    /// This rank's inbox: `(physical source, epoch, mail)`.
+    inbox: Receiver<(usize, u64, Mail)>,
+    /// Out-of-order mail buffered per *physical* source rank, with the
+    /// epoch it was sent at.
+    pending: Vec<VecDeque<(u64, Mail)>>,
     /// The group's shared departure/abort state.
     group: Arc<GroupState>,
     bytes_sent: Arc<AtomicU64>,
@@ -566,31 +579,145 @@ impl Transport for ThreadTransport {
     }
 
     fn send_to(&mut self, dest: usize, msg: WireMsg) -> Result<(), CommError> {
+        // Cross-check mode: the message travels wrapped with this rank's
+        // schedule position (tag bytes are framing, not payload).
+        self.post(dest, msg.payload_bytes(), |tag| {
+            Mail::Msg(match tag {
+                Some(tag) => WireMsg::Tagged(tag, Box::new(msg)),
+                None => msg,
+            })
+        })
+    }
+
+    fn recv_from(&mut self, src: usize) -> Result<WireMsg, CommError> {
+        match self.recv_mail(src)? {
+            Mail::Msg(msg) => Ok(msg),
+            // A lent payload is dense: only `exchange_*` receives it.
+            Mail::Loan(..) => Err(CommError::ProtocolMismatch),
+        }
+    }
+
+    fn exchange_f32s(
+        &mut self,
+        send: Option<(usize, &[f32])>,
+        recv: Option<(usize, &mut [f32])>,
+    ) -> Result<(), CommError> {
+        self.exchange_into(send, recv)
+    }
+
+    fn exchange_u32s(
+        &mut self,
+        send: Option<(usize, &[u32])>,
+        recv: Option<(usize, &mut [u32])>,
+    ) -> Result<(), CommError> {
+        self.exchange_into(send, recv)
+    }
+
+    fn exchange_fold_f32s(
+        &mut self,
+        send: Option<(usize, &[f32])>,
+        src: usize,
+        len: usize,
+        fold: &mut dyn FnMut(&[f32]),
+    ) -> Result<(), CommError> {
+        self.exchange(send, Some((src, len, fold)))
+    }
+}
+
+/// The receive leg of a dense exchange: source rank, expected length,
+/// and what to do with the payload once it has that length.
+type DenseRecv<'a, T> = Option<(usize, usize, &'a mut dyn FnMut(&[T]))>;
+
+impl ThreadTransport {
+    /// Accounts `bytes` of payload and posts the mail `wrap` builds
+    /// around this rank's schedule tag ([`VerifyMode::CrossCheck`] only)
+    /// to `dest`'s inbox. Never waits for the peer: inboxes are
+    /// unbounded.
+    fn post(
+        &mut self,
+        dest: usize,
+        bytes: u64,
+        wrap: impl FnOnce(Option<ScheduleTag>) -> Mail,
+    ) -> Result<(), CommError> {
         let Some(&phys) = self.members.get(dest) else {
             return Err(CommError::InvalidRank {
                 rank: dest,
                 world_size: self.world_size,
             });
         };
-        let bytes = msg.payload_bytes();
         self.bytes_sent.fetch_add(bytes, Ordering::SeqCst);
         if self.recorder.enabled() {
             self.recorder.add(keys::COMM_BYTES_SENT, bytes);
         }
-        // Cross-check mode: stamp the message with this rank's schedule
-        // position (tag bytes are framing, not payload — accounted above).
-        let msg = match self.tracer.tag() {
-            Some(tag) => WireMsg::Tagged(tag, Box::new(msg)),
-            None => msg,
-        };
         self.peers[phys]
-            .send((self.physical, self.epoch, msg))
+            .send((self.physical, self.epoch, wrap(self.tracer.tag())))
             // A dropped inbox is a dead rank; name it if its departure is
             // already recorded.
             .map_err(|_| self.departure_error())
     }
 
-    fn recv_from(&mut self, src: usize) -> Result<WireMsg, CommError> {
+    /// One dense exchange: lends `send` to its destination for as long as
+    /// the receive leg runs, and settles the loan on the way out (see
+    /// [`Loan`]) — so the send never waits for the peer to pick it up,
+    /// and a payload sent is delivered even when the receive leg fails.
+    fn exchange<T: Lendable>(
+        &mut self,
+        send: Option<(usize, &[T])>,
+        recv: DenseRecv<'_, T>,
+    ) -> Result<(), CommError> {
+        let Some((dest, payload)) = send else {
+            return self.recv_dense(recv);
+        };
+        Loan::lend(payload, |loan| {
+            self.post(dest, 4 * payload.len() as u64, |tag| {
+                Mail::Loan(tag, T::lending(loan))
+            })?;
+            self.recv_dense(recv)
+        })
+    }
+
+    /// [`ThreadTransport::exchange`] whose receive leg copies the payload
+    /// into `out`.
+    fn exchange_into<T: Lendable>(
+        &mut self,
+        send: Option<(usize, &[T])>,
+        recv: Option<(usize, &mut [T])>,
+    ) -> Result<(), CommError> {
+        match recv {
+            Some((src, out)) => self.exchange(
+                send,
+                Some((src, out.len(), &mut |v| out.copy_from_slice(v))),
+            ),
+            None => self.exchange(send, None),
+        }
+    }
+
+    /// Receives a lent payload of exactly `len` elements from `src` and
+    /// hands it to `read`: in place while the peer's loan is still lent,
+    /// else the settled copy.
+    fn recv_dense<T: Lendable>(&mut self, recv: DenseRecv<'_, T>) -> Result<(), CommError> {
+        let Some((src, len, read)) = recv else {
+            return Ok(());
+        };
+        let Mail::Loan(_, lending) = self.recv_mail(src)? else {
+            return Err(CommError::ProtocolMismatch);
+        };
+        let loan = T::loan(lending).ok_or(CommError::ProtocolMismatch)?;
+        loan.take(|payload| {
+            if payload.len() != len {
+                return Err(CommError::LengthMismatch {
+                    expected: len,
+                    actual: payload.len(),
+                });
+            }
+            read(payload);
+            Ok(())
+        })
+        .unwrap_or(Err(CommError::ProtocolMismatch))
+    }
+
+    /// Receives the next mail from virtual rank `src`, schedule-checked.
+    fn recv_mail(&mut self, src: usize) -> Result<Mail, CommError> {
         let Some(&phys) = self.members.get(src) else {
             return Err(CommError::InvalidRank {
                 rank: src,
@@ -598,8 +725,8 @@ impl Transport for ThreadTransport {
             });
         };
         // Discard buffered stragglers from before the last reform, then
-        // deliver a current-epoch message if one is queued. A *future*
-        // epoch message stays buffered: it belongs to a membership this
+        // deliver a current-epoch mail if one is queued. A *future*
+        // epoch mail stays buffered: it belongs to a membership this
         // rank has not reformed into yet (the abort check below is what
         // gets us there).
         while self.pending[phys]
@@ -612,8 +739,8 @@ impl Transport for ThreadTransport {
             .front()
             .is_some_and(|&(epoch, _)| epoch == self.epoch)
         {
-            if let Some((_, msg)) = self.pending[phys].pop_front() {
-                return self.deliver(msg);
+            if let Some((_, mail)) = self.pending[phys].pop_front() {
+                return self.deliver(mail);
             }
         }
         let deadline = std::time::Instant::now() + RECV_TIMEOUT;
@@ -622,22 +749,22 @@ impl Transport for ThreadTransport {
                 return Err(err);
             }
             match self.inbox.recv_timeout(PANIC_POLL) {
-                Ok((from, epoch, msg)) => {
+                Ok((from, epoch, mail)) => {
                     if epoch < self.epoch {
                         // A straggler from before the last reform; its
                         // collective already failed everywhere.
                         continue;
                     }
                     // Count at inbox receipt so buffered out-of-order
-                    // messages are still counted exactly once.
+                    // mail is still counted exactly once.
                     if self.recorder.enabled() {
                         self.recorder
-                            .add(keys::COMM_BYTES_RECV, msg.payload_bytes());
+                            .add(keys::COMM_BYTES_RECV, mail.payload_bytes());
                     }
                     if from == phys && epoch == self.epoch {
-                        return self.deliver(msg);
+                        return self.deliver(mail);
                     }
-                    self.pending[from].push_back((epoch, msg));
+                    self.pending[from].push_back((epoch, mail));
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     if std::time::Instant::now() >= deadline {
@@ -648,15 +775,19 @@ impl Transport for ThreadTransport {
             }
         }
     }
-}
 
-impl ThreadTransport {
-    /// Delivery-time schedule check (see [`crate::schedule::deliver_checked`]).
-    /// A mismatch also raises the group's abort fence so peers blocked
-    /// mid-collective unblock within [`PANIC_POLL`] instead of waiting out
-    /// the peer timeout.
-    fn deliver(&self, msg: WireMsg) -> Result<WireMsg, CommError> {
-        let out = crate::schedule::deliver_checked(&self.tracer, msg);
+    /// Delivery-time schedule check (see [`crate::schedule::deliver_checked`]),
+    /// for owned messages and loans alike. A mismatch also raises the
+    /// group's abort fence so peers blocked mid-collective unblock within
+    /// [`PANIC_POLL`] instead of waiting out the peer timeout.
+    fn deliver(&self, mail: Mail) -> Result<Mail, CommError> {
+        let out = match mail {
+            Mail::Msg(msg) => crate::schedule::deliver_checked(&self.tracer, msg).map(Mail::Msg),
+            Mail::Loan(Some(tag), lending) => {
+                self.tracer.check(&tag).map(|()| Mail::Loan(None, lending))
+            }
+            untagged => Ok(untagged),
+        };
         if matches!(out, Err(CommError::ScheduleMismatch { .. })) {
             self.group.abort(self.epoch);
         }
@@ -671,6 +802,197 @@ impl ThreadTransport {
             .unwrap_or(CommError::PeerDisconnected)
     }
 }
+
+/// One item of a [`ThreadTransport`] inbox.
+enum Mail {
+    /// An owned message (tokens, sparse sets, [`Transport::send_to`]).
+    Msg(WireMsg),
+    /// A dense payload an exchange lent, with the sender's schedule tag
+    /// ([`VerifyMode::CrossCheck`] only; checked and cleared at delivery).
+    Loan(Option<ScheduleTag>, Lending),
+}
+
+impl Mail {
+    /// Payload bytes, counted as [`WireMsg::payload_bytes`] counts them.
+    fn payload_bytes(&self) -> u64 {
+        match self {
+            Mail::Msg(msg) => msg.payload_bytes(),
+            Mail::Loan(_, Lending::F32(loan)) => 4 * loan.len() as u64,
+            Mail::Loan(_, Lending::U32(loan)) => 4 * loan.len() as u64,
+        }
+    }
+}
+
+/// A lent payload of either dense element type.
+enum Lending {
+    F32(Arc<Loan<f32>>),
+    U32(Arc<Loan<u32>>),
+}
+
+/// The element types a dense exchange lends, each with its own
+/// [`Lending`] variant.
+trait Lendable: Copy + Sync + 'static {
+    fn lending(loan: Arc<Loan<Self>>) -> Lending;
+
+    /// The loan `lending` holds if it lends this element type.
+    fn loan(lending: Lending) -> Option<Arc<Loan<Self>>>;
+}
+
+impl Lendable for f32 {
+    fn lending(loan: Arc<Loan<f32>>) -> Lending {
+        Lending::F32(loan)
+    }
+
+    fn loan(lending: Lending) -> Option<Arc<Loan<f32>>> {
+        match lending {
+            Lending::F32(loan) => Some(loan),
+            Lending::U32(_) => None,
+        }
+    }
+}
+
+impl Lendable for u32 {
+    fn lending(loan: Arc<Loan<u32>>) -> Lending {
+        Lending::U32(loan)
+    }
+
+    fn loan(lending: Lending) -> Option<Arc<Loan<u32>>> {
+        match lending {
+            Lending::U32(loan) => Some(loan),
+            Lending::F32(_) => None,
+        }
+    }
+}
+
+/// The loan of a send slice: the one place this crate dereferences a raw
+/// pointer. Private to this module so that nothing but [`Loan::lend`]
+/// can create a lent state.
+mod loan {
+    use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+    /// A dense payload an exchange lends to its peer instead of copying
+    /// it: a lazily made eager message.
+    ///
+    /// The sender posts a loan of its borrowed send slice and goes on to
+    /// its receive leg without waiting. The peer reads the slice in place
+    /// — folding it into its own chunk or copying it once into its
+    /// destination — and marks the loan taken. When the sender's exchange
+    /// ends first, its [`Settle`] guard copies the slice into the loan,
+    /// and the peer later reads that copy. Either way the sender never
+    /// waits for the peer to be scheduled (only, at most, for a read
+    /// already in progress), and exactly one of the two happens.
+    pub(super) struct Loan<T> {
+        len: usize,
+        state: Mutex<LoanState<T>>,
+    }
+
+    enum LoanState<T> {
+        /// The lender's slice; its exchange is still running.
+        Lent(LentPtr<T>),
+        /// Settled: the lender's exchange ended before the peer read it.
+        Copied(Vec<T>),
+        /// Read by the peer.
+        Taken,
+    }
+
+    /// The start of a lent slice.
+    struct LentPtr<T>(*const T);
+
+    // SAFETY: a `LentPtr` crosses to the peer's thread only inside a
+    // `Loan`, which dereferences it solely as a shared `&[T]` (see
+    // `LoanState::payload`) and never drops or mutates a `T` through it —
+    // sound to share across threads when `T: Sync`.
+    unsafe impl<T: Sync> Send for LentPtr<T> {}
+
+    impl<T> LoanState<T> {
+        /// The payload, borrowed from the locked state: the lender's
+        /// slice while lent, the copy once settled.
+        fn payload(&self, len: usize) -> Option<&[T]> {
+            match self {
+                LoanState::Lent(ptr) => {
+                    // SAFETY: `Lent` is created only by `Loan::lend`, from
+                    // its `payload: &[T]` of `len` elements, and left only
+                    // under the loan's lock — by a read (`Taken`) or by
+                    // the `Settle` guard `lend` drops before it returns or
+                    // unwinds (`Copied`), i.e. while that borrow is still
+                    // live. The state is reachable only through the lock
+                    // guard and the slice returned here borrows it, so
+                    // every dereference happens under the lock, in state
+                    // `Lent`, within the lender's borrow: the memory is
+                    // valid, initialised, `len` elements long, and not
+                    // mutated (the lender holds it by shared reference).
+                    Some(unsafe { std::slice::from_raw_parts(ptr.0, len) })
+                }
+                LoanState::Copied(copy) => Some(copy),
+                LoanState::Taken => None,
+            }
+        }
+    }
+
+    impl<T: Copy> Loan<T> {
+        /// Lends `payload` for the duration of `scope`, which gets the
+        /// loan to post. On every way out of `scope` — success, error,
+        /// unwind — the loan is settled, so none outlives the borrow.
+        pub(super) fn lend<R>(payload: &[T], scope: impl FnOnce(Arc<Loan<T>>) -> R) -> R {
+            let guard = Settle(Arc::new(Loan {
+                len: payload.len(),
+                state: Mutex::new(LoanState::Lent(LentPtr(payload.as_ptr()))),
+            }));
+            scope(Arc::clone(&guard.0))
+        }
+
+        /// Elements lent.
+        pub(super) fn len(&self) -> usize {
+            self.len
+        }
+
+        /// Hands the payload to `read` — in place while still lent, else
+        /// the settled copy — and marks the loan taken; `None` if it
+        /// already was.
+        pub(super) fn take<R>(&self, read: impl FnOnce(&[T]) -> R) -> Option<R> {
+            let mut state = self.lock();
+            let out = state.payload(self.len).map(read);
+            *state = LoanState::Taken;
+            out
+        }
+
+        /// Every update of the state is one assignment, so a guard whose
+        /// holder panicked (a reader's `read`) still guards a valid state.
+        fn lock(&self) -> MutexGuard<'_, LoanState<T>> {
+            self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        /// Where the loan stands, for tests that force each path.
+        #[cfg(test)]
+        pub(super) fn phase(&self) -> &'static str {
+            match *self.lock() {
+                LoanState::Lent(_) => "lent",
+                LoanState::Copied(_) => "copied",
+                LoanState::Taken => "taken",
+            }
+        }
+    }
+
+    /// The lender's guard of a [`Loan`], dropped by [`Loan::lend`]: the
+    /// one place a loan is settled.
+    struct Settle<T: Copy>(Arc<Loan<T>>);
+
+    impl<T: Copy> Drop for Settle<T> {
+        fn drop(&mut self) {
+            let loan = &self.0;
+            let mut state = loan.lock();
+            if let LoanState::Lent(_) = *state {
+                if let Some(lent) = state.payload(loan.len) {
+                    // allow_verify(reason = "late-peer settle: the exchange ends before the peer read its loan")
+                    let copy = lent.to_vec();
+                    *state = LoanState::Copied(copy);
+                }
+            }
+        }
+    }
+}
+
+use loan::Loan;
 
 impl WorkerTransport for ThreadTransport {
     fn recorder(&self) -> &RecorderHandle {
@@ -778,6 +1100,21 @@ impl ThreadGroup {
     ///
     /// Panics if `topology.world_size() == 0`.
     pub fn new_with_topology(topology: Topology, verify: VerifyMode) -> Vec<ThreadCommunicator> {
+        ThreadGroup::transports(topology, verify)
+            .into_iter()
+            .map(|(transport, schedule)| {
+                let bytes_sent = Arc::clone(&transport.bytes_sent);
+                WorkerCommunicator::new(transport, bytes_sent, schedule, verify)
+            })
+            .collect()
+    }
+
+    /// One connected transport per rank, in rank order, each with the
+    /// schedule cell its tracer records into.
+    fn transports(
+        topology: Topology,
+        verify: VerifyMode,
+    ) -> Vec<(ThreadTransport, Arc<ScheduleCell>)> {
         let world_size = topology.world_size();
         assert!(world_size > 0, "world_size must be positive");
         let mut inboxes = Vec::with_capacity(world_size);
@@ -792,7 +1129,6 @@ impl ThreadGroup {
             .into_iter()
             .enumerate()
             .map(|(rank, inbox)| {
-                let bytes_sent = Arc::new(AtomicU64::new(0));
                 let schedule = Arc::new(ScheduleCell::default());
                 let mut tracer = ScheduleTracer::new(verify, Arc::clone(&schedule));
                 if !topology.is_flat() {
@@ -809,11 +1145,11 @@ impl ThreadGroup {
                     inbox,
                     pending: (0..world_size).map(|_| VecDeque::new()).collect(),
                     group: Arc::clone(&group),
-                    bytes_sent: Arc::clone(&bytes_sent),
+                    bytes_sent: Arc::new(AtomicU64::new(0)),
                     recorder: noop(),
                     tracer,
                 };
-                WorkerCommunicator::new(transport, bytes_sent, schedule, verify)
+                (transport, schedule)
             })
             .collect()
     }
@@ -1805,5 +2141,156 @@ mod tests {
             assert!(rec.counter(keys::COMM_BYTES_SENT) > 0);
             assert_eq!(rec.spans().len(), 1);
         }
+    }
+
+    /// The two raw transports of a world-2 group, for driving the loan
+    /// protocol one leg at a time.
+    fn transport_pair(verify: VerifyMode) -> (ThreadTransport, ThreadTransport) {
+        let mut pair = ThreadGroup::transports(Topology::flat(2), verify)
+            .into_iter()
+            .map(|(transport, _)| transport);
+        (pair.next().unwrap(), pair.next().unwrap())
+    }
+
+    fn next_f32_loan(t: &mut ThreadTransport, src: usize) -> Arc<Loan<f32>> {
+        match t.recv_mail(src).unwrap() {
+            Mail::Loan(_, Lending::F32(loan)) => loan,
+            _ => panic!("expected an f32 loan"),
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn loan_is_read_in_place_while_the_lender_waits() {
+        let (mut lender, mut reader) = transport_pair(VerifyMode::default());
+        let payload: Vec<f32> = (0..64).map(|i| i as f32 * 0.5 - 3.0).collect();
+        let loan = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // Lends `payload`, then sits in its own receive until the
+                // reader has read the loan and replied.
+                let mut reply = [0.0f32; 3];
+                lender
+                    .exchange_f32s(Some((1, &payload)), Some((1, &mut reply)))
+                    .unwrap();
+                assert_eq!(reply, [7.0; 3]);
+            });
+            let loan = next_f32_loan(&mut reader, 0);
+            assert_eq!(loan.phase(), "lent");
+            let read = loan.take(bits).unwrap();
+            assert_eq!(read, bits(&payload));
+            reader.exchange_f32s(Some((0, &[7.0; 3])), None).unwrap();
+            loan
+        });
+        // The lender's exchange has ended; its settle found nothing to copy.
+        assert_eq!(loan.phase(), "taken");
+    }
+
+    #[test]
+    fn loan_settled_before_the_read_delivers_identical_bits() {
+        let (mut lender, mut reader) = transport_pair(VerifyMode::default());
+        let mut payload = vec![
+            f32::from_bits(0x7fc0_1234),
+            -0.0,
+            f32::from_bits(1),
+            f32::NEG_INFINITY,
+            1.5,
+        ];
+        let sent = bits(&payload);
+        // A send-only exchange ends before the peer receives: the loan is
+        // settled by copy, and the lender's storage is its own again.
+        lender.exchange_f32s(Some((1, &payload)), None).unwrap();
+        payload.fill(9.0);
+        assert_eq!(lender.bytes_sent.load(Ordering::SeqCst), 4 * 5);
+        let loan = next_f32_loan(&mut reader, 0);
+        assert_eq!(loan.phase(), "copied");
+        assert_eq!(loan.take(bits), Some(sent.clone()));
+        // The same through the public receive legs, for both element types.
+        let (words, mut out, mut out_words) = ([3u32, u32::MAX, 0], [0.0f32; 5], [0u32; 3]);
+        lender
+            .exchange_f32s(Some((1, &f32_from(&sent))), None)
+            .unwrap();
+        lender.exchange_u32s(Some((1, &words)), None).unwrap();
+        reader.exchange_f32s(None, Some((0, &mut out))).unwrap();
+        reader
+            .exchange_u32s(None, Some((0, &mut out_words)))
+            .unwrap();
+        assert_eq!(bits(&out), sent);
+        assert_eq!(out_words, words);
+    }
+
+    fn f32_from(bits: &[u32]) -> Vec<f32> {
+        bits.iter().map(|&b| f32::from_bits(b)).collect()
+    }
+
+    #[test]
+    fn a_lender_whose_receive_fails_still_delivers() {
+        let (mut a, mut b) = transport_pair(VerifyMode::default());
+        let payload = [2.5f32; 5];
+        // Rank 1 sends 3 elements where rank 0 expects 4.
+        b.exchange_f32s(Some((0, &[1.0; 3])), None).unwrap();
+        let err = a
+            .exchange_f32s(Some((1, &payload)), Some((1, &mut [0.0; 4])))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CommError::LengthMismatch {
+                expected: 4,
+                actual: 3
+            }
+        );
+        // A receive leg that unwinds settles the loan too.
+        b.exchange_f32s(Some((0, &[1.0; 2])), None).unwrap();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            a.exchange_fold_f32s(Some((1, &[4.0; 2])), 1, 2, &mut |_| {
+                panic!("injected fold failure")
+            })
+        }));
+        assert!(unwound.is_err());
+        let (mut first, mut second) = ([0.0f32; 5], [0.0f32; 2]);
+        b.exchange_f32s(None, Some((0, &mut first))).unwrap();
+        b.exchange_f32s(None, Some((0, &mut second))).unwrap();
+        assert_eq!(first, payload);
+        assert_eq!(second, [4.0; 2]);
+    }
+
+    #[test]
+    fn loans_and_owned_messages_do_not_mix() {
+        let (mut a, mut b) = transport_pair(VerifyMode::default());
+        a.exchange_f32s(Some((1, &[1.0; 4])), None).unwrap();
+        assert_eq!(b.recv_from(0), Err(CommError::ProtocolMismatch));
+        a.send_to(1, WireMsg::F32(vec![3.0; 2])).unwrap();
+        assert_eq!(
+            b.exchange_f32s(None, Some((0, &mut [0.0; 2]))),
+            Err(CommError::ProtocolMismatch)
+        );
+        a.exchange_u32s(Some((1, &[1; 2])), None).unwrap();
+        assert_eq!(
+            b.exchange_f32s(None, Some((0, &mut [0.0; 2]))),
+            Err(CommError::ProtocolMismatch)
+        );
+    }
+
+    #[test]
+    fn a_mistagged_loan_is_a_schedule_mismatch_and_raises_the_fence() {
+        let (mut a, mut b) = transport_pair(VerifyMode::CrossCheck);
+        a.tracer.begin_op(OpKind::AllReduce, 8, 0);
+        b.tracer.begin_op(OpKind::AllGatherF32, 8, 0);
+        a.exchange_f32s(Some((1, &[1.0; 8])), None).unwrap();
+        let err = b.exchange_f32s(None, Some((0, &mut [0.0; 8]))).unwrap_err();
+        match err {
+            CommError::ScheduleMismatch { local, peer, .. } => {
+                assert_eq!(local.map(|p| p.kind), Some(OpKind::AllGatherF32));
+                assert_eq!(peer.kind, OpKind::AllReduce);
+            }
+            other => panic!("expected ScheduleMismatch, got {other:?}"),
+        }
+        // The fence is up: the lender's next receive aborts at once.
+        assert_eq!(
+            a.exchange_f32s(None, Some((1, &mut [0.0; 1]))),
+            Err(CommError::WorkerPanicked)
+        );
     }
 }

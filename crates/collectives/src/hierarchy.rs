@@ -26,9 +26,7 @@
 //! flat-vs-hierarchical proptests pin.
 
 use crate::communicator::{CommError, ReduceOp};
-use crate::ring::{
-    chunk_range, reduce_into, reduce_last_into, split_send_recv, with_scratch, Transport,
-};
+use crate::ring::{chunk_range, reduce_into, reduce_last_into, split_send_recv, Transport};
 use crate::topology::{RankId, Topology};
 
 /// The four ring neighbours of a rank in a two-level arrangement.
@@ -98,57 +96,63 @@ pub fn all_reduce_two_level<T: Transport + ?Sized>(
     };
 
     // Phase 1: intra-group ring reduce-scatter over s chunks. After s-1
-    // steps position j owns the group-partial chunk (j+1) mod s. One
-    // scratch, sized for the largest intra-group chunk, takes the
-    // incoming partials of both reduce-scatter phases.
-    with_scratch(len.div_ceil(s), |scratch| {
-        for step in 0..s - 1 {
-            let send_idx = (j + s - step) % s;
-            let recv_idx = (j + s - step - 1) % s;
-            let recv_range = chunk_range(len, recv_idx, s);
-            let incoming = &mut scratch[..recv_range.len()];
-            t.exchange_f32s(
-                Some((n.intra_next, &buf[chunk_range(len, send_idx, s)])),
-                Some((n.intra_prev, &mut *incoming)),
-            )?;
-            reduce_into(&mut buf[recv_range], incoming, phase_op);
-        }
-        let owned = (j + 1) % s;
-        let owned_range = chunk_range(len, owned, s);
+    // steps position j owns the group-partial chunk (j+1) mod s. Each
+    // incoming partial, here and in phase 2, is folded straight into the
+    // chunk it reduces.
+    for step in 0..s - 1 {
+        let send_idx = (j + s - step) % s;
+        let recv_idx = (j + s - step - 1) % s;
+        let (send, dst) = split_send_recv(
+            buf,
+            chunk_range(len, send_idx, s),
+            chunk_range(len, recv_idx, s),
+        );
+        t.exchange_fold_f32s(
+            Some((n.intra_next, send)),
+            n.intra_prev,
+            dst.len(),
+            &mut |incoming| reduce_into(dst, incoming, phase_op),
+        )?;
+    }
+    let owned = (j + 1) % s;
+    let owned_range = chunk_range(len, owned, s);
 
-        // Phase 2: cross-group ring all-reduce of the owned chunk among the
-        // G same-position ranks; this rank's outer-ring position is g.
-        {
-            let sub = &mut buf[owned_range.clone()];
-            let m = sub.len();
-            for step in 0..g_count - 1 {
-                let send_idx = (g + g_count - step) % g_count;
-                let recv_idx = (g + g_count - step - 1) % g_count;
-                let recv_range = chunk_range(m, recv_idx, g_count);
-                let incoming = &mut scratch[..recv_range.len()];
-                t.exchange_f32s(
-                    Some((n.cross_next, &sub[chunk_range(m, send_idx, g_count)])),
-                    Some((n.cross_prev, &mut *incoming)),
-                )?;
-                if step == g_count - 2 {
-                    reduce_last_into(&mut sub[recv_range], incoming, op, p);
+    // Phase 2: cross-group ring all-reduce of the owned chunk among the
+    // G same-position ranks; this rank's outer-ring position is g.
+    let sub = &mut buf[owned_range];
+    let m = sub.len();
+    for step in 0..g_count - 1 {
+        let send_idx = (g + g_count - step) % g_count;
+        let recv_idx = (g + g_count - step - 1) % g_count;
+        let (send, dst) = split_send_recv(
+            sub,
+            chunk_range(m, send_idx, g_count),
+            chunk_range(m, recv_idx, g_count),
+        );
+        let last = step == g_count - 2;
+        t.exchange_fold_f32s(
+            Some((n.cross_next, send)),
+            n.cross_prev,
+            dst.len(),
+            &mut |incoming| {
+                if last {
+                    reduce_last_into(dst, incoming, op, p);
                 } else {
-                    reduce_into(&mut sub[recv_range], incoming, phase_op);
+                    reduce_into(dst, incoming, phase_op);
                 }
-            }
-            for step in 0..g_count - 1 {
-                let send_idx = (g + 1 + g_count - step) % g_count;
-                let recv_idx = (g + g_count - step) % g_count;
-                let (send, recv) = split_send_recv(
-                    sub,
-                    chunk_range(m, send_idx, g_count),
-                    chunk_range(m, recv_idx, g_count),
-                );
-                t.exchange_f32s(Some((n.cross_next, send)), Some((n.cross_prev, recv)))?;
-            }
-        }
-        Ok::<(), CommError>(())
-    })?;
+            },
+        )?;
+    }
+    for step in 0..g_count - 1 {
+        let send_idx = (g + 1 + g_count - step) % g_count;
+        let recv_idx = (g + g_count - step) % g_count;
+        let (send, recv) = split_send_recv(
+            sub,
+            chunk_range(m, send_idx, g_count),
+            chunk_range(m, recv_idx, g_count),
+        );
+        t.exchange_f32s(Some((n.cross_next, send)), Some((n.cross_prev, recv)))?;
+    }
 
     // Phase 3: intra-group ring all-gather of the s reduced chunks,
     // starting from the chunk each position owns.

@@ -82,34 +82,11 @@ pub trait Transport {
     /// Returns an error on timeout, disconnect, or an out-of-range `src`.
     fn recv_from(&mut self, src: usize) -> Result<WireMsg, CommError>;
 
-    /// Sends a borrowed `f32` payload to `dest`.
+    /// Sends a borrowed sparse (indices, values) payload to `dest`.
     ///
     /// The default copies into an owned [`WireMsg`] and forwards to
-    /// [`Transport::send_to`] — necessary for backends that hand the
-    /// message itself to the peer (in-process channels). Backends that
-    /// serialize onto a wire override this to write straight from the
-    /// slice with no intermediate copy (the TCP backend's vectored send).
-    ///
-    /// # Errors
-    ///
-    /// As [`Transport::send_to`].
-    fn send_f32s(&mut self, dest: usize, payload: &[f32]) -> Result<(), CommError> {
-        // allow_verify(reason = "ownership fallback for channel backends; wire backends override")
-        self.send_to(dest, WireMsg::F32(payload.to_vec()))
-    }
-
-    /// Sends a borrowed `u32` payload to `dest` (see [`Transport::send_f32s`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Transport::send_to`].
-    fn send_u32s(&mut self, dest: usize, payload: &[u32]) -> Result<(), CommError> {
-        // allow_verify(reason = "ownership fallback for channel backends; wire backends override")
-        self.send_to(dest, WireMsg::U32(payload.to_vec()))
-    }
-
-    /// Sends a borrowed sparse (indices, values) payload to `dest` (see
-    /// [`Transport::send_f32s`]).
+    /// [`Transport::send_to`]; backends that serialize onto a wire write
+    /// straight from the slices instead (the TCP backend's vectored send).
     ///
     /// # Errors
     ///
@@ -130,13 +107,11 @@ pub trait Transport {
     /// straight into the caller's `recv` storage. Either leg may be
     /// absent (a pure send or a pure receive-into).
     ///
-    /// The default sends, then receives an owned message and copies it
-    /// out — correct for backends whose sends never block (in-process
-    /// channels). Backends whose sends *can* block on the peer's receive
-    /// (sockets) override it so that the receive is never held back
-    /// behind an unbounded blocking send; a ring of ranks all sending
-    /// before receiving would otherwise deadlock once a chunk outgrows
-    /// the kernel's socket buffers.
+    /// The send leg must never wait for the peer to receive: every rank
+    /// of a ring sends before it receives. The in-process backend lends
+    /// the slice and settles it by copy if the exchange ends before the
+    /// peer read it; the socket backend interleaves the two legs so a
+    /// chunk larger than the kernel's socket buffers cannot deadlock.
     ///
     /// # Errors
     ///
@@ -148,25 +123,7 @@ pub trait Transport {
         &mut self,
         send: Option<(usize, &[f32])>,
         recv: Option<(usize, &mut [f32])>,
-    ) -> Result<(), CommError> {
-        if let Some((dest, payload)) = send {
-            self.send_f32s(dest, payload)?;
-        }
-        if let Some((src, out)) = recv {
-            // allow_verify(reason = "owned receive of the channel-backend fallback; wire backends override and read into `out`")
-            match self.recv_from(src)? {
-                WireMsg::F32(v) if v.len() == out.len() => out.copy_from_slice(&v),
-                WireMsg::F32(v) => {
-                    return Err(CommError::LengthMismatch {
-                        expected: out.len(),
-                        actual: v.len(),
-                    })
-                }
-                _ => return Err(CommError::ProtocolMismatch),
-            }
-        }
-        Ok(())
-    }
+    ) -> Result<(), CommError>;
 
     /// [`Transport::exchange_f32s`] for `u32` payloads (bit-packed signs,
     /// sparse indices).
@@ -178,24 +135,34 @@ pub trait Transport {
         &mut self,
         send: Option<(usize, &[u32])>,
         recv: Option<(usize, &mut [u32])>,
+    ) -> Result<(), CommError>;
+
+    /// [`Transport::exchange_f32s`] whose receive leg hands the `len`
+    /// incoming elements to `fold` instead of storing them: a
+    /// reduce-scatter step folds the peer's partial straight into its
+    /// own chunk.
+    ///
+    /// The default receives into this thread's reduce-scatter scratch and
+    /// folds from there — what a backend that reads bytes off a socket
+    /// must do anyway. The in-process backend overrides it to fold
+    /// straight from the peer's lent slice.
+    ///
+    /// # Errors
+    ///
+    /// As [`Transport::exchange_f32s`]; `fold` runs only on a payload of
+    /// exactly `len` elements.
+    fn exchange_fold_f32s(
+        &mut self,
+        send: Option<(usize, &[f32])>,
+        src: usize,
+        len: usize,
+        fold: &mut dyn FnMut(&[f32]),
     ) -> Result<(), CommError> {
-        if let Some((dest, payload)) = send {
-            self.send_u32s(dest, payload)?;
-        }
-        if let Some((src, out)) = recv {
-            // allow_verify(reason = "owned receive of the channel-backend fallback; wire backends override and read into `out`")
-            match self.recv_from(src)? {
-                WireMsg::U32(v) if v.len() == out.len() => out.copy_from_slice(&v),
-                WireMsg::U32(v) => {
-                    return Err(CommError::LengthMismatch {
-                        expected: out.len(),
-                        actual: v.len(),
-                    })
-                }
-                _ => return Err(CommError::ProtocolMismatch),
-            }
-        }
-        Ok(())
+        with_scratch(len, |incoming| {
+            self.exchange_f32s(send, Some((src, &mut *incoming)))?;
+            fold(incoming);
+            Ok(())
+        })
     }
 }
 
@@ -249,18 +216,19 @@ pub(crate) fn reduce_into(dst: &mut [f32], src: &[f32], op: ReduceOp) {
 }
 
 thread_local! {
-    /// Where a reduce-scatter step lands the incoming partial before
-    /// folding it in: one per thread that runs collectives (a rank's comm
-    /// worker), grown to the largest chunk it has seen and kept. Allocated
-    /// per operation it was a zeroed `N/p` buffer per all-reduce — a
-    /// write stream nothing reads, whose pages were faulted in afresh or
-    /// not depending on what else the process had lately freed.
+    /// Where the default [`Transport::exchange_fold_f32s`] lands the
+    /// incoming partial before folding it in: one per thread that runs
+    /// collectives (a rank's comm worker), grown to the largest chunk it
+    /// has seen and kept. Allocated per operation it was a zeroed `N/p`
+    /// buffer per all-reduce — a write stream nothing reads, whose pages
+    /// were faulted in afresh or not depending on what else the process
+    /// had lately freed.
     static SCRATCH: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Runs `f` with this thread's reduce-scatter scratch, `len` elements of
 /// unspecified content: every step overwrites the prefix it then reads.
-pub(crate) fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     SCRATCH.with_borrow_mut(|scratch| {
         if scratch.len() < len {
             scratch.resize(len, 0.0);
@@ -306,26 +274,25 @@ pub fn all_reduce<T: Transport + ?Sized>(
     let (next, prev) = (next_rank(t), prev_rank(t));
     let len = buf.len();
     // Phase 1: ring reduce-scatter. After p-1 steps rank r owns the fully
-    // reduced chunk (r+1) mod p. Incoming partials land in one scratch
-    // sized for the largest chunk and reused by every step.
-    with_scratch(len.div_ceil(p), |scratch| {
-        for s in 0..p - 1 {
-            let send_idx = (r + p - s) % p;
-            let recv_idx = (r + p - s - 1) % p;
-            let recv_range = chunk_range(len, recv_idx, p);
-            let incoming = &mut scratch[..recv_range.len()];
-            t.exchange_f32s(
-                Some((next, &buf[chunk_range(len, send_idx, p)])),
-                Some((prev, &mut *incoming)),
-            )?;
-            if s == p - 2 {
-                reduce_last_into(&mut buf[recv_range], incoming, op, p);
+    // reduced chunk (r+1) mod p. Each incoming partial is folded straight
+    // into the chunk it reduces.
+    for s in 0..p - 1 {
+        let send_idx = (r + p - s) % p;
+        let recv_idx = (r + p - s - 1) % p;
+        let (send, dst) = split_send_recv(
+            buf,
+            chunk_range(len, send_idx, p),
+            chunk_range(len, recv_idx, p),
+        );
+        let last = s == p - 2;
+        t.exchange_fold_f32s(Some((next, send)), prev, dst.len(), &mut |incoming| {
+            if last {
+                reduce_last_into(dst, incoming, op, p);
             } else {
-                reduce_into(&mut buf[recv_range], incoming, op);
+                reduce_into(dst, incoming, op);
             }
-        }
-        Ok::<(), CommError>(())
-    })?;
+        })?;
+    }
     // Phase 2: ring all-gather of the reduced (and, for a mean, already
     // scaled) chunks, each received straight into its final position.
     for s in 0..p - 1 {

@@ -1352,14 +1352,6 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn send_f32s(&mut self, dest: usize, payload: &[f32]) -> Result<(), CommError> {
-        self.send_view(dest, MsgRef::F32(payload))
-    }
-
-    fn send_u32s(&mut self, dest: usize, payload: &[u32]) -> Result<(), CommError> {
-        self.send_view(dest, MsgRef::U32(payload))
-    }
-
     fn send_sparse(
         &mut self,
         dest: usize,

@@ -18,13 +18,17 @@
 //! - the drop-drain of an abandoned `PendingOp` stays synchronous with
 //!   the worker and the reply is delivered exactly once (no double
 //!   drain); the drain's timeout is a pure backstop that fires only when
-//!   the worker is wedged.
+//!   the worker is wedged;
+//! - the thread transport's loan of a send slice
+//!   (`acp_collectives::communicator::Loan`) is read in place only while
+//!   the lender's borrow is live, is otherwise settled by copy, and one
+//!   of the two happens exactly once.
 
 #![cfg(loom)]
 
-use loom::sync::atomic::{AtomicUsize, Ordering};
+use loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use loom::sync::mpsc::{channel, RecvTimeoutError, Sender};
-use loom::sync::Arc;
+use loom::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// The comm-worker handoff: submitter creates a reply channel, enqueues
@@ -141,5 +145,73 @@ fn drain_timeout_fires_only_for_a_wedged_worker() {
             "drain must terminate: {drained:?}"
         );
         worker.join().expect("worker exits");
+    });
+}
+
+/// The loan protocol of the thread transport's dense exchange: the lender
+/// posts a loan of its borrowed send slice and, when its exchange ends,
+/// drops the guard that settles the loan; the peer's reader takes it.
+/// The borrow is modelled as a buffer plus a flag that the lender clears
+/// (and the buffer it scribbles over) once the guard is gone — the
+/// lender's storage is its own again.
+#[test]
+fn a_loan_is_read_in_place_or_settled_by_copy_never_both() {
+    enum State {
+        Lent,
+        Copied(Vec<u32>),
+        Taken,
+    }
+    const LENT: [u32; 3] = [7, 8, 9];
+    loom::model(|| {
+        let buffer = Arc::new(Mutex::new(LENT.to_vec()));
+        let borrowed = Arc::new(AtomicBool::new(true));
+        let loan = Arc::new(Mutex::new(State::Lent));
+        let (in_place, settled) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let reader = {
+            let (buffer, borrowed, loan, in_place) = (
+                Arc::clone(&buffer),
+                Arc::clone(&borrowed),
+                Arc::clone(&loan),
+                Arc::clone(&in_place),
+            );
+            loom::thread::spawn(move || {
+                let mut state = loan.lock().unwrap();
+                let read = match &*state {
+                    State::Lent => {
+                        // The dereference of the lent pointer.
+                        assert!(
+                            borrowed.load(Ordering::SeqCst),
+                            "read a lent slice after the borrow ended"
+                        );
+                        in_place.fetch_add(1, Ordering::SeqCst);
+                        buffer.lock().unwrap().clone()
+                    }
+                    State::Copied(copy) => copy.clone(),
+                    State::Taken => panic!("a loan is delivered once"),
+                };
+                *state = State::Taken;
+                read
+            })
+        };
+        // The lender's guard drop: the single settle point.
+        {
+            let mut state = loan.lock().unwrap();
+            if let State::Lent = *state {
+                assert!(borrowed.load(Ordering::SeqCst));
+                settled.fetch_add(1, Ordering::SeqCst);
+                *state = State::Copied(buffer.lock().unwrap().clone());
+            }
+        }
+        // The exchange returns: the borrow ends and the caller reuses its
+        // storage.
+        borrowed.store(false, Ordering::SeqCst);
+        *buffer.lock().unwrap() = vec![0; 3];
+        let read = reader.join().expect("reader finishes");
+        assert_eq!(read, LENT, "the reader must see the lent values");
+        assert_eq!(
+            in_place.load(Ordering::SeqCst) + settled.load(Ordering::SeqCst),
+            1,
+            "exactly one of read-in-place and settle-by-copy"
+        );
     });
 }

@@ -28,14 +28,15 @@
 //!    (physical link resolution) is the one deliberate exception,
 //!    carried on the `allow_verify` allowlist.
 //! 5. **No fresh copies on the frame send path.** `.to_vec(` is banned
-//!    in the frame writer, the TCP transport, the ring/hierarchy
-//!    collectives and the aggregation service (session codec, client,
-//!    server); `.clone(` is banned in the frame writer and the session
-//!    codec. The wire path sends payloads vectored straight from bucket
-//!    storage, and a copy that creeps back in silently erases the
-//!    zero-copy win. Ownership fallbacks (the in-process channel
-//!    backend, the comm worker's cross-thread op buffers) carry
-//!    `allow_verify` markers.
+//!    in the frame writer, the TCP and in-process transports, the
+//!    ring/hierarchy collectives and the aggregation service (session
+//!    codec, client, server); `.clone(` is banned in the frame writer and
+//!    the session codec. The wire path sends payloads vectored straight
+//!    from bucket storage, the in-process path lends them, and a copy
+//!    that creeps back in silently erases the win. The deliberate copies
+//!    (the in-process transport's late-peer settle, a world-1 gather's
+//!    result, the comm worker's cross-thread op buffers, the sparse-send
+//!    fallback) carry `allow_verify` markers.
 //! 6. **No fresh `Vec` per received dense frame.** The receive side
 //!    mirrors rule 5: dense payloads are read straight into the caller's
 //!    storage. In the frame reader a byte staging buffer (`vec![0u8`) or
@@ -43,9 +44,8 @@
 //!    two-allocation owned decode is back; in the ring/hierarchy
 //!    collectives an owned `.recv_from(` means a dense chunk arrives as
 //!    a fresh `Vec` instead of through `exchange_*`. The receives that
-//!    have no caller-side destination (barrier tokens, sparse sets, the
-//!    channel-backend default of `exchange_*`) carry `allow_verify`
-//!    markers.
+//!    have no caller-side destination (barrier tokens, sparse sets)
+//!    carry `allow_verify` markers.
 //!
 //! `#[cfg(test)]` blocks are excluded: tests may unwrap freely.
 
@@ -88,12 +88,13 @@ pub const RANK_MATH_DIRS: &[&str] = &[
 const PANIC_PATTERNS: &[&str] = &[".unwrap(", ".expect(", "panic!", "todo!"];
 const CLOCK_PATTERNS: &[&str] = &["Instant::now", "SystemTime"];
 
-/// Files on the zero-copy frame send path where fresh `.to_vec(` calls
-/// are banned: payloads must travel as borrowed slices down to the
-/// vectored writer. Ownership fallbacks for the in-process channel
-/// backend and the comm worker's cross-thread op buffers carry
+/// Files on the zero-copy send path where fresh `.to_vec(` calls are
+/// banned: payloads must travel as borrowed slices down to the vectored
+/// writer or the in-process loan. The in-process late-peer settle, the
+/// world-1 gathers and the comm worker's cross-thread op buffers carry
 /// `allow_verify` markers.
 pub const WIRE_NO_TO_VEC_FILES: &[&str] = &[
+    "crates/collectives/src/communicator.rs",
     "crates/collectives/src/hierarchy.rs",
     "crates/collectives/src/nonblocking.rs",
     "crates/collectives/src/ring.rs",
@@ -577,10 +578,10 @@ mod tests {
 
     #[test]
     fn the_served_data_path_is_scanned_for_copies() {
-        // The three staging sites the service shipped with and the worker
-        // shell's op-buffer copy-in — each a payload-sized copy per
-        // collective — must stay findings, in files that stay on the
-        // lists.
+        // The three staging sites the service shipped with, the worker
+        // shell's op-buffer copy-in and the in-process transport's old
+        // copy-on-send — each a payload-sized copy per collective — must
+        // stay findings, in files that stay on the lists.
         for (file, line, list, pattern) in [
             (
                 "crates/serve/src/client.rs",
@@ -603,6 +604,12 @@ mod tests {
             (
                 "crates/collectives/src/nonblocking.rs",
                 "let out = self.run_op(op(buf.to_vec()))?.into_f32()?;\n",
+                WIRE_NO_TO_VEC_FILES,
+                ".to_vec(",
+            ),
+            (
+                "crates/collectives/src/communicator.rs",
+                "self.send_to(dest, WireMsg::F32(payload.to_vec()))\n",
                 WIRE_NO_TO_VEC_FILES,
                 ".to_vec(",
             ),
