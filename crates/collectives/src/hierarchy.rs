@@ -58,9 +58,9 @@ fn neighbours(topo: &Topology, rank: usize) -> Neighbours {
 /// `topo` is flat or degenerate. `Mean` divides once by the total world at
 /// the end, like the flat ring.
 ///
-/// Requires a transport where the four ring neighbours are reachable
-/// (full mesh, or the thread backend's implicit mesh); the TCP backend
-/// upgrades its wiring to `Wiring::FullMesh` when configured two-level.
+/// Requires a transport where the four ring neighbours are reachable,
+/// which every worker-backed transport is: the thread backend's mailboxes
+/// and the TCP backend's one link per peer.
 ///
 /// # Errors
 ///

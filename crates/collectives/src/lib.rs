@@ -59,7 +59,7 @@ pub use communicator::{
 pub use cost::{AlphaBetaCost, ClusterCost, NetworkTier, TwoLevelCost};
 pub use nonblocking::{
     confirm_reform, wait_all, CollectiveOp, CollectiveResult, CommWorker, DepartureNotice,
-    PendingOp, TopkMode, WorkerCommunicator, WorkerTransport,
+    PendingOp, WorkerCommunicator, WorkerTransport,
 };
 pub use ring::{
     all_gather_f32_reference, all_gather_reference_into, all_gather_u32_reference,

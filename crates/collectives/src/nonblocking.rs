@@ -294,23 +294,13 @@ pub fn wait_all(
     ops.into_iter().map(PendingOp::wait).collect()
 }
 
-/// Which global top-k algorithm a transport's topology supports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TopkMode {
-    /// The `O(k log p)` recursive-doubling merge (needs arbitrary pairs).
-    #[default]
-    Butterfly,
-    /// Exact gather-and-truncate over two ring all-gathers (ring-only
-    /// topologies).
-    GatherTruncate,
-}
-
 /// A point-to-point transport that can be moved into a [`CommWorker`].
 ///
 /// Extends [`Transport`] with the per-backend hooks the worker needs to
 /// execute collectives exactly as the backend's blocking path would:
-/// telemetry wiring, pre-collective fault hooks, and topology-dependent
-/// algorithm selection.
+/// telemetry wiring, pre-collective fault hooks, and the group's
+/// topology and membership. Every peer must be reachable: the butterfly
+/// collectives, two-level topologies and reform pair arbitrary ranks.
 pub trait WorkerTransport: Transport + Send {
     /// The telemetry recorder collective latencies and spans go to.
     fn recorder(&self) -> &RecorderHandle;
@@ -322,11 +312,6 @@ pub trait WorkerTransport: Transport + Send {
     /// Called at the top of every collective (fault-injection hook; the
     /// TCP backend applies its straggler delay here).
     fn prepare(&mut self) {}
-
-    /// Which global top-k algorithm this transport runs.
-    fn topk_mode(&self) -> TopkMode {
-        TopkMode::Butterfly
-    }
 
     /// The rank arrangement collectives are scheduled over. All-reduce
     /// runs the two-level ring-of-rings of [`crate::hierarchy`] when this
@@ -445,20 +430,6 @@ fn record_collective(
     });
 }
 
-/// Exact global top-k over two all-gathers: sum contributions per
-/// coordinate, keep the `k` largest magnitudes (the [`Communicator`]
-/// trait's default algorithm, shared here with ring-topology transports).
-fn gather_truncate_topk<T: Transport + ?Sized>(
-    t: &mut T,
-    indices: &[u32],
-    values: &[f32],
-    k: usize,
-) -> Result<(Vec<u32>, Vec<f32>), CommError> {
-    let gathered_idx = ring::all_gather_u32(t, indices)?;
-    let gathered_val = ring::all_gather_f32(t, values)?;
-    Ok(ring::sum_truncate_topk(&gathered_idx, &gathered_val, k))
-}
-
 /// Runs one collective on a transport, with the same telemetry the
 /// blocking [`Communicator`] methods emit (barrier and pairwise exchange
 /// stay untimed — they move no accountable payload).
@@ -534,11 +505,8 @@ pub fn execute_collective<T: WorkerTransport + ?Sized>(
             keys::COMM_GLOBAL_TOPK_BYTES,
             // (index, value) pairs this rank contributes.
             8 * indices.len() as u64,
-            match t.topk_mode() {
-                TopkMode::Butterfly => ring::global_topk_butterfly(t, &indices, &values, k),
-                TopkMode::GatherTruncate => gather_truncate_topk(t, &indices, &values, k),
-            }
-            .map(|(i, v)| CollectiveResult::Sparse(i, v)),
+            ring::global_topk_butterfly(t, &indices, &values, k)
+                .map(|(i, v)| CollectiveResult::Sparse(i, v)),
         ),
         CollectiveOp::SendRecvF32 { peer, send } => {
             return ring::send_recv_f32(t, peer, &send).map(CollectiveResult::F32);
@@ -811,8 +779,8 @@ impl<T: WorkerTransport + 'static> WorkerCommunicator<T> {
     ///
     /// # Errors
     ///
-    /// Returns an error on disconnect, mismatched lengths, or a `peer` the
-    /// transport's wiring cannot reach.
+    /// Returns an error on disconnect, mismatched lengths, or a `peer`
+    /// outside the group.
     pub fn send_recv_f32(&mut self, peer: usize, send: &[f32]) -> Result<Vec<f32>, CommError> {
         self.run_op(CollectiveOp::SendRecvF32 {
             peer,

@@ -433,8 +433,8 @@ fn recv_token<T: Transport + ?Sized>(t: &mut T, src: usize) -> Result<(), CommEr
 /// Simultaneously sends `send` to `peer` and receives their buffer of the
 /// same length — the pairwise exchange of butterfly algorithms.
 ///
-/// Both sides must call this with each other's rank. Requires a topology
-/// where `peer` is directly reachable (full mesh, or neighbours on a ring).
+/// Both sides must call this with each other's rank. Requires a transport
+/// that reaches `peer` directly, as every worker-backed one does.
 ///
 /// # Errors
 ///
@@ -465,7 +465,7 @@ fn pow2_floor(p: usize) -> usize {
 /// start-up-cost regime tensor fusion addresses.
 ///
 /// Non-power-of-two groups fold the extra ranks onto partners before and
-/// after the butterfly. Requires a full-mesh-capable transport.
+/// after the butterfly. Requires a transport that reaches every peer.
 ///
 /// # Errors
 ///
@@ -549,8 +549,8 @@ pub fn sum_truncate_topk(indices: &[u32], values: &[f32], k: usize) -> (Vec<u32>
 /// The `O(k log p)` gTop-k sparse all-reduce (Shi et al., ICDCS 2019):
 /// butterfly exchange of sparse sets with per-round truncation to `k`.
 /// Approximate — coordinates that are individually small everywhere can be
-/// dropped even if their sum is large. Requires a full-mesh-capable
-/// transport.
+/// dropped even if their sum is large. Requires a transport that reaches
+/// every peer.
 ///
 /// # Errors
 ///

@@ -4,9 +4,10 @@
 //!
 //! * **delay** — sleep before every frame send: models a slow link and
 //!   shifts latencies without changing results;
-//! * **drop** — before every `n`-th frame, deliberately close the link and
-//!   reconnect before sending: exercises the retry / re-accept path end to
-//!   end (the receiver sees EOF mid-collective and must recover);
+//! * **drop** — before every `n`-th frame, deliberately half-close the
+//!   link and reconnect before sending: exercises the retry / re-accept
+//!   path end to end (the receiver sees EOF mid-collective and must
+//!   recover);
 //! * **straggler** — sleep once at the *start* of every collective:
 //!   models a slow rank, the failure mode that dominates synchronous SGD
 //!   at scale;
@@ -54,8 +55,11 @@ pub const ENV_FAULT_EXIT_AFTER: &str = "ACP_NET_FAULT_EXIT_AFTER";
 pub struct FaultInjector {
     /// Sleep this long before every frame send.
     pub send_delay: Option<Duration>,
-    /// Close the link and reconnect before every `n`-th frame send
-    /// (connector-role links only; see [`crate::TcpCommunicator`] docs).
+    /// Close the link and reconnect before every `n`-th frame send. Only
+    /// the link's connector drops it, and the connector is the lower rank
+    /// of each pair: a send to a higher rank can drop, a send to a lower
+    /// one (a ring's wraparound) never does. A drop waits until the
+    /// previous drop of the same link has drained.
     pub drop_every: Option<u64>,
     /// Sleep this long at the start of every collective call.
     pub straggler_delay: Option<Duration>,

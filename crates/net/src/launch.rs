@@ -153,7 +153,7 @@ pub fn launch_local(
 
 /// [`launch_local`] with a two-level group layout: the workers arrange
 /// themselves as `groups` rings of `world_size / groups` ranks each
-/// (exported to the children via [`ENV_GROUPS`]), wired as a full mesh.
+/// (exported to the children via [`ENV_GROUPS`]).
 /// `groups == 1` launches a flat ring, identical to [`launch_local`].
 ///
 /// # Errors
@@ -280,7 +280,6 @@ mod tests {
                 let cfg = TcpConfig::from_env().unwrap().expect("worker env set");
                 assert_eq!(cfg.topology.groups(), 2);
                 assert_eq!(cfg.topology.group_size(), 2);
-                assert_eq!(cfg.wiring, crate::tcp::Wiring::FullMesh);
             },
         );
     }

@@ -16,7 +16,7 @@
 //! * [`frame`] — length-prefixed wire framing with a handshake frame and
 //!   allocation caps;
 //! * [`TcpTransport`] — a [`Transport`](acp_collectives::Transport) with
-//!   ring or full-mesh wiring, connection establishment with bounded
+//!   one duplex link per peer, connection establishment with bounded
 //!   exponential-backoff retry ([`RetryPolicy`]), per-operation deadlines
 //!   surfacing as
 //!   [`CommError::Timeout`](acp_collectives::CommError::Timeout), and
@@ -59,6 +59,4 @@ pub use launch::{
     launch_local, launch_local_grouped, worker_from_env, LocalGroup, ENV_BASE_PORT, ENV_GROUPS,
     ENV_RANK, ENV_WORLD_SIZE,
 };
-pub use tcp::{
-    run_local, run_local_with, RetryPolicy, TcpCommunicator, TcpConfig, TcpTransport, Wiring,
-};
+pub use tcp::{run_local, run_local_with, RetryPolicy, TcpCommunicator, TcpConfig, TcpTransport};

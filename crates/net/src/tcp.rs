@@ -1,15 +1,11 @@
-//! The TCP transport: link wiring, retry, deadlines, reconnect, reform.
+//! The TCP transport: links, retry, deadlines, reconnect, reform.
 //!
 //! A [`TcpCommunicator`] is one rank's endpoint of a multi-process group.
-//! Every rank owns a listener; links are wired either as a **ring** (each
-//! rank connects to its successor and accepts from its predecessor — all
-//! the trait's collectives are ring algorithms, so two links suffice) or
-//! as a **full mesh** (every pair connected once — required for the
-//! butterfly collectives, for two-level
-//! [`Topology`](acp_collectives::Topology) arrangements, and for elastic
-//! membership reform). The *logical* arrangement of the group — flat ring
-//! vs. hierarchical ring-of-rings — is [`TcpConfig::topology`], distinct
-//! from the socket-level [`Wiring`].
+//! Every rank owns a listener and keeps one duplex link per peer (the
+//! lower rank of each pair dials, the higher accepts), so every peer is
+//! one hop away. Which peer a collective talks to is the schedule's
+//! choice alone: the flat ring or the ring-of-rings of
+//! [`TcpConfig::topology`], the butterflies, the post-reform ring.
 //!
 //! Dense collective steps cross a link as a lock-step exchange of bounded
 //! segments, each an ordinary frame, received straight into the caller's
@@ -32,17 +28,19 @@
 //!   the byte stream is no longer on a frame boundary, and the next
 //!   operation must fail structured rather than parse payload bytes as a
 //!   frame tag;
-//! * injected drops ([`FaultInjector::drop_every`]) deliberately close a
-//!   connector-role link at a frame boundary and ride the same
-//!   reconnect path, so the retry machinery is exercised by tests rather
-//!   than trusted;
+//! * injected drops ([`FaultInjector::drop_every`]) deliberately
+//!   half-close a connector-role link at a frame boundary and dial a fresh
+//!   one; the peer re-accepts once it reads the end of the old stream, and
+//!   this rank reads the old stream to its end before the new one, so no
+//!   frame either side sent is lost and the retry machinery is exercised
+//!   by tests rather than trusted;
 //! * a peer whose *listener* has also vanished is declared departed: the
 //!   observer broadcasts an abort control frame to every live link and
 //!   surfaces [`CommError::MembershipChanged`], and the abort cascades
 //!   rank to rank so no survivor waits out the full op deadline.
 //!
-//! After a [`CommError::MembershipChanged`] the group is recoverable on
-//! full-mesh wiring: every survivor calls `reform()`, which drains stale
+//! After a [`CommError::MembershipChanged`] the group is recoverable:
+//! every survivor calls `reform()`, which drains stale
 //! frames behind a per-link reform barrier (TCP FIFO makes this sound),
 //! re-derives ranks over the sorted survivors, falls back to a flat
 //! topology, and cross-checks the post-reform schedule digest. After any
@@ -60,7 +58,7 @@ use acp_collectives::nonblocking::{confirm_reform, WorkerCommunicator};
 use acp_collectives::ring::{Transport, WireMsg};
 use acp_collectives::schedule::{self, OpKind, ScheduleCell, ScheduleTracer};
 use acp_collectives::topology::{Membership, Topology as GroupTopology, TopologyError};
-use acp_collectives::{CommError, TopkMode, VerifyMode, WorkerTransport};
+use acp_collectives::{CommError, VerifyMode, WorkerTransport};
 use acp_telemetry::{keys, noop, RecorderHandle};
 
 use crate::fault::FaultInjector;
@@ -103,25 +101,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// How the ranks' sockets are wired together (distinct from the group's
-/// logical [`Topology`](acp_collectives::Topology), which picks the
-/// collective schedule).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Wiring {
-    /// Two links per rank: connect to the successor, accept from the
-    /// predecessor. Supports every
-    /// [`Communicator`](acp_collectives::Communicator) collective (they
-    /// are all ring algorithms); `O(p)` sockets in total.
-    #[default]
-    Ring,
-    /// One link per pair (`O(p²)` sockets): additionally supports the
-    /// butterfly collectives (gTop-k sparse all-reduce, recursive
-    /// doubling), direct point-to-point exchange, two-level topologies
-    /// (whose intra/cross neighbours are not ring successors) and
-    /// membership reform (whose post-reform neighbours are arbitrary).
-    FullMesh,
-}
-
 /// Rank value carried by probe hellos: a liveness probe dials a peer's
 /// listener just to see whether it is still bound, then hangs up. Accept
 /// loops discard these.
@@ -136,11 +115,8 @@ pub struct TcpConfig {
     pub world_size: usize,
     /// Listener address of every rank, indexed by rank.
     pub peers: Vec<SocketAddr>,
-    /// Socket-level link wiring.
-    pub wiring: Wiring,
     /// Logical group arrangement: a flat ring or a two-level
-    /// ring-of-rings (see [`acp_collectives::Topology`]). Two-level
-    /// arrangements require [`Wiring::FullMesh`] and must agree with
+    /// ring-of-rings (see [`acp_collectives::Topology`]); must agree with
     /// `world_size`.
     pub topology: GroupTopology,
     /// Connection-establishment retry policy.
@@ -181,7 +157,6 @@ impl TcpConfig {
             rank,
             world_size,
             peers,
-            wiring: Wiring::Ring,
             topology: GroupTopology::flat(world_size),
             retry: RetryPolicy::default(),
             op_deadline: Duration::from_secs(30),
@@ -190,17 +165,8 @@ impl TcpConfig {
         }
     }
 
-    /// Sets the socket-level link wiring.
-    #[must_use]
-    pub fn with_wiring(mut self, wiring: Wiring) -> Self {
-        self.wiring = wiring;
-        self
-    }
-
     /// Arranges the group as `groups` rings of `world_size / groups`
-    /// ranks each (the hierarchical ring-of-rings schedule) and upgrades
-    /// the wiring to [`Wiring::FullMesh`], which two-level neighbour
-    /// patterns require.
+    /// ranks each (the hierarchical ring-of-rings schedule).
     ///
     /// # Errors
     ///
@@ -210,9 +176,6 @@ impl TcpConfig {
     /// spec to the operator.
     pub fn with_groups(mut self, groups: usize) -> Result<Self, TopologyError> {
         self.topology = GroupTopology::grouped(self.world_size, groups)?;
-        if !self.topology.is_flat() {
-            self.wiring = Wiring::FullMesh;
-        }
         Ok(self)
     }
 
@@ -255,32 +218,50 @@ enum LinkRole {
     Acceptor,
 }
 
-/// One established connection to a peer rank.
+/// One established duplex connection to a peer rank.
 #[derive(Debug)]
 struct Link {
     peer: usize,
     role: LinkRole,
     stream: TcpStream,
+    /// The stream an injected drop half-closed: the peer may have written
+    /// frames on it before it saw the end of our side, so it is read to
+    /// its end before `stream`.
+    draining: Option<TcpStream>,
 }
 
-/// The wired-up links of one rank.
-#[derive(Debug)]
-enum Links {
-    /// `world_size == 1`: no links, collectives are identities.
-    Single,
-    /// Ring: a dedicated outgoing link to the successor and incoming link
-    /// from the predecessor (distinct sockets even when they are the same
-    /// peer, i.e. `world_size == 2`).
-    Ring {
-        /// Link to `(rank + 1) % p`; all sends go here.
-        out: Link,
-        /// Link from `(rank − 1) % p`; all receives come from here.
-        inn: Link,
-    },
-    /// Full mesh: one duplex link per peer, indexed by physical rank
-    /// (`None` at our own slot, and at departed peers after a reform).
-    Mesh(Vec<Option<Link>>),
+impl Link {
+    /// Reads one frame from the peer, moving on from a drained stream to
+    /// the live one once the peer has closed it.
+    fn read<T>(&mut self, mut f: impl FnMut(&mut FrameIo<'_>) -> io::Result<T>) -> io::Result<T> {
+        if let Some(old) = &mut self.draining {
+            match frame_io(old, &mut f) {
+                Err(e) if is_disconnect(&e) => self.draining = None,
+                read => return read,
+            }
+        }
+        frame_io(&mut self.stream, f)
+    }
+
+    /// Whether an injected drop may fire: the previous drop's stream is
+    /// gone, or the peer has closed it with nothing left unread. Keeps one
+    /// half-closed stream per link at most.
+    fn settled(&mut self) -> bool {
+        let Some(old) = &self.draining else {
+            return true;
+        };
+        let closed = old.set_nonblocking(true).is_ok() && matches!(old.peek(&mut [0u8]), Ok(0));
+        let _ = old.set_nonblocking(false);
+        if closed {
+            self.draining = None;
+        }
+        closed
+    }
 }
+
+/// One rank's links, indexed by physical rank: `None` at its own slot and
+/// at peers departed by a reform (world 1 has no links at all).
+type Links = Vec<Option<Link>>;
 
 fn timeout_ms(started: Instant) -> u64 {
     started.elapsed().as_millis().max(1) as u64
@@ -381,6 +362,23 @@ fn frame_io<T>(
     out
 }
 
+/// Checks whether a peer's listener at `addr` is still bound. A
+/// connection refusal means the process (and its listener) is gone —
+/// `true` is conservative: a live-but-busy peer stays "alive" and flows
+/// into the ordinary timeout path instead.
+fn listener_alive(addr: &SocketAddr) -> bool {
+    match TcpStream::connect_timeout(addr, Duration::from_millis(250)) {
+        Ok(mut stream) => {
+            // Announce as a probe so accept loops can discard this
+            // connection, then hang up.
+            let _ = write_frame(&mut stream, &Frame::Hello(PROBE_RANK));
+            let _ = stream.shutdown(Shutdown::Both);
+            true
+        }
+        Err(e) => !matches!(e.kind(), io::ErrorKind::ConnectionRefused),
+    }
+}
+
 /// Dials `addr` with bounded exponential backoff. The retry budget is
 /// **per peer**: each call gets the full `max_attempts` *and* the full
 /// `dial_budget` wall-clock window, so a peer that comes up late is not
@@ -455,21 +453,11 @@ fn accept_with_deadline(listener: &TcpListener, deadline: Instant) -> io::Result
     Ok(stream)
 }
 
-/// Reads the hello handshake off a fresh stream and checks the peer rank.
-fn expect_hello(stream: &mut TcpStream, expected: Option<usize>) -> Result<usize, CommError> {
+/// Reads the hello handshake off a fresh stream and returns the peer rank.
+fn expect_hello(stream: &mut TcpStream) -> Result<usize, CommError> {
     let started = Instant::now();
     match read_frame(stream) {
-        Ok(Frame::Hello(rank)) => {
-            let rank = rank as usize;
-            if let Some(expected) = expected {
-                if rank != expected {
-                    return Err(CommError::Io(format!(
-                        "hello from rank {rank}, expected rank {expected}"
-                    )));
-                }
-            }
-            Ok(rank)
-        }
+        Ok(Frame::Hello(rank)) => Ok(rank as usize),
         Ok(other) => Err(CommError::Io(format!(
             "expected hello handshake, got {other:?}"
         ))),
@@ -504,7 +492,6 @@ pub struct TcpTransport {
     /// Virtual rank: position of `rank` in the sorted `members` list.
     virtual_rank: usize,
     peers: Vec<SocketAddr>,
-    wiring: Wiring,
     /// Logical group arrangement; falls back to flat after a reform.
     topology: GroupTopology,
     /// Membership epoch, bumped by every reform.
@@ -580,7 +567,6 @@ impl TcpConfig {
             rank,
             world_size,
             peers,
-            wiring,
             topology,
             retry,
             op_deadline,
@@ -593,12 +579,6 @@ impl TcpConfig {
         if topology.world_size() != world_size {
             return Err(CommError::Io(format!(
                 "topology {topology} does not cover world size {world_size}"
-            )));
-        }
-        if !topology.is_flat() && wiring != Wiring::FullMesh {
-            return Err(CommError::Io(format!(
-                "two-level topology {topology} requires full-mesh wiring \
-                 (intra/cross neighbours are not ring successors)"
             )));
         }
         let bytes_sent = Arc::new(AtomicU64::new(0));
@@ -614,7 +594,6 @@ impl TcpConfig {
             rank,
             virtual_rank: rank,
             peers,
-            wiring,
             topology,
             epoch: 0,
             members: (0..world_size).collect(),
@@ -623,7 +602,7 @@ impl TcpConfig {
             op_deadline,
             fault,
             listener,
-            links: Links::Single,
+            links: Vec::new(),
             frames_sent: 0,
             ops_started: 0,
             bytes_sent: Arc::clone(&bytes_sent),
@@ -656,139 +635,92 @@ impl TcpTransport {
             peer,
             role: LinkRole::Connector,
             stream,
+            draining: None,
         })
     }
 
-    fn accept_from(&self, expected: Option<usize>) -> Result<Link, CommError> {
+    /// Accepts the next dial on this rank's listener by `deadline` and
+    /// checks its hello against `expected`, when given.
+    fn accept_from(&self, expected: Option<usize>, deadline: Instant) -> Result<Link, CommError> {
         let started = Instant::now();
         // Liveness probes dial the listener just to check it is bound,
         // announce themselves with the probe sentinel and hang up; skip
         // them and keep accepting.
         loop {
-            let mut stream = accept_with_deadline(&self.listener, self.establish_deadline())
+            let mut stream = accept_with_deadline(&self.listener, deadline)
                 .map_err(|e| map_io("accept", started, &e))?;
             configure_stream(&stream, self.op_deadline)
                 .map_err(|e| map_io("accept", started, &e))?;
-            match expect_hello(&mut stream, None)? {
-                peer if peer == PROBE_RANK as usize => continue,
-                peer => {
-                    if let Some(expected) = expected {
-                        if peer != expected {
-                            return Err(CommError::Io(format!(
-                                "hello from rank {peer}, expected rank {expected}"
-                            )));
-                        }
-                    }
-                    return Ok(Link {
-                        peer,
-                        role: LinkRole::Acceptor,
-                        stream,
-                    });
-                }
+            let peer = expect_hello(&mut stream)?;
+            if peer == PROBE_RANK as usize {
+                continue;
             }
+            if let Some(expected) = expected.filter(|&e| e != peer) {
+                return Err(CommError::Io(format!(
+                    "hello from rank {peer}, expected rank {expected}"
+                )));
+            }
+            return Ok(Link {
+                peer,
+                role: LinkRole::Acceptor,
+                stream,
+                draining: None,
+            });
         }
     }
 
-    fn establish(&mut self) -> Result<Links, CommError> {
-        let p = self.peers.len();
-        let r = self.rank;
-        if p == 1 {
-            return Ok(Links::Single);
+    /// Links this rank to every peer. The lower rank of each pair dials, so
+    /// every ring send `r → r+1` but the wraparound leaves on a
+    /// connector-role link. A dial completes against the peer's listener
+    /// backlog, so dialing every higher rank before accepting every lower
+    /// one cannot deadlock.
+    fn establish(&self) -> Result<Links, CommError> {
+        let (p, r) = (self.peers.len(), self.rank);
+        let mut links: Links = (0..p).map(|_| None).collect();
+        for (q, slot) in links.iter_mut().enumerate().skip(r + 1) {
+            *slot = Some(self.dial(q)?);
         }
-        match self.wiring {
-            Wiring::Ring => {
-                // Connect to the successor first: `connect` completes at
-                // the kernel level as soon as the peer's listener is bound
-                // (the backlog holds it), so no rank blocks another's
-                // dial and the cycle cannot deadlock.
-                let next = (r + 1) % p;
-                let prev = (r + p - 1) % p;
-                let out = self.dial(next)?;
-                let inn = self.accept_from(Some(prev))?;
-                Ok(Links::Ring { out, inn })
+        for _ in 0..r {
+            let link = self.accept_from(None, self.establish_deadline())?;
+            let peer = link.peer;
+            if peer >= r || links[peer].is_some() {
+                return Err(CommError::Io(format!(
+                    "unexpected hello from rank {peer} during link establishment"
+                )));
             }
-            Wiring::FullMesh => {
-                let mut links: Vec<Option<Link>> = (0..p).map(|_| None).collect();
-                // Deterministic pair orientation: the higher rank dials.
-                for (q, slot) in links.iter_mut().enumerate().take(r) {
-                    *slot = Some(self.dial(q)?);
-                }
-                for _ in r + 1..p {
-                    let link = self.accept_from(None)?;
-                    let peer = link.peer;
-                    if peer <= r || peer >= p || links[peer].is_some() {
-                        return Err(CommError::Io(format!(
-                            "unexpected hello from rank {peer} during mesh establishment"
-                        )));
-                    }
-                    links[peer] = Some(link);
-                }
-                Ok(Links::Mesh(links))
-            }
+            links[peer] = Some(link);
         }
+        Ok(links)
     }
 
-    /// Deliberately closes a connector-role link and reconnects — the
-    /// drop-injection path, also used to recover from send failures.
+    /// Replaces a connector-role link's stream with a fresh dial, then shuts
+    /// the old one down: fully (`Shutdown::Both`) when it broke. An
+    /// injected drop only half-closes it (`Shutdown::Write`) and keeps it
+    /// for reading, because the peer may already have sent frames on it;
+    /// and since the fresh dial comes first, the peer finds it queued on
+    /// its listener as soon as it reads the old stream's end.
     fn reconnect(
         peers: &[SocketAddr],
         retry: &RetryPolicy,
         op_deadline: Duration,
         rank: usize,
         link: &mut Link,
+        how: Shutdown,
     ) -> Result<(), CommError> {
         debug_assert_eq!(link.role, LinkRole::Connector);
-        let _ = link.stream.shutdown(Shutdown::Both);
         let mut stream = connect_with_retry(&peers[link.peer], retry, op_deadline)?;
         send_hello(&mut stream, rank)?;
-        link.stream = stream;
+        let old = std::mem::replace(&mut link.stream, stream);
+        let _ = old.shutdown(how);
+        if how == Shutdown::Write {
+            link.draining = Some(old);
+        }
         Ok(())
     }
 
-    /// Re-accepts a broken acceptor-role link (the peer reconnects after
-    /// an injected drop) and re-validates the handshake.
-    fn reaccept(
-        listener: &TcpListener,
-        op_deadline: Duration,
-        link: &mut Link,
-    ) -> Result<(), CommError> {
-        debug_assert_eq!(link.role, LinkRole::Acceptor);
-        let _ = link.stream.shutdown(Shutdown::Both);
-        let started = Instant::now();
-        let budget = if op_deadline.is_zero() {
-            Duration::from_secs(30)
-        } else {
-            op_deadline
-        };
-        let deadline = Instant::now() + budget;
-        loop {
-            let mut stream = accept_with_deadline(listener, deadline)
-                .map_err(|e| map_io("re-accept", started, &e))?;
-            configure_stream(&stream, op_deadline).map_err(|e| map_io("re-accept", started, &e))?;
-            // A liveness probe may have raced into the backlog; skip it.
-            if expect_hello(&mut stream, None)? == PROBE_RANK as usize {
-                continue;
-            }
-            link.stream = stream;
-            return Ok(());
-        }
-    }
-
-    /// Checks whether `phys`'s listener is still bound. A connection
-    /// refusal means the process (and its listener) is gone — `true` is
-    /// conservative: a live-but-busy peer stays "alive" and flows into
-    /// the ordinary timeout path instead.
+    /// Checks whether `phys`'s listener is still bound.
     fn probe_alive(&self, phys: usize) -> bool {
-        match TcpStream::connect_timeout(&self.peers[phys], Duration::from_millis(250)) {
-            Ok(mut stream) => {
-                // Announce as a probe so accept loops can discard this
-                // connection, then hang up.
-                let _ = write_frame(&mut stream, &Frame::Hello(PROBE_RANK));
-                let _ = stream.shutdown(Shutdown::Both);
-                true
-            }
-            Err(e) => !matches!(e.kind(), io::ErrorKind::ConnectionRefused),
-        }
+        listener_alive(&self.peers[phys])
     }
 
     /// The departed ranks among the current members, in rank order.
@@ -817,21 +749,9 @@ impl TcpTransport {
                 epoch: self.epoch,
                 departed: phys as u32,
             };
-            match &mut self.links {
-                Links::Single => {}
-                Links::Ring { out, inn } => {
-                    // Links are duplex: writing on the inbound link
-                    // reaches the predecessor even though we never read
-                    // from the outbound one.
-                    let _ = write_frame(&mut out.stream, &frame);
-                    let _ = write_frame(&mut inn.stream, &frame);
-                }
-                Links::Mesh(links) => {
-                    for link in links.iter_mut().flatten() {
-                        if link.peer != phys {
-                            let _ = write_frame(&mut link.stream, &frame);
-                        }
-                    }
+            for link in self.links.iter_mut().flatten() {
+                if link.peer != phys {
+                    let _ = write_frame(&mut link.stream, &frame);
                 }
             }
         }
@@ -876,15 +796,6 @@ impl WorkerTransport for TcpTransport {
         }
     }
 
-    fn topk_mode(&self) -> TopkMode {
-        match self.wiring {
-            // Butterfly needs arbitrary pairs — mesh only. On a ring, fall
-            // back to the exact gather-and-truncate collective.
-            Wiring::FullMesh => TopkMode::Butterfly,
-            Wiring::Ring => TopkMode::GatherTruncate,
-        }
-    }
-
     fn tracer(&mut self) -> Option<&mut ScheduleTracer> {
         Some(&mut self.tracer)
     }
@@ -908,16 +819,9 @@ impl WorkerTransport for TcpTransport {
                 "this rank was declared departed by its peers".to_string(),
             ));
         }
-        let Links::Mesh(links) = &mut self.links else {
-            return Err(CommError::Io(
-                "membership reform requires full-mesh wiring \
-                 (post-reform ring neighbours are arbitrary)"
-                    .to_string(),
-            ));
-        };
         // Close the links to the departed; their slots stay empty.
         for &dead in &departed {
-            if let Some(link) = links[dead].take() {
+            if let Some(link) = self.links[dead].take() {
                 let _ = link.stream.shutdown(Shutdown::Both);
             }
         }
@@ -940,27 +844,23 @@ impl WorkerTransport for TcpTransport {
             .copied()
             .filter(|&m| m != self.rank)
             .collect();
-        {
-            let Links::Mesh(links) = &mut self.links else {
-                return Err(CommError::ProtocolMismatch);
-            };
-            let started = Instant::now();
-            for &peer in &survivors {
-                let link = links[peer].as_mut().ok_or(CommError::PeerDisconnected)?;
-                frame_io(&mut link.stream, |io| {
-                    write_frame(io, &Frame::Reform { epoch })
-                })
-                .map_err(|e| map_io("reform", started, &e))?;
-            }
+        let started = Instant::now();
+        for &peer in &survivors {
+            let link = self.links[peer]
+                .as_mut()
+                .ok_or(CommError::PeerDisconnected)?;
+            frame_io(&mut link.stream, |io| {
+                write_frame(io, &Frame::Reform { epoch })
+            })
+            .map_err(|e| map_io("reform", started, &e))?;
         }
         for &peer in &survivors {
             loop {
-                let Links::Mesh(links) = &mut self.links else {
-                    return Err(CommError::ProtocolMismatch);
-                };
-                let link = links[peer].as_mut().ok_or(CommError::PeerDisconnected)?;
+                let link = self.links[peer]
+                    .as_mut()
+                    .ok_or(CommError::PeerDisconnected)?;
                 let started = Instant::now();
-                match frame_io(&mut link.stream, |io| read_frame(io)) {
+                match link.read(|io| read_frame(io)) {
                     // Stale pre-reform traffic: payloads of the aborted
                     // collective, probe hellos, last epoch's aborts.
                     Ok(Frame::Msg(_)) | Ok(Frame::Hello(_)) => continue,
@@ -1030,57 +930,17 @@ impl Dense for u32 {
     }
 }
 
-/// Which direction a link resolution is for (affects which ring link is
-/// selected and the error message).
-#[derive(Debug, Clone, Copy)]
-enum Dir {
-    Send,
-    Recv,
-}
-
 /// Resolves the link used to reach physical rank `peer`, as a free
 /// function over the link table so callers can keep disjoint borrows of
 /// the other fields.
-fn resolve_link(
-    links: &mut Links,
-    rank: usize,
-    world_size: usize,
-    peer: usize,
-    dir: Dir,
-) -> Result<&mut Link, CommError> {
-    let p = world_size;
-    if peer >= p || peer == rank {
+fn resolve_link(links: &mut Links, rank: usize, peer: usize) -> Result<&mut Link, CommError> {
+    if peer >= links.len() || peer == rank {
         return Err(CommError::InvalidRank {
             rank: peer,
-            world_size: p,
+            world_size: links.len(),
         });
     }
-    match links {
-        Links::Single => Err(CommError::InvalidRank {
-            rank: peer,
-            world_size: p,
-        }),
-        Links::Ring { out, inn } => {
-            // Physical socket wiring, not schedule math: ring wiring keeps
-            // exactly one outgoing and one incoming link per process, so
-            // the only reachable peers are the physical neighbours.
-            let (link, wanted) = match dir {
-                // allow_verify(reason = "physical link resolution, not a schedule decision")
-                Dir::Send => (out, (rank + 1) % p),
-                // allow_verify(reason = "physical link resolution, not a schedule decision")
-                Dir::Recv => (inn, (rank + p - 1) % p),
-            };
-            if peer == wanted {
-                Ok(link)
-            } else {
-                Err(CommError::Io(format!(
-                    "rank {peer} unreachable from rank {rank} on ring wiring \
-                     (use Wiring::FullMesh for butterfly collectives)"
-                )))
-            }
-        }
-        Links::Mesh(links) => links[peer].as_mut().ok_or(CommError::PeerDisconnected),
-    }
+    links[peer].as_mut().ok_or(CommError::PeerDisconnected)
 }
 
 impl TcpTransport {
@@ -1121,24 +981,32 @@ impl TcpTransport {
             links,
             ..
         } = self;
-        let (rank, physical_world, op_deadline) = (*rank, peers.len(), *op_deadline);
-        // A wiring error (non-neighbour on a ring) is the caller's
-        // mistake, not a link failure — it must not be reclassified as a
-        // membership change below.
-        let link = resolve_link(links, rank, physical_world, phys, Dir::Send)?;
+        let (rank, op_deadline) = (*rank, *op_deadline);
+        // No such peer, or one a reform already removed: not a link
+        // failure, so it must not be reclassified as a membership change
+        // below.
+        let link = resolve_link(links, rank, phys)?;
         let result = (|| -> Result<(), CommError> {
-            if inject_drop && link.role == LinkRole::Connector {
+            if inject_drop && link.role == LinkRole::Connector && link.settled() {
                 // Drop at a frame boundary and ride the normal reconnect
-                // path; the peer sees EOF and re-accepts.
-                Self::reconnect(peers, retry, op_deadline, rank, link)?;
+                // path; the peer reads to the end of the old stream and
+                // re-accepts.
+                Self::reconnect(peers, retry, op_deadline, rank, link, Shutdown::Write)?;
             }
             match frame_io(&mut link.stream, |io| write_msg(io, tag.as_ref(), view)) {
                 Ok(()) => Ok(()),
-                Err(e) if is_disconnect(&e) && link.role == LinkRole::Connector => {
+                // A vanished listener means the peer is dead: redialing it
+                // would spend the whole dial budget before the failure
+                // below declares it departed.
+                Err(e)
+                    if is_disconnect(&e)
+                        && link.role == LinkRole::Connector
+                        && listener_alive(&peers[link.peer]) =>
+                {
                     // One reconnect-and-resend attempt; frames are written
                     // atomically, so the failed frame was not partially
                     // consumed by the peer.
-                    Self::reconnect(peers, retry, op_deadline, rank, link)?;
+                    Self::reconnect(peers, retry, op_deadline, rank, link, Shutdown::Both)?;
                     frame_io(&mut link.stream, |io| write_msg(io, tag.as_ref(), view))
                         .map_err(|e| map_io("send", started, &e))
                 }
@@ -1210,18 +1078,15 @@ impl TcpTransport {
         // re-established according to our role, then the read is retried.
         let mut recovered = false;
         loop {
-            let TcpTransport {
-                rank, peers, links, ..
-            } = self;
-            let (rank, physical_world) = (*rank, peers.len());
-            let link = resolve_link(links, rank, physical_world, phys, Dir::Recv)?;
-            let read = frame_io(&mut link.stream, |io| match dest.as_mut() {
+            let link = resolve_link(&mut self.links, self.rank, phys)?;
+            let read = link.read(|io| match dest.as_mut() {
                 Some(dest) => read_frame_into(io, dest.reborrow()),
                 None => read_frame(io).map(ReadInto::Other),
             });
             if matches!(read, Ok(ReadInto::LengthMismatch { .. })) {
-                // The unread payload leaves the stream mid-frame.
-                let _ = link.stream.shutdown(Shutdown::Both);
+                // The unread payload leaves the stream it came on mid-frame.
+                let stream = link.draining.as_ref().unwrap_or(&link.stream);
+                let _ = stream.shutdown(Shutdown::Both);
             }
             // Schedule tags are checked at delivery time (see
             // `acp_collectives::schedule::deliver_checked`), and before
@@ -1287,25 +1152,38 @@ impl TcpTransport {
                 }
                 Err(e) if is_disconnect(&e) && !recovered => {
                     recovered = true;
+                    let link = resolve_link(&mut self.links, self.rank, phys)?;
+                    let role = link.role;
+                    if role == LinkRole::Acceptor {
+                        let _ = link.stream.shutdown(Shutdown::Both);
+                        // A dropping peer redials before it half-closes, so
+                        // its fresh stream is already queued here — even
+                        // if the peer has finished and exited since.
+                        if let Ok(fresh) = self.accept_from(Some(phys), Instant::now()) {
+                            self.links[phys] = Some(fresh);
+                            continue;
+                        }
+                    }
                     // A vanished listener means the peer is dead, not
                     // reconnecting — skip recovery and fail structured.
                     if !self.probe_alive(phys) {
                         return Err(self.note_departed(phys));
                     }
-                    let TcpTransport {
-                        rank,
-                        peers,
-                        retry,
-                        op_deadline,
-                        listener,
-                        links,
-                        ..
-                    } = self;
-                    let link = resolve_link(links, *rank, peers.len(), phys, Dir::Recv)?;
-                    let recovery = match link.role {
-                        LinkRole::Acceptor => Self::reaccept(listener, *op_deadline, link),
+                    let recovery = match role {
+                        LinkRole::Acceptor => self
+                            .accept_from(Some(phys), self.establish_deadline())
+                            .map(|fresh| self.links[phys] = Some(fresh)),
                         LinkRole::Connector => {
-                            Self::reconnect(peers, retry, *op_deadline, *rank, link)
+                            let TcpTransport {
+                                rank,
+                                peers,
+                                retry,
+                                op_deadline,
+                                links,
+                                ..
+                            } = self;
+                            let link = resolve_link(links, *rank, phys)?;
+                            Self::reconnect(peers, retry, *op_deadline, *rank, link, Shutdown::Both)
                         }
                     };
                     if let Err(err) = recovery {
@@ -1436,7 +1314,6 @@ where
                         rank,
                         world_size,
                         peers,
-                        wiring: Wiring::Ring,
                         topology: GroupTopology::flat(world_size),
                         retry: RetryPolicy::default(),
                         op_deadline: Duration::from_secs(20),

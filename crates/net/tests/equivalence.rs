@@ -10,7 +10,7 @@
 //! reference within floating-point tolerance.
 
 use acp_collectives::{wait_all, CollectiveOp, Communicator, ReduceOp, ThreadGroup};
-use acp_net::{run_local, run_local_with, Wiring};
+use acp_net::{run_local, run_local_with};
 use proptest::prelude::*;
 
 /// Deterministic, rank-dependent pseudo-gradient (no RNG state to thread
@@ -142,7 +142,7 @@ proptest! {
         }
     }
 
-    /// gTop-k over a full-mesh TCP group runs the identical butterfly as
+    /// gTop-k over a default TCP group runs the identical butterfly as
     /// the thread backend — same indices, same value bits.
     #[test]
     fn global_topk_full_mesh_matches_thread_backend(
@@ -160,14 +160,10 @@ proptest! {
             let (idx, val) = sparse(comm.rank_id().as_usize());
             comm.global_topk(&idx, &val, k).unwrap()
         });
-        let tcp = run_local_with(
-            world,
-            |_rank, cfg| cfg.with_wiring(Wiring::FullMesh),
-            |mut comm| {
-                let (idx, val) = sparse(comm.rank_id().as_usize());
-                comm.global_topk(&idx, &val, k).unwrap()
-            },
-        );
+        let tcp = run_local(world, |mut comm| {
+            let (idx, val) = sparse(comm.rank_id().as_usize());
+            comm.global_topk(&idx, &val, k).unwrap()
+        });
         for rank in 0..world {
             prop_assert_eq!(&tcp[rank].0, &thread[rank].0);
             assert_bits_eq(&tcp[rank].1, &thread[rank].1, "global_topk tcp vs thread");
@@ -225,8 +221,8 @@ proptest! {
     }
 }
 
-/// Barrier completes on every topology and world size (including the
-/// two-rank ring, where both links join the same pair of peers).
+/// Barrier completes on every world size (including the two-rank group,
+/// where both ring directions share one link).
 #[test]
 fn barrier_completes_everywhere() {
     for world in 1..6 {
@@ -237,38 +233,6 @@ fn barrier_completes_everywhere() {
             true
         });
         assert_eq!(done, vec![true; world]);
-        let done = run_local_with(
-            world,
-            |_rank, cfg| cfg.with_wiring(Wiring::FullMesh),
-            |mut comm| {
-                comm.barrier().unwrap();
-                true
-            },
-        );
-        assert_eq!(done, vec![true; world]);
-    }
-}
-
-/// gTop-k on a ring topology uses the exact gather-and-truncate fallback;
-/// results must sum contributions exactly like the Communicator trait's
-/// default algorithm.
-#[test]
-fn global_topk_ring_fallback_is_exact() {
-    let results = run_local(4, |mut comm| {
-        // Every rank contributes 1.0 at its own coordinate and 0.5 at
-        // coordinate 100 — the shared coordinate's sum (2.0) must win.
-        let idx = vec![comm.rank_id().as_usize() as u32, 100];
-        let val = vec![1.0, 0.5];
-        comm.global_topk(&idx, &val, 2).unwrap()
-    });
-    for (idx, val) in results {
-        assert_eq!(idx.len(), 2);
-        assert!(
-            idx.contains(&100),
-            "shared coordinate must survive, got {idx:?}"
-        );
-        let shared = idx.iter().position(|&i| i == 100).unwrap();
-        assert_eq!(val[shared], 2.0);
     }
 }
 
@@ -308,26 +272,22 @@ fn cold_large_messages_complete_and_match_thread_backend() {
             let send = input(comm.rank_id().as_usize(), ALL_GATHER_ELEMS, 7);
             comm.all_gather_f32(&send).unwrap()
         });
-        for wiring in [Wiring::Ring, Wiring::FullMesh] {
-            let cold = move |_rank: usize, cfg: acp_net::TcpConfig| {
-                cfg.with_wiring(wiring)
-                    .with_op_deadline(Duration::from_secs(10))
-            };
-            let tcp = run_local_with(world, cold, |mut comm| {
-                let mut buf = input(comm.rank_id().as_usize(), ALL_REDUCE_ELEMS, 7);
-                comm.all_reduce(&mut buf, ReduceOp::Sum).unwrap();
-                buf
-            });
-            for rank in 0..world {
-                assert_bits_eq(&tcp[rank], &reduced[rank], "cold 32 MiB all_reduce");
-            }
-            let tcp = run_local_with(world, cold, |mut comm| {
-                let send = input(comm.rank_id().as_usize(), ALL_GATHER_ELEMS, 7);
-                comm.all_gather_f32(&send).unwrap()
-            });
-            for rank in 0..world {
-                assert_bits_eq(&tcp[rank], &gathered[rank], "cold 8 MiB all_gather_f32");
-            }
+        let cold =
+            |_rank: usize, cfg: acp_net::TcpConfig| cfg.with_op_deadline(Duration::from_secs(10));
+        let tcp = run_local_with(world, cold, |mut comm| {
+            let mut buf = input(comm.rank_id().as_usize(), ALL_REDUCE_ELEMS, 7);
+            comm.all_reduce(&mut buf, ReduceOp::Sum).unwrap();
+            buf
+        });
+        for rank in 0..world {
+            assert_bits_eq(&tcp[rank], &reduced[rank], "cold 32 MiB all_reduce");
+        }
+        let tcp = run_local_with(world, cold, |mut comm| {
+            let send = input(comm.rank_id().as_usize(), ALL_GATHER_ELEMS, 7);
+            comm.all_gather_f32(&send).unwrap()
+        });
+        for rank in 0..world {
+            assert_bits_eq(&tcp[rank], &gathered[rank], "cold 8 MiB all_gather_f32");
         }
     }
 }

@@ -5,14 +5,14 @@
 //! harness timeout.
 
 use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use acp_collectives::{CommError, Communicator, ReduceOp, VerifyMode, WireMsg};
-use acp_net::frame::{encode, read_frame, write_frame, Frame};
-use acp_net::{run_local_with, FaultInjector, RetryPolicy, TcpConfig};
+use acp_net::frame::{encode, read_frame, Frame};
+use acp_net::{run_local, run_local_with, FaultInjector, RetryPolicy, TcpConfig};
 
 /// A base port whose successor is free too, for `TcpConfig::local` groups
 /// of two. Tests in this binary run on parallel threads, and the kernel
@@ -51,7 +51,8 @@ fn injected_drops_are_recovered_by_reconnect() {
         world,
         |rank, cfg| {
             if rank == 1 {
-                // Close + reconnect the outgoing link before every 5th frame.
+                // Half-close + redial its link to rank 2 before every 5th
+                // frame, once the previous drop has drained.
                 cfg.with_fault(FaultInjector::none().with_drop_every(5))
             } else {
                 cfg
@@ -79,8 +80,11 @@ fn injected_drops_are_recovered_by_reconnect() {
     }
 }
 
-/// Drops on *every* rank at once (each rank's outgoing ring link is
-/// connector-role, so all four links churn) still converge.
+/// Drops on *every* rank at once still converge. The lower rank of each
+/// pair dials, so ranks 0–2 send to their ring successor on a
+/// connector-role link and three of the four ring links churn; rank 3's
+/// wraparound link to rank 0 is acceptor-role on its side and never drops.
+/// The barrier's tokens ride the same links right behind a drop.
 #[test]
 fn drops_on_every_rank_still_converge() {
     let world = 4;
@@ -276,25 +280,17 @@ fn dial_budget_outlives_exhausted_attempt_count() {
     assert_eq!(handle.join().unwrap(), vec![3.0; 4]);
 }
 
-/// On a ring topology, point-to-point traffic to a non-neighbour is a
-/// structured error telling the caller to use the mesh.
+/// Every peer is one link away: on a default group, ranks 0 and 2 (not
+/// ring neighbours) exchange buffers point to point.
 #[test]
-fn ring_topology_rejects_non_neighbour_traffic() {
-    let results = run_local_with(
-        4,
-        |_rank, cfg| cfg,
-        |mut comm| {
-            if comm.rank_id().as_usize() == 0 {
-                comm.send_recv_f32(2, &[0.0]).map(|_| ())
-            } else {
-                Ok(())
-            }
-        },
-    );
-    match &results[0] {
-        Err(CommError::Io(msg)) => assert!(msg.contains("unreachable"), "got: {msg}"),
-        other => panic!("expected Io(unreachable), got {other:?}"),
-    }
+fn non_neighbours_exchange_point_to_point() {
+    let results = run_local(4, |mut comm| match comm.rank_id().as_usize() {
+        0 => comm.send_recv_f32(2, &[0.5, 1.5]).map(Some),
+        2 => comm.send_recv_f32(0, &[2.5, 3.5]).map(Some),
+        _ => Ok(None),
+    });
+    assert_eq!(results[0], Ok(Some(vec![2.5, 3.5])));
+    assert_eq!(results[2], Ok(Some(vec![0.5, 1.5])));
 }
 
 /// Exhausted connect retries end in a structured error, not an endless
@@ -319,29 +315,25 @@ fn exhausted_retries_surface_structured_error() {
     }
 }
 
-/// The fault injector leaves telemetry intact: bytes sent with faults on
-/// equal bytes sent with faults off (drops resend whole frames, which is
-/// invisible at the payload accounting level — the resent frame replaces
-/// one the peer never consumed).
+/// The fault injector leaves results and telemetry intact: with faults on,
+/// every rank reduces the same values and counts the same bytes as with
+/// faults off (a drop moves the following frames to a fresh stream but
+/// sends each exactly once). At world 2 both ring directions share one
+/// duplex link, and rank 0 drops it in the middle of each all-reduce,
+/// while rank 1's half of the exchange may already be on the old stream.
 #[test]
 fn drop_faults_do_not_skew_byte_accounting() {
-    let clean = run_local_with(
-        2,
-        |_rank, cfg| cfg,
-        |mut comm| {
-            let mut buf = vec![1.0f32; 100];
-            comm.all_reduce(&mut buf, ReduceOp::Sum).unwrap();
-            comm.bytes_sent()
-        },
-    );
+    let body = |mut comm: acp_net::TcpCommunicator| {
+        let mut buf = vec![comm.rank_id().as_usize() as f32 + 1.0; 100];
+        comm.all_reduce(&mut buf, ReduceOp::Sum).unwrap();
+        comm.all_reduce(&mut buf, ReduceOp::Sum).unwrap();
+        (buf, comm.bytes_sent())
+    };
+    let clean = run_local_with(2, |_rank, cfg| cfg, body);
     let faulty = run_local_with(
         2,
-        |_rank, cfg| cfg.with_fault(FaultInjector::none().with_drop_every(3)),
-        |mut comm| {
-            let mut buf = vec![1.0f32; 100];
-            comm.all_reduce(&mut buf, ReduceOp::Sum).unwrap();
-            comm.bytes_sent()
-        },
+        |_rank, cfg| cfg.with_fault(FaultInjector::none().with_drop_every(2)),
+        body,
     );
     assert_eq!(clean, faulty);
 }
@@ -365,7 +357,6 @@ fn mid_frame_timeout_closes_the_link_instead_of_desynchronizing_it() {
         listener0.local_addr().unwrap(),
         listener1.local_addr().unwrap(),
     ];
-    let rank0_addr = cfg.peers[0];
     let (first_done_tx, first_done) = mpsc::channel();
     let (resume, resume_rx) = mpsc::channel::<()>();
     let rank0 = std::thread::spawn(move || {
@@ -380,11 +371,10 @@ fn mid_frame_timeout_closes_the_link_instead_of_desynchronizing_it() {
     });
 
     // Rank 1 is this thread, speaking the wire protocol by hand: accept
-    // rank 0's outgoing ring link, then dial its incoming one.
+    // the duplex link rank 0 dials, and stall on the same stream.
     let (mut from_rank0, _) = listener1.accept().unwrap();
     assert_eq!(read_frame(&mut from_rank0).unwrap(), Frame::Hello(0));
-    let mut to_rank0 = TcpStream::connect(rank0_addr).unwrap();
-    write_frame(&mut to_rank0, &Frame::Hello(1)).unwrap();
+    let mut to_rank0 = from_rank0.try_clone().unwrap();
 
     // The chunk rank 0 expects is 4 elements. Its second half is itself a
     // well-formed `F32` header for 4 elements plus 3 payload bytes.

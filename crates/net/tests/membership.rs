@@ -10,7 +10,7 @@
 use std::time::{Duration, Instant};
 
 use acp_collectives::{CommError, Communicator, ReduceOp, ThreadGroup, Topology, VerifyMode};
-use acp_net::{run_local, run_local_with, RetryPolicy, Wiring};
+use acp_net::{run_local, run_local_with, RetryPolicy};
 
 /// Integer-valued pseudo-gradient: f32 addition over small integers is
 /// exact in any association, so flat and hierarchical reduction orders
@@ -132,8 +132,7 @@ fn killed_rank_surfaces_membership_changed_and_reform_converges() {
     let results = run_local_with(
         3,
         |_rank, cfg| {
-            cfg.with_wiring(Wiring::FullMesh)
-                .with_op_deadline(Duration::from_secs(2))
+            cfg.with_op_deadline(Duration::from_secs(2))
                 .with_retry(fast_retry())
         },
         |mut comm| {
@@ -173,6 +172,44 @@ fn killed_rank_surfaces_membership_changed_and_reform_converges() {
             &fresh,
             "reformed group vs fresh survivors",
         );
+    }
+}
+
+/// A send that breaks on a link this rank dialed must not redial a peer
+/// whose listener is gone. With the default retry policy (a 10 s dial
+/// budget), rank 0 writes a ring step of several segments to dead rank 1:
+/// the first segment lands in the dead socket's buffer, the second fails,
+/// and rank 0 must surface `MembershipChanged` at once rather than dial
+/// the vanished listener until the budget runs out.
+#[test]
+fn broken_send_to_a_dead_peer_is_not_redialed() {
+    let len = 3 * 4 * 16 * 1024; // four 64 KiB segments per ring step
+    let started = Instant::now();
+    let results = run_local_with(
+        3,
+        |_rank, cfg| cfg.with_op_deadline(Duration::from_secs(20)),
+        |mut comm| {
+            let me = comm.rank_id().as_usize();
+            if me == 1 {
+                return None; // Dies: dropping the communicator closes its listener.
+            }
+            std::thread::sleep(Duration::from_millis(100)); // let the victim die first
+            let mut buf = integer_input(me, len);
+            Some(comm.all_reduce(&mut buf, ReduceOp::Sum))
+        },
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "a dead peer must not be redialed for the whole dial budget ({:?})",
+        started.elapsed()
+    );
+    for rank in [0, 2] {
+        match &results[rank] {
+            Some(Err(CommError::MembershipChanged { epoch: 0, departed })) => {
+                assert_eq!(departed, &[1], "rank {rank}");
+            }
+            other => panic!("rank {rank}: expected MembershipChanged, got {other:?}"),
+        }
     }
 }
 
@@ -235,18 +272,14 @@ fn two_level_kill_and_reform_on_eight_ranks() {
 /// and the group keeps working.
 #[test]
 fn reform_without_departures_is_idempotent_over_tcp() {
-    let results = run_local_with(
-        3,
-        |_rank, cfg| cfg.with_wiring(Wiring::FullMesh),
-        |mut comm| {
-            let membership = comm.reform().expect("no-op reform");
-            assert_eq!(membership.epoch(), 0);
-            assert_eq!(membership.world_size(), 3);
-            let mut buf = vec![1.0f32; 8];
-            comm.all_reduce(&mut buf, ReduceOp::Sum).unwrap();
-            buf
-        },
-    );
+    let results = run_local(3, |mut comm| {
+        let membership = comm.reform().expect("no-op reform");
+        assert_eq!(membership.epoch(), 0);
+        assert_eq!(membership.world_size(), 3);
+        let mut buf = vec![1.0f32; 8];
+        comm.all_reduce(&mut buf, ReduceOp::Sum).unwrap();
+        buf
+    });
     for buf in results {
         assert_eq!(buf, vec![3.0; 8]);
     }

@@ -1,6 +1,6 @@
 //! The worker-backed communicator shell, pinned on both backends that use
 //! it: in-process mailboxes (`ThreadGroup`) and loopback sockets
-//! (`run_local_with`, full-mesh wiring). One body runs over each, so the
+//! (`run_local`). One body runs over each, so the
 //! lazy comm worker, late recorder attachment, byte accounting and the
 //! schedule digest cannot drift apart between transports.
 
@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use acp_collectives::{CommError, Communicator, OpKind, ReduceOp, ThreadGroup};
-use acp_net::{run_local_with, Wiring};
+use acp_net::run_local;
 use acp_telemetry::{keys, InMemoryRecorder};
 
 const WORLD: usize = 3;
@@ -61,11 +61,7 @@ fn shell_body(comm: &mut dyn Communicator) -> Observed {
 #[test]
 fn thread_and_tcp_shells_behave_alike() {
     let thread = ThreadGroup::run(WORLD, |mut comm| shell_body(&mut comm));
-    let tcp = run_local_with(
-        WORLD,
-        |_rank, cfg| cfg.with_wiring(Wiring::FullMesh),
-        |mut comm| shell_body(&mut comm),
-    );
+    let tcp = run_local(WORLD, |mut comm| shell_body(&mut comm));
     for (rank, (t, s)) in thread.iter().zip(&tcp).enumerate() {
         for o in [t, s] {
             // (a) FIFO: the gather ran after the dispatched all-reduce,

@@ -29,50 +29,13 @@ pub struct Bucket {
 /// * `buffer_bytes >= total` yields a single bucket ("full TF": optimal
 ///   fusion, no overlap).
 pub fn pack_buckets(payload_bytes: &[usize], buffer_bytes: usize) -> Vec<Bucket> {
-    let mut buckets = Vec::new();
-    if payload_bytes.is_empty() {
-        return buckets;
-    }
-    if buffer_bytes == 0 {
-        for (i, &b) in payload_bytes.iter().enumerate() {
-            buckets.push(Bucket {
-                tensor_indices: vec![i],
-                payload_bytes: b,
-            });
-        }
-        return buckets;
-    }
-    let mut current = Bucket {
-        tensor_indices: Vec::new(),
-        payload_bytes: 0,
-    };
-    for (i, &b) in payload_bytes.iter().enumerate() {
-        if !current.tensor_indices.is_empty() && current.payload_bytes + b > buffer_bytes {
-            buckets.push(
-                std::mem::take(&mut current.tensor_indices).into_bucket(current.payload_bytes),
-            );
-            current.payload_bytes = 0;
-        }
-        current.tensor_indices.push(i);
-        current.payload_bytes += b;
-    }
-    if !current.tensor_indices.is_empty() {
-        buckets.push(current);
-    }
-    buckets
-}
-
-trait IntoBucket {
-    fn into_bucket(self, payload_bytes: usize) -> Bucket;
-}
-
-impl IntoBucket for Vec<usize> {
-    fn into_bucket(self, payload_bytes: usize) -> Bucket {
-        Bucket {
-            tensor_indices: self,
-            payload_bytes,
-        }
-    }
+    acp_core::fusion::bucket_ranges(payload_bytes, buffer_bytes)
+        .into_iter()
+        .map(|range| Bucket {
+            payload_bytes: payload_bytes[range.clone()].iter().sum(),
+            tensor_indices: range.collect(),
+        })
+        .collect()
 }
 
 /// Scales the default buffer size by the compression rate, the paper's rule

@@ -24,9 +24,7 @@
 //!    they belong to the topology/hierarchy layer of
 //!    `crates/collectives`, where the schedule digest records them. Any
 //!    other crate doing neighbour math by hand will silently disagree
-//!    with the two-level schedule. The socket-wiring layer of `acp-net`
-//!    (physical link resolution) is the one deliberate exception,
-//!    carried on the `allow_verify` allowlist.
+//!    with the two-level schedule.
 //! 5. **No fresh copies on the frame send path.** `.to_vec(` is banned
 //!    in the frame writer, the TCP and in-process transports, the
 //!    ring/hierarchy collectives and the aggregation service (session

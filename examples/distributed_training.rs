@@ -45,7 +45,7 @@ use std::time::Duration;
 
 use acp_collectives::{CommError, Communicator, ReduceOp};
 use acp_core::{build_optimizer, AcpSgdConfig, Aggregator, PowerSgdConfig};
-use acp_net::{launch_local_grouped, worker_from_env, TcpConfig, Wiring};
+use acp_net::{launch_local_grouped, worker_from_env, TcpConfig};
 use acp_telemetry::{render_step_table, summary, ChromeTraceBuilder};
 use acp_training::dataset::Dataset;
 use acp_training::model::mlp;
@@ -218,9 +218,7 @@ fn run_tcp_worker(cfg: TcpConfig, args: &Args) -> i32 {
 /// trains S-SGD to completion on the shrunk group. Exit 0 everywhere is
 /// the gate: no hang, no corruption, training continues.
 fn run_reform_demo_worker(cfg: TcpConfig, args: &Args) -> i32 {
-    let cfg = cfg
-        .with_wiring(Wiring::FullMesh) // reform() rewires over the mesh
-        .with_op_deadline(Duration::from_secs(5));
+    let cfg = cfg.with_op_deadline(Duration::from_secs(5));
     let mut comm = cfg.connect().expect("worker joins reform-demo group");
     let me = comm.rank_id().as_usize();
 
