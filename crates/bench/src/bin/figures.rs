@@ -7,14 +7,11 @@
 //!   table1 table2 table3
 //!   fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11a fig11b fig12 fig13
 //!   headline   (abstract speedup numbers)
+//!   ext-scaling ext-tune ext-hierarchy   (extensions beyond the paper)
 //!   telemetry  (instrumented ACP-SGD run: per-step metrics + summary)
-//!   overlap    (WFBP overlap: measured vs simulated; writes BENCH_overlap.json)
-//!   tuning     (closed-loop autotuner on local TCP; writes BENCH_tuning.json)
-//!   hierarchy  (flat vs two-level all-reduce cost sweep; writes BENCH_hierarchy.json)
-//!   serve      (aggregation-service concurrency sweep; writes BENCH_serve.json)
-//!   kernels    (vectorized vs scalar compressor kernels; writes BENCH_kernels.json;
-//!               --min-speedup N exits nonzero if the largest-bucket encode or
-//!               decode speedup falls below N; --quick drops the largest bucket)
+//!   kernels    (vectorized vs scalar compressor kernels; --min-speedup N
+//!               exits nonzero if the largest-bucket encode or decode
+//!               speedup falls below N; --quick drops the largest bucket)
 //!   all        (everything; convergence at the quick epoch count)
 //! ```
 //!
@@ -78,77 +75,13 @@ fn telemetry() -> String {
     )
 }
 
-/// Blocking-vs-pipelined comparison on the real thread backend plus the
-/// simulated Fig. 9 levels; also writes `BENCH_overlap.json` to the cwd.
-/// The measured run is capped at 4 epochs regardless of `--epochs`.
-fn overlap_bench(epochs: usize) -> String {
-    use acp_bench::overlap;
-    let report = overlap::run(epochs.min(4));
-    let text = overlap::render(&report);
-    let path = "BENCH_overlap.json";
-    match std::fs::write(path, overlap::to_json(&report)) {
-        Ok(()) => format!("{text}\nwrote {path}"),
-        Err(e) => format!("{text}\nfailed to write {path}: {e}"),
-    }
-}
-
-/// Calibrates the α–β model on a live 4-rank TCP group, then compares the
-/// default 25 MB fusion buffer against the auto-tuned size; also writes
-/// `BENCH_tuning.json` to the cwd. The measured runs are capped at 2 epochs
-/// regardless of `--epochs`.
-fn tuning_bench(epochs: usize) -> String {
-    use acp_bench::tuning;
-    let report = tuning::run(epochs.min(2));
-    let text = tuning::render(&report);
-    let path = "BENCH_tuning.json";
-    match std::fs::write(path, tuning::to_json(&report)) {
-        Ok(()) => format!("{text}\nwrote {path}"),
-        Err(e) => format!("{text}\nfailed to write {path}: {e}"),
-    }
-}
-
-/// Drives concurrent training jobs against one aggregation-service
-/// instance on loopback (2/4/8 jobs × 4 clients, dense and sparse
-/// submissions) and reports jobs/sec plus p50/p99 step latency; also
-/// writes `BENCH_serve.json` to the cwd. `--epochs` is irrelevant.
-fn serve_bench() -> String {
-    use acp_bench::serve;
-    let report = serve::run();
-    let text = serve::render(&report);
-    let path = "BENCH_serve.json";
-    match std::fs::write(path, serve::to_json(&report)) {
-        Ok(()) => format!("{text}\nwrote {path}"),
-        Err(e) => format!("{text}\nfailed to write {path}: {e}"),
-    }
-}
-
-/// Prices the flat ring against the two-level ring-of-rings on the Table II
-/// cost model for worlds 8-1024; also writes `BENCH_hierarchy.json` to the
-/// cwd. Pure cost-model arithmetic: no live workers, so `--epochs` is
-/// irrelevant.
-fn hierarchy_bench() -> String {
-    use acp_bench::hierarchy;
-    let report = hierarchy::run();
-    let text = hierarchy::render(&report);
-    let path = "BENCH_hierarchy.json";
-    match std::fs::write(path, hierarchy::to_json(&report)) {
-        Ok(()) => format!("{text}\nwrote {path}"),
-        Err(e) => format!("{text}\nfailed to write {path}: {e}"),
-    }
-}
-
-/// Times the vectorized compressor kernels against their scalar references
-/// and writes `BENCH_kernels.json`; with `min_speedup`, exits nonzero when
-/// the largest-bucket encode or decode speedup falls below the floor.
+/// Times the vectorized compressor kernels against their scalar
+/// references; with `min_speedup`, exits nonzero when the largest-bucket
+/// encode or decode speedup falls below the floor.
 fn kernels_bench(quick: bool, min_speedup: Option<f64>) -> String {
     use acp_bench::kernels;
     let report = kernels::run(quick);
     let text = kernels::render(&report);
-    let path = "BENCH_kernels.json";
-    let text = match std::fs::write(path, kernels::to_json(&report)) {
-        Ok(()) => format!("{text}\nwrote {path}"),
-        Err(e) => format!("{text}\nfailed to write {path}: {e}"),
-    };
     if let Some(floor) = min_speedup {
         if report.encode_speedup < floor || report.decode_speedup < floor {
             eprintln!(
@@ -191,16 +124,64 @@ fn run(name: &str, epochs: usize, quick: bool, min_speedup: Option<f64>) -> Opti
             "Extension: auto-tuned fusion buffers vs scaled default\n{}",
             timing::ext_tuned_buffers().render()
         ),
+        "ext-hierarchy" => format!(
+            "Extension: flat vs two-level all-reduce, 25 MB, 10GbE sites joined by WAN\n{}",
+            timing::ext_hierarchy().render()
+        ),
         "headline" => headline(),
         "telemetry" => telemetry(),
-        "overlap" => overlap_bench(epochs),
-        "tuning" => tuning_bench(epochs),
-        "hierarchy" => hierarchy_bench(),
-        "serve" => serve_bench(),
         "kernels" => kernels_bench(quick, min_speedup),
         _ => return None,
     };
     Some(out)
+}
+
+/// Every experiment, in the order `all` runs them.
+const ALL: [&str; 22] = [
+    "table1",
+    "table2",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "table3",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11a",
+    "fig11b",
+    "fig12",
+    "fig13",
+    "ext-scaling",
+    "ext-tune",
+    "ext-hierarchy",
+    "telemetry",
+    "kernels",
+    "headline",
+];
+
+/// The experiments named on the command line — all of them when none (or
+/// `all`) is named. Flags and the values of `--epochs` / `--min-speedup`
+/// are not names.
+fn selected(args: &[String]) -> Vec<&str> {
+    let mut names = Vec::new();
+    let mut args = args.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--epochs" | "--min-speedup" => {
+                args.next();
+            }
+            flag if flag.starts_with("--") => {}
+            name => names.push(name),
+        }
+    }
+    if names.is_empty() || names.contains(&"all") {
+        ALL.to_vec()
+    } else {
+        names
+    }
 }
 
 fn main() {
@@ -208,55 +189,29 @@ fn main() {
     let epochs = parse_epochs(&args);
     let quick = args.iter().any(|a| a == "--quick");
     let min_speedup = parse_min_speedup(&args);
-    let names: Vec<&str> = args
-        .iter()
-        .map(String::as_str)
-        .filter(|a| !a.starts_with("--"))
-        .collect();
-    let all = [
-        "table1",
-        "table2",
-        "fig2",
-        "fig3",
-        "fig4",
-        "fig5",
-        "fig6",
-        "fig7",
-        "table3",
-        "fig8",
-        "fig9",
-        "fig10",
-        "fig11a",
-        "fig11b",
-        "fig12",
-        "fig13",
-        "ext-scaling",
-        "ext-tune",
-        "telemetry",
-        "overlap",
-        "tuning",
-        "hierarchy",
-        "serve",
-        "kernels",
-        "headline",
-    ];
-    let selected: Vec<&str> = if names.is_empty() || names.contains(&"all") {
-        all.to_vec()
-    } else {
-        names
-    };
-    // Skip the numeric part of --epochs / --min-speedup when it leaked
-    // into names.
-    for name in selected {
-        if name.parse::<f64>().is_ok() {
-            continue;
-        }
+    for name in selected(&args) {
         match run(name, epochs, quick, min_speedup) {
             Some(out) => println!("{out}"),
             None => {
-                eprintln!("unknown experiment '{name}'; valid: {} all", all.join(" "));
+                eprintln!("unknown experiment '{name}'; valid: {} all", ALL.join(" "));
                 std::process::exit(2);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn flag_values_are_not_experiment_names() {
+        assert_eq!(selected(&names("--epochs 300")), ALL.to_vec());
+        assert_eq!(selected(&names("fig6 --epochs 300")), ["fig6"]);
+        assert_eq!(selected(&names("--min-speedup 2 kernels")), ["kernels"]);
     }
 }

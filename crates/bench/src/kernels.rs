@@ -3,12 +3,12 @@
 //!
 //! `figures kernels` times sign packing, sign expansion, majority voting,
 //! QSGD quantize/dequantize and abs-key top-k selection at three bucket
-//! sizes, reports the speedup of each kernel over its scalar baseline, and
-//! writes `BENCH_kernels.json`. The headline gate — what the CI `kernels`
-//! job asserts via `--min-speedup` — is the encode and decode speedup on
-//! the *largest* bucket: sign packing on the encode side and the
-//! bit-sliced majority vote on the decode side, the two kernels on the
-//! per-step critical path of sign-based aggregation.
+//! sizes and reports the speedup of each kernel over its scalar baseline.
+//! The headline gate — what the CI `kernels` job asserts via
+//! `--min-speedup` — is the encode and decode speedup on the *largest*
+//! bucket: sign packing on the encode side and the bit-sliced majority
+//! vote on the decode side, the two kernels on the per-step critical path
+//! of sign-based aggregation.
 //!
 //! Timing is best-of-`reps` over batched iterations (min, not mean: the
 //! minimum is the least noisy estimator of the achievable time on a shared
@@ -257,32 +257,6 @@ pub fn render(r: &KernelReport) -> String {
     out
 }
 
-/// Serializes the report as JSON (`BENCH_kernels.json`).
-pub fn to_json(r: &KernelReport) -> String {
-    let sizes: Vec<String> = r.sizes.iter().map(usize::to_string).collect();
-    let points: Vec<String> = r
-        .points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"kernel\":\"{}\",\"elems\":{},\"scalar_ns\":{:.1},\
-                 \"optimized_ns\":{:.1},\"speedup\":{:.3},\"gelems_per_s\":{:.4}}}",
-                p.kernel, p.elems, p.scalar_ns, p.optimized_ns, p.speedup, p.gelems_per_s
-            )
-        })
-        .collect();
-    format!(
-        "{{\"vote_world\":{},\"sizes\":[{}],\"largest_elems\":{},\
-         \"encode_speedup\":{:.3},\"decode_speedup\":{:.3},\"points\":[{}]}}\n",
-        VOTE_WORLD,
-        sizes.join(","),
-        r.largest_elems,
-        r.encode_speedup,
-        r.decode_speedup,
-        points.join(",")
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,17 +271,8 @@ mod tests {
             assert!(p.scalar_ns > 0.0 && p.optimized_ns > 0.0, "{p:?}");
         }
         assert!(r.encode_speedup > 0.0 && r.decode_speedup > 0.0);
-    }
-
-    #[test]
-    fn report_renders_and_serializes() {
-        let r = run(true);
         let text = render(&r);
         assert!(text.contains("sign_pack"));
         assert!(text.contains("majority_vote"));
-        let json = to_json(&r);
-        assert!(json.contains("\"kernel\":\"sign_pack\""));
-        assert!(json.contains("\"encode_speedup\""));
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
     }
 }

@@ -20,13 +20,9 @@
 #![warn(missing_docs)]
 
 pub mod convergence;
-pub mod hierarchy;
 pub mod kernels;
-pub mod overlap;
-pub mod serve;
 pub mod statics;
 pub mod table;
 pub mod timing;
-pub mod tuning;
 
 pub use table::TextTable;

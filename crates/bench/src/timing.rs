@@ -1,7 +1,7 @@
 //! Timing experiments (Figs. 2–3, 8–13 and Table III), all driven by the
 //! calibrated cluster simulator.
 
-use acp_collectives::NetworkTier;
+use acp_collectives::{ClusterCost, NetworkTier, Topology, TwoLevelCost};
 use acp_models::Model;
 use acp_simulator::{
     simulate, ExperimentConfig, HardwareProfile, IterationReport, OptLevel, Strategy,
@@ -487,6 +487,42 @@ pub fn ext_tuned_buffers() -> TextTable {
     t
 }
 
+/// Largest divisor of `world` no bigger than its square root — the group
+/// count that balances the two ring lengths, which minimizes the latency
+/// terms the hierarchy pays.
+fn balanced_groups(world: usize) -> usize {
+    (1..=world)
+        .take_while(|g| g * g <= world)
+        .filter(|&g| world.is_multiple_of(g))
+        .last()
+        .unwrap_or(1)
+}
+
+/// Extension experiment: flat ring vs two-level ring-of-rings all-reduce
+/// of one 25 MB bucket for worlds 8–1024, with 10 GbE inside sites and WAN
+/// between them. The flat ring pays the WAN's α on `2(p−1)` steps; the
+/// hierarchy crosses the WAN only `2(G−1)` times, so it wins by more the
+/// larger the world.
+pub fn ext_hierarchy() -> TextTable {
+    const PAYLOAD_BYTES: usize = 25 * 1024 * 1024;
+    let (intra, cross) = (NetworkTier::TenGbE, NetworkTier::Wan);
+    let mut t = TextTable::new(["world", "layout", "flat (s)", "2-level (s)", "speedup"]);
+    for world in [8usize, 16, 32, 64, 128, 256, 512, 1024] {
+        let groups = balanced_groups(world);
+        let topo = Topology::grouped(world, groups).expect("balanced_groups returns a divisor");
+        let flat = ClusterCost::new(world, cross).all_reduce_time(PAYLOAD_BYTES);
+        let two_level = TwoLevelCost::from_tiers(topo, intra, cross).all_reduce_time(PAYLOAD_BYTES);
+        t.push_row([
+            world.to_string(),
+            format!("{groups}x{}", world / groups),
+            format!("{flat:.4}"),
+            format!("{two_level:.4}"),
+            format!("{:.1}x", flat / two_level),
+        ]);
+    }
+    t
+}
+
 /// Headline statistics matching the abstract: average/max speedups of
 /// ACP-SGD over S-SGD and Power-SGD across Table III.
 pub fn headline_speedups() -> (f64, f64, f64, f64) {
@@ -521,6 +557,15 @@ mod tests {
         assert!(g.cell(bert_large, sign).is_none(), "Sign-SGD should OOM");
         assert!(g.cell(0, sign).is_some(), "Sign-SGD fits on ResNet-50");
         assert!(g.render_totals().contains("OOM"));
+    }
+
+    #[test]
+    fn grouping_is_balanced() {
+        assert_eq!(balanced_groups(8), 2);
+        assert_eq!(balanced_groups(32), 4);
+        assert_eq!(balanced_groups(128), 8);
+        assert_eq!(balanced_groups(1024), 32);
+        assert_eq!(balanced_groups(7), 1); // prime worlds degrade gracefully
     }
 
     #[test]

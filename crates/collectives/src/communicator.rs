@@ -44,6 +44,28 @@ pub enum ReduceOp {
     Max,
 }
 
+impl ReduceOp {
+    /// The operator's wire and schedule code: `Sum = 0`, `Mean = 1`,
+    /// `Max = 2`. The codes feed the schedule digest, so they never change.
+    pub fn code(self) -> u64 {
+        match self {
+            ReduceOp::Sum => 0,
+            ReduceOp::Mean => 1,
+            ReduceOp::Max => 2,
+        }
+    }
+
+    /// The operator with wire code `code`, or `None` for an unknown code.
+    pub fn from_code(code: u64) -> Option<ReduceOp> {
+        match code {
+            0 => Some(ReduceOp::Sum),
+            1 => Some(ReduceOp::Mean),
+            2 => Some(ReduceOp::Max),
+            _ => None,
+        }
+    }
+}
+
 /// Error raised by collective operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
@@ -1256,6 +1278,15 @@ mod tests {
     use rand::Rng;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    #[test]
+    fn reduce_op_codes_round_trip() {
+        for (op, code) in [(ReduceOp::Sum, 0), (ReduceOp::Mean, 1), (ReduceOp::Max, 2)] {
+            assert_eq!(op.code(), code);
+            assert_eq!(ReduceOp::from_code(code), Some(op));
+        }
+        assert_eq!(ReduceOp::from_code(3), None);
+    }
 
     /// Naive reference reduction for validating the ring implementation.
     fn reference_reduce(inputs: &[Vec<f32>], op: ReduceOp) -> Vec<f32> {

@@ -115,19 +115,10 @@ impl CollectiveOp {
     /// two sides of a pairwise exchange name each other, so their peers
     /// legitimately differ.
     pub fn fingerprint(&self) -> (OpKind, u64, u64) {
-        fn reduce_code(op: ReduceOp) -> u64 {
-            match op {
-                ReduceOp::Sum => 0,
-                ReduceOp::Mean => 1,
-                ReduceOp::Max => 2,
-            }
-        }
         match self {
-            CollectiveOp::AllReduce { buf, op } => {
-                (OpKind::AllReduce, buf.len() as u64, reduce_code(*op))
-            }
+            CollectiveOp::AllReduce { buf, op } => (OpKind::AllReduce, buf.len() as u64, op.code()),
             CollectiveOp::AllReduceRd { buf, op } => {
-                (OpKind::AllReduceRd, buf.len() as u64, reduce_code(*op))
+                (OpKind::AllReduceRd, buf.len() as u64, op.code())
             }
             CollectiveOp::AllGatherF32 { send } => (OpKind::AllGatherF32, send.len() as u64, 0),
             CollectiveOp::AllGatherU32 { send } => (OpKind::AllGatherU32, send.len() as u64, 0),

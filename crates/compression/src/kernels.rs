@@ -446,8 +446,8 @@ pub fn dequantize_into(levels: &[i8], num_levels: u8, scale: f32, out: &mut [f32
 /// The retained scalar reference implementations.
 ///
 /// These are the pre-vectorization loops, kept as the byte-identity oracle
-/// for the kernels above and as the scalar baseline the criterion benches
-/// (`BENCH_kernels.json`) measure speedups against. Do not "optimize" them.
+/// for the kernels above and as the scalar baseline `figures kernels`
+/// measures speedups against. Do not "optimize" them.
 pub mod reference {
     /// Scalar sign packing: one branch per element.
     pub fn pack_signs(grad: &[f32]) -> Vec<u32> {

@@ -405,15 +405,10 @@ impl Communicator for ServedCommunicator {
     }
 
     fn all_reduce(&mut self, buf: &mut [f32], op: ReduceOp) -> Result<(), CommError> {
-        let code = match op {
-            ReduceOp::Sum => 0,
-            ReduceOp::Mean => 1,
-            ReduceOp::Max => 2,
-        };
         self.submit(
             OpKind::AllReduce,
             buf.len() as u64,
-            code,
+            op.code(),
             OpIo::InPlace(buf),
         )
     }

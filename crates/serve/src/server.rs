@@ -598,17 +598,21 @@ fn job_of(shared: &Shared, job_id: u64) -> Option<Arc<JobState>> {
     lock(&shared.jobs).get(&job_id).cloned()
 }
 
+/// The reduce operator an all-reduce's schedule `param` names; an unknown
+/// code is refused with a structured reject.
+fn reduce_op(param: u64) -> Result<ReduceOp, Reject> {
+    ReduceOp::from_code(param).ok_or_else(|| Reject::Rejected {
+        detail: format!("unknown reduce operator code {param}"),
+    })
+}
+
 /// Validates the collective a new step opens with. Anything the reference
 /// folds cannot aggregate is refused up front, so the shard workers never
 /// see an unsupported kind.
 fn validate_open(point: &SchedulePoint, world: usize) -> Result<(), Reject> {
     match point.kind {
         OpKind::AllReduce => {
-            if point.param > 2 {
-                return Err(Reject::Rejected {
-                    detail: format!("unknown reduce operator code {}", point.param),
-                });
-            }
+            reduce_op(point.param)?;
         }
         OpKind::AllGatherF32 | OpKind::AllGatherU32 | OpKind::Barrier => {}
         OpKind::Broadcast => {
@@ -1098,12 +1102,8 @@ fn aggregate(step: &StepState, out: &mut Slot) -> Result<usize, Reject> {
             let views: Vec<&[f32]> = views.collect::<Result<_, _>>()?;
             match point.kind {
                 OpKind::AllReduce => {
-                    let op = match point.param {
-                        0 => ReduceOp::Sum,
-                        1 => ReduceOp::Mean,
-                        _ => ReduceOp::Max,
-                    };
-                    all_reduce_reference_into(&views, op, out).map_err(failed)?;
+                    all_reduce_reference_into(&views, reduce_op(point.param)?, out)
+                        .map_err(failed)?;
                 }
                 OpKind::AllGatherF32 => {
                     all_gather_reference_into(&views, out).map_err(failed)?;

@@ -60,7 +60,7 @@ fn main() {
     // fit for a congested 10GbE fabric — 3x the datasheet latency). The
     // optimum shifts: pricier per-collective hops push the tuner toward
     // larger buckets. Run it live with
-    // `figures tuning` or `distributed_training --backend tcp --auto-tune`.
+    // `distributed_training --backend tcp --auto-tune`.
     println!("\nSame sweep on a calibrated profile (fitted α–β, not the datasheet):\n");
     let calibrated = AlphaBetaCost {
         alpha: 15e-6,

@@ -12,12 +12,14 @@
 //!
 //! With `--assert-clean` the process exits non-zero if any schedule
 //! mismatch was observed; with `--max-p99-ms` it additionally enforces a
-//! p99 step-latency bound. CI runs both.
+//! p99 step-latency bound. CI runs both. A concurrency sweep is this
+//! example run at several `--jobs` (e.g. 2, 4 and 8).
 
+use std::net::SocketAddr;
 use std::time::Instant;
 
-use acp_bench::serve::drive_jobs;
-use acp_serve::{ServeConfig, Server};
+use acp_collectives::{Communicator, ReduceOp};
+use acp_serve::{ServeConfig, ServedCommunicator, Server};
 
 fn arg(args: &[String], name: &str) -> Option<String> {
     args.windows(2).find(|w| w[0] == name).map(|w| w[1].clone())
@@ -35,6 +37,58 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     }
     let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
+}
+
+/// Runs `jobs` concurrent jobs of `clients` clients each against the
+/// service at `addr`, every client submitting `steps` collectives, and
+/// returns each submission's round-trip latency in milliseconds.
+///
+/// `compressed` selects the submission shape: dense all-reduce of
+/// `elems` floats, or the top-k pattern (`elems / 64` coordinate
+/// all-gathers of indices then values). Panics on connection or
+/// collective failure — the load generator measures a healthy service.
+fn drive_jobs(
+    addr: SocketAddr,
+    job_base: u64,
+    jobs: usize,
+    clients: u32,
+    steps: usize,
+    elems: usize,
+    compressed: bool,
+) -> Vec<f64> {
+    let handles: Vec<_> = (0..jobs)
+        .flat_map(|j| {
+            (0..clients).map(move |c| {
+                std::thread::spawn(move || {
+                    let job = job_base + j as u64;
+                    let mut comm = ServedCommunicator::connect(addr, job, c, clients)
+                        .expect("load generator connects");
+                    let k = (elems / 64).max(1);
+                    let mut latencies = Vec::with_capacity(steps);
+                    for step in 0..steps {
+                        let started = Instant::now();
+                        if compressed {
+                            let indices: Vec<u32> = (0..k as u32).map(|i| i * 64 + c).collect();
+                            let values: Vec<f32> =
+                                (0..k).map(|i| (i + step) as f32 * 1e-3).collect();
+                            comm.all_gather_u32(&indices).expect("index gather");
+                            comm.all_gather_f32(&values).expect("value gather");
+                        } else {
+                            let mut buf = vec![(step as f32) * 1e-3; elems];
+                            comm.all_reduce(&mut buf, ReduceOp::Sum)
+                                .expect("all-reduce");
+                        }
+                        latencies.push(started.elapsed().as_secs_f64() * 1e3);
+                    }
+                    latencies
+                })
+            })
+        })
+        .collect();
+    handles
+        .into_iter()
+        .flat_map(|h| h.join().expect("load-generator client panicked"))
+        .collect()
 }
 
 fn main() {

@@ -1,7 +1,9 @@
 //! Byte-conservation tests: telemetry-recorded wire bytes must reconcile
 //! exactly with the analytic α–β cost model (`acp_collectives::cost`,
 //! Table II of the paper), and per-step recorded payload bytes must equal
-//! the compressor's own `Payload::wire_bytes()`.
+//! the compressor's own `Payload::wire_bytes()`. The closed-loop autotuner
+//! that fits the cost model back from this telemetry is checked here too,
+//! on a live TCP group.
 
 use std::sync::Arc;
 
@@ -10,9 +12,14 @@ use acp_collectives::{
 };
 use acp_compression::{Compressor, SignSgd, TopK};
 use acp_core::{
-    build_optimizer, AcpSgdConfig, Aggregator, GradViewMut, SignSgdConfig, TopkSgdConfig,
+    build_optimizer, AcpSgdConfig, Aggregator, GradViewMut, SSgdAggregator, SignSgdConfig,
+    TopkSgdConfig,
 };
 use acp_telemetry::{keys, InMemoryRecorder};
+use acp_training::auto_tune_rank;
+use acp_training::dataset::Dataset;
+use acp_training::model::mlp;
+use acp_training::trainer::TrainConfig;
 
 /// Ring all-reduce: every rank's recorded bytes equal `2(p−1)/p · N` for
 /// several world sizes (N chosen divisible by every p so chunks are even).
@@ -201,4 +208,35 @@ fn acp_sgd_wire_bytes_reconcile_with_payload() {
             "rank-4 factor of a 16x16 matrix, f32"
         );
     }
+}
+
+/// `auto_tune_rank` over real sockets: a 4-rank TCP group profiles its
+/// own collectives, fits α–β and agrees on one S-SGD fusion buffer that
+/// never exceeds the gradient and never predicts worse than the 25 MB
+/// default.
+#[test]
+fn auto_tune_rank_calibrates_over_tcp() {
+    let dims = [32, 64, 4];
+    let data = Dataset::gaussian_clusters(4, 32, 60, 0.3, 41);
+    let cfg = TrainConfig {
+        epochs: 1,
+        batch_size: 16,
+        ..TrainConfig::default()
+    };
+    let reports = acp_net::run_local(4, |mut comm| {
+        let mut model = mlp(&dims, 11);
+        let mut agg = SSgdAggregator::new();
+        auto_tune_rank(&mut comm, &mut agg, &mut model, &data, &cfg)
+            .expect("a multi-rank TCP group calibrates")
+    });
+    let r = reports[0];
+    assert_eq!(r.world, 4);
+    let grad_bytes = 4 * mlp(&dims, 11)
+        .params()
+        .iter()
+        .map(|p| p.grad.len())
+        .sum::<usize>();
+    assert!(r.buffer_bytes <= grad_bytes);
+    assert!(r.predicted_tuned_seconds <= r.predicted_default_seconds * 1.001);
+    assert_eq!(r.tuned_rank, None, "ssgd sweeps no rank");
 }
