@@ -271,8 +271,15 @@ mod tests {
             assert!(p.scalar_ns > 0.0 && p.optimized_ns > 0.0, "{p:?}");
         }
         assert!(r.encode_speedup > 0.0 && r.decode_speedup > 0.0);
+    }
+
+    #[test]
+    fn report_renders_and_serializes() {
+        let r = run(true);
         let text = render(&r);
         assert!(text.contains("sign_pack"));
         assert!(text.contains("majority_vote"));
+        assert!(text.contains(&format!("largest bucket ({} elems)", r.largest_elems)));
+        assert_eq!(text.lines().count(), 2 + r.points.len() + 1);
     }
 }

@@ -168,3 +168,47 @@ pub fn all_reduce_two_level<T: Transport + ?Sized>(
     }
     Ok(())
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::cost::{ClusterCost, NetworkTier, TwoLevelCost};
+    use crate::topology::Topology;
+
+    #[test]
+    fn hierarchy_beats_flat_at_large_worlds_on_wan() {
+        // The `figures ext-hierarchy` sweep: one 25 MB bucket over the
+        // balanced layouts (largest group count ≤ √p) for worlds 8–1024,
+        // 10 GbE inside groups and WAN between them. The two-level
+        // schedule must beat the flat ring at every world ≥ 128, and the
+        // advantage must grow with the world: latency terms scale as
+        // 2(p−1) flat vs 2(G−1)+2(s−1) hierarchical.
+        const N: usize = 25 * 1024 * 1024;
+        let layouts = [
+            (8usize, 2usize),
+            (16, 4),
+            (32, 4),
+            (64, 8),
+            (128, 8),
+            (256, 16),
+            (512, 16),
+            (1024, 32),
+        ];
+        let mut speedups = Vec::new();
+        for (world, groups) in layouts {
+            let topo = Topology::grouped(world, groups).unwrap();
+            let two_level = TwoLevelCost::from_tiers(topo, NetworkTier::TenGbE, NetworkTier::Wan)
+                .all_reduce_time(N);
+            let flat = ClusterCost::new(world, NetworkTier::Wan).all_reduce_time(N);
+            if world >= 128 {
+                assert!(
+                    two_level < flat,
+                    "world {world}: two-level {two_level:.4}s not better than flat {flat:.4}s"
+                );
+            }
+            speedups.push(flat / two_level);
+        }
+        for w in speedups.windows(2) {
+            assert!(w[1] > w[0], "speedup must grow with world: {speedups:?}");
+        }
+    }
+}
