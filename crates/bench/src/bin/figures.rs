@@ -9,9 +9,11 @@
 //!   headline   (abstract speedup numbers)
 //!   ext-scaling ext-tune ext-hierarchy   (extensions beyond the paper)
 //!   telemetry  (instrumented ACP-SGD run: per-step metrics + summary)
-//!   kernels    (vectorized vs scalar compressor kernels; --min-speedup N
-//!               exits nonzero if the largest-bucket encode or decode
-//!               speedup falls below N; --quick drops the largest bucket)
+//!   kernels    (vectorized vs scalar compressor kernels and the dense
+//!               A·Bᵀ forward product; --min-speedup N exits nonzero if
+//!               the largest-bucket encode or decode speedup or the
+//!               dense_nt forward speedup falls below N; --quick drops
+//!               the largest bucket)
 //!   all        (everything; convergence at the quick epoch count)
 //! ```
 //!
@@ -75,18 +77,23 @@ fn telemetry() -> String {
     )
 }
 
-/// Times the vectorized compressor kernels against their scalar
-/// references; with `min_speedup`, exits nonzero when the largest-bucket
-/// encode or decode speedup falls below the floor.
+/// Times the vectorized kernels against their scalar references; with
+/// `min_speedup`, exits nonzero when the largest-bucket encode or decode
+/// speedup or the dense forward speedup falls below the floor.
 fn kernels_bench(quick: bool, min_speedup: Option<f64>) -> String {
     use acp_bench::kernels;
     let report = kernels::run(quick);
     let text = kernels::render(&report);
     if let Some(floor) = min_speedup {
-        if report.encode_speedup < floor || report.decode_speedup < floor {
+        let gates = [
+            report.encode_speedup,
+            report.decode_speedup,
+            report.forward_speedup,
+        ];
+        if gates.iter().any(|&s| s < floor) {
             eprintln!(
-                "kernel speedup gate failed: encode {:.2}x / decode {:.2}x, floor {floor}x",
-                report.encode_speedup, report.decode_speedup
+                "kernel speedup gate failed: encode {:.2}x / decode {:.2}x / forward {:.2}x, floor {floor}x",
+                report.encode_speedup, report.decode_speedup, report.forward_speedup
             );
             println!("{text}");
             std::process::exit(1);

@@ -1,14 +1,18 @@
-//! Kernel microbenchmarks: vectorized compressor kernels against their
-//! retained scalar references (`acp_compression::kernels::reference`).
+//! Kernel microbenchmarks: vectorized kernels against their retained
+//! scalar references (`acp_compression::kernels::reference` and
+//! `acp_tensor::kernels::reference`).
 //!
 //! `figures kernels` times sign packing, sign expansion, majority voting,
 //! QSGD quantize/dequantize and abs-key top-k selection at three bucket
-//! sizes and reports the speedup of each kernel over its scalar baseline.
-//! The headline gate — what the CI `kernels` job asserts via
-//! `--min-speedup` — is the encode and decode speedup on the *largest*
-//! bucket: sign packing on the encode side and the bit-sliced majority
-//! vote on the decode side, the two kernels on the per-step critical path
-//! of sign-based aggregation.
+//! sizes, plus the training forward product `A·Bᵀ` (`dense_nt`) at the
+//! rings MLP's widest layer, and reports the speedup of each kernel over
+//! its scalar baseline. The three headline gates — what the CI `kernels`
+//! job asserts via `--min-speedup` — are the encode and decode speedups on
+//! the *largest* bucket (sign packing and the bit-sliced majority vote,
+//! the two kernels on the per-step critical path of sign-based
+//! aggregation) and the forward speedup of `dense_nt`, single-threaded,
+//! which falls to about 1× if the register-blocked product stops
+//! vectorizing.
 //!
 //! Timing is best-of-`reps` over batched iterations (min, not mean: the
 //! minimum is the least noisy estimator of the achievable time on a shared
@@ -19,17 +23,21 @@ use std::time::Instant;
 
 use acp_compression::kernels;
 use acp_compression::kernels::reference;
-use acp_tensor::{Matrix, SeedableStdNormal};
+use acp_tensor::{Matrix, SeedableStdNormal, WorkerPool};
 
 /// Ranks voting in the majority-vote benchmark.
 pub const VOTE_WORLD: usize = 8;
+
+/// `(n, k, m)` of the `dense_nt` row: the rings MLP's 256-wide hidden
+/// layer forward, a 32-sample batch `32×256` times `(256×256)ᵀ`.
+pub const DENSE_NT_SHAPE: (usize, usize, usize) = (32, 256, 256);
 
 /// One kernel timed at one bucket size.
 #[derive(Debug, Clone)]
 pub struct KernelPoint {
     /// Kernel label (`sign_pack`, `sign_unpack`, `majority_vote`, …).
     pub kernel: &'static str,
-    /// Bucket size in elements.
+    /// Bucket size in elements; multiply-adds for `dense_nt`.
     pub elems: usize,
     /// Scalar reference time per call, nanoseconds (best of reps).
     pub scalar_ns: f64,
@@ -41,7 +49,7 @@ pub struct KernelPoint {
     pub gelems_per_s: f64,
 }
 
-/// The full kernel sweep plus the two headline gates.
+/// The full kernel sweep plus the three headline gates.
 #[derive(Debug, Clone)]
 pub struct KernelReport {
     /// Bucket sizes timed, ascending.
@@ -54,6 +62,8 @@ pub struct KernelReport {
     pub encode_speedup: f64,
     /// Majority-vote speedup on the largest bucket (the decode gate).
     pub decode_speedup: f64,
+    /// `dense_nt` speedup (the forward gate).
+    pub forward_speedup: f64,
 }
 
 /// Best-of-`reps` time per call of `f`, in nanoseconds, each rep averaging
@@ -209,6 +219,30 @@ fn sweep_size(elems: usize, reps: usize, points: &mut Vec<KernelPoint>) {
     points.push(point("topk_select", elems, scalar, fast));
 }
 
+/// Times the scalar `A·Bᵀ` reference against `matmul_nt_into` at
+/// [`DENSE_NT_SHAPE`], both on the calling thread: the gate measures
+/// vectorization, not the pool.
+fn dense_nt(reps: usize) -> KernelPoint {
+    use acp_tensor::kernels::{matmul_nt_into, reference::matmul_nt};
+    let (n, k, m) = DENSE_NT_SHAPE;
+    let a = Matrix::random_std_normal(n, k, 5).into_vec();
+    let b = Matrix::random_std_normal(m, k, 6).into_vec();
+    let inline = WorkerPool::new(0);
+    let mut out = vec![0.0f32; n * m];
+    let iters = ((1usize << 24) / (n * k * m)).max(4);
+    let scalar = best_ns(
+        || drop(black_box(matmul_nt(n, k, m, black_box(&a), &b))),
+        iters,
+        reps,
+    );
+    let fast = best_ns(
+        || matmul_nt_into(&inline, n, k, m, black_box(&a), &b, black_box(&mut out)),
+        iters,
+        reps,
+    );
+    point("dense_nt", n * k * m, scalar, fast)
+}
+
 /// Runs the sweep. `quick` keeps CI smoke runs to a couple of seconds by
 /// dropping the largest bucket and the repetition count.
 pub fn run(quick: bool) -> KernelReport {
@@ -221,6 +255,9 @@ pub fn run(quick: bool) -> KernelReport {
     for &elems in &sizes {
         sweep_size(elems, reps, &mut points);
     }
+    let dense = dense_nt(reps);
+    let forward_speedup = dense.speedup;
+    points.push(dense);
     let largest_elems = *sizes.last().expect("sizes is non-empty");
     let gate = |kernel: &str| {
         points
@@ -231,6 +268,7 @@ pub fn run(quick: bool) -> KernelReport {
     KernelReport {
         encode_speedup: gate("sign_pack"),
         decode_speedup: gate("majority_vote"),
+        forward_speedup,
         sizes,
         points,
         largest_elems,
@@ -240,7 +278,7 @@ pub fn run(quick: bool) -> KernelReport {
 /// Human-readable rendering for the terminal.
 pub fn render(r: &KernelReport) -> String {
     let mut out = format!(
-        "Compression kernels vs scalar reference (vote world {VOTE_WORLD})\n\
+        "Kernels vs scalar reference (vote world {VOTE_WORLD})\n\
          {:>15} {:>10} {:>12} {:>12} {:>9} {:>10}\n",
         "kernel", "elems", "scalar(ns)", "kernel(ns)", "speedup", "Gelem/s",
     );
@@ -251,8 +289,8 @@ pub fn render(r: &KernelReport) -> String {
         ));
     }
     out.push_str(&format!(
-        "largest bucket ({} elems): encode {:.2}x, decode {:.2}x\n",
-        r.largest_elems, r.encode_speedup, r.decode_speedup,
+        "largest bucket ({} elems): encode {:.2}x, decode {:.2}x; dense_nt: forward {:.2}x\n",
+        r.largest_elems, r.encode_speedup, r.decode_speedup, r.forward_speedup,
     ));
     out
 }
@@ -265,12 +303,12 @@ mod tests {
     fn quick_sweep_reports_every_kernel_at_every_size() {
         let r = run(true);
         assert_eq!(r.sizes.len(), 2);
-        assert_eq!(r.points.len(), 6 * r.sizes.len());
+        assert_eq!(r.points.len(), 6 * r.sizes.len() + 1);
         assert_eq!(r.largest_elems, 1 << 18);
         for p in &r.points {
             assert!(p.scalar_ns > 0.0 && p.optimized_ns > 0.0, "{p:?}");
         }
-        assert!(r.encode_speedup > 0.0 && r.decode_speedup > 0.0);
+        assert!(r.encode_speedup > 0.0 && r.decode_speedup > 0.0 && r.forward_speedup > 0.0);
     }
 
     #[test]
@@ -279,6 +317,7 @@ mod tests {
         let text = render(&r);
         assert!(text.contains("sign_pack"));
         assert!(text.contains("majority_vote"));
+        assert!(text.contains("dense_nt"));
         assert!(text.contains(&format!("largest bucket ({} elems)", r.largest_elems)));
         assert_eq!(text.lines().count(), 2 + r.points.len() + 1);
     }

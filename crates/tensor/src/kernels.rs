@@ -147,8 +147,17 @@ pub fn matmul_tn_into(
 /// `out ← A·Bᵀ` with `A: n×k`, `B: m×k`, `out: n×m`, without materializing
 /// the transpose. Overwrites `out`; its previous contents are never read.
 ///
-/// Each output element is one strictly sequential dot product (bit-identity
-/// forbids splitting the accumulator); tasks own disjoint output rows.
+/// Each output element is still one dot product `0.0 + a₀b₀ + a₁b₁ + …`
+/// in ascending `k` — splitting its accumulator would change the bits —
+/// but a task computes [`ROW_BLOCK`] × [`NT_COLS`] of them at once: it
+/// packs `NT_COLS` rows of `B` into a `k × NT_COLS` panel of `Bᵀ` once per
+/// column block, then sweeps the panel with tiles of independent running
+/// sums, one per output element, so one step of `k` is a few vector
+/// multiplies and adds instead of one scalar add waiting on the last.
+/// The multiply and the add stay separate operations (no fused
+/// multiply-add), exactly as in the reference loop. Tasks own disjoint
+/// output rows; the panel lives in a per-thread scratch buffer, so a call
+/// allocates nothing once a thread has seen its largest `k`.
 ///
 /// # Panics
 ///
@@ -173,19 +182,102 @@ pub fn matmul_nt_into(
     }
     let tasks = tasks_for(pool, n * k * m);
     pool.for_each_unit_chunk_mut(out, m, tasks, |i0, piece| {
-        for (ri, out_row) in piece.chunks_exact_mut(m).enumerate() {
-            let i = i0 + ri;
-            let a_row = &a[i * k..i * k + k];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = &b[j * k..j * k + k];
-                let mut acc = 0.0f32;
-                for (&av, &bv) in a_row.iter().zip(b_row) {
-                    acc += av * bv;
-                }
-                *o = acc;
+        let rows = piece.len() / m;
+        NT_PANEL.with_borrow_mut(|panel| {
+            if panel.len() < k * NT_COLS {
+                panel.resize(k * NT_COLS, 0.0);
+            }
+            matmul_nt_rows(
+                k,
+                m,
+                &a[i0 * k..][..rows * k],
+                b,
+                &mut panel[..k * NT_COLS],
+                piece,
+            );
+        });
+    });
+}
+
+/// Output columns one packed panel of [`matmul_nt_into`] covers: two SSE
+/// vectors, so a [`ROW_BLOCK`]-row tile is eight vector accumulators.
+const NT_COLS: usize = 8;
+
+thread_local! {
+    /// The `k × NT_COLS` panel of `Bᵀ` [`matmul_nt_into`] packs: one per
+    /// thread that runs the kernel, grown to the largest `k` it has seen
+    /// and kept.
+    static NT_PANEL: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Whole rows of `A·Bᵀ`: per block of [`NT_COLS`] output columns, pack the
+/// block's rows of `B` into `panel`, then sweep it with [`ROW_BLOCK`]-row
+/// tiles (single rows for the remainder).
+#[inline(never)]
+fn matmul_nt_rows(
+    k: usize,
+    m: usize,
+    a_rows: &[f32],
+    b: &[f32],
+    panel: &mut [f32],
+    out_rows: &mut [f32],
+) {
+    let rows = out_rows.len() / m;
+    for j0 in (0..m).step_by(NT_COLS) {
+        let w = NT_COLS.min(m - j0);
+        pack_nt_panel(&b[j0 * k..][..w * k], k, panel);
+        let mut i = 0;
+        while i < rows {
+            let nb = if rows - i >= ROW_BLOCK { ROW_BLOCK } else { 1 };
+            let out = &mut out_rows[i * m + j0..];
+            if nb == ROW_BLOCK {
+                let a: [&[f32]; ROW_BLOCK] = std::array::from_fn(|ri| &a_rows[(i + ri) * k..][..k]);
+                matmul_nt_tile(a, panel, m, w, out);
+            } else {
+                matmul_nt_tile([&a_rows[i * k..][..k]], panel, m, w, out);
+            }
+            i += nb;
+        }
+    }
+}
+
+/// `panel[kk][jj] = b_rows[jj][kk]` for the `b_rows.len() / k` rows given;
+/// the columns past them are zeroed (their sums are computed and dropped).
+fn pack_nt_panel(b_rows: &[f32], k: usize, panel: &mut [f32]) {
+    let (panel, _) = panel.as_chunks_mut::<NT_COLS>();
+    let w = b_rows.len() / k;
+    for (kk, dst) in panel.iter_mut().enumerate() {
+        for (jj, d) in dst.iter_mut().enumerate() {
+            *d = if jj < w { b_rows[jj * k + kk] } else { 0.0 };
+        }
+    }
+}
+
+/// The first `w` columns of an `NR × NT_COLS` tile of `A·Bᵀ`, written at
+/// the head of `NR` rows of `out` (row stride `m`): one running sum per
+/// element, `k` ascending, held in registers across the whole sweep.
+#[inline(always)]
+fn matmul_nt_tile<const NR: usize>(
+    a: [&[f32]; NR],
+    panel: &[f32],
+    m: usize,
+    w: usize,
+    out: &mut [f32],
+) {
+    let (panel, _) = panel.as_chunks::<NT_COLS>();
+    let a: [&[f32]; NR] = a.map(|row| &row[..panel.len()]);
+    let mut acc = [[0.0f32; NT_COLS]; NR];
+    for (kk, p) in panel.iter().enumerate() {
+        for ri in 0..NR {
+            let av = a[ri][kk];
+            for (s, &pv) in acc[ri].iter_mut().zip(p) {
+                *s += av * pv;
             }
         }
-    });
+    }
+    for (ri, acc) in acc.iter().enumerate() {
+        out[ri * m..][..w].copy_from_slice(&acc[..w]);
+    }
 }
 
 /// Project rows: `P ← C·Q` with gradient `C: n×m`, thin factor `Q: m×r`,
@@ -1068,6 +1160,22 @@ mod tests {
             let mut out = vec![f32::NAN; n * k];
             matmul_nt_into(&pool, n, m, k, &a, &b, &mut out);
             assert_eq!(bits(&out), bits(&reference::matmul_nt(n, m, k, &a, &b)));
+        }
+    }
+
+    #[test]
+    fn matmul_nt_matches_reference_bitwise_across_uneven_task_splits() {
+        // 37·100·29 ≥ PAR_THRESHOLD: row splits that leave each task a
+        // remainder below the 4-row tile, and a partial last panel.
+        let (n, k, m) = (37, 100, 29);
+        let a = factor(n * k, 41);
+        let b = factor(m * k, 42);
+        let expected = bits(&reference::matmul_nt(n, k, m, &a, &b));
+        for workers in 0..=3 {
+            let pool = WorkerPool::new(workers);
+            let mut out = vec![f32::NAN; n * m];
+            matmul_nt_into(&pool, n, k, m, &a, &b, &mut out);
+            assert_eq!(bits(&out), expected, "workers={workers}");
         }
     }
 

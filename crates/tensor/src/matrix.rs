@@ -241,12 +241,13 @@ impl Matrix {
                 rhs: (other.rows, other.cols),
             });
         }
-        let mut out = Matrix::zeros(self.rows, other.cols);
+        let (n, k, m) = (self.rows, self.cols, other.cols);
+        let mut out = Matrix::zeros(n, m);
         crate::kernels::matmul_into(
-            crate::pool::global_for(self.rows * self.cols * other.cols),
-            self.rows,
-            self.cols,
-            other.cols,
+            crate::pool::global_for(n * k * m),
+            n,
+            k,
+            m,
             &self.data,
             &other.data,
             &mut out.data,
@@ -282,12 +283,13 @@ impl Matrix {
                 rhs: (other.rows, other.cols),
             });
         }
-        let mut out = Matrix::zeros(self.cols, other.cols);
+        let (n, k, m) = (self.rows, self.cols, other.cols);
+        let mut out = Matrix::zeros(k, m);
         crate::kernels::matmul_tn_into(
-            crate::pool::global_for(self.rows * self.cols * other.cols),
-            self.rows,
-            self.cols,
-            other.cols,
+            crate::pool::global_for(n * k * m),
+            n,
+            k,
+            m,
             &self.data,
             &other.data,
             &mut out.data,
@@ -323,12 +325,13 @@ impl Matrix {
                 rhs: (other.rows, other.cols),
             });
         }
-        let mut out = Matrix::zeros(self.rows, other.rows);
+        let (n, k, m) = (self.rows, self.cols, other.rows);
+        let mut out = Matrix::zeros(n, m);
         crate::kernels::matmul_nt_into(
-            crate::pool::global_for(self.rows * self.cols * other.cols),
-            self.rows,
-            self.cols,
-            other.rows,
+            crate::pool::global_for(n * k * m),
+            n,
+            k,
+            m,
             &self.data,
             &other.data,
             &mut out.data,

@@ -2,8 +2,9 @@
 
 use proptest::prelude::*;
 
+use acp_tensor::kernels::{matmul_nt_into, reference, THIN_MAX};
 use acp_tensor::vecops;
-use acp_tensor::{orthogonalize, orthogonalize_householder, Matrix, MatrixShape};
+use acp_tensor::{orthogonalize, orthogonalize_householder, Matrix, MatrixShape, WorkerPool};
 
 /// Strategy: a matrix with bounded dimensions and values.
 fn matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
@@ -13,8 +14,60 @@ fn matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
     })
 }
 
+/// Strategy: `len` values, about one in fifty replaced by a signed zero,
+/// an infinity or NaN — the values on which a reordered add or a fused
+/// multiply-add shows in the bits.
+fn salted(len: usize) -> impl Strategy<Value = Vec<f32>> {
+    proptest::collection::vec((-100.0f32..100.0, 0u8..=255), len).prop_map(|v| {
+        v.into_iter()
+            .map(|(x, salt)| match salt {
+                0 => -0.0,
+                1 => 0.0,
+                2 => f32::INFINITY,
+                3 => f32::NEG_INFINITY,
+                4 => f32::NAN,
+                _ => x,
+            })
+            .collect()
+    })
+}
+
+/// Strategy: `(n, k, m, A, B)` for `A·Bᵀ` on the generic (non-thin) route:
+/// row counts off the 4-row tile, `k` past `THIN_MAX`, `m` off the
+/// 8-column panel.
+fn nt_operands() -> impl Strategy<Value = (usize, usize, usize, Vec<f32>, Vec<f32>)> {
+    (1usize..=13, THIN_MAX + 1..=80, 1usize..=20).prop_flat_map(|(n, k, m)| {
+        (salted(n * k), salted(m * k)).prop_map(move |(a, b)| (n, k, m, a, b))
+    })
+}
+
+/// Bit patterns, with every NaN mapped to one: which operand's sign and
+/// payload an add of two NaNs returns is left open by IEEE 754 and
+/// unspecified in Rust, so only NaN-ness is part of the contract.
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn matmul_nt_generic_route_matches_reference_bitwise(
+        operands in nt_operands(),
+        workers in 0usize..=3,
+    ) {
+        let (n, k, m, a, b) = operands;
+        let pool = WorkerPool::new(workers);
+        let mut out = vec![f32::NAN; n * m];
+        matmul_nt_into(&pool, n, k, m, &a, &b, &mut out);
+        prop_assert_eq!(
+            bits(&out),
+            bits(&reference::matmul_nt(n, k, m, &a, &b)),
+            "n={} k={} m={} workers={}", n, k, m, workers
+        );
+    }
 
     #[test]
     fn transpose_is_involutive(m in matrix(12)) {

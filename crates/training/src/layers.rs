@@ -6,6 +6,8 @@
 //! pooling and flatten. Forward caches whatever backward needs; backward
 //! fills the parameter gradients and returns the input gradient.
 
+use acp_tensor::kernels;
+use acp_tensor::pool::global_for;
 use acp_tensor::rng::fill_std_normal;
 use acp_tensor::Matrix;
 use rand_chacha::ChaCha8Rng;
@@ -87,42 +89,44 @@ impl Layer for Dense {
             "dense input shape mismatch: {:?}",
             input.dims()
         );
-        let x = Matrix::from_vec(batch, self.in_features, input.as_slice().to_vec())
-            .expect("checked length");
-        let w = Matrix::from_vec(self.out_features, self.in_features, self.w.clone())
-            .expect("weight buffer consistent");
-        let mut y = x.matmul_nt(&w); // (batch, out)
-        for bi in 0..batch {
-            let row = y.row_mut(bi);
+        let (n, k, m) = (batch, self.in_features, self.out_features);
+        let mut y = vec![0.0f32; n * m];
+        kernels::matmul_nt_into(
+            global_for(n * k * m),
+            n,
+            k,
+            m,
+            input.as_slice(),
+            &self.w,
+            &mut y,
+        );
+        for row in y.chunks_exact_mut(m) {
             for (o, bias) in row.iter_mut().zip(&self.b) {
                 *o += bias;
             }
         }
         self.cached_input = Some(input.clone());
-        Tensor::from_vec(&[batch, self.out_features], y.into_vec())
+        Tensor::from_vec(&[batch, m], y)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let input = self.cached_input.take().expect("backward before forward");
-        let batch = input.batch();
-        let dy = Matrix::from_vec(batch, self.out_features, grad_out.as_slice().to_vec())
-            .expect("grad shape");
-        let x = Matrix::from_vec(batch, self.in_features, input.as_slice().to_vec())
-            .expect("input shape");
+        let (batch, out, inp) = (input.batch(), self.out_features, self.in_features);
+        let dy = grad_out.as_slice();
+        assert_eq!(dy.len(), batch * out, "dense grad shape mismatch");
+        let pool = global_for(batch * out * inp);
         // gW = dyᵀ x, gb = column sums of dy.
-        let gw = dy.matmul_tn(&x);
-        self.gw.copy_from_slice(gw.as_slice());
+        kernels::matmul_tn_into(pool, batch, out, inp, dy, input.as_slice(), &mut self.gw);
         self.gb.fill(0.0);
-        for bi in 0..batch {
-            for (g, v) in self.gb.iter_mut().zip(dy.row(bi)) {
+        for row in dy.chunks_exact(out) {
+            for (g, v) in self.gb.iter_mut().zip(row) {
                 *g += v;
             }
         }
         // dx = dy W.
-        let w = Matrix::from_vec(self.out_features, self.in_features, self.w.clone())
-            .expect("weight buffer consistent");
-        let dx = dy.matmul(&w);
-        Tensor::from_vec(input.dims(), dx.into_vec())
+        let mut dx = vec![0.0f32; batch * inp];
+        kernels::matmul_into(pool, batch, out, inp, dy, &self.w, &mut dx);
+        Tensor::from_vec(input.dims(), dx)
     }
 
     fn params(&mut self) -> Vec<Param<'_>> {

@@ -26,11 +26,11 @@ impl Sequential {
 
     /// Runs the forward pass, caching activations for backward.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x);
-        }
-        x
+        let mut layers = self.layers.iter_mut();
+        let Some(first) = layers.next() else {
+            return input.clone();
+        };
+        layers.fold(first.forward(input), |x, layer| layer.forward(&x))
     }
 
     /// Runs the backward pass, filling every parameter gradient.
