@@ -1,10 +1,15 @@
-//! Pool-parallel matrix-multiply kernels for the low-rank compressors.
+//! Pool-parallel matrix-multiply kernels for training and the low-rank
+//! compressors.
 //!
 //! Two families compute the same three products (`A·B`, `Aᵀ·B`, `A·Bᵀ`):
 //!
-//! * the generic tiled kernels ([`matmul_into`], [`matmul_tn_into`],
-//!   [`matmul_nt_into`]) stream over contiguous rows of a wide operand —
-//!   the shape of the forward/backward products `acp-training` issues;
+//! * the generic kernels serve wide operands — the forward/backward
+//!   products `acp-training` issues. [`matmul_into`] and
+//!   [`matmul_tn_into`] stream across contiguous output rows, so their
+//!   inner loop is already a vector of independent sums; [`matmul_nt_into`]
+//!   (`x·Wᵀ`, a dense layer's forward) has a dot product per element
+//!   instead, so it packs a panel of `Bᵀ` and sweeps it with a register
+//!   tile of independent running sums;
 //! * the thin-factor kernels ([`project_rows`], [`project_cols`],
 //!   [`reconstruct`] and their error-feedback forms) serve the low-rank
 //!   compressors, where one operand is an `n×m` gradient and the other a
@@ -21,10 +26,13 @@
 //! the same floating-point order as the naive loops in [`mod@reference`] —
 //! start from `0.0`, add the terms in ascending inner index, skip a term
 //! whose gradient element is zero where the reference does. Blocking,
-//! panels and parallelism only decide *when* and *on which thread* an
-//! element's chain runs, never the order of the adds that produce it. The
-//! `*_matches_*` tests below and the byte-identity proptests in
-//! `acp-compression` pin this.
+//! panels, register tiles and parallelism only decide *when* and *on which
+//! thread* an element's chain runs, never the order of the adds that
+//! produce it: a tile holds one accumulator per output element and
+//! advances them all by one inner index per step, with the multiply and
+//! the add kept separate (no fused multiply-add). The `*_matches_*` tests
+//! below, the `A·Bᵀ` proptest in `tests/properties.rs` and the
+//! byte-identity proptests in `acp-compression` pin this.
 
 use crate::pool::{WorkerPool, PAR_THRESHOLD};
 
@@ -33,13 +41,18 @@ use crate::pool::{WorkerPool, PAR_THRESHOLD};
 /// four interleaved rows.
 pub const THIN_MAX: usize = 8;
 
-/// Gradient rows a thin projection walks together. One row is a single
-/// add chain per output column, bound by add latency; interleaved rows
-/// are independent chains. Fixed by the sweep recorded in DESIGN.md §12.
+/// Rows a thin projection, and an `A·Bᵀ` tile, walk together. One row is
+/// a single add chain per output column, bound by add latency; interleaved
+/// rows are independent chains. Fixed by the sweep recorded in DESIGN.md
+/// §12.
 const ROW_BLOCK: usize = 4;
 
 /// Output columns [`reconstruct`] accumulates together (four SSE vectors).
 const LANES: usize = 16;
+
+/// Output columns one packed panel of [`matmul_nt_into`] covers: two SSE
+/// vectors, so a [`ROW_BLOCK`]-row tile is eight vector accumulators.
+const NT_COLS: usize = 8;
 
 /// Task count for a kernel doing roughly `flops` multiply-adds.
 fn tasks_for(pool: &WorkerPool, flops: usize) -> usize {
@@ -149,11 +162,11 @@ pub fn matmul_tn_into(
 ///
 /// Each output element is still one dot product `0.0 + a₀b₀ + a₁b₁ + …`
 /// in ascending `k` — splitting its accumulator would change the bits —
-/// but a task computes [`ROW_BLOCK`] × [`NT_COLS`] of them at once: it
-/// packs `NT_COLS` rows of `B` into a `k × NT_COLS` panel of `Bᵀ` once per
-/// column block, then sweeps the panel with tiles of independent running
-/// sums, one per output element, so one step of `k` is a few vector
-/// multiplies and adds instead of one scalar add waiting on the last.
+/// but a task computes a 4×8 tile of them at once: it packs 8 rows of
+/// `B` into a `k × 8` panel of `Bᵀ` once per column block, then sweeps the
+/// panel with tiles of independent running sums, one per output element,
+/// so one step of `k` is a few vector multiplies and adds instead of one
+/// scalar add waiting on the last.
 /// The multiply and the add stay separate operations (no fused
 /// multiply-add), exactly as in the reference loop. Tasks own disjoint
 /// output rows; the panel lives in a per-thread scratch buffer, so a call
@@ -198,10 +211,6 @@ pub fn matmul_nt_into(
         });
     });
 }
-
-/// Output columns one packed panel of [`matmul_nt_into`] covers: two SSE
-/// vectors, so a [`ROW_BLOCK`]-row tile is eight vector accumulators.
-const NT_COLS: usize = 8;
 
 thread_local! {
     /// The `k × NT_COLS` panel of `Bᵀ` [`matmul_nt_into`] packs: one per

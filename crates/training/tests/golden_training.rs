@@ -8,8 +8,9 @@
 //! these constants. The Conv2d pin covers the one other `A·Bᵀ` user, the
 //! weight gradient `dy · colsᵀ`.
 //!
-//! The constants were recorded with the scalar one-dot-product-per-element
-//! `A·Bᵀ` loop; any faster kernel must reproduce them exactly.
+//! The constants are what the scalar loops of
+//! `acp_tensor::kernels::reference` produce; every kernel must reproduce
+//! them exactly.
 
 use acp_collectives::ThreadGroup;
 use acp_core::{build_optimizer, Aggregator};
