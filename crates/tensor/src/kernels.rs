@@ -41,18 +41,41 @@ use crate::pool::{WorkerPool, PAR_THRESHOLD};
 /// four interleaved rows.
 pub const THIN_MAX: usize = 8;
 
-/// Rows a thin projection, and an `A·Bᵀ` tile, walk together. One row is
-/// a single add chain per output column, bound by add latency; interleaved
-/// rows are independent chains. Fixed by the sweep recorded in DESIGN.md
-/// §12.
+/// Rows an `A·Bᵀ` tile and a column-projection block walk together. One
+/// row is a single add chain per output element, bound by add latency;
+/// interleaved rows are independent chains. Fixed by the sweep recorded
+/// in DESIGN.md §12.
 const ROW_BLOCK: usize = 4;
 
-/// Output columns [`reconstruct`] accumulates together (four SSE vectors).
-const LANES: usize = 16;
+/// `f32` lanes of one vector of the thin-factor kernels: an AVX2
+/// register, or two SSE registers in the portable instantiation. Each
+/// lane holds one output element.
+const LANES: usize = 8;
 
-/// Output columns one packed panel of [`matmul_nt_into`] covers: two SSE
-/// vectors, so a [`ROW_BLOCK`]-row tile is eight vector accumulators.
-const NT_COLS: usize = 8;
+/// Output columns one packed panel of [`matmul_nt_into`] covers: eight
+/// lanes, so a [`ROW_BLOCK`]-row tile is four 8-lane accumulators (eight
+/// SSE registers in the baseline build this product is compiled for).
+const NT_COLS: usize = LANES;
+
+thread_local! {
+    /// Per-thread staging space of the kernels: the packed `Bᵀ` panel of
+    /// [`matmul_nt_into`], a thin kernel's transposed factor or its
+    /// transposed accumulators. Grown to the largest request the thread
+    /// has seen and kept, so a warm call allocates nothing.
+    static SCRATCH: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on `len` elements of this thread's scratch, contents
+/// unspecified. Tasks borrow it; a task never runs another task, so the
+/// borrow never nests.
+fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    SCRATCH.with_borrow_mut(|buf| {
+        if buf.len() < len {
+            buf.resize(len, 0.0);
+        }
+        f(&mut buf[..len])
+    })
+}
 
 /// Task count for a kernel doing roughly `flops` multiply-adds.
 fn tasks_for(pool: &WorkerPool, flops: usize) -> usize {
@@ -196,27 +219,10 @@ pub fn matmul_nt_into(
     let tasks = tasks_for(pool, n * k * m);
     pool.for_each_unit_chunk_mut(out, m, tasks, |i0, piece| {
         let rows = piece.len() / m;
-        NT_PANEL.with_borrow_mut(|panel| {
-            if panel.len() < k * NT_COLS {
-                panel.resize(k * NT_COLS, 0.0);
-            }
-            matmul_nt_rows(
-                k,
-                m,
-                &a[i0 * k..][..rows * k],
-                b,
-                &mut panel[..k * NT_COLS],
-                piece,
-            );
+        with_scratch(k * NT_COLS, |panel| {
+            matmul_nt_rows(k, m, &a[i0 * k..][..rows * k], b, panel, piece);
         });
     });
-}
-
-thread_local! {
-    /// The `k × NT_COLS` panel of `Bᵀ` [`matmul_nt_into`] packs: one per
-    /// thread that runs the kernel, grown to the largest `k` it has seen
-    /// and kept.
-    static NT_PANEL: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Whole rows of `A·Bᵀ`: per block of [`NT_COLS`] output columns, pack the
@@ -306,11 +312,11 @@ pub fn project_rows(
     q: &[f32],
     p: &mut [f32],
 ) {
-    project_rows_impl(pool, n, m, r, c, None, q, p, false);
+    project_rows_impl(Isa::detect(), pool, n, m, r, c, None, q, p, false);
 }
 
 /// Project rows with error feedback, in place: `E ← G + E`, `P ← E·Q`
-/// and, when `residual` is set, `E ← E − P·Qᵀ` — each on the block of
+/// and, when `residual` is set, `E ← E − P·Qᵀ` — each on the tile of
 /// rows the previous one just left in cache, so the whole update reads
 /// `G` once and reads and writes `E` once. Overwrites `p`. Bit-identical
 /// to running the element-wise add, [`project_rows`] and
@@ -332,7 +338,18 @@ pub fn project_rows_corrected(
     residual: bool,
 ) {
     assert_eq!(error.len(), n * m, "project_rows error length mismatch");
-    project_rows_impl(pool, n, m, r, grad, Some(error), q, p, residual);
+    project_rows_impl(
+        Isa::detect(),
+        pool,
+        n,
+        m,
+        r,
+        grad,
+        Some(error),
+        q,
+        p,
+        residual,
+    );
 }
 
 /// Project columns: `Q ← Cᵀ·P` with gradient `C: n×m`, thin factor
@@ -353,7 +370,7 @@ pub fn project_cols(
     p: &[f32],
     q: &mut [f32],
 ) {
-    project_cols_impl(pool, n, m, r, c, None, p, q);
+    project_cols_impl(Isa::detect(), pool, n, m, r, c, None, p, q);
 }
 
 /// Project columns with error feedback, in place: `E ← G + E` and
@@ -375,13 +392,13 @@ pub fn project_cols_corrected(
     q: &mut [f32],
 ) {
     assert_eq!(error.len(), n * m, "project_cols error length mismatch");
-    project_cols_impl(pool, n, m, r, grad, Some(error), p, q);
+    project_cols_impl(Isa::detect(), pool, n, m, r, grad, Some(error), p, q);
 }
 
 /// Reconstruct: `out ← P·Qᵀ` with thin factors `P: n×r`, `Q: m×r`,
-/// `out: n×m`. Overwrites `out`. Works over a transposed `r×m` copy of `Q`
-/// so the inner loop runs across contiguous output columns; each element
-/// is still `0.0 + p₀q₀ + p₁q₁ + …` in ascending order, as in
+/// `out: n×m`. Overwrites `out`. Each task transposes `Q` into its
+/// scratch so a vector holds eight contiguous output columns; each
+/// element is still `0.0 + p₀q₀ + p₁q₁ + …` in ascending order, as in
 /// [`matmul_nt_into`]. Tasks own disjoint rows of `out`.
 ///
 /// # Panics
@@ -396,7 +413,7 @@ pub fn reconstruct(
     q: &[f32],
     out: &mut [f32],
 ) {
-    reconstruct_impl(pool, n, m, r, p, q, out, false);
+    reconstruct_impl(Isa::detect(), pool, n, m, r, p, q, out, false);
 }
 
 /// The error-feedback residual, in place: `E ← E − P·Qᵀ`, without
@@ -415,12 +432,367 @@ pub fn subtract_reconstruction(
     q: &[f32],
     error: &mut [f32],
 ) {
-    reconstruct_impl(pool, n, m, r, p, q, error, true);
+    reconstruct_impl(Isa::detect(), pool, n, m, r, p, q, error, true);
 }
 
-/// Widths of the register panels a factor of width `r` is cut into,
+/// The instantiation of the lane kernels a thin-factor call runs. The
+/// public entry points take [`Isa::detect`]; the tests also drive each
+/// instantiation directly.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Isa {
+    /// Plain Rust over `[f32; 8]` arrays, for any CPU.
+    Portable,
+    /// `__m256` registers, on an x86-64 CPU that has AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2(avx2::Avx2),
+}
+
+impl Isa {
+    /// AVX2 where this CPU has it, the portable instantiation elsewhere.
+    pub(crate) fn detect() -> Isa {
+        Isa::avx2().unwrap_or(Isa::Portable)
+    }
+
+    /// The AVX2 instantiation, if this CPU runs it.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn avx2() -> Option<Isa> {
+        avx2::Avx2::detect().map(Isa::Avx2)
+    }
+
+    /// The AVX2 instantiation, if this CPU runs it.
+    #[cfg(not(target_arch = "x86_64"))]
+    pub(crate) fn avx2() -> Option<Isa> {
+        None
+    }
+}
+
+/// Eight `f32` lanes of one instruction set: the operations the lane
+/// kernels below are written in. Every operation is lane-wise IEEE
+/// arithmetic, so each instantiation computes each lane exactly as the
+/// scalar loop computes that element.
+trait Lanes: Copy {
+    /// Eight `f32` lanes.
+    type V: Copy;
+    /// Eight lane flags.
+    type M: Copy;
+    /// `+0.0` in every lane.
+    fn zero(self) -> Self::V;
+    /// `x` in every lane.
+    fn splat(self, x: f32) -> Self::V;
+    fn load(self, src: &[f32; LANES]) -> Self::V;
+    fn store(self, v: Self::V, dst: &mut [f32; LANES]);
+    fn add(self, a: Self::V, b: Self::V) -> Self::V;
+    fn sub(self, a: Self::V, b: Self::V) -> Self::V;
+    fn mul(self, a: Self::V, b: Self::V) -> Self::V;
+    /// Flags the lanes of `c` that are not `±0.0` (NaN is not zero).
+    fn nonzero(self, c: Self::V) -> Self::M;
+    /// `v` in the flagged lanes, `+0.0` in the others.
+    fn keep(self, mask: Self::M, v: Self::V) -> Self::V;
+    /// The 8×8 transpose: lane `i` of output `j` is lane `j` of row `i`.
+    fn transpose(self, rows: [Self::V; LANES]) -> [Self::V; LANES];
+}
+
+/// The instantiation for any CPU: what the compiler makes of `[f32; 8]`
+/// on the target it builds for (two SSE registers on baseline x86-64).
+#[derive(Clone, Copy, Debug)]
+struct Portable;
+
+impl Lanes for Portable {
+    type V = [f32; LANES];
+    type M = [bool; LANES];
+
+    #[inline(always)]
+    fn zero(self) -> Self::V {
+        [0.0; LANES]
+    }
+
+    #[inline(always)]
+    fn splat(self, x: f32) -> Self::V {
+        [x; LANES]
+    }
+
+    #[inline(always)]
+    fn load(self, src: &[f32; LANES]) -> Self::V {
+        *src
+    }
+
+    #[inline(always)]
+    fn store(self, v: Self::V, dst: &mut [f32; LANES]) {
+        *dst = v;
+    }
+
+    #[inline(always)]
+    fn add(self, mut a: Self::V, b: Self::V) -> Self::V {
+        for (x, y) in a.iter_mut().zip(b) {
+            *x += y;
+        }
+        a
+    }
+
+    #[inline(always)]
+    fn sub(self, mut a: Self::V, b: Self::V) -> Self::V {
+        for (x, y) in a.iter_mut().zip(b) {
+            *x -= y;
+        }
+        a
+    }
+
+    #[inline(always)]
+    fn mul(self, mut a: Self::V, b: Self::V) -> Self::V {
+        for (x, y) in a.iter_mut().zip(b) {
+            *x *= y;
+        }
+        a
+    }
+
+    #[inline(always)]
+    fn nonzero(self, c: Self::V) -> Self::M {
+        let mut mask = [false; LANES];
+        for (f, x) in mask.iter_mut().zip(c) {
+            *f = x != 0.0;
+        }
+        mask
+    }
+
+    #[inline(always)]
+    fn keep(self, mask: Self::M, mut v: Self::V) -> Self::V {
+        for (x, f) in v.iter_mut().zip(mask) {
+            if !f {
+                *x = 0.0;
+            }
+        }
+        v
+    }
+
+    #[inline(always)]
+    fn transpose(self, rows: [Self::V; LANES]) -> [Self::V; LANES] {
+        let mut columns = [[0.0; LANES]; LANES];
+        for (i, row) in rows.iter().enumerate() {
+            for (column, &x) in columns.iter_mut().zip(row) {
+                column[i] = x;
+            }
+        }
+        columns
+    }
+}
+
+/// The AVX2 instantiation: the same lane kernels over `__m256`, compiled
+/// inside `#[target_feature(enable = "avx2")]` functions so every lane
+/// operation is one instruction. Fused multiply-add stays disabled: the
+/// multiply and the add of a term are two roundings, as in the scalar
+/// loops.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::{
+        __m256, _mm256_add_ps, _mm256_and_ps, _mm256_cmp_ps, _mm256_loadu_ps, _mm256_mul_ps,
+        _mm256_permute2f128_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_shuffle_ps,
+        _mm256_storeu_ps, _mm256_sub_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps, _CMP_NEQ_UQ,
+    };
+
+    use super::{Lanes, RowsPart, SharedColumns, LANES};
+
+    /// Proof that the running CPU has AVX2: only [`Avx2::detect`] makes
+    /// one, so every method taking it may execute AVX2 instructions.
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) struct Avx2(());
+
+    impl Avx2 {
+        pub(super) fn detect() -> Option<Avx2> {
+            std::arch::is_x86_feature_detected!("avx2").then_some(Avx2(()))
+        }
+    }
+
+    impl Lanes for Avx2 {
+        type V = __m256;
+        type M = __m256;
+
+        #[inline(always)]
+        fn zero(self) -> __m256 {
+            // SAFETY: an `Avx2` token exists only on a CPU with AVX2.
+            unsafe { _mm256_setzero_ps() }
+        }
+
+        #[inline(always)]
+        fn splat(self, x: f32) -> __m256 {
+            // SAFETY: an `Avx2` token exists only on a CPU with AVX2.
+            unsafe { _mm256_set1_ps(x) }
+        }
+
+        #[inline(always)]
+        fn load(self, src: &[f32; LANES]) -> __m256 {
+            // SAFETY: an `Avx2` token exists only on a CPU with AVX2; the
+            // pointer is `src`, eight initialized floats borrowed from a
+            // bounds-checked slice of the caller's operand, and the
+            // unaligned load needs no alignment beyond `f32`'s.
+            unsafe { _mm256_loadu_ps(src.as_ptr()) }
+        }
+
+        #[inline(always)]
+        fn store(self, v: __m256, dst: &mut [f32; LANES]) {
+            // SAFETY: an `Avx2` token exists only on a CPU with AVX2; the
+            // pointer is `dst`, eight floats exclusively borrowed from a
+            // bounds-checked slice of the caller's output.
+            unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), v) }
+        }
+
+        #[inline(always)]
+        fn add(self, a: __m256, b: __m256) -> __m256 {
+            // SAFETY: an `Avx2` token exists only on a CPU with AVX2.
+            unsafe { _mm256_add_ps(a, b) }
+        }
+
+        #[inline(always)]
+        fn sub(self, a: __m256, b: __m256) -> __m256 {
+            // SAFETY: an `Avx2` token exists only on a CPU with AVX2.
+            unsafe { _mm256_sub_ps(a, b) }
+        }
+
+        #[inline(always)]
+        fn mul(self, a: __m256, b: __m256) -> __m256 {
+            // SAFETY: an `Avx2` token exists only on a CPU with AVX2.
+            unsafe { _mm256_mul_ps(a, b) }
+        }
+
+        #[inline(always)]
+        fn nonzero(self, c: __m256) -> __m256 {
+            // `NEQ_UQ`: not equal, or unordered — a NaN lane is flagged,
+            // as `NaN == 0.0` is false in the scalar skip.
+            // SAFETY: an `Avx2` token exists only on a CPU with AVX2.
+            unsafe { _mm256_cmp_ps::<_CMP_NEQ_UQ>(c, _mm256_setzero_ps()) }
+        }
+
+        #[inline(always)]
+        fn keep(self, mask: __m256, v: __m256) -> __m256 {
+            // SAFETY: an `Avx2` token exists only on a CPU with AVX2.
+            unsafe { _mm256_and_ps(mask, v) }
+        }
+
+        #[inline(always)]
+        fn transpose(self, rows: [__m256; LANES]) -> [__m256; LANES] {
+            let [r0, r1, r2, r3, r4, r5, r6, r7] = rows;
+            // SAFETY: an `Avx2` token exists only on a CPU with AVX2.
+            unsafe {
+                // Interleave row pairs, then pair quads, then swap the
+                // 128-bit halves: the usual three-stage 8×8 transpose.
+                let t0 = _mm256_unpacklo_ps(r0, r1);
+                let t1 = _mm256_unpackhi_ps(r0, r1);
+                let t2 = _mm256_unpacklo_ps(r2, r3);
+                let t3 = _mm256_unpackhi_ps(r2, r3);
+                let t4 = _mm256_unpacklo_ps(r4, r5);
+                let t5 = _mm256_unpackhi_ps(r4, r5);
+                let t6 = _mm256_unpacklo_ps(r6, r7);
+                let t7 = _mm256_unpackhi_ps(r6, r7);
+                let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+                let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+                let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+                let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+                let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+                let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+                let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+                let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+                [
+                    _mm256_permute2f128_ps::<0x20>(s0, s4),
+                    _mm256_permute2f128_ps::<0x20>(s1, s5),
+                    _mm256_permute2f128_ps::<0x20>(s2, s6),
+                    _mm256_permute2f128_ps::<0x20>(s3, s7),
+                    _mm256_permute2f128_ps::<0x31>(s0, s4),
+                    _mm256_permute2f128_ps::<0x31>(s1, s5),
+                    _mm256_permute2f128_ps::<0x31>(s2, s6),
+                    _mm256_permute2f128_ps::<0x31>(s3, s7),
+                ]
+            }
+        }
+    }
+
+    /// [`super::rows_task`] compiled for AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn rows_task(
+        l: Avx2,
+        part: RowsPart<'_>,
+        m: usize,
+        r: usize,
+        q: &[f32],
+        panel: Option<&[[f32; LANES]]>,
+    ) {
+        super::rows_task(l, part, m, r, q, panel);
+    }
+
+    /// [`super::cols_task`] compiled for AVX2.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn cols_task(
+        l: Avx2,
+        k0: usize,
+        q: &mut [f32],
+        r: usize,
+        m: usize,
+        grad: &[f32],
+        error: Option<&SharedColumns<'_>>,
+        p: &[f32],
+        acc: &mut [[f32; LANES]],
+    ) {
+        super::cols_task(l, k0, q, r, m, grad, error, p, acc);
+    }
+
+    /// [`super::reconstruct_rows`] compiled for AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn reconstruct_rows(
+        l: Avx2,
+        r: usize,
+        m: usize,
+        p_rows: &[f32],
+        panel: &[[f32; LANES]],
+        out_rows: &mut [f32],
+        subtract: bool,
+    ) {
+        super::reconstruct_rows(l, r, m, p_rows, panel, out_rows, subtract);
+    }
+}
+
+/// The first `src.len()` (at most [`LANES`]) lanes loaded from `src`, the
+/// rest `+0.0`.
+#[inline(always)]
+fn load_part<L: Lanes>(l: L, src: &[f32]) -> L::V {
+    match <&[f32; LANES]>::try_from(src) {
+        Ok(full) => l.load(full),
+        Err(_) => {
+            let mut buf = [0.0; LANES];
+            buf[..src.len()].copy_from_slice(src);
+            l.load(&buf)
+        }
+    }
+}
+
+/// The first `dst.len()` (at most [`LANES`]) lanes of `v`, stored to `dst`.
+#[inline(always)]
+fn store_part<L: Lanes>(l: L, v: L::V, dst: &mut [f32]) {
+    match <&mut [f32; LANES]>::try_from(&mut *dst) {
+        Ok(full) => l.store(v, full),
+        Err(_) => {
+            let mut buf = [0.0; LANES];
+            l.store(v, &mut buf);
+            let len = dst.len();
+            dst.copy_from_slice(&buf[..len]);
+        }
+    }
+}
+
+/// `r` itself when `R` is 0, else the compile-time width `R`. The column
+/// kernels are instantiated for the factor widths 1, 2, 4 and 8, so their
+/// loops over `r` unroll and their indices fold, and once for any other
+/// width.
+#[inline(always)]
+fn width<const R: usize>(r: usize) -> usize {
+    if R == 0 {
+        r
+    } else {
+        R
+    }
+}
+
+/// Widths of the accumulator panels a factor of width `r` is cut into,
 /// widest first, as `(first column, width)`. A factor of width 1, 2, 4 or
-/// 8 is one panel; any other width re-walks the cached row block once per
+/// 8 is one panel; any other width re-walks the cached row tile once per
 /// panel.
 fn panels(r: usize) -> impl Iterator<Item = (usize, usize)> {
     let mut j0 = 0;
@@ -437,21 +809,23 @@ fn panels(r: usize) -> impl Iterator<Item = (usize, usize)> {
     })
 }
 
-/// `r×m` transpose of an `m×r` factor.
-fn transposed(q: &[f32], m: usize, r: usize) -> Vec<f32> {
-    let mut qt = vec![0.0f32; r * m];
-    for t in 0..r {
-        for (dst, src) in qt[t * m..][..m].iter_mut().zip(q[t..].iter().step_by(r)) {
-            *dst = *src;
-        }
-    }
-    qt
+/// Scratch elements of a packed `Qᵀ` (or of transposed accumulators) for
+/// `m` rows of a width-`r` factor: `r` vectors per block of eight rows.
+fn packed_len(m: usize, r: usize) -> usize {
+    m.div_ceil(LANES) * r * LANES
 }
 
-/// `E ← G + E` on one run of elements.
-fn accumulate(grad: &[f32], error: &mut [f32]) {
-    for (e, &g) in error.iter_mut().zip(grad) {
-        *e += g;
+/// Packs the `m×r` factor `q` (`r > 0`) as `Qᵀ` cut into vectors: for
+/// each block of eight rows `8v..8v + 8`, `r` adjacent vectors whose lane
+/// `i` is `Q[8v + i][t]`, zero past row `m`.
+fn pack_factor(q: &[f32], m: usize, r: usize, panel: &mut [[f32; LANES]]) {
+    for (v, block) in panel.chunks_exact_mut(r).enumerate() {
+        for (t, lanes) in block.iter_mut().enumerate() {
+            for (i, x) in lanes.iter_mut().enumerate() {
+                let k = v * LANES + i;
+                *x = if k < m { q[k * r + t] } else { 0.0 };
+            }
+        }
     }
 }
 
@@ -465,6 +839,7 @@ struct RowsPart<'a> {
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
 fn project_rows_impl(
+    isa: Isa,
     pool: &WorkerPool,
     n: usize,
     m: usize,
@@ -484,7 +859,7 @@ fn project_rows_impl(
     if m == 0 {
         return p.fill(0.0);
     }
-    let qt = residual.then(|| transposed(q, m, r));
+    let residual = residual && error.is_some();
     let rows_per_task = n.div_ceil(tasks_for(pool, n * m * r));
     let mut error_blocks = error.map(|e| e.chunks_mut(rows_per_task * m));
     let parts = grad
@@ -496,98 +871,226 @@ fn project_rows_impl(
             p,
         })
         .collect();
+    let packed = if residual { packed_len(m, r) } else { 0 };
     pool.run_parts(parts, |part| {
-        project_rows_task(part, m, r, q, qt.as_deref())
+        with_scratch(packed, |scratch| {
+            let (panel, _) = scratch.as_chunks_mut::<LANES>();
+            let panel = residual.then(|| {
+                pack_factor(q, m, r, panel);
+                &*panel
+            });
+            match isa {
+                Isa::Portable => rows_task(Portable, part, m, r, q, panel),
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: the `Avx2` token proves this CPU has AVX2.
+                Isa::Avx2(l) => unsafe { avx2::rows_task(l, part, m, r, q, panel) },
+            }
+        });
     });
 }
 
-#[inline(never)]
-fn project_rows_task(part: RowsPart<'_>, m: usize, r: usize, q: &[f32], qt: Option<&[f32]>) {
+/// Rows of `P` in tiles of eight gradient rows; under error feedback each
+/// tile's sweep also leaves `E ← G + E`, and with `panel` (the packed
+/// factor) the tile ends with `E ← E − P·Qᵀ`.
+#[inline(always)]
+fn rows_task<L: Lanes>(
+    l: L,
+    part: RowsPart<'_>,
+    m: usize,
+    r: usize,
+    q: &[f32],
+    panel: Option<&[[f32; LANES]]>,
+) {
     let RowsPart { grad, mut error, p } = part;
     let rows = p.len() / r;
-    let mut i = 0;
-    while i < rows {
-        let nb = if rows - i >= ROW_BLOCK { ROW_BLOCK } else { 1 };
-        let p_rows = &mut p[i * r..(i + nb) * r];
-        let g_rows = &grad[i * m..(i + nb) * m];
+    for i in (0..rows).step_by(LANES) {
+        let live = LANES.min(rows - i);
+        let p_tile = &mut p[i * r..(i + live) * r];
+        let g_tile = &grad[i * m..(i + live) * m];
         match error.as_deref_mut() {
             Some(error) => {
-                let e_rows = &mut error[i * m..(i + nb) * m];
-                accumulate(g_rows, e_rows);
-                project_rows_block(nb, e_rows, m, q, r, p_rows);
-                if let Some(qt) = qt {
-                    reconstruct_rows(r, p_rows, qt, m, e_rows, true);
+                let e_tile = &mut error[i * m..(i + live) * m];
+                project_rows_tile(l, g_tile, Some(&mut *e_tile), m, q, r, p_tile);
+                if let Some(panel) = panel {
+                    reconstruct_rows(l, r, m, p_tile, panel, e_tile, true);
                 }
             }
-            None => project_rows_block(nb, g_rows, m, q, r, p_rows),
-        }
-        i += nb;
-    }
-}
-
-/// `P` rows of `nb` (a full [`ROW_BLOCK`], or 1) gradient rows.
-fn project_rows_block(nb: usize, c_rows: &[f32], m: usize, q: &[f32], r: usize, p: &mut [f32]) {
-    if nb == ROW_BLOCK {
-        let c: [&[f32]; ROW_BLOCK] = std::array::from_fn(|ri| &c_rows[ri * m..][..m]);
-        project_rows_panels(c, q, r, p);
-    } else {
-        project_rows_panels([&c_rows[..m]], q, r, p);
-    }
-}
-
-/// Every panel of `P` for `NR` gradient rows.
-fn project_rows_panels<const NR: usize>(c: [&[f32]; NR], q: &[f32], r: usize, p: &mut [f32]) {
-    for (j0, w) in panels(r) {
-        match w {
-            8 => project_rows_panel::<8, NR>(c, q, r, j0, p),
-            4 => project_rows_panel::<4, NR>(c, q, r, j0, p),
-            2 => project_rows_panel::<2, NR>(c, q, r, j0, p),
-            _ => project_rows_panel::<1, NR>(c, q, r, j0, p),
+            None => project_rows_tile(l, g_tile, None, m, q, r, p_tile),
         }
     }
 }
 
-/// Columns `j0..j0 + W` of `P` for `NR` gradient rows: `W` running sums
-/// per row, held in registers across the whole `k` loop.
+/// The `P` rows of one tile of at most eight gradient rows `g` (row
+/// length `m`) — with `e`, of `E ← G + E`, computed and stored by the
+/// first panel's sweep and re-read by the others.
 #[inline(always)]
-fn project_rows_panel<const W: usize, const NR: usize>(
-    c: [&[f32]; NR],
+#[allow(clippy::too_many_arguments)]
+fn project_rows_tile<L: Lanes>(
+    l: L,
+    g: &[f32],
+    mut e: Option<&mut [f32]>,
+    m: usize,
+    q: &[f32],
+    r: usize,
+    p: &mut [f32],
+) {
+    for (j0, w) in panels(r) {
+        let (src, update) = match e.as_deref_mut() {
+            Some(e) if j0 == 0 => (g, Some(e)),
+            Some(e) => (&*e, None),
+            None => (g, None),
+        };
+        match w {
+            8 => project_rows_panel::<L, 8>(l, src, update, m, q, r, j0, p),
+            4 => project_rows_panel::<L, 4>(l, src, update, m, q, r, j0, p),
+            2 => project_rows_panel::<L, 2>(l, src, update, m, q, r, j0, p),
+            _ => project_rows_panel::<L, 1>(l, src, update, m, q, r, j0, p),
+        }
+    }
+}
+
+/// Columns `j0..j0 + W` of `P` for a tile of gradient rows: `W`
+/// accumulators, lane `i` holding row `i`'s sums (lanes past the tile's
+/// rows repeat its last row and are dropped). Each block of eight `k` is
+/// transposed in registers, so that `columns[kk]` holds element `k0 + kk`
+/// of every row; a term `C[i][k]·Q[k][j]` is added where `C[i][k]` is
+/// nonzero and `+0.0` where it is zero — the identity on a sum that
+/// started at `+0.0`, so every lane matches the scalar loop that skips
+/// the term. With `update`, the rows are `update + src`, stored back to
+/// `update` as they are read.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn project_rows_panel<L: Lanes, const W: usize>(
+    l: L,
+    src: &[f32],
+    mut update: Option<&mut [f32]>,
+    m: usize,
     q: &[f32],
     r: usize,
     j0: usize,
     p: &mut [f32],
 ) {
-    let m = c[0].len();
-    let c: [&[f32]; NR] = c.map(|row| &row[..m]);
-    let mut acc = [[0.0f32; W]; NR];
-    for k in 0..m {
-        let qk = &q[k * r + j0..][..W];
-        for ri in 0..NR {
-            let cv = c[ri][k];
-            if cv == 0.0 {
-                continue;
-            }
-            for (a, &qv) in acc[ri].iter_mut().zip(qk) {
-                *a += cv * qv;
-            }
-        }
+    let live = p.len() / r;
+    let mut acc = [l.zero(); W];
+    let full = m - m % LANES;
+    for k0 in (0..full).step_by(LANES) {
+        project_rows_step(
+            l,
+            src,
+            update.as_deref_mut(),
+            m,
+            live,
+            k0,
+            LANES,
+            q,
+            r,
+            j0,
+            &mut acc,
+        );
     }
-    for ri in 0..NR {
-        p[ri * r + j0..][..W].copy_from_slice(&acc[ri]);
+    if full < m {
+        project_rows_step(l, src, update, m, live, full, m - full, q, r, j0, &mut acc);
+    }
+    for (j, &a) in acc.iter().enumerate() {
+        let mut lanes = [0.0; LANES];
+        l.store(a, &mut lanes);
+        for (i, &x) in lanes[..live].iter().enumerate() {
+            p[i * r + j0 + j] = x;
+        }
     }
 }
 
-/// One task's share of a column projection: rows `k0..` of `Q` and, under
-/// error feedback, the matching column range of every row of `E`.
-struct ColsPart<'a> {
+/// One step of [`project_rows_panel`]: the `kw ≤ 8` terms `k0..k0 + kw`
+/// of every lane (`kw` is [`LANES`] on every step but a last partial one).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn project_rows_step<L: Lanes, const W: usize>(
+    l: L,
+    src: &[f32],
+    mut update: Option<&mut [f32]>,
+    m: usize,
+    live: usize,
     k0: usize,
-    error_rows: Vec<&'a mut [f32]>,
-    q: &'a mut [f32],
+    kw: usize,
+    q: &[f32],
+    r: usize,
+    j0: usize,
+    acc: &mut [L::V; W],
+) {
+    let mut block = [l.zero(); LANES];
+    for (i, v) in block.iter_mut().enumerate() {
+        let at = i.min(live - 1) * m + k0;
+        *v = match update.as_deref_mut() {
+            Some(e) if i < live => {
+                let e = &mut e[at..at + kw];
+                let sum = l.add(load_part(l, e), load_part(l, &src[at..at + kw]));
+                store_part(l, sum, e);
+                sum
+            }
+            Some(e) => load_part(l, &e[at..at + kw]),
+            None => load_part(l, &src[at..at + kw]),
+        };
+    }
+    let columns = l.transpose(block);
+    let q_rows = &q[k0 * r..(k0 + kw) * r];
+    for (&column, q_row) in columns[..kw].iter().zip(q_rows.chunks_exact(r)) {
+        let nonzero = l.nonzero(column);
+        for (a, &qv) in acc.iter_mut().zip(&q_row[j0..j0 + W]) {
+            *a = l.add(*a, l.keep(nonzero, l.mul(column, l.splat(qv))));
+        }
+    }
+}
+
+/// The error matrix `E` (`n×m`, row-major) of a column projection, shared
+/// by tasks that each read and write only their own column range of
+/// every row.
+struct SharedColumns<'a> {
+    ptr: *mut f32,
+    n: usize,
+    m: usize,
+    _error: std::marker::PhantomData<&'a mut [f32]>,
+}
+
+// SAFETY: the pointer stands for `&'a mut [f32]`, which is `Send` and
+// `Sync`; tasks on other threads reach it only through `columns`, whose
+// callers own disjoint column ranges.
+unsafe impl Send for SharedColumns<'_> {}
+// SAFETY: as for `Send`.
+unsafe impl Sync for SharedColumns<'_> {}
+
+impl<'a> SharedColumns<'a> {
+    fn new(error: &'a mut [f32], n: usize, m: usize) -> Self {
+        assert_eq!(error.len(), n * m, "shared error length mismatch");
+        SharedColumns {
+            ptr: error.as_mut_ptr(),
+            n,
+            m,
+            _error: std::marker::PhantomData,
+        }
+    }
+
+    /// Columns `k0..k0 + kw` of row `i`.
+    ///
+    /// # Safety
+    ///
+    /// No other reference to those elements may be live while the
+    /// returned slice is: among the tasks of one call, only the owner of
+    /// the column range asks for it, once per row.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn columns(&self, i: usize, k0: usize, kw: usize) -> &mut [f32] {
+        assert!(i < self.n && k0 + kw <= self.m, "column run out of range");
+        // SAFETY: `ptr` is the start of the `error` slice `new` borrowed
+        // for `'a` and checked to hold `n·m` elements; the assert keeps
+        // the run `i·m + k0 .. i·m + k0 + kw` inside it, and the caller
+        // guarantees no other live reference overlaps it.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(i * self.m + k0), kw) }
+    }
 }
 
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
 fn project_cols_impl(
+    isa: Isa,
     pool: &WorkerPool,
     n: usize,
     m: usize,
@@ -603,124 +1106,170 @@ fn project_cols_impl(
     if q.is_empty() {
         return;
     }
-    let cols_per_task = m.div_ceil(tasks_for(pool, n * m * r));
-    let mut parts: Vec<ColsPart<'_>> = q
-        .chunks_mut(cols_per_task * r)
-        .enumerate()
-        .map(|(t, q)| ColsPart {
-            k0: t * cols_per_task,
-            error_rows: Vec::new(),
-            q,
-        })
-        .collect();
-    let corrected = error.is_some();
-    if let Some(error) = error {
-        for part in &mut parts {
-            part.error_rows.reserve_exact(n);
-        }
-        for mut row in error.chunks_exact_mut(m) {
-            for part in &mut parts {
-                let (head, tail) = std::mem::take(&mut row).split_at_mut(part.q.len() / r);
-                part.error_rows.push(head);
-                row = tail;
+    let error = error.map(|e| SharedColumns::new(e, n, m));
+    let error = error.as_ref();
+    let tasks = tasks_for(pool, n * m * r);
+    // `Q` rows are `C` columns: each task owns a column range of `C`/`E`.
+    pool.for_each_unit_chunk_mut(q, r, tasks, |k0, q| {
+        with_scratch(packed_len(q.len() / r, r), |scratch| {
+            let (acc, _) = scratch.as_chunks_mut::<LANES>();
+            match isa {
+                Isa::Portable => cols_task(Portable, k0, q, r, m, grad, error, p, acc),
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: the `Avx2` token proves this CPU has AVX2.
+                Isa::Avx2(l) => unsafe { avx2::cols_task(l, k0, q, r, m, grad, error, p, acc) },
             }
-        }
-    }
-    pool.run_parts(parts, |part| {
-        project_cols_task(part, n, m, r, grad, corrected, p)
+        });
     });
 }
 
-#[inline(never)]
-fn project_cols_task(
-    part: ColsPart<'_>,
-    n: usize,
-    m: usize,
+/// Rows `k0..` of `Q` (`q`, rows of `r`) for gradient rows of length `m`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn cols_task<L: Lanes>(
+    l: L,
+    k0: usize,
+    q: &mut [f32],
     r: usize,
+    m: usize,
     grad: &[f32],
-    corrected: bool,
+    error: Option<&SharedColumns<'_>>,
     p: &[f32],
+    acc: &mut [[f32; LANES]],
 ) {
-    let ColsPart {
-        k0,
-        mut error_rows,
-        q,
-    } = part;
+    match r {
+        1 => cols_task_at::<L, 1>(l, k0, q, r, m, grad, error, p, acc),
+        2 => cols_task_at::<L, 2>(l, k0, q, r, m, grad, error, p, acc),
+        4 => cols_task_at::<L, 4>(l, k0, q, r, m, grad, error, p, acc),
+        8 => cols_task_at::<L, 8>(l, k0, q, r, m, grad, error, p, acc),
+        _ => cols_task_at::<L, 0>(l, k0, q, r, m, grad, error, p, acc),
+    }
+}
+
+/// [`cols_task`] at width [`width::<R>`]: sums into `acc` — transposed
+/// accumulators, `r` vectors of eight contiguous columns per block of
+/// eight rows of `Q` — over row blocks of `C` in ascending order, then
+/// writes them to `q`. Under error feedback the task's columns of `E`
+/// take `E ← G + E` on the way.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn cols_task_at<L: Lanes, const R: usize>(
+    l: L,
+    k0: usize,
+    q: &mut [f32],
+    r: usize,
+    m: usize,
+    grad: &[f32],
+    error: Option<&SharedColumns<'_>>,
+    p: &[f32],
+    acc: &mut [[f32; LANES]],
+) {
+    let r = width::<R>(r);
     let kw = q.len() / r;
-    q.fill(0.0);
+    let n = p.len() / r;
+    acc.fill([0.0; LANES]);
     let mut i = 0;
     while i < n {
-        let nb = if n - i >= ROW_BLOCK { ROW_BLOCK } else { 1 };
-        if corrected {
-            for (ri, e_row) in error_rows[i..i + nb].iter_mut().enumerate() {
-                accumulate(&grad[(i + ri) * m + k0..][..kw], e_row);
-            }
-        }
-        let row = |ri: usize| -> &[f32] {
-            if corrected {
-                &*error_rows[i + ri]
-            } else {
-                &grad[(i + ri) * m + k0..][..kw]
-            }
-        };
-        let p_rows = &p[i * r..(i + nb) * r];
-        if nb == ROW_BLOCK {
-            project_cols_panels::<ROW_BLOCK>(std::array::from_fn(row), p_rows, r, q);
+        if n - i >= ROW_BLOCK {
+            cols_rows::<L, ROW_BLOCK, R>(l, i, k0, kw, r, m, grad, error, p, acc);
+            i += ROW_BLOCK;
         } else {
-            project_cols_panels([row(0)], p_rows, r, q);
+            cols_rows::<L, 1, R>(l, i, k0, kw, r, m, grad, error, p, acc);
+            i += 1;
         }
-        i += nb;
     }
-}
-
-/// Every panel of `Q` updated with `NR` gradient rows.
-fn project_cols_panels<const NR: usize>(c: [&[f32]; NR], p_rows: &[f32], r: usize, q: &mut [f32]) {
-    for (j0, w) in panels(r) {
-        match w {
-            8 => project_cols_panel::<8, NR>(c, p_rows, r, j0, q),
-            4 => project_cols_panel::<4, NR>(c, p_rows, r, j0, q),
-            2 => project_cols_panel::<2, NR>(c, p_rows, r, j0, q),
-            _ => project_cols_panel::<1, NR>(c, p_rows, r, j0, q),
+    for (block, q_rows) in acc.chunks_exact(r).zip(q.chunks_mut(LANES * r)) {
+        for (i, q_row) in q_rows.chunks_exact_mut(r).enumerate() {
+            for (x, a) in q_row.iter_mut().zip(block) {
+                *x = a[i];
+            }
         }
     }
 }
 
-/// Columns `j0..j0 + W` of `Q` updated with `NR` gradient rows, rows
-/// ascending: a fixed-width rank-`NR` update of each row of `Q`.
+/// Adds the terms of gradient rows `i..i + NR`, columns `k0..k0 + kw` (of
+/// `E ← G + E`, computed and stored on the way, under error feedback) to
+/// the transposed accumulators, eight contiguous columns per vector. A
+/// term whose gradient element is zero adds `+0.0`, as in
+/// [`project_rows_panel`].
 #[inline(always)]
-fn project_cols_panel<const W: usize, const NR: usize>(
-    c: [&[f32]; NR],
-    p_rows: &[f32],
+#[allow(clippy::too_many_arguments)]
+fn cols_rows<L: Lanes, const NR: usize, const R: usize>(
+    l: L,
+    i: usize,
+    k0: usize,
+    kw: usize,
+    r: usize,
+    m: usize,
+    grad: &[f32],
+    error: Option<&SharedColumns<'_>>,
+    p: &[f32],
+    acc: &mut [[f32; LANES]],
+) {
+    let r = width::<R>(r);
+    let g = &grad[i * m + k0..(i + NR - 1) * m + k0 + kw];
+    let mut e: Option<[&mut [f32]; NR]> = error.map(|e| {
+        std::array::from_fn(|ri| {
+            // SAFETY: this task owns columns `k0..k0 + kw` of every row
+            // of `E` (tasks own disjoint rows of `Q`), and asks for each
+            // of these `NR` distinct rows once.
+            unsafe { e.columns(i + ri, k0, kw) }
+        })
+    });
+    let p = &p[i * r..(i + NR) * r];
+    let full = kw / LANES;
+    let (main, tail) = acc.split_at_mut(full * r);
+    for (v, block) in main.chunks_exact_mut(r).enumerate() {
+        cols_step::<L, NR>(l, g, m, e.as_mut(), p, r, v * LANES, LANES, block);
+    }
+    if full * LANES < kw {
+        let (j0, w) = (full * LANES, kw % LANES);
+        cols_step::<L, NR>(l, g, m, e.as_mut(), p, r, j0, w, &mut tail[..r]);
+    }
+}
+
+/// One step of [`cols_rows`]: columns `j0..j0 + w` (`w` is [`LANES`] on
+/// every step but a last partial one) of `NR` rows of `g` (row stride
+/// `m`) into their `r` accumulators.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn cols_step<L: Lanes, const NR: usize>(
+    l: L,
+    g: &[f32],
+    m: usize,
+    mut e: Option<&mut [&mut [f32]; NR]>,
+    p: &[f32],
     r: usize,
     j0: usize,
-    q: &mut [f32],
+    w: usize,
+    block: &mut [[f32; LANES]],
 ) {
-    let kw = c[0].len();
-    let c: [&[f32]; NR] = c.map(|row| &row[..kw]);
-    let mut pv = [[0.0f32; W]; NR];
-    for (ri, pv) in pv.iter_mut().enumerate() {
-        pv.copy_from_slice(&p_rows[ri * r + j0..][..W]);
-    }
-    for k in 0..kw {
-        let qk = &mut q[k * r + j0..][..W];
-        let mut acc = [0.0f32; W];
-        acc.copy_from_slice(qk);
-        for ri in 0..NR {
-            let cv = c[ri][k];
-            if cv == 0.0 {
-                continue;
-            }
-            for (a, &pv) in acc.iter_mut().zip(&pv[ri]) {
-                *a += cv * pv;
-            }
+    let mut c = [l.zero(); NR];
+    for (ri, c) in c.iter_mut().enumerate() {
+        *c = load_part(l, &g[ri * m + j0..][..w]);
+        if let Some(e) = e.as_deref_mut() {
+            let e = &mut e[ri][j0..j0 + w];
+            *c = l.add(load_part(l, e), *c);
+            store_part(l, *c, e);
         }
-        qk.copy_from_slice(&acc);
+    }
+    let mut nonzero = [l.nonzero(l.zero()); NR];
+    for (f, &c) in nonzero.iter_mut().zip(&c) {
+        *f = l.nonzero(c);
+    }
+    for (t, a) in block.iter_mut().enumerate() {
+        let mut s = l.load(a);
+        for ri in 0..NR {
+            s = l.add(s, l.keep(nonzero[ri], l.mul(c[ri], l.splat(p[ri * r + t]))));
+        }
+        l.store(s, a);
     }
 }
 
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
 fn reconstruct_impl(
+    isa: Isa,
     pool: &WorkerPool,
     n: usize,
     m: usize,
@@ -736,79 +1285,147 @@ fn reconstruct_impl(
     if out.is_empty() {
         return;
     }
-    let qt = transposed(q, m, r);
+    if r == 0 {
+        // Every sum is `+0.0`, and `x − (+0.0)` is `x` for every `x`.
+        if !subtract {
+            out.fill(0.0);
+        }
+        return;
+    }
     let tasks = tasks_for(pool, n * m * r);
     pool.for_each_unit_chunk_mut(out, m, tasks, |i0, piece| {
-        let rows = piece.len() / m;
-        reconstruct_rows(r, &p[i0 * r..][..rows * r], &qt, m, piece, subtract);
+        let p_rows = &p[i0 * r..][..piece.len() / m * r];
+        with_scratch(packed_len(m, r), |scratch| {
+            let (panel, _) = scratch.as_chunks_mut::<LANES>();
+            pack_factor(q, m, r, panel);
+            match isa {
+                Isa::Portable => reconstruct_rows(Portable, r, m, p_rows, panel, piece, subtract),
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: the `Avx2` token proves this CPU has AVX2.
+                Isa::Avx2(l) => unsafe {
+                    avx2::reconstruct_rows(l, r, m, p_rows, panel, piece, subtract)
+                },
+            }
+        });
     });
 }
 
-/// Whole rows of `P·Qᵀ` written to (or subtracted from) `out_rows`.
-#[inline(never)]
-fn reconstruct_rows(
+/// Whole rows of `P·Qᵀ` written to (or subtracted from) `out_rows` (row
+/// length `m`), from the rows of `p_rows` and the packed factor `panel`.
+#[inline(always)]
+fn reconstruct_rows<L: Lanes>(
+    l: L,
     r: usize,
-    p_rows: &[f32],
-    qt: &[f32],
     m: usize,
+    p_rows: &[f32],
+    panel: &[[f32; LANES]],
     out_rows: &mut [f32],
     subtract: bool,
 ) {
     match r {
-        1 => reconstruct_rows_at::<1>(r, p_rows, qt, m, out_rows, subtract),
-        2 => reconstruct_rows_at::<2>(r, p_rows, qt, m, out_rows, subtract),
-        4 => reconstruct_rows_at::<4>(r, p_rows, qt, m, out_rows, subtract),
-        8 => reconstruct_rows_at::<8>(r, p_rows, qt, m, out_rows, subtract),
-        _ => reconstruct_rows_at::<0>(r, p_rows, qt, m, out_rows, subtract),
+        1 => reconstruct_rows_at::<L, 1>(l, r, m, p_rows, panel, out_rows, subtract),
+        2 => reconstruct_rows_at::<L, 2>(l, r, m, p_rows, panel, out_rows, subtract),
+        4 => reconstruct_rows_at::<L, 4>(l, r, m, p_rows, panel, out_rows, subtract),
+        8 => reconstruct_rows_at::<L, 8>(l, r, m, p_rows, panel, out_rows, subtract),
+        _ => reconstruct_rows_at::<L, 0>(l, r, m, p_rows, panel, out_rows, subtract),
     }
 }
 
-/// [`reconstruct_rows`] for a compile-time width `R`, or the runtime `r`
-/// when `R == 0`.
+/// [`reconstruct_rows`] at width [`width::<R>`], in tiles of eight rows
+/// so that each vector of `panel` serves eight of them.
 #[inline(always)]
-fn reconstruct_rows_at<const R: usize>(
+fn reconstruct_rows_at<L: Lanes, const R: usize>(
+    l: L,
     r: usize,
-    p_rows: &[f32],
-    qt: &[f32],
     m: usize,
+    p_rows: &[f32],
+    panel: &[[f32; LANES]],
     out_rows: &mut [f32],
     subtract: bool,
 ) {
-    let r = if R == 0 { r } else { R };
-    for (ri, out_row) in out_rows.chunks_exact_mut(m).enumerate() {
-        let p_row = &p_rows[ri * r..][..r];
-        let mut j0 = 0;
-        let mut chunks = out_row.chunks_exact_mut(LANES);
-        for chunk in &mut chunks {
-            let mut acc = [0.0f32; LANES];
-            for (t, &pv) in p_row.iter().enumerate() {
-                for (a, &qv) in acc.iter_mut().zip(&qt[t * m + j0..][..LANES]) {
-                    *a += pv * qv;
-                }
-            }
-            store(chunk, &acc, subtract);
-            j0 += LANES;
+    let r = width::<R>(r);
+    let rows = out_rows.len() / m;
+    let mut i = 0;
+    while i < rows {
+        let nb = if rows - i >= LANES { LANES } else { 1 };
+        let p = &p_rows[i * r..(i + nb) * r];
+        let out = &mut out_rows[i * m..(i + nb) * m];
+        if nb == LANES {
+            reconstruct_tile::<L, LANES, R>(l, r, m, p, panel, out, subtract);
+        } else {
+            reconstruct_tile::<L, 1, R>(l, r, m, p, panel, out, subtract);
         }
-        let tail = chunks.into_remainder();
-        let mut acc = [0.0f32; LANES];
-        let acc = &mut acc[..tail.len()];
-        for (t, &pv) in p_row.iter().enumerate() {
-            for (a, &qv) in acc.iter_mut().zip(&qt[t * m + j0..][..tail.len()]) {
-                *a += pv * qv;
-            }
-        }
-        store(tail, acc, subtract);
+        i += nb;
     }
 }
 
+/// `NR` rows of `P·Qᵀ`, eight contiguous columns per vector: each lane is
+/// one output element `0.0 + p₀q₀ + p₁q₁ + …`, stored, or subtracted from
+/// what `out` holds.
 #[inline(always)]
-fn store(out: &mut [f32], acc: &[f32], subtract: bool) {
-    if subtract {
-        for (o, &a) in out.iter_mut().zip(acc) {
-            *o -= a;
+fn reconstruct_tile<L: Lanes, const NR: usize, const R: usize>(
+    l: L,
+    r: usize,
+    m: usize,
+    p: &[f32],
+    panel: &[[f32; LANES]],
+    out: &mut [f32],
+    subtract: bool,
+) {
+    let r = width::<R>(r);
+    let p = &p[..NR * r];
+    let out = &mut out[..NR * m];
+    let full = m / LANES;
+    let (main, tail) = panel.split_at(full * r);
+    for (v, q) in main.chunks_exact(r).enumerate() {
+        reconstruct_step::<L, NR>(l, p, r, q, out, m, v * LANES, LANES, subtract);
+    }
+    if full * LANES < m {
+        reconstruct_step::<L, NR>(
+            l,
+            p,
+            r,
+            &tail[..r],
+            out,
+            m,
+            full * LANES,
+            m % LANES,
+            subtract,
+        );
+    }
+}
+
+/// One step of [`reconstruct_tile`]: columns `j0..j0 + w` (`w` is
+/// [`LANES`] on every step but a last partial one) of every row, from the
+/// `r` packed vectors `q` of those columns.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn reconstruct_step<L: Lanes, const NR: usize>(
+    l: L,
+    p: &[f32],
+    r: usize,
+    q: &[[f32; LANES]],
+    out: &mut [f32],
+    m: usize,
+    j0: usize,
+    w: usize,
+    subtract: bool,
+) {
+    let mut acc = [l.zero(); NR];
+    for (t, q) in q.iter().enumerate() {
+        let q = l.load(q);
+        for (ri, a) in acc.iter_mut().enumerate() {
+            *a = l.add(*a, l.mul(l.splat(p[ri * r + t]), q));
         }
-    } else {
-        out.copy_from_slice(acc);
+    }
+    for (ri, a) in acc.into_iter().enumerate() {
+        let o = &mut out[ri * m + j0..][..w];
+        let x = if subtract {
+            l.sub(load_part(l, o), a)
+        } else {
+            a
+        };
+        store_part(l, x, o);
     }
 }
 
@@ -1017,16 +1634,49 @@ mod tests {
         (c, p, residual)
     }
 
-    /// Every thin kernel against the reference loops on one shape and pool.
-    fn check_thin_kernels(pool: &WorkerPool, n: usize, m: usize, r: usize) {
-        let what = format!("n={n} m={m} r={r} workers={}", pool.parallelism() - 1);
+    /// The instantiations a thin-kernel check drives: `None` is the
+    /// public entry points (dispatched at run time), then the portable
+    /// body and, where this CPU has it, the AVX2 body.
+    fn paths() -> Vec<Option<Isa>> {
+        let mut paths = vec![None, Some(Isa::Portable)];
+        match Isa::avx2() {
+            Some(avx2) => paths.push(Some(avx2)),
+            None => println!("no AVX2 on this CPU: skipped the AVX2 instantiation"),
+        }
+        paths
+    }
+
+    /// Every thin kernel against the reference loops on one shape, pool
+    /// and path (see [`paths`]).
+    fn check_thin_kernels(pool: &WorkerPool, n: usize, m: usize, r: usize, path: Option<Isa>) {
+        let what = format!(
+            "n={n} m={m} r={r} workers={} path={path:?}",
+            pool.parallelism() - 1
+        );
+        let rows = |c: &[f32], e: Option<&mut [f32]>, q: &[f32], p: &mut [f32], residual| match (
+            path, e,
+        ) {
+            (None, None) => project_rows(pool, n, m, r, c, q, p),
+            (None, Some(e)) => project_rows_corrected(pool, n, m, r, c, e, q, p, residual),
+            (Some(isa), e) => project_rows_impl(isa, pool, n, m, r, c, e, q, p, residual),
+        };
+        let cols = |c: &[f32], e: Option<&mut [f32]>, p: &[f32], q: &mut [f32]| match (path, e) {
+            (None, None) => project_cols(pool, n, m, r, c, p, q),
+            (None, Some(e)) => project_cols_corrected(pool, n, m, r, c, e, p, q),
+            (Some(isa), e) => project_cols_impl(isa, pool, n, m, r, c, e, p, q),
+        };
+        let recon = |p: &[f32], q: &[f32], out: &mut [f32], subtract| match (path, subtract) {
+            (None, false) => reconstruct(pool, n, m, r, p, q, out),
+            (None, true) => subtract_reconstruction(pool, n, m, r, p, q, out),
+            (Some(isa), _) => reconstruct_impl(isa, pool, n, m, r, p, q, out, subtract),
+        };
         let g = fill(n * m, 11);
         let e0 = fill(n * m, 12);
         let q = factor(m * r, 13);
         let p = factor(n * r, 14);
 
         let mut p_out = vec![f32::NAN; n * r];
-        project_rows(pool, n, m, r, &g, &q, &mut p_out);
+        rows(&g, None, &q, &mut p_out, false);
         assert_eq!(
             bits(&p_out),
             bits(&reference::matmul(n, m, r, &g, &q)),
@@ -1034,7 +1684,7 @@ mod tests {
         );
 
         let mut q_out = vec![f32::NAN; m * r];
-        project_cols(pool, n, m, r, &g, &p, &mut q_out);
+        cols(&g, None, &p, &mut q_out);
         assert_eq!(
             bits(&q_out),
             bits(&reference::matmul_tn(n, m, r, &g, &p)),
@@ -1043,11 +1693,11 @@ mod tests {
 
         let approx = reference::matmul_nt(n, r, m, &p, &q);
         let mut out = vec![f32::NAN; n * m];
-        reconstruct(pool, n, m, r, &p, &q, &mut out);
+        recon(&p, &q, &mut out, false);
         assert_eq!(bits(&out), bits(&approx), "reconstruct {what}");
 
         let mut e = e0.clone();
-        subtract_reconstruction(pool, n, m, r, &p, &q, &mut e);
+        recon(&p, &q, &mut e, true);
         let expected: Vec<f32> = e0.iter().zip(&approx).map(|(e, a)| e - a).collect();
         assert_eq!(bits(&e), bits(&expected), "subtract_reconstruction {what}");
 
@@ -1055,7 +1705,7 @@ mod tests {
         for with_residual in [false, true] {
             let mut e = e0.clone();
             let mut p_out = vec![f32::NAN; n * r];
-            project_rows_corrected(pool, n, m, r, &g, &mut e, &q, &mut p_out, with_residual);
+            rows(&g, Some(&mut e), &q, &mut p_out, with_residual);
             assert_eq!(
                 bits(&p_out),
                 bits(&p_ref),
@@ -1067,7 +1717,7 @@ mod tests {
 
         let mut e = e0.clone();
         let mut q_out = vec![f32::NAN; m * r];
-        project_cols_corrected(pool, n, m, r, &g, &mut e, &p, &mut q_out);
+        cols(&g, Some(&mut e), &p, &mut q_out);
         assert_eq!(bits(&e), bits(&c), "project_cols_corrected E {what}");
         assert_eq!(
             bits(&q_out),
@@ -1078,13 +1728,16 @@ mod tests {
 
     #[test]
     fn thin_kernels_match_reference_bitwise_on_awkward_shapes() {
-        // Rows below, at, above and not divisible by ROW_BLOCK; columns
-        // below, at and past LANES; every panel decomposition up to 8+4+1.
+        // Rows below, at, above and not divisible by the 8-row tile and
+        // ROW_BLOCK; columns below, at and past one 8-lane vector; every
+        // panel decomposition up to 8+4+1; every path.
         let pool = WorkerPool::new(0);
-        for n in [1, 3, 4, 7, 9] {
-            for m in [1, 2, 16, 37] {
-                for r in [1, 2, 3, 4, 5, 8, 13] {
-                    check_thin_kernels(&pool, n, m, r);
+        for path in paths() {
+            for n in [1, 3, 4, 7, 8, 9, 17] {
+                for m in [1, 2, 8, 9, 16, 37] {
+                    for r in [1, 2, 3, 4, 5, 8, 13] {
+                        check_thin_kernels(&pool, n, m, r, path);
+                    }
                 }
             }
         }
@@ -1096,8 +1749,10 @@ mod tests {
         // do not divide evenly, on pools of 0–3 workers.
         for workers in 0..=3 {
             let pool = WorkerPool::new(workers);
-            for r in [1, 3, 4, 5, 8] {
-                check_thin_kernels(&pool, 70, 260, r);
+            for path in paths() {
+                for r in [1, 3, 4, 5, 8] {
+                    check_thin_kernels(&pool, 70, 260, r, path);
+                }
             }
         }
     }

@@ -2,7 +2,10 @@
 
 use proptest::prelude::*;
 
-use acp_tensor::kernels::{matmul_nt_into, reference, THIN_MAX};
+use acp_tensor::kernels::{
+    matmul_nt_into, project_cols, project_cols_corrected, project_rows, project_rows_corrected,
+    reconstruct, reference, subtract_reconstruction, THIN_MAX,
+};
 use acp_tensor::vecops;
 use acp_tensor::{orthogonalize, orthogonalize_householder, Matrix, MatrixShape, WorkerPool};
 
@@ -41,6 +44,21 @@ fn nt_operands() -> impl Strategy<Value = (usize, usize, usize, Vec<f32>, Vec<f3
     })
 }
 
+/// The operands of one thin-factor call, `(n, m, r, G, E, Q, P)`.
+type ThinOperands = (usize, usize, usize, Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>);
+
+/// Strategy: gradient `G` and residual `E` (`n×m`) and factors `Q`
+/// (`m×r`) and `P` (`n×r`), all salted. Rows and columns are mostly off
+/// the 8-row tile and the 8-lane vector, and large shapes cross the
+/// parallel threshold, so tasks split rows and columns unevenly; `r`
+/// spans the single-panel widths and the split ones.
+fn thin_operands() -> impl Strategy<Value = ThinOperands> {
+    (1usize..=40, 1usize..=300, 1usize..=13).prop_flat_map(|(n, m, r)| {
+        (salted(n * m), salted(n * m), salted(m * r), salted(n * r))
+            .prop_map(move |(g, e, q, p)| (n, m, r, g, e, q, p))
+    })
+}
+
 /// Bit patterns, with every NaN mapped to one: which operand's sign and
 /// payload an add of two NaNs returns is left open by IEEE 754 and
 /// unspecified in Rust, so only NaN-ness is part of the contract.
@@ -66,6 +84,62 @@ proptest! {
             bits(&out),
             bits(&reference::matmul_nt(n, k, m, &a, &b)),
             "n={} k={} m={} workers={}", n, k, m, workers
+        );
+    }
+
+    #[test]
+    fn thin_kernels_match_reference_bitwise(
+        operands in thin_operands(),
+        workers in 0usize..=3,
+    ) {
+        let (n, m, r, g, e0, q, p) = operands;
+        let pool = WorkerPool::new(workers);
+        let what = format!("n={n} m={m} r={r} workers={workers}");
+
+        let mut p_out = vec![f32::NAN; n * r];
+        project_rows(&pool, n, m, r, &g, &q, &mut p_out);
+        prop_assert_eq!(
+            bits(&p_out), bits(&reference::matmul(n, m, r, &g, &q)), "project_rows {}", what
+        );
+
+        let mut q_out = vec![f32::NAN; m * r];
+        project_cols(&pool, n, m, r, &g, &p, &mut q_out);
+        prop_assert_eq!(
+            bits(&q_out), bits(&reference::matmul_tn(n, m, r, &g, &p)), "project_cols {}", what
+        );
+
+        let approx = reference::matmul_nt(n, r, m, &p, &q);
+        let mut out = vec![f32::NAN; n * m];
+        reconstruct(&pool, n, m, r, &p, &q, &mut out);
+        prop_assert_eq!(bits(&out), bits(&approx), "reconstruct {}", what);
+
+        let mut e = e0.clone();
+        subtract_reconstruction(&pool, n, m, r, &p, &q, &mut e);
+        let expected: Vec<f32> = e0.iter().zip(&approx).map(|(e, a)| e - a).collect();
+        prop_assert_eq!(bits(&e), bits(&expected), "subtract_reconstruction {}", what);
+
+        // E ← G + E, then P = E·Q and optionally E ← E − P·Qᵀ.
+        let c: Vec<f32> = e0.iter().zip(&g).map(|(e, g)| e + g).collect();
+        let p_ref = reference::matmul(n, m, r, &c, &q);
+        let c_approx = reference::matmul_nt(n, r, m, &p_ref, &q);
+        let residual: Vec<f32> = c.iter().zip(&c_approx).map(|(c, a)| c - a).collect();
+        for with_residual in [false, true] {
+            let mut e = e0.clone();
+            let mut p_out = vec![f32::NAN; n * r];
+            project_rows_corrected(&pool, n, m, r, &g, &mut e, &q, &mut p_out, with_residual);
+            prop_assert_eq!(bits(&p_out), bits(&p_ref), "project_rows_corrected P {}", what);
+            let expected = if with_residual { &residual } else { &c };
+            prop_assert_eq!(bits(&e), bits(expected), "project_rows_corrected E {}", what);
+        }
+
+        let mut e = e0.clone();
+        let mut q_out = vec![f32::NAN; m * r];
+        project_cols_corrected(&pool, n, m, r, &g, &mut e, &p, &mut q_out);
+        prop_assert_eq!(bits(&e), bits(&c), "project_cols_corrected E {}", what);
+        prop_assert_eq!(
+            bits(&q_out),
+            bits(&reference::matmul_tn(n, m, r, &c, &p)),
+            "project_cols_corrected Q {}", what
         );
     }
 
