@@ -9,11 +9,12 @@
 //!   headline   (abstract speedup numbers)
 //!   ext-scaling ext-tune ext-hierarchy   (extensions beyond the paper)
 //!   telemetry  (instrumented ACP-SGD run: per-step metrics + summary)
-//!   kernels    (vectorized vs scalar compressor kernels and the dense
-//!               A·Bᵀ forward product; --min-speedup N exits nonzero if
-//!               the largest-bucket encode or decode speedup or the
-//!               dense_nt forward speedup falls below N; --quick drops
-//!               the largest bucket)
+//!   kernels    (vectorized vs scalar compressor kernels, the dense
+//!               A·Bᵀ forward product and ACP-SGD's low-rank sweeps;
+//!               --min-speedup N exits nonzero if the largest-bucket
+//!               encode or decode speedup, the dense_nt forward speedup
+//!               or lowrank_speedup falls below N; --quick drops the
+//!               largest bucket and shrinks the low-rank shape)
 //!   all        (everything; convergence at the quick epoch count)
 //! ```
 //!
@@ -79,7 +80,8 @@ fn telemetry() -> String {
 
 /// Times the vectorized kernels against their scalar references; with
 /// `min_speedup`, exits nonzero when the largest-bucket encode or decode
-/// speedup or the dense forward speedup falls below the floor.
+/// speedup, the dense forward speedup or the low-rank speedup falls below
+/// the floor.
 fn kernels_bench(quick: bool, min_speedup: Option<f64>) -> String {
     use acp_bench::kernels;
     let report = kernels::run(quick);
@@ -89,11 +91,16 @@ fn kernels_bench(quick: bool, min_speedup: Option<f64>) -> String {
             report.encode_speedup,
             report.decode_speedup,
             report.forward_speedup,
+            report.lowrank_speedup,
         ];
         if gates.iter().any(|&s| s < floor) {
             eprintln!(
-                "kernel speedup gate failed: encode {:.2}x / decode {:.2}x / forward {:.2}x, floor {floor}x",
-                report.encode_speedup, report.decode_speedup, report.forward_speedup
+                "kernel speedup gate failed: encode {:.2}x / decode {:.2}x / forward {:.2}x / \
+                 lowrank {:.2}x, floor {floor}x",
+                report.encode_speedup,
+                report.decode_speedup,
+                report.forward_speedup,
+                report.lowrank_speedup
             );
             println!("{text}");
             std::process::exit(1);

@@ -5,14 +5,18 @@
 //! `figures kernels` times sign packing, sign expansion, majority voting,
 //! QSGD quantize/dequantize and abs-key top-k selection at three bucket
 //! sizes, plus the training forward product `A·Bᵀ` (`dense_nt`) at the
-//! rings MLP's widest layer, and reports the speedup of each kernel over
-//! its scalar baseline. The three headline gates — what the CI `kernels`
-//! job asserts via `--min-speedup` — are the encode and decode speedups on
-//! the *largest* bucket (sign packing and the bit-sliced majority vote,
-//! the two kernels on the per-step critical path of sign-based
-//! aggregation) and the forward speedup of `dense_nt`, single-threaded,
-//! which falls to about 1× if the register-blocked product stops
-//! vectorizing.
+//! rings MLP's widest layer and ACP-SGD's two compression sweeps
+//! (`lowrank_p`, `lowrank_q`) at the benchmark's `512×4608` rank-4 shape,
+//! and reports the speedup of each kernel over its scalar baseline. The
+//! four headline gates — what the CI `kernels` job asserts via
+//! `--min-speedup` — are the encode and decode speedups on the *largest*
+//! bucket (sign packing and the bit-sliced majority vote, the two kernels
+//! on the per-step critical path of sign-based aggregation), the forward
+//! speedup of `dense_nt`, single-threaded, which falls to about 1× if the
+//! register-blocked product stops vectorizing, and `lowrank_speedup`, the
+//! slower of the two low-rank sweeps against the scalar reference loops,
+//! single-threaded, which collapses if the lane-per-output kernels lose
+//! their vectors.
 //!
 //! Timing is best-of-`reps` over batched iterations (min, not mean: the
 //! minimum is the least noisy estimator of the achievable time on a shared
@@ -32,12 +36,18 @@ pub const VOTE_WORLD: usize = 8;
 /// layer forward, a 32-sample batch `32×256` times `(256×256)ᵀ`.
 pub const DENSE_NT_SHAPE: (usize, usize, usize) = (32, 256, 256);
 
+/// `(n, m, r)` of the `lowrank_*` rows: the benchmark's probe gradient
+/// (`512×4608`, a ResNet-18 `3×3×512` convolution viewed as a matrix) at
+/// ACP-SGD's default rank. Quick runs use a sixteenth of it.
+pub const LOWRANK_SHAPE: (usize, usize, usize) = (512, 4608, 4);
+
 /// One kernel timed at one bucket size.
 #[derive(Debug, Clone)]
 pub struct KernelPoint {
     /// Kernel label (`sign_pack`, `sign_unpack`, `majority_vote`, …).
     pub kernel: &'static str,
-    /// Bucket size in elements; multiply-adds for `dense_nt`.
+    /// Bucket size in elements; multiply-adds for `dense_nt`; gradient
+    /// elements for `lowrank_*`.
     pub elems: usize,
     /// Scalar reference time per call, nanoseconds (best of reps).
     pub scalar_ns: f64,
@@ -49,7 +59,7 @@ pub struct KernelPoint {
     pub gelems_per_s: f64,
 }
 
-/// The full kernel sweep plus the three headline gates.
+/// The full kernel sweep plus the four headline gates.
 #[derive(Debug, Clone)]
 pub struct KernelReport {
     /// Bucket sizes timed, ascending.
@@ -64,6 +74,9 @@ pub struct KernelReport {
     pub decode_speedup: f64,
     /// `dense_nt` speedup (the forward gate).
     pub forward_speedup: f64,
+    /// The smaller of the `lowrank_p` and `lowrank_q` speedups (the
+    /// low-rank gate).
+    pub lowrank_speedup: f64,
 }
 
 /// Best-of-`reps` time per call of `f`, in nanoseconds, each rep averaging
@@ -243,6 +256,94 @@ fn dense_nt(reps: usize) -> KernelPoint {
     point("dense_nt", n * k * m, scalar, fast)
 }
 
+/// Times ACP-SGD's two compression sweeps with error feedback on the
+/// calling thread: the P step `E ← G + E`, `P ← E·Q`, `E ← E − P·Qᵀ`
+/// (`lowrank_p`) and the Q step `E ← G + E`, `Q ← Eᵀ·P`, `E ← E − P·Qᵀ`
+/// (`lowrank_q`), each against the same composition of the scalar
+/// reference loops.
+fn lowrank(quick: bool, reps: usize) -> [KernelPoint; 2] {
+    use acp_tensor::kernels::{
+        project_cols_corrected, project_rows_corrected, reference, subtract_reconstruction,
+    };
+    let (n, m, r) = LOWRANK_SHAPE;
+    let (n, m) = if quick { (n / 4, m / 4) } else { (n, m) };
+    let grad = Matrix::random_std_normal(n, m, 8).into_vec();
+    let q = Matrix::random_std_normal(m, r, 9).into_vec();
+    let p = Matrix::random_std_normal(n, r, 10).into_vec();
+    let mut error = vec![0.0f32; n * m];
+    let mut p_out = vec![0.0f32; n * r];
+    let mut q_out = vec![0.0f32; m * r];
+    let inline = WorkerPool::new(0);
+    let iters = 2;
+    // `E ← E − approx`, after `E ← G + E`, as the references compose it.
+    let subtract = |error: &mut [f32], approx: &[f32]| {
+        for (e, a) in error.iter_mut().zip(approx) {
+            *e -= a;
+        }
+    };
+    let add_grad = |error: &mut [f32]| {
+        for (e, g) in error.iter_mut().zip(&grad) {
+            *e += g;
+        }
+    };
+
+    let scalar = best_ns(
+        || {
+            add_grad(&mut error);
+            let p = reference::matmul(n, m, r, &error, &q);
+            subtract(&mut error, &reference::matmul_nt(n, r, m, &p, &q));
+        },
+        iters,
+        reps,
+    );
+    let fast = best_ns(
+        || {
+            project_rows_corrected(
+                &inline,
+                n,
+                m,
+                r,
+                &grad,
+                black_box(&mut error),
+                &q,
+                &mut p_out,
+                true,
+            )
+        },
+        iters,
+        reps,
+    );
+    let p_step = point("lowrank_p", n * m, scalar, fast);
+
+    let scalar = best_ns(
+        || {
+            add_grad(&mut error);
+            let q = reference::matmul_tn(n, m, r, &error, &p);
+            subtract(&mut error, &reference::matmul_nt(n, r, m, &p, &q));
+        },
+        iters,
+        reps,
+    );
+    let fast = best_ns(
+        || {
+            project_cols_corrected(
+                &inline,
+                n,
+                m,
+                r,
+                &grad,
+                black_box(&mut error),
+                &p,
+                &mut q_out,
+            );
+            subtract_reconstruction(&inline, n, m, r, &p, &q_out, &mut error);
+        },
+        iters,
+        reps,
+    );
+    [p_step, point("lowrank_q", n * m, scalar, fast)]
+}
+
 /// Runs the sweep. `quick` keeps CI smoke runs to a couple of seconds by
 /// dropping the largest bucket and the repetition count.
 pub fn run(quick: bool) -> KernelReport {
@@ -258,6 +359,9 @@ pub fn run(quick: bool) -> KernelReport {
     let dense = dense_nt(reps);
     let forward_speedup = dense.speedup;
     points.push(dense);
+    let low_rank = lowrank(quick, reps);
+    let lowrank_speedup = low_rank[0].speedup.min(low_rank[1].speedup);
+    points.extend(low_rank);
     let largest_elems = *sizes.last().expect("sizes is non-empty");
     let gate = |kernel: &str| {
         points
@@ -269,6 +373,7 @@ pub fn run(quick: bool) -> KernelReport {
         encode_speedup: gate("sign_pack"),
         decode_speedup: gate("majority_vote"),
         forward_speedup,
+        lowrank_speedup,
         sizes,
         points,
         largest_elems,
@@ -289,8 +394,9 @@ pub fn render(r: &KernelReport) -> String {
         ));
     }
     out.push_str(&format!(
-        "largest bucket ({} elems): encode {:.2}x, decode {:.2}x; dense_nt: forward {:.2}x\n",
-        r.largest_elems, r.encode_speedup, r.decode_speedup, r.forward_speedup,
+        "largest bucket ({} elems): encode {:.2}x, decode {:.2}x; dense_nt: forward {:.2}x; \
+         lowrank_speedup {:.2}x\n",
+        r.largest_elems, r.encode_speedup, r.decode_speedup, r.forward_speedup, r.lowrank_speedup,
     ));
     out
 }
@@ -303,12 +409,13 @@ mod tests {
     fn quick_sweep_reports_every_kernel_at_every_size() {
         let r = run(true);
         assert_eq!(r.sizes.len(), 2);
-        assert_eq!(r.points.len(), 6 * r.sizes.len() + 1);
+        assert_eq!(r.points.len(), 6 * r.sizes.len() + 3);
         assert_eq!(r.largest_elems, 1 << 18);
         for p in &r.points {
             assert!(p.scalar_ns > 0.0 && p.optimized_ns > 0.0, "{p:?}");
         }
         assert!(r.encode_speedup > 0.0 && r.decode_speedup > 0.0 && r.forward_speedup > 0.0);
+        assert!(r.lowrank_speedup > 0.0);
     }
 
     #[test]
@@ -318,6 +425,8 @@ mod tests {
         assert!(text.contains("sign_pack"));
         assert!(text.contains("majority_vote"));
         assert!(text.contains("dense_nt"));
+        assert!(text.contains("lowrank_p") && text.contains("lowrank_q"));
+        assert!(text.contains("lowrank_speedup"));
         assert!(text.contains(&format!("largest bucket ({} elems)", r.largest_elems)));
         assert_eq!(text.lines().count(), 2 + r.points.len() + 1);
     }
