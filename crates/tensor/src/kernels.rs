@@ -13,10 +13,15 @@
 //! * the thin-factor kernels ([`project_rows`], [`project_cols`],
 //!   [`reconstruct`] and their error-feedback forms) serve the low-rank
 //!   compressors, where one operand is an `n×m` gradient and the other a
-//!   factor only `r` columns wide. They keep the `r` running sums of an
-//!   output row in registers, walk several gradient rows together so the
-//!   add chains overlap, and fold the error-feedback updates into the same
-//!   sweep, so a compression phase reads the gradient once.
+//!   factor only `r` columns wide. They hold one output element per lane
+//!   of an 8-lane vector: [`project_rows`] walks eight gradient rows as a
+//!   tile and transposes each `8×8` block in registers, so a lane
+//!   accumulates one row of `P`; [`project_cols`], [`reconstruct`] and the
+//!   residual run eight contiguous columns per vector. The error-feedback
+//!   updates are folded into the same sweeps, so a compression phase reads
+//!   the gradient once. Their tile bodies are written once over eight
+//!   lanes and instantiated twice — portably, and for AVX2, which a call
+//!   runs whenever the CPU has it (fused multiply-add is never enabled).
 //!
 //! The `*_into` products hand a product to the thin kernels whenever the
 //! factor is at most [`THIN_MAX`] wide; nothing else selects between the
@@ -26,25 +31,30 @@
 //! the same floating-point order as the naive loops in [`mod@reference`] —
 //! start from `0.0`, add the terms in ascending inner index, skip a term
 //! whose gradient element is zero where the reference does. Blocking,
-//! panels, register tiles and parallelism only decide *when* and *on which
-//! thread* an element's chain runs, never the order of the adds that
-//! produce it: a tile holds one accumulator per output element and
-//! advances them all by one inner index per step, with the multiply and
-//! the add kept separate (no fused multiply-add). The `*_matches_*` tests
-//! below, the `A·Bᵀ` proptest in `tests/properties.rs` and the
-//! byte-identity proptests in `acp-compression` pin this.
+//! panels, register tiles, vector lanes and parallelism only decide *when*
+//! and *on which thread* an element's chain runs, never the order of the
+//! adds that produce it: a tile or a vector holds one accumulator per
+//! output element and advances them all by one inner index per step, with
+//! the multiply and the add kept separate (no fused multiply-add). Where a
+//! vector cannot skip a lane, it adds `+0.0` there instead, which leaves a
+//! sum that started at `+0.0` unchanged (such a sum is never `−0.0`). So
+//! the AVX2 and the portable instantiation produce the same bits. The
+//! `*_matches_*` tests below, the thin-kernel and `A·Bᵀ` proptests in
+//! `tests/properties.rs` and the byte-identity proptests in
+//! `acp-compression` pin this.
 
 use crate::pool::{WorkerPool, PAR_THRESHOLD};
 
 /// Widest factor the `*_into` products route to the thin kernels: the
-/// widest panel whose running sums stay in registers next to
-/// four interleaved rows.
+/// widest accumulator panel of the row projection, whose sums stay in
+/// registers across the sweep.
 pub const THIN_MAX: usize = 8;
 
 /// Rows an `A·Bᵀ` tile and a column-projection block walk together. One
 /// row is a single add chain per output element, bound by add latency;
-/// interleaved rows are independent chains. Fixed by the sweep recorded
-/// in DESIGN.md §12.
+/// interleaved rows are independent chains. Four keep a column block's
+/// row vectors and their zero masks in registers; the row-interleave
+/// sweep in DESIGN.md §12 fixed it for the kernels these replaced.
 const ROW_BLOCK: usize = 4;
 
 /// `f32` lanes of one vector of the thin-factor kernels: an AVX2
