@@ -25,7 +25,7 @@
 //!   wait-free back-propagation and tensor fusion apply exactly as in
 //!   S-SGD.
 
-use acp_tensor::{kernels, pool, Matrix, OrthoMethod, SeedableStdNormal};
+use acp_tensor::{kernels, orthogonalize, pool, Matrix, SeedableStdNormal};
 
 use serde::{Deserialize, Serialize};
 
@@ -45,9 +45,6 @@ pub struct AcpSgdConfig {
     /// Reuse the previous factor as the power-iteration query; disabling
     /// draws a fresh random query each step (Fig. 7 ablation).
     pub reuse: bool,
-    /// Orthogonalization kernel.
-    #[serde(skip)]
-    pub ortho: OrthoMethod,
     /// Seed for the rank-shared random initialization of `P₀`, `Q₀`.
     pub seed: u64,
 }
@@ -58,7 +55,6 @@ impl Default for AcpSgdConfig {
             rank: 4,
             error_feedback: true,
             reuse: true,
-            ortho: OrthoMethod::GramSchmidt,
             seed: 42,
         }
     }
@@ -279,7 +275,7 @@ impl AcpSgd {
                         self.cfg.seed ^ (self.step + 1).wrapping_mul(0x9E37),
                     );
                 }
-                self.cfg.ortho.apply(&mut self.q);
+                orthogonalize(&mut self.q);
                 let q = self.q.as_slice();
                 match &mut self.error {
                     Some(e) => kernels::project_rows_corrected(
@@ -306,7 +302,7 @@ impl AcpSgd {
                         self.cfg.seed ^ (self.step + 1).wrapping_mul(0x5BD1),
                     );
                 }
-                self.cfg.ortho.apply(&mut self.p);
+                orthogonalize(&mut self.p);
                 let p = self.p.as_slice();
                 match &mut self.error {
                     Some(e) => {

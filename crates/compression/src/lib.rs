@@ -58,4 +58,4 @@ pub use error_feedback::ErrorFeedback;
 pub use payload::Payload;
 pub use randomk::RandomK;
 pub use sign::SignSgd;
-pub use topk::{TopK, TopKSelection};
+pub use topk::TopK;

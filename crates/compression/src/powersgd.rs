@@ -24,7 +24,7 @@
 //! [`PowerSgd::finish`]) so a distributed optimizer inserts real collectives
 //! at the marked points.
 
-use acp_tensor::{kernels, pool, Matrix, OrthoMethod, SeedableStdNormal};
+use acp_tensor::{kernels, orthogonalize, pool, Matrix, SeedableStdNormal};
 
 use serde::{Deserialize, Serialize};
 
@@ -41,9 +41,6 @@ pub struct PowerSgdConfig {
     /// Reuse the previous step's factor as the power-iteration query
     /// (query reuse). Disabling draws a fresh random query each step.
     pub reuse: bool,
-    /// Orthogonalization kernel.
-    #[serde(skip)]
-    pub ortho: OrthoMethod,
     /// Seed for the (rank-shared) random initialization of `Q₀`.
     pub seed: u64,
 }
@@ -54,7 +51,6 @@ impl Default for PowerSgdConfig {
             rank: 4,
             error_feedback: true,
             reuse: true,
-            ortho: OrthoMethod::GramSchmidt,
             seed: 42,
         }
     }
@@ -315,7 +311,7 @@ impl PowerSgd {
         check_len(self.m * self.rank, q.len())?;
         let (n, m, r) = (self.n, self.m, self.rank);
         self.p_hat.as_mut_slice().copy_from_slice(p_reduced);
-        self.cfg.ortho.apply(&mut self.p_hat);
+        orthogonalize(&mut self.p_hat);
         let pool = pool::global_for(n * m * r);
         let p_hat = self.p_hat.as_slice();
         match &mut self.error {

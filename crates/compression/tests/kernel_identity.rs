@@ -682,9 +682,9 @@ proptest! {
         let (n, m) = dims;
         let (rank, error_feedback, reuse) = (RANKS[rank], error_feedback != 0, reuse != 0);
         let base = &base[..n * m];
-        let acp = AcpSgdConfig { rank, error_feedback, reuse, seed, ..Default::default() };
+        let acp = AcpSgdConfig { rank, error_feedback, reuse, seed };
         check_acp_against_oracle(n, m, acp, base, 4);
-        let power = PowerSgdConfig { rank, error_feedback, reuse, seed, ..Default::default() };
+        let power = PowerSgdConfig { rank, error_feedback, reuse, seed };
         check_power_against_oracle(n, m, power, base, 2);
     }
 }

@@ -135,7 +135,6 @@ impl AcpBucketState {
                         error_feedback: cfg.error_feedback,
                         reuse: cfg.reuse,
                         seed: cfg.seed ^ (i as u64).wrapping_mul(0x9E3779B9),
-                        ..AcpCompressionConfig::default()
                     };
                     LrState::Matrix(AcpSgd::new(rows, cols, ccfg))
                 }

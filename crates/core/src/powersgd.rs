@@ -140,7 +140,6 @@ impl PowerBucketState {
                             error_feedback: cfg.error_feedback,
                             reuse: cfg.reuse,
                             seed: cfg.seed ^ (i as u64).wrapping_mul(0x9E3779B9),
-                            ..PowerSgdCompressionConfig::default()
                         };
                         let state = PowerSgd::new(rows, cols, ccfg);
                         p_end += rows * state.rank();

@@ -43,6 +43,6 @@ pub mod vecops;
 
 pub use matrix::{Matrix, MatrixError};
 pub use pool::WorkerPool;
-pub use qr::{orthogonalize, orthogonalize_householder, OrthoMethod};
+pub use qr::{orthogonalize, orthogonalize_householder};
 pub use reshape::MatrixShape;
 pub use rng::SeedableStdNormal;

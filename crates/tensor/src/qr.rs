@@ -9,37 +9,10 @@
 //!   reference implementation uses for small ranks. `O(n r²)` and cheap for
 //!   the ranks used in the paper (4–256).
 //! * [`orthogonalize_householder`] — Householder-reflection thin QR,
-//!   numerically sturdier for ill-conditioned inputs; used as the oracle in
-//!   property tests and available through [`OrthoMethod`].
+//!   numerically sturdier for ill-conditioned inputs; the oracle that the
+//!   property tests compare [`orthogonalize`] against.
 
 use crate::matrix::Matrix;
-
-/// Selects which orthogonalization kernel to run.
-///
-/// Both produce a matrix with orthonormal columns spanning the same subspace;
-/// they differ in numerical robustness and constant factors. The ablation
-/// bench `ablation_orthogonalize` compares them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OrthoMethod {
-    /// Modified Gram–Schmidt (the Power-SGD reference default).
-    #[default]
-    GramSchmidt,
-    /// Householder-reflection based thin QR.
-    Householder,
-}
-
-impl OrthoMethod {
-    /// Orthogonalizes `m`'s columns in place using the selected method.
-    pub fn apply(self, m: &mut Matrix) {
-        match self {
-            OrthoMethod::GramSchmidt => orthogonalize(m),
-            OrthoMethod::Householder => {
-                let q = orthogonalize_householder(m);
-                *m = q;
-            }
-        }
-    }
-}
 
 /// Orthogonalizes the columns of `m` in place with modified Gram–Schmidt.
 ///
@@ -286,16 +259,6 @@ mod tests {
         let mut m = Matrix::zeros(4, 2);
         orthogonalize(&mut m);
         assert!(m.is_finite());
-    }
-
-    #[test]
-    fn ortho_method_apply_dispatches() {
-        let mut a = Matrix::random_std_normal(10, 2, 7);
-        let mut b = a.clone();
-        OrthoMethod::GramSchmidt.apply(&mut a);
-        OrthoMethod::Householder.apply(&mut b);
-        assert_orthonormal(&a, 1e-4);
-        assert_orthonormal(&b, 1e-4);
     }
 
     #[test]
