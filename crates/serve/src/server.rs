@@ -49,7 +49,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::wire::{
     read_request_head, write_done, write_response, Reject, Request, RequestHead, Response,
-    SubmitHead,
+    SubmitHead, MAX_MEMBERS,
 };
 
 /// How often blocked reads re-check the shutdown flag.
@@ -400,25 +400,25 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 }
 
 /// Reads one request off a connection whose socket read timeout is
-/// [`POLL`]. The first byte is awaited for as long as the server runs
-/// (each tick re-checks the shutdown flag); from then on the rest of the
-/// request — header, payload, or the discard of a refused payload — has
-/// `step_deadline` in total, however the sender paces it. A stalled sender
-/// is not a dead client: only the deadline, not a poll tick, ends a
-/// request mid-way.
+/// [`POLL`]. Without a `deadline`, the first byte is awaited for as long as
+/// the server runs (each tick re-checks the shutdown flag); from then on
+/// the rest of the request — header, payload, or the discard of a refused
+/// payload — has `step_deadline` in total, however the sender paces it. A
+/// stalled sender is not a dead client: only the deadline, not a poll
+/// tick, ends a request mid-way.
 struct RequestReader<'a> {
     shared: &'a Shared,
     stream: &'a TcpStream,
-    /// Set when the request's first bytes arrive.
+    /// Set when the request's first bytes arrive, unless given up front.
     deadline: Option<Instant>,
 }
 
 impl<'a> RequestReader<'a> {
-    fn new(shared: &'a Shared, stream: &'a TcpStream) -> Self {
+    fn new(shared: &'a Shared, stream: &'a TcpStream, deadline: Option<Instant>) -> Self {
         RequestReader {
             shared,
             stream,
-            deadline: None,
+            deadline,
         }
     }
 }
@@ -457,6 +457,9 @@ fn protocol(detail: &str) -> Response {
 }
 
 fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
+    // A peer that never completes its Hello must not hold this thread
+    // until shutdown: the handshake's deadline runs from accept.
+    let hello_deadline = Instant::now() + shared.cfg.step_deadline;
     if stream.set_nodelay(true).is_err()
         || stream.set_read_timeout(Some(POLL)).is_err()
         || stream
@@ -466,7 +469,8 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
         return;
     }
     // Handshake: the first request must be a Hello naming the session.
-    let (job, client) = match read_request_head(&mut RequestReader::new(shared, &stream)) {
+    let mut hello = RequestReader::new(shared, &stream, Some(hello_deadline));
+    let (job, client) = match read_request_head(&mut hello) {
         Ok(RequestHead::Other(Request::Hello {
             job,
             client,
@@ -495,7 +499,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
         Err(_) => return,
     };
     loop {
-        let mut reader = RequestReader::new(shared, &stream);
+        let mut reader = RequestReader::new(shared, &stream, None);
         let served = match read_request_head(&mut reader) {
             Ok(RequestHead::Submit(head, payload)) => {
                 serve_submit(shared, &mut reader, job, client, &head, payload)
@@ -534,9 +538,14 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
 }
 
 fn handshake(shared: &Shared, job_id: u64, client: u32, clients: u32) -> Response {
-    if clients == 0 || client >= clients {
+    // The job table sizes a member list by `clients`, and clients cannot
+    // decode a list above `MAX_MEMBERS`: refuse before touching the table.
+    if clients == 0 || clients > MAX_MEMBERS || client >= clients {
         return Response::Reject(Reject::Rejected {
-            detail: format!("client {client} out of range for a {clients}-client job"),
+            detail: format!(
+                "client {client} out of range for a {clients}-client job \
+                 (a job holds 1 to {MAX_MEMBERS} clients)"
+            ),
         });
     }
     let job = {

@@ -61,8 +61,8 @@ const REJECT_PROTOCOL: u8 = 5;
 
 /// Cap on decoded detail strings (a corrupt length must not allocate GBs).
 const MAX_DETAIL: u32 = 1 << 16;
-/// Cap on decoded member lists.
-const MAX_MEMBERS: u32 = 1 << 20;
+/// Cap on decoded member lists, and so on the clients a job may register.
+pub(crate) const MAX_MEMBERS: u32 = 1 << 20;
 
 /// Bytes of a `Submit` between its tag byte and its payload frame.
 const SUBMIT_HEAD_BYTES: usize = 53;
