@@ -23,8 +23,8 @@ use acp_telemetry::{keys, noop, RecorderHandle};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::nonblocking::{
-    confirm_reform, execute_via_blocking, CollectiveOp, DepartureNotice, PendingOp,
-    WorkerCommunicator, WorkerTransport,
+    confirm_reform, execute_ring, execute_via_blocking, BorrowedOp, CollectiveOp, CollectiveResult,
+    DepartureNotice, PendingOp, WorkerCommunicator, WorkerTransport,
 };
 use crate::ring::{self, Transport, WireMsg};
 use crate::schedule::{
@@ -327,11 +327,14 @@ pub trait Communicator: Send {
     /// returns (approximately) the `k` largest-magnitude coordinates of the
     /// sum, identical on every rank.
     ///
-    /// The default implementation gathers all contributions and truncates;
-    /// [`WorkerCommunicator`] overrides it with the `O(k log p)` recursive
-    /// doubling merge of gTop-k (Shi et al., ICDCS 2019), whose per-round
-    /// truncation makes it approximate (coordinates that are individually
-    /// small everywhere can be dropped even if their sum is large).
+    /// The default implementation gathers all contributions and truncates
+    /// — exact, as is the served backend's `execute`, which submits the
+    /// same two gathers. [`WorkerCommunicator`] overrides it to run its
+    /// transport's `execute`: on the ring transports the `O(k log p)`
+    /// recursive doubling merge of gTop-k (Shi et al., ICDCS 2019), whose
+    /// per-round truncation makes it approximate (coordinates that are
+    /// individually small everywhere can be dropped even if their sum is
+    /// large).
     ///
     /// # Errors
     ///
@@ -352,19 +355,19 @@ pub trait Communicator: Send {
     ///
     /// The default implementation executes synchronously through the
     /// blocking methods and returns an already-resolved handle, so every
-    /// backend supports the non-blocking API. [`WorkerCommunicator`] (the
-    /// thread and TCP backends) overrides it to run the collective on a
-    /// per-rank comm worker thread, overlapping it with the caller's
-    /// compute. Operations complete in submission order on every backend,
-    /// so interleaving dispatched and blocking calls preserves the SPMD
-    /// contract.
+    /// communicator supports the non-blocking API. [`WorkerCommunicator`]
+    /// (the thread, TCP and served backends) overrides it to run the
+    /// collective on a per-rank comm worker thread, overlapping it with
+    /// the caller's compute. Operations complete in submission order on
+    /// every backend, so interleaving dispatched and blocking calls
+    /// preserves the SPMD contract.
     fn dispatch(&mut self, op: CollectiveOp) -> PendingOp {
         PendingOp::ready(execute_via_blocking(self, op))
     }
 
     /// Non-blocking all-reduce: consumes this rank's contribution and
     /// returns a handle whose [`PendingOp::wait`] yields the reduced
-    /// buffer ([`CollectiveResult::F32`](crate::CollectiveResult::F32)).
+    /// buffer ([`CollectiveResult::F32`]).
     fn all_reduce_start(&mut self, buf: Vec<f32>, op: ReduceOp) -> PendingOp {
         self.dispatch(CollectiveOp::AllReduce { buf, op })
     }
@@ -1017,6 +1020,14 @@ mod loan {
 use loan::Loan;
 
 impl WorkerTransport for ThreadTransport {
+    fn execute(&mut self, op: BorrowedOp<'_>) -> Result<CollectiveResult, CommError> {
+        execute_ring(self, op)
+    }
+
+    fn physical_rank(&self) -> usize {
+        self.physical
+    }
+
     fn recorder(&self) -> &RecorderHandle {
         &self.recorder
     }
@@ -1267,10 +1278,6 @@ impl ThreadGroup {
         ThreadGroup::try_run_with(world_size, VerifyMode::default(), f)
     }
 }
-
-// Only the tests below name collective results directly.
-#[cfg(test)]
-use crate::nonblocking::CollectiveResult;
 
 #[cfg(test)]
 mod tests {

@@ -14,11 +14,15 @@
 //!   reduce-scatter + all-gather), bit-tested against naive reference
 //!   reductions. The data-parallel trainer in `acp-training` runs on these.
 //! * [`nonblocking`] — [`WorkerCommunicator`], the one [`Communicator`]
-//!   shell every worker-backed backend shares: a backend supplies a
-//!   [`WorkerTransport`] (the thread backend's [`ThreadTransport`],
-//!   `acp-net`'s `TcpTransport`) and the shell adds the lazy per-rank comm
-//!   worker, FIFO routing of blocking and dispatched collectives, byte
-//!   accounting, the schedule trace and reform bookkeeping.
+//!   shell all three backends share: a backend supplies a
+//!   [`WorkerTransport`] whose `execute` runs one collective over the
+//!   caller's storage (the thread backend's [`ThreadTransport`] and
+//!   `acp-net`'s `TcpTransport` through the shared ring body
+//!   [`execute_ring`], `acp-serve`'s client as one submission to its
+//!   server), and the shell adds the lazy per-rank comm worker, FIFO
+//!   routing of blocking and dispatched collectives, per-collective
+//!   telemetry, byte accounting, the schedule trace and reform
+//!   bookkeeping.
 //! * [`cost`] — α–β analytical cost models for ring all-reduce, all-gather
 //!   and their start-up terms, with [`cost::NetworkTier`] presets for the
 //!   paper's three interconnects (1 GbE, 10 GbE, 100 Gb InfiniBand),
@@ -58,8 +62,8 @@ pub use communicator::{
 };
 pub use cost::{AlphaBetaCost, ClusterCost, NetworkTier, TwoLevelCost};
 pub use nonblocking::{
-    confirm_reform, wait_all, CollectiveOp, CollectiveResult, CommWorker, DepartureNotice,
-    PendingOp, WorkerCommunicator, WorkerTransport,
+    confirm_reform, execute_ring, wait_all, BorrowedOp, CollectiveOp, CollectiveResult, CommWorker,
+    DepartureNotice, PendingOp, WorkerCommunicator, WorkerTransport,
 };
 pub use ring::{
     all_gather_f32_reference, all_gather_reference_into, all_gather_u32_reference,

@@ -1,23 +1,28 @@
 //! Non-blocking collectives: operation descriptors, pending-operation
 //! handles, and the per-rank comm worker thread.
 //!
-//! The blocking [`Communicator`] methods and the
-//! non-blocking `dispatch`/`wait` path execute the *same* generic
-//! [`ring`] algorithms — a blocking call is literally
-//! `dispatch` + [`PendingOp::wait`] once a worker is running — so the two
-//! paths are bit-exact with each other by construction, on every backend.
+//! Every backend — in-process threads, TCP, the `acp-serve` client — is a
+//! [`WorkerTransport`] inside the one [`WorkerCommunicator`] shell. A
+//! backend supplies [`WorkerTransport::execute`], which runs one
+//! collective over a [`BorrowedOp`] (the ring transports share
+//! [`execute_ring`]); the shell adds what is common to all of them around
+//! it: the `prepare` hook, per-collective latency, size and span
+//! telemetry, the lazy comm worker, FIFO routing, and byte, schedule and
+//! reform bookkeeping.
 //!
-//! A backend opts into the worker by implementing [`WorkerTransport`] and
-//! wrapping its transport in a [`WorkerCommunicator`], the one
-//! [`Communicator`] every worker-backed backend shares: collectives run
-//! inline on the transport until the first dispatch, which moves the
-//! transport into [`CommWorker::spawn`]. The worker owns the transport,
+//! The blocking [`Communicator`] methods and the non-blocking
+//! `dispatch`/`wait` path run the *same* `execute`, so the two paths are
+//! bit-exact with each other by construction, on every backend. Blocking
+//! calls run inline on the caller's slices until the first dispatch,
+//! which moves the transport into [`CommWorker::spawn`]; from then on a
+//! blocking call is `dispatch` + [`PendingOp::wait`] of an owned copy of
+//! its op, the one copy the path makes. The worker owns the transport,
 //! drains submitted operations strictly in FIFO order (so the SPMD
 //! contract — every rank issues the same collectives in the same order — is
 //! preserved no matter how many operations are in flight), and replies
 //! through the per-operation channel a [`PendingOp`] wraps.
 //!
-//! Error propagation is structured end to end: a ring algorithm error is
+//! Error propagation is structured end to end: a collective's error is
 //! sent through the reply channel and surfaces at [`PendingOp::wait`]; a
 //! worker that dies drops the reply sender, which `wait` maps to
 //! [`CommError::WorkerPanicked`]. Transport deadlines bound every receive,
@@ -35,7 +40,7 @@ use crate::ring::{self, Transport};
 use crate::schedule::{
     membership_param, OpKind, ScheduleCell, ScheduleSnapshot, ScheduleTracer, VerifyMode,
 };
-use crate::topology::{Membership, Topology};
+use crate::topology::{Membership, RankId, Topology};
 
 /// One collective operation, with its input payload moved in.
 ///
@@ -103,31 +108,207 @@ pub enum CollectiveOp {
 }
 
 impl CollectiveOp {
+    /// Borrows this op's payload for one [`WorkerTransport::execute`].
+    fn as_borrowed(&mut self) -> BorrowedOp<'_> {
+        match self {
+            CollectiveOp::AllReduce { buf, op } => BorrowedOp::AllReduce { buf, op: *op },
+            CollectiveOp::AllReduceRd { buf, op } => BorrowedOp::AllReduceRd { buf, op: *op },
+            CollectiveOp::AllGatherF32 { send } => BorrowedOp::AllGatherF32 { send },
+            CollectiveOp::AllGatherU32 { send } => BorrowedOp::AllGatherU32 { send },
+            CollectiveOp::Broadcast { buf, root } => BorrowedOp::Broadcast { buf, root: *root },
+            CollectiveOp::GlobalTopk { indices, values, k } => BorrowedOp::GlobalTopk {
+                indices,
+                values,
+                k: *k,
+            },
+            CollectiveOp::SendRecvF32 { peer, send } => {
+                BorrowedOp::SendRecvF32 { peer: *peer, send }
+            }
+            CollectiveOp::Barrier => BorrowedOp::Barrier,
+        }
+    }
+
+    /// What this op resolves to once `out` came back from executing it:
+    /// an in-place op hands back its own buffer, which now holds the
+    /// result.
+    fn resolve(self, out: CollectiveResult) -> CollectiveResult {
+        match self {
+            CollectiveOp::AllReduce { buf, .. }
+            | CollectiveOp::AllReduceRd { buf, .. }
+            | CollectiveOp::Broadcast { buf, .. } => CollectiveResult::F32(buf),
+            _ => out,
+        }
+    }
+}
+
+/// One collective over the caller's storage: what
+/// [`WorkerTransport::execute`] runs. The variants mirror
+/// [`CollectiveOp`]'s; the in-place ones (all-reduce, broadcast) leave
+/// their result in `buf`.
+#[derive(Debug)]
+pub enum BorrowedOp<'a> {
+    /// As [`CollectiveOp::AllReduce`].
+    AllReduce {
+        /// This rank's contribution, overwritten by the reduction.
+        buf: &'a mut [f32],
+        /// Reduction operator.
+        op: ReduceOp,
+    },
+    /// As [`CollectiveOp::AllReduceRd`].
+    AllReduceRd {
+        /// This rank's contribution, overwritten by the reduction.
+        buf: &'a mut [f32],
+        /// Reduction operator.
+        op: ReduceOp,
+    },
+    /// As [`CollectiveOp::AllGatherF32`].
+    AllGatherF32 {
+        /// This rank's contribution.
+        send: &'a [f32],
+    },
+    /// As [`CollectiveOp::AllGatherU32`].
+    AllGatherU32 {
+        /// This rank's contribution.
+        send: &'a [u32],
+    },
+    /// As [`CollectiveOp::Broadcast`].
+    Broadcast {
+        /// Payload on the root, overwritten by it elsewhere.
+        buf: &'a mut [f32],
+        /// Originating rank.
+        root: usize,
+    },
+    /// As [`CollectiveOp::GlobalTopk`].
+    GlobalTopk {
+        /// This rank's sparse coordinate indices.
+        indices: &'a [u32],
+        /// This rank's values, parallel to `indices`.
+        values: &'a [f32],
+        /// Number of coordinates to keep globally.
+        k: usize,
+    },
+    /// As [`CollectiveOp::SendRecvF32`].
+    SendRecvF32 {
+        /// The partner rank.
+        peer: usize,
+        /// This rank's outgoing buffer.
+        send: &'a [f32],
+    },
+    /// Synchronization point.
+    Barrier,
+}
+
+/// The series one collective records: span name, latency key, size key
+/// and the payload bytes this rank contributes.
+type Series = (&'static str, &'static str, &'static str, u64);
+
+/// Copies a payload the comm worker will own; see [`BorrowedOp::owned`].
+fn own<T: Copy>(payload: &[T]) -> Vec<T> {
+    // allow_verify(reason = "a running comm worker owns its op buffers across threads; before it spawns, blocking calls borrow")
+    payload.to_vec()
+}
+
+impl BorrowedOp<'_> {
     /// The `(kind, words, param)` fingerprint the schedule tracer records
     /// for this operation (see [`crate::schedule`]).
     ///
     /// `words` is the element count every rank must agree on; it is 0 for
-    /// [`CollectiveOp::GlobalTopk`], whose sparse payload sizes are
+    /// [`BorrowedOp::GlobalTopk`], whose sparse payload sizes are
     /// legitimately rank-dependent (the shared contract there is `k`, the
     /// `param`). `param` encodes the shape-relevant argument: the
     /// [`ReduceOp`] for reductions, the root for broadcast, `k` for
-    /// top-k. [`CollectiveOp::SendRecvF32`]'s `peer` is *excluded* — the
+    /// top-k. [`BorrowedOp::SendRecvF32`]'s `peer` is *excluded* — the
     /// two sides of a pairwise exchange name each other, so their peers
     /// legitimately differ.
     pub fn fingerprint(&self) -> (OpKind, u64, u64) {
         match self {
-            CollectiveOp::AllReduce { buf, op } => (OpKind::AllReduce, buf.len() as u64, op.code()),
-            CollectiveOp::AllReduceRd { buf, op } => {
+            BorrowedOp::AllReduce { buf, op } => (OpKind::AllReduce, buf.len() as u64, op.code()),
+            BorrowedOp::AllReduceRd { buf, op } => {
                 (OpKind::AllReduceRd, buf.len() as u64, op.code())
             }
-            CollectiveOp::AllGatherF32 { send } => (OpKind::AllGatherF32, send.len() as u64, 0),
-            CollectiveOp::AllGatherU32 { send } => (OpKind::AllGatherU32, send.len() as u64, 0),
-            CollectiveOp::Broadcast { buf, root } => {
+            BorrowedOp::AllGatherF32 { send } => (OpKind::AllGatherF32, send.len() as u64, 0),
+            BorrowedOp::AllGatherU32 { send } => (OpKind::AllGatherU32, send.len() as u64, 0),
+            BorrowedOp::Broadcast { buf, root } => {
                 (OpKind::Broadcast, buf.len() as u64, *root as u64)
             }
-            CollectiveOp::GlobalTopk { k, .. } => (OpKind::GlobalTopk, 0, *k as u64),
-            CollectiveOp::SendRecvF32 { send, .. } => (OpKind::SendRecv, send.len() as u64, 0),
-            CollectiveOp::Barrier => (OpKind::Barrier, 0, 0),
+            BorrowedOp::GlobalTopk { k, .. } => (OpKind::GlobalTopk, 0, *k as u64),
+            BorrowedOp::SendRecvF32 { send, .. } => (OpKind::SendRecv, send.len() as u64, 0),
+            BorrowedOp::Barrier => (OpKind::Barrier, 0, 0),
+        }
+    }
+
+    /// What [`record_collective`] records for this op, or `None` for the
+    /// untimed barrier and pairwise exchange — they move no accountable
+    /// payload.
+    fn series(&self) -> Option<Series> {
+        let (reduce, gather) = (
+            (keys::COMM_ALL_REDUCE_US, keys::COMM_ALL_REDUCE_BYTES),
+            (keys::COMM_ALL_GATHER_US, keys::COMM_ALL_GATHER_BYTES),
+        );
+        let (name, (key, bytes_key), bytes) = match self {
+            BorrowedOp::AllReduce { buf, .. } => ("all_reduce", reduce, 4 * buf.len()),
+            BorrowedOp::AllReduceRd { buf, .. } => ("all_reduce_rd", reduce, 4 * buf.len()),
+            BorrowedOp::AllGatherF32 { send } => ("all_gather_f32", gather, 4 * send.len()),
+            BorrowedOp::AllGatherU32 { send } => ("all_gather_u32", gather, 4 * send.len()),
+            BorrowedOp::Broadcast { buf, .. } => (
+                "broadcast",
+                (keys::COMM_BROADCAST_US, keys::COMM_BROADCAST_BYTES),
+                4 * buf.len(),
+            ),
+            // (index, value) pairs this rank contributes.
+            BorrowedOp::GlobalTopk { indices, .. } => (
+                "global_topk",
+                (keys::COMM_GLOBAL_TOPK_US, keys::COMM_GLOBAL_TOPK_BYTES),
+                8 * indices.len(),
+            ),
+            BorrowedOp::SendRecvF32 { .. } | BorrowedOp::Barrier => return None,
+        };
+        Some((name, key, bytes_key, bytes as u64))
+    }
+
+    /// The owned op a running comm worker takes across threads: the one
+    /// place a blocking call's payload is copied, and only once the
+    /// worker has spawned.
+    fn owned(&self) -> CollectiveOp {
+        match self {
+            BorrowedOp::AllReduce { buf, op } => CollectiveOp::AllReduce {
+                buf: own(buf),
+                op: *op,
+            },
+            BorrowedOp::AllReduceRd { buf, op } => CollectiveOp::AllReduceRd {
+                buf: own(buf),
+                op: *op,
+            },
+            BorrowedOp::AllGatherF32 { send } => CollectiveOp::AllGatherF32 { send: own(send) },
+            BorrowedOp::AllGatherU32 { send } => CollectiveOp::AllGatherU32 { send: own(send) },
+            BorrowedOp::Broadcast { buf, root } => CollectiveOp::Broadcast {
+                buf: own(buf),
+                root: *root,
+            },
+            BorrowedOp::GlobalTopk { indices, values, k } => CollectiveOp::GlobalTopk {
+                indices: own(indices),
+                values: own(values),
+                k: *k,
+            },
+            BorrowedOp::SendRecvF32 { peer, send } => CollectiveOp::SendRecvF32 {
+                peer: *peer,
+                send: own(send),
+            },
+            BorrowedOp::Barrier => CollectiveOp::Barrier,
+        }
+    }
+
+    /// Lands the result of this op's [`BorrowedOp::owned`] copy: an
+    /// in-place op copies the returned buffer back into the caller's.
+    fn land(self, out: CollectiveResult) -> Result<CollectiveResult, CommError> {
+        match self {
+            BorrowedOp::AllReduce { buf, .. }
+            | BorrowedOp::AllReduceRd { buf, .. }
+            | BorrowedOp::Broadcast { buf, .. } => {
+                buf.copy_from_slice(&out.into_f32()?);
+                Ok(CollectiveResult::Unit)
+            }
+            _ => Ok(out),
         }
     }
 }
@@ -285,14 +466,32 @@ pub fn wait_all(
     ops.into_iter().map(PendingOp::wait).collect()
 }
 
-/// A point-to-point transport that can be moved into a [`CommWorker`].
+/// One rank's collective executor, movable into a [`CommWorker`]: the
+/// part of a backend that differs between backends.
 ///
-/// Extends [`Transport`] with the per-backend hooks the worker needs to
-/// execute collectives exactly as the backend's blocking path would:
-/// telemetry wiring, pre-collective fault hooks, and the group's
-/// topology and membership. Every peer must be reachable: the butterfly
-/// collectives, two-level topologies and reform pair arbitrary ranks.
-pub trait WorkerTransport: Transport + Send {
+/// [`WorkerTransport::execute`] runs one collective; the other hooks are
+/// what the [`WorkerCommunicator`] shell needs around it — telemetry
+/// wiring, a pre-collective fault hook, the group's topology and
+/// membership, reform and departure. The ring transports (threads, TCP)
+/// execute through [`execute_ring`], which pairs arbitrary ranks for the
+/// butterfly collectives, two-level topologies and reform; `acp-serve`'s
+/// client submits each collective to its aggregation server.
+pub trait WorkerTransport: Send {
+    /// Runs one collective over the caller's storage. In-place operations
+    /// (all-reduce, broadcast) leave their result in `buf` and resolve to
+    /// [`CollectiveResult::Unit`]; the others resolve as their
+    /// [`CollectiveOp`] counterparts do. The executor fingerprints into
+    /// its schedule what it actually runs ([`BorrowedOp::fingerprint`]).
+    ///
+    /// # Errors
+    ///
+    /// The backend's structured [`CommError`].
+    fn execute(&mut self, op: BorrowedOp<'_>) -> Result<CollectiveResult, CommError>;
+
+    /// This endpoint's physical rank: the identity its membership lists,
+    /// stable across reforms.
+    fn physical_rank(&self) -> usize;
+
     /// The telemetry recorder collective latencies and spans go to.
     fn recorder(&self) -> &RecorderHandle;
 
@@ -308,14 +507,11 @@ pub trait WorkerTransport: Transport + Send {
     /// runs the two-level ring-of-rings of [`crate::hierarchy`] when this
     /// is [`Topology::TwoLevel`]; the default is the flat ring.
     fn topology(&self) -> Topology {
-        Topology::flat(self.world_size())
+        Topology::flat(self.membership().world_size())
     }
 
-    /// The current membership (epoch + surviving physical ranks). The
-    /// default reports the static launch membership.
-    fn membership(&self) -> Membership {
-        Membership::initial(self.world_size())
-    }
+    /// The current membership: epoch plus surviving physical ranks.
+    fn membership(&self) -> Membership;
 
     /// Rebuilds the group from the surviving ranks after a peer departure:
     /// re-detects who is alive, re-derives ring/virtual ranks, bumps the
@@ -333,7 +529,7 @@ pub trait WorkerTransport: Transport + Send {
     }
 
     /// The transport's collective-schedule tracer, if it records one (see
-    /// [`crate::schedule`]). [`execute_collective`] advances it once per
+    /// [`crate::schedule`]). [`execute_ring`] advances it once per
     /// collective; transports with a tracer should also tag/verify wire
     /// messages when its mode is
     /// [`VerifyMode::CrossCheck`].
@@ -368,7 +564,9 @@ pub type DepartureNotice = Box<dyn FnOnce(u64) + Send>;
 ///
 /// Propagates the gather's error; a survivor with another digest is
 /// [`CommError::Io`] naming its virtual rank.
-pub fn confirm_reform<T: WorkerTransport + ?Sized>(t: &mut T) -> Result<Membership, CommError> {
+pub fn confirm_reform<T: Transport + WorkerTransport + ?Sized>(
+    t: &mut T,
+) -> Result<Membership, CommError> {
     let membership = t.membership();
     let Some(tracer) = t.tracer() else {
         return Ok(membership);
@@ -394,15 +592,12 @@ pub fn confirm_reform<T: WorkerTransport + ?Sized>(t: &mut T) -> Result<Membersh
 /// Emits the per-collective telemetry every backend records: one
 /// [`keys::COMM_CALLS`] tick, a latency observation under `key`, a payload
 /// size under `bytes_key` (index-parallel with the latency series — the
-/// pairing the α–β calibration fit relies on), and a span on `track`'s
-/// timeline.
+/// pairing the α–β calibration fit relies on), and a span named `name` on
+/// `track`'s timeline.
 fn record_collective(
     rec: &RecorderHandle,
-    track: u64,
-    name: &'static str,
-    key: &'static str,
-    bytes_key: &'static str,
-    bytes: u64,
+    track: usize,
+    (name, key, bytes_key, bytes): Series,
     start_us: u64,
 ) {
     if !rec.enabled() {
@@ -415,99 +610,81 @@ fn record_collective(
     rec.span(Span {
         name,
         cat: keys::CAT_COMM,
-        track,
+        track: track as u64,
         start_us,
         end_us,
     });
 }
 
-/// Runs one collective on a transport, with the same telemetry the
-/// blocking [`Communicator`] methods emit (barrier and pairwise exchange
-/// stay untimed — they move no accountable payload).
+/// Runs one collective with the work every backend shares around
+/// [`WorkerTransport::execute`]: the `prepare` hook, then the latency and
+/// size series and the span [`record_collective`] puts on `track`'s
+/// timeline.
 ///
-/// This is *the* execution path for worker-backed communicators, used by
-/// both their blocking methods and their dispatched operations.
+/// This is *the* execution path of [`WorkerCommunicator`]: its blocking
+/// calls take it inline on the caller's storage until the comm worker
+/// spawns, and the worker takes it for every op after that.
+fn run_collective<T: WorkerTransport + ?Sized>(
+    t: &mut T,
+    track: usize,
+    op: BorrowedOp<'_>,
+) -> Result<CollectiveResult, CommError> {
+    t.prepare();
+    let rec = t.recorder().clone();
+    let start_us = rec.now_us();
+    let series = op.series();
+    let result = t.execute(op);
+    if let Some(series) = series {
+        record_collective(&rec, track, series, start_us);
+    }
+    result
+}
+
+/// The ring transports' [`WorkerTransport::execute`]: folds the op into
+/// the transport's schedule, then runs its generic [`ring`] algorithm —
+/// all-reduce as the two-level ring-of-rings of [`crate::hierarchy`] on a
+/// two-level [`WorkerTransport::topology`].
 ///
 /// # Errors
 ///
 /// Propagates the ring algorithm's structured [`CommError`].
-pub fn execute_collective<T: WorkerTransport + ?Sized>(
+pub fn execute_ring<T: Transport + WorkerTransport + ?Sized>(
     t: &mut T,
-    op: CollectiveOp,
+    op: BorrowedOp<'_>,
 ) -> Result<CollectiveResult, CommError> {
-    t.prepare();
     let (kind, words, param) = op.fingerprint();
     if let Some(tracer) = t.tracer() {
         tracer.begin_op(kind, words, param);
     }
-    let rec = t.recorder().clone();
-    let track = t.rank() as u64;
-    let start_us = rec.now_us();
-    let (name, key, bytes_key, bytes, result) = match op {
-        CollectiveOp::AllReduce { mut buf, op } => (
-            "all_reduce",
-            keys::COMM_ALL_REDUCE_US,
-            keys::COMM_ALL_REDUCE_BYTES,
-            4 * buf.len() as u64,
-            {
-                // Topology-aware dispatch: two-level arrangements run the
-                // ring-of-rings schedule, flat ones the classic ring.
-                let topo = t.topology();
-                if topo.is_flat() {
-                    ring::all_reduce(t, &mut buf, op)
-                } else {
-                    crate::hierarchy::all_reduce_two_level(t, topo, &mut buf, op)
-                }
+    let unit = |()| CollectiveResult::Unit;
+    match op {
+        BorrowedOp::AllReduce { buf, op } => {
+            let topo = t.topology();
+            if topo.is_flat() {
+                ring::all_reduce(t, buf, op).map(unit)
+            } else {
+                crate::hierarchy::all_reduce_two_level(t, topo, buf, op).map(unit)
             }
-            .map(|()| CollectiveResult::F32(buf)),
-        ),
-        CollectiveOp::AllReduceRd { mut buf, op } => (
-            "all_reduce_rd",
-            keys::COMM_ALL_REDUCE_US,
-            keys::COMM_ALL_REDUCE_BYTES,
-            4 * buf.len() as u64,
-            ring::all_reduce_recursive_doubling(t, &mut buf, op)
-                .map(|()| CollectiveResult::F32(buf)),
-        ),
-        CollectiveOp::AllGatherF32 { send } => (
-            "all_gather_f32",
-            keys::COMM_ALL_GATHER_US,
-            keys::COMM_ALL_GATHER_BYTES,
-            4 * send.len() as u64,
-            ring::all_gather_f32(t, &send).map(CollectiveResult::F32),
-        ),
-        CollectiveOp::AllGatherU32 { send } => (
-            "all_gather_u32",
-            keys::COMM_ALL_GATHER_US,
-            keys::COMM_ALL_GATHER_BYTES,
-            4 * send.len() as u64,
-            ring::all_gather_u32(t, &send).map(CollectiveResult::U32),
-        ),
-        CollectiveOp::Broadcast { mut buf, root } => (
-            "broadcast",
-            keys::COMM_BROADCAST_US,
-            keys::COMM_BROADCAST_BYTES,
-            4 * buf.len() as u64,
-            ring::broadcast(t, &mut buf, root).map(|()| CollectiveResult::F32(buf)),
-        ),
-        CollectiveOp::GlobalTopk { indices, values, k } => (
-            "global_topk",
-            keys::COMM_GLOBAL_TOPK_US,
-            keys::COMM_GLOBAL_TOPK_BYTES,
-            // (index, value) pairs this rank contributes.
-            8 * indices.len() as u64,
-            ring::global_topk_butterfly(t, &indices, &values, k)
-                .map(|(i, v)| CollectiveResult::Sparse(i, v)),
-        ),
-        CollectiveOp::SendRecvF32 { peer, send } => {
-            return ring::send_recv_f32(t, peer, &send).map(CollectiveResult::F32);
         }
-        CollectiveOp::Barrier => {
-            return ring::barrier(t).map(|()| CollectiveResult::Unit);
+        BorrowedOp::AllReduceRd { buf, op } => {
+            ring::all_reduce_recursive_doubling(t, buf, op).map(unit)
         }
-    };
-    record_collective(&rec, track, name, key, bytes_key, bytes, start_us);
-    result
+        BorrowedOp::AllGatherF32 { send } => {
+            ring::all_gather_f32(t, send).map(CollectiveResult::F32)
+        }
+        BorrowedOp::AllGatherU32 { send } => {
+            ring::all_gather_u32(t, send).map(CollectiveResult::U32)
+        }
+        BorrowedOp::Broadcast { buf, root } => ring::broadcast(t, buf, root).map(unit),
+        BorrowedOp::GlobalTopk { indices, values, k } => {
+            ring::global_topk_butterfly(t, indices, values, k)
+                .map(|(i, v)| CollectiveResult::Sparse(i, v))
+        }
+        BorrowedOp::SendRecvF32 { peer, send } => {
+            ring::send_recv_f32(t, peer, send).map(CollectiveResult::F32)
+        }
+        BorrowedOp::Barrier => ring::barrier(t).map(unit),
+    }
 }
 
 /// Runs one collective through a communicator's *blocking* trait methods —
@@ -583,20 +760,28 @@ impl CommWorker {
     /// submission handle.
     pub fn spawn<T: WorkerTransport + 'static>(mut transport: T) -> CommWorker {
         let (tx, rx) = unbounded::<WorkerMsg>();
+        let physical = transport.physical_rank();
+        // Spans go on the virtual rank's timeline, as the caller's do.
+        let mut track = virtual_rank(&transport.membership(), physical);
         std::thread::Builder::new()
-            .name(format!("acp-comm-{}", transport.rank()))
+            .name(format!("acp-comm-{physical}"))
             .spawn(move || {
                 while let Ok(msg) = rx.recv() {
                     match msg {
-                        WorkerMsg::Op { op, reply } => {
-                            let result = execute_collective(&mut transport, op);
+                        WorkerMsg::Op { mut op, reply } => {
+                            let result = run_collective(&mut transport, track, op.as_borrowed())
+                                .map(|out| op.resolve(out));
                             // The submitter may have dropped its handle;
                             // the operation still ran, keeping SPMD order.
                             let _ = reply.send(result);
                         }
                         WorkerMsg::SetRecorder(recorder) => transport.set_recorder(recorder),
                         WorkerMsg::Reform { reply } => {
-                            let _ = reply.send(transport.reform());
+                            let result = transport.reform();
+                            if let Ok(membership) = &result {
+                                track = virtual_rank(membership, physical);
+                            }
+                            let _ = reply.send(result);
                         }
                     }
                 }
@@ -644,15 +829,16 @@ impl CommWorker {
 }
 
 /// One rank's [`Communicator`] over any [`WorkerTransport`] — the shell
-/// every worker-backed backend shares, so backends differ only in how
-/// their transport moves bytes.
+/// the thread, TCP and served backends share, so backends differ only in
+/// how their transport executes a collective.
 ///
-/// Collectives run inline on the transport until the first
-/// [`Communicator::dispatch`], which moves the transport into a
-/// [`CommWorker`]; from then on *every* call, blocking ones included, goes
-/// through the worker in FIFO order, so a blocking call can never overtake
-/// dispatched operations. The byte counter and the schedule trace live in
-/// cells shared with the transport, so both stay readable after it moved.
+/// Collectives run inline on the transport, over the caller's own
+/// storage, until the first [`Communicator::dispatch`], which moves the
+/// transport into a [`CommWorker`]; from then on *every* call, blocking
+/// ones included, goes through the worker in FIFO order — a blocking call
+/// as an owned copy of its payload — so it can never overtake dispatched
+/// operations. The byte counter and the schedule trace live in cells
+/// shared with the transport, so both stay readable after it moved.
 pub struct WorkerCommunicator<T: WorkerTransport> {
     /// Virtual (ring) rank — equals `physical` until a reform.
     rank: usize,
@@ -701,19 +887,21 @@ impl<T: WorkerTransport> Drop for WorkerCommunicator<T> {
 }
 
 impl<T: WorkerTransport + 'static> WorkerCommunicator<T> {
-    /// Wraps a freshly connected transport (virtual rank = physical rank).
-    /// `bytes_sent` and `schedule` must be the cells the transport itself
-    /// updates; `verify` is the mode its tracer runs in.
+    /// Wraps a freshly connected transport. `bytes_sent` and `schedule`
+    /// must be the cells the transport itself updates; `verify` is the
+    /// mode its tracer runs in.
     pub fn new(
         transport: T,
         bytes_sent: Arc<AtomicU64>,
         schedule: Arc<ScheduleCell>,
         verify: VerifyMode,
     ) -> Self {
+        let physical = transport.physical_rank();
+        let membership = transport.membership();
         WorkerCommunicator {
-            rank: transport.rank(),
-            physical: transport.rank(),
-            membership: transport.membership(),
+            rank: virtual_rank(&membership, physical),
+            physical,
+            membership,
             topology: transport.topology(),
             inner: Some(transport),
             worker: None,
@@ -724,28 +912,19 @@ impl<T: WorkerTransport + 'static> WorkerCommunicator<T> {
         }
     }
 
-    /// Runs one collective to completion: inline on the transport before
-    /// a worker exists, or as submit-and-wait once one is running.
-    fn run_op(&mut self, op: CollectiveOp) -> Result<CollectiveResult, CommError> {
+    /// Runs one collective to completion: inline on the caller's storage
+    /// before a worker exists; once one runs, as an owned copy queued
+    /// behind everything already dispatched, its result landed back.
+    fn run_op(&mut self, op: BorrowedOp<'_>) -> Result<CollectiveResult, CommError> {
         match (&self.worker, self.inner.as_mut()) {
-            (Some(worker), _) => worker.submit(op).wait(),
-            (None, Some(transport)) => execute_collective(transport, op),
+            (Some(worker), _) => {
+                let out = worker.submit(op.owned()).wait()?;
+                op.land(out)
+            }
+            (None, Some(transport)) => run_collective(transport, self.rank, op),
             // Unreachable: the transport only leaves when a worker spawns.
             (None, None) => Err(CommError::WorkerPanicked),
         }
-    }
-
-    /// Runs an in-place `f32` collective on a copy of `buf` and writes the
-    /// result back.
-    fn run_in_place(
-        &mut self,
-        buf: &mut [f32],
-        op: impl FnOnce(Vec<f32>) -> CollectiveOp,
-    ) -> Result<(), CommError> {
-        // allow_verify(reason = "the comm worker owns op buffers across threads; per-hop sends are zero-copy")
-        let out = self.run_op(op(buf.to_vec()))?.into_f32()?;
-        buf.copy_from_slice(&out);
-        Ok(())
     }
 
     /// Spawns the comm worker on first use, moving the transport into it.
@@ -773,12 +952,8 @@ impl<T: WorkerTransport + 'static> WorkerCommunicator<T> {
     /// Returns an error on disconnect, mismatched lengths, or a `peer`
     /// outside the group.
     pub fn send_recv_f32(&mut self, peer: usize, send: &[f32]) -> Result<Vec<f32>, CommError> {
-        self.run_op(CollectiveOp::SendRecvF32 {
-            peer,
-            // allow_verify(reason = "the comm worker owns op buffers across threads; per-hop sends are zero-copy")
-            send: send.to_vec(),
-        })?
-        .into_f32()
+        self.run_op(BorrowedOp::SendRecvF32 { peer, send })?
+            .into_f32()
     }
 
     /// Latency-optimal all-reduce by recursive doubling: `⌈log₂ p⌉` rounds
@@ -797,8 +972,16 @@ impl<T: WorkerTransport + 'static> WorkerCommunicator<T> {
         buf: &mut [f32],
         op: ReduceOp,
     ) -> Result<(), CommError> {
-        self.run_in_place(buf, |buf| CollectiveOp::AllReduceRd { buf, op })
+        self.run_op(BorrowedOp::AllReduceRd { buf, op }).map(|_| ())
     }
+}
+
+/// `physical`'s virtual (ring) rank in `membership`. A transport always
+/// lists itself; were it not to, its physical rank stands in.
+fn virtual_rank(membership: &Membership, physical: usize) -> usize {
+    membership
+        .virtual_rank_of(physical)
+        .map_or(physical, RankId::as_usize)
 }
 
 impl<T: WorkerTransport + 'static> Communicator for WorkerCommunicator<T> {
@@ -839,33 +1022,25 @@ impl<T: WorkerTransport + 'static> Communicator for WorkerCommunicator<T> {
     }
 
     fn all_reduce(&mut self, buf: &mut [f32], op: ReduceOp) -> Result<(), CommError> {
-        self.run_in_place(buf, |buf| CollectiveOp::AllReduce { buf, op })
+        self.run_op(BorrowedOp::AllReduce { buf, op }).map(|_| ())
     }
 
     fn all_gather_f32(&mut self, send: &[f32]) -> Result<Vec<f32>, CommError> {
-        self.run_op(CollectiveOp::AllGatherF32 {
-            // allow_verify(reason = "the comm worker owns op buffers across threads; per-hop sends are zero-copy")
-            send: send.to_vec(),
-        })?
-        .into_f32()
+        self.run_op(BorrowedOp::AllGatherF32 { send })?.into_f32()
     }
 
     fn all_gather_u32(&mut self, send: &[u32]) -> Result<Vec<u32>, CommError> {
-        self.run_op(CollectiveOp::AllGatherU32 {
-            // allow_verify(reason = "the comm worker owns op buffers across threads; per-hop sends are zero-copy")
-            send: send.to_vec(),
-        })?
-        .into_u32()
+        self.run_op(BorrowedOp::AllGatherU32 { send })?.into_u32()
     }
 
     fn broadcast(&mut self, buf: &mut [f32], root: usize) -> Result<(), CommError> {
-        self.run_in_place(buf, |buf| CollectiveOp::Broadcast { buf, root })
+        self.run_op(BorrowedOp::Broadcast { buf, root }).map(|_| ())
     }
 
     fn barrier(&mut self) -> Result<(), CommError> {
         // Untimed: barriers move no payload, and timing them would skew the
         // communication series with pure synchronization waits.
-        self.run_op(CollectiveOp::Barrier).map(|_| ())
+        self.run_op(BorrowedOp::Barrier).map(|_| ())
     }
 
     fn bytes_sent(&self) -> u64 {
@@ -886,14 +1061,8 @@ impl<T: WorkerTransport + 'static> Communicator for WorkerCommunicator<T> {
         values: &[f32],
         k: usize,
     ) -> Result<(Vec<u32>, Vec<f32>), CommError> {
-        self.run_op(CollectiveOp::GlobalTopk {
-            // allow_verify(reason = "the comm worker owns op buffers across threads; per-hop sends are zero-copy")
-            indices: indices.to_vec(),
-            // allow_verify(reason = "the comm worker owns op buffers across threads; per-hop sends are zero-copy")
-            values: values.to_vec(),
-            k,
-        })?
-        .into_sparse()
+        self.run_op(BorrowedOp::GlobalTopk { indices, values, k })?
+            .into_sparse()
     }
 
     fn dispatch(&mut self, op: CollectiveOp) -> PendingOp {

@@ -350,8 +350,9 @@ impl ScheduleTracer {
 
     /// Records the start of one collective: assigns it the next sequence
     /// number, folds its fingerprint into the rolling digest, and appends
-    /// it to the window (and, in cross-check mode, the full log).
-    pub fn begin_op(&mut self, kind: OpKind, words: u64, param: u64) {
+    /// it to the window (and, in cross-check mode, the full log). Returns
+    /// the op's schedule position.
+    pub fn begin_op(&mut self, kind: OpKind, words: u64, param: u64) -> SchedulePoint {
         let seq = self.cell.seq.fetch_add(1, Ordering::SeqCst);
         self.pre_digest = self.cell.digest.load(Ordering::SeqCst);
         let digest = digest_step(self.pre_digest, kind, words, param);
@@ -378,6 +379,7 @@ impl ScheduleTracer {
                 .unwrap_or_else(|e| e.into_inner())
                 .push(entry);
         }
+        point
     }
 
     /// The tag outgoing messages should carry, or `None` when tagging is

@@ -54,7 +54,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use acp_collectives::nonblocking::{confirm_reform, WorkerCommunicator};
+use acp_collectives::nonblocking::{
+    confirm_reform, execute_ring, BorrowedOp, CollectiveResult, WorkerCommunicator,
+};
 use acp_collectives::ring::{Transport, WireMsg};
 use acp_collectives::schedule::{self, OpKind, ScheduleCell, ScheduleTracer};
 use acp_collectives::topology::{Membership, Topology as GroupTopology, TopologyError};
@@ -771,6 +773,14 @@ impl TcpTransport {
 }
 
 impl WorkerTransport for TcpTransport {
+    fn execute(&mut self, op: BorrowedOp<'_>) -> Result<CollectiveResult, CommError> {
+        execute_ring(self, op)
+    }
+
+    fn physical_rank(&self) -> usize {
+        self.rank
+    }
+
     fn recorder(&self) -> &RecorderHandle {
         &self.recorder
     }

@@ -1,11 +1,14 @@
 //! [`ServedCommunicator`]: the [`Communicator`] backend that aggregates
 //! through an [`crate::Server`] instead of peer-to-peer rings.
 //!
-//! Each collective becomes one `Submit` round-trip: the client fingerprints
-//! the op with the same [`ScheduleTracer`] the transports use, names its
-//! session (job id, membership epoch) and schedule position, ships the
-//! payload in the `acp-net` frame encoding, and blocks for the aggregated
-//! result. Structured rejects map onto the existing [`CommError`] surface:
+//! The client is a [`WorkerTransport`] under the same
+//! [`WorkerCommunicator`] shell as the rings (comm worker, telemetry,
+//! byte and schedule cells). Each collective becomes one `Submit`
+//! round-trip: the session fingerprints the op with the same
+//! [`ScheduleTracer`] the transports use, names its session (job id,
+//! membership epoch) and schedule position, ships the payload in the
+//! `acp-net` frame encoding, and blocks for the aggregated result.
+//! Structured rejects map onto the existing [`CommError`] surface:
 //! backpressure becomes the retryable [`CommError::Busy`], a dead sibling
 //! becomes [`CommError::MembershipChanged`] (answered, as with the
 //! peer-to-peer transports, by calling [`Communicator::reform`]), and a
@@ -13,13 +16,19 @@
 
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use acp_collectives::nonblocking::{BorrowedOp, CollectiveOp, CollectiveResult, PendingOp};
+use acp_collectives::ring::sum_truncate_topk;
 use acp_collectives::schedule::{
-    membership_param, OpKind, ScheduleCell, SchedulePoint, ScheduleTracer, VerifyMode,
+    membership_param, OpKind, ScheduleCell, ScheduleTracer, VerifyMode,
 };
-use acp_collectives::{CommError, Communicator, Membership, ReduceOp, ScheduleSnapshot};
+use acp_collectives::{
+    CommError, Communicator, Membership, ReduceOp, ScheduleSnapshot, Topology, WorkerCommunicator,
+    WorkerTransport,
+};
 use acp_net::frame::{read_frame_into, read_payload_head, DenseMut, MsgRef, PayloadHead, ReadInto};
 use acp_telemetry::{keys, noop, RecorderHandle};
 
@@ -56,40 +65,30 @@ impl Default for ServedConfig {
 
 /// A [`Communicator`] whose collectives are aggregated by an
 /// [`crate::Server`] shard instead of a peer-to-peer ring — the client
-/// side of the aggregation service.
+/// side of the aggregation service: the [`WorkerCommunicator`] shell over
+/// one served session, whose physical rank is its client id.
 ///
 /// Supports the all-reduce subset of the trait: all-reduce, the two
-/// all-gathers, broadcast and barrier (plus the default derived
-/// `global_topk`). The results are bit-exact with [`acp_collectives`]'s
-/// in-process and TCP rings, proven by the `served_equivalence` test in
-/// `acp-training`.
-pub struct ServedCommunicator {
+/// all-gathers, broadcast and barrier, plus `global_topk` as two gathers
+/// and an exact truncation. The results are bit-exact with
+/// [`acp_collectives`]'s in-process and TCP rings, proven by the
+/// `served_equivalence` test in `acp-training`.
+#[derive(Debug)]
+pub struct ServedCommunicator(WorkerCommunicator<ServedSession>);
+
+/// One client's session with the service: the [`WorkerTransport`] inside
+/// a [`ServedCommunicator`].
+struct ServedSession {
     stream: TcpStream,
     job: u64,
     client: u32,
-    epoch: u64,
-    /// Current members ascending; virtual rank = index.
-    members: Vec<u32>,
-    virtual_rank: usize,
-    next_seq: u64,
+    /// Epoch and current members (client ids) ascending; virtual rank =
+    /// index.
+    membership: Membership,
     tracer: ScheduleTracer,
-    cell: Arc<ScheduleCell>,
-    bytes_sent: u64,
+    bytes_sent: Arc<AtomicU64>,
     recorder: RecorderHandle,
     cfg: ServedConfig,
-    /// The most recent structured reject, kept for diagnostics.
-    last_reject: Option<Reject>,
-}
-
-impl std::fmt::Debug for ServedCommunicator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServedCommunicator")
-            .field("job", &self.job)
-            .field("client", &self.client)
-            .field("epoch", &self.epoch)
-            .field("members", &self.members)
-            .finish_non_exhaustive()
-    }
 }
 
 fn io_err(context: &str, e: &io::Error) -> CommError {
@@ -141,89 +140,87 @@ impl ServedCommunicator {
             },
         )
         .map_err(|e| io_err("send handshake", &e))?;
-        let (epoch, total, rank) = match read_response(&mut &stream) {
+        let (epoch, total) = match read_response(&mut &stream) {
             Ok(Response::Welcome {
                 job: echoed,
                 epoch,
                 clients,
-                rank,
+                ..
             }) => {
                 if echoed != job {
                     return Err(CommError::ProtocolMismatch);
                 }
-                (epoch, clients, rank)
+                (epoch, clients)
             }
             Ok(Response::Reject(reject)) => return Err(map_reject(reject)),
             Ok(_) => return Err(CommError::ProtocolMismatch),
             Err(e) => return Err(io_err("read handshake reply", &e)),
         };
+        let verify = VerifyMode::from_env();
         let cell = Arc::new(ScheduleCell::default());
-        Ok(ServedCommunicator {
+        let bytes_sent = Arc::new(AtomicU64::new(0));
+        let session = ServedSession {
             stream,
             job,
             client,
-            epoch,
-            members: (0..total).collect(),
-            virtual_rank: rank as usize,
-            next_seq: 0,
-            tracer: ScheduleTracer::new(VerifyMode::from_env(), Arc::clone(&cell)),
-            cell,
-            bytes_sent: 0,
+            membership: Membership::from_parts(epoch, (0..total as usize).collect()),
+            tracer: ScheduleTracer::new(verify, Arc::clone(&cell)),
+            bytes_sent: Arc::clone(&bytes_sent),
             recorder: noop(),
             cfg,
-            last_reject: None,
-        })
+        };
+        Ok(ServedCommunicator(WorkerCommunicator::new(
+            session, bytes_sent, cell, verify,
+        )))
     }
+}
 
-    /// The job (session) id this client aggregates under.
-    pub fn job(&self) -> u64 {
-        self.job
+/// What `op` submits: its buffer or contribution, or a barrier token.
+fn payload<'b>(op: &'b BorrowedOp<'_>) -> MsgRef<'b> {
+    match op {
+        BorrowedOp::AllReduce { buf, .. } | BorrowedOp::Broadcast { buf, .. } => MsgRef::F32(buf),
+        BorrowedOp::AllGatherF32 { send } => MsgRef::F32(send),
+        BorrowedOp::AllGatherU32 { send } => MsgRef::U32(send),
+        _ => MsgRef::Token,
     }
+}
 
-    /// The most recent structured rejection the service answered with,
-    /// for diagnostics (e.g. inspecting `Busy` pressure after a retry
-    /// succeeded).
-    pub fn last_reject(&self) -> Option<&Reject> {
-        self.last_reject.as_ref()
-    }
-
+impl ServedSession {
     /// Runs one collective through the service: fingerprints it in the
-    /// schedule, submits `io`'s send side straight from the caller's
-    /// storage, and lands the aggregate in `io`'s receive side. Structured
-    /// `Busy` backpressure is retried with exponential backoff (a busy
-    /// submission was never admitted, so the resend cannot double-count,
-    /// and it borrows the same storage again).
+    /// schedule, submits its payload straight from the caller's storage,
+    /// and lands the aggregate in `out` — or, for an in-place op, back in
+    /// its own buffer. Structured `Busy` backpressure is retried with
+    /// exponential backoff (a busy submission was never admitted, so the
+    /// resend cannot double-count, and it borrows the same storage again).
     fn submit(
         &mut self,
-        kind: OpKind,
-        words: u64,
-        param: u64,
-        mut io: OpIo<'_>,
+        mut op: BorrowedOp<'_>,
+        out: Option<DenseMut<'_>>,
     ) -> Result<(), CommError> {
-        self.tracer.begin_op(kind, words, param);
-        let point = SchedulePoint {
-            seq: self.next_seq,
-            kind,
-            words,
-            param,
-        };
-        self.next_seq += 1;
+        let (kind, words, param) = op.fingerprint();
+        let point = self.tracer.begin_op(kind, words, param);
         let head = SubmitHead {
             job: self.job,
             client: self.client,
-            epoch: self.epoch,
+            epoch: self.membership.epoch(),
             point,
             digest: self.tracer.digest(),
         };
+        let bytes = payload(&op).payload_bytes();
         let mut backoff = self.cfg.busy_backoff;
         let mut busy_attempts = 0u32;
         loop {
-            write_submit(&mut &self.stream, &head, io.send())
+            write_submit(&mut &self.stream, &head, payload(&op))
                 .map_err(|e| self.broken("submit collective", &e))?;
             match read_response_head(&mut &self.stream) {
                 Ok(ResponseHead::Done { seq, digest }) => {
                     let landed = if seq == point.seq && digest == head.digest {
-                        self.receive(&mut io)
+                        let dest = match &mut op {
+                            BorrowedOp::AllReduce { buf, .. }
+                            | BorrowedOp::Broadcast { buf, .. } => Some(DenseMut::F32(buf)),
+                            _ => out,
+                        };
+                        self.receive(dest)
                     } else {
                         Err(CommError::ProtocolMismatch)
                     };
@@ -236,13 +233,11 @@ impl ServedCommunicator {
                         let _ = self.stream.shutdown(Shutdown::Both);
                     }
                     landed?;
-                    let bytes = io.send().payload_bytes();
-                    self.bytes_sent += bytes;
+                    self.bytes_sent.fetch_add(bytes, Ordering::SeqCst);
                     self.recorder.add(keys::COMM_BYTES_SENT, bytes);
                     return Ok(());
                 }
                 Ok(ResponseHead::Other(Response::Reject(Reject::Busy { in_flight, budget }))) => {
-                    self.last_reject = Some(Reject::Busy { in_flight, budget });
                     busy_attempts += 1;
                     if busy_attempts > self.cfg.busy_retries {
                         return Err(CommError::Busy {
@@ -254,8 +249,7 @@ impl ServedCommunicator {
                     backoff = (backoff * 2).min(self.cfg.busy_backoff_max);
                 }
                 Ok(ResponseHead::Other(Response::Reject(reject))) => {
-                    self.last_reject = Some(reject.clone());
-                    return Err(map_reject(reject));
+                    return Err(map_reject(reject))
                 }
                 Ok(ResponseHead::Other(_)) => return Err(CommError::ProtocolMismatch),
                 Err(e) => return Err(self.broken("read collective result", &e)),
@@ -263,11 +257,12 @@ impl ServedCommunicator {
         }
     }
 
-    /// Receives a `Done`'s payload frame straight into `io`'s destination.
-    /// On any error the stream is no longer on a message boundary.
-    fn receive(&mut self, io: &mut OpIo<'_>) -> Result<(), CommError> {
+    /// Receives a `Done`'s payload frame straight into `dest`, or its
+    /// barrier token when there is none. On any error the stream is no
+    /// longer on a message boundary.
+    fn receive(&mut self, dest: Option<DenseMut<'_>>) -> Result<(), CommError> {
         let read_failed = |e: io::Error| io_err("read collective result", &e);
-        let Some(dest) = io.dest() else {
+        let Some(dest) = dest else {
             return match read_payload_head(&mut &self.stream).map_err(read_failed)? {
                 PayloadHead::Token => Ok(()),
                 _ => Err(CommError::ProtocolMismatch),
@@ -289,40 +284,6 @@ impl ServedCommunicator {
     fn broken(&self, context: &str, e: &io::Error) -> CommError {
         let _ = self.stream.shutdown(Shutdown::Both);
         io_err(context, e)
-    }
-}
-
-/// The caller-side storage of one collective: what is sent, and where the
-/// aggregate lands.
-enum OpIo<'a> {
-    /// Send the buffer, receive the result over it (all-reduce,
-    /// broadcast).
-    InPlace(&'a mut [f32]),
-    /// Send a contribution, receive every rank's into the gathered output.
-    GatherF32(&'a [f32], &'a mut [f32]),
-    /// As [`OpIo::GatherF32`], for `u32`s.
-    GatherU32(&'a [u32], &'a mut [u32]),
-    /// A barrier token each way.
-    Token,
-}
-
-impl OpIo<'_> {
-    fn send(&self) -> MsgRef<'_> {
-        match self {
-            OpIo::InPlace(buf) => MsgRef::F32(buf),
-            OpIo::GatherF32(send, _) => MsgRef::F32(send),
-            OpIo::GatherU32(send, _) => MsgRef::U32(send),
-            OpIo::Token => MsgRef::Token,
-        }
-    }
-
-    fn dest(&mut self) -> Option<DenseMut<'_>> {
-        match self {
-            OpIo::InPlace(buf) => Some(DenseMut::F32(buf)),
-            OpIo::GatherF32(_, out) => Some(DenseMut::F32(out)),
-            OpIo::GatherU32(_, out) => Some(DenseMut::U32(out)),
-            OpIo::Token => None,
-        }
     }
 }
 
@@ -348,20 +309,62 @@ fn map_reject(reject: Reject) -> CommError {
     }
 }
 
-impl Communicator for ServedCommunicator {
-    fn rank(&self) -> usize {
-        self.virtual_rank
+impl WorkerTransport for ServedSession {
+    /// One `Submit` per op. gTop-k is the exact gather-and-truncate of the
+    /// trait default: two gathers on the wire, each fingerprinted as what
+    /// it is. Recursive doubling and pairwise exchange need peers, which a
+    /// client of the service does not have.
+    fn execute(&mut self, op: BorrowedOp<'_>) -> Result<CollectiveResult, CommError> {
+        let world = self.membership.world_size();
+        match op {
+            BorrowedOp::AllReduce { .. } | BorrowedOp::Barrier => {
+                self.submit(op, None).map(|()| CollectiveResult::Unit)
+            }
+            BorrowedOp::Broadcast { root, .. } if root >= world => Err(CommError::InvalidRoot {
+                root,
+                world_size: world,
+            }),
+            BorrowedOp::Broadcast { .. } => self.submit(op, None).map(|()| CollectiveResult::Unit),
+            BorrowedOp::AllGatherF32 { send } => {
+                let mut out = vec![0.0f32; send.len() * world];
+                self.submit(op, Some(DenseMut::F32(&mut out)))?;
+                Ok(CollectiveResult::F32(out))
+            }
+            BorrowedOp::AllGatherU32 { send } => {
+                let mut out = vec![0u32; send.len() * world];
+                self.submit(op, Some(DenseMut::U32(&mut out)))?;
+                Ok(CollectiveResult::U32(out))
+            }
+            BorrowedOp::GlobalTopk { indices, values, k } => {
+                let indices = self
+                    .execute(BorrowedOp::AllGatherU32 { send: indices })?
+                    .into_u32()?;
+                let values = self
+                    .execute(BorrowedOp::AllGatherF32 { send: values })?
+                    .into_f32()?;
+                let (i, v) = sum_truncate_topk(&indices, &values, k);
+                Ok(CollectiveResult::Sparse(i, v))
+            }
+            BorrowedOp::AllReduceRd { .. } | BorrowedOp::SendRecvF32 { .. } => {
+                Err(CommError::ProtocolMismatch)
+            }
+        }
     }
 
-    fn world_size(&self) -> usize {
-        self.members.len()
+    fn physical_rank(&self) -> usize {
+        self.client as usize
+    }
+
+    fn recorder(&self) -> &RecorderHandle {
+        &self.recorder
+    }
+
+    fn set_recorder(&mut self, recorder: RecorderHandle) {
+        self.recorder = recorder;
     }
 
     fn membership(&self) -> Membership {
-        Membership::from_parts(
-            self.epoch,
-            self.members.iter().map(|&m| m as usize).collect(),
-        )
+        self.membership.clone()
     }
 
     fn reform(&mut self) -> Result<Membership, CommError> {
@@ -370,107 +373,43 @@ impl Communicator for ServedCommunicator {
             &Request::Reform {
                 job: self.job,
                 client: self.client,
-                epoch: self.epoch,
+                epoch: self.membership.epoch(),
             },
         )
         .map_err(|e| io_err("send reform", &e))?;
         match read_response(&mut &self.stream) {
             Ok(Response::Reformed { epoch, members }) => {
-                self.epoch = epoch;
-                self.members = members;
-                self.virtual_rank = self
-                    .members
-                    .iter()
-                    .position(|&m| m == self.client)
-                    .ok_or(CommError::ProtocolMismatch)?;
-                let survivors: Vec<usize> = self.members.iter().map(|&m| m as usize).collect();
+                // Check the reply before adopting any of it: virtual rank
+                // is the index in the list, so it must be strictly
+                // ascending, and it must still hold this client.
+                let ascending = members.windows(2).all(|pair| pair[0] < pair[1]);
+                if !ascending || members.binary_search(&self.client).is_err() {
+                    return Err(CommError::ProtocolMismatch);
+                }
+                let survivors = members.into_iter().map(|m| m as usize).collect();
+                self.membership = Membership::from_parts(epoch, survivors);
                 // Fold the reform into the schedule exactly like the
                 // peer-to-peer transports, so a served and a p2p run of
                 // the same elastic program keep identical digests.
                 self.tracer.begin_op(
                     OpKind::Reform,
-                    survivors.len() as u64,
-                    membership_param(self.epoch, &survivors),
+                    self.membership.world_size() as u64,
+                    membership_param(epoch, self.membership.ranks()),
                 );
-                self.next_seq += 1;
-                Ok(Membership::from_parts(self.epoch, survivors))
+                Ok(self.membership.clone())
             }
-            Ok(Response::Reject(reject)) => {
-                self.last_reject = Some(reject.clone());
-                Err(map_reject(reject))
-            }
+            Ok(Response::Reject(reject)) => Err(map_reject(reject)),
             Ok(_) => Err(CommError::ProtocolMismatch),
             Err(e) => Err(io_err("read reform reply", &e)),
         }
     }
 
-    fn all_reduce(&mut self, buf: &mut [f32], op: ReduceOp) -> Result<(), CommError> {
-        self.submit(
-            OpKind::AllReduce,
-            buf.len() as u64,
-            op.code(),
-            OpIo::InPlace(buf),
-        )
-    }
-
-    fn all_gather_f32(&mut self, send: &[f32]) -> Result<Vec<f32>, CommError> {
-        let mut out = vec![0.0f32; send.len() * self.members.len()];
-        self.submit(
-            OpKind::AllGatherF32,
-            send.len() as u64,
-            0,
-            OpIo::GatherF32(send, &mut out),
-        )?;
-        Ok(out)
-    }
-
-    fn all_gather_u32(&mut self, send: &[u32]) -> Result<Vec<u32>, CommError> {
-        let mut out = vec![0u32; send.len() * self.members.len()];
-        self.submit(
-            OpKind::AllGatherU32,
-            send.len() as u64,
-            0,
-            OpIo::GatherU32(send, &mut out),
-        )?;
-        Ok(out)
-    }
-
-    fn broadcast(&mut self, buf: &mut [f32], root: usize) -> Result<(), CommError> {
-        if root >= self.members.len() {
-            return Err(CommError::InvalidRoot {
-                root,
-                world_size: self.members.len(),
-            });
-        }
-        self.submit(
-            OpKind::Broadcast,
-            buf.len() as u64,
-            root as u64,
-            OpIo::InPlace(buf),
-        )
-    }
-
-    fn barrier(&mut self) -> Result<(), CommError> {
-        self.submit(OpKind::Barrier, 0, 0, OpIo::Token)
-    }
-
-    fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
-    }
-
-    fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.recorder = recorder;
-    }
-
-    fn schedule(&self) -> Option<ScheduleSnapshot> {
-        Some(
-            self.cell
-                .snapshot(self.tracer.mode() == VerifyMode::CrossCheck),
-        )
+    fn tracer(&mut self) -> Option<&mut ScheduleTracer> {
+        Some(&mut self.tracer)
     }
 }
 
-impl Drop for ServedCommunicator {
+impl Drop for ServedSession {
     fn drop(&mut self) {
         // Graceful departure; the service treats a vanished client
         // identically, just via the connection teardown path.
@@ -482,4 +421,38 @@ impl Drop for ServedCommunicator {
             },
         );
     }
+}
+
+/// One [`Communicator`] method of [`ServedCommunicator`], forwarded to
+/// the shell inside it.
+macro_rules! forward {
+    (fn $name:ident(&self $(, $arg:ident: $ty:ty)*) -> $ret:ty) => {
+        fn $name(&self $(, $arg: $ty)*) -> $ret {
+            self.0.$name($($arg),*)
+        }
+    };
+    (fn $name:ident(&mut self $(, $arg:ident: $ty:ty)*) -> $ret:ty) => {
+        fn $name(&mut self $(, $arg: $ty)*) -> $ret {
+            self.0.$name($($arg),*)
+        }
+    };
+}
+
+impl Communicator for ServedCommunicator {
+    forward!(fn rank(&self) -> usize);
+    forward!(fn world_size(&self) -> usize);
+    forward!(fn topology(&self) -> Topology);
+    forward!(fn membership(&self) -> Membership);
+    forward!(fn reform(&mut self) -> Result<Membership, CommError>);
+    forward!(fn all_reduce(&mut self, buf: &mut [f32], op: ReduceOp) -> Result<(), CommError>);
+    forward!(fn all_gather_f32(&mut self, send: &[f32]) -> Result<Vec<f32>, CommError>);
+    forward!(fn all_gather_u32(&mut self, send: &[u32]) -> Result<Vec<u32>, CommError>);
+    forward!(fn broadcast(&mut self, buf: &mut [f32], root: usize) -> Result<(), CommError>);
+    forward!(fn barrier(&mut self) -> Result<(), CommError>);
+    forward!(fn bytes_sent(&self) -> u64);
+    forward!(fn set_recorder(&mut self, recorder: RecorderHandle) -> ());
+    forward!(fn global_topk(&mut self, indices: &[u32], values: &[f32], k: usize)
+        -> Result<(Vec<u32>, Vec<f32>), CommError>);
+    forward!(fn dispatch(&mut self, op: CollectiveOp) -> PendingOp);
+    forward!(fn schedule(&self) -> Option<ScheduleSnapshot>);
 }

@@ -93,6 +93,7 @@ impl Default for CheckConfig {
                 "park",
                 "dispatch",
                 "execute_collective",
+                "execute_ring",
                 "reform",
             ]),
             producers: s(&["all_reduce_start", "all_gather_start", "dispatch", "submit"]),

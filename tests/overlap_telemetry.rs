@@ -1,8 +1,9 @@
 //! Overlap accounting end to end: wait-free backpropagation measurably
 //! hides communication behind backward compute on the real thread backend
-//! (via the per-rank span timelines), the `--no-overlap` path hides none,
-//! and the measurement agrees qualitatively with the discrete-event
-//! simulator's Naive vs WFBP+TF optimization levels (Fig. 9).
+//! and on the served one (via the per-rank span timelines), the
+//! `--no-overlap` path hides none, and the measurement agrees
+//! qualitatively with the discrete-event simulator's Naive vs WFBP+TF
+//! optimization levels (Fig. 9).
 
 use acp_core::{AcpSgdAggregator, AcpSgdConfig};
 use acp_models::Model;
@@ -10,7 +11,10 @@ use acp_simulator::{simulate, ExperimentConfig, IterationReport, OptLevel, Strat
 use acp_telemetry::{analysis, keys};
 use acp_training::dataset::Dataset;
 use acp_training::model::mlp;
-use acp_training::trainer::{train_distributed_instrumented, TrainConfig, TrainReport};
+use acp_training::served::{ServeConfig, ServedCommunicator, Server};
+use acp_training::trainer::{
+    train_distributed_instrumented, train_rank_with_model, TrainConfig, TrainReport,
+};
 
 /// A real 4-worker ACP-SGD training run with small fusion buckets, so the
 /// output-side buckets dispatch while input-side layers still compute.
@@ -108,4 +112,64 @@ fn measured_overlap_reconciles_with_simulator() {
         naive.non_overlapped_comm
     );
     assert!(wfbptf.total < naive.total);
+}
+
+/// [`acp_run`]'s recipe with each of the 4 ranks a client of one
+/// `acp-serve` job instead of a thread-group rank.
+fn served_acp_run(overlap: bool) -> TrainReport {
+    let data = Dataset::gaussian_clusters(4, 32, 60, 0.3, 41);
+    let cfg = TrainConfig {
+        epochs: 2,
+        batch_size: 16,
+        overlap,
+        ..TrainConfig::default()
+    };
+    let model = || mlp(&[32, 256, 256, 128, 4], 11);
+    let aggregator = || {
+        AcpSgdAggregator::new(AcpSgdConfig {
+            rank: 4,
+            buffer_bytes: 16 * 1024,
+            ..Default::default()
+        })
+    };
+    let server = Server::spawn(ServeConfig::default()).expect("spawn the service");
+    let addr = server.addr();
+    let ranks: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..4u32)
+            .map(|client| {
+                let (data, cfg, model, aggregator) = (&data, &cfg, &model, &aggregator);
+                scope.spawn(move || {
+                    let comm =
+                        ServedCommunicator::connect(addr, 1, client, 4).expect("join the job");
+                    let (_, history, telemetry) =
+                        train_rank_with_model(comm, data, model, aggregator, cfg, true);
+                    (
+                        history,
+                        telemetry.expect("instrumented run records every rank"),
+                    )
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let history = ranks[0].0.clone();
+    TrainReport {
+        history,
+        ranks: ranks.into_iter().map(|(_, telemetry)| telemetry).collect(),
+    }
+}
+
+#[test]
+fn wfbp_overlaps_communication_with_backward_on_the_served_backend() {
+    let report = served_acp_run(true);
+    let busy = comm_busy_us(&report);
+    let overlap = measured_overlap_us(&report);
+    assert!(busy > 0, "served run records collective spans");
+    assert!(
+        overlap > 0,
+        "served WFBP run shows no comm/backward overlap ({busy} µs comm busy)"
+    );
+    let blocking = served_acp_run(false);
+    assert!(comm_busy_us(&blocking) > 0, "communication still happens");
+    assert_eq!(measured_overlap_us(&blocking), 0);
 }
