@@ -2,21 +2,20 @@
 //! scalar references (`acp_compression::kernels::reference` and
 //! `acp_tensor::kernels::reference`).
 //!
-//! `figures kernels` times sign packing, sign expansion, majority voting,
-//! QSGD quantize/dequantize and abs-key top-k selection at three bucket
-//! sizes, plus the training forward product `A·Bᵀ` (`dense_nt`) at the
-//! rings MLP's widest layer and ACP-SGD's two compression sweeps
-//! (`lowrank_p`, `lowrank_q`) at the benchmark's `512×4608` rank-4 shape,
-//! and reports the speedup of each kernel over its scalar baseline. The
-//! four headline gates — what the CI `kernels` job asserts via
-//! `--min-speedup` — are the encode and decode speedups on the *largest*
-//! bucket (sign packing and the bit-sliced majority vote, the two kernels
-//! on the per-step critical path of sign-based aggregation), the forward
-//! speedup of `dense_nt`, single-threaded, which falls to about 1× if the
-//! register-blocked product stops vectorizing, and `lowrank_speedup`, the
-//! slower of the two low-rank sweeps against the scalar reference loops,
-//! single-threaded, which collapses if the lane-per-output kernels lose
-//! their vectors.
+//! `figures kernels` times sign packing, sign expansion, majority voting
+//! and abs-key top-k selection at three bucket sizes, plus the training
+//! forward product `A·Bᵀ` (`dense_nt`) at the rings MLP's widest layer and
+//! ACP-SGD's two compression sweeps (`lowrank_p`, `lowrank_q`) at the
+//! benchmark's `512×4608` rank-4 shape, and reports the speedup of each
+//! kernel over its scalar baseline. The four headline gates — what the CI
+//! `kernels` job asserts via `--min-speedup` — are the encode and decode
+//! speedups on the *largest* bucket (sign packing and the bit-sliced
+//! majority vote, the two kernels on the per-step critical path of
+//! sign-based aggregation), the forward speedup of `dense_nt`,
+//! single-threaded, which falls to about 1× if the register-blocked product
+//! stops vectorizing, and `lowrank_speedup`, the slower of the two low-rank
+//! sweeps against the scalar reference loops, single-threaded, which
+//! collapses if the lane-per-output kernels lose their vectors.
 //!
 //! Timing is best-of-`reps` over batched iterations (min, not mean: the
 //! minimum is the least noisy estimator of the achievable time on a shared
@@ -93,17 +92,6 @@ fn best_ns<F: FnMut()>(mut f: F, iters: usize, reps: usize) -> f64 {
         best = best.min(ns);
     }
     best
-}
-
-/// Uniform-ish values in `[0, 1)` from a fixed LCG (for QSGD's pre-drawn
-/// randomness; the exact distribution is irrelevant to timing).
-fn uniforms(n: usize, mut state: u32) -> Vec<f32> {
-    (0..n)
-        .map(|_| {
-            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-            (state >> 8) as f32 / (1u32 << 24) as f32
-        })
-        .collect()
 }
 
 fn point(kernel: &'static str, elems: usize, scalar_ns: f64, optimized_ns: f64) -> KernelPoint {
@@ -183,34 +171,6 @@ fn sweep_size(elems: usize, reps: usize, points: &mut Vec<KernelPoint>) {
         reps,
     );
     points.push(point("majority_vote", elems, scalar, fast));
-
-    // QSGD quantize (encode) and dequantize (decode), 4 levels.
-    let norm = grad.iter().map(|g| g * g).sum::<f32>().sqrt().max(1e-6);
-    let rand = uniforms(elems, 42);
-    let mut levels = vec![0i8; elems];
-    let scalar = best_ns(
-        || reference::quantize_chunk_into(black_box(&grad), norm, 4, &rand, black_box(&mut levels)),
-        iters,
-        reps,
-    );
-    let fast = best_ns(
-        || kernels::quantize_chunk_into(black_box(&grad), norm, 4, &rand, black_box(&mut levels)),
-        iters,
-        reps,
-    );
-    points.push(point("qsgd_quantize", elems, scalar, fast));
-
-    let scalar = best_ns(
-        || reference::dequantize_into(black_box(&levels), 4, 0.37, black_box(&mut out)),
-        iters,
-        reps,
-    );
-    let fast = best_ns(
-        || kernels::dequantize_into(black_box(&levels), 4, 0.37, black_box(&mut out)),
-        iters,
-        reps,
-    );
-    points.push(point("qsgd_dequantize", elems, scalar, fast));
 
     // Abs-key top-k selection at 0.1% density (encode): both sides read
     // the whole bucket even though only k indices survive, so throughput is
@@ -409,7 +369,7 @@ mod tests {
     fn quick_sweep_reports_every_kernel_at_every_size() {
         let r = run(true);
         assert_eq!(r.sizes.len(), 2);
-        assert_eq!(r.points.len(), 6 * r.sizes.len() + 3);
+        assert_eq!(r.points.len(), 4 * r.sizes.len() + 3);
         assert_eq!(r.largest_elems, 1 << 18);
         for p in &r.points {
             assert!(p.scalar_ns > 0.0 && p.optimized_ns > 0.0, "{p:?}");

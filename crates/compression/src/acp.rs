@@ -34,31 +34,8 @@ use crate::error::{check_len, CompressError};
 /// Salt xor-ed into the seed for `P₀` so it is decorrelated from `Q₀`.
 const P_SEED_SALT: u64 = 0xAC9_57D;
 
-/// Configuration for [`AcpSgd`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AcpSgdConfig {
-    /// Rank `r` of the factors.
-    pub rank: usize,
-    /// Maintain the error-feedback residual (Algorithm 2); disabling it
-    /// reproduces the poor convergence of Fig. 7.
-    pub error_feedback: bool,
-    /// Reuse the previous factor as the power-iteration query; disabling
-    /// draws a fresh random query each step (Fig. 7 ablation).
-    pub reuse: bool,
-    /// Seed for the rank-shared random initialization of `P₀`, `Q₀`.
-    pub seed: u64,
-}
-
-impl Default for AcpSgdConfig {
-    fn default() -> Self {
-        AcpSgdConfig {
-            rank: 4,
-            error_feedback: true,
-            reuse: true,
-            seed: 42,
-        }
-    }
-}
+/// The configuration of [`AcpSgd`]: the same knobs as Power-SGD's.
+pub type AcpSgdConfig = crate::powersgd::LowRankConfig;
 
 /// Which factor a step transmits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

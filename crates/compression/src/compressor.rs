@@ -1,14 +1,12 @@
 //! The [`Compressor`] trait implemented by the one-shot element-wise
-//! methods (Sign-SGD, Top-k, Random-k, QSGD, TernGrad).
+//! methods (Sign-SGD, Top-k).
 
 use crate::payload::Payload;
 
 /// A one-shot gradient compressor: dense gradient in, [`Payload`] out.
 ///
-/// Implementations may be stateful (e.g. seeded RNG streams, sampling
-/// state); all are deterministic given their construction seed, so every
-/// worker replays the same random choices where the algorithm requires it
-/// (Random-k coordinate agreement).
+/// Implementations are deterministic: the same gradient always yields the
+/// same payload, on every worker.
 ///
 /// The low-rank methods (Power-SGD, ACP-SGD) are *not* `Compressor`s — their
 /// compression interleaves with communication and lives in

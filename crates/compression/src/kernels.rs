@@ -2,16 +2,17 @@
 //!
 //! Three rules shape everything in this module:
 //!
-//! 1. **Branchless inner loops.** Sign packing, majority voting and
-//!    quantization are rewritten as straight-line mask/select arithmetic so
-//!    the compiler can autovectorize them (`std::simd` is not available on
+//! 1. **Branchless inner loops.** Sign packing, sign expansion and
+//!    majority voting are rewritten as straight-line mask/select arithmetic
+//!    so the compiler can autovectorize them (`std::simd` is not available on
 //!    stable; hand-tiled loops over fixed-width blocks get the same codegen).
 //! 2. **Bitwise identity.** Every kernel produces exactly the bytes of the
 //!    retained scalar implementation in [`mod@reference`] — including for
 //!    `-0.0`, infinities and NaN inputs where the scalar code had defined
-//!    behaviour. Reductions that feed floating-point results (bucket norms,
-//!    scale means) stay strictly sequential. The `kernel_identity` proptests
-//!    pin this across odd lengths and world sizes 2–8.
+//!    behaviour. Reductions that feed floating-point results (the mean of
+//!    the gathered sign scales) stay strictly sequential. The
+//!    `kernel_identity` proptests pin this across odd lengths and world
+//!    sizes 2–8.
 //! 3. **Fixed partitioning.** Pool parallelism only ever splits *disjoint
 //!    output ranges* with a fixed boundary rule; no parallel folds exist, so
 //!    overlapped execution is bitwise-identical to blocking execution.
@@ -400,49 +401,6 @@ pub fn majority_vote_into(
     expand_votes_into(&voted, 0, mean_scale(scales), out);
 }
 
-/// Stochastically quantizes one bucket: `out[i]` is the signed level of
-/// `chunk[i]` against `norm` with `levels` steps per sign, using the
-/// pre-drawn uniforms in `rand` (one per element, drawn in element order so
-/// the RNG stream matches the scalar reference exactly).
-///
-/// The caller has already handled the `norm == 0` bucket.
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree.
-pub fn quantize_chunk_into(chunk: &[f32], norm: f32, levels: u8, rand: &[f32], out: &mut [i8]) {
-    assert_eq!(chunk.len(), rand.len(), "rand length mismatch");
-    assert_eq!(chunk.len(), out.len(), "output length mismatch");
-    let s = levels as f32;
-    let max = levels as i32;
-    for ((o, &g), &r) in out.iter_mut().zip(chunk).zip(rand) {
-        let x = g.abs() / norm * s; // in [0, s]
-        let floor = x.floor();
-        let frac = x - floor;
-        let level = (floor as i32 + i32::from(r < frac)).min(max);
-        *o = if g < 0.0 { -(level as i8) } else { level as i8 };
-    }
-}
-
-/// Dequantizes levels into `out[i] = levels[i] / s * scale`, pool-parallel
-/// for large payloads.
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree.
-pub fn dequantize_into(levels: &[i8], num_levels: u8, scale: f32, out: &mut [f32]) {
-    assert_eq!(out.len(), levels.len(), "output length mismatch");
-    let s = num_levels as f32;
-    let pool = global_for(levels.len());
-    let chunks = chunks_for(pool, levels.len());
-    pool.for_each_unit_chunk_mut(out, 1, chunks, |start, piece| {
-        let n = piece.len();
-        for (o, &l) in piece.iter_mut().zip(&levels[start..start + n]) {
-            *o = l as f32 / s * scale;
-        }
-    });
-}
-
 /// The retained scalar reference implementations.
 ///
 /// These are the pre-vectorization loops, kept as the byte-identity oracle
@@ -500,39 +458,6 @@ pub mod reference {
                 vote += if word >> (i % 32) & 1 == 1 { 1 } else { -1 };
             }
             *o = if vote >= 0 { mean_scale } else { -mean_scale };
-        }
-    }
-
-    /// Scalar stochastic quantization of one bucket (uniforms pre-drawn in
-    /// element order, exactly like the vectorized kernel).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths disagree.
-    pub fn quantize_chunk_into(chunk: &[f32], norm: f32, levels: u8, rand: &[f32], out: &mut [i8]) {
-        assert_eq!(chunk.len(), rand.len(), "rand length mismatch");
-        assert_eq!(chunk.len(), out.len(), "output length mismatch");
-        let s = levels as f32;
-        for ((o, &g), &r) in out.iter_mut().zip(chunk).zip(rand) {
-            let x = g.abs() / norm * s;
-            let floor = x.floor();
-            let frac = x - floor;
-            let level = floor as i32 + i32::from(r < frac);
-            let level = level.min(levels as i32);
-            *o = if g < 0.0 { -(level as i8) } else { level as i8 };
-        }
-    }
-
-    /// Scalar dequantization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths disagree.
-    pub fn dequantize_into(levels: &[i8], num_levels: u8, scale: f32, out: &mut [f32]) {
-        assert_eq!(out.len(), levels.len(), "output length mismatch");
-        let s = num_levels as f32;
-        for (o, &l) in out.iter_mut().zip(levels) {
-            *o = l as f32 / s * scale;
         }
     }
 
@@ -681,36 +606,6 @@ mod tests {
                 assert_eq!(bit, expected, "world {world} positives {positives}");
             }
         }
-    }
-
-    #[test]
-    fn quantize_matches_reference() {
-        for len in [1usize, 33, 64, 511, 512, 513] {
-            let chunk = awkward(len, 17 + len as u32);
-            let rand: Vec<f32> = (0..len).map(|i| (i as f32 * 0.137) % 1.0).collect();
-            let norm = chunk
-                .iter()
-                .map(|g| if g.is_finite() { g * g } else { 1.0 })
-                .sum::<f32>()
-                .sqrt()
-                .max(1e-3);
-            let mut fast = vec![0i8; len];
-            let mut slow = vec![0i8; len];
-            quantize_chunk_into(&chunk, norm, 4, &rand, &mut fast);
-            reference::quantize_chunk_into(&chunk, norm, 4, &rand, &mut slow);
-            assert_eq!(fast, slow, "len {len}");
-        }
-    }
-
-    #[test]
-    fn dequantize_matches_reference() {
-        let levels: Vec<i8> = (0..1000).map(|i| ((i * 7) % 9 - 4) as i8).collect();
-        let mut fast = vec![0.0f32; levels.len()];
-        let mut slow = vec![0.0f32; levels.len()];
-        dequantize_into(&levels, 4, 0.37, &mut fast);
-        reference::dequantize_into(&levels, 4, 0.37, &mut slow);
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&fast), bits(&slow));
     }
 
     #[test]

@@ -5,20 +5,17 @@
 //! | Method | Module | Category | Aggregation |
 //! |---|---|---|---|
 //! | Sign-SGD (majority vote) | [`sign`] | quantization (32×) | all-gather |
-//! | QSGD | [`qsgd`] | quantization | all-gather |
-//! | TernGrad | [`terngrad`] | quantization | all-gather |
 //! | Top-k SGD | [`topk`] | sparsification (up to 1000×) | all-gather |
-//! | Random-k SGD | [`randomk`] | sparsification | all-gather |
 //! | Power-SGD | [`powersgd`] | low-rank | 2 × all-reduce (blocking) |
 //! | **ACP-SGD** | [`acp`] | low-rank | 1 × all-reduce (non-blocking) |
 //!
 //! The one-shot element-wise methods implement the [`Compressor`] trait and
 //! produce self-describing [`Payload`]s with byte-accurate wire accounting
 //! (the numbers behind Tables I–II). The low-rank methods are *stepwise*
-//! state machines ([`powersgd::PowerSgd`], [`acp::AcpSgd`]) whose explicit
-//! `compress → (collective) → finish` phases let a distributed optimizer
-//! interleave real communication exactly where the paper's Algorithms 1–2
-//! place it.
+//! state machines ([`powersgd::PowerSgd`], [`acp::AcpSgd`]), configured by
+//! one [`LowRankConfig`], whose explicit `compress → (collective) → finish`
+//! phases let a distributed optimizer interleave real communication exactly
+//! where the paper's Algorithms 1–2 place it.
 //!
 //! # Examples
 //!
@@ -45,17 +42,13 @@ pub mod error_feedback;
 pub mod kernels;
 pub mod payload;
 pub mod powersgd;
-pub mod qsgd;
-pub mod randomk;
-pub mod ratio;
 pub mod sign;
-pub mod terngrad;
 pub mod topk;
 
 pub use compressor::Compressor;
 pub use error::CompressError;
 pub use error_feedback::ErrorFeedback;
 pub use payload::Payload;
-pub use randomk::RandomK;
+pub use powersgd::LowRankConfig;
 pub use sign::SignSgd;
 pub use topk::TopK;

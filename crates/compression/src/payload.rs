@@ -21,7 +21,7 @@ pub enum Payload {
         /// Optional magnitude scale (mean |g|); `1.0` for pure Sign-SGD.
         scale: f32,
     },
-    /// Sparse selection (Top-k / Random-k): parallel index/value arrays.
+    /// Sparse selection (Top-k): parallel index/value arrays.
     Sparse {
         /// Coordinates of the selected elements.
         indices: Vec<u32>,
@@ -29,27 +29,6 @@ pub enum Payload {
         values: Vec<f32>,
         /// Length of the dense gradient they came from.
         len: usize,
-    },
-    /// Stochastically quantized levels (QSGD / TernGrad): signed integer
-    /// levels in `[-s, s]` plus a scale.
-    Quantized {
-        /// Per-element levels.
-        levels: Vec<i8>,
-        /// Number of quantization levels `s` (per sign).
-        num_levels: u8,
-        /// Scale factor (‖g‖₂ for QSGD, max |g| for TernGrad).
-        scale: f32,
-    },
-    /// Bucketed stochastic quantization (QSGD with per-bucket norms).
-    QuantizedBuckets {
-        /// Per-element levels.
-        levels: Vec<i8>,
-        /// Number of quantization levels `s` (per sign).
-        num_levels: u8,
-        /// Bucket length.
-        bucket: usize,
-        /// L2 norm of each bucket.
-        scales: Vec<f32>,
     },
     /// A low-rank factor (the `P` or `Q` of Power-SGD / ACP-SGD), stored
     /// row-major.
@@ -75,22 +54,6 @@ impl Payload {
             Payload::Sparse {
                 indices, values, ..
             } => 4 * indices.len() + 4 * values.len() + 4,
-            Payload::Quantized {
-                levels, num_levels, ..
-            } => {
-                // Levels need ceil(log2(2s+1)) bits each.
-                let bits = bits_per_level(*num_levels);
-                (levels.len() * bits).div_ceil(8) + 8
-            }
-            Payload::QuantizedBuckets {
-                levels,
-                num_levels,
-                scales,
-                ..
-            } => {
-                let bits = bits_per_level(*num_levels);
-                (levels.len() * bits).div_ceil(8) + 4 * scales.len() + 8
-            }
             Payload::LowRank { data, .. } => 4 * data.len(),
         }
     }
@@ -101,8 +64,6 @@ impl Payload {
             Payload::Dense(v) => v.len(),
             Payload::Signs { len, .. } => *len,
             Payload::Sparse { len, .. } => *len,
-            Payload::Quantized { levels, .. } => levels.len(),
-            Payload::QuantizedBuckets { levels, .. } => levels.len(),
             Payload::LowRank { rows, cols, .. } => rows * cols,
         }
     }
@@ -112,12 +73,6 @@ impl Payload {
         let dense = 4 * self.dense_len();
         dense as f64 / self.wire_bytes().max(1) as f64
     }
-}
-
-/// Bits required to store one level in `[-s, s]` (sign-magnitude).
-pub(crate) fn bits_per_level(s: u8) -> usize {
-    let states = 2 * s as usize + 1;
-    usize::BITS as usize - (states - 1).leading_zeros() as usize
 }
 
 #[cfg(test)]
@@ -152,22 +107,6 @@ mod tests {
         assert_eq!(p.wire_bytes(), 44);
         // 5000*4 / 44 ≈ 454x.
         assert!(p.compression_ratio() > 400.0);
-    }
-
-    #[test]
-    fn quantized_bit_widths() {
-        // TernGrad: s=1 -> 3 states -> 2 bits.
-        assert_eq!(bits_per_level(1), 2);
-        // QSGD s=4 -> 9 states -> 4 bits.
-        assert_eq!(bits_per_level(4), 4);
-        // s=127 -> 255 states -> 8 bits.
-        assert_eq!(bits_per_level(127), 8);
-        let p = Payload::Quantized {
-            levels: vec![0; 100],
-            num_levels: 1,
-            scale: 1.0,
-        };
-        assert_eq!(p.wire_bytes(), 25 + 8);
     }
 
     #[test]

@@ -30,24 +30,29 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{check_len, CompressError};
 
-/// Configuration shared by [`PowerSgd`] and tested in the ablations.
+/// Configuration of one low-rank compressed matrix, shared by [`PowerSgd`]
+/// and [`crate::acp::AcpSgd`] and varied in the Fig. 7 ablations.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PowerSgdConfig {
+pub struct LowRankConfig {
     /// Rank `r` of the factors (paper: 4 for ResNets, 32 for BERTs).
     pub rank: usize,
     /// Maintain the error-feedback residual `E` (Algorithm 2). Disabling
-    /// reproduces the divergence of Fig. 7.
+    /// reproduces the poor convergence of Fig. 7.
     pub error_feedback: bool,
     /// Reuse the previous step's factor as the power-iteration query
     /// (query reuse). Disabling draws a fresh random query each step.
     pub reuse: bool,
-    /// Seed for the (rank-shared) random initialization of `Q₀`.
+    /// Seed for the rank-shared random initialization of the factors
+    /// (`Q₀`; ACP-SGD also draws `P₀` from it).
     pub seed: u64,
 }
 
-impl Default for PowerSgdConfig {
+/// The configuration of [`PowerSgd`].
+pub type PowerSgdConfig = LowRankConfig;
+
+impl Default for LowRankConfig {
     fn default() -> Self {
-        PowerSgdConfig {
+        LowRankConfig {
             rank: 4,
             error_feedback: true,
             reuse: true,

@@ -2,92 +2,15 @@
 //! (Algorithms 1–2 wired to a real communicator).
 
 use acp_collectives::{CollectiveOp, CollectiveResult, ReduceOp};
-use acp_compression::acp::{AcpSgd, AcpSgdConfig as AcpCompressionConfig, FactorSide};
+use acp_compression::acp::{AcpSgd, FactorSide};
 use acp_tensor::MatrixShape;
 
 use crate::error::CoreError;
-use crate::pipeline::{
-    Bucket, BucketCodec, PerBucket, Pipelined, Round, WarmStart, DEFAULT_BUFFER_BYTES,
-};
+use crate::pipeline::{Bucket, BucketCodec, PerBucket, Pipelined, Round, WarmStart};
 
-/// Configuration of [`AcpSgdAggregator`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AcpSgdConfig {
-    /// Factorization rank (paper: 4 for CNNs, 32 for transformers).
-    pub rank: usize,
-    /// Maintain per-matrix error-feedback residuals (Algorithm 2) —
-    /// required for convergence parity with S-SGD (Fig. 7).
-    pub error_feedback: bool,
-    /// Reuse the previous aggregated factor as the power-iteration query —
-    /// the second Fig. 7 ingredient.
-    pub reuse: bool,
-    /// Base seed for the rank-shared random factor initialization.
-    pub seed: u64,
-    /// Number of initial steps aggregated *uncompressed* (exact averaging)
-    /// before low-rank compression kicks in — the `start_powerSGD_iter`
-    /// warm start of PyTorch's PowerSGD hook, which avoids compressing the
-    /// large, fast-changing early-training gradients.
-    pub warm_start_steps: u64,
-    /// Tensor-fusion buffer capacity in bytes (0 disables fusion).
-    pub buffer_bytes: usize,
-}
-
-impl Default for AcpSgdConfig {
-    fn default() -> Self {
-        AcpSgdConfig {
-            rank: 4,
-            error_feedback: true,
-            reuse: true,
-            seed: 42,
-            warm_start_steps: 0,
-            buffer_bytes: DEFAULT_BUFFER_BYTES,
-        }
-    }
-}
-
-impl AcpSgdConfig {
-    /// Sets the factorization rank.
-    #[must_use]
-    pub fn with_rank(mut self, rank: usize) -> Self {
-        self.rank = rank;
-        self
-    }
-
-    /// Enables or disables error feedback.
-    #[must_use]
-    pub fn with_error_feedback(mut self, error_feedback: bool) -> Self {
-        self.error_feedback = error_feedback;
-        self
-    }
-
-    /// Enables or disables query reuse.
-    #[must_use]
-    pub fn with_reuse(mut self, reuse: bool) -> Self {
-        self.reuse = reuse;
-        self
-    }
-
-    /// Sets the base seed for factor initialization.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the number of uncompressed warm-start steps.
-    #[must_use]
-    pub fn with_warm_start_steps(mut self, steps: u64) -> Self {
-        self.warm_start_steps = steps;
-        self
-    }
-
-    /// Sets the tensor-fusion buffer capacity in bytes.
-    #[must_use]
-    pub fn with_buffer_bytes(mut self, buffer_bytes: usize) -> Self {
-        self.buffer_bytes = buffer_bytes;
-        self
-    }
-}
+/// The configuration of [`AcpSgdAggregator`]: the same knobs as
+/// Power-SGD's.
+pub type AcpSgdConfig = crate::powersgd::LowRankConfig;
 
 /// Per-tensor compression state.
 #[derive(Debug)]
@@ -126,16 +49,7 @@ impl AcpBucketState {
             .enumerate()
             .map(|(slot, d)| match MatrixShape::from_tensor_shape(d) {
                 MatrixShape::Matrix { rows, cols } => {
-                    // Seed by *global* tensor index so per-tensor random
-                    // streams are identical across ranks and independent
-                    // of the bucket layout.
-                    let i = bucket.tensors.start + slot;
-                    let ccfg = AcpCompressionConfig {
-                        rank: cfg.rank,
-                        error_feedback: cfg.error_feedback,
-                        reuse: cfg.reuse,
-                        seed: cfg.seed ^ (i as u64).wrapping_mul(0x9E3779B9),
-                    };
+                    let ccfg = cfg.codec_config(bucket.tensors.start + slot);
                     LrState::Matrix(AcpSgd::new(rows, cols, ccfg))
                 }
                 MatrixShape::Vector { .. } => LrState::Vector,

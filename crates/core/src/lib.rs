@@ -74,7 +74,7 @@ pub use fusion::bucket_ranges;
 pub use gtopk::GTopkSgdAggregator;
 pub use optimizer::{DistributedOptimizer, GradViewMut};
 pub use pipeline::{Bucket, BucketCodec, FusedPipeline, Pipelined, Round, StepStats, WarmStart};
-pub use powersgd::{PowerSgdAggregator, PowerSgdConfig};
+pub use powersgd::{LowRankConfig, PowerSgdAggregator, PowerSgdConfig};
 pub use signsgd::{SignSgdAggregator, SignSgdConfig};
 pub use ssgd::{SSgdAggregator, DEFAULT_BUFFER_BYTES};
 pub use topksgd::{TopkSgdAggregator, TopkSgdConfig};

@@ -2,7 +2,7 @@
 //! (Algorithm 1 wired to a real communicator).
 
 use acp_collectives::{CollectiveOp, CollectiveResult, ReduceOp};
-use acp_compression::powersgd::{PowerSgd, PowerSgdConfig as PowerSgdCompressionConfig};
+use acp_compression::powersgd::{LowRankConfig as CodecConfig, PowerSgd};
 use acp_tensor::MatrixShape;
 
 use crate::error::CoreError;
@@ -10,27 +10,36 @@ use crate::pipeline::{
     Bucket, BucketCodec, PerBucket, Pipelined, Round, WarmStart, DEFAULT_BUFFER_BYTES,
 };
 
-/// Configuration of [`PowerSgdAggregator`].
+/// Configuration of the two low-rank aggregators, [`PowerSgdAggregator`]
+/// and [`crate::AcpSgdAggregator`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerSgdConfig {
-    /// Factorization rank.
+pub struct LowRankConfig {
+    /// Factorization rank (paper: 4 for CNNs, 32 for transformers).
     pub rank: usize,
-    /// Maintain per-matrix error-feedback residuals.
+    /// Maintain per-matrix error-feedback residuals (Algorithm 2) —
+    /// required for convergence parity with S-SGD (Fig. 7).
     pub error_feedback: bool,
-    /// Reuse the previous step's factor as the power-iteration query.
+    /// Reuse the previous aggregated factor as the power-iteration query —
+    /// the second Fig. 7 ingredient.
     pub reuse: bool,
-    /// Base seed for the rank-shared random query initialization.
+    /// Base seed for the rank-shared random factor initialization; see
+    /// [`LowRankConfig::codec_config`].
     pub seed: u64,
-    /// Number of initial steps aggregated uncompressed (the
-    /// `start_powerSGD_iter` warm start of PyTorch's PowerSGD hook).
+    /// Number of initial steps aggregated *uncompressed* (exact averaging)
+    /// before low-rank compression kicks in — the `start_powerSGD_iter`
+    /// warm start of PyTorch's PowerSGD hook, which avoids compressing the
+    /// large, fast-changing early-training gradients.
     pub warm_start_steps: u64,
     /// Tensor-fusion buffer capacity in bytes (0 disables fusion).
     pub buffer_bytes: usize,
 }
 
-impl Default for PowerSgdConfig {
+/// The configuration of [`PowerSgdAggregator`].
+pub type PowerSgdConfig = LowRankConfig;
+
+impl Default for LowRankConfig {
     fn default() -> Self {
-        PowerSgdConfig {
+        LowRankConfig {
             rank: 4,
             error_feedback: true,
             reuse: true,
@@ -41,7 +50,7 @@ impl Default for PowerSgdConfig {
     }
 }
 
-impl PowerSgdConfig {
+impl LowRankConfig {
     /// Sets the factorization rank.
     #[must_use]
     pub fn with_rank(mut self, rank: usize) -> Self {
@@ -63,7 +72,7 @@ impl PowerSgdConfig {
         self
     }
 
-    /// Sets the base seed for query initialization.
+    /// Sets the base seed for factor initialization.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -82,6 +91,21 @@ impl PowerSgdConfig {
     pub fn with_buffer_bytes(mut self, buffer_bytes: usize) -> Self {
         self.buffer_bytes = buffer_bytes;
         self
+    }
+
+    /// The codec configuration of the matrix at *global* tensor index
+    /// `tensor`: this rank, error feedback and reuse, seeded with
+    /// `seed ^ tensor·0x9E3779B9`. Seeding by the index in the full tensor
+    /// list, not the slot within a bucket, gives every matrix its own
+    /// random stream that is identical across ranks and independent of the
+    /// bucket layout.
+    pub fn codec_config(&self, tensor: usize) -> CodecConfig {
+        CodecConfig {
+            rank: self.rank,
+            error_feedback: self.error_feedback,
+            reuse: self.reuse,
+            seed: self.seed ^ (tensor as u64).wrapping_mul(0x9E3779B9),
+        }
     }
 }
 
@@ -132,15 +156,7 @@ impl PowerBucketState {
             .map(|(slot, d)| {
                 let lr = match MatrixShape::from_tensor_shape(d) {
                     MatrixShape::Matrix { rows, cols } => {
-                        // Seed by *global* tensor index: distinct per-tensor
-                        // streams, identical across ranks and bucket layouts.
-                        let i = bucket.tensors.start + slot;
-                        let ccfg = PowerSgdCompressionConfig {
-                            rank: cfg.rank,
-                            error_feedback: cfg.error_feedback,
-                            reuse: cfg.reuse,
-                            seed: cfg.seed ^ (i as u64).wrapping_mul(0x9E3779B9),
-                        };
+                        let ccfg = cfg.codec_config(bucket.tensors.start + slot);
                         let state = PowerSgd::new(rows, cols, ccfg);
                         p_end += rows * state.rank();
                         q_end += cols * state.rank();

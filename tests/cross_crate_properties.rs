@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use acp_collectives::{Communicator, NetworkTier, ReduceOp, ThreadGroup};
-use acp_compression::{Compressor, Payload, RandomK, SignSgd, TopK};
+use acp_compression::{Compressor, Payload, SignSgd, TopK};
 use acp_core::{AcpSgdAggregator, AcpSgdConfig, DistributedOptimizer, GradViewMut, SSgdAggregator};
 use acp_models::Model;
 use acp_simulator::{simulate, ExperimentConfig, HardwareProfile, Strategy};
@@ -115,7 +115,6 @@ proptest! {
         let mut compressors: Vec<Box<dyn Compressor>> = vec![
             Box::new(SignSgd::plain()),
             Box::new(TopK::new(k)),
-            Box::new(RandomK::new(k, seed)),
         ];
         for c in &mut compressors {
             let p = c.compress(&grad);
