@@ -13,9 +13,10 @@
 //! produce self-describing [`Payload`]s with byte-accurate wire accounting
 //! (the numbers behind Tables I–II). The low-rank methods are *stepwise*
 //! state machines ([`powersgd::PowerSgd`], [`acp::AcpSgd`]), configured by
-//! one [`LowRankConfig`], whose explicit `compress → (collective) → finish`
-//! phases let a distributed optimizer interleave real communication exactly
-//! where the paper's Algorithms 1–2 place it.
+//! one [`powersgd::LowRankConfig`], whose explicit
+//! `compress → (collective) → finish` phases let a distributed optimizer
+//! interleave real communication exactly where the paper's Algorithms 1–2
+//! place it.
 //!
 //! # Examples
 //!
@@ -49,6 +50,5 @@ pub use compressor::Compressor;
 pub use error::CompressError;
 pub use error_feedback::ErrorFeedback;
 pub use payload::Payload;
-pub use powersgd::LowRankConfig;
 pub use sign::SignSgd;
 pub use topk::TopK;
