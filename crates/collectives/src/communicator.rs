@@ -26,11 +26,11 @@ use crate::nonblocking::{
     confirm_reform, execute_ring, execute_via_blocking, BorrowedOp, CollectiveOp, CollectiveResult,
     DepartureNotice, PendingOp, WorkerCommunicator, WorkerTransport,
 };
-use crate::ring::{self, Transport, WireMsg};
+use crate::ring::{Transport, WireMsg};
 use crate::schedule::{
     OpKind, ScheduleCell, ScheduleSnapshot, ScheduleTag, ScheduleTracer, VerifyMode,
 };
-use crate::topology::{Membership, RankId, Topology};
+use crate::topology::{GroupView, Membership, RankId, Topology};
 
 /// Reduction operator applied element-wise by [`Communicator::all_reduce`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -327,14 +327,12 @@ pub trait Communicator: Send {
     /// returns (approximately) the `k` largest-magnitude coordinates of the
     /// sum, identical on every rank.
     ///
-    /// The default implementation gathers all contributions and truncates
-    /// — exact, as is the served backend's `execute`, which submits the
-    /// same two gathers. [`WorkerCommunicator`] overrides it to run its
-    /// transport's `execute`: on the ring transports the `O(k log p)`
-    /// recursive doubling merge of gTop-k (Shi et al., ICDCS 2019), whose
-    /// per-round truncation makes it approximate (coordinates that are
-    /// individually small everywhere can be dropped even if their sum is
-    /// large).
+    /// [`WorkerCommunicator`] runs it as its transport's `execute`: on
+    /// the ring transports the `O(k log p)` recursive doubling merge of
+    /// gTop-k (Shi et al., ICDCS 2019), whose per-round truncation makes it
+    /// approximate (coordinates that are individually small everywhere can
+    /// be dropped even if their sum is large); on the served backend two
+    /// gathers and an exact truncation.
     ///
     /// # Errors
     ///
@@ -344,11 +342,7 @@ pub trait Communicator: Send {
         indices: &[u32],
         values: &[f32],
         k: usize,
-    ) -> Result<(Vec<u32>, Vec<f32>), CommError> {
-        let gathered_idx = self.all_gather_u32(indices)?;
-        let gathered_val = self.all_gather_f32(values)?;
-        Ok(ring::sum_truncate_topk(&gathered_idx, &gathered_val, k))
-    }
+    ) -> Result<(Vec<u32>, Vec<f32>), CommError>;
 
     /// Dispatches a collective for asynchronous completion; redeem the
     /// returned handle with [`PendingOp::wait`].
@@ -358,9 +352,9 @@ pub trait Communicator: Send {
     /// communicator supports the non-blocking API. [`WorkerCommunicator`]
     /// (the thread, TCP and served backends) overrides it to run the
     /// collective on a per-rank comm worker thread, overlapping it with
-    /// the caller's compute. Operations complete in submission order on
-    /// every backend, so interleaving dispatched and blocking calls
-    /// preserves the SPMD contract.
+    /// the caller's compute (a group of one runs it inline). Operations
+    /// complete in submission order on every backend, so interleaving
+    /// dispatched and blocking calls preserves the SPMD contract.
     fn dispatch(&mut self, op: CollectiveOp) -> PendingOp {
         PendingOp::ready(execute_via_blocking(self, op))
     }
@@ -389,10 +383,11 @@ const RECV_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
 /// after a peer panics before it observes the group's panic flag.
 const PANIC_POLL: std::time::Duration = std::time::Duration::from_millis(20);
 
-/// Trivial [`Communicator`] for a single-process group of size 1.
+/// A [`ThreadCommunicator`] in a group of one.
 ///
 /// Collectives are identities; useful as a default so single-worker training
-/// shares the distributed code path.
+/// shares the distributed code path — it runs on the same shell and mailbox
+/// transport as every other thread group.
 ///
 /// # Examples
 ///
@@ -405,59 +400,7 @@ const PANIC_POLL: std::time::Duration = std::time::Duration::from_millis(20);
 /// assert_eq!(buf, vec![1.0, 2.0]);
 /// # Ok::<(), acp_collectives::CommError>(())
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct LocalCommunicator {
-    _private: (),
-}
-
-impl LocalCommunicator {
-    /// Creates a size-1 communicator.
-    pub fn new() -> Self {
-        LocalCommunicator { _private: () }
-    }
-}
-
-impl Communicator for LocalCommunicator {
-    fn rank(&self) -> usize {
-        0
-    }
-
-    fn world_size(&self) -> usize {
-        1
-    }
-
-    fn all_reduce(&mut self, _buf: &mut [f32], _op: ReduceOp) -> Result<(), CommError> {
-        Ok(())
-    }
-
-    fn all_gather_f32(&mut self, send: &[f32]) -> Result<Vec<f32>, CommError> {
-        // allow_verify(reason = "a world-1 gather returns the caller's own payload as its result")
-        Ok(send.to_vec())
-    }
-
-    fn all_gather_u32(&mut self, send: &[u32]) -> Result<Vec<u32>, CommError> {
-        // allow_verify(reason = "a world-1 gather returns the caller's own payload as its result")
-        Ok(send.to_vec())
-    }
-
-    fn broadcast(&mut self, _buf: &mut [f32], root: usize) -> Result<(), CommError> {
-        if root != 0 {
-            return Err(CommError::InvalidRoot {
-                root,
-                world_size: 1,
-            });
-        }
-        Ok(())
-    }
-
-    fn barrier(&mut self) -> Result<(), CommError> {
-        Ok(())
-    }
-
-    fn bytes_sent(&self) -> u64 {
-        0
-    }
-}
+pub type LocalCommunicator = ThreadCommunicator;
 
 /// A worker-thread endpoint of a communicator group.
 ///
@@ -468,6 +411,21 @@ impl Communicator for LocalCommunicator {
 /// collectives. All collectives are SPMD: every rank of the group must
 /// call the same sequence of operations.
 pub type ThreadCommunicator = WorkerCommunicator<ThreadTransport>;
+
+impl ThreadCommunicator {
+    /// The one member of a group of one (see [`LocalCommunicator`]).
+    pub fn new() -> Self {
+        let mut group = ThreadGroup::new(1);
+        // allow_verify(reason = "a group of one has exactly one member")
+        group.pop().expect("a group of one has one member")
+    }
+}
+
+impl Default for ThreadCommunicator {
+    fn default() -> Self {
+        ThreadCommunicator::new()
+    }
+}
 
 /// Departure and abort state shared by every member of a [`ThreadGroup`].
 struct GroupState {
@@ -543,7 +501,7 @@ impl GroupState {
 
 /// The mailbox transport of one [`ThreadGroup`] rank. Lives inside its
 /// [`ThreadCommunicator`] until a comm worker is spawned, then moves into
-/// the worker thread (collectives keep running the same [`ring`]
+/// the worker thread (collectives keep running the same [`crate::ring`]
 /// algorithms on it either way).
 ///
 /// Every dense exchange is single-copy: the send leg lends its borrowed
@@ -555,18 +513,10 @@ impl GroupState {
 /// and either side meeting the other's kind reports
 /// [`CommError::ProtocolMismatch`].
 pub struct ThreadTransport {
-    /// Virtual (ring) rank — equals `physical` until a reform.
-    rank: usize,
-    world_size: usize,
-    /// Physical rank (stable across reforms; the inbox index peers use).
-    physical: usize,
-    /// Membership epoch; every outgoing message is stamped with it so
-    /// pre-reform stragglers can be told apart from post-reform traffic.
-    epoch: u64,
-    /// Physical ranks currently in the group, sorted (virtual → physical).
-    members: Vec<usize>,
-    /// The arrangement collectives are scheduled over.
-    topology: Topology,
+    /// Group state. The physical rank is the inbox index peers use; every
+    /// outgoing message is stamped with the epoch so pre-reform stragglers
+    /// can be told apart from post-reform traffic.
+    view: GroupView,
     /// Sender to each rank's inbox (index = destination *physical* rank).
     peers: Vec<Sender<(usize, u64, Mail)>>,
     /// This rank's inbox: `(physical source, epoch, mail)`.
@@ -589,18 +539,19 @@ impl Drop for ThreadTransport {
         // Same recording from the comm worker's side: if the worker thread
         // unwinds mid-collective, its transport drop tells the group.
         if std::thread::panicking() {
-            self.group.mark_departed(self.physical, self.epoch);
+            self.group
+                .mark_departed(self.view.physical(), self.view.epoch());
         }
     }
 }
 
 impl Transport for ThreadTransport {
     fn rank(&self) -> usize {
-        self.rank
+        self.view.rank()
     }
 
     fn world_size(&self) -> usize {
-        self.world_size
+        self.view.world_size()
     }
 
     fn send_to(&mut self, dest: usize, msg: WireMsg) -> Result<(), CommError> {
@@ -664,10 +615,10 @@ impl ThreadTransport {
         bytes: u64,
         wrap: impl FnOnce(Option<ScheduleTag>) -> Mail,
     ) -> Result<(), CommError> {
-        let Some(&phys) = self.members.get(dest) else {
+        let Some(&phys) = self.view.members().get(dest) else {
             return Err(CommError::InvalidRank {
                 rank: dest,
-                world_size: self.world_size,
+                world_size: self.view.world_size(),
             });
         };
         self.bytes_sent.fetch_add(bytes, Ordering::SeqCst);
@@ -675,7 +626,11 @@ impl ThreadTransport {
             self.recorder.add(keys::COMM_BYTES_SENT, bytes);
         }
         self.peers[phys]
-            .send((self.physical, self.epoch, wrap(self.tracer.tag())))
+            .send((
+                self.view.physical(),
+                self.view.epoch(),
+                wrap(self.tracer.tag()),
+            ))
             // A dropped inbox is a dead rank; name it if its departure is
             // already recorded.
             .map_err(|_| self.departure_error())
@@ -743,12 +698,13 @@ impl ThreadTransport {
 
     /// Receives the next mail from virtual rank `src`, schedule-checked.
     fn recv_mail(&mut self, src: usize) -> Result<Mail, CommError> {
-        let Some(&phys) = self.members.get(src) else {
+        let Some(&phys) = self.view.members().get(src) else {
             return Err(CommError::InvalidRank {
                 rank: src,
-                world_size: self.world_size,
+                world_size: self.view.world_size(),
             });
         };
+        let current = self.view.epoch();
         // Discard buffered stragglers from before the last reform, then
         // deliver a current-epoch mail if one is queued. A *future*
         // epoch mail stays buffered: it belongs to a membership this
@@ -756,13 +712,13 @@ impl ThreadTransport {
         // gets us there).
         while self.pending[phys]
             .front()
-            .is_some_and(|&(epoch, _)| epoch < self.epoch)
+            .is_some_and(|&(epoch, _)| epoch < current)
         {
             self.pending[phys].pop_front();
         }
         if self.pending[phys]
             .front()
-            .is_some_and(|&(epoch, _)| epoch == self.epoch)
+            .is_some_and(|&(epoch, _)| epoch == current)
         {
             if let Some((_, mail)) = self.pending[phys].pop_front() {
                 return self.deliver(mail);
@@ -770,12 +726,12 @@ impl ThreadTransport {
         }
         let deadline = std::time::Instant::now() + RECV_TIMEOUT;
         loop {
-            if let Some(err) = self.group.abort_error(self.epoch, &self.members) {
+            if let Some(err) = self.group.abort_error(current, self.view.members()) {
                 return Err(err);
             }
             match self.inbox.recv_timeout(PANIC_POLL) {
                 Ok((from, epoch, mail)) => {
-                    if epoch < self.epoch {
+                    if epoch < current {
                         // A straggler from before the last reform; its
                         // collective already failed everywhere.
                         continue;
@@ -786,7 +742,7 @@ impl ThreadTransport {
                         self.recorder
                             .add(keys::COMM_BYTES_RECV, mail.payload_bytes());
                     }
-                    if from == phys && epoch == self.epoch {
+                    if from == phys && epoch == current {
                         return self.deliver(mail);
                     }
                     self.pending[from].push_back((epoch, mail));
@@ -814,7 +770,7 @@ impl ThreadTransport {
             untagged => Ok(untagged),
         };
         if matches!(out, Err(CommError::ScheduleMismatch { .. })) {
-            self.group.abort(self.epoch);
+            self.group.abort(self.view.epoch());
         }
         out
     }
@@ -823,7 +779,7 @@ impl ThreadTransport {
     /// recorded departure beats the generic disconnect.
     fn departure_error(&self) -> CommError {
         self.group
-            .abort_error(self.epoch, &self.members)
+            .abort_error(self.view.epoch(), self.view.members())
             .unwrap_or(CommError::PeerDisconnected)
     }
 }
@@ -1024,8 +980,8 @@ impl WorkerTransport for ThreadTransport {
         execute_ring(self, op)
     }
 
-    fn physical_rank(&self) -> usize {
-        self.physical
+    fn view(&self) -> &GroupView {
+        &self.view
     }
 
     fn recorder(&self) -> &RecorderHandle {
@@ -1036,44 +992,17 @@ impl WorkerTransport for ThreadTransport {
         self.recorder = recorder;
     }
 
-    fn topology(&self) -> Topology {
-        self.topology
-    }
-
-    fn membership(&self) -> Membership {
-        Membership::from_parts(self.epoch, self.members.clone())
-    }
-
-    fn reform(&mut self) -> Result<Membership, CommError> {
-        let departed = self.group.departed_among(&self.members);
+    fn reform(&mut self) -> Result<GroupView, CommError> {
+        let departed = self.group.departed_among(self.view.members());
         if departed.is_empty() {
             // Nobody left; reform is idempotent.
-            return Ok(self.membership());
+            return Ok(self.view.clone());
         }
-        if departed.contains(&self.physical) {
-            return Err(CommError::Io(format!(
-                "rank {} is itself marked departed and cannot reform",
-                self.physical
-            )));
-        }
-        self.members.retain(|r| !departed.contains(r));
-        self.epoch += 1;
-        self.world_size = self.members.len();
-        self.rank = match self.members.binary_search(&self.physical) {
-            Ok(position) => position,
-            Err(_) => {
-                return Err(CommError::Io(format!(
-                    "rank {} lost its membership slot during reform",
-                    self.physical
-                )))
-            }
-        };
-        // The old arrangement no longer matches the survivors; collapse
-        // to one flat ring (a later reform could re-derive groups).
-        self.topology = Topology::flat(self.world_size);
+        self.view = self.view.reformed(&departed)?;
         // Drop buffered traffic from the failed epoch.
+        let current = self.view.epoch();
         for queue in &mut self.pending {
-            while queue.front().is_some_and(|&(epoch, _)| epoch < self.epoch) {
+            while queue.front().is_some_and(|&(epoch, _)| epoch < current) {
                 queue.pop_front();
             }
         }
@@ -1086,7 +1015,7 @@ impl WorkerTransport for ThreadTransport {
     }
 
     fn departure_notice(&self) -> Option<DepartureNotice> {
-        let (group, physical) = (Arc::clone(&self.group), self.physical);
+        let (group, physical) = (Arc::clone(&self.group), self.view.physical());
         Some(Box::new(move |epoch| group.mark_departed(physical, epoch)))
     }
 }
@@ -1137,7 +1066,7 @@ impl ThreadGroup {
             .into_iter()
             .map(|(transport, schedule)| {
                 let bytes_sent = Arc::clone(&transport.bytes_sent);
-                WorkerCommunicator::new(transport, bytes_sent, schedule, verify)
+                WorkerCommunicator::with_transport(transport, bytes_sent, schedule, verify)
             })
             .collect()
     }
@@ -1168,12 +1097,7 @@ impl ThreadGroup {
                     tracer.begin_op(OpKind::Topology, world_size as u64, topology.fingerprint());
                 }
                 let transport = ThreadTransport {
-                    rank,
-                    world_size,
-                    physical: rank,
-                    epoch: 0,
-                    members: (0..world_size).collect(),
-                    topology,
+                    view: GroupView::initial(rank, topology),
                     peers: senders.clone(),
                     inbox,
                     pending: (0..world_size).map(|_| VecDeque::new()).collect(),

@@ -21,8 +21,9 @@
 //!   [`execute_ring`], `acp-serve`'s client as one submission to its
 //!   server), and the shell adds the lazy per-rank comm worker, FIFO
 //!   routing of blocking and dispatched collectives, per-collective
-//!   telemetry, byte accounting, the schedule trace and reform
-//!   bookkeeping.
+//!   telemetry, byte accounting and the schedule trace. Group state is one
+//!   [`GroupView`] (see [`topology`]), whose `reformed` step is the one
+//!   reform transition every backend shares.
 //! * [`cost`] — α–β analytical cost models for ring all-reduce, all-gather
 //!   and their start-up terms, with [`cost::NetworkTier`] presets for the
 //!   paper's three interconnects (1 GbE, 10 GbE, 100 Gb InfiniBand),
@@ -72,4 +73,4 @@ pub use ring::{
 pub use schedule::{
     OpKind, ScheduleEntry, SchedulePoint, ScheduleSnapshot, ScheduleTag, ScheduleTracer, VerifyMode,
 };
-pub use topology::{GroupId, Membership, RankId, Topology, TopologyBuilder, TopologyError};
+pub use topology::{GroupId, GroupView, Membership, RankId, Topology, TopologyError};

@@ -7,14 +7,16 @@
 //! collective over a [`BorrowedOp`] (the ring transports share
 //! [`execute_ring`]); the shell adds what is common to all of them around
 //! it: the `prepare` hook, per-collective latency, size and span
-//! telemetry, the lazy comm worker, FIFO routing, and byte, schedule and
-//! reform bookkeeping.
+//! telemetry, the lazy comm worker, FIFO routing, byte and schedule
+//! bookkeeping, and the group's [`GroupView`], which a reform replaces
+//! with the one the transport returns.
 //!
 //! The blocking [`Communicator`] methods and the non-blocking
 //! `dispatch`/`wait` path run the *same* `execute`, so the two paths are
 //! bit-exact with each other by construction, on every backend. Blocking
 //! calls run inline on the caller's slices until the first dispatch,
-//! which moves the transport into [`CommWorker::spawn`]; from then on a
+//! which moves the transport into [`CommWorker::spawn`] — except in a
+//! group of one, whose dispatches run inline as well; from then on a
 //! blocking call is `dispatch` + [`PendingOp::wait`] of an owned copy of
 //! its op, the one copy the path makes. The worker owns the transport,
 //! drains submitted operations strictly in FIFO order (so the SPMD
@@ -40,7 +42,7 @@ use crate::ring::{self, Transport};
 use crate::schedule::{
     membership_param, OpKind, ScheduleCell, ScheduleSnapshot, ScheduleTracer, VerifyMode,
 };
-use crate::topology::{Membership, RankId, Topology};
+use crate::topology::{GroupView, Membership, Topology};
 
 /// One collective operation, with its input payload moved in.
 ///
@@ -471,11 +473,11 @@ pub fn wait_all(
 ///
 /// [`WorkerTransport::execute`] runs one collective; the other hooks are
 /// what the [`WorkerCommunicator`] shell needs around it — telemetry
-/// wiring, a pre-collective fault hook, the group's topology and
-/// membership, reform and departure. The ring transports (threads, TCP)
-/// execute through [`execute_ring`], which pairs arbitrary ranks for the
-/// butterfly collectives, two-level topologies and reform; `acp-serve`'s
-/// client submits each collective to its aggregation server.
+/// wiring, a pre-collective fault hook, the group's [`GroupView`], reform
+/// and departure. The ring transports (threads, TCP) execute through
+/// [`execute_ring`], which pairs arbitrary ranks for the butterfly
+/// collectives, two-level topologies and reform; `acp-serve`'s client
+/// submits each collective to its aggregation server.
 pub trait WorkerTransport: Send {
     /// Runs one collective over the caller's storage. In-place operations
     /// (all-reduce, broadcast) leave their result in `buf` and resolve to
@@ -488,9 +490,11 @@ pub trait WorkerTransport: Send {
     /// The backend's structured [`CommError`].
     fn execute(&mut self, op: BorrowedOp<'_>) -> Result<CollectiveResult, CommError>;
 
-    /// This endpoint's physical rank: the identity its membership lists,
-    /// stable across reforms.
-    fn physical_rank(&self) -> usize;
+    /// This endpoint's group state: physical and virtual rank, membership,
+    /// and the arrangement collectives are scheduled over — all-reduce
+    /// runs the two-level ring-of-rings of [`crate::hierarchy`] when its
+    /// topology is [`Topology::TwoLevel`].
+    fn view(&self) -> &GroupView;
 
     /// The telemetry recorder collective latencies and spans go to.
     fn recorder(&self) -> &RecorderHandle;
@@ -503,26 +507,17 @@ pub trait WorkerTransport: Send {
     /// TCP backend applies its straggler delay here).
     fn prepare(&mut self) {}
 
-    /// The rank arrangement collectives are scheduled over. All-reduce
-    /// runs the two-level ring-of-rings of [`crate::hierarchy`] when this
-    /// is [`Topology::TwoLevel`]; the default is the flat ring.
-    fn topology(&self) -> Topology {
-        Topology::flat(self.membership().world_size())
-    }
-
-    /// The current membership: epoch plus surviving physical ranks.
-    fn membership(&self) -> Membership;
-
-    /// Rebuilds the group from the surviving ranks after a peer departure:
-    /// re-detects who is alive, re-derives ring/virtual ranks, bumps the
-    /// membership epoch, folds the new membership into the schedule digest
-    /// and cross-checks digest agreement among survivors. Collective —
-    /// every survivor must call it at the same schedule position.
+    /// Rebuilds the group from the surviving ranks after a peer departure
+    /// and returns the new view: moves to [`GroupView::reformed`] (or, for
+    /// a service client, [`GroupView::adopt`]s the announced survivors),
+    /// folds the new membership into the schedule digest and cross-checks
+    /// digest agreement among survivors. Collective — every survivor must
+    /// call it at the same schedule position.
     ///
     /// # Errors
     ///
     /// The default implementation reports that the backend is not elastic.
-    fn reform(&mut self) -> Result<Membership, CommError> {
+    fn reform(&mut self) -> Result<GroupView, CommError> {
         Err(CommError::Io(
             "this transport does not support membership reform".to_string(),
         ))
@@ -553,7 +548,7 @@ pub trait WorkerTransport: Send {
 pub type DepartureNotice = Box<dyn FnOnce(u64) + Send>;
 
 /// The handshake that ends every elastic [`WorkerTransport::reform`] once
-/// the transport has adopted its post-reform membership: records the
+/// the transport has adopted its post-reform view: records the
 /// reform as a schedule op (replayable by `acp-verify check-trace`), then
 /// all-gathers the digest halves, so survivors that disagree on who
 /// survived fail here rather than on some later collective. In cross-check
@@ -566,15 +561,15 @@ pub type DepartureNotice = Box<dyn FnOnce(u64) + Send>;
 /// [`CommError::Io`] naming its virtual rank.
 pub fn confirm_reform<T: Transport + WorkerTransport + ?Sized>(
     t: &mut T,
-) -> Result<Membership, CommError> {
-    let membership = t.membership();
+) -> Result<GroupView, CommError> {
+    let view = t.view().clone();
     let Some(tracer) = t.tracer() else {
-        return Ok(membership);
+        return Ok(view);
     };
     tracer.begin_op(
         OpKind::Reform,
-        membership.world_size() as u64,
-        membership_param(membership.epoch(), membership.ranks()),
+        view.world_size() as u64,
+        membership_param(view.epoch(), view.members()),
     );
     let digest = tracer.digest();
     let halves = [(digest >> 32) as u32, digest as u32];
@@ -583,9 +578,9 @@ pub fn confirm_reform<T: Transport + WorkerTransport + ?Sized>(
         Some(virt) => Err(CommError::Io(format!(
             "post-reform schedule digest mismatch at epoch {}: virtual rank {virt} \
              disagrees on the surviving membership",
-            membership.epoch()
+            view.epoch()
         ))),
-        None => Ok(membership),
+        None => Ok(view),
     }
 }
 
@@ -642,8 +637,8 @@ fn run_collective<T: WorkerTransport + ?Sized>(
 
 /// The ring transports' [`WorkerTransport::execute`]: folds the op into
 /// the transport's schedule, then runs its generic [`ring`] algorithm —
-/// all-reduce as the two-level ring-of-rings of [`crate::hierarchy`] on a
-/// two-level [`WorkerTransport::topology`].
+/// all-reduce as the two-level ring-of-rings of [`crate::hierarchy`] when
+/// the transport's [`GroupView::topology`] is two-level.
 ///
 /// # Errors
 ///
@@ -659,7 +654,7 @@ pub fn execute_ring<T: Transport + WorkerTransport + ?Sized>(
     let unit = |()| CollectiveResult::Unit;
     match op {
         BorrowedOp::AllReduce { buf, op } => {
-            let topo = t.topology();
+            let topo = t.view().topology();
             if topo.is_flat() {
                 ring::all_reduce(t, buf, op).map(unit)
             } else {
@@ -735,7 +730,7 @@ enum WorkerMsg {
     },
     SetRecorder(RecorderHandle),
     Reform {
-        reply: Sender<Result<Membership, CommError>>,
+        reply: Sender<Result<GroupView, CommError>>,
     },
 }
 
@@ -760,9 +755,9 @@ impl CommWorker {
     /// submission handle.
     pub fn spawn<T: WorkerTransport + 'static>(mut transport: T) -> CommWorker {
         let (tx, rx) = unbounded::<WorkerMsg>();
-        let physical = transport.physical_rank();
+        let physical = transport.view().physical();
         // Spans go on the virtual rank's timeline, as the caller's do.
-        let mut track = virtual_rank(&transport.membership(), physical);
+        let mut track = transport.view().rank();
         std::thread::Builder::new()
             .name(format!("acp-comm-{physical}"))
             .spawn(move || {
@@ -778,8 +773,8 @@ impl CommWorker {
                         WorkerMsg::SetRecorder(recorder) => transport.set_recorder(recorder),
                         WorkerMsg::Reform { reply } => {
                             let result = transport.reform();
-                            if let Ok(membership) = &result {
-                                track = virtual_rank(membership, physical);
+                            if let Ok(view) = &result {
+                                track = view.rank();
                             }
                             let _ = reply.send(result);
                         }
@@ -816,7 +811,7 @@ impl CommWorker {
     ///
     /// Propagates the transport's reform error; a dead worker surfaces as
     /// [`CommError::WorkerPanicked`].
-    pub fn reform(&self) -> Result<Membership, CommError> {
+    pub fn reform(&self) -> Result<GroupView, CommError> {
         let (reply, rx) = unbounded();
         if self.tx.send(WorkerMsg::Reform { reply }).is_err() {
             return Err(CommError::WorkerPanicked);
@@ -837,18 +832,13 @@ impl CommWorker {
 /// transport into a [`CommWorker`]; from then on *every* call, blocking
 /// ones included, goes through the worker in FIFO order — a blocking call
 /// as an owned copy of its payload — so it can never overtake dispatched
-/// operations. The byte counter and the schedule trace live in cells
-/// shared with the transport, so both stay readable after it moved.
+/// operations. A group of one has nothing to overlap: while no worker
+/// runs, its dispatches run inline too and return resolved handles. The
+/// byte counter and the schedule trace live in cells shared with the
+/// transport, so both stay readable after it moved.
 pub struct WorkerCommunicator<T: WorkerTransport> {
-    /// Virtual (ring) rank — equals `physical` until a reform.
-    rank: usize,
-    /// Physical rank this endpoint was launched with (stable across
-    /// reforms).
-    physical: usize,
-    membership: Membership,
-    /// The arrangement collectives are scheduled over; collapses to a
-    /// flat ring over the survivors after a reform.
-    topology: Topology,
+    /// This rank's group state, as the transport last reported it.
+    view: GroupView,
     /// The transport; `Some` until the comm worker takes it.
     inner: Option<T>,
     /// Per-rank comm worker, spawned lazily by the first dispatch.
@@ -864,10 +854,10 @@ pub struct WorkerCommunicator<T: WorkerTransport> {
 impl<T: WorkerTransport> fmt::Debug for WorkerCommunicator<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WorkerCommunicator")
-            .field("rank", &self.rank)
-            .field("world_size", &self.membership.world_size())
-            .field("topology", &self.topology)
-            .field("epoch", &self.membership.epoch())
+            .field("rank", &self.view.rank())
+            .field("world_size", &self.view.world_size())
+            .field("topology", &self.view.topology())
+            .field("epoch", &self.view.epoch())
             .field("bytes_sent", &self.bytes_sent.load(Ordering::SeqCst))
             .finish_non_exhaustive()
     }
@@ -880,7 +870,7 @@ impl<T: WorkerTransport> Drop for WorkerCommunicator<T> {
         // receive fail fast instead of waiting out their peer timeout.
         if std::thread::panicking() {
             if let Some(notice) = self.departure.take() {
-                notice(self.membership.epoch());
+                notice(self.view.epoch());
             }
         }
     }
@@ -890,19 +880,14 @@ impl<T: WorkerTransport + 'static> WorkerCommunicator<T> {
     /// Wraps a freshly connected transport. `bytes_sent` and `schedule`
     /// must be the cells the transport itself updates; `verify` is the
     /// mode its tracer runs in.
-    pub fn new(
+    pub fn with_transport(
         transport: T,
         bytes_sent: Arc<AtomicU64>,
         schedule: Arc<ScheduleCell>,
         verify: VerifyMode,
     ) -> Self {
-        let physical = transport.physical_rank();
-        let membership = transport.membership();
         WorkerCommunicator {
-            rank: virtual_rank(&membership, physical),
-            physical,
-            membership,
-            topology: transport.topology(),
+            view: transport.view().clone(),
             inner: Some(transport),
             worker: None,
             bytes_sent,
@@ -921,7 +906,7 @@ impl<T: WorkerTransport + 'static> WorkerCommunicator<T> {
                 let out = worker.submit(op.owned()).wait()?;
                 op.land(out)
             }
-            (None, Some(transport)) => run_collective(transport, self.rank, op),
+            (None, Some(transport)) => run_collective(transport, self.view.rank(), op),
             // Unreachable: the transport only leaves when a worker spawns.
             (None, None) => Err(CommError::WorkerPanicked),
         }
@@ -976,49 +961,33 @@ impl<T: WorkerTransport + 'static> WorkerCommunicator<T> {
     }
 }
 
-/// `physical`'s virtual (ring) rank in `membership`. A transport always
-/// lists itself; were it not to, its physical rank stands in.
-fn virtual_rank(membership: &Membership, physical: usize) -> usize {
-    membership
-        .virtual_rank_of(physical)
-        .map_or(physical, RankId::as_usize)
-}
-
 impl<T: WorkerTransport + 'static> Communicator for WorkerCommunicator<T> {
     fn rank(&self) -> usize {
-        self.rank
+        self.view.rank()
     }
 
     fn world_size(&self) -> usize {
-        self.membership.world_size()
+        self.view.world_size()
     }
 
     fn topology(&self) -> Topology {
-        self.topology
+        self.view.topology()
     }
 
     fn membership(&self) -> Membership {
-        self.membership.clone()
+        self.view.membership().clone()
     }
 
     /// Routes through the comm worker when one is running, so the reform
-    /// stays FIFO with dispatched collectives.
+    /// stays FIFO with dispatched collectives, and adopts the view the
+    /// transport reformed to.
     fn reform(&mut self) -> Result<Membership, CommError> {
-        let membership = match (&self.worker, self.inner.as_mut()) {
+        self.view = match (&self.worker, self.inner.as_mut()) {
             (Some(worker), _) => worker.reform(),
             (None, Some(transport)) => transport.reform(),
             (None, None) => Err(CommError::WorkerPanicked),
         }?;
-        self.rank = membership
-            .virtual_rank_of(self.physical)
-            .ok_or_else(|| CommError::Io("this rank is not among the survivors".to_string()))?
-            .as_usize();
-        if membership.epoch() != self.membership.epoch() {
-            // The transport fell back to one flat ring over the survivors.
-            self.topology = Topology::flat(membership.world_size());
-        }
-        self.membership = membership.clone();
-        Ok(membership)
+        Ok(self.view.membership().clone())
     }
 
     fn all_reduce(&mut self, buf: &mut [f32], op: ReduceOp) -> Result<(), CommError> {
@@ -1065,7 +1034,12 @@ impl<T: WorkerTransport + 'static> Communicator for WorkerCommunicator<T> {
             .into_sparse()
     }
 
-    fn dispatch(&mut self, op: CollectiveOp) -> PendingOp {
+    fn dispatch(&mut self, mut op: CollectiveOp) -> PendingOp {
+        if self.worker.is_none() && self.view.world_size() == 1 {
+            // Nothing to overlap in a group of one: run it here.
+            let result = self.run_op(op.as_borrowed()).map(|out| op.resolve(out));
+            return PendingOp::ready(result);
+        }
         self.ensure_worker().submit(op)
     }
 
@@ -1074,5 +1048,28 @@ impl<T: WorkerTransport + 'static> Communicator for WorkerCommunicator<T> {
             self.schedule
                 .snapshot(self.verify == VerifyMode::CrossCheck),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ThreadGroup;
+
+    #[test]
+    fn a_group_of_one_dispatches_inline() {
+        let mut group = ThreadGroup::run(1, |mut comm| {
+            let reduced = comm.all_reduce_start(vec![2.0, 3.0], ReduceOp::Mean);
+            let barrier = comm.dispatch(CollectiveOp::Barrier);
+            assert!(
+                comm.worker.is_none(),
+                "a group of one spawned a comm worker"
+            );
+            assert!(comm.inner.is_some());
+            (reduced.wait(), barrier.wait())
+        });
+        let (reduced, barrier) = group.remove(0);
+        assert_eq!(reduced.unwrap(), CollectiveResult::F32(vec![2.0, 3.0]));
+        assert_eq!(barrier.unwrap(), CollectiveResult::Unit);
     }
 }

@@ -13,16 +13,22 @@
 //! * [`RankId`] / [`GroupId`] — newtypes so rank arithmetic cannot be
 //!   silently mixed with element counts (a `cargo xtask lint` rule bans raw
 //!   `usize` rank arithmetic outside this crate);
-//! * [`Topology`] — flat ring vs. [`Topology::TwoLevel`], with a builder
-//!   and a validated `groups × group_size` factorization;
+//! * [`Topology`] — flat ring vs. [`Topology::TwoLevel`], built by
+//!   [`Topology::flat`], [`Topology::two_level`] or [`Topology::grouped`]
+//!   with a validated `groups × group_size` factorization;
 //! * [`Membership`] — the *elastic* part: an epoch plus the sorted physical
 //!   ranks still present. When a rank dies mid-collective the communicator
-//!   surfaces [`CommError::MembershipChanged`](crate::CommError::MembershipChanged)
-//!   and `reform()` rebuilds the ring from the survivors, bumping the epoch
-//!   and folding the new membership into the schedule digest so re-formed
-//!   schedules provably agree (see `DESIGN.md` §"Topology & membership").
+//!   surfaces [`CommError::MembershipChanged`] and `reform()` rebuilds the
+//!   ring from the survivors, bumping the epoch and folding the new
+//!   membership into the schedule digest so re-formed schedules provably
+//!   agree (see `DESIGN.md` §"Topology & membership");
+//! * [`GroupView`] — one rank's group state (physical and virtual rank,
+//!   membership, topology) and the one reform transition between views,
+//!   shared by every backend and the communicator shell.
 
 use std::fmt;
+
+use crate::communicator::CommError;
 
 /// A rank's identity within a group, distinct from buffer lengths and
 /// other `usize`s by construction.
@@ -82,8 +88,8 @@ impl From<usize> for GroupId {
 
 /// How the ranks of a group are arranged for collective scheduling.
 ///
-/// Construct with [`Topology::flat`], [`Topology::two_level`],
-/// [`Topology::grouped`] or the [`builder`](Topology::builder).
+/// Construct with [`Topology::flat`], [`Topology::two_level`] or
+/// [`Topology::grouped`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Topology {
     /// One ring over all ranks — the paper's testbed layout.
@@ -146,11 +152,6 @@ impl Topology {
         Topology::two_level(groups, world / groups)
     }
 
-    /// A builder in the style of the crate's config builders.
-    pub fn builder() -> TopologyBuilder {
-        TopologyBuilder::default()
-    }
-
     /// Total number of ranks.
     pub fn world_size(&self) -> usize {
         match *self {
@@ -206,39 +207,6 @@ impl Topology {
             }
         }
     }
-
-    /// Parses a launcher group spec for `world` ranks: either a group
-    /// count (`"2"`) or an explicit `groups x group_size` factorization
-    /// (`"2x4"`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a structured [`TopologyError`] (never panics) when the spec
-    /// is malformed or inconsistent with `world`.
-    pub fn parse_spec(world: usize, spec: &str) -> Result<Topology, TopologyError> {
-        let bad = || TopologyError::BadSpec {
-            spec: spec.to_string(),
-        };
-        let spec = spec.trim();
-        if let Some((g, s)) = spec.split_once(['x', 'X']) {
-            let groups: usize = g.trim().parse().map_err(|_| bad())?;
-            let group_size: usize = s.trim().parse().map_err(|_| bad())?;
-            if groups == 0 || group_size == 0 {
-                return Err(TopologyError::EmptyGroup { groups, group_size });
-            }
-            if groups * group_size != world {
-                return Err(TopologyError::WorldMismatch {
-                    world,
-                    groups,
-                    group_size,
-                });
-            }
-            Topology::two_level(groups, group_size)
-        } else {
-            let groups: usize = spec.parse().map_err(|_| bad())?;
-            Topology::grouped(world, groups)
-        }
-    }
 }
 
 impl fmt::Display for Topology {
@@ -248,91 +216,6 @@ impl fmt::Display for Topology {
             Topology::TwoLevel { groups, group_size } => {
                 write!(f, "{groups} groups \u{d7} {group_size} ranks")
             }
-        }
-    }
-}
-
-/// Builder for [`Topology`], consistent with the crate's config builders.
-///
-/// ```
-/// use acp_collectives::Topology;
-///
-/// let topo = Topology::builder().world(8).groups(2).build().unwrap();
-/// assert_eq!(topo.groups(), 2);
-/// assert_eq!(topo.group_size(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TopologyBuilder {
-    world: Option<usize>,
-    groups: Option<usize>,
-    group_size: Option<usize>,
-}
-
-impl TopologyBuilder {
-    /// Sets the total number of ranks.
-    pub fn world(mut self, world: usize) -> Self {
-        self.world = Some(world);
-        self
-    }
-
-    /// Sets the number of groups.
-    pub fn groups(mut self, groups: usize) -> Self {
-        self.groups = Some(groups);
-        self
-    }
-
-    /// Sets the ranks-per-group factor.
-    pub fn group_size(mut self, group_size: usize) -> Self {
-        self.group_size = Some(group_size);
-        self
-    }
-
-    /// Builds the topology, deriving the missing factor where possible.
-    ///
-    /// # Errors
-    ///
-    /// Returns a structured [`TopologyError`] on inconsistent or
-    /// under-specified factors.
-    pub fn build(self) -> Result<Topology, TopologyError> {
-        match (self.world, self.groups, self.group_size) {
-            (Some(w), None, None) => {
-                if w == 0 {
-                    return Err(TopologyError::EmptyGroup {
-                        groups: 1,
-                        group_size: 0,
-                    });
-                }
-                Ok(Topology::flat(w))
-            }
-            (Some(w), Some(g), None) => Topology::grouped(w, g),
-            (Some(w), None, Some(s)) => {
-                if s == 0 {
-                    return Err(TopologyError::EmptyGroup {
-                        groups: 0,
-                        group_size: s,
-                    });
-                }
-                if w % s != 0 {
-                    return Err(TopologyError::IndivisibleWorld {
-                        world: w,
-                        groups: s,
-                    });
-                }
-                Topology::two_level(w / s, s)
-            }
-            (world, Some(g), Some(s)) => {
-                if let Some(w) = world {
-                    if g * s != w {
-                        return Err(TopologyError::WorldMismatch {
-                            world: w,
-                            groups: g,
-                            group_size: s,
-                        });
-                    }
-                }
-                Topology::two_level(g, s)
-            }
-            (None, _, _) => Err(TopologyError::MissingWorld),
         }
     }
 }
@@ -355,22 +238,6 @@ pub enum TopologyError {
         /// Requested group count.
         groups: usize,
     },
-    /// An explicit `groups × group_size` that disagrees with the world.
-    WorldMismatch {
-        /// Total ranks.
-        world: usize,
-        /// Requested group count.
-        groups: usize,
-        /// Requested group size.
-        group_size: usize,
-    },
-    /// The builder was not told the world size (nor both factors).
-    MissingWorld,
-    /// An unparseable group spec string.
-    BadSpec {
-        /// The offending spec.
-        spec: String,
-    },
 }
 
 impl fmt::Display for TopologyError {
@@ -385,21 +252,6 @@ impl fmt::Display for TopologyError {
                 f,
                 "world size {world} is not divisible into {groups} equal groups"
             ),
-            TopologyError::WorldMismatch {
-                world,
-                groups,
-                group_size,
-            } => write!(
-                f,
-                "group spec {groups}x{group_size} covers {} ranks but the world has {world}",
-                groups * group_size
-            ),
-            TopologyError::MissingWorld => {
-                f.write_str("topology builder needs a world size or both group factors")
-            }
-            TopologyError::BadSpec { spec } => {
-                write!(f, "unparseable group spec {spec:?} (expected N or NxM)")
-            }
         }
     }
 }
@@ -426,14 +278,6 @@ impl Membership {
             epoch: 0,
             ranks: (0..world).collect(),
         }
-    }
-
-    /// A membership from an explicit epoch and rank set (sorted and
-    /// deduplicated) — for transports reconstructing state after a reform.
-    pub fn from_parts(epoch: u64, mut ranks: Vec<usize>) -> Membership {
-        ranks.sort_unstable();
-        ranks.dedup();
-        Membership { epoch, ranks }
     }
 
     /// Reform epoch: how many times the group has re-formed.
@@ -492,6 +336,127 @@ impl fmt::Display for Membership {
     }
 }
 
+/// One rank's view of its group: its physical rank, its virtual (ring)
+/// rank, the membership and the arrangement collectives are scheduled
+/// over.
+///
+/// Every backend's transport and the communicator shell hold one. A
+/// reform replaces it whole — [`GroupView::reformed`] after peers depart,
+/// [`GroupView::adopt`] when an aggregation service announces the
+/// survivors — and those two are the only places the virtual rank and
+/// the topology are re-derived.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GroupView {
+    /// The identity this rank was launched with, stable across reforms.
+    physical: usize,
+    /// Position of `physical` in the membership, cached so the ring hot
+    /// path never searches for it.
+    rank: usize,
+    membership: Membership,
+    topology: Topology,
+}
+
+impl GroupView {
+    /// The launch view of `physical` in `topology`: epoch 0, every rank a
+    /// member, virtual rank equal to physical rank.
+    pub fn initial(physical: usize, topology: Topology) -> GroupView {
+        GroupView {
+            physical,
+            rank: physical,
+            membership: Membership::initial(topology.world_size()),
+            topology,
+        }
+    }
+
+    /// The physical rank: the identity the membership lists.
+    pub fn physical(&self) -> usize {
+        self.physical
+    }
+
+    /// The virtual (ring) rank: this rank's position among the members.
+    pub fn rank(&self) -> usize {
+        self.rank
+    }
+
+    /// Number of members.
+    pub fn world_size(&self) -> usize {
+        self.membership.world_size()
+    }
+
+    /// Reform epoch.
+    pub fn epoch(&self) -> u64 {
+        self.membership.epoch()
+    }
+
+    /// The members' physical ranks, ascending: the virtual → physical map.
+    pub fn members(&self) -> &[usize] {
+        self.membership.ranks()
+    }
+
+    /// The membership: epoch plus members.
+    pub fn membership(&self) -> &Membership {
+        &self.membership
+    }
+
+    /// The arrangement collectives are scheduled over.
+    pub fn topology(&self) -> Topology {
+        self.topology
+    }
+
+    /// The view after `departed` leave: the survivors of
+    /// [`Membership::without`] at the next epoch, this rank's position
+    /// among them, and one flat ring over them (the old arrangement no
+    /// longer matches the survivors).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CommError::Io`] when this rank is itself among `departed`
+    /// or is not among the survivors.
+    pub fn reformed(&self, departed: &[usize]) -> Result<GroupView, CommError> {
+        if departed.contains(&self.physical) {
+            return Err(CommError::Io(format!(
+                "rank {} was declared departed and cannot reform",
+                self.physical
+            )));
+        }
+        self.over(self.membership.without(departed)).ok_or_else(|| {
+            CommError::Io(format!("rank {} is not among the survivors", self.physical))
+        })
+    }
+
+    /// The view of a membership an aggregation service announced, checked
+    /// before any of it is adopted: virtual rank is the index in
+    /// `members`, so the list must be strictly ascending, and it must hold
+    /// this rank.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CommError::ProtocolMismatch`] for a list that is out of
+    /// order, repeats a rank or lacks this one.
+    pub fn adopt(&self, epoch: u64, members: Vec<usize>) -> Result<GroupView, CommError> {
+        if !members.windows(2).all(|pair| pair[0] < pair[1]) {
+            return Err(CommError::ProtocolMismatch);
+        }
+        self.over(Membership {
+            epoch,
+            ranks: members,
+        })
+        .ok_or(CommError::ProtocolMismatch)
+    }
+
+    /// This rank's view of `membership` as one flat ring, or `None` when
+    /// it is not a member.
+    fn over(&self, membership: Membership) -> Option<GroupView> {
+        let rank = membership.virtual_rank_of(self.physical)?.as_usize();
+        Some(GroupView {
+            physical: self.physical,
+            rank,
+            topology: Topology::flat(membership.world_size()),
+            membership,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,48 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_derives_missing_factor() {
-        let t = Topology::builder().world(8).groups(2).build().unwrap();
-        assert_eq!(t, Topology::two_level(2, 4).unwrap());
-        let t = Topology::builder().world(8).group_size(2).build().unwrap();
-        assert_eq!(t, Topology::two_level(4, 2).unwrap());
-        let t = Topology::builder().groups(3).group_size(2).build().unwrap();
-        assert_eq!(t.world_size(), 6);
-        assert!(Topology::builder().build().is_err());
-        assert!(Topology::builder()
-            .world(9)
-            .groups(2)
-            .group_size(4)
-            .build()
-            .is_err());
-    }
-
-    #[test]
-    fn spec_parsing_accepts_count_and_factorization() {
-        assert_eq!(
-            Topology::parse_spec(8, "2").unwrap(),
-            Topology::two_level(2, 4).unwrap()
-        );
-        assert_eq!(
-            Topology::parse_spec(8, "2x4").unwrap(),
-            Topology::two_level(2, 4).unwrap()
-        );
-        assert_eq!(
-            Topology::parse_spec(8, "4X2").unwrap(),
-            Topology::two_level(4, 2).unwrap()
-        );
-        assert!(matches!(
-            Topology::parse_spec(8, "3x2"),
-            Err(TopologyError::WorldMismatch { .. })
-        ));
-        assert!(matches!(
-            Topology::parse_spec(8, "nope"),
-            Err(TopologyError::BadSpec { .. })
-        ));
-        assert!(Topology::parse_spec(8, "3").is_err());
-    }
-
-    #[test]
     fn fingerprints_distinguish_arrangements() {
         let flat = Topology::flat(8).fingerprint();
         let two = Topology::two_level(2, 4).unwrap().fingerprint();
@@ -613,5 +536,120 @@ mod tests {
             .unwrap()
             .to_string()
             .contains("2 groups"));
+    }
+
+    #[test]
+    fn reformed_view_collapses_a_two_level_group() {
+        let view = GroupView::initial(5, Topology::two_level(2, 4).unwrap());
+        assert_eq!((view.rank(), view.world_size(), view.epoch()), (5, 8, 0));
+        let next = view.reformed(&[1, 6]).unwrap();
+        assert_eq!(next.members(), &[0, 2, 3, 4, 5, 7]);
+        assert_eq!((next.physical(), next.rank(), next.epoch()), (5, 4, 1));
+        assert_eq!(next.topology(), Topology::flat(6));
+        assert_eq!(next.membership(), &view.membership().without(&[1, 6]));
+    }
+
+    #[test]
+    fn reformed_view_refuses_a_departed_rank() {
+        let view = GroupView::initial(2, Topology::flat(4));
+        assert!(matches!(view.reformed(&[2]), Err(CommError::Io(_))));
+        assert!(matches!(view.reformed(&[0, 2]), Err(CommError::Io(_))));
+        // A view that no longer lists its own rank has no slot to reform to.
+        let orphan = GroupView::initial(4, Topology::flat(4));
+        assert!(matches!(orphan.reformed(&[0]), Err(CommError::Io(_))));
+    }
+
+    #[test]
+    fn adopt_checks_the_announced_members() {
+        let view = GroupView::initial(1, Topology::flat(3));
+        let next = view.adopt(4, vec![1, 2]).unwrap();
+        assert_eq!((next.rank(), next.world_size(), next.epoch()), (0, 2, 4));
+        assert_eq!(next.topology(), Topology::flat(2));
+        for bad in [vec![2, 1], vec![1, 1, 2], vec![0, 2], vec![]] {
+            assert_eq!(
+                view.adopt(1, bad.clone()),
+                Err(CommError::ProtocolMismatch),
+                "{bad:?}"
+            );
+        }
+    }
+
+    use proptest::prelude::*;
+
+    /// The physical ranks set in `mask`, ascending.
+    fn ranks_of(mask: u32) -> Vec<usize> {
+        (0..32).filter(|r| mask & (1 << r) != 0).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// From any membership, a reform around any departure set bumps
+        /// the epoch by one, keeps the survivors in order, puts this rank
+        /// at its position among them and flattens the topology — or
+        /// fails when this rank is among the departed.
+        #[test]
+        fn reformed_view_follows_the_survivors(
+            launch in 1usize..17,
+            pick in 0usize..16,
+            kept in 0u32..0xffff,
+            gone in 0u32..0xffff,
+            reforms in 0usize..3,
+        ) {
+            let physical = pick % launch;
+            let mut view = GroupView::initial(physical, Topology::flat(launch));
+            for _ in 0..reforms {
+                let departed: Vec<usize> = ranks_of(!kept & 0xffff)
+                    .into_iter()
+                    .filter(|&r| r != physical)
+                    .collect();
+                view = view.reformed(&departed).unwrap();
+            }
+            let departed = ranks_of(gone);
+            match view.reformed(&departed) {
+                Err(err) => {
+                    prop_assert!(departed.contains(&physical), "{err}");
+                }
+                Ok(next) => {
+                    prop_assert!(!departed.contains(&physical));
+                    prop_assert_eq!(next.epoch(), view.epoch() + 1);
+                    let survivors: Vec<usize> = view
+                        .members()
+                        .iter()
+                        .copied()
+                        .filter(|r| !departed.contains(r))
+                        .collect();
+                    prop_assert_eq!(next.members(), &survivors[..]);
+                    prop_assert_eq!(next.members()[next.rank()], physical);
+                    prop_assert_eq!(next.physical(), physical);
+                    prop_assert_eq!(next.topology(), Topology::flat(survivors.len()));
+                }
+            }
+        }
+
+        /// `adopt` takes exactly the strictly ascending lists that hold
+        /// this rank.
+        #[test]
+        fn adopt_takes_only_sorted_lists_with_this_rank(
+            pick in 0usize..8,
+            members in proptest::collection::vec(0usize..8, 0..8),
+            epoch in 0u64..5,
+        ) {
+            let view = GroupView::initial(pick, Topology::flat(8));
+            let valid = members.windows(2).all(|p| p[0] < p[1]) && members.contains(&pick);
+            match view.adopt(epoch, members.clone()) {
+                Ok(next) => {
+                    prop_assert!(valid, "{:?} adopted", members);
+                    prop_assert_eq!(next.members(), &members[..]);
+                    prop_assert_eq!(next.members()[next.rank()], pick);
+                    prop_assert_eq!(next.epoch(), epoch);
+                    prop_assert!(next.topology().is_flat());
+                }
+                Err(err) => {
+                    prop_assert!(!valid, "{:?} refused", members);
+                    prop_assert_eq!(err, CommError::ProtocolMismatch);
+                }
+            }
+        }
     }
 }

@@ -6,7 +6,7 @@ use acp_compression::acp::{AcpSgd, FactorSide};
 use acp_tensor::MatrixShape;
 
 use crate::error::CoreError;
-use crate::pipeline::{Bucket, BucketCodec, PerBucket, Pipelined, Round, WarmStart};
+use crate::pipeline::{sole_result, Bucket, BucketCodec, PerBucket, Pipelined, Round, WarmStart};
 
 /// The configuration of [`AcpSgdAggregator`]: the same knobs as
 /// Power-SGD's.
@@ -160,14 +160,7 @@ impl BucketCodec for AcpCodec {
         bucket: &mut Bucket,
         results: Vec<CollectiveResult>,
     ) -> Result<Round, CoreError> {
-        let reduced = results
-            .into_iter()
-            .next()
-            .ok_or(CoreError::CodecProtocol(
-                "expected one collective result per round",
-            ))?
-            .into_f32()
-            .map_err(CoreError::from)?;
+        let reduced = sole_result(results)?.into_f32()?;
         let st = self.buckets.get_mut(bucket)?;
         if Some(&reduced.len()) != st.payload_offsets.last() {
             return Err(CoreError::CodecProtocol(

@@ -11,7 +11,9 @@ use acp_collectives::{CollectiveOp, CollectiveResult};
 use acp_compression::{ErrorFeedback, TopK};
 
 use crate::error::CoreError;
-use crate::pipeline::{Bucket, BucketCodec, PerBucket, Pipelined, Round, DEFAULT_BUFFER_BYTES};
+use crate::pipeline::{
+    sole_result, Bucket, BucketCodec, PerBucket, Pipelined, Round, DEFAULT_BUFFER_BYTES,
+};
 use crate::sparse::{k_for, sparse_parts, SlotPairs};
 
 /// Per-bucket gTop-k state.
@@ -72,14 +74,7 @@ impl BucketCodec for GTopkCodec {
         bucket: &mut Bucket,
         results: Vec<CollectiveResult>,
     ) -> Result<Round, CoreError> {
-        let (global_idx, global_val) = results
-            .into_iter()
-            .next()
-            .ok_or(CoreError::CodecProtocol(
-                "expected one collective result per round",
-            ))?
-            .into_sparse()
-            .map_err(CoreError::from)?;
+        let (global_idx, global_val) = sole_result(results)?.into_sparse()?;
         self.buckets
             .get_mut(bucket)?
             .pairs

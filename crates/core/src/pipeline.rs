@@ -782,6 +782,14 @@ fn record_step_metrics(rec: &dyn Recorder, stats: &StepStats, residual_norm: Opt
     );
 }
 
+/// The one result of a round that dispatched a single collective: the
+/// prologue of every such codec's [`BucketCodec::decode`].
+pub(crate) fn sole_result(results: Vec<CollectiveResult>) -> Result<CollectiveResult, CoreError> {
+    results.into_iter().next().ok_or(CoreError::CodecProtocol(
+        "expected one collective result per round",
+    ))
+}
+
 /// Validates that the tensor list matches the shapes recorded on the first
 /// step; records them on the first call.
 pub(crate) fn check_shapes(

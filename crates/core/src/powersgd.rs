@@ -7,7 +7,7 @@ use acp_tensor::MatrixShape;
 
 use crate::error::CoreError;
 use crate::pipeline::{
-    Bucket, BucketCodec, PerBucket, Pipelined, Round, WarmStart, DEFAULT_BUFFER_BYTES,
+    sole_result, Bucket, BucketCodec, PerBucket, Pipelined, Round, WarmStart, DEFAULT_BUFFER_BYTES,
 };
 
 /// Configuration of the two low-rank aggregators, [`PowerSgdAggregator`]
@@ -265,14 +265,7 @@ impl BucketCodec for PowerCodec {
         bucket: &mut Bucket,
         results: Vec<CollectiveResult>,
     ) -> Result<Round, CoreError> {
-        let reduced = results
-            .into_iter()
-            .next()
-            .ok_or(CoreError::CodecProtocol(
-                "expected one collective result per round",
-            ))?
-            .into_f32()
-            .map_err(CoreError::from)?;
+        let reduced = sole_result(results)?.into_f32()?;
         let st = self.buckets.get_mut(bucket)?;
         const MISMATCH: CoreError =
             CoreError::CodecProtocol("reduced payload does not match the encoded bucket");

@@ -4,7 +4,7 @@
 use acp_collectives::{CollectiveOp, CollectiveResult, ReduceOp};
 
 use crate::error::CoreError;
-use crate::pipeline::{Bucket, BucketCodec, PerBucket, Pipelined, Round};
+use crate::pipeline::{sole_result, Bucket, BucketCodec, PerBucket, Pipelined, Round};
 
 pub use crate::pipeline::DEFAULT_BUFFER_BYTES;
 
@@ -55,14 +55,7 @@ impl BucketCodec for MeanCodec {
         bucket: &mut Bucket,
         results: Vec<CollectiveResult>,
     ) -> Result<Round, CoreError> {
-        let reduced = results
-            .into_iter()
-            .next()
-            .ok_or(CoreError::CodecProtocol(
-                "expected one collective result per round",
-            ))?
-            .into_f32()
-            .map_err(CoreError::from)?;
+        let reduced = sole_result(results)?.into_f32()?;
         if reduced.len() != bucket.elems {
             return Err(CoreError::CodecProtocol(
                 "reduced buffer does not match the encoded bucket",

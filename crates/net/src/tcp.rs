@@ -59,7 +59,7 @@ use acp_collectives::nonblocking::{
 };
 use acp_collectives::ring::{Transport, WireMsg};
 use acp_collectives::schedule::{self, OpKind, ScheduleCell, ScheduleTracer};
-use acp_collectives::topology::{Membership, Topology as GroupTopology, TopologyError};
+use acp_collectives::topology::{GroupView, Topology as GroupTopology, TopologyError};
 use acp_collectives::{CommError, VerifyMode, WorkerTransport};
 use acp_telemetry::{keys, noop, RecorderHandle};
 
@@ -489,18 +489,10 @@ pub type TcpCommunicator = WorkerCommunicator<TcpTransport>;
 /// comm worker is spawned, then moves into the worker thread; collectives
 /// run the same ring algorithms on it either way.
 pub struct TcpTransport {
-    /// Physical rank: stable index into `peers`, never remapped.
-    rank: usize,
-    /// Virtual rank: position of `rank` in the sorted `members` list.
-    virtual_rank: usize,
+    /// Group state. The physical rank is the stable index into `peers`,
+    /// never remapped.
+    view: GroupView,
     peers: Vec<SocketAddr>,
-    /// Logical group arrangement; falls back to flat after a reform.
-    topology: GroupTopology,
-    /// Membership epoch, bumped by every reform.
-    epoch: u64,
-    /// Sorted physical ranks of the current members (the virtual→physical
-    /// map).
-    members: Vec<usize>,
     /// Physical ranks observed dead (listener gone, or named by a peer's
     /// abort broadcast).
     departed: BTreeSet<usize>,
@@ -593,12 +585,8 @@ impl TcpConfig {
             tracer.begin_op(OpKind::Topology, world_size as u64, topology.fingerprint());
         }
         let mut transport = TcpTransport {
-            rank,
-            virtual_rank: rank,
+            view: GroupView::initial(rank, topology),
             peers,
-            topology,
-            epoch: 0,
-            members: (0..world_size).collect(),
             departed: BTreeSet::new(),
             retry,
             op_deadline,
@@ -612,7 +600,7 @@ impl TcpConfig {
             tracer,
         };
         transport.links = transport.establish()?;
-        Ok(WorkerCommunicator::new(
+        Ok(WorkerCommunicator::with_transport(
             transport, bytes_sent, schedule, verify,
         ))
     }
@@ -632,7 +620,7 @@ impl TcpTransport {
 
     fn dial(&self, peer: usize) -> Result<Link, CommError> {
         let mut stream = connect_with_retry(&self.peers[peer], &self.retry, self.op_deadline)?;
-        send_hello(&mut stream, self.rank)?;
+        send_hello(&mut stream, self.view.physical())?;
         Ok(Link {
             peer,
             role: LinkRole::Connector,
@@ -677,7 +665,7 @@ impl TcpTransport {
     /// backlog, so dialing every higher rank before accepting every lower
     /// one cannot deadlock.
     fn establish(&self) -> Result<Links, CommError> {
-        let (p, r) = (self.peers.len(), self.rank);
+        let (p, r) = (self.peers.len(), self.view.physical());
         let mut links: Links = (0..p).map(|_| None).collect();
         for (q, slot) in links.iter_mut().enumerate().skip(r + 1) {
             *slot = Some(self.dial(q)?);
@@ -727,7 +715,8 @@ impl TcpTransport {
 
     /// The departed ranks among the current members, in rank order.
     fn departed_members(&self) -> Vec<usize> {
-        self.members
+        self.view
+            .members()
             .iter()
             .copied()
             .filter(|m| self.departed.contains(m))
@@ -737,7 +726,7 @@ impl TcpTransport {
     /// The structured membership error for the current view.
     fn membership_error(&self) -> CommError {
         CommError::MembershipChanged {
-            epoch: self.epoch,
+            epoch: self.view.epoch(),
             departed: self.departed_members(),
         }
     }
@@ -748,7 +737,7 @@ impl TcpTransport {
     fn note_departed(&mut self, phys: usize) -> CommError {
         if self.departed.insert(phys) {
             let frame = Frame::Abort {
-                epoch: self.epoch,
+                epoch: self.view.epoch(),
                 departed: phys as u32,
             };
             for link in self.links.iter_mut().flatten() {
@@ -777,8 +766,8 @@ impl WorkerTransport for TcpTransport {
         execute_ring(self, op)
     }
 
-    fn physical_rank(&self) -> usize {
-        self.rank
+    fn view(&self) -> &GroupView {
+        &self.view
     }
 
     fn recorder(&self) -> &RecorderHandle {
@@ -810,49 +799,31 @@ impl WorkerTransport for TcpTransport {
         Some(&mut self.tracer)
     }
 
-    fn topology(&self) -> GroupTopology {
-        self.topology
-    }
-
-    fn membership(&self) -> Membership {
-        Membership::from_parts(self.epoch, self.members.clone())
-    }
-
-    fn reform(&mut self) -> Result<Membership, CommError> {
+    fn reform(&mut self) -> Result<GroupView, CommError> {
         let departed = self.departed_members();
         if departed.is_empty() {
             // Idempotent: nothing changed, nothing to renegotiate.
-            return Ok(self.membership());
+            return Ok(self.view.clone());
         }
-        if departed.contains(&self.rank) {
-            return Err(CommError::Io(
-                "this rank was declared departed by its peers".to_string(),
-            ));
-        }
+        self.view = self.view.reformed(&departed)?;
         // Close the links to the departed; their slots stay empty.
         for &dead in &departed {
             if let Some(link) = self.links[dead].take() {
                 let _ = link.stream.shutdown(Shutdown::Both);
             }
         }
-        self.members.retain(|m| !departed.contains(m));
-        self.epoch += 1;
-        self.virtual_rank = self
-            .members
-            .binary_search(&self.rank)
-            .map_err(|_| CommError::Io("this rank is not among the survivors".to_string()))?;
-        self.topology = GroupTopology::flat(self.members.len());
         // Reform barrier: announce our epoch on every surviving link,
         // then drain each link up to the peer's matching announcement.
         // TCP links are FIFO, so everything read before the marker is a
         // stale pre-reform frame and safely discarded; everything after
         // it belongs to the new epoch.
-        let epoch = self.epoch;
+        let (epoch, me) = (self.view.epoch(), self.view.physical());
         let survivors: Vec<usize> = self
-            .members
+            .view
+            .members()
             .iter()
             .copied()
-            .filter(|&m| m != self.rank)
+            .filter(|&m| m != me)
             .collect();
         let started = Instant::now();
         for &peer in &survivors {
@@ -962,10 +933,10 @@ impl TcpTransport {
         if !self.departed_members().is_empty() {
             return Err(self.membership_error());
         }
-        let Some(&phys) = self.members.get(dest) else {
+        let Some(&phys) = self.view.members().get(dest) else {
             return Err(CommError::InvalidRank {
                 rank: dest,
-                world_size: self.members.len(),
+                world_size: self.view.world_size(),
             });
         };
         if let Some(delay) = self.fault.send_delay {
@@ -984,14 +955,14 @@ impl TcpTransport {
         // Destructure for disjoint field borrows: the link lives in
         // `links`, while reconnection needs `peers`/`retry`.
         let TcpTransport {
-            rank,
+            view: group,
             peers,
             retry,
             op_deadline,
             links,
             ..
         } = self;
-        let (rank, op_deadline) = (*rank, *op_deadline);
+        let (rank, op_deadline) = (group.physical(), *op_deadline);
         // No such peer, or one a reform already removed: not a link
         // failure, so it must not be reclassified as a membership change
         // below.
@@ -1077,10 +1048,10 @@ impl TcpTransport {
         if !self.departed_members().is_empty() {
             return Err(self.membership_error());
         }
-        let Some(&phys) = self.members.get(src) else {
+        let Some(&phys) = self.view.members().get(src) else {
             return Err(CommError::InvalidRank {
                 rank: src,
-                world_size: self.members.len(),
+                world_size: self.view.world_size(),
             });
         };
         let started = Instant::now();
@@ -1088,7 +1059,7 @@ impl TcpTransport {
         // re-established according to our role, then the read is retried.
         let mut recovered = false;
         loop {
-            let link = resolve_link(&mut self.links, self.rank, phys)?;
+            let link = resolve_link(&mut self.links, self.view.physical(), phys)?;
             let read = link.read(|io| match dest.as_mut() {
                 Some(dest) => read_frame_into(io, dest.reborrow()),
                 None => read_frame(io).map(ReadInto::Other),
@@ -1144,7 +1115,7 @@ impl TcpTransport {
                 // that raced our read; consume it and keep reading.
                 Ok(Frame::Hello(_)) => continue,
                 Ok(Frame::Abort { epoch, departed }) => {
-                    if epoch < self.epoch {
+                    if epoch < self.view.epoch() {
                         // Stale abort from before our reform; ignore.
                         continue;
                     }
@@ -1162,7 +1133,7 @@ impl TcpTransport {
                 }
                 Err(e) if is_disconnect(&e) && !recovered => {
                     recovered = true;
-                    let link = resolve_link(&mut self.links, self.rank, phys)?;
+                    let link = resolve_link(&mut self.links, self.view.physical(), phys)?;
                     let role = link.role;
                     if role == LinkRole::Acceptor {
                         let _ = link.stream.shutdown(Shutdown::Both);
@@ -1185,15 +1156,16 @@ impl TcpTransport {
                             .map(|fresh| self.links[phys] = Some(fresh)),
                         LinkRole::Connector => {
                             let TcpTransport {
-                                rank,
+                                view,
                                 peers,
                                 retry,
                                 op_deadline,
                                 links,
                                 ..
                             } = self;
-                            let link = resolve_link(links, *rank, phys)?;
-                            Self::reconnect(peers, retry, *op_deadline, *rank, link, Shutdown::Both)
+                            let rank = view.physical();
+                            let link = resolve_link(links, rank, phys)?;
+                            Self::reconnect(peers, retry, *op_deadline, rank, link, Shutdown::Both)
                         }
                     };
                     if let Err(err) = recovery {
@@ -1216,15 +1188,14 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    // `Transport::rank` is the schedule-facing *virtual* rank; `physical`
-    // is the socket-facing slot. The mismatch in field name is deliberate.
-    #[allow(clippy::misnamed_getters)]
+    // `Transport::rank` is the schedule-facing *virtual* rank; the
+    // physical rank is the socket-facing slot.
     fn rank(&self) -> usize {
-        self.virtual_rank
+        self.view.rank()
     }
 
     fn world_size(&self) -> usize {
-        self.members.len()
+        self.view.world_size()
     }
 
     fn send_to(&mut self, dest: usize, msg: WireMsg) -> Result<(), CommError> {

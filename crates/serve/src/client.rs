@@ -26,8 +26,8 @@ use acp_collectives::schedule::{
     membership_param, OpKind, ScheduleCell, ScheduleTracer, VerifyMode,
 };
 use acp_collectives::{
-    CommError, Communicator, Membership, ReduceOp, ScheduleSnapshot, Topology, WorkerCommunicator,
-    WorkerTransport,
+    CommError, Communicator, GroupView, Membership, ReduceOp, ScheduleSnapshot, Topology,
+    WorkerCommunicator, WorkerTransport,
 };
 use acp_net::frame::{read_frame_into, read_payload_head, DenseMut, MsgRef, PayloadHead, ReadInto};
 use acp_telemetry::{keys, noop, RecorderHandle};
@@ -82,9 +82,9 @@ struct ServedSession {
     stream: TcpStream,
     job: u64,
     client: u32,
-    /// Epoch and current members (client ids) ascending; virtual rank =
-    /// index.
-    membership: Membership,
+    /// Group state; its physical rank is the client id, its members the
+    /// client ids ascending.
+    view: GroupView,
     tracer: ScheduleTracer,
     bytes_sent: Arc<AtomicU64>,
     recorder: RecorderHandle,
@@ -156,6 +156,11 @@ impl ServedCommunicator {
             Ok(_) => return Err(CommError::ProtocolMismatch),
             Err(e) => return Err(io_err("read handshake reply", &e)),
         };
+        // The welcome names the job's epoch and size; this client must be
+        // one of its members.
+        let world = total as usize;
+        let view = GroupView::initial(client as usize, Topology::flat(world))
+            .adopt(epoch, (0..world).collect())?;
         let verify = VerifyMode::from_env();
         let cell = Arc::new(ScheduleCell::default());
         let bytes_sent = Arc::new(AtomicU64::new(0));
@@ -163,13 +168,13 @@ impl ServedCommunicator {
             stream,
             job,
             client,
-            membership: Membership::from_parts(epoch, (0..total as usize).collect()),
+            view,
             tracer: ScheduleTracer::new(verify, Arc::clone(&cell)),
             bytes_sent: Arc::clone(&bytes_sent),
             recorder: noop(),
             cfg,
         };
-        Ok(ServedCommunicator(WorkerCommunicator::new(
+        Ok(ServedCommunicator(WorkerCommunicator::with_transport(
             session, bytes_sent, cell, verify,
         )))
     }
@@ -202,7 +207,7 @@ impl ServedSession {
         let head = SubmitHead {
             job: self.job,
             client: self.client,
-            epoch: self.membership.epoch(),
+            epoch: self.view.epoch(),
             point,
             digest: self.tracer.digest(),
         };
@@ -310,12 +315,12 @@ fn map_reject(reject: Reject) -> CommError {
 }
 
 impl WorkerTransport for ServedSession {
-    /// One `Submit` per op. gTop-k is the exact gather-and-truncate of the
-    /// trait default: two gathers on the wire, each fingerprinted as what
-    /// it is. Recursive doubling and pairwise exchange need peers, which a
-    /// client of the service does not have.
+    /// One `Submit` per op. gTop-k is an exact gather-and-truncate: two
+    /// gathers on the wire, each fingerprinted as what it is. Recursive
+    /// doubling and pairwise exchange need peers, which a client of the
+    /// service does not have.
     fn execute(&mut self, op: BorrowedOp<'_>) -> Result<CollectiveResult, CommError> {
-        let world = self.membership.world_size();
+        let world = self.view.world_size();
         match op {
             BorrowedOp::AllReduce { .. } | BorrowedOp::Barrier => {
                 self.submit(op, None).map(|()| CollectiveResult::Unit)
@@ -351,8 +356,8 @@ impl WorkerTransport for ServedSession {
         }
     }
 
-    fn physical_rank(&self) -> usize {
-        self.client as usize
+    fn view(&self) -> &GroupView {
+        &self.view
     }
 
     fn recorder(&self) -> &RecorderHandle {
@@ -363,40 +368,30 @@ impl WorkerTransport for ServedSession {
         self.recorder = recorder;
     }
 
-    fn membership(&self) -> Membership {
-        self.membership.clone()
-    }
-
-    fn reform(&mut self) -> Result<Membership, CommError> {
+    fn reform(&mut self) -> Result<GroupView, CommError> {
         write_request(
             &mut &self.stream,
             &Request::Reform {
                 job: self.job,
                 client: self.client,
-                epoch: self.membership.epoch(),
+                epoch: self.view.epoch(),
             },
         )
         .map_err(|e| io_err("send reform", &e))?;
         match read_response(&mut &self.stream) {
             Ok(Response::Reformed { epoch, members }) => {
-                // Check the reply before adopting any of it: virtual rank
-                // is the index in the list, so it must be strictly
-                // ascending, and it must still hold this client.
-                let ascending = members.windows(2).all(|pair| pair[0] < pair[1]);
-                if !ascending || members.binary_search(&self.client).is_err() {
-                    return Err(CommError::ProtocolMismatch);
-                }
+                // `adopt` checks the reply before any of it is taken.
                 let survivors = members.into_iter().map(|m| m as usize).collect();
-                self.membership = Membership::from_parts(epoch, survivors);
+                self.view = self.view.adopt(epoch, survivors)?;
                 // Fold the reform into the schedule exactly like the
                 // peer-to-peer transports, so a served and a p2p run of
                 // the same elastic program keep identical digests.
                 self.tracer.begin_op(
                     OpKind::Reform,
-                    self.membership.world_size() as u64,
-                    membership_param(epoch, self.membership.ranks()),
+                    self.view.world_size() as u64,
+                    membership_param(epoch, self.view.members()),
                 );
-                Ok(self.membership.clone())
+                Ok(self.view.clone())
             }
             Ok(Response::Reject(reject)) => Err(map_reject(reject)),
             Ok(_) => Err(CommError::ProtocolMismatch),

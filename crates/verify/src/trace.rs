@@ -106,35 +106,11 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-fn kind_name(kind: OpKind) -> &'static str {
-    match kind {
-        OpKind::AllReduce => "all_reduce",
-        OpKind::AllReduceRd => "all_reduce_rd",
-        OpKind::AllGatherF32 => "all_gather_f32",
-        OpKind::AllGatherU32 => "all_gather_u32",
-        OpKind::Broadcast => "broadcast",
-        OpKind::GlobalTopk => "global_topk",
-        OpKind::SendRecv => "send_recv",
-        OpKind::Barrier => "barrier",
-        OpKind::Topology => "topology",
-        OpKind::Reform => "reform",
-    }
-}
-
+/// The kind `Display` spells as `name`.
 fn kind_from_name(name: &str) -> Option<OpKind> {
-    Some(match name {
-        "all_reduce" => OpKind::AllReduce,
-        "all_reduce_rd" => OpKind::AllReduceRd,
-        "all_gather_f32" => OpKind::AllGatherF32,
-        "all_gather_u32" => OpKind::AllGatherU32,
-        "broadcast" => OpKind::Broadcast,
-        "global_topk" => OpKind::GlobalTopk,
-        "send_recv" => OpKind::SendRecv,
-        "barrier" => OpKind::Barrier,
-        "topology" => OpKind::Topology,
-        "reform" => OpKind::Reform,
-        _ => return None,
-    })
+    (0..=u8::MAX)
+        .filter_map(OpKind::from_code)
+        .find(|kind| kind.to_string() == name)
 }
 
 /// Serialises a trace to the `.sched` text format.
@@ -149,11 +125,7 @@ pub fn write_trace(trace: &TraceFile) -> String {
     for e in &trace.snapshot.entries {
         out.push_str(&format!(
             "op {} {} words={} param={} digest={:016x}\n",
-            e.point.seq,
-            kind_name(e.point.kind),
-            e.point.words,
-            e.point.param,
-            e.digest
+            e.point.seq, e.point.kind, e.point.words, e.point.param, e.digest
         ));
     }
     out.push_str(&format!(

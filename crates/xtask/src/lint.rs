@@ -32,10 +32,9 @@
 //!    the session codec. The wire path sends payloads vectored straight
 //!    from bucket storage, the in-process path lends them, and a copy
 //!    that creeps back in silently erases the win. The deliberate copies
-//!    (the in-process transport's late-peer settle, a world-1 gather's
-//!    result, the one conversion that hands a blocking call's payload to
-//!    an already running comm worker, the sparse-send fallback) carry
-//!    `allow_verify` markers.
+//!    (the in-process transport's late-peer settle, the one conversion
+//!    that hands a blocking call's payload to an already running comm
+//!    worker, the sparse-send fallback) carry `allow_verify` markers.
 //! 6. **No fresh `Vec` per received dense frame.** The receive side
 //!    mirrors rule 5: dense payloads are read straight into the caller's
 //!    storage. In the frame reader a byte staging buffer (`vec![0u8`) or
@@ -89,10 +88,9 @@ const CLOCK_PATTERNS: &[&str] = &["Instant::now", "SystemTime"];
 
 /// Files on the zero-copy send path where fresh `.to_vec(` calls are
 /// banned: payloads must travel as borrowed slices down to the vectored
-/// writer or the in-process loan. The in-process late-peer settle, the
-/// world-1 gathers and the one conversion that copies a blocking call's
-/// payload across threads once a comm worker runs carry `allow_verify`
-/// markers.
+/// writer or the in-process loan. The in-process late-peer settle and
+/// the one conversion that copies a blocking call's payload across
+/// threads once a comm worker runs carry `allow_verify` markers.
 pub const WIRE_NO_TO_VEC_FILES: &[&str] = &[
     "crates/collectives/src/communicator.rs",
     "crates/collectives/src/hierarchy.rs",
