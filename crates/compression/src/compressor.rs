@@ -29,16 +29,30 @@ pub trait Compressor: Send {
 
     /// Writes the error-feedback residual `corrected − decompress(payload)`
     /// into `residual`, where `payload` is what compressing `corrected`
-    /// returned and both slices have the payload's dense length.
-    /// Overrides must produce the default's bits.
+    /// returned and both slices have the payload's dense length: a copy of
+    /// `corrected`, then [`Compressor::residual_in_place`].
     ///
     /// # Panics
     ///
     /// Panics on the same mismatches as [`Compressor::decompress`].
     fn residual_into(&self, payload: &Payload, corrected: &[f32], residual: &mut [f32]) {
-        self.decompress(payload, residual);
-        for (e, c) in residual.iter_mut().zip(corrected) {
-            *e = c - *e;
+        residual.copy_from_slice(corrected);
+        self.residual_in_place(payload, residual);
+    }
+
+    /// Turns `buf`, the corrected gradient that compressing returned
+    /// `payload` for, into the error-feedback residual
+    /// `buf − decompress(payload)`, in place. By default through a
+    /// decompressed temporary; overrides must produce the default's bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same mismatches as [`Compressor::decompress`].
+    fn residual_in_place(&self, payload: &Payload, buf: &mut [f32]) {
+        let mut approx = vec![0.0; buf.len()];
+        self.decompress(payload, &mut approx);
+        for (e, a) in buf.iter_mut().zip(&approx) {
+            *e -= a;
         }
     }
 

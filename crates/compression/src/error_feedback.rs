@@ -24,6 +24,14 @@ use crate::payload::Payload;
 /// e  ← g' − decompress(c)
 /// ```
 ///
+/// A caller that owns the corrected buffer hands it over
+/// ([`ErrorFeedback::compress_swapped`]): the last line runs in that
+/// buffer ([`Compressor::residual_in_place`]), which then becomes the
+/// residual, and the caller gets the old residual's storage back for its
+/// next [`ErrorFeedback::correct_from`] to overwrite. No gradient is
+/// copied for the residual, and the wrapper and its caller still hold two
+/// gradient-sized buffers between them.
+///
 /// # Examples
 ///
 /// ```
@@ -73,9 +81,10 @@ impl<C: Compressor> ErrorFeedback<C> {
     }
 
     /// [`Compressor::compress`] for a caller that owns the gradient
-    /// buffer: the corrected gradient `g + e` is left in `grad`, and no
-    /// gradient-sized temporary is allocated (the spent residual is the
-    /// decompression target). Same payload and residual, bit for bit.
+    /// buffer: the corrected gradient `g + e` is left in `grad`, and the
+    /// residual is a copy of it fixed up in place
+    /// ([`Compressor::residual_into`]). Same payload and residual, bit for
+    /// bit.
     pub fn compress_in_place(&mut self, grad: &mut [f32]) -> Payload {
         self.size_residual(grad.len());
         // g' = g + e
@@ -85,13 +94,13 @@ impl<C: Compressor> ErrorFeedback<C> {
         self.compress_corrected(grad)
     }
 
-    /// First half of [`ErrorFeedback::compress_in_place`] for a caller
-    /// whose gradient arrives in pieces: writes `g + e` for the elements
-    /// `offset..offset + grad.len()` into the same range of `corrected`
-    /// (the whole corrected buffer, whose length sizes the residual).
-    /// The addition is the copy; the residual is only read. Once every
-    /// range is written, in any order, [`ErrorFeedback::compress_corrected`]
-    /// finishes the step.
+    /// First half of a step for a caller whose gradient arrives in pieces:
+    /// writes `g + e` for the elements `offset..offset + grad.len()` into
+    /// the same range of `corrected` (the whole corrected buffer, whose
+    /// length sizes the residual). The addition is the copy; the residual
+    /// is only read. Once every range is written, in any order,
+    /// [`ErrorFeedback::compress_swapped`] (or
+    /// [`ErrorFeedback::compress_corrected`]) finishes the step.
     ///
     /// # Panics
     ///
@@ -108,15 +117,32 @@ impl<C: Compressor> ErrorFeedback<C> {
         }
     }
 
-    /// Second half of [`ErrorFeedback::compress_in_place`]: compresses the
-    /// already corrected gradient `g + e` and updates the residual to the
-    /// part the payload fails to represent.
+    /// Second half of a step for a caller that keeps its corrected
+    /// gradient `g + e`: compresses it and writes the part the payload
+    /// fails to represent into the residual, which costs a copy of
+    /// `corrected` ([`Compressor::residual_into`]).
     pub fn compress_corrected(&mut self, corrected: &[f32]) -> Payload {
         self.size_residual(corrected.len());
         let payload = self.inner.compress(corrected);
         // e <- g' - decompress(c)
         self.inner
             .residual_into(&payload, corrected, &mut self.residual);
+        payload
+    }
+
+    /// Second half of a step for a caller that hands its corrected
+    /// gradient `g + e` over: compresses it, turns it into the residual in
+    /// place, and swaps it with the old residual. `corrected` comes back
+    /// holding the old residual's storage, whose contents are stale; the
+    /// next step's [`ErrorFeedback::correct_from`] overwrites all of it.
+    /// Same payload and residual as [`ErrorFeedback::compress_corrected`],
+    /// bit for bit, without the copy.
+    pub fn compress_swapped(&mut self, corrected: &mut Vec<f32>) -> Payload {
+        self.size_residual(corrected.len());
+        let payload = self.inner.compress(corrected);
+        // e <- g' - decompress(c), in g''s own storage
+        self.inner.residual_in_place(&payload, corrected);
+        std::mem::swap(corrected, &mut self.residual);
         payload
     }
 
@@ -134,7 +160,9 @@ impl<C: Compressor> Compressor for ErrorFeedback<C> {
     }
 
     fn compress(&mut self, grad: &[f32]) -> Payload {
-        self.compress_in_place(&mut grad.to_vec())
+        let mut corrected = vec![0.0; grad.len()];
+        self.correct_from(grad, 0, &mut corrected);
+        self.compress_swapped(&mut corrected)
     }
 
     fn decompress(&self, payload: &Payload, out: &mut [f32]) {
@@ -198,13 +226,13 @@ mod tests {
         }
     }
 
-    /// `TopK` with only the required methods, so `residual_into` is the
-    /// trait's default decompress-and-subtract.
-    struct DefaultResidual(TopK);
+    /// A compressor with only the required methods, so `residual_into` and
+    /// `residual_in_place` are the trait's default decompress-and-subtract.
+    struct DefaultResidual<C>(C);
 
-    impl Compressor for DefaultResidual {
+    impl<C: Compressor> Compressor for DefaultResidual<C> {
         fn name(&self) -> &'static str {
-            "topk-default-residual"
+            self.0.name()
         }
 
         fn compress(&mut self, grad: &[f32]) -> Payload {
@@ -249,6 +277,82 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A payload's integer part and the bits of its floats, so that NaN
+    /// values compare equal to themselves.
+    fn payload_bits(p: &Payload) -> (Vec<u32>, Vec<u32>) {
+        match p {
+            Payload::Sparse {
+                indices, values, ..
+            } => (indices.clone(), bits(values)),
+            Payload::Signs { words, scale, .. } => (words.clone(), vec![scale.to_bits()]),
+            _ => panic!("TopK and SignSgd payloads are sparse or signs"),
+        }
+    }
+
+    /// Asserts that `fast.residual_in_place` gives the default's bits for
+    /// the payload it returns on each of a few awkward gradients.
+    fn assert_in_place_matches_default<C: Compressor + Clone>(mut fast: C, len: usize, what: &str) {
+        let slow = DefaultResidual(fast.clone());
+        for step in 0..3 {
+            let corrected = awkward(len, step);
+            let payload = fast.compress(&corrected);
+            let mut got = corrected.clone();
+            fast.residual_in_place(&payload, &mut got);
+            let mut want = corrected.clone();
+            slow.residual_in_place(&payload, &mut want);
+            assert_eq!(bits(&got), bits(&want), "{what} len {len} step {step}");
+        }
+    }
+
+    #[test]
+    fn residual_in_place_matches_the_default_bitwise() {
+        // 1 << 16 and past it, the sign kernel's pooled path.
+        for len in [1usize, 9, 31, 32, 33, 40, 333, 1 << 16, (1 << 16) + 45] {
+            for k in [1usize, 3, len / 2 + 1, len] {
+                assert_in_place_matches_default(TopK::new(k), len, &format!("topk k {k}"));
+            }
+            assert_in_place_matches_default(SignSgd::scaled(), len, "signsgd scaled");
+            assert_in_place_matches_default(SignSgd::plain(), len, "signsgd plain");
+        }
+    }
+
+    /// Runs `ef` against the oracle for six steps of awkward gradients,
+    /// each corrected in three pieces, out of order, into one buffer that
+    /// `compress_swapped` hands back with stale contents every step.
+    fn assert_swapped_matches_oracle<C: Compressor + Clone>(inner: C, what: &str) {
+        let mut ef = ErrorFeedback::new(inner.clone());
+        let (mut oracle_inner, mut residual) = (inner, vec![0.0f32; 45]);
+        let mut corrected = Vec::new();
+        for step in 0..6 {
+            let grad = awkward(45, step);
+            corrected.resize(grad.len(), f32::NAN);
+            for range in [30..45, 0..12, 12..30] {
+                ef.correct_from(&grad[range.clone()], range.start, &mut corrected);
+            }
+            let fast = ef.compress_swapped(&mut corrected);
+            assert_eq!(corrected.len(), grad.len(), "{what} step {step}");
+            let slow = oracle(&mut oracle_inner, &mut residual, &grad);
+            assert_eq!(
+                payload_bits(&fast),
+                payload_bits(&slow),
+                "{what} payload, step {step}"
+            );
+            assert_eq!(
+                bits(&ef.residual),
+                bits(&residual),
+                "{what} residual, step {step}"
+            );
+        }
+    }
+
+    #[test]
+    fn swapped_compress_matches_the_oracle_bitwise() {
+        assert_swapped_matches_oracle(TopK::new(7), "topk k 7");
+        assert_swapped_matches_oracle(TopK::new(40), "topk k 40");
+        assert_swapped_matches_oracle(SignSgd::scaled(), "signsgd scaled");
+        assert_swapped_matches_oracle(SignSgd::plain(), "signsgd plain");
     }
 
     #[test]

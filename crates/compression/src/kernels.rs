@@ -231,6 +231,31 @@ pub fn pack_signs(grad: &[f32]) -> Vec<u32> {
 ///
 /// Panics if `words` is shorter than `out.len().div_ceil(32)`.
 pub fn unpack_signs_into(words: &[u32], scale: f32, out: &mut [f32]) {
+    for_each_sign(words, scale, out, |o, v| *o = v);
+}
+
+/// Subtracts the expansion of packed sign words in place,
+/// `out[i] −= ±1.0 * scale`: [`unpack_signs_into`] into a temporary
+/// followed by a subtraction, bit for bit, without the temporary. This is
+/// a sign payload's error-feedback residual, taken in the corrected
+/// gradient's own storage.
+///
+/// # Panics
+///
+/// Panics if `words` is shorter than `out.len().div_ceil(32)`.
+pub fn subtract_signs_into(words: &[u32], scale: f32, out: &mut [f32]) {
+    for_each_sign(words, scale, out, |o, v| *o -= v);
+}
+
+/// Applies `f(&mut out[i], ±1.0 * scale)` with the sign of bit `i` of
+/// `words`, word by word over the whole words and element by element over
+/// the tail.
+fn for_each_sign(
+    words: &[u32],
+    scale: f32,
+    out: &mut [f32],
+    f: impl Fn(&mut f32, f32) + Send + Sync,
+) {
     let len = out.len();
     assert!(words.len() >= len.div_ceil(32), "packed length mismatch");
     let pool = global_for(len);
@@ -242,7 +267,7 @@ pub fn unpack_signs_into(words: &[u32], scale: f32, out: &mut [f32]) {
             for (j, o) in ochunk.iter_mut().enumerate() {
                 // Same arithmetic as the scalar `sign_at(..) * scale`.
                 let s = if w >> j & 1 == 1 { 1.0f32 } else { -1.0 };
-                *o = s * scale;
+                f(o, s * scale);
             }
         }
     });
@@ -252,7 +277,7 @@ pub fn unpack_signs_into(words: &[u32], scale: f32, out: &mut [f32]) {
         } else {
             -1.0
         };
-        *o = s * scale;
+        f(o, s * scale);
     }
 }
 

@@ -106,14 +106,32 @@ impl Compressor for SignSgd {
     }
 
     fn decompress(&self, payload: &Payload, out: &mut [f32]) {
-        match payload {
-            Payload::Signs { words, len, scale } => {
-                assert_eq!(out.len(), *len, "output length mismatch");
-                kernels::unpack_signs_into(words, *scale, out);
-            }
-            // allow_verify(reason: contract panic on payload-kind mismatch, pinned by tests)
-            _ => panic!("SignSgd expects Payload::Signs"),
+        let (words, scale) = sign_parts(payload, out.len());
+        kernels::unpack_signs_into(words, scale, out);
+    }
+
+    /// `buf[i] −= ±scale` straight from the packed words: the default's
+    /// expanded temporary skipped, with the same arithmetic.
+    fn residual_in_place(&self, payload: &Payload, buf: &mut [f32]) {
+        let (words, scale) = sign_parts(payload, buf.len());
+        kernels::subtract_signs_into(words, scale, buf);
+    }
+}
+
+/// The packed words and scale of a sign payload whose dense length must be
+/// `len`.
+fn sign_parts(payload: &Payload, len: usize) -> (&[u32], f32) {
+    match payload {
+        Payload::Signs {
+            words,
+            len: dense,
+            scale,
+        } => {
+            assert_eq!(len, *dense, "output length mismatch");
+            (words, *scale)
         }
+        // allow_verify(reason: contract panic on payload-kind mismatch, pinned by tests)
+        _ => panic!("SignSgd expects Payload::Signs"),
     }
 }
 

@@ -96,15 +96,14 @@ impl Compressor for TopK {
         }
     }
 
-    /// One copy of `corrected`, then `corrected[i] − v` at the `k`
-    /// selected indices: the default's zero-fill and whole-buffer subtract
-    /// skipped, with the same bits, since `c − 0.0` is `c` for every
-    /// non-NaN `c` (`−0.0` and `±∞` included).
-    fn residual_into(&self, payload: &Payload, corrected: &[f32], residual: &mut [f32]) {
-        let (indices, values) = sparse_pairs(payload, residual.len());
-        residual.copy_from_slice(corrected);
+    /// `buf[i] − v` at the `k` selected indices and nothing elsewhere: the
+    /// default's decompression and whole-buffer subtract skipped, with the
+    /// same bits, since `c − 0.0` is `c` for every non-NaN `c` (`−0.0` and
+    /// `±∞` included).
+    fn residual_in_place(&self, payload: &Payload, buf: &mut [f32]) {
+        let (indices, values) = sparse_pairs(payload, buf.len());
         for (&i, &v) in indices.iter().zip(values) {
-            residual[i as usize] = corrected[i as usize] - v;
+            buf[i as usize] -= v;
         }
     }
 }

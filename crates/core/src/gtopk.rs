@@ -22,6 +22,10 @@ struct GTopkBucket {
     ef: ErrorFeedback<TopK>,
     /// The corrected gradient `g + e` the selection runs on — the
     /// correction is the copy in — owned and reused from step to step.
+    /// `encode` hands it to [`ErrorFeedback::compress_swapped`], which
+    /// turns it into the residual and swaps it for the old residual's
+    /// storage; every slot is overwritten by the next step's `absorb`
+    /// before it is read again.
     buf: Vec<f32>,
     /// The global selection, from `decode` to `emit`.
     pairs: SlotPairs,
@@ -63,7 +67,7 @@ impl BucketCodec for GTopkCodec {
     fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
         let k = k_for(self.density, bucket.elems);
         let st = self.buckets.get_mut(bucket)?;
-        let payload = st.ef.compress_corrected(&st.buf);
+        let payload = st.ef.compress_swapped(&mut st.buf);
         bucket.payload_bytes += payload.wire_bytes() as u64;
         let (indices, values) = sparse_parts(payload)?;
         Ok(vec![CollectiveOp::GlobalTopk { indices, values, k }])

@@ -54,7 +54,11 @@ struct SignBucket {
     /// where the correction is the copy in. The scale is the mean
     /// magnitude of the whole bucket, summed strictly in element order,
     /// so it cannot be had tensor by tensor as they arrive; the bucket is
-    /// held here instead, owned and reused from step to step.
+    /// held here instead, owned and reused from step to step. With error
+    /// feedback, `encode` hands it to [`ErrorFeedback::compress_swapped`],
+    /// which turns it into the residual and swaps it for the old
+    /// residual's storage; every slot is overwritten by the next step's
+    /// `absorb` before it is read again.
     buf: Vec<f32>,
     /// The majority vote, bit-packed, from `decode` to `emit`.
     voted: Vec<u32>,
@@ -104,7 +108,7 @@ impl BucketCodec for SignCodec {
     fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
         let st = self.buckets.get_mut(bucket)?;
         let payload = match &mut st.ef {
-            Some(ef) => ef.compress_corrected(&st.buf),
+            Some(ef) => ef.compress_swapped(&mut st.buf),
             None => SignSgd::scaled().compress(&st.buf),
         };
         bucket.payload_bytes += payload.wire_bytes() as u64;

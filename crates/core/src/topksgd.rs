@@ -59,7 +59,10 @@ struct TopkBucket {
     ef: Option<ErrorFeedback<TopK>>,
     /// The bucket's gradient as selected from — `g + e` with error
     /// feedback, where the correction is the copy in — owned and reused
-    /// from step to step.
+    /// from step to step. With error feedback, `encode` hands it to
+    /// [`ErrorFeedback::compress_swapped`], which turns it into the
+    /// residual and swaps it for the old residual's storage; every slot is
+    /// overwritten by the next step's `absorb` before it is read again.
     buf: Vec<f32>,
     /// The gathered selections, from `decode` to `emit`.
     pairs: SlotPairs,
@@ -109,7 +112,7 @@ impl BucketCodec for TopkCodec {
         let k = k_for(self.density, bucket.elems);
         let st = self.buckets.get_mut(bucket)?;
         let payload = match &mut st.ef {
-            Some(ef) => ef.compress_corrected(&st.buf),
+            Some(ef) => ef.compress_swapped(&mut st.buf),
             None => TopK::new(k).compress(&st.buf),
         };
         bucket.payload_bytes += payload.wire_bytes() as u64;
