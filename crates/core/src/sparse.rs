@@ -9,9 +9,11 @@ use acp_compression::Payload;
 use crate::error::CoreError;
 use crate::pipeline::Bucket;
 
-/// The number of elements a selection of `density` keeps out of `n`.
+/// The number of elements a selection of `density` keeps out of `n`: at
+/// least one, so that a `TopK` can be built for any bucket. An empty
+/// bucket asks for one element and selects nothing.
 pub(crate) fn k_for(density: f64, n: usize) -> usize {
-    ((density * n as f64).ceil() as usize).clamp(1, n)
+    ((density * n as f64).ceil() as usize).clamp(1, n.max(1))
 }
 
 /// The coordinate and value arrays of a top-k compressor's payload.
@@ -150,6 +152,16 @@ mod tests {
             step: 1,
             payload_bytes: 0,
         }
+    }
+
+    #[test]
+    fn k_is_at_least_one_and_at_most_the_bucket() {
+        assert_eq!(k_for(0.001, 10), 1);
+        assert_eq!(k_for(0.25, 10), 3);
+        assert_eq!(k_for(1.0, 8), 8);
+        // An empty bucket asks for one element, which `TopK` accepts and
+        // cannot find.
+        assert_eq!(k_for(0.25, 0), 1);
     }
 
     #[test]
