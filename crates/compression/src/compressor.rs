@@ -27,23 +27,11 @@ pub trait Compressor: Send {
     /// payload variant is not one this compressor produces.
     fn decompress(&self, payload: &Payload, out: &mut [f32]);
 
-    /// Writes the error-feedback residual `corrected − decompress(payload)`
-    /// into `residual`, where `payload` is what compressing `corrected`
-    /// returned and both slices have the payload's dense length: a copy of
-    /// `corrected`, then [`Compressor::residual_in_place`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same mismatches as [`Compressor::decompress`].
-    fn residual_into(&self, payload: &Payload, corrected: &[f32], residual: &mut [f32]) {
-        residual.copy_from_slice(corrected);
-        self.residual_in_place(payload, residual);
-    }
-
     /// Turns `buf`, the corrected gradient that compressing returned
     /// `payload` for, into the error-feedback residual
-    /// `buf − decompress(payload)`, in place. By default through a
-    /// decompressed temporary; overrides must produce the default's bits.
+    /// `buf − decompress(payload)`, in place: the one residual step of
+    /// [`crate::ErrorFeedback`]. By default through a decompressed
+    /// temporary; overrides must produce the default's bits.
     ///
     /// # Panics
     ///

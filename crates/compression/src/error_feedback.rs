@@ -82,9 +82,8 @@ impl<C: Compressor> ErrorFeedback<C> {
 
     /// [`Compressor::compress`] for a caller that owns the gradient
     /// buffer: the corrected gradient `g + e` is left in `grad`, and the
-    /// residual is a copy of it fixed up in place
-    /// ([`Compressor::residual_into`]). Same payload and residual, bit for
-    /// bit.
+    /// step finishes as [`ErrorFeedback::compress_corrected`]. Same payload
+    /// and residual, bit for bit.
     pub fn compress_in_place(&mut self, grad: &mut [f32]) -> Payload {
         self.size_residual(grad.len());
         // g' = g + e
@@ -118,16 +117,10 @@ impl<C: Compressor> ErrorFeedback<C> {
     }
 
     /// Second half of a step for a caller that keeps its corrected
-    /// gradient `g + e`: compresses it and writes the part the payload
-    /// fails to represent into the residual, which costs a copy of
-    /// `corrected` ([`Compressor::residual_into`]).
+    /// gradient `g + e`: [`ErrorFeedback::compress_swapped`] on a copy of
+    /// `corrected`, which becomes the residual.
     pub fn compress_corrected(&mut self, corrected: &[f32]) -> Payload {
-        self.size_residual(corrected.len());
-        let payload = self.inner.compress(corrected);
-        // e <- g' - decompress(c)
-        self.inner
-            .residual_into(&payload, corrected, &mut self.residual);
-        payload
+        self.compress_swapped(&mut corrected.to_vec())
     }
 
     /// Second half of a step for a caller that hands its corrected
@@ -135,8 +128,7 @@ impl<C: Compressor> ErrorFeedback<C> {
     /// place, and swaps it with the old residual. `corrected` comes back
     /// holding the old residual's storage, whose contents are stale; the
     /// next step's [`ErrorFeedback::correct_from`] overwrites all of it.
-    /// Same payload and residual as [`ErrorFeedback::compress_corrected`],
-    /// bit for bit, without the copy.
+    /// Every step of this wrapper ends here.
     pub fn compress_swapped(&mut self, corrected: &mut Vec<f32>) -> Payload {
         self.size_residual(corrected.len());
         let payload = self.inner.compress(corrected);
@@ -177,7 +169,7 @@ mod tests {
     use crate::topk::TopK;
 
     /// Oracle: g' = g + e into a copy, e = g' - decompress(c) through a
-    /// zeroed temporary — the two allocations `compress_in_place` drops.
+    /// zeroed temporary — the copy and the temporary `compress_swapped` drops.
     fn oracle<C: Compressor>(inner: &mut C, residual: &mut [f32], grad: &[f32]) -> Payload {
         let corrected: Vec<f32> = grad.iter().zip(&*residual).map(|(g, e)| g + e).collect();
         let payload = inner.compress(&corrected);
@@ -226,9 +218,20 @@ mod tests {
         }
     }
 
-    /// A compressor with only the required methods, so `residual_into` and
-    /// `residual_in_place` are the trait's default decompress-and-subtract.
+    /// A compressor with only the required methods, so `residual_in_place`
+    /// is the trait's default decompress-and-subtract.
     struct DefaultResidual<C>(C);
+
+    /// The residual into a separate buffer: a copy of `corrected`, then
+    /// [`Compressor::residual_in_place`], for every compressor.
+    trait ResidualInto: Compressor {
+        fn residual_into(&self, payload: &Payload, corrected: &[f32], residual: &mut [f32]) {
+            residual.copy_from_slice(corrected);
+            self.residual_in_place(payload, residual);
+        }
+    }
+
+    impl<C: Compressor> ResidualInto for C {}
 
     impl<C: Compressor> Compressor for DefaultResidual<C> {
         fn name(&self) -> &'static str {

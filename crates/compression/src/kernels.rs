@@ -243,7 +243,7 @@ pub fn unpack_signs_into(words: &[u32], scale: f32, out: &mut [f32]) {
 /// # Panics
 ///
 /// Panics if `words` is shorter than `out.len().div_ceil(32)`.
-pub fn subtract_signs_into(words: &[u32], scale: f32, out: &mut [f32]) {
+pub(crate) fn subtract_signs_into(words: &[u32], scale: f32, out: &mut [f32]) {
     for_each_sign(words, scale, out, |o, v| *o -= v);
 }
 
