@@ -223,6 +223,54 @@ pub fn pack_signs(grad: &[f32]) -> Vec<u32> {
     words
 }
 
+/// Bit-packs the signs of `src` into bits `first_bit..first_bit +
+/// src.len()` of `words`, touching no other bit, and returns `acc`
+/// extended by `|src[i]|`, strictly in element order. Chained over
+/// consecutive runs from `acc = 0.0`, it leaves [`pack_signs`]' words and
+/// the sequential `Σ|g|` (the scaled Sign-SGD magnitude) of their
+/// concatenation, bit for bit.
+///
+/// One sequential pass, not pooled: the add chain bounds it, and the
+/// block's compare-and-pack runs in the shadow of its latency.
+///
+/// # Panics
+///
+/// Panics if `words` holds fewer than `first_bit + src.len()` bits.
+pub fn pack_signs_summing(src: &[f32], first_bit: usize, words: &mut [u32], acc: f32) -> f32 {
+    assert!(
+        words.len() * 32 >= first_bit + src.len(),
+        "packed length mismatch"
+    );
+    let head = (first_bit.wrapping_neg() % 32).min(src.len());
+    let (head_src, rest) = src.split_at(head);
+    let mut acc = merge_signs_summing(head_src, first_bit, words, acc);
+    let first_word = (first_bit + head) / 32;
+    let mut blocks = rest.chunks_exact(32);
+    for (w, block) in words[first_word..].iter_mut().zip(&mut blocks) {
+        *w = pack_word(block);
+        for &g in block {
+            acc += g.abs();
+        }
+    }
+    let tail = blocks.remainder();
+    let tail_bit = first_bit + src.len() - tail.len();
+    merge_signs_summing(tail, tail_bit, words, acc)
+}
+
+/// [`pack_signs_summing`] for a run of fewer than 32 signs that stays
+/// inside the word holding `first_bit`: the run's bits are replaced, the
+/// word's others kept.
+fn merge_signs_summing(src: &[f32], first_bit: usize, words: &mut [u32], acc: f32) -> f32 {
+    if src.is_empty() {
+        return acc;
+    }
+    let shift = first_bit % 32;
+    let mask = (((1u64 << src.len()) - 1) as u32) << shift;
+    let w = &mut words[first_bit / 32];
+    *w = (*w & !mask) | pack_word(src) << shift;
+    src.iter().fold(acc, |acc, g| acc + g.abs())
+}
+
 /// Expands packed sign words into `out[i] = ±1.0 * scale`, word-driven
 /// (one load and a branchless select per element instead of the scalar
 /// div/mod/branch per element).
@@ -530,6 +578,57 @@ mod tests {
         for len in [0, 1, 31, 32, 33, 45, 63, 64, 65, 100, 1023] {
             let grad = awkward(len, len as u32 + 1);
             assert_eq!(pack_signs(&grad), reference::pack_signs(&grad), "len {len}");
+        }
+    }
+
+    #[test]
+    fn pack_signs_summing_is_the_pack_and_the_sequential_sum() {
+        // Every bit offset inside two words, over every length around the
+        // word boundaries and one pooled-size length, into words whose
+        // other bits are all 0 or all 1: the run's bits must be the
+        // reference's and every other bit must keep its fill.
+        for len in (0..=97).chain([(1 << 16) + 45]) {
+            let mut src = awkward(len, 3 * len as u32 + 11);
+            for (i, g) in src.iter_mut().enumerate().filter(|(i, _)| i % 13 == 6) {
+                *g = if i % 2 == 0 {
+                    1.0e-40
+                } else {
+                    -f32::MIN_POSITIVE / 4.0
+                };
+            }
+            let want = reference::pack_signs(&src);
+            let want_bit = |i: usize| want[i / 32] >> (i % 32) & 1;
+            let sum = src.iter().map(|g| g.abs()).sum::<f32>();
+            for first_bit in 0..64 {
+                for fill in [0u32, !0] {
+                    let mut words = vec![fill; (first_bit + len).div_ceil(32) + 1];
+                    let got = pack_signs_summing(&src, first_bit, &mut words, 0.0);
+                    // An empty `Iterator::sum` is −0.0; the kernel returns `acc`.
+                    let expect_sum = if len == 0 { 0.0 } else { sum };
+                    assert_eq!(got.to_bits(), expect_sum.to_bits(), "len {len}");
+                    for b in 0..words.len() * 32 {
+                        let bit = words[b / 32] >> (b % 32) & 1;
+                        let expect = if (first_bit..first_bit + len).contains(&b) {
+                            want_bit(b - first_bit)
+                        } else {
+                            fill & 1
+                        };
+                        assert_eq!(bit, expect, "len {len} first_bit {first_bit} bit {b}");
+                    }
+                }
+            }
+            // Chained over three runs, it is the one call over the whole.
+            for cuts in [(0, 0), (1, 33), (len / 3, len / 2), (len, len)] {
+                let (a, b) = (cuts.0.min(len), cuts.1.min(len));
+                let mut words = vec![0u32; len.div_ceil(32)];
+                let mut acc = pack_signs_summing(&src[..a], 0, &mut words, 0.0);
+                acc = pack_signs_summing(&src[a..b], a, &mut words, acc);
+                acc = pack_signs_summing(&src[b..], b, &mut words, acc);
+                assert_eq!(words, want, "len {len} cuts {cuts:?}");
+                if len > 0 {
+                    assert_eq!(acc.to_bits(), sum.to_bits(), "len {len} cuts {cuts:?}");
+                }
+            }
         }
     }
 

@@ -92,14 +92,18 @@ impl Compressor for SignSgd {
         }
     }
 
+    /// The scaled variant packs the signs and sums the magnitudes in one
+    /// pass ([`kernels::pack_signs_summing`]).
     fn compress(&mut self, grad: &[f32]) -> Payload {
-        let scale = if self.scaled && !grad.is_empty() {
-            grad.iter().map(|g| g.abs()).sum::<f32>() / grad.len() as f32
+        let (words, scale) = if self.scaled && !grad.is_empty() {
+            let mut words = vec![0u32; grad.len().div_ceil(32)];
+            let sum = kernels::pack_signs_summing(grad, 0, &mut words, 0.0);
+            (words, sum / grad.len() as f32)
         } else {
-            1.0
+            (Self::pack(grad), 1.0)
         };
         Payload::Signs {
-            words: Self::pack(grad),
+            words,
             len: grad.len(),
             scale,
         }
