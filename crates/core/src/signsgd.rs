@@ -4,9 +4,19 @@
 //! Gradients are fused per bucket before compression, as the paper's
 //! evaluation configures (§III-A), so one bit-packed payload and one scale
 //! travel per bucket per step.
+//!
+//! The scale is the bucket's mean magnitude, one `f32` sum strictly in
+//! element order. Without error feedback the codec packs and sums each
+//! tensor the moment every tensor before it in the bucket has been
+//! ([`kernels::pack_signs_summing`]), straight from the caller's slice; a
+//! tensor that arrives earlier is copied aside until then. Backward
+//! pushes a bucket's tensors last to first, so the first tensor, which
+//! completes the prefix, is never copied, and the blocking path copies
+//! nothing. With error feedback the whole corrected bucket is kept, as
+//! the residual swap needs it.
 
 use acp_collectives::{CollectiveOp, CollectiveResult};
-use acp_compression::{kernels, Compressor, ErrorFeedback, Payload, SignSgd};
+use acp_compression::{kernels, ErrorFeedback, Payload, SignSgd};
 
 use crate::error::CoreError;
 use crate::pipeline::{Bucket, BucketCodec, PerBucket, Pipelined, Round, DEFAULT_BUFFER_BYTES};
@@ -50,20 +60,89 @@ impl SignSgdConfig {
 struct SignBucket {
     /// Error-feedback compressor (`None` on the raw path).
     ef: Option<ErrorFeedback<SignSgd>>,
-    /// The bucket's gradient as compressed — `g + e` with error feedback,
-    /// where the correction is the copy in. The scale is the mean
-    /// magnitude of the whole bucket, summed strictly in element order,
-    /// so it cannot be had tensor by tensor as they arrive; the bucket is
-    /// held here instead, owned and reused from step to step. With error
-    /// feedback, `encode` hands it to [`ErrorFeedback::compress_swapped`],
-    /// which turns it into the residual and swaps it for the old
-    /// residual's storage; every slot is overwritten by the next step's
-    /// `absorb` before it is read again.
+    /// With error feedback, the bucket's corrected gradient `g + e`, where
+    /// the correction is the copy in; `encode` hands it to
+    /// [`ErrorFeedback::compress_swapped`], which turns it into the
+    /// residual and swaps it for the old residual's storage. On the raw
+    /// path, the tensors that arrived before the [`Prefix`] reached them,
+    /// each at its own span, until the prefix packs them. Either way it is
+    /// bucket-sized, owned and reused from step to step, and every slot it
+    /// is read at was written by the same step's `absorb`.
     buf: Vec<f32>,
+    /// The raw path's encode, run as the bucket's element-order prefix
+    /// completes.
+    prefix: Prefix,
     /// The majority vote, bit-packed, from `decode` to `emit`.
     voted: Vec<u32>,
     /// The mean of the ranks' scales, from `decode` to `emit`.
     scale: f32,
+}
+
+/// The raw path's running encode of one step of a bucket: slots
+/// `0..slots` are packed into `words` and their magnitudes summed into
+/// `sum`. The scale is the mean magnitude of the whole bucket, one `f32`
+/// chain strictly in element order, so a slot can join the chain only
+/// once every slot before it has; one that arrives earlier waits in
+/// [`SignBucket::buf`].
+#[derive(Debug, Default)]
+struct Prefix {
+    /// The [`Bucket::step`] this prefix belongs to.
+    step: u64,
+    /// Slots packed and summed so far.
+    slots: usize,
+    /// `Σ|g|` over those slots, in element order.
+    sum: f32,
+    /// This step's packed signs, handed to the all-gather by `encode`.
+    words: Vec<u32>,
+    /// Which slots past the prefix wait in [`SignBucket::buf`].
+    held: Vec<bool>,
+}
+
+impl Prefix {
+    /// Starts `bucket`'s current step with nothing packed.
+    fn open(&mut self, bucket: &Bucket) {
+        self.step = bucket.step;
+        self.slots = 0;
+        self.sum = 0.0;
+        self.words = vec![0; bucket.elems.div_ceil(32)];
+        self.held.clear();
+        self.held.resize(bucket.dims.len(), false);
+    }
+
+    /// Packs and sums `grad`, the tensor at the prefix's end, then every
+    /// held tensor that now follows on.
+    fn extend(&mut self, bucket: &Bucket, grad: &[f32], buf: &[f32]) {
+        let mut span = bucket.span(self.slots);
+        let mut src = grad;
+        loop {
+            self.sum = kernels::pack_signs_summing(src, span.start, &mut self.words, self.sum);
+            self.slots += 1;
+            if self.held.get(self.slots) != Some(&true) {
+                return;
+            }
+            span = bucket.span(self.slots);
+            src = &buf[span.clone()];
+        }
+    }
+
+    /// The step's sign payload, once the prefix covers the bucket.
+    fn take_payload(&mut self, bucket: &Bucket) -> Result<Payload, CoreError> {
+        if self.step != bucket.step || self.slots != bucket.dims.len() {
+            return Err(CoreError::CodecProtocol(
+                "the packed sign prefix does not cover the bucket",
+            ));
+        }
+        let scale = if bucket.elems == 0 {
+            1.0
+        } else {
+            self.sum / bucket.elems as f32
+        };
+        Ok(Payload::Signs {
+            words: std::mem::take(&mut self.words),
+            len: bucket.elems,
+            scale,
+        })
+    }
 }
 
 /// The Sign-SGD bucket codec: one bit-packed sign payload plus one scale
@@ -98,9 +177,17 @@ impl BucketCodec for SignCodec {
             st.ef
                 .get_or_insert_with(|| ErrorFeedback::new(SignSgd::scaled()))
                 .correct_from(grad, span.start, &mut st.buf);
+            return Ok(());
+        }
+        let prefix = &mut st.prefix;
+        if prefix.step != bucket.step {
+            prefix.open(bucket);
+        }
+        if slot == prefix.slots {
+            prefix.extend(bucket, grad, &st.buf);
         } else {
-            // Bypass the residual: compress the raw gradient.
             st.buf[span].copy_from_slice(grad);
+            prefix.held[slot] = true;
         }
         Ok(())
     }
@@ -109,7 +196,7 @@ impl BucketCodec for SignCodec {
         let st = self.buckets.get_mut(bucket)?;
         let payload = match &mut st.ef {
             Some(ef) => ef.compress_swapped(&mut st.buf),
-            None => SignSgd::scaled().compress(&st.buf),
+            None => st.prefix.take_payload(bucket)?,
         };
         bucket.payload_bytes += payload.wire_bytes() as u64;
         let (words, scale) = match payload {
@@ -215,6 +302,7 @@ mod tests {
     use super::*;
     use crate::optimizer::{DistributedOptimizer, GradViewMut};
     use acp_collectives::{Communicator, ThreadGroup};
+    use acp_compression::Compressor;
 
     #[test]
     fn majority_sign_wins() {
@@ -307,49 +395,197 @@ mod tests {
         }
     }
 
-    #[test]
-    fn emit_expands_bit_ranges_that_start_inside_a_word() {
-        // One bucket whose tensors start at elements 0, 5, 45, 48 and 118:
-        // only the first sits on a 32-bit word boundary. Every tensor must
-        // come back as its slice of the whole bucket's reference vote.
-        let lens = [5usize, 40, 3, 70, 11];
-        let total: usize = lens.iter().sum();
-        let world = 3;
-        let flat = |rank: usize| -> Vec<f32> {
-            (0..total)
-                .map(|e| ((e * 7 + rank * 5) as f32 * 0.61).sin() * (rank + 1) as f32)
-                .collect()
-        };
-        let (mut gathered, mut scales) = (Vec::new(), Vec::new());
-        for rank in 0..world {
-            let g = flat(rank);
-            gathered.extend(SignSgd::pack(&g));
-            scales.push(g.iter().map(|v| v.abs()).sum::<f32>() / total as f32);
-        }
-        let mut expected = vec![0.0f32; total];
-        kernels::reference::majority_vote_into(&gathered, &scales, total, world, &mut expected);
+    const WORLD: usize = 3;
 
-        let results = ThreadGroup::run(world, move |mut comm| {
-            let mut opt = SignSgdAggregator::new();
-            let g = flat(comm.rank_id().as_usize());
-            let dims: Vec<[usize; 1]> = lens.iter().map(|&l| [l]).collect();
-            let mut tensors: Vec<Vec<f32>> = Vec::new();
-            let mut at = 0;
-            for len in lens {
-                tensors.push(g[at..at + len].to_vec());
-                at += len;
+    /// One bucket's tensors, starting at elements 0, 5, 45, 45, 48 and
+    /// 118: only the first on a word boundary, and one tensor empty.
+    const MID_WORD: [usize; 6] = [5, 40, 0, 3, 70, 11];
+
+    /// A shuffled arrival order, rotated by rank.
+    const SHUFFLED: [usize; 6] = [3, 0, 5, 2, 4, 1];
+
+    /// How a step hands its tensors to the aggregator.
+    #[derive(Clone, Copy, Debug)]
+    enum Arrival {
+        Blocking,
+        Forward,
+        Backward,
+        Shuffled,
+    }
+
+    impl Arrival {
+        fn order(self, rank: usize) -> Vec<usize> {
+            let n = MID_WORD.len();
+            match self {
+                Arrival::Blocking => Vec::new(),
+                Arrival::Forward => (0..n).collect(),
+                Arrival::Backward => (0..n).rev().collect(),
+                Arrival::Shuffled => (0..n).map(|i| SHUFFLED[(i + rank) % n]).collect(),
             }
-            let mut views: Vec<GradViewMut<'_>> = dims
-                .iter()
-                .zip(tensors.iter_mut())
-                .map(|(d, grad)| GradViewMut { dims: d, grad })
-                .collect();
-            opt.aggregate(&mut views, &mut comm).unwrap();
-            tensors.concat()
-        });
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for got in results {
-            assert_eq!(bits(&got), bits(&expected));
+        }
+    }
+
+    /// This rank's tensors for `step`. The 70-element tensor dwarfs the
+    /// others, whose magnitudes then fall below half an ulp of the scale's
+    /// running sum: summed in any order but the elements', the scale moves
+    /// by several ulps.
+    fn mid_word_grads(rank: usize, step: usize) -> Vec<Vec<f32>> {
+        let mut at = 0;
+        MID_WORD
+            .iter()
+            .map(|&len| {
+                let magnitude = if len == 70 { 2.0e5 } else { 0.1 };
+                let g = (at..at + len)
+                    .map(|e| {
+                        let x = ((e * 7 + rank * 5 + step * 11) as f32 * 0.61).sin();
+                        x * (rank + step + 1) as f32 * magnitude
+                    })
+                    .collect();
+                at += len;
+                g
+            })
+            .collect()
+    }
+
+    fn sign_aggregator(error_feedback: bool) -> SignSgdAggregator {
+        SignSgdAggregator::from_config(SignSgdConfig::default().with_error_feedback(error_feedback))
+    }
+
+    /// One step of `opt` on `grads`: `aggregate` alone for
+    /// [`Arrival::Blocking`], else every tensor pushed in the arrival's
+    /// order and then `finish_overlap`.
+    fn mid_word_step(
+        opt: &mut SignSgdAggregator,
+        comm: &mut dyn Communicator,
+        grads: &mut [Vec<f32>],
+        order: &[usize],
+    ) {
+        let dims: Vec<[usize; 1]> = MID_WORD.iter().map(|&l| [l]).collect();
+        for &i in order {
+            opt.push_ready(i, &dims[i], &grads[i], comm).unwrap();
+        }
+        let mut views: Vec<GradViewMut<'_>> = dims
+            .iter()
+            .zip(grads.iter_mut())
+            .map(|(d, grad)| GradViewMut { dims: d, grad })
+            .collect();
+        opt.finish_overlap(&mut views, comm).unwrap();
+    }
+
+    /// The outputs of `steps` steps by the scalar reference: each rank's
+    /// whole-bucket scaled signs (through its own error feedback, with
+    /// it), majority-voted.
+    fn reference_steps(error_feedback: bool, steps: usize) -> Vec<Vec<u32>> {
+        let total: usize = MID_WORD.iter().sum();
+        let mut ef: Vec<_> = (0..WORLD)
+            .map(|_| ErrorFeedback::new(SignSgd::scaled()))
+            .collect();
+        (0..steps)
+            .map(|step| {
+                let (mut gathered, mut scales) = (Vec::new(), Vec::new());
+                for (rank, ef) in ef.iter_mut().enumerate() {
+                    let flat = mid_word_grads(rank, step).concat();
+                    if error_feedback {
+                        let Payload::Signs { words, scale, .. } = ef.compress(&flat) else {
+                            panic!("a sign payload");
+                        };
+                        gathered.extend(words);
+                        scales.push(scale);
+                    } else {
+                        gathered.extend(kernels::reference::pack_signs(&flat));
+                        scales.push(flat.iter().map(|v| v.abs()).sum::<f32>() / total as f32);
+                    }
+                }
+                let mut out = vec![0.0f32; total];
+                kernels::reference::majority_vote_into(&gathered, &scales, total, WORLD, &mut out);
+                out.iter().map(|v| v.to_bits()).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_arrival_order_gives_the_reference_bits() {
+        // The raw path packs and sums a slot the moment the element-order
+        // prefix reaches it and holds the others, and `emit` expands bit
+        // ranges that start inside a word: however the tensors arrive,
+        // each must come back as its slice of the whole bucket's
+        // reference vote.
+        const STEPS: usize = 3;
+        for error_feedback in [false, true] {
+            let expected = reference_steps(error_feedback, STEPS);
+            for arrival in [
+                Arrival::Blocking,
+                Arrival::Forward,
+                Arrival::Backward,
+                Arrival::Shuffled,
+            ] {
+                let results = ThreadGroup::run(WORLD, move |mut comm| {
+                    let rank = comm.rank_id().as_usize();
+                    let mut opt = sign_aggregator(error_feedback);
+                    (0..STEPS)
+                        .map(|step| {
+                            // Step 0 builds the plan, which ignores pushes.
+                            let order = if step == 0 {
+                                Vec::new()
+                            } else {
+                                arrival.order(rank)
+                            };
+                            let mut grads = mid_word_grads(rank, step);
+                            mid_word_step(&mut opt, &mut comm, &mut grads, &order);
+                            grads.concat().iter().map(|v| v.to_bits()).collect()
+                        })
+                        .collect::<Vec<Vec<u32>>>()
+                });
+                for (rank, got) in results.iter().enumerate() {
+                    assert_eq!(
+                        got, &expected,
+                        "error feedback {error_feedback}, {arrival:?}, rank {rank}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_step_discarded_before_dispatch_leaves_the_next_as_a_twins() {
+        for error_feedback in [false, true] {
+            ThreadGroup::run(WORLD, move |mut comm| {
+                let rank = comm.rank_id().as_usize();
+                let (mut dropped, mut twin) = (
+                    sign_aggregator(error_feedback),
+                    sign_aggregator(error_feedback),
+                );
+                for opt in [&mut dropped, &mut twin] {
+                    mid_word_step(opt, &mut comm, &mut mid_word_grads(rank, 0), &[]);
+                }
+                // Slot 4 is held, slot 0 starts the prefix; the bucket
+                // stays open, so nothing is dispatched.
+                let junk: Vec<Vec<f32>> = mid_word_grads(rank, 99)
+                    .into_iter()
+                    .map(|g| g.iter().map(|v| v * -1.0e3).collect())
+                    .collect();
+                let mut push = |index: usize| {
+                    dropped.push_ready(index, &[MID_WORD[index]], &junk[index], &mut comm)
+                };
+                push(4).unwrap();
+                push(0).unwrap();
+                assert_eq!(push(4), Err(CoreError::TensorPushedTwice { index: 4 }));
+                for step in 1..4 {
+                    let order = Arrival::Backward.order(rank);
+                    let mut a = mid_word_grads(rank, step);
+                    let mut b = a.clone();
+                    mid_word_step(&mut dropped, &mut comm, &mut a, &order);
+                    mid_word_step(&mut twin, &mut comm, &mut b, &order);
+                    let bits = |g: &[Vec<f32>]| {
+                        g.iter().flatten().map(|v| v.to_bits()).collect::<Vec<_>>()
+                    };
+                    assert_eq!(
+                        bits(&a),
+                        bits(&b),
+                        "error feedback {error_feedback}, step {step}"
+                    );
+                }
+            });
         }
     }
 
