@@ -434,6 +434,12 @@ impl FusedPipeline {
     /// been dispatched), and the codec's errors. On any error the open
     /// step is discarded — in-flight collectives are waited for and
     /// dropped — and the pipeline is reusable afterwards.
+    ///
+    /// The codecs come out of a discarded step as they went in only if no
+    /// bucket of it was dispatched: `encode` is where an error-feedback
+    /// residual (Top-k, gTop-k, Sign-SGD) or DGC's accumulator moves, so a
+    /// bucket encoded before the error has already moved its state, and
+    /// the next step starts from there.
     pub fn push<C: BucketCodec + ?Sized>(
         &mut self,
         codec: &mut C,
