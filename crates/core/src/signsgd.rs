@@ -127,7 +127,7 @@ impl Prefix {
 
     /// The step's sign payload, once the prefix covers the bucket.
     fn take_payload(&mut self, bucket: &Bucket) -> Result<Payload, CoreError> {
-        if self.step != bucket.step || self.slots != bucket.dims.len() {
+        if self.slots != bucket.dims.len() {
             return Err(CoreError::CodecProtocol(
                 "the packed sign prefix does not cover the bucket",
             ));
