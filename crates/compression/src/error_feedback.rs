@@ -80,47 +80,31 @@ impl<C: Compressor> ErrorFeedback<C> {
         self.residual.fill(0.0);
     }
 
-    /// [`Compressor::compress`] for a caller that owns the gradient
-    /// buffer: the corrected gradient `g + e` is left in `grad`, and the
-    /// step finishes as [`ErrorFeedback::compress_corrected`]. Same payload
-    /// and residual, bit for bit.
-    pub fn compress_in_place(&mut self, grad: &mut [f32]) -> Payload {
-        self.size_residual(grad.len());
-        // g' = g + e
-        for (g, e) in grad.iter_mut().zip(&self.residual) {
-            *g += e;
-        }
-        self.compress_corrected(grad)
-    }
-
     /// First half of a step for a caller whose gradient arrives in pieces:
     /// writes `g + e` for the elements `offset..offset + grad.len()` into
     /// the same range of `corrected` (the whole corrected buffer, whose
     /// length sizes the residual). The addition is the copy; the residual
     /// is only read. Once every range is written, in any order,
-    /// [`ErrorFeedback::compress_swapped`] (or
-    /// [`ErrorFeedback::compress_corrected`]) finishes the step.
+    /// [`ErrorFeedback::compress_swapped`] finishes the step.
     ///
     /// # Panics
     ///
     /// Panics if the range does not fit in `corrected`.
     pub fn correct_from(&mut self, grad: &[f32], offset: usize, corrected: &mut [f32]) {
-        self.size_residual(corrected.len());
         let range = offset..offset + grad.len();
-        for ((c, g), e) in corrected[range.clone()]
-            .iter_mut()
-            .zip(grad)
-            .zip(&self.residual[range])
-        {
+        let residual = &self.residual_for(corrected.len())[range.clone()];
+        for ((c, g), e) in corrected[range].iter_mut().zip(grad).zip(residual) {
             *c = g + e;
         }
     }
 
-    /// Second half of a step for a caller that keeps its corrected
-    /// gradient `g + e`: [`ErrorFeedback::compress_swapped`] on a copy of
-    /// `corrected`, which becomes the residual.
-    pub fn compress_corrected(&mut self, corrected: &[f32]) -> Payload {
-        self.compress_swapped(&mut corrected.to_vec())
+    /// The residual `e` the next step adds, sized for a gradient of `len`
+    /// elements: for a caller that writes `g + e` with its own kernel
+    /// ([`kernels::correct_collecting`](crate::kernels::correct_collecting))
+    /// instead of [`ErrorFeedback::correct_from`].
+    pub fn residual_for(&mut self, len: usize) -> &[f32] {
+        self.size_residual(len);
+        &self.residual
     }
 
     /// Second half of a step for a caller that hands its corrected
@@ -130,8 +114,21 @@ impl<C: Compressor> ErrorFeedback<C> {
     /// next step's [`ErrorFeedback::correct_from`] overwrites all of it.
     /// Every step of this wrapper ends here.
     pub fn compress_swapped(&mut self, corrected: &mut Vec<f32>) -> Payload {
+        self.compress_swapped_with(corrected, C::compress)
+    }
+
+    /// [`ErrorFeedback::compress_swapped`] with the compression done by
+    /// `compress`, given the wrapped compressor and `g + e`: for a caller
+    /// that selects by other means what the wrapped compressor would
+    /// select. The residual is the wrapped compressor's, so the payload
+    /// must be one it could have produced from `corrected`.
+    pub fn compress_swapped_with(
+        &mut self,
+        corrected: &mut Vec<f32>,
+        compress: impl FnOnce(&mut C, &[f32]) -> Payload,
+    ) -> Payload {
         self.size_residual(corrected.len());
-        let payload = self.inner.compress(corrected);
+        let payload = compress(&mut self.inner, corrected);
         // e <- g' - decompress(c), in g''s own storage
         self.inner.residual_in_place(&payload, corrected);
         std::mem::swap(corrected, &mut self.residual);
@@ -197,15 +194,16 @@ mod tests {
                     _ => ((i * 7 + step * 3) as f32 * 0.37).sin() * 4.0,
                 })
                 .collect();
-            let mut owned = grad.clone();
-            let fast = ef.compress_in_place(&mut owned);
+            let mut owned = vec![f32::NAN; grad.len()];
+            ef.correct_from(&grad, 0, &mut owned);
             // The split form, corrected in three pieces out of order.
             let mut corrected = vec![f32::NAN; grad.len()];
             for range in [11..17, 0..4, 4..11] {
                 split.correct_from(&grad[range.clone()], range.start, &mut corrected);
             }
             assert_eq!(bits(&corrected), bits(&owned), "g + e, step {step}");
-            let pieces = split.compress_corrected(&corrected);
+            let fast = ef.compress_swapped(&mut owned);
+            let pieces = split.compress_swapped(&mut corrected);
             let slow = oracle(&mut inner, &mut residual, &grad);
             assert_eq!(fast, slow, "payload, step {step}");
             assert_eq!(pieces, slow, "split payload, step {step}");
@@ -375,7 +373,9 @@ mod tests {
             let (mut inner, mut residual) = (TopK::new(k), vec![0.0f32; 45]);
             for step in 0..6 {
                 let grad = awkward(45, step);
-                let fast = ef.compress_in_place(&mut grad.clone());
+                let mut corrected = vec![f32::NAN; grad.len()];
+                ef.correct_from(&grad, 0, &mut corrected);
+                let fast = ef.compress_swapped(&mut corrected);
                 let slow = oracle(&mut inner, &mut residual, &grad);
                 assert_eq!(parts(&fast), parts(&slow), "payload, k {k} step {step}");
                 assert_eq!(

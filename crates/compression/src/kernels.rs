@@ -42,17 +42,16 @@ pub fn abs_key(g: f32) -> u32 {
 /// comparator. The result is exactly the scalar reference's, tie
 /// boundaries included.
 ///
-/// The whole-bucket introselect is only the fallback. First a
+/// This is the selection that knows nothing of the bucket beforehand. A
 /// deterministic sample (every 67th element) gives a lower bound on the
 /// k-th largest key, one sweep collects every element at or above it, and
-/// a select among those few candidates finds the k-th key `t`. When
-/// exactly `k` elements reach `t` they are the unique top-k, so any exact
-/// selection returns them; the sweep visited them in index order, so they
-/// come out ascending. The introselect runs instead when the data make the
-/// bound useless — fewer than `k` candidates, or more than `128·k + 2144`
-/// — or when `t` is tied across the boundary, where only
-/// running the reference's own partition reproduces which of the tied
-/// elements it keeps.
+/// [`select_among`] picks from those few candidates. The whole-bucket
+/// introselect runs instead when the data make the bound useless — fewer
+/// than `k` candidates, or more than `128·k + 2144` — or when the k-th
+/// key is tied across the boundary. A caller that selects from the same
+/// bucket step after step has no need of the sweep: it carries a bound
+/// over ([`next_bound`]) and collects the candidates while it writes the
+/// bucket ([`correct_collecting`]).
 pub fn select_topk(grad: &[f32], k: usize) -> Vec<u32> {
     let k = k.min(grad.len());
     if k == 0 {
@@ -77,6 +76,13 @@ const SAMPLE_SLACK: usize = 16;
 /// Candidates per selected element that [`candidate_cap`] allows.
 const MAX_CANDIDATES_PER_K: usize = 128;
 
+/// Candidates per selected element that [`Candidates`] holds before it
+/// raises its bound; half of them, the most a raise keeps, is still `4k`.
+const COLLECTED_PER_K: usize = 8;
+
+/// Elements per chunk of [`correct_collecting`]'s bound test.
+const CHUNK: usize = 16;
+
 /// Candidates past which the bounded path gives up: the bound sits in a
 /// crowd of tied or packed magnitudes, and sweeping on would cost more
 /// than the introselect it is meant to replace. The sample rank puts about
@@ -89,8 +95,8 @@ fn candidate_cap(k: usize) -> usize {
         .saturating_add(2 * SAMPLE_SLACK * SAMPLE_STRIDE)
 }
 
-/// Per-thread buffers of [`select_bounded`], kept at the size of the
-/// largest sample and candidate set selected so far.
+/// Per-thread buffers of the selections, kept at the size of the largest
+/// sample and candidate set selected so far.
 #[derive(Debug, Default)]
 struct BoundScratch {
     /// The sampled keys, then the candidates' keys.
@@ -126,25 +132,258 @@ fn select_bounded(grad: &[f32], k: usize, scratch: &mut BoundScratch) -> Option<
             cand.push((i as u32, key));
         }
     }
+    among(cand, k, &mut scratch.keys)
+}
+
+/// The `k` largest keys among `cand`, `(index, abs_key)` pairs in any
+/// order, as their indices, ascending. `None` when there are fewer than
+/// `k` candidates, or when the k-th largest key `t` is tied across the
+/// boundary: which of the tied elements the reference keeps only its own
+/// partition of the whole bucket decides.
+///
+/// When `cand` holds every element of a bucket whose key reaches some
+/// bound, an answer is the bucket's top-k, bit for bit the reference's:
+/// there are at least `k` candidates, so `t` is the bucket's k-th key too,
+/// and every element at `t` is a candidate, so exactly `k` elements reach
+/// it and any exact selection returns them.
+pub fn select_among(cand: &[(u32, u32)], k: usize) -> Option<Vec<u32>> {
+    SCRATCH.with_borrow_mut(|scratch| among(cand, k, &mut scratch.keys))
+}
+
+/// [`select_among`] in `keys`' storage.
+fn among(cand: &[(u32, u32)], k: usize, keys: &mut Vec<u32>) -> Option<Vec<u32>> {
     let m = cand.len();
     if m < k {
         return None;
     }
-    let keys = &mut scratch.keys;
+    if k == 0 {
+        return Some(Vec::new());
+    }
     keys.clear();
     keys.extend(cand.iter().map(|&(_, key)| key));
-    // Every element outside the candidates is below the bound, so the
-    // candidates' k-th largest key is the bucket's.
     let (below, &mut t, _) = keys.select_nth_unstable(m - k);
     if below.contains(&t) {
         return None;
     }
-    Some(
-        cand.iter()
-            .filter(|&&(_, key)| key >= t)
-            .map(|&(i, _)| i)
-            .collect(),
-    )
+    let mut top: Vec<u32> = cand
+        .iter()
+        .filter(|&&(_, key)| key >= t)
+        .map(|&(i, _)| i)
+        .collect();
+    top.sort_unstable();
+    Some(top)
+}
+
+/// The bound a bucket's next selection collects its candidates at: the
+/// `(3k + 16)`-th largest key among `cand` when there are that many, or
+/// else [`select_topk`]'s sampled lower bound over `grad`, the bucket; a
+/// bound above every key for an empty bucket. `cand` must hold every
+/// element of `grad` whose key reaches some bound, as [`Candidates`] does,
+/// so that the rank is the bucket's.
+pub fn next_bound(cand: &[(u32, u32)], k: usize, grad: &[f32]) -> u32 {
+    let rank = 3 * k + SAMPLE_SLACK;
+    SCRATCH.with_borrow_mut(|scratch| {
+        let keys = &mut scratch.keys;
+        if cand.len() >= rank {
+            keys.clear();
+            keys.extend(cand.iter().map(|&(_, key)| key));
+            *keys.select_nth_unstable(cand.len() - rank).1
+        } else if grad.is_empty() {
+            u32::MAX
+        } else {
+            lower_bound(grad, k, keys)
+        }
+    })
+}
+
+/// The selection candidates of one step of a bucket, gathered by
+/// [`correct_collecting`] as the bucket is written: `(index, abs_key)` of
+/// every element written so far whose key reaches [`Candidates::bound`],
+/// in the order written.
+///
+/// The list holds at most `8k + 2144` candidates. When the next chunk
+/// might not fit, the bound rises to the key that keeps half of them and
+/// the rest are dropped, so the list still holds every element written at
+/// or above the bound, and never fewer than `4k` of them — unless the key
+/// is tied across so much of the list that it must go too, and the bound
+/// rises above it.
+#[derive(Debug)]
+pub struct Candidates {
+    bound: u32,
+    cap: usize,
+    /// The candidates are `slots[..len]`; the rest is room for one more
+    /// chunk than the cap, so that a chunk writes every element and keeps
+    /// the hits without a branch.
+    slots: Vec<(u32, u32)>,
+    len: usize,
+}
+
+impl Default for Candidates {
+    /// An empty list whose bound is above every key, so it collects
+    /// nothing.
+    fn default() -> Self {
+        Candidates {
+            bound: u32::MAX,
+            cap: 0,
+            slots: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl Candidates {
+    /// Empties the list and starts collecting at `bound` for a selection
+    /// of `k`. A bound above every key, such as `u32::MAX`, collects
+    /// nothing.
+    pub fn open(&mut self, bound: u32, k: usize) {
+        self.bound = bound;
+        self.cap = COLLECTED_PER_K
+            .saturating_mul(k)
+            .saturating_add(2 * SAMPLE_SLACK * SAMPLE_STRIDE);
+        self.len = 0;
+    }
+
+    /// The bound every listed candidate reaches: the one opened at, or
+    /// where the last raise left it.
+    pub fn bound(&self) -> u32 {
+        self.bound
+    }
+
+    /// The candidates, `(index, abs_key)`, in the order written.
+    pub fn list(&self) -> &[(u32, u32)] {
+        &self.slots[..self.len]
+    }
+
+    /// `bound − 1` in `i32`, the bound taken as at most 2³¹ (above every
+    /// key either way). Keys are below 2³¹, so `below − key` cannot
+    /// overflow, and it is negative exactly when the key reaches the
+    /// bound: a chunk's test is one subtract and one OR per element.
+    #[inline]
+    fn below(&self) -> i32 {
+        self.bound.min(1 << 31).wrapping_sub(1) as i32
+    }
+
+    /// Lists the elements of `chunk`, which starts at index `first` and
+    /// has a hit, that reach the bound, raising it first if they might not
+    /// fit; returns the bound's [`Candidates::below`] after. Every element
+    /// is written past the list's end and the end advances over the hits
+    /// only, so the hits cost no branch either.
+    #[inline(never)]
+    fn push_hits(&mut self, chunk: &[f32], first: usize) -> i32 {
+        if self.len + CHUNK > self.cap {
+            self.raise();
+        }
+        if self.slots.len() < self.cap + CHUNK {
+            self.slots.resize(self.cap + CHUNK, (0, 0));
+        }
+        let below = self.below();
+        let slots = &mut self.slots[self.len..self.len + CHUNK];
+        let mut n = 0;
+        for (i, &g) in chunk.iter().enumerate() {
+            let key = abs_key(g);
+            slots[n] = ((first + i) as u32, key);
+            n += usize::from(below - (key as i32) < 0);
+        }
+        self.len += n;
+        below
+    }
+
+    /// Raises the bound to the key `t` that keeps half the cap and drops
+    /// the candidates below it, in order; to just above `t` when the tie
+    /// at `t` would leave no room for another chunk.
+    #[cold]
+    #[inline(never)]
+    fn raise(&mut self) {
+        let keep = self.cap / 2;
+        let list = &mut self.slots[..self.len];
+        let t = SCRATCH.with_borrow_mut(|scratch| {
+            let keys = &mut scratch.keys;
+            keys.clear();
+            keys.extend(list.iter().map(|&(_, key)| key));
+            let n = keys.len();
+            *keys.select_nth_unstable(n - keep).1
+        });
+        let kept = list.iter().filter(|&&(_, key)| key >= t).count();
+        let bound = if kept + CHUNK > self.cap { t + 1 } else { t };
+        let mut len = 0;
+        for i in 0..list.len() {
+            if list[i].1 >= bound {
+                list[len] = list[i];
+                len += 1;
+            }
+        }
+        self.len = len;
+        self.bound = bound;
+    }
+}
+
+/// Whether any key of `chunk` reaches the bound whose
+/// [`Candidates::below`] is `below`.
+#[inline]
+fn any_reaches(chunk: &[f32], below: i32) -> bool {
+    chunk
+        .iter()
+        .fold(0, |any, &g| any | (below - abs_key(g) as i32))
+        < 0
+}
+
+/// Writes `out = grad + residual`, or a plain copy of `grad` without a
+/// residual, and lists in `cand` every written element whose key reaches
+/// its bound; `out[0]` is element `first` of the bucket. The sum is
+/// [`ErrorFeedback::correct_from`](crate::ErrorFeedback::correct_from)'s,
+/// bit for bit. Each 16-element chunk is tested against the bound without
+/// a branch, and only a chunk with a hit pushes.
+///
+/// # Panics
+///
+/// Panics if `out` or `residual` differs from `grad` in length.
+pub fn correct_collecting(
+    grad: &[f32],
+    residual: Option<&[f32]>,
+    out: &mut [f32],
+    first: usize,
+    cand: &mut Candidates,
+) {
+    assert_eq!(out.len(), grad.len(), "corrected length mismatch");
+    let (out_chunks, out_tail) = out.as_chunks_mut::<CHUNK>();
+    let (grad_chunks, grad_tail) = grad.as_chunks::<CHUNK>();
+    let mut below = cand.below();
+    match residual {
+        Some(residual) => {
+            assert_eq!(residual.len(), grad.len(), "residual length mismatch");
+            let (res_chunks, res_tail) = residual.as_chunks::<CHUNK>();
+            for (c, ((o, g), e)) in out_chunks
+                .iter_mut()
+                .zip(grad_chunks)
+                .zip(res_chunks)
+                .enumerate()
+            {
+                let mut sum = [0.0; CHUNK];
+                for ((s, g), e) in sum.iter_mut().zip(g).zip(e) {
+                    *s = g + e;
+                }
+                *o = sum;
+                if any_reaches(&sum, below) {
+                    below = cand.push_hits(o, first + c * CHUNK);
+                }
+            }
+            for ((o, g), e) in out_tail.iter_mut().zip(grad_tail).zip(res_tail) {
+                *o = g + e;
+            }
+        }
+        None => {
+            for (c, (o, g)) in out_chunks.iter_mut().zip(grad_chunks).enumerate() {
+                *o = *g;
+                if any_reaches(g, below) {
+                    below = cand.push_hits(g, first + c * CHUNK);
+                }
+            }
+            out_tail.copy_from_slice(grad_tail);
+        }
+    }
+    if any_reaches(out_tail, below) {
+        cand.push_hits(out_tail, first + grad.len() - out_tail.len());
+    }
 }
 
 /// The introselect over an index permutation of the whole bucket — the
@@ -172,7 +411,7 @@ thread_local! {
     /// largest bucket that fell back.
     static PERMUTATION: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
 
-    /// The sample and candidates [`select_bounded`] works in.
+    /// The sample, candidates and keys the selections work in.
     static SCRATCH: std::cell::RefCell<BoundScratch> = const {
         std::cell::RefCell::new(BoundScratch { keys: Vec::new(), cand: Vec::new() })
     };
@@ -895,6 +1134,215 @@ mod tests {
             .map(|&g| abs_key(g))
             .min();
         assert_eq!(Some(lower_bound(&short, 1, &mut Vec::new())), smallest);
+    }
+
+    /// Lengths of the collecting-correction tests: every length around
+    /// a chunk boundary, and one long enough to raise the bound many
+    /// times (fewer of both under Miri).
+    fn collecting_lengths() -> impl Iterator<Item = usize> {
+        let (short, long) = if cfg!(miri) {
+            (40, 2200 + 45)
+        } else {
+            (97, (1 << 16) + 45)
+        };
+        (0..=short).chain([long])
+    }
+
+    /// `awkward` with subnormals of both signs mixed in.
+    fn awkward_subnormal(len: usize, seed: u32) -> Vec<f32> {
+        let mut v = awkward(len, seed);
+        for (i, g) in v.iter_mut().enumerate().filter(|(i, _)| i % 13 == 6) {
+            *g = if i % 2 == 0 {
+                1.0e-40
+            } else {
+                -f32::MIN_POSITIVE / 4.0
+            };
+        }
+        v
+    }
+
+    /// Every element of `out` (element `first` of the bucket at
+    /// `out[0]`) whose key reaches `bound`, in index order.
+    fn reaching(out: &[f32], first: usize, bound: u32) -> Vec<(u32, u32)> {
+        (first..)
+            .zip(out)
+            .filter(|&(_, &g)| abs_key(g) >= bound)
+            .map(|(i, &g)| (i as u32, abs_key(g)))
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn correct_collecting_writes_the_sum_and_lists_every_key_at_its_bound() {
+        for len in collecting_lengths() {
+            let grad = awkward_subnormal(len, 5 * len as u32 + 1);
+            // A residual left by one error-feedback step, so that the sum
+            // is checked against `correct_from` itself.
+            let mut ef = crate::ErrorFeedback::new(crate::TopK::new(len / 3 + 1));
+            crate::Compressor::compress(&mut ef, &awkward_subnormal(len, 7 * len as u32 + 3));
+            let mut want = vec![f32::NAN; len];
+            ef.correct_from(&grad, 0, &mut want);
+            let residual = ef.residual_for(len).to_vec();
+            let mut keys: Vec<u32> = want.iter().map(|&g| abs_key(g)).collect();
+            keys.sort_unstable();
+            let middle = keys.get(len / 2).copied().unwrap_or(0);
+            for bound in [0, middle, 0x7f80_0001, u32::MAX] {
+                for k in [1, len / 7 + 1] {
+                    for first in [0, 5, 1_000_003] {
+                        for (residual, want) in [(Some(&residual[..]), &want), (None, &grad)] {
+                            let mut out = vec![f32::NAN; len];
+                            let mut cand = Candidates::default();
+                            cand.open(bound, k);
+                            correct_collecting(&grad, residual, &mut out, first, &mut cand);
+                            let what = format!(
+                                "len {len} bound {bound:#x} k {k} first {first} ef {}",
+                                residual.is_some()
+                            );
+                            assert_eq!(bits(&out), bits(want), "{what}");
+                            assert!(cand.bound() >= bound, "{what}");
+                            assert_eq!(cand.list(), reaching(&out, first, cand.bound()), "{what}");
+                            if cand.bound() != bound {
+                                assert_a_raise_kept_enough(&cand, &out, first, k, &what);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A raise keeps half the cap, `4k` candidates or more, unless the
+    /// key below the bound is tied across so much of the list that a raise
+    /// had to drop it.
+    fn assert_a_raise_kept_enough(
+        cand: &Candidates,
+        out: &[f32],
+        first: usize,
+        k: usize,
+        what: &str,
+    ) {
+        let cap = 8 * k + 2144;
+        let at_or_above_the_dropped_key = reaching(out, first, cand.bound() - 1).len();
+        assert!(
+            cand.list().len() >= 4 * k || at_or_above_the_dropped_key + CHUNK > cap,
+            "{what}: {} candidates",
+            cand.list().len()
+        );
+    }
+
+    #[test]
+    fn raises_keep_every_key_at_the_bound_across_pieces_in_any_order() {
+        // Three pieces of one bucket, written out of order into one list
+        // whose cap (`8k + 2144`) the long length overflows many times,
+        // from a bound of zero; then a bucket that is all one magnitude,
+        // where the raise must drop the whole tie.
+        for len in collecting_lengths() {
+            let data = [
+                awkward_subnormal(len, 11 * len as u32 + 2),
+                distinct(len, 3),
+            ];
+            for (d, grad) in data.iter().enumerate() {
+                for k in [1, 3, len / 40 + 1] {
+                    let what = format!("data {d} len {len} k {k}");
+                    let mut out = vec![f32::NAN; len];
+                    let mut cand = Candidates::default();
+                    cand.open(0, k);
+                    let (a, b) = (len / 3, len / 3 + len / 5);
+                    for range in [b..len, 0..a, a..b] {
+                        let piece = &grad[range.clone()];
+                        let start = range.start;
+                        correct_collecting(piece, None, &mut out[range], start, &mut cand);
+                    }
+                    assert_eq!(bits(&out), bits(grad), "{what}");
+                    let mut got = cand.list().to_vec();
+                    got.sort_unstable();
+                    assert_eq!(got, reaching(&out, 0, cand.bound()), "{what}");
+                    let cap = 8 * k + 2144;
+                    assert!(cand.list().len() <= cap, "{what}");
+                    if len > cap {
+                        assert!(cand.bound() > 0, "{what}: no raise");
+                        assert_a_raise_kept_enough(&cand, &out, 0, k, &what);
+                        if d == 1 {
+                            // Distinct magnitudes: no tie can go.
+                            assert!(cand.list().len() >= 4 * k, "{what}");
+                        }
+                    }
+                }
+            }
+            let flat = vec![-1.5f32; len];
+            let mut out = vec![0.0; len];
+            let mut cand = Candidates::default();
+            cand.open(0, 1);
+            correct_collecting(&flat, None, &mut out, 0, &mut cand);
+            if len > 2152 {
+                assert_eq!(cand.bound(), abs_key(1.5) + 1, "len {len}");
+                assert!(cand.list().is_empty(), "len {len}");
+            } else {
+                assert_eq!(cand.list().len(), len, "len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn select_among_is_the_reference_whenever_it_answers() {
+        // Candidates at a bound of zero, a middle key and above every key,
+        // in index and in reversed order, over data with NaN, infinities,
+        // signed zeros and subnormals, distinct magnitudes, and ties.
+        let len = if cfg!(miri) { 300 } else { 2000 };
+        let ties: Vec<f32> = (0..len).map(|i| (i % 5) as f32 - 2.0).collect();
+        let data = [awkward_subnormal(len, 9), distinct(len, 4), ties];
+        let mut answered = 0;
+        for (d, grad) in data.iter().enumerate() {
+            let mut keys: Vec<u32> = grad.iter().map(|&g| abs_key(g)).collect();
+            keys.sort_unstable();
+            for bound in [0, keys[len / 2], keys[len - 40], u32::MAX] {
+                let mut cand = reaching(grad, 0, bound);
+                for reversed in [false, true] {
+                    if reversed {
+                        cand.reverse();
+                    }
+                    for k in [0, 1, 2, 13, 39, 40, 41, len / 2, len] {
+                        let what = format!("data {d} bound {bound:#x} k {k} reversed {reversed}");
+                        match select_among(&cand, k) {
+                            Some(top) => {
+                                answered += 1;
+                                assert_eq!(top, reference::select_topk(grad, k), "{what}");
+                            }
+                            None => {
+                                // Too few candidates, or the k-th key tied
+                                // with the next.
+                                let mut keys: Vec<u32> = cand.iter().map(|c| c.1).collect();
+                                keys.sort_unstable_by(|a, b| b.cmp(a));
+                                let tied = (1..=keys.len()).contains(&k)
+                                    && keys.get(k) == Some(&keys[k - 1]);
+                                assert!(k > keys.len() || tied, "{what}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(answered > 40, "only {answered} answers");
+    }
+
+    #[test]
+    fn the_next_bound_is_the_candidates_rank_or_the_sample() {
+        let grad = distinct(5000, 8);
+        let mut keys: Vec<u32> = grad.iter().map(|&g| abs_key(g)).collect();
+        keys.sort_unstable_by(|a, b| b.cmp(a));
+        for k in [1, 5, 30] {
+            let rank = 3 * k + SAMPLE_SLACK;
+            let enough = reaching(&grad, 0, keys[rank + 9]);
+            assert_eq!(next_bound(&enough, k, &grad), keys[rank - 1], "k {k}");
+            let few = reaching(&grad, 0, keys[rank - 2]);
+            let sampled = lower_bound(&grad, k, &mut Vec::new());
+            assert_eq!(next_bound(&few, k, &grad), sampled, "k {k}");
+            assert_eq!(next_bound(&[], k, &grad), sampled, "k {k}");
+        }
+        assert_eq!(next_bound(&[], 1, &[]), u32::MAX);
     }
 
     #[test]

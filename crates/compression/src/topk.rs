@@ -12,7 +12,13 @@
 //! elements, then sweep once. The exact kernel here borrows the same
 //! sampling, but only for a lower bound on the k-th magnitude, and then
 //! verifies its result exact, so it costs about one sweep and still
-//! returns exactly `k` elements.
+//! returns exactly `k` elements. A bucket selected from step after step
+//! needs no sweep at all: the aggregators carry a bound over from the
+//! bucket's last step ([`kernels::next_bound`]) and collect the elements
+//! that reach it while they write the bucket
+//! ([`kernels::correct_collecting`]); `encode` then selects among those
+//! candidates ([`kernels::select_among`]) and hands the indices to
+//! [`TopK::selected`].
 
 use crate::compressor::Compressor;
 use crate::kernels;
@@ -52,6 +58,21 @@ impl TopK {
         self.k
     }
 
+    /// The payload that keeps the elements of `grad` at `indices`: what
+    /// [`Compressor::compress`] sends once it has selected them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of bounds.
+    pub fn selected(grad: &[f32], indices: Vec<u32>) -> Payload {
+        let values = indices.iter().map(|&i| grad[i as usize]).collect();
+        Payload::Sparse {
+            indices,
+            values,
+            len: grad.len(),
+        }
+    }
+
     /// Scatter-adds `world_size` gathered sparse payloads into a dense
     /// average.
     ///
@@ -79,13 +100,7 @@ impl Compressor for TopK {
     }
 
     fn compress(&mut self, grad: &[f32]) -> Payload {
-        let indices = kernels::select_topk(grad, self.k);
-        let values = indices.iter().map(|&i| grad[i as usize]).collect();
-        Payload::Sparse {
-            indices,
-            values,
-            len: grad.len(),
-        }
+        TopK::selected(grad, kernels::select_topk(grad, self.k))
     }
 
     fn decompress(&self, payload: &Payload, out: &mut [f32]) {

@@ -15,6 +15,7 @@ use crate::pipeline::{
     sole_result, Bucket, BucketCodec, PerBucket, Pipelined, Round, DEFAULT_BUFFER_BYTES,
 };
 use crate::sparse::{k_for, sparse_parts, SlotPairs};
+use crate::topksgd::Selection;
 
 /// Per-bucket gTop-k state.
 #[derive(Debug)]
@@ -22,11 +23,13 @@ struct GTopkBucket {
     ef: ErrorFeedback<TopK>,
     /// The corrected gradient `g + e` the selection runs on — the
     /// correction is the copy in — owned and reused from step to step.
-    /// `encode` hands it to [`ErrorFeedback::compress_swapped`], which
-    /// turns it into the residual and swaps it for the old residual's
-    /// storage; every slot is overwritten by the next step's `absorb`
-    /// before it is read again.
+    /// `encode` hands it to [`ErrorFeedback::compress_swapped_with`],
+    /// which turns it into the residual and swaps it for the old
+    /// residual's storage; every slot is overwritten by the next step's
+    /// `absorb` before it is read again.
     buf: Vec<f32>,
+    /// The local selection's candidates and carried bound, as Top-k's.
+    select: Selection,
     /// The global selection, from `decode` to `emit`.
     pairs: SlotPairs,
 }
@@ -50,24 +53,29 @@ impl BucketCodec for GTopkCodec {
     const NAME: &'static str = "gtopk";
 
     fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
-        let density = self.density;
+        let k = k_for(self.density, bucket.elems);
         let st = self.buckets.get_or_insert_with(bucket, || GTopkBucket {
-            ef: ErrorFeedback::new(TopK::new(k_for(density, bucket.elems))),
+            ef: ErrorFeedback::new(TopK::new(k)),
             buf: Vec::new(),
+            select: Selection::default(),
             pairs: SlotPairs::default(),
         });
         if st.buf.len() != bucket.elems {
             st.buf.resize(bucket.elems, 0.0);
         }
-        st.ef
-            .correct_from(grad, bucket.span(slot).start, &mut st.buf);
+        let residual = st.ef.residual_for(bucket.elems);
+        st.select
+            .absorb(bucket, k, slot, grad, Some(residual), &mut st.buf);
         Ok(())
     }
 
     fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
         let k = k_for(self.density, bucket.elems);
         let st = self.buckets.get_mut(bucket)?;
-        let payload = st.ef.compress_swapped(&mut st.buf);
+        let select = &mut st.select;
+        let payload = st
+            .ef
+            .compress_swapped_with(&mut st.buf, |_, g| select.select(g, k));
         bucket.payload_bytes += payload.wire_bytes() as u64;
         let (indices, values) = sparse_parts(payload)?;
         Ok(vec![CollectiveOp::GlobalTopk { indices, values, k }])
@@ -101,6 +109,14 @@ impl BucketCodec for GTopkCodec {
 
     fn residual_norm(&self) -> Option<f64> {
         Some(self.residual_sum() as f64)
+    }
+}
+
+#[cfg(test)]
+impl GTopkCodec {
+    /// Each bucket's selection state, in plan order.
+    pub(crate) fn selections(&self) -> impl Iterator<Item = &Selection> {
+        self.buckets.iter().map(|b| &b.select)
     }
 }
 
