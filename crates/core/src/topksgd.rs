@@ -461,12 +461,11 @@ mod tests {
 
         /// The plan's one bucket's selection state.
         fn selection(&self) -> &Selection {
-            let mut all: Vec<&Selection> = match self {
-                Agg::Topk(opt) => opt.codec.buckets.iter().map(|b| &b.select).collect(),
-                Agg::Global(opt) => opt.codec.selections().collect(),
-            };
-            assert_eq!(all.len(), 1, "one bucket");
-            all.remove(0)
+            match self {
+                Agg::Topk(opt) => opt.codec.buckets.iter().map(|b| &b.select).next(),
+                Agg::Global(opt) => opt.codec.selections().next(),
+            }
+            .expect("a planned bucket")
         }
     }
 
