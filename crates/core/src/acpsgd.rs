@@ -34,11 +34,6 @@ struct AcpBucketState {
     /// into the all-reduce, `decode` takes it back reduced and `emit`
     /// reads it; the allocation lives from step to step.
     payload: Vec<f32>,
-    /// [`Bucket::step`] the offsets and the payload belong to.
-    step: u64,
-    /// Tensors emitted in that step; short of `states.len()` when the step
-    /// was discarded and left matrices mid-step.
-    emitted: usize,
 }
 
 impl AcpBucketState {
@@ -56,36 +51,10 @@ impl AcpBucketState {
             })
             .collect();
         AcpBucketState {
-            emitted: states.len(),
             states,
             payload_offsets: Vec::new(),
             payload: Vec::new(),
-            step: 0,
         }
-    }
-
-    /// Lays out this step's payload: which factor each matrix transmits
-    /// is known before any tensor arrives, so every segment has its place
-    /// whatever order they arrive in.
-    fn begin_step(&mut self, cfg: AcpSgdConfig, bucket: &Bucket) {
-        if self.emitted != self.states.len() {
-            // The last step was discarded between a compress and its
-            // finish; the factor state machines cannot resume it.
-            *self = AcpBucketState::new(cfg, bucket);
-        }
-        self.step = bucket.step;
-        self.emitted = 0;
-        self.payload_offsets.clear();
-        let mut end = 0usize;
-        self.payload_offsets.push(end);
-        for (slot, lr) in self.states.iter().enumerate() {
-            end += match lr {
-                LrState::Matrix(state) => state.transmitted_elements(),
-                LrState::Vector => bucket.span(slot).len(),
-            };
-            self.payload_offsets.push(end);
-        }
-        self.payload.resize(end, 0.0);
     }
 
     fn segment(&self, slot: usize) -> std::ops::Range<usize> {
@@ -130,14 +99,29 @@ impl AcpCodec {
 impl BucketCodec for AcpCodec {
     const NAME: &'static str = "acpsgd";
 
-    fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
+    /// Lays out the step's payload: which factor each matrix transmits is
+    /// known before any tensor arrives, so every segment has its place
+    /// whatever order they arrive in.
+    fn open(&mut self, bucket: &Bucket) {
         let cfg = self.cfg;
         let st = self
             .buckets
             .get_or_insert_with(bucket, || AcpBucketState::new(cfg, bucket));
-        if st.step != bucket.step {
-            st.begin_step(cfg, bucket);
+        st.payload_offsets.clear();
+        let mut end = 0usize;
+        st.payload_offsets.push(end);
+        for (slot, lr) in st.states.iter().enumerate() {
+            end += match lr {
+                LrState::Matrix(state) => state.transmitted_elements(),
+                LrState::Vector => bucket.span(slot).len(),
+            };
+            st.payload_offsets.push(end);
         }
+        st.payload.resize(end, 0.0);
+    }
+
+    fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
+        let st = self.buckets.get_mut(bucket)?;
         let segment = st.segment(slot);
         match &mut st.states[slot] {
             LrState::Matrix(state) => state.try_compress_slice(grad, &mut st.payload[segment])?,
@@ -178,8 +162,15 @@ impl BucketCodec for AcpCodec {
             LrState::Matrix(state) => state.try_finish_slice(&st.payload[segment], out)?,
             LrState::Vector => out.copy_from_slice(&st.payload[segment]),
         }
-        st.emitted += 1;
         Ok(())
+    }
+
+    /// The factor state machines cannot resume a step stopped between a
+    /// compress and its finish: the bucket's factors start over.
+    fn abandon(&mut self, bucket: &Bucket) {
+        if let Ok(st) = self.buckets.get_mut(bucket) {
+            *st = AcpBucketState::new(self.cfg, bucket);
+        }
     }
 
     fn clear(&mut self) {

@@ -123,17 +123,20 @@ impl DgcCodec {
 impl BucketCodec for DgcCodec {
     const NAME: &'static str = "dgc";
 
-    fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
+    fn open(&mut self, bucket: &Bucket) {
         let n = bucket.elems;
         let density = self.cfg.density;
-        let st = self.buckets.get_or_insert_with(bucket, || DgcBucketState {
+        self.buckets.get_or_insert_with(bucket, || DgcBucketState {
             velocity: vec![0.0; n],
             accum: vec![0.0; n],
             buf: vec![0.0; n],
             pairs: SlotPairs::default(),
             topk: TopK::new(k_for(density, n)),
         });
-        st.buf[bucket.span(slot)].copy_from_slice(grad);
+    }
+
+    fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
+        self.buckets.get_mut(bucket)?.buf[bucket.span(slot)].copy_from_slice(grad);
         Ok(())
     }
 

@@ -52,7 +52,7 @@ impl GTopkCodec {
 impl BucketCodec for GTopkCodec {
     const NAME: &'static str = "gtopk";
 
-    fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
+    fn open(&mut self, bucket: &Bucket) {
         let k = k_for(self.density, bucket.elems);
         let st = self.buckets.get_or_insert_with(bucket, || GTopkBucket {
             ef: ErrorFeedback::new(TopK::new(k)),
@@ -60,12 +60,15 @@ impl BucketCodec for GTopkCodec {
             select: Selection::default(),
             pairs: SlotPairs::default(),
         });
-        if st.buf.len() != bucket.elems {
-            st.buf.resize(bucket.elems, 0.0);
-        }
+        st.buf.resize(bucket.elems, 0.0);
+        st.select.open(k);
+    }
+
+    fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
+        let st = self.buckets.get_mut(bucket)?;
         let residual = st.ef.residual_for(bucket.elems);
         st.select
-            .absorb(bucket, k, slot, grad, Some(residual), &mut st.buf);
+            .absorb(bucket, slot, grad, Some(residual), &mut st.buf);
         Ok(())
     }
 

@@ -35,7 +35,6 @@
 //! codec; [`WarmStart`] puts exact averaging in front of any codec for the
 //! first steps.
 
-use std::fmt;
 use std::ops::Range;
 
 use acp_collectives::{wait_all, CollectiveOp, CollectiveResult, Communicator, PendingOp};
@@ -69,26 +68,48 @@ pub struct Bucket {
     pub elems: usize,
     /// World size of the communicator driving the current step.
     pub world_size: usize,
-    /// Number of the step the pipeline has open; no two opened steps share
-    /// one. A codec whose per-tensor state machines advance in `absorb`
-    /// compares it with the number it last saw to tell a new step from
-    /// the remains of a discarded one.
-    pub step: u64,
     /// Wire bytes the codec reports for the current step; add the
     /// compressed payload size here in `encode` (and in later rounds).
     pub payload_bytes: u64,
+    /// Which tensors the open step has absorbed, by slot.
+    arrived: Vec<bool>,
 }
 
 impl Bucket {
+    /// Bucket `index` of a plan, fusing the `tensors` of `grads`.
+    pub(crate) fn new(index: usize, tensors: Range<usize>, grads: &[GradViewMut<'_>]) -> Bucket {
+        let grads = &grads[tensors.clone()];
+        let mut offsets = vec![0];
+        for g in grads {
+            offsets.push(offsets[offsets.len() - 1] + g.grad.len());
+        }
+        Bucket {
+            index,
+            tensors,
+            dims: grads.iter().map(|g| g.dims.to_vec()).collect(),
+            elems: offsets[grads.len()],
+            offsets,
+            world_size: 1,
+            payload_bytes: 0,
+            arrived: vec![false; grads.len()],
+        }
+    }
+
     /// Element range of tensor `slot` inside the bucket's flattened
     /// gradient.
     pub fn span(&self, slot: usize) -> Range<usize> {
         self.offsets[slot]..self.offsets[slot + 1]
     }
+
+    /// Whether the open step has absorbed tensor `slot` before the call
+    /// in progress (false past the bucket's last slot).
+    pub fn arrived(&self, slot: usize) -> bool {
+        self.arrived.get(slot) == Some(&true)
+    }
 }
 
-/// Codec state keyed by [`Bucket::index`], built the first time a bucket
-/// absorbs a tensor.
+/// Codec state keyed by [`Bucket::index`], built by the codec's
+/// [`BucketCodec::open`].
 #[derive(Debug)]
 pub(crate) struct PerBucket<T>(Vec<Option<T>>);
 
@@ -111,19 +132,17 @@ impl<T> PerBucket<T> {
         self.0[bucket.index].get_or_insert_with(new)
     }
 
-    /// The state of a bucket that has absorbed its tensors.
+    /// The state of an opened bucket.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::CodecProtocol`] for a bucket that has not — a
-    /// call out of order must not panic the rank.
+    /// Returns [`CoreError::CodecProtocol`] for a bucket that was never
+    /// opened — a call out of order must not panic the rank.
     pub(crate) fn get_mut(&mut self, bucket: &Bucket) -> Result<&mut T, CoreError> {
         self.0
             .get_mut(bucket.index)
             .and_then(Option::as_mut)
-            .ok_or(CoreError::CodecProtocol(
-                "bucket has no absorbed tensors this step",
-            ))
+            .ok_or(CoreError::CodecProtocol("bucket was never opened"))
     }
 
     /// Every bucket's state, in plan order.
@@ -150,16 +169,26 @@ pub enum Round {
 
 /// The per-bucket compression half of an aggregation algorithm.
 ///
-/// A step of one bucket is [`absorb`](BucketCodec::absorb) once per tensor
-/// (in any order), [`encode`](BucketCodec::encode) once, then
+/// The pipeline owns each bucket's step and drives it through
+/// `open → absorb* → encode → decode+ → emit* | abandon`:
+/// [`open`](BucketCodec::open) when the step's first tensor of the bucket
+/// arrives, [`absorb`](BucketCodec::absorb) once per tensor (in any
+/// order), [`encode`](BucketCodec::encode) once, then
 /// [`decode`](BucketCodec::decode) per round of results (in request order)
 /// until it returns [`Round::Done`], then [`emit`](BucketCodec::emit) once
-/// per tensor. State must be keyed by ([`Bucket::index`], slot) — never by
-/// call order — so the blocking and overlapped schedules stay
-/// bit-identical.
+/// per tensor. When the pipeline discards a step, every bucket it opened
+/// and did not finish emitting gets [`abandon`](BucketCodec::abandon)
+/// instead, whether or not it was encoded. State must be keyed by
+/// ([`Bucket::index`], slot) — never by call order — so the blocking and
+/// overlapped schedules stay bit-identical.
 pub trait BucketCodec: Send {
     /// Short algorithm name the aggregator running this codec reports.
     const NAME: &'static str;
+
+    /// Starts the bucket's step, before its first `absorb`: builds the
+    /// bucket's state on its first step and sizes what the step writes,
+    /// so that `absorb` is only the pass over the data.
+    fn open(&mut self, bucket: &Bucket);
 
     /// Takes tensor `slot` of the bucket from the caller's gradient: the
     /// codec's first pass over the data (a copy, an error-feedback
@@ -207,6 +236,11 @@ pub trait BucketCodec: Send {
     /// rejects the reconstruction.
     fn emit(&mut self, bucket: &Bucket, slot: usize, out: &mut [f32]) -> Result<(), CoreError>;
 
+    /// Ends an opened step of the bucket that the pipeline discarded
+    /// before every tensor was emitted. The default does nothing, which
+    /// suits a codec whose `open` resets everything a step writes.
+    fn abandon(&mut self, _bucket: &Bucket) {}
+
     /// Drops every bucket-keyed state: the plan it was keyed by is being
     /// rebuilt (a new fusion buffer size or a membership change).
     fn clear(&mut self);
@@ -229,43 +263,41 @@ pub struct StepStats {
     pub dense_bytes: u64,
     /// Compressed wire bytes the codec reported across all buckets.
     pub payload_bytes: u64,
-    /// Time spent inside the codec (`absorb`, `encode`, `decode` and
-    /// `emit` calls), microseconds.
+    /// Time spent inside the codec (`open`, `absorb`, `encode`, `decode`
+    /// and `emit` calls), microseconds.
     pub compress_us: u64,
     /// Recorder timestamp at which the step opened.
     pub step_start_us: u64,
 }
 
-/// The shared absorb → dispatch → wait → emit engine.
+/// One bucket of the plan and its place in the open step.
+#[derive(Debug)]
+struct Lane {
+    bucket: Bucket,
+    /// Opened this step and not yet emitted: abandoned if the step closes.
+    open: bool,
+    /// Tensors absorbed this step.
+    absorbed: usize,
+    /// The bucket's collectives, from dispatch to drain.
+    inflight: Option<Vec<PendingOp>>,
+}
+
+/// The shared absorb → dispatch → wait → emit engine, and the one owner of
+/// each bucket's step (see [`BucketCodec`] for the lifecycle it drives).
 ///
 /// Owns the bucket plan (built lazily from the first step's tensor list
 /// and a `buffer_bytes` capacity) and the in-flight [`PendingOp`] handles,
 /// and nothing the size of a gradient. See the [module docs](self) for
 /// the two entry points.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct FusedPipeline {
     buffer_bytes: usize,
     shapes: Vec<Vec<usize>>,
-    buckets: Vec<Bucket>,
+    lanes: Vec<Lane>,
     tensor_to_bucket: Vec<usize>,
-    inflight: Vec<Option<Vec<PendingOp>>>,
-    pushed: Vec<Vec<bool>>,
-    pushed_count: Vec<usize>,
-    dispatched: Vec<bool>,
     step_open: bool,
-    steps_opened: u64,
     compress_us: u64,
     step_start_us: u64,
-}
-
-impl fmt::Debug for FusedPipeline {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FusedPipeline")
-            .field("buffer_bytes", &self.buffer_bytes)
-            .field("buckets", &self.buckets.len())
-            .field("step_open", &self.step_open)
-            .finish()
-    }
 }
 
 impl FusedPipeline {
@@ -285,7 +317,7 @@ impl FusedPipeline {
 
     /// Number of buckets in the plan (0 before the first step).
     pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
+        self.lanes.len()
     }
 
     /// Reconfigures the fusion buffer capacity, discarding the bucket plan
@@ -308,33 +340,24 @@ impl FusedPipeline {
             "cannot re-plan fusion buckets while a step is open"
         );
         self.buffer_bytes = buffer_bytes;
-        self.buckets.clear();
-        self.tensor_to_bucket.clear();
-        self.inflight.clear();
-        self.pushed.clear();
-        self.pushed_count.clear();
-        self.dispatched.clear();
+        self.replan();
     }
 
     /// Aborts any open step and discards the bucket plan so the next step
     /// rebuilds it from scratch — the membership hook. After a rank dies
     /// and the group `reform()`s, in-flight handles belong to a collective
     /// the survivors abandoned and the bucket plan may have been sized for
-    /// the old world; both are dropped here. Recorded tensor shapes are
+    /// the old world; both are dropped here (the codec's bucket state goes
+    /// with the plan, so nothing is abandoned). Recorded tensor shapes are
     /// kept so shape/count-change detection survives the re-plan.
     pub fn replan(&mut self) {
         self.step_open = false;
-        self.compress_us = 0;
-        self.buckets.clear();
+        self.lanes.clear();
         self.tensor_to_bucket.clear();
-        self.inflight.clear();
-        self.pushed.clear();
-        self.pushed_count.clear();
-        self.dispatched.clear();
     }
 
     fn ensure_plan(&mut self, grads: &[GradViewMut<'_>]) {
-        if !self.buckets.is_empty() || grads.is_empty() {
+        if !self.lanes.is_empty() || grads.is_empty() {
             return;
         }
         let sizes: Vec<usize> = grads.iter().map(|g| 4 * g.grad.len()).collect();
@@ -343,57 +366,65 @@ impl FusedPipeline {
             .into_iter()
             .enumerate()
         {
-            let mut offsets = vec![0usize];
-            let mut dims = Vec::with_capacity(range.len());
-            for t in range.clone() {
-                self.tensor_to_bucket[t] = bi;
-                dims.push(grads[t].dims.to_vec());
-                // allow_verify(reason = "offsets is seeded with one element above; last() is infallible")
-                offsets.push(offsets.last().unwrap() + grads[t].grad.len());
-            }
-            // allow_verify(reason = "offsets is seeded with one element above; last() is infallible")
-            let elems = *offsets.last().unwrap();
-            self.pushed.push(vec![false; dims.len()]);
-            self.pushed_count.push(0);
-            self.dispatched.push(false);
-            self.inflight.push(None);
-            self.buckets.push(Bucket {
-                index: bi,
-                tensors: range,
-                dims,
-                offsets,
-                elems,
-                world_size: 1,
-                step: 0,
-                payload_bytes: 0,
+            self.tensor_to_bucket[range.clone()].fill(bi);
+            self.lanes.push(Lane {
+                bucket: Bucket::new(bi, range, grads),
+                open: false,
+                absorbed: 0,
+                inflight: None,
             });
         }
     }
 
-    fn open_step(&mut self, world_size: usize, rec: &dyn Recorder) {
+    fn open_step(&mut self, rec: &dyn Recorder) {
         self.step_open = true;
-        self.steps_opened += 1;
         self.step_start_us = rec.now_us();
         self.compress_us = 0;
-        for bucket in &mut self.buckets {
-            bucket.world_size = world_size;
-            bucket.step = self.steps_opened;
-            bucket.payload_bytes = 0;
-        }
-        for (flags, count) in self.pushed.iter_mut().zip(&mut self.pushed_count) {
-            flags.iter_mut().for_each(|f| *f = false);
-            *count = 0;
-        }
-        self.dispatched.iter_mut().for_each(|d| *d = false);
     }
 
     /// Closes the open step, completed or discarded: whatever is still in
-    /// flight is dropped, which waits for it.
-    fn close_step(&mut self) {
+    /// flight is dropped, which waits for it, every bucket opened and not
+    /// emitted is abandoned, and every bucket is left idle for the next.
+    fn close_step<C: BucketCodec + ?Sized>(&mut self, codec: &mut C) {
         self.step_open = false;
-        for slot in &mut self.inflight {
-            *slot = None;
+        for lane in &mut self.lanes {
+            lane.inflight = None;
+            if lane.open {
+                codec.abandon(&lane.bucket);
+            }
+            lane.open = false;
+            lane.absorbed = 0;
+            lane.bucket.arrived.fill(false);
         }
+    }
+
+    /// Hands tensor `slot` of bucket `b` to the codec: the bucket's first
+    /// tensor of the step opens it, its last dispatches it.
+    fn absorb<C: BucketCodec + ?Sized>(
+        &mut self,
+        codec: &mut C,
+        b: usize,
+        slot: usize,
+        grad: &[f32],
+        comm: &mut dyn Communicator,
+        rec: &dyn Recorder,
+    ) -> Result<(), CoreError> {
+        let lane = &mut self.lanes[b];
+        let absorb_start = rec.now_us();
+        if lane.absorbed == 0 {
+            lane.bucket.world_size = comm.world_size();
+            lane.bucket.payload_bytes = 0;
+            codec.open(&lane.bucket);
+            lane.open = true;
+        }
+        codec.absorb(&lane.bucket, slot, grad)?;
+        self.compress_us += rec.now_us().saturating_sub(absorb_start);
+        lane.bucket.arrived[slot] = true;
+        lane.absorbed += 1;
+        if lane.absorbed == lane.bucket.dims.len() {
+            self.dispatch_bucket(codec, b, comm, rec)?;
+        }
+        Ok(())
     }
 
     fn dispatch_bucket<C: BucketCodec + ?Sized>(
@@ -405,20 +436,21 @@ impl FusedPipeline {
     ) -> Result<(), CoreError> {
         let track = comm.rank_id().as_usize() as u64;
         let _g = SpanGuard::start(rec, keys::SPAN_BUCKET_DISPATCH, keys::CAT_PIPELINE, track);
+        let lane = &mut self.lanes[b];
         let encode_start = rec.now_us();
-        let ops = codec.encode(&mut self.buckets[b])?;
+        let ops = codec.encode(&mut lane.bucket)?;
         self.compress_us += rec.now_us().saturating_sub(encode_start);
-        let pending: Vec<PendingOp> = ops.into_iter().map(|op| comm.dispatch(op)).collect();
-        // allow_verify(reason = "pending ops stored in inflight[b] are drained by finish_bucket/drain, which wait or drop every handle before the bucket is reused")
-        self.inflight[b] = Some(pending);
-        self.dispatched[b] = true;
+        // allow_verify(reason = "pending ops stored in a lane are drained by finish, or dropped by close_step, which waits for every handle before the bucket is reused")
+        lane.inflight = Some(ops.into_iter().map(|op| comm.dispatch(op)).collect());
         rec.add(keys::PIPELINE_BUCKETS, 1);
         Ok(())
     }
 
     /// Offers one tensor's ready gradient (WFBP). The codec absorbs it
     /// straight from `grad`; when the bucket's last tensor arrives, the
-    /// bucket is encoded and its collectives dispatched immediately.
+    /// bucket is encoded and its collectives dispatched immediately. A
+    /// bucket's step is `open → absorb* → encode → decode+ → emit* |
+    /// abandon`, opened by its first tensor and emitted by `finish`.
     ///
     /// Before the plan exists (the first-ever step), pushes are accepted
     /// and ignored — [`finish`](FusedPipeline::finish) runs that step
@@ -433,7 +465,8 @@ impl FusedPipeline {
     /// open step already holds the tensor (whether or not its bucket has
     /// been dispatched), and the codec's errors. On any error the open
     /// step is discarded — in-flight collectives are waited for and
-    /// dropped — and the pipeline is reusable afterwards.
+    /// dropped, and every bucket it opened is abandoned — and the pipeline
+    /// is reusable afterwards.
     ///
     /// The codecs come out of a discarded step as they went in only if no
     /// bucket of it was dispatched: `encode` is where an error-feedback
@@ -449,12 +482,12 @@ impl FusedPipeline {
         comm: &mut dyn Communicator,
         rec: &dyn Recorder,
     ) -> Result<(), CoreError> {
-        if self.buckets.is_empty() {
+        if self.lanes.is_empty() {
             return Ok(());
         }
         let result = self.push_inner(codec, index, dims, grad, comm, rec);
         if result.is_err() {
-            self.close_step();
+            self.close_step(codec);
         }
         result
     }
@@ -482,22 +515,14 @@ impl FusedPipeline {
             });
         }
         if !self.step_open {
-            self.open_step(comm.world_size(), rec);
+            self.open_step(rec);
         }
         let b = self.tensor_to_bucket[index];
-        let slot = index - self.buckets[b].tensors.start;
-        if self.pushed[b][slot] {
+        let slot = index - self.lanes[b].bucket.tensors.start;
+        if self.lanes[b].bucket.arrived[slot] {
             return Err(CoreError::TensorPushedTwice { index });
         }
-        let absorb_start = rec.now_us();
-        codec.absorb(&self.buckets[b], slot, grad)?;
-        self.compress_us += rec.now_us().saturating_sub(absorb_start);
-        self.pushed[b][slot] = true;
-        self.pushed_count[b] += 1;
-        if self.pushed_count[b] == self.buckets[b].dims.len() {
-            self.dispatch_bucket(codec, b, comm, rec)?;
-        }
-        Ok(())
+        self.absorb(codec, b, slot, grad, comm, rec)
     }
 
     /// Completes a step: absorbs and dispatches every bucket not already
@@ -511,8 +536,9 @@ impl FusedPipeline {
     /// # Errors
     ///
     /// Returns [`CoreError::Collective`] on communication failure and the
-    /// shape errors of `check_shapes`; any in-flight state is discarded
-    /// so the pipeline is reusable afterwards.
+    /// shape errors of `check_shapes`; the step is discarded as on a
+    /// `push` error (a bucket that emitted every tensor before the error
+    /// is not abandoned), so the pipeline is reusable afterwards.
     pub fn finish<C: BucketCodec + ?Sized>(
         &mut self,
         codec: &mut C,
@@ -521,7 +547,7 @@ impl FusedPipeline {
         rec: &dyn Recorder,
     ) -> Result<StepStats, CoreError> {
         let result = self.finish_inner(codec, grads, comm, rec);
-        self.close_step();
+        self.close_step(codec);
         result
     }
 
@@ -535,35 +561,28 @@ impl FusedPipeline {
         check_shapes(&mut self.shapes, grads)?;
         self.ensure_plan(grads);
         if !self.step_open {
-            self.open_step(comm.world_size(), rec);
+            self.open_step(rec);
         }
         // Absorb and dispatch whatever backward did not push, in plan order.
-        for b in 0..self.buckets.len() {
-            if self.dispatched[b] {
-                continue;
-            }
-            let bucket = &self.buckets[b];
-            let absorb_start = rec.now_us();
-            for (slot, t) in bucket.tensors.clone().enumerate() {
-                if !self.pushed[b][slot] {
-                    codec.absorb(bucket, slot, grads[t].grad)?;
+        for b in 0..self.lanes.len() {
+            for (slot, t) in self.lanes[b].bucket.tensors.clone().enumerate() {
+                if !self.lanes[b].bucket.arrived[slot] {
+                    self.absorb(codec, b, slot, grads[t].grad, comm, rec)?;
                 }
             }
-            self.compress_us += rec.now_us().saturating_sub(absorb_start);
-            self.dispatch_bucket(codec, b, comm, rec)?;
         }
         // Drain in plan order, running any dependent rounds.
         let track = comm.rank_id().as_usize() as u64;
-        for b in 0..self.buckets.len() {
+        for lane in &mut self.lanes {
             // allow_verify(reason = "the flush loop above dispatches every bucket before any drain")
-            let mut pending = self.inflight[b].take().expect("every bucket dispatched");
+            let mut pending = lane.inflight.take().expect("every bucket dispatched");
             let wait_start = rec.now_us();
             {
                 let _g = SpanGuard::start(rec, keys::SPAN_BUCKET_WAIT, keys::CAT_PIPELINE, track);
                 loop {
                     let results = wait_all(pending)?;
                     let decode_start = rec.now_us();
-                    let round = codec.decode(&mut self.buckets[b], results)?;
+                    let round = codec.decode(&mut lane.bucket, results)?;
                     self.compress_us += rec.now_us().saturating_sub(decode_start);
                     match round {
                         Round::Next(ops) => {
@@ -579,16 +598,16 @@ impl FusedPipeline {
                     rec.now_us().saturating_sub(wait_start) as f64,
                 );
             }
-            let bucket = &self.buckets[b];
             let emit_start = rec.now_us();
-            for (slot, t) in bucket.tensors.clone().enumerate() {
-                codec.emit(bucket, slot, grads[t].grad)?;
+            for (slot, t) in lane.bucket.tensors.clone().enumerate() {
+                codec.emit(&lane.bucket, slot, grads[t].grad)?;
             }
             self.compress_us += rec.now_us().saturating_sub(emit_start);
+            lane.open = false;
         }
         Ok(StepStats {
-            dense_bytes: self.buckets.iter().map(|b| 4 * b.elems as u64).sum(),
-            payload_bytes: self.buckets.iter().map(|b| b.payload_bytes).sum(),
+            dense_bytes: self.lanes.iter().map(|l| 4 * l.bucket.elems as u64).sum(),
+            payload_bytes: self.lanes.iter().map(|l| l.bucket.payload_bytes).sum(),
             compress_us: self.compress_us,
             step_start_us: self.step_start_us,
         })
@@ -677,7 +696,8 @@ impl<C: BucketCodec> DistributedOptimizer for Pipelined<C> {
 /// PowerSGD hook, which avoids compressing the large, fast-changing
 /// early-training gradients. `C` is not touched while warm, so the warm
 /// start never perturbs its schedule, and the dense buffers are dropped as
-/// soon as it ends.
+/// soon as it ends. One codec sees each bucket's whole step: warm-ness
+/// changes only between completed steps.
 #[derive(Debug)]
 pub struct WarmStart<C> {
     pub(crate) inner: C,
@@ -707,44 +727,33 @@ impl<C> WarmStart<C> {
     }
 }
 
+/// One [`BucketCodec`] method of [`WarmStart`], run by the dense codec
+/// while the warm start lasts and by the inner one after it.
+macro_rules! warm_or_inner {
+    (fn $name:ident(&mut self $(, $arg:ident: $ty:ty)*) $(-> $ret:ty)?) => {
+        fn $name(&mut self $(, $arg: $ty)*) $(-> $ret)? {
+            if self.in_warm_start() {
+                self.dense.$name($($arg),*)
+            } else {
+                self.inner.$name($($arg),*)
+            }
+        }
+    };
+}
+
 impl<C: BucketCodec> BucketCodec for WarmStart<C> {
     const NAME: &'static str = C::NAME;
 
-    fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
-        if self.in_warm_start() {
-            self.dense.absorb(bucket, slot, grad)
-        } else {
-            self.inner.absorb(bucket, slot, grad)
-        }
-    }
-
-    fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
-        if self.in_warm_start() {
-            self.dense.encode(bucket)
-        } else {
-            self.inner.encode(bucket)
-        }
-    }
-
-    fn decode(
-        &mut self,
-        bucket: &mut Bucket,
-        results: Vec<CollectiveResult>,
-    ) -> Result<Round, CoreError> {
-        if self.in_warm_start() {
-            self.dense.decode(bucket, results)
-        } else {
-            self.inner.decode(bucket, results)
-        }
-    }
-
-    fn emit(&mut self, bucket: &Bucket, slot: usize, out: &mut [f32]) -> Result<(), CoreError> {
-        if self.in_warm_start() {
-            self.dense.emit(bucket, slot, out)
-        } else {
-            self.inner.emit(bucket, slot, out)
-        }
-    }
+    warm_or_inner!(fn open(&mut self, bucket: &Bucket));
+    warm_or_inner!(fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32])
+        -> Result<(), CoreError>);
+    warm_or_inner!(fn encode(&mut self, bucket: &mut Bucket)
+        -> Result<Vec<CollectiveOp>, CoreError>);
+    warm_or_inner!(fn decode(&mut self, bucket: &mut Bucket, results: Vec<CollectiveResult>)
+        -> Result<Round, CoreError>);
+    warm_or_inner!(fn emit(&mut self, bucket: &Bucket, slot: usize, out: &mut [f32])
+        -> Result<(), CoreError>);
+    warm_or_inner!(fn abandon(&mut self, bucket: &Bucket));
 
     fn clear(&mut self) {
         self.dense.clear();
@@ -843,6 +852,10 @@ mod tests {
     impl BucketCodec for TwoRoundCodec {
         const NAME: &'static str = "two-round";
 
+        fn open(&mut self, bucket: &Bucket) {
+            self.inner.open(bucket);
+        }
+
         fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
             self.inner.absorb(bucket, slot, grad)
         }
@@ -883,6 +896,66 @@ mod tests {
         fn clear(&mut self) {
             self.inner.clear();
             self.round2.clear();
+        }
+    }
+
+    /// The S-SGD codec, recording which buckets it opens and abandons,
+    /// with an optional injected `decode` error.
+    #[derive(Default)]
+    struct RecordingCodec {
+        inner: MeanCodec,
+        opened: Vec<usize>,
+        abandoned: Vec<usize>,
+        fail_decode: Option<usize>,
+    }
+
+    impl RecordingCodec {
+        /// The buckets opened and abandoned since the last call.
+        fn take(&mut self) -> (Vec<usize>, Vec<usize>) {
+            (
+                std::mem::take(&mut self.opened),
+                std::mem::take(&mut self.abandoned),
+            )
+        }
+    }
+
+    impl BucketCodec for RecordingCodec {
+        const NAME: &'static str = "recording";
+
+        fn open(&mut self, bucket: &Bucket) {
+            self.opened.push(bucket.index);
+            self.inner.open(bucket);
+        }
+
+        fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
+            self.inner.absorb(bucket, slot, grad)
+        }
+
+        fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
+            self.inner.encode(bucket)
+        }
+
+        fn decode(
+            &mut self,
+            bucket: &mut Bucket,
+            results: Vec<CollectiveResult>,
+        ) -> Result<Round, CoreError> {
+            if self.fail_decode == Some(bucket.index) {
+                return Err(CoreError::CodecProtocol("injected decode error"));
+            }
+            self.inner.decode(bucket, results)
+        }
+
+        fn emit(&mut self, bucket: &Bucket, slot: usize, out: &mut [f32]) -> Result<(), CoreError> {
+            self.inner.emit(bucket, slot, out)
+        }
+
+        fn abandon(&mut self, bucket: &Bucket) {
+            self.abandoned.push(bucket.index);
+        }
+
+        fn clear(&mut self) {
+            self.inner.clear();
         }
     }
 
@@ -1189,6 +1262,99 @@ mod tests {
             .unwrap();
         assert_eq!(pipeline.num_buckets(), 1);
         assert_eq!(grads[0], vec![5.0, 6.0]);
+    }
+
+    /// Six two-element tensors in a 16-byte buffer: buckets 0, 1 and 2
+    /// of two tensors each.
+    const LANE_DIMS: [[usize; 1]; 6] = [[2]; 6];
+
+    /// Pushes `order` through `pipeline`, stopping at the first error.
+    fn push_all(
+        pipeline: &mut FusedPipeline,
+        codec: &mut RecordingCodec,
+        comm: &mut dyn Communicator,
+        order: &[usize],
+    ) -> Result<(), CoreError> {
+        for &i in order {
+            pipeline.push(codec, i, &LANE_DIMS[i], &[i as f32; 2], comm, &*noop())?;
+        }
+        Ok(())
+    }
+
+    /// Finishes the open step (or runs a blocking one) on fresh gradients.
+    fn finish_all(
+        pipeline: &mut FusedPipeline,
+        codec: &mut RecordingCodec,
+        comm: &mut dyn Communicator,
+    ) -> Result<Vec<Vec<f32>>, CoreError> {
+        let dims: Vec<Vec<usize>> = LANE_DIMS.iter().map(|d| d.to_vec()).collect();
+        let mut grads: Vec<Vec<f32>> = (0..6).map(|i| vec![i as f32; 2]).collect();
+        pipeline.finish(codec, &mut views(&dims, &mut grads), comm, &*noop())?;
+        Ok(grads)
+    }
+
+    #[test]
+    fn open_runs_once_per_bucket_per_step_on_every_path() {
+        use acp_collectives::LocalCommunicator;
+        let mut comm = LocalCommunicator::new();
+        let mut pipeline = FusedPipeline::new(16);
+        let mut codec = RecordingCodec::default();
+        // Blocking (which builds the plan), reverse pushes, a subset of
+        // pushes, and blocking again: the opens come in arrival order.
+        let steps: [(&[usize], [usize; 3]); 4] = [
+            (&[], [0, 1, 2]),
+            (&[5, 4, 3, 2, 1, 0], [2, 1, 0]),
+            (&[5, 1, 2], [2, 0, 1]),
+            (&[], [0, 1, 2]),
+        ];
+        for (order, opened) in steps {
+            push_all(&mut pipeline, &mut codec, &mut comm, order).unwrap();
+            let grads = finish_all(&mut pipeline, &mut codec, &mut comm).unwrap();
+            assert_eq!(grads[5], vec![5.0; 2], "{order:?}");
+            assert_eq!(codec.take(), (opened.to_vec(), vec![]), "{order:?}");
+        }
+    }
+
+    #[test]
+    fn abandon_runs_for_the_opened_buckets_of_a_discarded_step() {
+        use acp_collectives::LocalCommunicator;
+        let mut comm = LocalCommunicator::new();
+        let mut pipeline = FusedPipeline::new(16);
+        let mut codec = RecordingCodec::default();
+        finish_all(&mut pipeline, &mut codec, &mut comm).unwrap();
+        codec.take();
+        // Buckets 2 and 0 open, none dispatched; bucket 1 never opens.
+        let err = push_all(&mut pipeline, &mut codec, &mut comm, &[5, 0, 5]);
+        assert_eq!(err, Err(CoreError::TensorPushedTwice { index: 5 }));
+        assert_eq!(codec.take(), (vec![2, 0], vec![0, 2]));
+        // Bucket 2 dispatched, bucket 0 open: both are abandoned.
+        let err = push_all(&mut pipeline, &mut codec, &mut comm, &[5, 4, 1, 4]);
+        assert_eq!(err, Err(CoreError::TensorPushedTwice { index: 4 }));
+        assert_eq!(codec.take(), (vec![2, 0], vec![0, 2]));
+        // The next step opens every bucket and abandons none.
+        let grads = finish_all(&mut pipeline, &mut codec, &mut comm).unwrap();
+        assert_eq!(grads[4], vec![4.0; 2]);
+        assert_eq!(codec.take(), (vec![0, 1, 2], vec![]));
+    }
+
+    #[test]
+    fn a_bucket_that_emitted_before_a_later_error_is_not_abandoned() {
+        use acp_collectives::LocalCommunicator;
+        let mut comm = LocalCommunicator::new();
+        let mut pipeline = FusedPipeline::new(16);
+        let mut codec = RecordingCodec::default();
+        finish_all(&mut pipeline, &mut codec, &mut comm).unwrap();
+        codec.take();
+        // Bucket 0 emits both tensors; bucket 1's decode fails, bucket 2
+        // is in flight behind it.
+        codec.fail_decode = Some(1);
+        let err = finish_all(&mut pipeline, &mut codec, &mut comm);
+        assert!(matches!(err, Err(CoreError::CodecProtocol(_))));
+        assert_eq!(codec.take(), (vec![0, 1, 2], vec![1, 2]));
+        codec.fail_decode = None;
+        let grads = finish_all(&mut pipeline, &mut codec, &mut comm).unwrap();
+        assert_eq!(grads[3], vec![3.0; 2]);
+        assert_eq!(codec.take(), (vec![0, 1, 2], vec![]));
     }
 
     fn aggregate_bits(

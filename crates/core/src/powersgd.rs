@@ -138,11 +138,6 @@ struct PowerBucketState {
     /// kept reduced for the matrices' `emit`.
     q_payload: Vec<f32>,
     in_q_round: bool,
-    /// [`Bucket::step`] the payloads belong to.
-    step: u64,
-    /// Tensors emitted in that step; short of `states.len()` when the step
-    /// was discarded and left matrices mid-step.
-    emitted: usize,
 }
 
 impl PowerBucketState {
@@ -173,28 +168,13 @@ impl PowerBucketState {
             })
             .collect();
         PowerBucketState {
-            emitted: states.len(),
             states,
             p_offsets,
             q_offsets,
             p_payload: Vec::new(),
             q_payload: Vec::new(),
             in_q_round: false,
-            step: 0,
         }
-    }
-
-    fn begin_step(&mut self, cfg: PowerSgdConfig, bucket: &Bucket) {
-        if self.emitted != self.states.len() {
-            // The last step was discarded between a `compute_p` and its
-            // `finish`; the factor state machines cannot resume it.
-            *self = PowerBucketState::new(cfg, bucket);
-        }
-        self.step = bucket.step;
-        self.emitted = 0;
-        self.in_q_round = false;
-        self.p_payload
-            .resize(self.p_offsets[self.states.len()], 0.0);
     }
 
     fn p_segment(&self, slot: usize) -> std::ops::Range<usize> {
@@ -233,14 +213,17 @@ impl PowerCodec {
 impl BucketCodec for PowerCodec {
     const NAME: &'static str = "powersgd";
 
-    fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
+    fn open(&mut self, bucket: &Bucket) {
         let cfg = self.cfg;
         let st = self
             .buckets
             .get_or_insert_with(bucket, || PowerBucketState::new(cfg, bucket));
-        if st.step != bucket.step {
-            st.begin_step(cfg, bucket);
-        }
+        st.in_q_round = false;
+        st.p_payload.resize(st.p_offsets[st.states.len()], 0.0);
+    }
+
+    fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
+        let st = self.buckets.get_mut(bucket)?;
         let segment = st.p_segment(slot);
         match &mut st.states[slot] {
             LrState::Matrix(state) => {
@@ -310,8 +293,15 @@ impl BucketCodec for PowerCodec {
             LrState::Matrix(state) => state.try_finish_slice(&st.q_payload[q_segment], out)?,
             LrState::Vector => out.copy_from_slice(&st.p_payload[p_segment]),
         }
-        st.emitted += 1;
         Ok(())
+    }
+
+    /// The factor state machines cannot resume a step stopped between a
+    /// `compute_p` and its `finish`: the bucket's factors start over.
+    fn abandon(&mut self, bucket: &Bucket) {
+        if let Ok(st) = self.buckets.get_mut(bucket) {
+            *st = PowerBucketState::new(self.cfg, bucket);
+        }
     }
 
     fn clear(&mut self) {
@@ -478,6 +468,54 @@ mod tests {
             .sum::<f32>()
             .sqrt();
         assert!((diff - opt.total_error_norm()).abs() < 1e-4);
+    }
+
+    #[test]
+    fn a_step_discarded_mid_bucket_restarts_the_factors() {
+        // One bucket of two matrices and a vector. The discarded step
+        // leaves matrix 0 between its `compute_p` and its `finish`; only
+        // rebuilding the bucket's factors lets the next steps run.
+        let results = ThreadGroup::run(3, |mut comm| {
+            let mut opt = PowerSgdAggregator::new(PowerSgdConfig::default().with_rank(2));
+            let dims = [vec![4usize, 4], vec![6usize], vec![3usize, 5]];
+            let r = comm.rank_id().as_usize() as f32 + 1.0;
+            let grads = |step: usize| -> Vec<Vec<f32>> {
+                dims.iter()
+                    .enumerate()
+                    .map(|(t, d)| {
+                        let n: usize = d.iter().product();
+                        (0..n)
+                            .map(|i| ((i + t + step) as f32 * 0.37 * r).sin())
+                            .collect()
+                    })
+                    .collect()
+            };
+            let aggregate = |opt: &mut PowerSgdAggregator,
+                             comm: &mut dyn Communicator,
+                             mut g: Vec<Vec<f32>>| {
+                let mut views: Vec<GradViewMut<'_>> = dims
+                    .iter()
+                    .zip(g.iter_mut())
+                    .map(|(d, grad)| GradViewMut { dims: d, grad })
+                    .collect();
+                opt.aggregate(&mut views, comm).unwrap();
+                g.concat().iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+            };
+            let mut out = vec![aggregate(&mut opt, &mut comm, grads(0))];
+            let g = grads(1);
+            opt.push_ready(0, &dims[0], &g[0], &mut comm).unwrap();
+            assert_eq!(
+                opt.push_ready(0, &dims[0], &g[0], &mut comm),
+                Err(CoreError::TensorPushedTwice { index: 0 })
+            );
+            for step in 2..5 {
+                out.push(aggregate(&mut opt, &mut comm, grads(step)));
+            }
+            out
+        });
+        for got in &results[1..] {
+            assert_eq!(got, &results[0]);
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! element order. Without error feedback the codec packs and sums each
 //! tensor the moment every tensor before it in the bucket has been
 //! ([`kernels::pack_signs_summing`]), straight from the caller's slice; a
-//! tensor that arrives earlier is copied aside until then. Backward
+//! tensor that arrives earlier is copied aside until then, and the
+//! pipeline's arrival flags ([`Bucket::arrived`]) say which. Backward
 //! pushes a bucket's tensors last to first, so the first tensor, which
 //! completes the prefix, is never copied, and the blocking path copies
 //! nothing. With error feedback the whole corrected bucket is kept, as
@@ -83,30 +84,24 @@ struct SignBucket {
 /// `sum`. The scale is the mean magnitude of the whole bucket, one `f32`
 /// chain strictly in element order, so a slot can join the chain only
 /// once every slot before it has; one that arrives earlier waits in
-/// [`SignBucket::buf`].
+/// [`SignBucket::buf`]. Every slot past the prefix that has arrived is
+/// waiting there.
 #[derive(Debug, Default)]
 struct Prefix {
-    /// The [`Bucket::step`] this prefix belongs to.
-    step: u64,
     /// Slots packed and summed so far.
     slots: usize,
     /// `Σ|g|` over those slots, in element order.
     sum: f32,
     /// This step's packed signs, handed to the all-gather by `encode`.
     words: Vec<u32>,
-    /// Which slots past the prefix wait in [`SignBucket::buf`].
-    held: Vec<bool>,
 }
 
 impl Prefix {
-    /// Starts `bucket`'s current step with nothing packed.
+    /// Starts `bucket`'s step with nothing packed.
     fn open(&mut self, bucket: &Bucket) {
-        self.step = bucket.step;
         self.slots = 0;
         self.sum = 0.0;
         self.words = vec![0; bucket.elems.div_ceil(32)];
-        self.held.clear();
-        self.held.resize(bucket.dims.len(), false);
     }
 
     /// Packs and sums `grad`, the tensor at the prefix's end, then every
@@ -117,7 +112,7 @@ impl Prefix {
         loop {
             self.sum = kernels::pack_signs_summing(src, span.start, &mut self.words, self.sum);
             self.slots += 1;
-            if self.held.get(self.slots) != Some(&true) {
+            if !bucket.arrived(self.slots) {
                 return;
             }
             span = bucket.span(self.slots);
@@ -167,27 +162,27 @@ impl SignCodec {
 impl BucketCodec for SignCodec {
     const NAME: &'static str = "signsgd";
 
+    fn open(&mut self, bucket: &Bucket) {
+        let error_feedback = self.error_feedback;
+        let st = self.buckets.get_or_insert_with(bucket, || SignBucket {
+            ef: error_feedback.then(|| ErrorFeedback::new(SignSgd::scaled())),
+            ..SignBucket::default()
+        });
+        st.buf.resize(bucket.elems, 0.0);
+        if !error_feedback {
+            st.prefix.open(bucket);
+        }
+    }
+
     fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
-        let st = self.buckets.get_or_insert_with(bucket, SignBucket::default);
-        if st.buf.len() != bucket.elems {
-            st.buf.resize(bucket.elems, 0.0);
-        }
+        let st = self.buckets.get_mut(bucket)?;
         let span = bucket.span(slot);
-        if self.error_feedback {
-            st.ef
-                .get_or_insert_with(|| ErrorFeedback::new(SignSgd::scaled()))
-                .correct_from(grad, span.start, &mut st.buf);
-            return Ok(());
-        }
-        let prefix = &mut st.prefix;
-        if prefix.step != bucket.step {
-            prefix.open(bucket);
-        }
-        if slot == prefix.slots {
-            prefix.extend(bucket, grad, &st.buf);
+        if let Some(ef) = &mut st.ef {
+            ef.correct_from(grad, span.start, &mut st.buf);
+        } else if slot == st.prefix.slots {
+            st.prefix.extend(bucket, grad, &st.buf);
         } else {
             st.buf[span].copy_from_slice(grad);
-            prefix.held[slot] = true;
         }
         Ok(())
     }

@@ -136,22 +136,17 @@ fn slot_of(offsets: &[usize], i: usize, hint: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::GradViewMut;
 
     fn bucket(lens: &[usize]) -> Bucket {
-        let mut offsets = vec![0usize];
-        for len in lens {
-            offsets.push(offsets[offsets.len() - 1] + len);
-        }
-        Bucket {
-            index: 0,
-            tensors: 0..lens.len(),
-            dims: lens.iter().map(|&l| vec![l]).collect(),
-            elems: offsets[lens.len()],
-            offsets,
-            world_size: 2,
-            step: 1,
-            payload_bytes: 0,
-        }
+        let dims: Vec<[usize; 1]> = lens.iter().map(|&l| [l]).collect();
+        let mut grads: Vec<Vec<f32>> = lens.iter().map(|&l| vec![0.0; l]).collect();
+        let views: Vec<GradViewMut<'_>> = dims
+            .iter()
+            .zip(&mut grads)
+            .map(|(d, grad)| GradViewMut { dims: d, grad })
+            .collect();
+        Bucket::new(0, 0..lens.len(), &views)
     }
 
     #[test]

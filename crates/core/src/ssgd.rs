@@ -30,15 +30,16 @@ impl MeanCodec {
 impl BucketCodec for MeanCodec {
     const NAME: &'static str = "ssgd";
 
-    fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
-        let buf = self.bufs.get_or_insert_with(bucket, Vec::new);
+    fn open(&mut self, bucket: &Bucket) {
         // Every slot is overwritten before `encode`, so a buffer of the
         // right length needs no clearing; it is short only on a plan's
-        // first step or after a discarded one.
-        if buf.len() != bucket.elems {
-            buf.resize(bucket.elems, 0.0);
-        }
-        buf[bucket.span(slot)].copy_from_slice(grad);
+        // first step or after a step discarded in flight.
+        let buf = self.bufs.get_or_insert_with(bucket, Vec::new);
+        buf.resize(bucket.elems, 0.0);
+    }
+
+    fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
+        self.bufs.get_mut(bucket)?[bucket.span(slot)].copy_from_slice(grad);
         Ok(())
     }
 

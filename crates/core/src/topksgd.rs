@@ -2,10 +2,11 @@
 //! error feedback.
 //!
 //! The selection is exact, and after a bucket's first step it sweeps
-//! nothing: `absorb` writes the bucket (`g + e`, or a copy without error
-//! feedback) and lists every element whose magnitude reaches a bound
-//! carried over from the bucket's last step, and `encode` selects among
-//! those few candidates. gTop-k selects the same way.
+//! nothing: `open` empties the bucket's candidate list, `absorb` writes
+//! the bucket (`g + e`, or a copy without error feedback) and lists every
+//! element whose magnitude reaches a bound carried over from the bucket's
+//! last step, and `encode` selects among those few candidates. gTop-k
+//! selects the same way.
 
 use acp_collectives::{CollectiveOp, CollectiveResult};
 use acp_compression::kernels::{self, Candidates};
@@ -60,9 +61,10 @@ impl TopkSgdConfig {
 }
 
 /// One bucket's Top-k selection, which gTop-k shares: the candidates of
-/// the open step, collected by `absorb` as it writes the bucket, and the
-/// bound the next step collects at, which only `encode` moves, so a step
-/// discarded before dispatch leaves the next one as it would have been.
+/// the open step, emptied by the codec's `open` and collected by `absorb`
+/// as it writes the bucket, and the bound the next step collects at,
+/// which only `encode` moves, so a step discarded before dispatch leaves
+/// the next one as it would have been.
 ///
 /// The selection is always the reference's. A bucket's first step after
 /// a plan or [`BucketCodec::clear`] has no bound, and a step whose
@@ -74,29 +76,28 @@ impl TopkSgdConfig {
 pub(crate) struct Selection {
     /// The bound the next step collects at (`None`: collect nothing).
     carried: Option<u32>,
-    /// The [`Bucket::step`] `cand` was opened for.
-    step: u64,
     /// The open step's candidates.
     cand: Candidates,
 }
 
 impl Selection {
+    /// Starts a step's selection of `k` with an empty list, collecting at
+    /// the carried bound.
+    pub(crate) fn open(&mut self, k: usize) {
+        self.cand.open(self.carried.unwrap_or(u32::MAX), k);
+    }
+
     /// Writes tensor `slot` of `bucket` into its span of `buf` — `grad +
     /// residual`, or a copy without a residual (the whole bucket's) — and
-    /// collects its candidates, opening the list on a new step.
+    /// collects its candidates.
     pub(crate) fn absorb(
         &mut self,
         bucket: &Bucket,
-        k: usize,
         slot: usize,
         grad: &[f32],
         residual: Option<&[f32]>,
         buf: &mut [f32],
     ) {
-        if self.step != bucket.step {
-            self.step = bucket.step;
-            self.cand.open(self.carried.unwrap_or(u32::MAX), k);
-        }
         let span = bucket.span(slot);
         let residual = residual.map(|e| &e[span.clone()]);
         let start = span.start;
@@ -155,18 +156,21 @@ impl TopkCodec {
 impl BucketCodec for TopkCodec {
     const NAME: &'static str = "topk";
 
-    fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
-        let st = self.buckets.get_or_insert_with(bucket, TopkBucket::default);
-        if st.buf.len() != bucket.elems {
-            st.buf.resize(bucket.elems, 0.0);
-        }
+    fn open(&mut self, bucket: &Bucket) {
         let k = k_for(self.density, bucket.elems);
-        if self.error_feedback && st.ef.is_none() {
-            st.ef = Some(ErrorFeedback::new(TopK::new(k)));
-        }
+        let error_feedback = self.error_feedback;
+        let st = self.buckets.get_or_insert_with(bucket, || TopkBucket {
+            ef: error_feedback.then(|| ErrorFeedback::new(TopK::new(k))),
+            ..TopkBucket::default()
+        });
+        st.buf.resize(bucket.elems, 0.0);
+        st.select.open(k);
+    }
+
+    fn absorb(&mut self, bucket: &Bucket, slot: usize, grad: &[f32]) -> Result<(), CoreError> {
+        let st = self.buckets.get_mut(bucket)?;
         let residual = st.ef.as_mut().map(|ef| ef.residual_for(bucket.elems));
-        st.select
-            .absorb(bucket, k, slot, grad, residual, &mut st.buf);
+        st.select.absorb(bucket, slot, grad, residual, &mut st.buf);
         Ok(())
     }
 

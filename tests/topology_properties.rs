@@ -98,6 +98,10 @@ proptest! {
         let victim = victim_seed % world;
         let topo = Topology::grouped(world, groups).unwrap();
         let digests: Mutex<BTreeMap<usize, u64>> = Mutex::new(BTreeMap::new());
+        // The first survivor whose collective did not see the departure,
+        // and what it saw instead: its panic only shows in the assertions
+        // below as a missing digest.
+        let unexpected: Mutex<Option<(usize, String)>> = Mutex::new(None);
         let result =
             ThreadGroup::try_run_with_topology(topo, VerifyMode::default(), |mut comm| {
                 let phys = comm.rank_id().as_usize();
@@ -110,7 +114,13 @@ proptest! {
                     Err(CommError::MembershipChanged { departed, .. }) => {
                         assert_eq!(departed, vec![victim]);
                     }
-                    other => panic!("rank {phys} expected MembershipChanged, got {other:?}"),
+                    other => {
+                        unexpected
+                            .lock()
+                            .unwrap()
+                            .get_or_insert_with(|| (phys, format!("{other:?}")));
+                        panic!("rank {phys} expected MembershipChanged, got {other:?}");
+                    }
                 }
                 let membership = comm.reform().expect("reform after departure");
                 assert_eq!(membership.epoch(), 1);
@@ -120,13 +130,15 @@ proptest! {
                 let digest = comm.schedule().expect("schedule snapshot").digest;
                 digests.lock().unwrap().insert(phys, digest);
             });
-        prop_assert_eq!(result, Err(CommError::WorkerPanicked));
+        let unexpected = unexpected.into_inner().unwrap();
+        let seen = format!("first (rank, result) not MembershipChanged: {unexpected:?}");
+        prop_assert_eq!(result, Err(CommError::WorkerPanicked), "{}", seen);
         let digests = digests.into_inner().unwrap();
-        prop_assert_eq!(digests.len(), world - 1, "every survivor must finish");
+        prop_assert_eq!(digests.len(), world - 1, "every survivor must finish; {}", seen);
         let mut iter = digests.values();
         let first = *iter.next().unwrap();
         for &d in iter {
-            prop_assert_eq!(d, first, "survivors disagree on the post-reform digest");
+            prop_assert_eq!(d, first, "survivors disagree on the post-reform digest; {}", seen);
         }
     }
 }
